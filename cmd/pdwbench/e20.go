@@ -17,7 +17,7 @@ import (
 // --- E20: vectorized execution — node-local operator throughput ---
 //
 // e20 benchmarks the node-local executor in isolation: the same algebra
-// trees run through exec.Run (row-at-a-time, the -row-exec ablation arm)
+// trees run through exec.Run (row-at-a-time, the reference executor)
 // and exec.RunVec (columnar batches with selection vectors), over the
 // same TPC-H data. No optimizer, no DMS — this is purely the per-node
 // operator loop the vectorized rewrite targets. Each workload feeds the
@@ -52,8 +52,8 @@ func e20(db *pdwqo.DB) {
 		}
 		return data[name], names, nil
 	}
-	// Columnarize once up front, exactly as storage caches its column
-	// mirror across scans of an unchanged table.
+	// Columnarize once up front, exactly as storage holds a table's
+	// columns from insert to every later scan.
 	mirrors := map[string]*vec.Table{}
 	colSrc := func(name string) (*vec.Table, error) {
 		if m, ok := mirrors[name]; ok {

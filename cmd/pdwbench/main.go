@@ -35,7 +35,6 @@ var (
 	nodes    = flag.Int("nodes", 8, "compute nodes")
 	seed     = flag.Int64("seed", 42, "generator seed")
 	parallel = flag.Int("parallel", 0, "worker parallelism for enumeration and execution (0 = GOMAXPROCS, 1 = serial)")
-	rowExec  = flag.Bool("row-exec", false, "use the row-at-a-time node executor instead of the vectorized one (ablation control arm)")
 	sessions = flag.Int("sessions", 1000, "peak concurrent sessions for the e21 server load sweep")
 	traceOut = flag.String("trace-out", "", `trace mode: record spans/counters across all experiments and write JSON to this file ("-" = stdout)`)
 
@@ -62,7 +61,6 @@ func main() {
 		fatal(err)
 	}
 	db.SetParallelism(*parallel)
-	db.SetRowExec(*rowExec)
 	if *traceOut != "" {
 		tracer = pdwqo.NewTracer()
 		db.SetTracer(tracer)

@@ -7,7 +7,7 @@
 //	pdwcli [-sf 0.01] [-nodes 8] [-seed 42] [-explain] [-explain-json]
 //	       [-analyze] [-trace-out trace.json] [-serial] [-baseline]
 //	       [-retries 3] [-step-timeout 1s] [-fault "fail:step=1"]
-//	       [-plan-cache 128] [-row-exec] (-q "SELECT ..." | -tpch q20)
+//	       [-plan-cache 128] (-q "SELECT ..." | -tpch q20)
 //
 // -explain prints the plan without executing; -analyze executes and
 // prints EXPLAIN ANALYZE (per-step estimates vs actuals with a q-error
@@ -69,7 +69,6 @@ func main() {
 		faultStr  = flag.String("fault", "", `fault-injection spec, e.g. "fail:step=1,node=2" or "seed=42" (see pdwqo.ParseFaultSpec)`)
 		planCache = flag.Int("plan-cache", -1, "install a plan cache with this capacity (0 = default capacity, negative = off) and report its metrics")
 		noSplit   = flag.Bool("no-agg-split", false, "disable the partial/final aggregation split (ablation control arm)")
-		rowExec   = flag.Bool("row-exec", false, "use the row-at-a-time node executor instead of the vectorized one (ablation control arm)")
 		sbudget   = flag.Int("search-budget", 0, "cap on PDW enumeration options before the greedy join-order fallback kicks in (0 = unbounded)")
 	)
 	flag.Parse()
@@ -97,7 +96,6 @@ func main() {
 		fail(err)
 	}
 	db.SetParallelism(*parallel)
-	db.SetRowExec(*rowExec)
 	db.SetResilience(cfg.retries, cfg.timeout)
 	db.SetFaultPlan(cfg.faults)
 	if *planCache >= 0 {

@@ -72,8 +72,8 @@ func main() {
 	start := time.Now()
 	srv.Shutdown()
 	st := srv.Stats()
-	fmt.Printf("pdwserver: stopped after %v — %d sessions, %d queries, admission %+v\n",
-		time.Since(start).Round(time.Millisecond), st.Sessions, st.Queries, st.Admission)
+	fmt.Printf("pdwserver: stopped after %v — %d sessions, %d queries, %d panics, admission %+v\n",
+		time.Since(start).Round(time.Millisecond), st.Sessions, st.Queries, st.Panics, st.Admission)
 }
 
 func fatal(err error) {

@@ -1,17 +1,18 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"runtime"
 	"sort"
-	"sync"
 	"sync/atomic"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/cost"
 	"pdwqo/internal/memoxml"
+	"pdwqo/internal/par"
 	"pdwqo/internal/trace"
 )
 
@@ -161,19 +162,18 @@ func (o *Optimizer) Optimize() (*Plan, error) {
 	return plan, nil
 }
 
-// enumerate runs steps 05–07 over every group bottom-up. With parallelism,
-// independent groups of one topological wave enumerate concurrently: a
-// group only reads its children's finished opts, so each wave barrier is
-// the only synchronization needed. The serial path iterates the same
-// waves (group results are independent within a wave, so plans are
-// unchanged), which makes the search-budget trip point identical at any
-// Parallelism: the budget is tested only at wave barriers, where every
-// worker's atomic counter updates are visible.
+// enumerate runs steps 05–07 over every group bottom-up. Independent
+// groups of one topological wave fan out through par.For: a group only
+// reads its children's finished opts, so each wave barrier is the only
+// synchronization needed, and Parallelism 1 walks the same waves on the
+// calling goroutine alone. The search-budget trip point is therefore
+// identical at any Parallelism: the budget is tested only at wave
+// barriers, where every worker's atomic counter updates are visible.
 func (o *Optimizer) enumerate(parent trace.SpanID) error {
 	tr := o.config.Tracer
-	par := o.config.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
+	w := o.config.Parallelism
+	if w <= 0 {
+		w = runtime.GOMAXPROCS(0)
 	}
 	waves := o.waves()
 	for i, wave := range waves {
@@ -186,19 +186,11 @@ func (o *Optimizer) enumerate(parent trace.SpanID) error {
 				}
 			}
 		}
-		if par == 1 {
-			for _, gid := range wave {
-				if err := o.enumerateGroup(o.groups[gid], parent); err != nil {
-					return err
-				}
-			}
-			continue
-		}
 		wsp := tr.BeginUnder(parent, "wave")
 		wsp.Int("wave", int64(i))
 		wsp.Int("groups", int64(len(wave)))
 		tr.Counters().Add("optimize.waves", 1)
-		if err := o.enumerateWave(wave, par, wsp.ID()); err != nil {
+		if err := o.enumerateWave(wave, w, wsp.ID()); err != nil {
 			wsp.SetErr(err)
 			wsp.End()
 			return err
@@ -206,6 +198,15 @@ func (o *Optimizer) enumerate(parent trace.SpanID) error {
 		wsp.End()
 	}
 	return nil
+}
+
+// enumerateWave fans one wave's groups out over w workers; the reported
+// error is the first failing group, in wave order, among those that ran.
+func (o *Optimizer) enumerateWave(wave []int, w int, parent trace.SpanID) error {
+	// Compilation has no caller context to cancel it.
+	return par.For(context.TODO(), len(wave), w, func(_ context.Context, k int) error {
+		return o.enumerateGroup(o.groups[wave[k]], parent)
+	})
 }
 
 // waves partitions the bottom-up order into topological levels: every
@@ -233,46 +234,6 @@ func (o *Optimizer) waves() [][]int {
 		out[depth[id]] = append(out[depth[id]], id)
 	}
 	return out
-}
-
-// enumerateWave fans one wave's groups out over at most par workers. The
-// reported error is the first failing group in wave order, matching the
-// serial enumerator.
-func (o *Optimizer) enumerateWave(wave []int, par int, parent trace.SpanID) error {
-	if par > len(wave) {
-		par = len(wave)
-	}
-	if par <= 1 {
-		for _, gid := range wave {
-			if err := o.enumerateGroup(o.groups[gid], parent); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, len(wave))
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= len(wave) {
-					return
-				}
-				errs[i] = o.enumerateGroup(o.groups[wave[i]], parent)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // prepare implements Figure 4 steps 01–03: build PDW-side groups from the

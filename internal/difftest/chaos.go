@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"pdwqo"
+	"pdwqo/internal/par"
 )
 
 // Chaos certifies the engine's robustness contract for one case: run it
@@ -71,15 +72,19 @@ func Chaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
 	return nil
 }
 
-// runRecovered executes the plan, converting any panic into an error so
-// the harness can report it as a contract violation instead of dying.
+// runRecovered executes the plan, converting any panic — on this
+// goroutine, or caught by the engine's fan-out and handed back inside a
+// StepError — into an error the harness reports as a contract violation.
 func runRecovered(db *pdwqo.DB, plan *pdwqo.QueryPlan) (res *pdwqo.Result, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = panicError{fmt.Sprintf("panic under injected faults: %v", r)}
-		}
+	func() {
+		defer par.Recover(&err)
+		res, err = db.ExecutePlan(plan)
 	}()
-	return db.ExecutePlan(plan)
+	var pe *par.PanicError
+	if errors.As(err, &pe) {
+		return nil, panicError{fmt.Sprintf("panic under injected faults: %v\n%s", pe.Value, pe.Stack)}
+	}
+	return res, err
 }
 
 // panicError deliberately does not unwrap to *StepError, so a recovered

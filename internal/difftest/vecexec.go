@@ -23,15 +23,16 @@ import (
 // vectorized engine and the row engine, asserting byte-identical results.
 // The DB is restored to the vectorized default before returning.
 func VecDiff(db *pdwqo.DB, c Case, par int) error {
-	defer db.SetRowExec(false)
+	a := db.Appliance()
+	defer func() { a.RowExec = false }()
 	plan, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: par})
 	if err != nil {
 		return fmt.Errorf("%s: optimize: %w", c.Name, err)
 	}
 	db.SetParallelism(par)
-	db.SetRowExec(false)
+	a.RowExec = false
 	vres, verr := db.ExecutePlan(plan)
-	db.SetRowExec(true)
+	a.RowExec = true
 	rres, rerr := db.ExecutePlan(plan)
 	if (verr == nil) != (rerr == nil) {
 		return fmt.Errorf("%s: engines diverged on failure: vectorized err=%v, row err=%v",
@@ -58,7 +59,7 @@ func VecChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
 	defer func() {
 		db.SetFaultPlan(nil)
 		db.SetResilience(0, 0)
-		db.SetRowExec(false)
+		a.RowExec = false
 		a.RetryBackoff = prevBackoff
 	}()
 
@@ -66,7 +67,7 @@ func VecChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
 	db.SetFaultPlan(nil)
 	db.SetResilience(0, 0)
 	db.SetParallelism(1)
-	db.SetRowExec(true)
+	a.RowExec = true
 	plan, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: 1})
 	if err != nil {
 		return fmt.Errorf("%s: optimize: %w", c.Name, err)
@@ -77,7 +78,7 @@ func VecChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
 	}
 
 	// Vectorized chaos run: same plan, seeded faults, parallel fan-out.
-	db.SetRowExec(false)
+	a.RowExec = false
 	faults := pdwqo.RandomFaultPlan(seed, len(plan.DSQL.Steps), a.Shell.Topology.ComputeNodes)
 	db.SetFaultPlan(faults)
 	db.SetResilience(maxRetries, 0)

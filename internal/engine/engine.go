@@ -6,11 +6,13 @@
 // across nodes; DMS operations route the resulting rows into temp tables;
 // the final step streams rows back to the client through the control node.
 //
-// Node-level work inside one step fans out over a bounded worker pool
-// (Appliance.Parallelism; default GOMAXPROCS). Parallelism == 1 is the
-// strictly serial reference path: the differential harness
-// (internal/difftest) certifies that both paths produce byte-identical
-// results for every query.
+// Node-level work inside one step fans out through par.For, the one loop
+// every worker count runs (Appliance.Parallelism; default GOMAXPROCS).
+// Parallelism == 1 runs that loop on the calling goroutine alone — the
+// strictly serial reference order: the differential harness
+// (internal/difftest) certifies byte-identical results at every setting.
+// Each node stores its tables in one columnar form (internal/storage) and
+// evaluates a step with the vectorized executor.
 package engine
 
 import (
@@ -32,7 +34,6 @@ import (
 	"pdwqo/internal/storage"
 	"pdwqo/internal/trace"
 	"pdwqo/internal/types"
-	"pdwqo/internal/vec"
 )
 
 // Node is one appliance node: the control node or a compute node.
@@ -190,11 +191,10 @@ type Appliance struct {
 	// Faults is the active fault-injection plan; nil injects nothing.
 	Faults *FaultPlan
 
-	// RowExec selects the row-at-a-time executor for node-local step
-	// evaluation instead of the default vectorized engine. Both engines
-	// honor the same DSQL step contract and produce byte-identical
-	// relations (certified by internal/difftest); the row engine remains
-	// as the ablation arm and differential reference.
+	// RowExec evaluates steps with the row-at-a-time reference executor
+	// (exec.Run, over rows boxed from the column store) instead of the
+	// vectorized engine. Only internal/difftest sets it, to certify the
+	// two byte-identical.
 	RowExec bool
 
 	// Tracer records per-step execution spans (payload: the step's
@@ -266,7 +266,7 @@ func (a *Appliance) LoadTable(name string, rows []types.Row) error {
 	ctx := context.Background()
 	// Loads run outside any DSQL step; fault rules address them with
 	// op=load (step/move wildcards only).
-	if err := parallelFor(ctx, len(a.Compute), a.workers(len(a.Compute)), func(ctx context.Context, i int) error {
+	if err := a.forEach(ctx, len(a.Compute), func(ctx context.Context, i int) error {
 		if _, serr := a.injectFault(ctx, OpLoad, loadStepID, a.Compute[i].ID, Any); serr != nil {
 			return serr
 		}
@@ -275,7 +275,7 @@ func (a *Appliance) LoadTable(name string, rows []types.Row) error {
 		return err
 	}
 	if tbl.Dist.Kind == catalog.DistReplicated {
-		return parallelFor(ctx, len(a.Compute), a.workers(len(a.Compute)), func(ctx context.Context, i int) error {
+		return a.forEach(ctx, len(a.Compute), func(ctx context.Context, i int) error {
 			if _, serr := a.injectFault(ctx, OpLoad, loadStepID, a.Compute[i].ID, Any); serr != nil {
 				return serr
 			}
@@ -288,7 +288,7 @@ func (a *Appliance) LoadTable(name string, rows []types.Row) error {
 		n := int(types.Hash(r[ci]) % uint64(len(a.Compute)))
 		buckets[n] = append(buckets[n], r)
 	}
-	return parallelFor(ctx, len(a.Compute), a.workers(len(a.Compute)), func(ctx context.Context, i int) error {
+	return a.forEach(ctx, len(a.Compute), func(ctx context.Context, i int) error {
 		if _, serr := a.injectFault(ctx, OpLoad, loadStepID, a.Compute[i].ID, Any); serr != nil {
 			return serr
 		}
@@ -565,22 +565,12 @@ func (a *Appliance) runOnNodes(ctx context.Context, stepID, move int, tree *alge
 	if a.Tracer != nil {
 		stats = make([]exec.Stats, len(nodes))
 	}
-	err := parallelFor(ctx, len(nodes), a.workers(len(nodes)), func(ctx context.Context, i int) error {
-		simulateLatency(ctx, a.NodeLatency)
+	err := a.forEach(ctx, len(nodes), func(ctx context.Context, i int) error {
+		// Simulated dispatch round trip; whoever cancels it reports why.
+		_ = sleepCtx(ctx, a.NodeLatency)
 		n := nodes[i]
 		if _, serr := a.injectFault(ctx, OpQuery, stepID, n.ID, move); serr != nil {
 			return serr
-		}
-		src := func(name string) ([]types.Row, []string, error) {
-			t := n.DB.Table(name)
-			if t == nil {
-				return nil, nil, fmt.Errorf("node %d: no table %q", n.ID, name)
-			}
-			names := make([]string, len(t.Cols))
-			for j, c := range t.Cols {
-				names[j] = c.Name
-			}
-			return t.Rows, names, nil
 		}
 		var st *exec.Stats
 		if stats != nil {
@@ -589,16 +579,15 @@ func (a *Appliance) runOnNodes(ctx context.Context, stepID, move int, tree *alge
 		var rel *exec.Relation
 		var err error
 		if a.RowExec {
-			rel, err = exec.RunStats(tree, src, st)
-		} else {
-			csrc := func(name string) (*vec.Table, error) {
+			rel, err = exec.RunStats(tree, func(name string) ([]types.Row, []string, error) {
 				t, err := n.DB.ScanColumns(name)
 				if err != nil {
-					return nil, fmt.Errorf("node %d: no table %q", n.ID, name)
+					return nil, nil, err
 				}
-				return t, nil
-			}
-			rel, err = exec.RunVecStats(tree, csrc, st)
+				return t.Rows(), t.Names, nil
+			}, st)
+		} else {
+			rel, err = exec.RunVecStats(tree, n.DB.ScanColumns, st)
 		}
 		if err != nil {
 			// Node-local evaluation failures are deterministic: attribute
@@ -654,7 +643,7 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 	// Destination setup: create the staging table on each receiving node.
 	staging := stagingName(step.Dest)
 	destNodes, destDist := a.destFor(step)
-	if err := parallelFor(ctx, len(destNodes), a.workers(len(destNodes)), func(ctx context.Context, i int) error {
+	if err := a.forEach(ctx, len(destNodes), func(ctx context.Context, i int) error {
 		if _, serr := a.injectFault(ctx, OpCreate, step.ID, destNodes[i].ID, int(step.MoveKind)); serr != nil {
 			return serr
 		}
@@ -686,7 +675,7 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 		// schedule).
 		perSrc := make([][][]types.Row, len(rels))
 		perSrcHashed := make([]int64, len(rels))
-		if err := parallelFor(ctx, len(rels), a.workers(len(rels)), func(_ context.Context, si int) error {
+		if err := a.forEach(ctx, len(rels), func(_ context.Context, si int) error {
 			buckets := make([][]types.Row, len(a.Compute))
 			for _, r := range rels[si].Rows {
 				perSrcHashed[si]++
@@ -720,7 +709,7 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 		}
 		keeps := make([][]types.Row, len(rels))
 		perSrcHashed := make([]int64, len(rels))
-		if err := parallelFor(ctx, len(rels), a.workers(len(rels)), func(_ context.Context, si int) error {
+		if err := a.forEach(ctx, len(rels), func(_ context.Context, si int) error {
 			var keep []types.Row
 			for _, r := range rels[si].Rows {
 				perSrcHashed[si]++
@@ -770,8 +759,8 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 	// deterministically.
 	type tally struct{ rows, bytes int64 }
 	tallies := make([]tally, len(batches))
-	if err := parallelFor(ctx, len(batches), a.workers(len(batches)), func(ctx context.Context, i int) error {
-		simulateLatency(ctx, a.NodeLatency)
+	if err := a.forEach(ctx, len(batches), func(ctx context.Context, i int) error {
+		_ = sleepCtx(ctx, a.NodeLatency) // dispatch round trip, as in runOnNodes
 		if f, serr := a.injectFault(ctx, OpDeliver, step.ID, batches[i].node.ID, int(step.MoveKind)); serr != nil {
 			if f.Kind == FaultCorrupt {
 				// Model a payload garbled in transit and caught by
@@ -801,7 +790,7 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 
 	// Publish: every batch landed, so rename staging to the destination
 	// and only then register the temp table for later steps and cleanup.
-	if err := parallelFor(ctx, len(destNodes), a.workers(len(destNodes)), func(_ context.Context, i int) error {
+	if err := a.forEach(ctx, len(destNodes), func(_ context.Context, i int) error {
 		return destNodes[i].DB.Rename(staging, step.Dest)
 	}); err != nil {
 		return StepMetric{}, err

@@ -75,23 +75,23 @@ func TestLoadTablePlacement(t *testing.T) {
 	// Hash table: rows partition exactly.
 	total := 0
 	for _, n := range a.Compute {
-		rows, err := n.DB.Scan("orders")
+		cols, err := n.DB.ScanColumns("orders")
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += len(rows)
+		total += cols.N
 	}
 	if total != len(data["orders"]) {
 		t.Errorf("orders partitioned: %d of %d", total, len(data["orders"]))
 	}
 	// Replicated table: full copy everywhere.
 	for _, n := range a.Compute {
-		rows, err := n.DB.Scan("nation")
+		cols, err := n.DB.ScanColumns("nation")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rows) != len(data["nation"]) {
-			t.Errorf("nation replica on node %d: %d rows", n.ID, len(rows))
+		if cols.N != len(data["nation"]) {
+			t.Errorf("nation replica on node %d: %d rows", n.ID, cols.N)
 		}
 	}
 	if err := a.LoadTable("bogus", nil); err == nil {
@@ -266,12 +266,12 @@ func TestAllSevenMoveKinds(t *testing.T) {
 
 	countOn := func(nodes []*Node, table string) (total int, per []int) {
 		for _, n := range nodes {
-			rows, err := n.DB.Scan(table)
+			cols, err := n.DB.ScanColumns(table)
 			if err != nil {
 				t.Fatalf("scan %s on node %d: %v", table, n.ID, err)
 			}
-			per = append(per, len(rows))
-			total += len(rows)
+			per = append(per, cols.N)
+			total += cols.N
 		}
 		return total, per
 	}

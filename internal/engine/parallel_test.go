@@ -35,7 +35,7 @@ func TestParallelForVisitsEveryIndex(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 16} {
 		const n = 100
 		var hits [n]int32
-		err := parallelFor(context.Background(), n, w, func(_ context.Context, i int) error {
+		err := (&Appliance{Parallelism: w}).forEach(context.Background(), n, func(_ context.Context, i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -54,7 +54,7 @@ func TestParallelForReturnsLowestIndexError(t *testing.T) {
 	// Several indices fail; the reported error must be the lowest-index
 	// one among those that actually ran, whatever the worker schedule.
 	for _, w := range []int{1, 3, 8} {
-		err := parallelFor(context.Background(), 16, w, func(_ context.Context, i int) error {
+		err := (&Appliance{Parallelism: w}).forEach(context.Background(), 16, func(_ context.Context, i int) error {
 			if i%5 == 3 { // 3, 8, 13
 				return fmt.Errorf("node %d failed", i)
 			}
@@ -74,12 +74,12 @@ func TestParallelForCancelsOnFirstFailure(t *testing.T) {
 	// skipped once the context is cancelled, not executed.
 	var ran int32
 	boom := errors.New("boom")
-	err := parallelFor(context.Background(), 64, 2, func(ctx context.Context, i int) error {
+	err := (&Appliance{Parallelism: 2}).forEach(context.Background(), 64, func(ctx context.Context, i int) error {
 		if i == 0 {
 			return boom
 		}
 		// Give cancellation time to propagate before counting.
-		simulateLatency(ctx, 2*time.Millisecond)
+		_ = sleepCtx(ctx, 2*time.Millisecond)
 		if ctx.Err() != nil {
 			return nil
 		}
@@ -97,16 +97,18 @@ func TestParallelForCancelsOnFirstFailure(t *testing.T) {
 func TestParallelForHonorsParentCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	calls := 0
-	err := parallelFor(ctx, 10, 1, func(context.Context, int) error {
-		calls++
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got %v, want context.Canceled", err)
-	}
-	if calls != 0 {
-		t.Errorf("%d tasks ran under a cancelled parent context", calls)
+	for _, w := range []int{1, 4} {
+		var calls atomic.Int32
+		err := (&Appliance{Parallelism: w}).forEach(ctx, 10, func(context.Context, int) error {
+			calls.Add(1)
+			return nil
+		})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("w=%d: got %v, want context.Canceled", w, err)
+		}
+		if calls.Load() != 0 {
+			t.Errorf("w=%d: %d tasks ran under a cancelled parent context", w, calls.Load())
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 	"pdwqo/internal/vec"
 )
 
-// ColSource resolves a base-table scan into the table's columnar mirror
+// ColSource resolves a base-table scan into the table's stored columns
 // in full stored column order.
 type ColSource func(name string) (*vec.Table, error)
 
@@ -174,23 +174,6 @@ func buildVec(t *algebra.Tree, src ColSource, st *Stats) (vecNode, error) {
 	return n, nil
 }
 
-// batchRows appends a batch's rows, boxed, onto dst. One backing array
-// serves the whole batch and values fill column-major, so materializing
-// costs one allocation per batch rather than one per row.
-func batchRows(b *vec.Batch, dst []types.Row) []types.Row {
-	w := len(b.Cols)
-	backing := make([]types.Value, b.N*w)
-	for c, v := range b.Cols {
-		for i := 0; i < b.N; i++ {
-			backing[i*w+c] = v.At(i)
-		}
-	}
-	for i := 0; i < b.N; i++ {
-		dst = append(dst, types.Row(backing[i*w:(i+1)*w:(i+1)*w]))
-	}
-	return dst
-}
-
 // gatherBatch gathers every column of a batch under one selection.
 func gatherBatch(b *vec.Batch, sel []int32) *vec.Batch {
 	out := &vec.Batch{N: len(sel), Cols: make([]*vec.Vec, len(b.Cols))}
@@ -200,7 +183,7 @@ func gatherBatch(b *vec.Batch, sel []int32) *vec.Batch {
 	return out
 }
 
-// vecScan windows batches out of a table's columnar mirror: BatchSize is
+// vecScan windows batches out of a table's stored columns: BatchSize is
 // a multiple of 64, so every window is a zero-copy bitmap-aligned slice.
 type vecScan struct {
 	op   *algebra.Get
@@ -1163,7 +1146,7 @@ func (s *vecSort) next() (*vec.Batch, error) {
 			if b == nil {
 				break
 			}
-			s.rows = batchRows(b, s.rows)
+			s.rows = b.AppendRows(s.rows)
 		}
 		keys, err := sortMergeKeys(s.op.Keys, s.in.cols())
 		if err != nil {

@@ -2,6 +2,7 @@ package loadgen
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -14,13 +15,19 @@ import (
 // prepared/ad-hoc run against an in-process server, then a chaos arm with
 // a seeded fault plan and retries, then a zero-goroutine-leak gate. The
 // whole test is capped at 30s of driving time (split across the two
-// arms); -short trims it to a few seconds for CI.
+// arms and the GOMAXPROCS settings); -short trims it to a few seconds for
+// CI. Both arms run at GOMAXPROCS 1, 2 and NumCPU, so a schedule that only
+// one core count produces cannot hide.
 func TestSoak(t *testing.T) {
 	total := 30 * time.Second
 	if testing.Short() {
 		total = 6 * time.Second
 	}
-	arm := total / 2
+	ladder := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		ladder = append(ladder, n)
+	}
+	arm := total / time.Duration(2*len(ladder))
 
 	db, err := pdwqo.OpenTPCH(0.001, 2, 99)
 	if err != nil {
@@ -31,7 +38,29 @@ func TestSoak(t *testing.T) {
 	// admitted workers genuinely interleave even on a one-CPU host.
 	db.SetParallelism(2)
 	before := runtime.NumGoroutine()
+	for _, procs := range ladder {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			soakArms(t, db, arm)
+		})
+	}
 
+	// Leak gate: every server is down, so every session, worker, and
+	// recvLoop goroutine must be gone.
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutine leak after soak: %d -> %d\n%s",
+				before, runtime.NumGoroutine(), buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// soakArms drives the clean arm, then the chaos arm, each for arm long.
+func soakArms(t *testing.T, db *pdwqo.DB, arm time.Duration) {
 	srv := server.New(db, server.Config{MaxConcurrent: 4, MaxQueue: 256})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -103,17 +132,4 @@ func TestSoak(t *testing.T) {
 	chaosSrv.Shutdown()
 	db.SetFaultPlan(nil)
 	db.SetResilience(0, 0)
-
-	// Leak gate: both servers are down, so every session, worker, and
-	// recvLoop goroutine must be gone.
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<20)
-			n := runtime.Stack(buf, true)
-			t.Fatalf("goroutine leak after soak: %d -> %d\n%s",
-				before, runtime.NumGoroutine(), buf[:n])
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
 }

@@ -15,6 +15,8 @@ import (
 	"container/list"
 	"strconv"
 	"sync"
+
+	"pdwqo/internal/par"
 )
 
 // DefaultCapacity bounds the cache when the caller passes a non-positive
@@ -114,7 +116,9 @@ func New(capacity int) *Cache {
 // function runs outside the cache lock; concurrent callers for the same
 // (key, epoch) share one compilation. The Outcome reports whether the
 // value came from a cached entry, a shared flight, or this caller's own
-// compile. Compile errors are returned, not cached.
+// compile. Compile errors are returned, not cached; a compile that panics
+// is a compile error (*par.PanicError) to this caller and to every caller
+// sharing the flight, so the flight always lands.
 func (c *Cache) Do(key string, epoch uint64, compile func() (any, error)) (any, Outcome, error) {
 	c.mu.Lock()
 	c.observeLocked(epoch)
@@ -148,7 +152,10 @@ func (c *Cache) Do(key string, epoch uint64, compile func() (any, error)) (any, 
 	c.m.Misses++
 	c.mu.Unlock()
 
-	f.val, f.err = compile()
+	func() {
+		defer par.Recover(&f.err)
+		f.val, f.err = compile()
+	}()
 
 	c.mu.Lock()
 	delete(c.inflight, fkey)

@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"pdwqo/internal/par"
 )
 
 // compileCounter returns a compile func that counts invocations and
@@ -358,37 +360,66 @@ func TestOldEpochCallerInvalidates(t *testing.T) {
 	}
 }
 
+// TestSharedFlightError: a compile that fails — by returning an error or
+// by panicking — fails its owner and every caller sharing the flight with
+// the same error, and leaves no flight behind: the next caller compiles.
 func TestSharedFlightError(t *testing.T) {
-	c := New(4)
 	boom := errors.New("boom")
-	release := make(chan struct{})
-	started := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := c.Do("k", 1, func() (any, error) {
-			close(started)
-			<-release
-			return nil, boom
+	isPanic := func(err error) bool {
+		var pe *par.PanicError
+		return errors.As(err, &pe) && pe.Value == boom
+	}
+	for _, mode := range []struct {
+		name string
+		fail func() (any, error)
+		is   func(error) bool
+	}{
+		{"error", func() (any, error) { return nil, boom }, func(err error) bool { return errors.Is(err, boom) }},
+		{"panic", func() (any, error) { panic(boom) }, isPanic},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			c := New(4)
+			release := make(chan struct{})
+			started := make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := c.Do("k", 1, func() (any, error) {
+					close(started)
+					<-release
+					return mode.fail()
+				})
+				done <- err
+			}()
+			<-started
+			waiter := make(chan error, 1)
+			go func() {
+				_, out, err := c.Do("k", 1, func() (any, error) { return "never", nil })
+				if out != OutcomeShared {
+					t.Errorf("outcome = %v, want shared", out)
+				}
+				waiter <- err
+			}()
+			for c.Metrics().Shared < 1 {
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			if err := <-done; !mode.is(err) {
+				t.Errorf("owner err = %v", err)
+			}
+			select {
+			case err := <-waiter:
+				if !mode.is(err) {
+					t.Errorf("waiter must see the shared compile error, got %v", err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("waiter still blocked on a flight whose compile failed")
+			}
+			if v, out, err := c.Do("k", 1, func() (any, error) { return "plan", nil }); err != nil || out != OutcomeMiss || v != "plan" {
+				t.Errorf("Do after the failed flight = (%v, %v, %v), want a fresh compile", v, out, err)
+			}
+			if m := c.Metrics(); m.CompileErrors != 1 {
+				t.Errorf("CompileErrors = %d, want 1", m.CompileErrors)
+			}
 		})
-		done <- err
-	}()
-	<-started
-	waiter := make(chan error, 1)
-	go func() {
-		_, out, err := c.Do("k", 1, func() (any, error) { return "never", nil })
-		if out != OutcomeShared {
-			t.Errorf("outcome = %v, want shared", out)
-		}
-		waiter <- err
-	}()
-	for c.Metrics().Shared < 1 {
-		time.Sleep(time.Millisecond)
-	}
-	close(release)
-	if err := <-done; !errors.Is(err, boom) {
-		t.Errorf("owner err = %v", err)
-	}
-	if err := <-waiter; !errors.Is(err, boom) {
-		t.Errorf("waiter must see the shared compile error, got %v", err)
 	}
 }

@@ -27,17 +27,32 @@ const (
 // streaming. In every cell the server must answer promptly with the
 // right typed error (when the connection still exists to answer on),
 // release the admission slot, leave no temp tables, and strand no
-// goroutines.
+// goroutines. Every cell runs at GOMAXPROCS 1, 2 and NumCPU, so the
+// verdict does not depend on how many cores the host happens to have.
 func TestCancellationMatrix(t *testing.T) {
 	phases := []Phase{PhaseQueued, PhaseCompiling, PhaseExecuting, PhaseStreaming}
 	actions := []cancelAction{actClientCancel, actConnDrop, actShutdown}
 	for _, ph := range phases {
 		for _, act := range actions {
 			t.Run(fmt.Sprintf("%s/%s", ph, act), func(t *testing.T) {
-				runCancelCase(t, ph, act)
+				for _, procs := range procsLadder() {
+					t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+						defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+						runCancelCase(t, ph, act)
+					})
+				}
 			})
 		}
 	}
+}
+
+// procsLadder is the GOMAXPROCS settings schedule-sensitive tests run at.
+func procsLadder() []int {
+	ladder := []int{1, 2}
+	if n := runtime.NumCPU(); n > 2 {
+		ladder = append(ladder, n)
+	}
+	return ladder
 }
 
 // rawSession is a frame-level client for tests that need to control

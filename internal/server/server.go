@@ -2,12 +2,15 @@ package server
 
 import (
 	"context"
+	"errors"
+	"log"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"pdwqo"
+	"pdwqo/internal/par"
 )
 
 // Phase labels where in its lifecycle a query currently is; the
@@ -103,6 +106,7 @@ type Server struct {
 
 	nextSession atomic.Uint64
 	queries     atomic.Uint64 // terminal responses sent, ok or error
+	panics      atomic.Uint64 // panics converted to CodeInternal
 
 	mu        sync.Mutex
 	listeners map[net.Listener]bool
@@ -174,7 +178,9 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 
 // ServeConn runs one session over an established connection (any
 // net.Conn, including net.Pipe ends in tests) and returns when the
-// session ends. The connection is always closed on return.
+// session ends. The connection is always closed on return. A panic on the
+// session goroutine ends that session only: the peer is told
+// CodeInternal, best effort, before the close.
 func (s *Server) ServeConn(conn net.Conn) {
 	if !s.trackConn(conn) {
 		conn.Close()
@@ -186,7 +192,23 @@ func (s *Server) ServeConn(conn net.Conn) {
 		conn: conn,
 		id:   s.nextSession.Add(1),
 	}
-	sess.run()
+	if err := sess.run(); err != nil {
+		sess.writeFail(s.execErr(err))
+	}
+}
+
+// execErr is the wire error of a failed compilation or execution:
+// CodeExec, unless the failure is a panic one of the recover boundaries
+// caught — then CodeInternal, counted, with the stack logged here since
+// the peer is not shown it.
+func (s *Server) execErr(err error) *Error {
+	var pe *par.PanicError
+	if !errors.As(err, &pe) {
+		return errf(CodeExec, "%v", err)
+	}
+	s.panics.Add(1)
+	log.Printf("server: recovered panic: %v\n%s", pe.Value, pe.Stack)
+	return errf(CodeInternal, "%v", err)
 }
 
 // Shutdown stops the server: no new connections are accepted, every
@@ -216,6 +238,9 @@ type Stats struct {
 	// Queries is how many queries reached a terminal response (Done or
 	// Error), ExecStmt included.
 	Queries uint64
+	// Panics is how many panics the recover boundaries converted into a
+	// CodeInternal answer.
+	Panics uint64
 	// Admission is the admission gate's counter snapshot.
 	Admission AdmissionStats
 }
@@ -225,6 +250,7 @@ func (s *Server) Stats() Stats {
 	return Stats{
 		Sessions:  s.nextSession.Load(),
 		Queries:   s.queries.Load(),
+		Panics:    s.panics.Load(),
 		Admission: s.adm.stats(),
 	}
 }

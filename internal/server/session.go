@@ -11,6 +11,7 @@ import (
 
 	"pdwqo"
 	"pdwqo/internal/normalize"
+	"pdwqo/internal/par"
 )
 
 // frame is one decoded client frame, or the read error that ended the
@@ -56,17 +57,18 @@ type qresult struct {
 	err         error
 }
 
-func (s *session) run() {
+func (s *session) run() (err error) {
+	defer par.Recover(&err)
 	s.bw = bufio.NewWriter(s.conn)
 	s.frames = make(chan frame, 1)
 	s.gone = make(chan struct{})
 	s.stmts = map[uint32]*stmt{}
 	defer close(s.gone)
 	go s.recvLoop()
-	if !s.handshake() {
-		return
+	if s.handshake() {
+		s.loop()
 	}
-	s.loop()
+	return nil
 }
 
 // recvLoop reads frames off the connection into the frames channel until
@@ -292,8 +294,9 @@ func literalText(kind normalize.LitKind, text string) (string, error) {
 func (s *session) runQuery(sql string) bool {
 	qctx, qcancel := context.WithCancel(s.srv.base)
 	defer qcancel()
+	// Buffered, so the post never blocks even if the session has moved on.
 	done := make(chan qresult, 1)
-	go s.worker(qctx, sql, done)
+	go func() { done <- s.query(qctx, sql) }()
 
 	var r qresult
 wait:
@@ -349,19 +352,19 @@ wait:
 	return s.stream(r)
 }
 
-// worker runs one query to completion under ctx: admission wait, plan
-// compilation through the shared cache, then appliance execution. It
-// posts exactly one qresult; the done channel is buffered so the post
-// never blocks even if the session has moved on.
-func (s *session) worker(ctx context.Context, sql string, done chan<- qresult) {
+// query takes one query, on its own goroutine, through admission wait,
+// plan compilation through the shared cache, then appliance execution. A
+// panic anywhere below — hook, optimizer or engine — comes back as the
+// result's error with the admission slot released.
+func (s *session) query(ctx context.Context, sql string) (r qresult) {
+	defer par.Recover(&r.err)
 	hook := s.srv.cfg.PhaseHook
 	if hook != nil {
 		hook(PhaseQueued, sql)
 	}
 	release, err := s.srv.adm.acquire(ctx)
 	if err != nil {
-		done <- qresult{err: err}
-		return
+		return qresult{err: err}
 	}
 	defer release()
 	if hook != nil {
@@ -369,28 +372,26 @@ func (s *session) worker(ctx context.Context, sql string, done chan<- qresult) {
 	}
 	plan, err := s.srv.db.Optimize(sql, s.srv.cfg.Opts)
 	if err != nil {
-		done <- qresult{err: errf(CodeExec, "%v", err)}
-		return
+		return qresult{err: s.srv.execErr(err)}
 	}
 	if ctx.Err() != nil {
 		// Compilation is not interruptible; honor a cancel that landed
 		// during it before paying for execution.
-		done <- qresult{err: ctx.Err()}
-		return
+		return qresult{err: ctx.Err()}
 	}
 	if hook != nil {
 		hook(PhaseExecuting, sql)
 	}
 	res, err := s.srv.db.ExecutePlanContext(ctx, plan)
 	if err != nil {
-		done <- qresult{err: err}
-		return
+		return qresult{err: err}
 	}
-	done <- qresult{res: res, cacheStatus: plan.CacheStatus, epoch: s.srv.db.Shell().Epoch()}
+	return qresult{res: res, cacheStatus: plan.CacheStatus, epoch: s.srv.db.Shell().Epoch()}
 }
 
 // mapQueryErr classifies a worker failure into its wire error: typed
-// errors pass through; anything that failed while the query context was
+// errors pass through; a recovered panic is CodeInternal whatever else
+// was going on; anything else that failed while the query context was
 // cancelled becomes CodeCancelled (or CodeShutdown when the whole server
 // is stopping); the rest is CodeExec.
 func (s *session) mapQueryErr(qctx context.Context, err error) *Error {
@@ -401,10 +402,10 @@ func (s *session) mapQueryErr(qctx context.Context, err error) *Error {
 		}
 		return e
 	}
-	if qctx.Err() != nil {
-		return s.cancelErr(err)
+	if e := s.srv.execErr(err); e.Code == CodeInternal || qctx.Err() == nil {
+		return e
 	}
-	return errf(CodeExec, "%v", err)
+	return s.cancelErr(err)
 }
 
 func (s *session) cancelErr(err error) *Error {

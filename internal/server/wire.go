@@ -145,6 +145,10 @@ const (
 	// CodeExec is a compilation or execution failure; the message carries
 	// the underlying error text.
 	CodeExec
+	// CodeInternal is a server bug: a panic caught at one of the server's
+	// recover boundaries. The query (or, from the session goroutine, the
+	// session) is lost; the server keeps serving.
+	CodeInternal
 )
 
 // String names the code.
@@ -172,6 +176,8 @@ func (c Code) String() string {
 		return "too-many-stmts"
 	case CodeExec:
 		return "exec"
+	case CodeInternal:
+		return "internal"
 	default:
 		return fmt.Sprintf("code(%d)", uint16(c))
 	}

@@ -119,7 +119,10 @@ func TestDecPoisoning(t *testing.T) {
 
 func TestErrorAndCodeStrings(t *testing.T) {
 	codes := []Code{CodeProtocol, CodeHandshake, CodeBusy, CodeQueueFull, CodeQueueTimeout,
-		CodeCancelled, CodeShutdown, CodeStmtNotFound, CodeBadParams, CodeTooManyStmts, CodeExec}
+		CodeCancelled, CodeShutdown, CodeStmtNotFound, CodeBadParams, CodeTooManyStmts, CodeExec, CodeInternal}
+	if CodeProtocol != 1 || CodeExec != 11 || CodeInternal != 12 {
+		t.Errorf("wire code values moved: protocol=%d exec=%d internal=%d", CodeProtocol, CodeExec, CodeInternal)
+	}
 	seen := map[string]bool{}
 	for _, c := range codes {
 		s := c.String()

@@ -1,8 +1,10 @@
-// Package storage implements the per-node row store backing each simulated
+// Package storage implements the per-node store backing each simulated
 // SQL Server instance: base tables loaded at appliance construction and
-// temp tables materialized by DMS operations (paper §2.3). Bulk inserts are
-// metered in bytes so the cost model can be calibrated against observed
-// writer/bulk-copy work.
+// temp tables materialized by DMS operations (paper §2.3). A table is held
+// in one form — an immutable columnar vec.Table that an insert replaces
+// and never mutates, so scans share it under the read lock. Bulk inserts
+// are metered in bytes so the cost model can be calibrated against
+// observed writer/bulk-copy work.
 package storage
 
 import (
@@ -15,23 +17,17 @@ import (
 	"pdwqo/internal/vec"
 )
 
-// Table is one stored table's rows plus schema. Rows remain the
-// authoritative representation (they are what DMS moves deliver); the
-// columnar mirror is built on demand for the vectorized executor and
-// invalidated whenever the row count changes.
-type Table struct {
-	Name string
-	Cols []catalog.Column
-	Rows []types.Row
-
-	colMirror *vec.Table
-	mirrorLen int
+// table is one stored table: its name and the published columns.
+type table struct {
+	name  string
+	names []string   // column names, fixed at Create
+	data  *vec.Table // replaced whole by BulkInsert; never mutated once set
 }
 
 // DB is a node-local database instance.
 type DB struct {
 	mu     sync.RWMutex
-	tables map[string]*Table
+	tables map[string]*table
 
 	// BytesWritten meters bulk-insert volume for cost calibration.
 	BytesWritten int64
@@ -39,18 +35,22 @@ type DB struct {
 
 // NewDB returns an empty database.
 func NewDB() *DB {
-	return &DB{tables: map[string]*Table{}}
+	return &DB{tables: map[string]*table{}}
 }
 
-// Create registers a table; creating an existing name fails.
+// Create registers an empty table; creating an existing name fails.
 func (db *DB) Create(name string, cols []catalog.Column) error {
+	names := make([]string, len(cols))
+	for i, c := range cols {
+		names[i] = c.Name
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	key := strings.ToLower(name)
 	if _, ok := db.tables[key]; ok {
 		return fmt.Errorf("storage: table %q already exists", name)
 	}
-	db.tables[key] = &Table{Name: name, Cols: cols}
+	db.tables[key] = &table{name: name, names: names, data: vec.FromRows(names, nil)}
 	return nil
 }
 
@@ -77,68 +77,62 @@ func (db *DB) Rename(oldName, newName string) error {
 		return fmt.Errorf("storage: table %q already exists", newName)
 	}
 	delete(db.tables, oldKey)
-	t.Name = newName
+	t.name = newName
 	db.tables[newKey] = t
 	return nil
 }
 
 // BulkInsert appends rows, metering bytes (the SQLBlkCpy component of the
-// paper's Figure 5).
+// paper's Figure 5). The rows are columnarized outside the lock and
+// installed under it; an insert onto a non-empty table installs a new
+// vec.Table holding both, leaving the one scans may still hold untouched.
 func (db *DB) BulkInsert(name string, rows []types.Row) error {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	t, ok := db.tables[strings.ToLower(name)]
+	key := strings.ToLower(name)
+	db.mu.RLock()
+	t, ok := db.tables[key]
+	db.mu.RUnlock()
 	if !ok {
 		return fmt.Errorf("storage: unknown table %q", name)
 	}
+	var bytes int64
 	for _, r := range rows {
-		if len(r) != len(t.Cols) {
-			return fmt.Errorf("storage: %q: row arity %d, want %d", name, len(r), len(t.Cols))
+		if len(r) != len(t.names) {
+			return fmt.Errorf("storage: %q: row arity %d, want %d", name, len(r), len(t.names))
 		}
-		db.BytesWritten += int64(r.Width())
+		bytes += int64(r.Width())
 	}
-	t.Rows = append(t.Rows, rows...)
+	add := vec.FromRows(t.names, rows)
+
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.tables[key] != t {
+		// Dropped or renamed while the rows were being columnarized.
+		return fmt.Errorf("storage: unknown table %q", name)
+	}
+	if old := t.data; old.N > 0 {
+		for c, v := range add.Cols {
+			both := &vec.Vec{}
+			both.Extend(old.Cols[c])
+			both.Extend(v)
+			add.Cols[c] = both
+		}
+		add.N += old.N
+	}
+	t.data = add
+	db.BytesWritten += bytes
 	return nil
 }
 
-// Scan returns a table's rows (shared slice; callers must not mutate).
-func (db *DB) Scan(name string) ([]types.Row, error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	t, ok := db.tables[strings.ToLower(name)]
-	if !ok {
-		return nil, fmt.Errorf("storage: unknown table %q", name)
-	}
-	return t.Rows, nil
-}
-
-// ScanColumns returns the table's typed columnar mirror (shared; callers
-// must not mutate), building or refreshing it when rows arrived since
-// the last columnarization. The mirror is cached per table under the
-// write lock so concurrent queries columnarize a hot table once.
+// ScanColumns returns the table's columns (shared and immutable; callers
+// must not mutate).
 func (db *DB) ScanColumns(name string) (*vec.Table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
+	db.mu.RLock()
+	defer db.mu.RUnlock()
 	t, ok := db.tables[strings.ToLower(name)]
 	if !ok {
 		return nil, fmt.Errorf("storage: unknown table %q", name)
 	}
-	if t.colMirror == nil || t.mirrorLen != len(t.Rows) {
-		names := make([]string, len(t.Cols))
-		for i, c := range t.Cols {
-			names[i] = c.Name
-		}
-		t.colMirror = vec.FromRows(names, t.Rows)
-		t.mirrorLen = len(t.Rows)
-	}
-	return t.colMirror, nil
-}
-
-// Table returns the stored table, or nil.
-func (db *DB) Table(name string) *Table {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.tables[strings.ToLower(name)]
+	return t.data, nil
 }
 
 // Names lists stored table names (unordered).
@@ -147,7 +141,7 @@ func (db *DB) Names() []string {
 	defer db.mu.RUnlock()
 	out := make([]string, 0, len(db.tables))
 	for _, t := range db.tables {
-		out = append(out, t.Name)
+		out = append(out, t.name)
 	}
 	return out
 }

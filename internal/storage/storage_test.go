@@ -1,11 +1,14 @@
 package storage
 
 import (
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/types"
+	"pdwqo/internal/vec"
 )
 
 func cols() []catalog.Column {
@@ -13,6 +16,16 @@ func cols() []catalog.Column {
 		{Name: "a", Type: types.KindInt},
 		{Name: "b", Type: types.KindString},
 	}
+}
+
+// scan reads a table back as rows: the stored columns, boxed.
+func scan(t *testing.T, db *DB, name string) []types.Row {
+	t.Helper()
+	tbl, err := db.ScanColumns(name)
+	if err != nil {
+		t.Fatalf("scan %s: %v", name, err)
+	}
+	return tbl.Rows()
 }
 
 func TestCreateInsertScan(t *testing.T) {
@@ -23,6 +36,9 @@ func TestCreateInsertScan(t *testing.T) {
 	if err := db.Create("t", cols()); err == nil {
 		t.Error("duplicate create must fail")
 	}
+	if got := scan(t, db, "t"); len(got) != 0 {
+		t.Errorf("fresh table holds %d rows", len(got))
+	}
 	rows := []types.Row{
 		{types.NewInt(1), types.NewString("x")},
 		{types.NewInt(2), types.NewString("yy")},
@@ -30,9 +46,15 @@ func TestCreateInsertScan(t *testing.T) {
 	if err := db.BulkInsert("t", rows); err != nil {
 		t.Fatal(err)
 	}
-	got, err := db.Scan("T") // case-insensitive
-	if err != nil || len(got) != 2 {
-		t.Fatalf("scan: %v %v", got, err)
+	tbl, err := db.ScanColumns("T") // case-insensitive
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(tbl.Names, []string{"a", "b"}) {
+		t.Errorf("column names: %v", tbl.Names)
+	}
+	if got := tbl.Rows(); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("scan: %v, want %v", got, rows)
 	}
 	if db.BytesWritten != int64(rows[0].Width()+rows[1].Width()) {
 		t.Errorf("bytes metered: %d", db.BytesWritten)
@@ -50,6 +72,9 @@ func TestInsertValidation(t *testing.T) {
 	if err := db.BulkInsert("t", []types.Row{{types.NewInt(1)}}); err == nil {
 		t.Error("arity mismatch must fail")
 	}
+	if got := scan(t, db, "t"); len(got) != 0 {
+		t.Errorf("a rejected insert left %d rows behind", len(got))
+	}
 }
 
 func TestDrop(t *testing.T) {
@@ -58,7 +83,7 @@ func TestDrop(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.Drop("T")
-	if _, err := db.Scan("t"); err == nil {
+	if _, err := db.ScanColumns("t"); err == nil {
 		t.Error("dropped table must be gone")
 	}
 	db.Drop("never-existed") // no-op
@@ -76,27 +101,85 @@ func TestNames(t *testing.T) {
 	}
 }
 
+// TestConcurrentReadsDuringWrites races inserts against scans. Every
+// snapshot a scan hands out is a published table and must never be seen
+// changing: its row count and contents are re-read after all writers have
+// finished. Under -race this also certifies that scans (read lock) and
+// inserts (columnarize outside the lock, install under it) share nothing
+// mutable.
 func TestConcurrentReadsDuringWrites(t *testing.T) {
 	db := NewDB()
 	if err := db.Create("t", cols()); err != nil {
 		t.Fatal(err)
 	}
+	type snap struct {
+		tbl  *vec.Table
+		rows []types.Row // as boxed when the scan returned
+	}
+	snaps := make([]snap, 8)
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(2)
 		go func() {
 			defer wg.Done()
-			_ = db.BulkInsert("t", []types.Row{{types.NewInt(1), types.NewString("v")}})
+			_ = db.BulkInsert("t", []types.Row{{types.NewInt(int64(i)), types.NewString(fmt.Sprint("v", i))}})
 		}()
 		go func() {
 			defer wg.Done()
-			_, _ = db.Scan("t")
+			tbl, err := db.ScanColumns("t")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			snaps[i] = snap{tbl: tbl, rows: tbl.Rows()}
 		}()
 	}
 	wg.Wait()
-	rows, _ := db.Scan("t")
-	if len(rows) != 8 {
+	for i, s := range snaps {
+		if s.tbl == nil {
+			continue
+		}
+		if again := s.tbl.Rows(); s.tbl.N != len(s.rows) || !reflect.DeepEqual(again, s.rows) {
+			t.Errorf("snapshot %d changed after publication: now %d rows %v, first read %v",
+				i, s.tbl.N, again, s.rows)
+		}
+	}
+	if rows := scan(t, db, "t"); len(rows) != 8 {
 		t.Errorf("rows after concurrent writes: %d", len(rows))
+	}
+}
+
+// TestInsertAfterInsert: appending in two inserts stores what one combined
+// insert stores, across a column that changes representation on the way
+// (all-NULL, then typed, then mixed kinds).
+func TestInsertAfterInsert(t *testing.T) {
+	parts := [][]types.Row{
+		{{types.Null, types.NewString("n")}},
+		{{types.NewInt(7), types.Null}, {types.NewInt(8), types.NewString("x")}},
+		{{types.NewFloat(1.5), types.NewString("f")}},
+	}
+	split, whole := NewDB(), NewDB()
+	for _, db := range []*DB{split, whole} {
+		if err := db.Create("t", cols()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var all []types.Row
+	for _, p := range parts {
+		if err := split.BulkInsert("t", p); err != nil {
+			t.Fatal(err)
+		}
+		all = append(all, p...)
+	}
+	if err := whole.BulkInsert("t", all); err != nil {
+		t.Fatal(err)
+	}
+	got, want := scan(t, split, "t"), scan(t, whole, "t")
+	if !reflect.DeepEqual(got, all) || !reflect.DeepEqual(want, all) {
+		t.Fatalf("split inserts stored %v, one insert stored %v, want %v", got, want, all)
+	}
+	if split.BytesWritten != whole.BytesWritten {
+		t.Errorf("bytes metered: split %d, whole %d", split.BytesWritten, whole.BytesWritten)
 	}
 }
 
@@ -118,17 +201,28 @@ func TestRename(t *testing.T) {
 	if err := db.Rename("t__stage", "occupied"); err == nil {
 		t.Error("renaming over an existing table must fail")
 	}
+	staged, err := db.ScanColumns("t__stage")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := db.Rename("T__STAGE", "t"); err != nil { // case-insensitive source
 		t.Fatal(err)
 	}
-	got, err := db.Scan("t")
-	if err != nil || len(got) != 1 {
-		t.Fatalf("renamed table rows: %v %v", got, err)
+	published, err := db.ScanColumns("t")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := db.Scan("t__stage"); err == nil {
+	if published != staged {
+		t.Error("rename must carry the staged columns, not rebuild them")
+	}
+	if got := published.Rows(); !reflect.DeepEqual(got, rows) {
+		t.Fatalf("renamed table rows: %v", got)
+	}
+	if _, err := db.ScanColumns("t__stage"); err == nil {
 		t.Error("old name must be gone after rename")
 	}
-	if tbl := db.Table("t"); tbl == nil || tbl.Name != "t" {
-		t.Errorf("table record must carry the new name: %+v", tbl)
+	names := db.Names()
+	if len(names) != 2 || (names[0] != "t" && names[1] != "t") {
+		t.Errorf("table record must carry the new name: %v", names)
 	}
 }

@@ -4,9 +4,9 @@
 // fixed-capacity batches. A vector is typed when every non-NULL value in
 // it shares one kind — the overwhelmingly common case for stored tables
 // — and falls back to a boxed values payload when an expression (e.g. a
-// CASE whose branches disagree) mixes kinds in one column. The format is
-// node-local only: rows remain the currency of data movement, and the
-// scan/materialize boundaries convert.
+// CASE whose branches disagree) mixes kinds in one column. It is also the
+// one form tables are stored in (internal/storage); rows remain the
+// currency of data movement, converted at delivery and materialization.
 package vec
 
 import "pdwqo/internal/types"
@@ -388,8 +388,25 @@ type Batch struct {
 	Cols []*Vec
 }
 
-// Table is a fully columnarized stored table: the zero-copy source the
-// vectorized scan windows batches out of.
+// AppendRows appends the batch's rows, boxed, onto dst. One backing array
+// serves the whole batch and values fill column-major, so boxing costs
+// one allocation per batch rather than one per row.
+func (b *Batch) AppendRows(dst []types.Row) []types.Row {
+	w := len(b.Cols)
+	backing := make([]types.Value, b.N*w)
+	for c, v := range b.Cols {
+		for i := 0; i < b.N; i++ {
+			backing[i*w+c] = v.At(i)
+		}
+	}
+	for i := 0; i < b.N; i++ {
+		dst = append(dst, types.Row(backing[i*w:(i+1)*w:(i+1)*w]))
+	}
+	return dst
+}
+
+// Table is a stored table: the zero-copy source the vectorized scan
+// windows batches out of. A Table handed out by storage is immutable.
 type Table struct {
 	Names []string
 	N     int
@@ -408,4 +425,9 @@ func FromRows(names []string, rows []types.Row) *Table {
 		t.Cols[c] = v
 	}
 	return t
+}
+
+// Rows boxes the table back into rows, the inverse of FromRows.
+func (t *Table) Rows() []types.Row {
+	return (&Batch{N: t.N, Cols: t.Cols}).AppendRows(make([]types.Row, 0, t.N))
 }

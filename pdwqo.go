@@ -304,17 +304,6 @@ func (db *DB) SetPlanCache(capacity int) *DB {
 // metrics inspection.
 func (db *DB) PlanCache() *plancache.Cache { return db.planCache }
 
-// SetRowExec selects (true) the row-at-a-time node-local executor instead
-// of the default vectorized engine for all subsequent executions. The two
-// engines are byte-for-byte interchangeable behind the DSQL step contract;
-// the row engine remains as the ablation arm and differential reference.
-// Execution engine choice does not affect plan selection, so cached plans
-// stay valid across the switch. It returns the DB for chaining.
-func (db *DB) SetRowExec(on bool) *DB {
-	db.appliance.RowExec = on
-	return db
-}
-
 // TPCHQuery returns the adapted TPC-H query by name ("q01".."q20").
 func TPCHQuery(name string) (string, bool) {
 	q, ok := tpch.Get(name)
