@@ -9,6 +9,7 @@ package pdwqo
 // modeled DMS cost (cost/op), bytes moved (moved-B/op), memo size.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -316,14 +317,11 @@ func BenchmarkE14ParallelSpeedup(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	a := db.Appliance()
-	a.NodeLatency = 5 * time.Millisecond
-	defer func() { a.Parallelism, a.NodeLatency = 0, 0 }()
 	run := func(par int) time.Duration {
-		a.Parallelism = par
+		cfg := ExecConfig{Parallelism: par, NodeLatency: 5 * time.Millisecond}
 		start := time.Now()
 		for _, p := range plans {
-			if _, err := db.ExecutePlan(p); err != nil {
+			if _, err := db.Run(context.Background(), p, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

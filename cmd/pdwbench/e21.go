@@ -25,10 +25,10 @@ func e21(db *pdwqo.DB) {
 	// Per-node parallelism keeps yield points inside query execution even
 	// on a one-CPU host, so admitted workers genuinely overlap in the
 	// admission gate instead of each running to completion unpreempted.
-	db.SetParallelism(2)
-	defer db.SetParallelism(*parallel)
+	exec := runConfig()
+	exec.Parallelism = 2
 
-	srv := server.New(db, server.Config{MaxConcurrent: 8, MaxQueue: 1 << 16})
+	srv := server.New(db, server.Config{MaxConcurrent: 8, MaxQueue: 1 << 16, Exec: exec})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		fatal(err)
@@ -78,7 +78,7 @@ func e21(db *pdwqo.DB) {
 	// Oversubscription arm: 1 slot, a 1-deep queue, a 1ms wait budget,
 	// hammered far beyond capacity. Load must shed as typed rejections.
 	shed := server.New(db, server.Config{
-		MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Millisecond,
+		MaxConcurrent: 1, MaxQueue: 1, QueueTimeout: time.Millisecond, Exec: exec,
 	})
 	shedAddr, err := shed.Listen("127.0.0.1:0")
 	if err != nil {

@@ -51,7 +51,6 @@ func e22(db *pdwqo.DB) {
 		if err != nil {
 			fatal(err)
 		}
-		qdb.SetParallelism(*parallel)
 		budgets := []int{20000, 2000, 200}
 		if spec.Relations <= 8 {
 			budgets = append([]int{0}, budgets...) // unbounded arm where feasible

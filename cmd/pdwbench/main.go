@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -38,8 +39,7 @@ var (
 	sessions = flag.Int("sessions", 1000, "peak concurrent sessions for the e21 server load sweep")
 	traceOut = flag.String("trace-out", "", `trace mode: record spans/counters across all experiments and write JSON to this file ("-" = stdout)`)
 
-	// tracer is non-nil in trace mode; mustPlan and the main appliance
-	// feed it.
+	// tracer is non-nil in trace mode; mustPlan and run feed it.
 	tracer *pdwqo.Tracer
 )
 
@@ -60,10 +60,8 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	db.SetParallelism(*parallel)
 	if *traceOut != "" {
 		tracer = pdwqo.NewTracer()
-		db.SetTracer(tracer)
 	}
 	fmt.Printf("appliance: TPC-H sf=%g, %d compute nodes, seed %d\n\n", *sf, *nodes, *seed)
 
@@ -124,6 +122,17 @@ func mustPlan(db *pdwqo.DB, sql string, opts pdwqo.Options) *pdwqo.QueryPlan {
 	return p
 }
 
+// runConfig is the execution configuration the -parallel and -trace-out
+// flags select for the main appliance; experiments extend it per arm.
+func runConfig() pdwqo.ExecConfig {
+	return pdwqo.ExecConfig{Parallelism: *parallel, Tracer: tracer}
+}
+
+// run executes p on the main appliance under runConfig.
+func run(db *pdwqo.DB, p *pdwqo.QueryPlan) (*pdwqo.Result, error) {
+	return db.Run(context.Background(), p, runConfig())
+}
+
 func movesString(p *pdwqo.QueryPlan) string {
 	counts := p.Moves()
 	kinds := make([]string, 0, len(counts))
@@ -172,7 +181,7 @@ func e2(db *pdwqo.DB) {
 	        WHERE c.c_custkey = o.o_custkey AND o.o_totalprice > 1000`
 	p := mustPlan(db, sql, pdwqo.Options{})
 	fmt.Println(p.DSQL)
-	res, err := db.ExecutePlan(p)
+	res, err := run(db, p)
 	if err != nil {
 		fatal(err)
 	}
@@ -242,7 +251,7 @@ func e4(db *pdwqo.DB) {
 		}
 	})
 	fmt.Printf("aggregation phases: %d local, %d global\n", local, global)
-	res, err := db.ExecutePlan(p)
+	res, err := run(db, p)
 	if err != nil {
 		fatal(err)
 	}
@@ -420,7 +429,7 @@ func timeExec(db *pdwqo.DB, p *pdwqo.QueryPlan) (time.Duration, int) {
 	rows := 0
 	for i := 0; i < 3; i++ {
 		start := time.Now()
-		res, err := db.ExecutePlan(p)
+		res, err := run(db, p)
 		if err != nil {
 			fatal(err)
 		}
@@ -474,7 +483,7 @@ func e9(db *pdwqo.DB) {
 func bytesMoved(db *pdwqo.DB, p *pdwqo.QueryPlan) int64 {
 	a := db.Appliance()
 	before := a.Metrics.TotalBytesMoved()
-	if _, err := db.ExecutePlan(p); err != nil {
+	if _, err := run(db, p); err != nil {
 		fatal(err)
 	}
 	return a.Metrics.TotalBytesMoved() - before
@@ -515,7 +524,11 @@ func e11(db *pdwqo.DB) {
 	fmt.Printf("%-6s %-8s %-8s %s\n", "query", "dist", "serial", "match")
 	for _, name := range pdwqo.TPCHQueryNames() {
 		sql := mustTPCH(name)
-		dist, err := db.Execute(sql, pdwqo.Options{})
+		plan, err := db.Optimize(sql, pdwqo.Options{})
+		if err != nil {
+			fatal(fmt.Errorf("%s: %w", name, err))
+		}
+		dist, err := run(db, plan)
 		if err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
@@ -633,18 +646,16 @@ func e14(db *pdwqo.DB) {
 	for i, name := range queries {
 		plans[i] = mustPlan(db, mustTPCH(name), pdwqo.Options{})
 	}
-	a := db.Appliance()
-	prevPar, prevLat := a.Parallelism, a.NodeLatency
-	a.NodeLatency = 5 * time.Millisecond
-	defer func() { a.Parallelism, a.NodeLatency = prevPar, prevLat }()
+	cfg := runConfig()
+	cfg.NodeLatency = 5 * time.Millisecond
 
-	run := func(par int) time.Duration {
-		a.Parallelism = par
+	timeAt := func(par int) time.Duration {
+		cfg.Parallelism = par
 		best := time.Duration(1 << 62)
 		for i := 0; i < 3; i++ {
 			start := time.Now()
 			for _, p := range plans {
-				if _, err := db.ExecutePlan(p); err != nil {
+				if _, err := db.Run(context.Background(), p, cfg); err != nil {
 					fatal(err)
 				}
 			}
@@ -654,13 +665,13 @@ func e14(db *pdwqo.DB) {
 		}
 		return best
 	}
-	serial := run(1)
+	serial := timeAt(1)
 	fmt.Printf("workload: %s, %d nodes, simulated dispatch latency %s\n",
-		strings.Join(queries, "+"), *nodes, a.NodeLatency)
+		strings.Join(queries, "+"), *nodes, cfg.NodeLatency)
 	fmt.Printf("%-12s %-12s %s\n", "parallelism", "time", "speedup")
 	fmt.Printf("%-12d %-12s %.2f\n", 1, serial.Round(time.Millisecond), 1.0)
 	for _, par := range []int{2, 4, 8} {
-		d := run(par)
+		d := timeAt(par)
 		fmt.Printf("%-12d %-12s %.2f\n", par, d.Round(time.Millisecond), ratio(float64(serial), float64(d)))
 	}
 	fmt.Println("(results stay byte-identical at every setting; see internal/difftest)")
@@ -677,10 +688,6 @@ func e14(db *pdwqo.DB) {
 func e15(db *pdwqo.DB) {
 	header("E15", "robustness — per-step retry under injected faults")
 	a := db.Appliance()
-	defer func() {
-		db.SetFaultPlan(nil)
-		db.SetResilience(0, 0)
-	}()
 	const maxRetries = 3
 	fmt.Printf("%-6s %-7s %-8s %-7s %-11s %-11s %s\n",
 		"query", "faults", "retries", "rows", "clean", "chaos", "outcome")
@@ -688,16 +695,14 @@ func e15(db *pdwqo.DB) {
 	for i, name := range pdwqo.TPCHQueryNames() {
 		sql := mustTPCH(name)
 		p := mustPlan(db, sql, pdwqo.Options{})
-		db.SetFaultPlan(nil)
-		db.SetResilience(0, 0)
 		cleanT, cleanRows := timeExec(db, p)
 
-		faults := pdwqo.RandomFaultPlan(int64(1000+i), len(p.DSQL.Steps), *nodes)
-		db.SetFaultPlan(faults)
-		db.SetResilience(maxRetries, 0)
+		cfg := runConfig()
+		cfg.MaxRetries = maxRetries
+		cfg.Faults = pdwqo.RandomFaultPlan(int64(1000+i), len(p.DSQL.Steps), *nodes)
 		retries0, faults0 := a.Metrics.RetryCount(), a.Metrics.FaultCount()
 		start := time.Now()
-		res, err := db.ExecutePlan(p)
+		res, err := db.Run(context.Background(), p, cfg)
 		chaosT := time.Since(start)
 		nFaults := a.Metrics.FaultCount() - faults0
 		nRetries := a.Metrics.RetryCount() - retries0
@@ -742,7 +747,7 @@ func e16(db *pdwqo.DB) {
 	for _, name := range pdwqo.TPCHQueryNames() {
 		p := mustPlan(db, mustTPCH(name), pdwqo.Options{})
 		before := a.Metrics.StepCount()
-		if _, err := db.ExecutePlan(p); err != nil {
+		if _, err := run(db, p); err != nil {
 			fatal(fmt.Errorf("%s: %w", name, err))
 		}
 		acts := map[int]engine.StepMetric{}
@@ -822,7 +827,7 @@ func rootCardinality(db *pdwqo.DB, sql string) (float64, int, error) {
 	if err != nil {
 		return 0, 0, err
 	}
-	res, err := db.ExecutePlan(p)
+	res, err := run(db, p)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -1017,7 +1022,7 @@ func runMeasured(db *pdwqo.DB, p *pdwqo.QueryPlan, reps int) (int64, time.Durati
 	for i := 0; i < reps; i++ {
 		before := a.Metrics.TotalBytesMoved()
 		start := time.Now()
-		if _, err := db.ExecutePlan(p); err != nil {
+		if _, err := run(db, p); err != nil {
 			fatal(err)
 		}
 		total += time.Since(start)

@@ -39,6 +39,8 @@ func TestValidateRunFlags(t *testing.T) {
 			fault: "seed=banana", wantErr: "invalid -fault"},
 		{name: "empty fault rules", retries: 0, timeout: 0,
 			fault: ";", wantErr: "invalid -fault"},
+		{name: "load is not a fault site", retries: 0, timeout: 0,
+			fault: "fail:op=load", wantErr: "invalid -fault"},
 	}
 	for _, c := range cases {
 		c := c
@@ -59,11 +61,11 @@ func TestValidateRunFlags(t *testing.T) {
 			if err != nil {
 				t.Fatalf("unexpected error: %v", err)
 			}
-			if cfg.retries != c.retries || cfg.timeout != c.timeout {
+			if cfg.MaxRetries != c.retries || cfg.StepTimeout != c.timeout {
 				t.Fatalf("config mangled the values: %+v", cfg)
 			}
-			if (cfg.faults != nil) != c.wantPlan {
-				t.Fatalf("fault plan presence = %v, want %v", cfg.faults != nil, c.wantPlan)
+			if (cfg.Faults != nil) != c.wantPlan {
+				t.Fatalf("fault plan presence = %v, want %v", cfg.Faults != nil, c.wantPlan)
 			}
 		})
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -24,29 +25,23 @@ import (
 	"pdwqo"
 )
 
-// runConfig is the validated execution-control flag set.
-type runConfig struct {
-	retries int
-	timeout time.Duration
-	faults  *pdwqo.FaultPlan
-}
-
 // validateRunFlags checks the resilience and fault-injection flags
 // before the expensive appliance construction, so a typo fails in
 // milliseconds with a one-line diagnostic instead of after full data
-// generation — or as a negative value smuggled into the engine.
-func validateRunFlags(retries int, timeout time.Duration, faultStr string) (runConfig, error) {
+// generation — or as a negative value smuggled into the engine. On
+// success they come back as the run's execution configuration.
+func validateRunFlags(retries int, timeout time.Duration, faultStr string) (pdwqo.ExecConfig, error) {
 	if retries < 0 {
-		return runConfig{}, fmt.Errorf("-retries must be >= 0, got %d", retries)
+		return pdwqo.ExecConfig{}, fmt.Errorf("-retries must be >= 0, got %d", retries)
 	}
 	if timeout < 0 {
-		return runConfig{}, fmt.Errorf("-step-timeout must be >= 0, got %v", timeout)
+		return pdwqo.ExecConfig{}, fmt.Errorf("-step-timeout must be >= 0, got %v", timeout)
 	}
 	faults, err := pdwqo.ParseFaultSpec(faultStr)
 	if err != nil {
-		return runConfig{}, fmt.Errorf("invalid -fault spec: %v", err)
+		return pdwqo.ExecConfig{}, fmt.Errorf("invalid -fault spec: %v", err)
 	}
-	return runConfig{retries: retries, timeout: timeout, faults: faults}, nil
+	return pdwqo.ExecConfig{MaxRetries: retries, StepTimeout: timeout, Faults: faults}, nil
 }
 
 func main() {
@@ -95,13 +90,11 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	db.SetParallelism(*parallel)
-	db.SetResilience(cfg.retries, cfg.timeout)
-	db.SetFaultPlan(cfg.faults)
+	cfg.Parallelism = *parallel
 	if *planCache >= 0 {
 		db.SetPlanCache(*planCache)
 	}
-	opts := pdwqo.Options{Parallelism: *parallel, MaxRetries: cfg.retries, StepTimeout: cfg.timeout}
+	opts := pdwqo.Options{Parallelism: *parallel}
 	if *baseline {
 		opts.Mode = pdwqo.ModeSerialBaseline
 	}
@@ -111,7 +104,7 @@ func main() {
 	if *traceOut != "" {
 		tracer = pdwqo.NewTracer()
 		opts.Tracer = tracer
-		db.SetTracer(tracer)
+		cfg.Tracer = tracer
 	}
 	plan, err := db.Optimize(sql, opts)
 	if err != nil {
@@ -136,7 +129,7 @@ func main() {
 		}
 		fmt.Print(out)
 	case *analyze:
-		res, report, execErr := db.ExplainAnalyze(plan, false)
+		res, report, execErr := db.ExplainAnalyze(plan, cfg, false)
 		fmt.Print(report)
 		if execErr != nil {
 			dumpTrace(db, tracer, *traceOut)
@@ -144,7 +137,7 @@ func main() {
 		}
 		fmt.Printf("-- %d rows\n", len(res.Rows))
 	default:
-		res, err := db.ExecutePlan(plan)
+		res, err := db.Run(context.Background(), plan, cfg)
 		if err != nil {
 			dumpTrace(db, tracer, *traceOut)
 			fail(err)
@@ -153,7 +146,7 @@ func main() {
 			fmt.Printf("-- search regime: %s\n", plan.Regime)
 		}
 		fmt.Printf("-- %d rows, DMS cost %.6g, moves %v\n", len(res.Rows), plan.Cost(), plan.Moves())
-		if cfg.faults != nil || cfg.retries > 0 {
+		if cfg.Faults != nil || cfg.MaxRetries > 0 {
 			m := &db.Appliance().Metrics
 			fmt.Printf("-- resilience: %d faults injected, %d retries\n", m.FaultCount(), m.RetryCount())
 		}

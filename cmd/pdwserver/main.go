@@ -46,8 +46,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	db.SetParallelism(*parallel)
-	db.SetResilience(*retries, *stepTimeout)
 	if *cache >= 0 {
 		db.SetPlanCache(*cache)
 	}
@@ -57,6 +55,11 @@ func main() {
 		MaxQueue:      *maxQueue,
 		QueueTimeout:  *queueTimeout,
 		BatchRows:     *batchRows,
+		Exec: pdwqo.ExecConfig{
+			Parallelism: *parallel,
+			MaxRetries:  *retries,
+			StepTimeout: *stepTimeout,
+		},
 	})
 	bound, err := srv.Listen(*addr)
 	if err != nil {

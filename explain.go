@@ -1,6 +1,7 @@
 package pdwqo
 
 import (
+	"context"
 	"time"
 
 	"pdwqo/internal/explain"
@@ -24,27 +25,25 @@ func (p *QueryPlan) explainInput() explain.Input {
 	return explain.Input{SQL: p.SQL, Plan: p.Distributed, DSQL: p.DSQL}
 }
 
-// ExplainAnalyze executes the plan and renders EXPLAIN ANALYZE: per step,
-// the optimizer's estimated rows/bytes next to the engine's measured
-// rows, bytes moved, attempts and wall time, plus a predicted-vs-actual
-// q-error summary over the move steps.
+// ExplainAnalyze executes the plan under cfg and renders EXPLAIN ANALYZE:
+// per step, the optimizer's estimated rows/bytes next to the engine's
+// measured rows, bytes moved, attempts and wall time, plus a
+// predicted-vs-actual q-error summary over the move steps.
 //
-// Actuals are captured as the delta of the appliance's Metrics across
-// this execution (steps run serially, so the delta lines up with step
-// order; metrics are matched to steps by StepMetric.StepID regardless).
-// On execution failure the report still covers the steps that completed,
-// and the execution error is returned alongside it.
-func (db *DB) ExplainAnalyze(plan *QueryPlan, jsonOut bool) (*Result, string, error) {
-	m := &db.appliance.Metrics
-	before := m.StepCount()
-	retries0, faults0 := m.RetryCount(), m.FaultCount()
+// Actuals, retries and faults are the run's own record, so the report is
+// exact however many other executions share the appliance. On execution
+// failure the report still covers the steps that completed, and the
+// execution error is returned alongside it.
+func (db *DB) ExplainAnalyze(plan *QueryPlan, cfg ExecConfig, jsonOut bool) (*Result, string, error) {
 	start := time.Now()
-	res, execErr := db.ExecutePlan(plan)
+	run, execErr := db.appliance.Execute(context.Background(), plan.DSQL, cfg)
 	in := plan.explainInput()
 	in.Elapsed = time.Since(start)
-	in.Actuals = m.Snapshot()[before:]
-	in.Retries = m.RetryCount() - retries0
-	in.Faults = m.FaultCount() - faults0
+	in.Actuals, in.Retries, in.Faults = run.Steps, run.Retries, run.Faults
+	var res *Result
+	if execErr == nil {
+		res = resultOf(run.Cols, run.Rows)
+	}
 	report, err := explain.Render(in, explain.Options{Analyze: true, JSON: jsonOut})
 	if err != nil {
 		return res, "", err

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"pdwqo"
 	"pdwqo/internal/types"
@@ -40,12 +39,11 @@ func AggSplitDiff(db *pdwqo.DB, c Case, par int) error {
 	if err != nil {
 		return fmt.Errorf("%s: optimize without split: %w", c.Name, err)
 	}
-	db.SetParallelism(par)
-	sres, err := db.ExecutePlan(split)
+	sres, err := runAt(db, split, par)
 	if err != nil {
 		return fmt.Errorf("%s: execute with split: %w", c.Name, err)
 	}
-	ures, err := db.ExecutePlan(unsplit)
+	ures, err := runAt(db, unsplit, par)
 	if err != nil {
 		return fmt.Errorf("%s: execute without split: %w", c.Name, err)
 	}
@@ -59,23 +57,12 @@ func AggSplitDiff(db *pdwqo.DB, c Case, par int) error {
 // a clean typed *pdwqo.StepError — and no temp table survives on any
 // node in either outcome.
 func AggSplitChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
-	a := db.Appliance()
-	prevBackoff := a.RetryBackoff
-	defer func() {
-		db.SetFaultPlan(nil)
-		db.SetResilience(0, 0)
-		a.RetryBackoff = prevBackoff
-	}()
-
 	// Fault-free reference through the unsplit arm.
-	db.SetFaultPlan(nil)
-	db.SetResilience(0, 0)
-	db.SetParallelism(par)
 	unsplit, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: par, DisableAggSplit: true})
 	if err != nil {
 		return fmt.Errorf("%s: optimize without split: %w", c.Name, err)
 	}
-	ref, err := db.ExecutePlan(unsplit)
+	ref, err := runAt(db, unsplit, par)
 	if err != nil {
 		return fmt.Errorf("%s: fault-free unsplit execute: %w", c.Name, err)
 	}
@@ -84,12 +71,8 @@ func AggSplitChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) er
 	if err != nil {
 		return fmt.Errorf("%s: optimize with split: %w", c.Name, err)
 	}
-	faults := pdwqo.RandomFaultPlan(seed, len(split.DSQL.Steps), a.Shell.Topology.ComputeNodes)
-	db.SetFaultPlan(faults)
-	db.SetResilience(maxRetries, 0)
-	a.RetryBackoff = 50 * time.Microsecond
-
-	res, err := runRecovered(db, split)
+	cfg := ChaosConfig(db, split, par, seed, maxRetries)
+	res, err := runRecovered(db, split, cfg)
 
 	if leaks := leakedTables(db); len(leaks) > 0 {
 		return fmt.Errorf("%s: leaked tables after chaos run (seed %d): %v", c.Name, seed, leaks)
@@ -103,7 +86,7 @@ func AggSplitChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) er
 	}
 	if derr := diffRelations(c, res, ref); derr != nil {
 		return fmt.Errorf("chaos (seed %d, %d faults fired, retries %d): %w",
-			seed, faults.Fired(), maxRetries, derr)
+			seed, cfg.Faults.Fired(), maxRetries, derr)
 	}
 	return nil
 }

@@ -22,7 +22,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
 	"pdwqo"
 	"pdwqo/internal/normalize"
@@ -38,7 +37,6 @@ const cacheCapacity = 4096
 // for the distributed executions.
 func CacheDiff(db *pdwqo.DB, c Case, par int) error {
 	opts := pdwqo.Options{Parallelism: par}
-	db.SetParallelism(par)
 
 	// Cold reference: no cache installed.
 	db.SetPlanCache(-1)
@@ -49,7 +47,7 @@ func CacheDiff(db *pdwqo.DB, c Case, par int) error {
 	if coldPlan.CacheStatus != "" {
 		return fmt.Errorf("%s: cold plan has CacheStatus %q, want empty", c.Name, coldPlan.CacheStatus)
 	}
-	cold, err := db.ExecutePlan(coldPlan)
+	cold, err := runAt(db, coldPlan, par)
 	if err != nil {
 		return fmt.Errorf("%s: cold execute: %w", c.Name, err)
 	}
@@ -64,7 +62,7 @@ func CacheDiff(db *pdwqo.DB, c Case, par int) error {
 	if missPlan.CacheStatus != "miss" {
 		return fmt.Errorf("%s: first cached optimize has CacheStatus %q, want miss", c.Name, missPlan.CacheStatus)
 	}
-	miss, err := db.ExecutePlan(missPlan)
+	miss, err := runAt(db, missPlan, par)
 	if err != nil {
 		return fmt.Errorf("%s: miss execute: %w", c.Name, err)
 	}
@@ -76,7 +74,7 @@ func CacheDiff(db *pdwqo.DB, c Case, par int) error {
 	if hitPlan.CacheStatus != "hit" {
 		return fmt.Errorf("%s: second cached optimize has CacheStatus %q, want hit", c.Name, hitPlan.CacheStatus)
 	}
-	hit, err := db.ExecutePlan(hitPlan)
+	hit, err := runAt(db, hitPlan, par)
 	if err != nil {
 		return fmt.Errorf("%s: hit execute: %w", c.Name, err)
 	}
@@ -100,7 +98,6 @@ func CacheDiff(db *pdwqo.DB, c Case, par int) error {
 // its result matches what the stale template produced.
 func CacheInvalidation(db *pdwqo.DB, c Case, par int) error {
 	opts := pdwqo.Options{Parallelism: par}
-	db.SetParallelism(par)
 	db.SetPlanCache(cacheCapacity)
 	defer db.SetPlanCache(-1)
 
@@ -114,7 +111,7 @@ func CacheInvalidation(db *pdwqo.DB, c Case, par int) error {
 	if hitPlan.CacheStatus != "hit" {
 		return fmt.Errorf("%s: pre-bump optimize has CacheStatus %q, want hit", c.Name, hitPlan.CacheStatus)
 	}
-	hit, err := db.ExecutePlan(hitPlan)
+	hit, err := runAt(db, hitPlan, par)
 	if err != nil {
 		return fmt.Errorf("%s: hit execute: %w", c.Name, err)
 	}
@@ -134,7 +131,7 @@ func CacheInvalidation(db *pdwqo.DB, c Case, par int) error {
 		return fmt.Errorf("%s: epoch bump invalidated nothing (before %d, after %d)",
 			c.Name, before.Invalidations, after.Invalidations)
 	}
-	post, err := db.ExecutePlan(postPlan)
+	post, err := runAt(db, postPlan, par)
 	if err != nil {
 		return fmt.Errorf("%s: post-bump execute: %w", c.Name, err)
 	}
@@ -146,18 +143,8 @@ func CacheInvalidation(db *pdwqo.DB, c Case, par int) error {
 // plan either recovers to the fault-free answer or fails with a clean
 // typed StepError, and never leaks temp tables.
 func CacheChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
-	a := db.Appliance()
-	prevBackoff := a.RetryBackoff
 	db.SetPlanCache(cacheCapacity)
-	defer func() {
-		db.SetPlanCache(-1)
-		db.SetFaultPlan(nil)
-		db.SetResilience(0, 0)
-		a.RetryBackoff = prevBackoff
-	}()
-	db.SetFaultPlan(nil)
-	db.SetResilience(0, 0)
-	db.SetParallelism(par)
+	defer db.SetPlanCache(-1)
 
 	if _, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: par}); err != nil {
 		return fmt.Errorf("%s: warm optimize: %w", c.Name, err)
@@ -169,17 +156,12 @@ func CacheChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error
 	if plan.CacheStatus != "hit" {
 		return fmt.Errorf("%s: chaos plan has CacheStatus %q, want hit", c.Name, plan.CacheStatus)
 	}
-	ref, err := db.ExecutePlan(plan)
+	ref, err := runAt(db, plan, par)
 	if err != nil {
 		return fmt.Errorf("%s: fault-free reference execute: %w", c.Name, err)
 	}
 
-	faults := pdwqo.RandomFaultPlan(seed, len(plan.DSQL.Steps), a.Shell.Topology.ComputeNodes)
-	db.SetFaultPlan(faults)
-	db.SetResilience(maxRetries, 0)
-	a.RetryBackoff = 50 * time.Microsecond
-
-	res, err := runRecovered(db, plan)
+	res, err := runRecovered(db, plan, ChaosConfig(db, plan, par, seed, maxRetries))
 	if leaks := leakedTables(db); len(leaks) > 0 {
 		return fmt.Errorf("%s: leaked tables after cached chaos run (seed %d): %v", c.Name, seed, leaks)
 	}

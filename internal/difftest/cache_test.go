@@ -122,7 +122,6 @@ func TestCacheChaos(t *testing.T) {
 // the re-binding path rather than silently compiling cold.
 func TestCacheParamVariants(t *testing.T) {
 	db := openAppliance(t, 4)
-	db.SetParallelism(8)
 	db.SetPlanCache(cacheCapacity)
 	defer db.SetPlanCache(-1)
 
@@ -155,7 +154,7 @@ func TestCacheParamVariants(t *testing.T) {
 				if plan.CacheStatus == "hit" {
 					hits++
 				}
-				res, err := db.ExecutePlan(plan)
+				res, err := runAt(db, plan, 8)
 				if err != nil {
 					t.Fatalf("%s: execute: %v", v.Name, err)
 				}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -20,39 +21,21 @@ import (
 //     panic;
 //   - either way, no temp or staging table is left behind on any node.
 //
-// The appliance's fault plan, retry policy and parallelism are restored
-// before returning, so a cached DB can be shared with other tests.
+// Every arm passes its own ExecConfig, so a cached DB can be shared with
+// other tests.
 func Chaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
-	a := db.Appliance()
-	prevBackoff := a.RetryBackoff
-	defer func() {
-		db.SetFaultPlan(nil)
-		db.SetResilience(0, 0)
-		a.RetryBackoff = prevBackoff
-	}()
-
 	// Fault-free serial reference.
-	db.SetFaultPlan(nil)
-	db.SetResilience(0, 0)
-	db.SetParallelism(1)
 	plan, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: 1})
 	if err != nil {
 		return fmt.Errorf("%s: optimize: %w", c.Name, err)
 	}
-	ref, err := db.ExecutePlan(plan)
+	ref, err := runAt(db, plan, 1)
 	if err != nil {
 		return fmt.Errorf("%s: fault-free reference execute: %w", c.Name, err)
 	}
 
-	// Chaos run: same plan, seeded faults, parallel fan-out, fast backoff
-	// so retry storms don't dominate test wall clock.
-	faults := pdwqo.RandomFaultPlan(seed, len(plan.DSQL.Steps), a.Shell.Topology.ComputeNodes)
-	db.SetFaultPlan(faults)
-	db.SetResilience(maxRetries, 0)
-	db.SetParallelism(par)
-	a.RetryBackoff = 50 * time.Microsecond
-
-	res, err := runRecovered(db, plan)
+	cfg := ChaosConfig(db, plan, par, seed, maxRetries)
+	res, err := runRecovered(db, plan, cfg)
 
 	if leaks := leakedTables(db); len(leaks) > 0 {
 		return fmt.Errorf("%s: leaked tables after chaos run (seed %d): %v", c.Name, seed, leaks)
@@ -67,18 +50,31 @@ func Chaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
 	}
 	if derr := diffResults(c.Name, par, ref, res); derr != nil {
 		return fmt.Errorf("chaos (seed %d, %d faults fired, retries %d): %w",
-			seed, faults.Fired(), maxRetries, derr)
+			seed, cfg.Faults.Fired(), maxRetries, derr)
 	}
 	return nil
 }
 
-// runRecovered executes the plan, converting any panic — on this
+// ChaosConfig is a chaos arm's execution configuration: a fault plan
+// seeded over the plan's steps and the appliance's nodes, parallel
+// fan-out, and a fast backoff so retry storms don't dominate test wall
+// clock.
+func ChaosConfig(db *pdwqo.DB, plan *pdwqo.QueryPlan, par int, seed int64, maxRetries int) pdwqo.ExecConfig {
+	return pdwqo.ExecConfig{
+		Parallelism:  par,
+		MaxRetries:   maxRetries,
+		RetryBackoff: 50 * time.Microsecond,
+		Faults:       pdwqo.RandomFaultPlan(seed, len(plan.DSQL.Steps), db.Shell().Topology.ComputeNodes),
+	}
+}
+
+// runRecovered executes the plan under cfg, converting any panic — on this
 // goroutine, or caught by the engine's fan-out and handed back inside a
 // StepError — into an error the harness reports as a contract violation.
-func runRecovered(db *pdwqo.DB, plan *pdwqo.QueryPlan) (res *pdwqo.Result, err error) {
+func runRecovered(db *pdwqo.DB, plan *pdwqo.QueryPlan, cfg pdwqo.ExecConfig) (res *pdwqo.Result, err error) {
 	func() {
 		defer par.Recover(&err)
-		res, err = db.ExecutePlan(plan)
+		res, err = db.Run(context.Background(), plan, cfg)
 	}()
 	var pe *par.PanicError
 	if errors.As(err, &pe) {

@@ -9,6 +9,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -69,17 +70,21 @@ func Diff(db *pdwqo.DB, c Case, par int) error {
 			c.Name, sdsql, par, pdsql, firstDiffLine(sdsql, pdsql))
 	}
 
-	db.SetParallelism(1)
-	sres, err := db.ExecutePlan(serial)
+	sres, err := runAt(db, serial, 1)
 	if err != nil {
 		return fmt.Errorf("%s: serial execute: %w", c.Name, err)
 	}
-	db.SetParallelism(par)
-	pres, err := db.ExecutePlan(parallel)
+	pres, err := runAt(db, parallel, par)
 	if err != nil {
 		return fmt.Errorf("%s: parallel execute: %w", c.Name, err)
 	}
 	return diffResults(c.Name, par, sres, pres)
+}
+
+// runAt executes plan with the step fan-out bounded to par workers and
+// every other execution knob at its default.
+func runAt(db *pdwqo.DB, plan *pdwqo.QueryPlan, par int) (*pdwqo.Result, error) {
+	return db.Run(context.Background(), plan, pdwqo.ExecConfig{Parallelism: par})
 }
 
 // Verify compiles one case with the static plan verifier enabled under

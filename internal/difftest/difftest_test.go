@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -144,16 +145,12 @@ func TestParallelSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := db.Appliance()
-	a.NodeLatency = 5 * time.Millisecond
-	defer func() { a.NodeLatency = 0 }()
-
 	measure := func(par int) time.Duration {
 		best := time.Duration(1<<62 - 1)
-		db.SetParallelism(par)
+		cfg := pdwqo.ExecConfig{Parallelism: par, NodeLatency: 5 * time.Millisecond}
 		for i := 0; i < 3; i++ {
 			start := time.Now()
-			if _, err := db.ExecutePlan(plan); err != nil {
+			if _, err := db.Run(context.Background(), plan, cfg); err != nil {
 				t.Fatal(err)
 			}
 			if d := time.Since(start); d < best {

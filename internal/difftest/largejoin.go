@@ -48,13 +48,12 @@ func LargeJoinDiff(db *pdwqo.DB, q *qgen.Query, par int) (float64, error) {
 	if err := GreedyPlanShape(q, greedy); err != nil {
 		return 0, err
 	}
-	db.SetParallelism(par)
 	c := Case{Name: q.Name, SQL: q.SQL}
-	gres, err := db.ExecutePlan(greedy)
+	gres, err := runAt(db, greedy, par)
 	if err != nil {
 		return 0, fmt.Errorf("%s: execute greedy plan: %w", q.Name, err)
 	}
-	eres, err := db.ExecutePlan(exh)
+	eres, err := runAt(db, exh, par)
 	if err != nil {
 		return 0, fmt.Errorf("%s: execute exhaustive plan: %w", q.Name, err)
 	}

@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func TestAnalyzeReconcilesWithMetrics(t *testing.T) {
 	for _, c := range TPCHCases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
-			checkAnalyzeReconciles(t, db, c, nil, 0)
+			checkAnalyzeReconciles(t, db, c, 0, 0)
 		})
 	}
 }
@@ -37,8 +38,6 @@ func TestAnalyzeReconcilesUnderChaos(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.SetResilience(3, 0)
-	defer db.SetResilience(0, 0)
 	cases := TPCHCases()
 	if testing.Short() || raceEnabled {
 		cases = cases[:6]
@@ -46,35 +45,31 @@ func TestAnalyzeReconcilesUnderChaos(t *testing.T) {
 	for i, c := range cases {
 		c, seed := c, int64(1000+i)
 		t.Run(c.Name, func(t *testing.T) {
-			checkAnalyzeReconciles(t, db, c, db, seed)
+			checkAnalyzeReconciles(t, db, c, 3, seed)
 		})
 	}
 }
 
 // checkAnalyzeReconciles runs one case through EXPLAIN ANALYZE with a
-// fresh tracer and asserts the metric/span/report reconciliation. When
-// faultDB is non-nil a random fault plan seeded by faultSeed is armed
-// against it for the duration of the run.
-func checkAnalyzeReconciles(t *testing.T, db *pdwqo.DB, c Case, faultDB *pdwqo.DB, faultSeed int64) {
+// fresh tracer and asserts the metric/span/report reconciliation. A
+// non-zero faultSeed arms the run with the random fault plan it seeds.
+func checkAnalyzeReconciles(t *testing.T, db *pdwqo.DB, c Case, maxRetries int, faultSeed int64) {
 	t.Helper()
 	tracer := pdwqo.NewTracer()
-	db.SetTracer(tracer)
-	defer db.SetTracer(nil)
-
 	plan, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: 4, Tracer: tracer})
 	if err != nil {
 		t.Fatalf("%s: optimize: %v", c.Name, err)
 	}
-	if faultDB != nil {
-		faultDB.SetFaultPlan(pdwqo.RandomFaultPlan(faultSeed, len(plan.DSQL.Steps), 4))
-		defer faultDB.SetFaultPlan(nil)
+	cfg := pdwqo.ExecConfig{MaxRetries: maxRetries, Tracer: tracer}
+	if faultSeed != 0 {
+		cfg.Faults = pdwqo.RandomFaultPlan(faultSeed, len(plan.DSQL.Steps), 4)
 	}
 
 	m := &db.Appliance().Metrics
 	stepsBefore := m.StepCount()
 	bytesBefore := m.TotalBytesMoved()
 
-	_, report, execErr := db.ExplainAnalyze(plan, false)
+	_, report, execErr := db.ExplainAnalyze(plan, cfg, false)
 	if execErr != nil {
 		// Chaos plans may exhaust retries; the invariants below must
 		// still hold over whatever prefix of the plan completed.
@@ -115,6 +110,11 @@ func checkAnalyzeReconciles(t *testing.T, db *pdwqo.DB, c Case, faultDB *pdwqo.D
 	// carry the matching totals in its summary line.
 	if !strings.Contains(report, "-- analyze summary") {
 		t.Fatalf("%s: ANALYZE report missing summary:\n%s", c.Name, report)
+	}
+	// The report reads the run's own record; on this quiet appliance that
+	// is exactly the aggregate Metrics delta.
+	if want := fmt.Sprintf("steps=%d/%d bytes_moved=%d ", stepsRun, len(plan.DSQL.Steps), bytesMoved); !strings.Contains(report, want) {
+		t.Errorf("%s: ANALYZE summary does not carry %q:\n%s", c.Name, want, report)
 	}
 	if execErr == nil && strings.Contains(report, "(step did not complete)") {
 		t.Errorf("%s: successful run reported incomplete steps:\n%s", c.Name, report)

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"pdwqo"
 	"pdwqo/internal/difftest"
@@ -42,14 +41,14 @@ func ServerDiff(db *pdwqo.DB, c *server.Client, cs difftest.Case) error {
 }
 
 // ServerChaos is the wire-path analogue of difftest's Chaos: execute the
-// case over the connection while the appliance runs a seeded random fault
-// plan with retries. If the retries absorb every fault the wire result
-// must be byte-identical to the fault-free library reference; if they
-// don't, the client must observe a typed execution error — never a
-// protocol wedge or a dead session. Either way no temp or staging table
-// may leak. The appliance's fault plan and retry policy are restored
-// before returning.
-func ServerChaos(db *pdwqo.DB, c *server.Client, cs difftest.Case, seed int64, maxRetries int) error {
+// case over a connection to a server whose queries run under a seeded
+// random fault plan with retries. If the retries absorb every fault the
+// wire result must be byte-identical to the fault-free library reference;
+// if they don't, the client must observe a typed execution error — never
+// a protocol wedge or a dead session. Either way no temp or staging table
+// may leak. The server is built for the case over the shared DB, so the
+// fault plan is nobody else's.
+func ServerChaos(db *pdwqo.DB, cs difftest.Case, seed int64, maxRetries int) error {
 	// Fault-free reference first.
 	plan, err := db.Optimize(cs.SQL, pdwqo.Options{})
 	if err != nil {
@@ -60,37 +59,44 @@ func ServerChaos(db *pdwqo.DB, c *server.Client, cs difftest.Case, seed int64, m
 		return fmt.Errorf("%s: fault-free reference execute: %w", cs.Name, err)
 	}
 
-	a := db.Appliance()
-	prevBackoff := a.RetryBackoff
-	db.SetFaultPlan(pdwqo.RandomFaultPlan(seed, len(plan.DSQL.Steps), a.Shell.Topology.ComputeNodes))
-	db.SetResilience(maxRetries, 0)
-	a.RetryBackoff = 50 * time.Microsecond
-
-	wire, werr := c.Query(context.Background(), cs.SQL)
-
-	db.SetFaultPlan(nil)
-	db.SetResilience(0, 0)
-	a.RetryBackoff = prevBackoff
-
-	if leaks := difftest.LeakedTables(db); len(leaks) > 0 {
-		return fmt.Errorf("%s: leaked tables after wire chaos run (seed %d): %v", cs.Name, seed, leaks)
+	cfg := difftest.ChaosConfig(db, plan, 0, seed, maxRetries)
+	srv := server.New(db, server.Config{MaxConcurrent: 4, MaxQueue: 64, Exec: cfg})
+	defer srv.Shutdown()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		return fmt.Errorf("%s: listen: %w", cs.Name, err)
 	}
-	if werr != nil {
+	c, err := server.Dial(addr.String())
+	if err != nil {
+		return fmt.Errorf("%s: dial: %w", cs.Name, err)
+	}
+	defer c.Close()
+
+	// Every injected fault spends one unit of a finite firing budget, so a
+	// session that survives failed queries must reach a fault-free run
+	// within budget+1 queries on the same connection.
+	budget := 0
+	for _, f := range cfg.Faults.Rules() {
+		budget += max(f.Times, 1)
+	}
+	for attempt := 0; attempt <= budget; attempt++ {
+		wire, werr := c.Query(context.Background(), cs.SQL)
+		if leaks := difftest.LeakedTables(db); len(leaks) > 0 {
+			return fmt.Errorf("%s: leaked tables after wire chaos run (seed %d): %v", cs.Name, seed, leaks)
+		}
+		if werr == nil {
+			if derr := diffWire(cs.Name, wire, ref); derr != nil {
+				return fmt.Errorf("chaos (seed %d, retries %d, query %d on the connection): %w", seed, maxRetries, attempt, derr)
+			}
+			return nil
+		}
 		var se *server.Error
 		if !errors.As(werr, &se) || se.Code != server.CodeExec {
-			return fmt.Errorf("%s: chaos failure (seed %d) is not a typed exec error: %w", cs.Name, seed, werr)
-		}
-		// The session must survive a failed query: re-run fault-free over
-		// the same connection and match the reference.
-		wire, err = c.Query(context.Background(), cs.SQL)
-		if err != nil {
-			return fmt.Errorf("%s: session dead after chaos failure (seed %d): %w", cs.Name, seed, err)
+			return fmt.Errorf("%s: chaos failure (seed %d, query %d on the connection) is not a typed exec error: %w", cs.Name, seed, attempt, werr)
 		}
 	}
-	if derr := diffWire(cs.Name, wire, ref); derr != nil {
-		return fmt.Errorf("chaos (seed %d, retries %d): %w", seed, maxRetries, derr)
-	}
-	return nil
+	return fmt.Errorf("%s: session never recovered (seed %d): %d queries failed against a fault budget of %d",
+		cs.Name, seed, budget+1, budget)
 }
 
 // diffWire asserts the streamed wire result matches a library result

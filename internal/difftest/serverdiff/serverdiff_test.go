@@ -96,7 +96,6 @@ func TestServerVsLibraryFuzz(t *testing.T) {
 // stays usable, and nothing may leak.
 func TestServerChaos(t *testing.T) {
 	db := openAppliance(t, 4)
-	c := startWireServer(t, db)
 	cases := []difftest.Case{difftest.TPCHCases()[0], difftest.TPCHCases()[4], difftest.TPCHCases()[9]}
 	cases = append(cases, difftest.FuzzCases(2, 7)...)
 	seeds := []int64{1, 2, 3, 4, 5, 6, 7, 8}
@@ -107,7 +106,7 @@ func TestServerChaos(t *testing.T) {
 		cs := cs
 		t.Run(cs.Name, func(t *testing.T) {
 			for _, seed := range seeds {
-				if err := ServerChaos(db, c, cs, seed, 3); err != nil {
+				if err := ServerChaos(db, cs, seed, 3); err != nil {
 					t.Fatal(err)
 				}
 			}

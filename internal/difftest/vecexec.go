@@ -11,29 +11,23 @@ package difftest
 // batch holds several independently erroring rows).
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"pdwqo"
 )
 
 // VecDiff optimizes one case once and executes the plan under the
 // vectorized engine and the row engine, asserting byte-identical results.
-// The DB is restored to the vectorized default before returning.
 func VecDiff(db *pdwqo.DB, c Case, par int) error {
-	a := db.Appliance()
-	defer func() { a.RowExec = false }()
 	plan, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: par})
 	if err != nil {
 		return fmt.Errorf("%s: optimize: %w", c.Name, err)
 	}
-	db.SetParallelism(par)
-	a.RowExec = false
-	vres, verr := db.ExecutePlan(plan)
-	a.RowExec = true
-	rres, rerr := db.ExecutePlan(plan)
+	vres, verr := runAt(db, plan, par)
+	rres, rerr := db.Run(context.Background(), plan, pdwqo.ExecConfig{Parallelism: par, RowExec: true})
 	if (verr == nil) != (rerr == nil) {
 		return fmt.Errorf("%s: engines diverged on failure: vectorized err=%v, row err=%v",
 			c.Name, verr, rerr)
@@ -54,38 +48,19 @@ func VecDiff(db *pdwqo.DB, c Case, par int) error {
 // reference deliberately crosses engines so a fault-path divergence in
 // either engine shows up as a diff.
 func VecChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
-	a := db.Appliance()
-	prevBackoff := a.RetryBackoff
-	defer func() {
-		db.SetFaultPlan(nil)
-		db.SetResilience(0, 0)
-		a.RowExec = false
-		a.RetryBackoff = prevBackoff
-	}()
-
 	// Fault-free row-engine reference.
-	db.SetFaultPlan(nil)
-	db.SetResilience(0, 0)
-	db.SetParallelism(1)
-	a.RowExec = true
 	plan, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: 1})
 	if err != nil {
 		return fmt.Errorf("%s: optimize: %w", c.Name, err)
 	}
-	ref, err := db.ExecutePlan(plan)
+	ref, err := db.Run(context.Background(), plan, pdwqo.ExecConfig{Parallelism: 1, RowExec: true})
 	if err != nil {
 		return fmt.Errorf("%s: fault-free row reference execute: %w", c.Name, err)
 	}
 
 	// Vectorized chaos run: same plan, seeded faults, parallel fan-out.
-	a.RowExec = false
-	faults := pdwqo.RandomFaultPlan(seed, len(plan.DSQL.Steps), a.Shell.Topology.ComputeNodes)
-	db.SetFaultPlan(faults)
-	db.SetResilience(maxRetries, 0)
-	db.SetParallelism(par)
-	a.RetryBackoff = 50 * time.Microsecond
-
-	res, err := runRecovered(db, plan)
+	cfg := ChaosConfig(db, plan, par, seed, maxRetries)
+	res, err := runRecovered(db, plan, cfg)
 
 	if leaks := leakedTables(db); len(leaks) > 0 {
 		return fmt.Errorf("%s: leaked tables after vectorized chaos run (seed %d): %v", c.Name, seed, leaks)
@@ -99,7 +74,7 @@ func VecChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
 	}
 	if derr := diffEngines(c.Name, ref, res); derr != nil {
 		return fmt.Errorf("vectorized chaos (seed %d, %d faults fired, retries %d): %w",
-			seed, faults.Fired(), maxRetries, derr)
+			seed, cfg.Faults.Fired(), maxRetries, derr)
 	}
 	return nil
 }

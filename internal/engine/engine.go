@@ -7,12 +7,19 @@
 // the final step streams rows back to the client through the control node.
 //
 // Node-level work inside one step fans out through par.For, the one loop
-// every worker count runs (Appliance.Parallelism; default GOMAXPROCS).
+// every worker count runs (ExecConfig.Parallelism; default GOMAXPROCS).
 // Parallelism == 1 runs that loop on the calling goroutine alone — the
 // strictly serial reference order: the differential harness
 // (internal/difftest) certifies byte-identical results at every setting.
 // Each node stores its tables in one columnar form (internal/storage) and
 // evaluates a step with the vectorized executor.
+//
+// The appliance is shared infrastructure: nodes, their data and the
+// lifetime-aggregate Metrics. Everything about one query's run — how it is
+// configured (ExecConfig), its isolated plan, its session catalog and temp
+// tables, the steps it recorded and its retry / fault tallies — lives in a
+// per-run value (paper §2.3–§2.4), so concurrent executions with different
+// configurations share no mutable state beyond the nodes' storage.
 package engine
 
 import (
@@ -30,6 +37,7 @@ import (
 	"pdwqo/internal/dsql"
 	"pdwqo/internal/exec"
 	"pdwqo/internal/normalize"
+	"pdwqo/internal/par"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/storage"
 	"pdwqo/internal/trace"
@@ -158,13 +166,24 @@ func (m *Metrics) Export(reg *trace.Registry) {
 	reg.Set("exec.faults", m.FaultCount())
 }
 
-// Appliance is the simulated PDW box.
+// Appliance is the simulated PDW box: the nodes, their data and the
+// lifetime-aggregate Metrics. It holds nothing about any one execution.
 type Appliance struct {
 	Shell   *catalog.Shell
 	Control *Node
 	Compute []*Node
 	Metrics Metrics
 
+	// execSeq numbers executions; each run rewrites its plan's temp-table
+	// names with the ID (dsql.Plan.Isolate) so concurrent executions on
+	// one appliance never collide on the nodes' local storage.
+	execSeq atomic.Uint64
+}
+
+// ExecConfig configures one execution. It is a plain value handed to
+// Execute and dies with the run; the zero value is the default
+// configuration (GOMAXPROCS workers, no retries, no faults, untraced).
+type ExecConfig struct {
 	// Parallelism bounds the worker pool that fans node-local work out
 	// within one step: 0 means GOMAXPROCS, 1 means strictly serial, n > 1
 	// caps concurrent node tasks at n. Steps themselves always run
@@ -188,7 +207,7 @@ type Appliance struct {
 	// RetryBackoff is the delay before the first retry; it doubles per
 	// subsequent retry, capped at maxRetryBackoff. 0 means defaultBackoff.
 	RetryBackoff time.Duration
-	// Faults is the active fault-injection plan; nil injects nothing.
+	// Faults is the run's fault-injection plan; nil injects nothing.
 	Faults *FaultPlan
 
 	// RowExec evaluates steps with the row-at-a-time reference executor
@@ -205,11 +224,6 @@ type Appliance struct {
 	// sleep waits between retry attempts; tests swap in a fake clock so
 	// backoff arithmetic is assertable without real time passing.
 	sleep func(ctx context.Context, d time.Duration) error
-
-	// execSeq numbers executions; each run rewrites its plan's temp-table
-	// names with the ID (dsql.Plan.Isolate) so concurrent executions on
-	// one appliance never collide on the nodes' local storage.
-	execSeq atomic.Uint64
 }
 
 // Backoff bounds: the first retry waits RetryBackoff (or defaultBackoff),
@@ -235,13 +249,6 @@ func backoffDelay(base, max time.Duration, attempt int) time.Duration {
 	return d
 }
 
-func (a *Appliance) sleepFn(ctx context.Context, d time.Duration) error {
-	if a.sleep != nil {
-		return a.sleep(ctx, d)
-	}
-	return sleepCtx(ctx, d)
-}
-
 // New builds an appliance for the shell's topology with empty storage.
 func New(shell *catalog.Shell) *Appliance {
 	a := &Appliance{
@@ -256,93 +263,110 @@ func New(shell *catalog.Shell) *Appliance {
 
 // LoadTable places a table's rows per its declared distribution:
 // replicated tables land on every compute node, hash tables are routed by
-// the distribution column. Per-node loads run on the appliance's worker
-// pool.
+// the distribution column. Per-node loads fan out over GOMAXPROCS workers.
 func (a *Appliance) LoadTable(name string, rows []types.Row) error {
 	tbl := a.Shell.Table(name)
 	if tbl == nil {
 		return fmt.Errorf("engine: unknown table %q", name)
 	}
-	ctx := context.Background()
-	// Loads run outside any DSQL step; fault rules address them with
-	// op=load (step/move wildcards only).
-	if err := a.forEach(ctx, len(a.Compute), func(ctx context.Context, i int) error {
-		if _, serr := a.injectFault(ctx, OpLoad, loadStepID, a.Compute[i].ID, Any); serr != nil {
-			return serr
-		}
-		return a.Compute[i].DB.Create(tbl.Name, tbl.Columns)
-	}); err != nil {
-		return err
-	}
-	if tbl.Dist.Kind == catalog.DistReplicated {
-		return a.forEach(ctx, len(a.Compute), func(ctx context.Context, i int) error {
-			if _, serr := a.injectFault(ctx, OpLoad, loadStepID, a.Compute[i].ID, Any); serr != nil {
-				return serr
-			}
-			return a.Compute[i].DB.BulkInsert(tbl.Name, rows)
-		})
-	}
-	ci := tbl.ColumnIndex(tbl.Dist.Column)
 	buckets := make([][]types.Row, len(a.Compute))
-	for _, r := range rows {
-		n := int(types.Hash(r[ci]) % uint64(len(a.Compute)))
-		buckets[n] = append(buckets[n], r)
-	}
-	return a.forEach(ctx, len(a.Compute), func(ctx context.Context, i int) error {
-		if _, serr := a.injectFault(ctx, OpLoad, loadStepID, a.Compute[i].ID, Any); serr != nil {
-			return serr
+	if tbl.Dist.Kind == catalog.DistReplicated {
+		for i := range buckets {
+			buckets[i] = rows
 		}
-		return a.Compute[i].DB.BulkInsert(tbl.Name, buckets[i])
+	} else {
+		ci := tbl.ColumnIndex(tbl.Dist.Column)
+		for _, r := range rows {
+			n := int(types.Hash(r[ci]) % uint64(len(a.Compute)))
+			buckets[n] = append(buckets[n], r)
+		}
+	}
+	n := len(a.Compute)
+	return par.For(context.Background(), n, workers(0, n), func(_ context.Context, i int) error {
+		db := a.Compute[i].DB
+		if err := db.Create(tbl.Name, tbl.Columns); err != nil {
+			return err
+		}
+		return db.BulkInsert(tbl.Name, buckets[i])
 	})
 }
 
-// loadStepID is the pseudo step ID table loads report in StepErrors;
-// only step-wildcard fault rules match it.
-const loadStepID = -1
-
-// Result is the client-visible query result.
+// Result is the client-visible query result plus the run's own record:
+// the steps it completed, in execution order, and its retry / fault
+// tallies. Execute returns the record alongside the error when a run
+// fails, covering the steps that completed; Cols and Rows are set only on
+// success.
 type Result struct {
 	Cols []algebra.ColumnMeta
 	Rows []types.Row
+
+	Steps   []StepMetric
+	Retries int64
+	Faults  int64
 }
 
-// Execute runs a DSQL plan step by step (paper §2.4: "query plans are
-// executed serially, one step at a time", each step parallel across
-// nodes — the per-node fan-out is what Parallelism bounds).
-func (a *Appliance) Execute(p *dsql.Plan) (*Result, error) {
-	return a.ExecuteContext(context.Background(), p)
+// run is everything one execution owns: its configuration, the isolated
+// plan, the session catalog (shell tables plus the temp tables its steps
+// publish), the temp tables to drop when it ends, and what it recorded.
+// Nothing here is shared with another execution.
+type run struct {
+	a       *Appliance
+	cfg     ExecConfig
+	plan    *dsql.Plan
+	session *catalog.Shell
+	temps   []string
+
+	steps   []StepMetric
+	retries int64
+	// faults is bumped from the step's worker goroutines.
+	faults atomic.Int64
 }
 
-// ExecuteContext is Execute with caller-controlled cancellation: a failing
-// node cancels the step's remaining node tasks, and an external cancel
-// stops between-node work as soon as the running tasks notice.
+// Execute runs a DSQL plan step by step under cfg (paper §2.4: "query
+// plans are executed serially, one step at a time", each step parallel
+// across nodes — the per-node fan-out is what cfg.Parallelism bounds). A
+// failing node cancels the step's remaining node tasks, and cancelling
+// ctx stops between-node work as soon as the running tasks notice.
 //
 // Executions are isolated from each other and may run concurrently on one
-// appliance: each run works against a private copy of the plan whose temp
-// tables carry a unique per-execution suffix, so a long-lived server can
-// dispatch many sessions' plans at once.
-func (a *Appliance) ExecuteContext(ctx context.Context, p *dsql.Plan) (*Result, error) {
-	p = p.Isolate(a.execSeq.Add(1))
-	// Session catalog: shell tables plus temp tables registered as steps
-	// create them.
-	session := catalog.NewShell(a.Shell.Topology.ComputeNodes)
-	for _, t := range a.Shell.Tables() {
-		if err := session.AddTable(t); err != nil {
-			return nil, err
-		}
+// appliance, each under its own configuration: a run works against a
+// private copy of the plan whose temp tables carry a unique per-execution
+// suffix, so a long-lived server can dispatch many sessions' plans at
+// once. Every run's steps, retries and faults also accumulate in the
+// appliance-lifetime Metrics.
+func (a *Appliance) Execute(ctx context.Context, p *dsql.Plan, cfg ExecConfig) (*Result, error) {
+	r := &run{
+		a:       a,
+		cfg:     cfg,
+		plan:    p.Isolate(a.execSeq.Add(1)),
+		session: catalog.NewShell(a.Shell.Topology.ComputeNodes),
 	}
-	var tempNames []string
 	defer func() {
-		for _, name := range tempNames {
+		for _, name := range r.temps {
 			a.dropEverywhere(name)
 		}
 	}()
+	res, err := r.execute(ctx)
+	if res == nil {
+		res = &Result{}
+	}
+	res.Steps, res.Retries, res.Faults = r.steps, r.retries, r.faults.Load()
+	return res, err
+}
 
-	esp := a.Tracer.Begin("execute")
-	esp.Int("steps", int64(len(p.Steps)))
+// execute registers the shell tables in the session catalog and runs the
+// plan's steps in order until the return step yields the result.
+func (r *run) execute(ctx context.Context) (*Result, error) {
+	for _, t := range r.a.Shell.Tables() {
+		if err := r.session.AddTable(t); err != nil {
+			return nil, err
+		}
+	}
+	esp := r.cfg.Tracer.Begin("execute")
+	esp.Int("steps", int64(len(r.plan.Steps)))
 	defer esp.End()
-	for _, step := range p.Steps {
-		res, err := a.runStep(ctx, esp.ID(), step, p, session, &tempNames)
+	for _, step := range r.plan.Steps {
+		res, err := r.runStep(ctx, esp.ID(), step)
 		if err != nil {
 			return nil, err
 		}
@@ -353,6 +377,12 @@ func (a *Appliance) ExecuteContext(ctx context.Context, p *dsql.Plan) (*Result, 
 	return nil, errors.New("engine: plan has no return step")
 }
 
+// forEach runs fn(ctx, i) for every i in [0, n) on the run's worker pool;
+// see par.For for the cancellation and error contract.
+func (r *run) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
+	return par.For(ctx, n, workers(r.cfg.Parallelism, n), fn)
+}
+
 // runStep executes one DSQL step under the retry policy: idempotent
 // steps get up to 1+MaxRetries attempts at transient failures (injected
 // faults, corrupt deliveries, timeouts), with capped exponential backoff
@@ -361,37 +391,43 @@ func (a *Appliance) ExecuteContext(ctx context.Context, p *dsql.Plan) (*Result, 
 // surface a *StepError. A non-nil Result means the plan is done.
 //
 // On success the step's metric — stamped with the step ID and attempt
-// count — is recorded in Metrics and, when tracing, attached to the
-// step's span as its payload.
-func (a *Appliance) runStep(ctx context.Context, parent trace.SpanID, step dsql.Step, p *dsql.Plan, session *catalog.Shell, tempNames *[]string) (*Result, error) {
-	sp := a.Tracer.BeginUnder(parent, "step")
+// count — is recorded by the run and in the appliance's Metrics and, when
+// tracing, attached to the step's span as its payload.
+func (r *run) runStep(ctx context.Context, parent trace.SpanID, step dsql.Step) (*Result, error) {
+	sp := r.cfg.Tracer.BeginUnder(parent, "step")
 	defer sp.End()
 	// Compilation is deterministic — the same SQL fails the same way — so
 	// it runs once, outside the retry loop.
-	tree, err := a.compile(step.SQL, session)
+	tree, err := r.compile(step.SQL)
 	if err != nil {
 		serr := stepError(step.ID, NoNode, ErrKindExec, err)
 		sp.SetErr(serr)
 		return nil, serr
 	}
 	maxAttempts := 1
-	if step.Idempotent && a.MaxRetries > 0 {
-		maxAttempts += a.MaxRetries
+	if step.Idempotent && r.cfg.MaxRetries > 0 {
+		maxAttempts += r.cfg.MaxRetries
+	}
+	sleep := r.cfg.sleep
+	if sleep == nil {
+		sleep = sleepCtx
 	}
 	var last *StepError
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
-			a.Metrics.addRetry()
-			if err := a.sleepFn(ctx, backoffDelay(a.RetryBackoff, maxRetryBackoff, attempt)); err != nil {
+			r.retries++
+			r.a.Metrics.addRetry()
+			if err := sleep(ctx, backoffDelay(r.cfg.RetryBackoff, maxRetryBackoff, attempt)); err != nil {
 				break
 			}
 		}
-		res, sm, serr := a.attemptStep(ctx, step, tree, p, session, tempNames)
+		res, sm, serr := r.attemptStep(ctx, step, tree)
 		if serr == nil {
 			sm.StepID = step.ID
 			sm.Attempts = attempt + 1
-			a.Metrics.add(sm)
-			a.recordStepTrace(sp, sm)
+			r.steps = append(r.steps, sm)
+			r.a.Metrics.add(sm)
+			r.recordStepTrace(sp, sm)
 			return res, nil
 		}
 		serr.Attempt = attempt
@@ -400,8 +436,8 @@ func (a *Appliance) runStep(ctx context.Context, parent trace.SpanID, step dsql.
 			// A failed move may have staged or published partial rows on
 			// any subset of nodes; drop both names everywhere so the next
 			// attempt (or the caller) sees a clean appliance.
-			a.dropEverywhere(step.Dest)
-			a.dropEverywhere(stagingName(step.Dest))
+			r.a.dropEverywhere(step.Dest)
+			r.a.dropEverywhere(stagingName(step.Dest))
 		}
 		if !serr.Retryable() {
 			break
@@ -416,8 +452,8 @@ func (a *Appliance) runStep(ctx context.Context, parent trace.SpanID, step dsql.
 // recordStepTrace attaches the completed step's measurements to its span
 // and bumps the exec.* counters. Guarded so the disabled-tracer execution
 // path does no conversion work at all.
-func (a *Appliance) recordStepTrace(sp trace.Active, sm StepMetric) {
-	if a.Tracer == nil {
+func (r *run) recordStepTrace(sp trace.Active, sm StepMetric) {
+	if r.cfg.Tracer == nil {
 		return
 	}
 	sp.SetStep(trace.StepStats{
@@ -434,7 +470,7 @@ func (a *Appliance) recordStepTrace(sp trace.Active, sm StepMetric) {
 		LocalRows:    sm.LocalRows,
 		LocalBatches: sm.LocalBatches,
 	})
-	c := a.Tracer.Counters()
+	c := r.cfg.Tracer.Counters()
 	c.Add("exec.steps", 1)
 	c.Add("exec.retries", int64(sm.Attempts-1))
 	c.Add("exec.local_ops", sm.LocalOps)
@@ -448,12 +484,12 @@ func (a *Appliance) recordStepTrace(sp trace.Active, sm StepMetric) {
 
 // attemptStep runs one attempt of a step under the per-attempt timeout
 // and classifies any failure. On success it returns the step's metric
-// (without StepID/Attempts, which the retry loop stamps).
-func (a *Appliance) attemptStep(ctx context.Context, step dsql.Step, tree *algebra.Tree, p *dsql.Plan, session *catalog.Shell, tempNames *[]string) (*Result, StepMetric, *StepError) {
+// with its wall time (StepID/Attempts are stamped by the retry loop).
+func (r *run) attemptStep(ctx context.Context, step dsql.Step, tree *algebra.Tree) (*Result, StepMetric, *StepError) {
 	actx := ctx
-	if a.StepTimeout > 0 {
+	if r.cfg.StepTimeout > 0 {
 		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, a.StepTimeout)
+		actx, cancel = context.WithTimeout(ctx, r.cfg.StepTimeout)
 		defer cancel()
 	}
 	start := time.Now()
@@ -462,16 +498,17 @@ func (a *Appliance) attemptStep(ctx context.Context, step dsql.Step, tree *algeb
 	var err error
 	switch step.Kind {
 	case dsql.StepMove:
-		sm, err = a.executeMove(actx, step, tree, session, tempNames, start)
+		sm, err = r.executeMove(actx, step, tree)
 	case dsql.StepReturn:
-		res, sm, err = a.executeReturn(actx, step, tree, p, start)
+		res, sm, err = r.executeReturn(actx, step, tree)
 	default:
 		err = fmt.Errorf("unknown step kind %d", step.Kind)
 	}
-	if err == nil {
-		return res, sm, nil
+	if err != nil {
+		return nil, StepMetric{}, classify(step.ID, actx, ctx, err)
 	}
-	return nil, StepMetric{}, classify(step.ID, actx, ctx, err)
+	sm.Duration = time.Since(start)
+	return res, sm, nil
 }
 
 // classify turns an attempt's failure into a *StepError, distinguishing
@@ -511,14 +548,15 @@ func (a *Appliance) dropEverywhere(name string) {
 // publishing rename; it shares the destination's temp-table lifecycle.
 func stagingName(dest string) string { return dest + "__stage" }
 
-// compile parses, binds and normalizes a DSQL step's SQL text — the role
-// of each node's local SQL instance compilation.
-func (a *Appliance) compile(sql string, session *catalog.Shell) (*algebra.Tree, error) {
+// compile parses, binds and normalizes a DSQL step's SQL text against the
+// run's session catalog — the role of each node's local SQL instance
+// compilation.
+func (r *run) compile(sql string) (*algebra.Tree, error) {
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		return nil, err
 	}
-	b := algebra.NewBinder(session)
+	b := algebra.NewBinder(r.session)
 	tree, err := b.Bind(sel)
 	if err != nil {
 		return nil, err
@@ -550,10 +588,10 @@ func (a *Appliance) sourceNodes(step dsql.Step) []*Node {
 }
 
 // runOnNodes executes the compiled tree on each node, fanned out over the
-// appliance's worker pool. Results keep node order; the first failing
-// node's error cancels the remaining tasks. stepID and move address the
-// per-node fault-injection site (move is Any for non-move steps).
-func (a *Appliance) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tree, nodes []*Node) ([]*exec.Relation, exec.Stats, error) {
+// run's worker pool. Results keep node order; the first failing node's
+// error cancels the remaining tasks. stepID and move address the per-node
+// fault-injection site (move is Any for non-move steps).
+func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tree, nodes []*Node) ([]*exec.Relation, exec.Stats, error) {
 	// The step tree is shared by every node's executor, and Tree.OutputCols
 	// memoizes lazily; derive the full schema cache here, before the
 	// fan-out, so the workers only ever read it.
@@ -562,14 +600,14 @@ func (a *Appliance) runOnNodes(ctx context.Context, stepID, move int, tree *alge
 	// Per-node stat slots (merged after the barrier) exist only while
 	// tracing, so the untraced path allocates nothing extra.
 	var stats []exec.Stats
-	if a.Tracer != nil {
+	if r.cfg.Tracer != nil {
 		stats = make([]exec.Stats, len(nodes))
 	}
-	err := a.forEach(ctx, len(nodes), func(ctx context.Context, i int) error {
+	err := r.forEach(ctx, len(nodes), func(ctx context.Context, i int) error {
 		// Simulated dispatch round trip; whoever cancels it reports why.
-		_ = sleepCtx(ctx, a.NodeLatency)
+		_ = sleepCtx(ctx, r.cfg.NodeLatency)
 		n := nodes[i]
-		if _, serr := a.injectFault(ctx, OpQuery, stepID, n.ID, move); serr != nil {
+		if _, serr := r.injectFault(ctx, OpQuery, stepID, n.ID, move); serr != nil {
 			return serr
 		}
 		var st *exec.Stats
@@ -578,7 +616,7 @@ func (a *Appliance) runOnNodes(ctx context.Context, stepID, move int, tree *alge
 		}
 		var rel *exec.Relation
 		var err error
-		if a.RowExec {
+		if r.cfg.RowExec {
 			rel, err = exec.RunStats(tree, func(name string) ([]types.Row, []string, error) {
 				t, err := n.DB.ScanColumns(name)
 				if err != nil {
@@ -634,17 +672,18 @@ func corruptRows(rows []types.Row) []types.Row {
 // that is renamed to the destination only after every batch lands, so a
 // mid-shuffle failure never leaves a half-populated destination visible
 // to later steps — the retry path drops the staging leftovers and reruns.
-func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algebra.Tree, session *catalog.Shell, tempNames *[]string, start time.Time) (StepMetric, error) {
+func (r *run) executeMove(ctx context.Context, step dsql.Step, tree *algebra.Tree) (StepMetric, error) {
+	a := r.a
 	sources := a.sourceNodes(step)
-	rels, local, err := a.runOnNodes(ctx, step.ID, int(step.MoveKind), tree, sources)
+	rels, local, err := r.runOnNodes(ctx, step.ID, int(step.MoveKind), tree, sources)
 	if err != nil {
 		return StepMetric{}, err
 	}
 	// Destination setup: create the staging table on each receiving node.
 	staging := stagingName(step.Dest)
 	destNodes, destDist := a.destFor(step)
-	if err := a.forEach(ctx, len(destNodes), func(ctx context.Context, i int) error {
-		if _, serr := a.injectFault(ctx, OpCreate, step.ID, destNodes[i].ID, int(step.MoveKind)); serr != nil {
+	if err := r.forEach(ctx, len(destNodes), func(ctx context.Context, i int) error {
+		if _, serr := r.injectFault(ctx, OpCreate, step.ID, destNodes[i].ID, int(step.MoveKind)); serr != nil {
 			return serr
 		}
 		return destNodes[i].DB.Create(staging, step.DestCols)
@@ -669,68 +708,50 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 	var hashed int64
 
 	switch step.MoveKind {
-	case cost.Shuffle:
+	case cost.Shuffle, cost.Trim:
 		// Hash-route each source relation on the worker pool, then merge
 		// per destination in source order (deterministic under any
-		// schedule).
+		// schedule). Trim is the node-local form of the same routing: the
+		// sources are the compute nodes themselves, and each keeps only
+		// the rows that hash to it.
+		trim := step.MoveKind == cost.Trim
+		if trim && len(sources) != len(a.Compute) {
+			return StepMetric{}, stepError(step.ID, NoNode, ErrKindExec,
+				errors.New("trim requires all compute nodes as sources"))
+		}
 		perSrc := make([][][]types.Row, len(rels))
-		perSrcHashed := make([]int64, len(rels))
-		if err := a.forEach(ctx, len(rels), func(_ context.Context, si int) error {
+		if err := r.forEach(ctx, len(rels), func(_ context.Context, si int) error {
 			buckets := make([][]types.Row, len(a.Compute))
-			for _, r := range rels[si].Rows {
-				perSrcHashed[si]++
+			for _, row := range rels[si].Rows {
 				n := 0
-				if !r[hashPos].IsNull() {
-					n = int(types.Hash(r[hashPos]) % uint64(len(a.Compute)))
+				if !row[hashPos].IsNull() {
+					n = int(types.Hash(row[hashPos]) % uint64(len(a.Compute)))
 				}
-				buckets[n] = append(buckets[n], r)
+				if !trim || n == si {
+					buckets[n] = append(buckets[n], row)
+				}
 			}
 			perSrc[si] = buckets
 			return nil
 		}); err != nil {
 			return StepMetric{}, err
 		}
-		for _, h := range perSrcHashed {
-			hashed += h
+		for _, rel := range rels {
+			hashed += int64(len(rel.Rows))
 		}
 		for ni, n := range a.Compute {
+			// The buckets are private to this step, so the first non-empty
+			// one is extended in place instead of copied (under Trim it is
+			// the only one).
 			var rows []types.Row
 			for si := range perSrc {
-				rows = append(rows, perSrc[si][ni]...)
+				if rows == nil {
+					rows = perSrc[si][ni]
+				} else {
+					rows = append(rows, perSrc[si][ni]...)
+				}
 			}
 			batches = append(batches, batch{node: n, rows: rows})
-		}
-
-	case cost.Trim:
-		// Node-local: each node keeps only rows it is responsible for.
-		if len(sources) != len(a.Compute) {
-			return StepMetric{}, stepError(step.ID, NoNode, ErrKindExec,
-				errors.New("trim requires all compute nodes as sources"))
-		}
-		keeps := make([][]types.Row, len(rels))
-		perSrcHashed := make([]int64, len(rels))
-		if err := a.forEach(ctx, len(rels), func(_ context.Context, si int) error {
-			var keep []types.Row
-			for _, r := range rels[si].Rows {
-				perSrcHashed[si]++
-				n := 0
-				if !r[hashPos].IsNull() {
-					n = int(types.Hash(r[hashPos]) % uint64(len(a.Compute)))
-				}
-				if n == si {
-					keep = append(keep, r)
-				}
-			}
-			keeps[si] = keep
-			return nil
-		}); err != nil {
-			return StepMetric{}, err
-		}
-		for _, h := range perSrcHashed {
-			hashed += h
-		}
-		for si, n := range a.Compute {
-			batches = append(batches, batch{node: n, rows: keeps[si]})
 		}
 
 	case cost.Broadcast, cost.ControlNodeMove, cost.ReplicatedBroadcast:
@@ -759,9 +780,9 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 	// deterministically.
 	type tally struct{ rows, bytes int64 }
 	tallies := make([]tally, len(batches))
-	if err := a.forEach(ctx, len(batches), func(ctx context.Context, i int) error {
-		_ = sleepCtx(ctx, a.NodeLatency) // dispatch round trip, as in runOnNodes
-		if f, serr := a.injectFault(ctx, OpDeliver, step.ID, batches[i].node.ID, int(step.MoveKind)); serr != nil {
+	if err := r.forEach(ctx, len(batches), func(ctx context.Context, i int) error {
+		_ = sleepCtx(ctx, r.cfg.NodeLatency) // dispatch round trip, as in runOnNodes
+		if f, serr := r.injectFault(ctx, OpDeliver, step.ID, batches[i].node.ID, int(step.MoveKind)); serr != nil {
 			if f.Kind == FaultCorrupt {
 				// Model a payload garbled in transit and caught by
 				// verification: the garbage lands in staging, which is
@@ -771,8 +792,8 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 			return serr
 		}
 		var b int64
-		for _, r := range batches[i].rows {
-			b += int64(r.Width())
+		for _, row := range batches[i].rows {
+			b += int64(row.Width())
 		}
 		tallies[i] = tally{rows: int64(len(batches[i].rows)), bytes: b}
 		return batches[i].node.DB.BulkInsert(staging, batches[i].rows)
@@ -790,13 +811,13 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 
 	// Publish: every batch landed, so rename staging to the destination
 	// and only then register the temp table for later steps and cleanup.
-	if err := a.forEach(ctx, len(destNodes), func(_ context.Context, i int) error {
+	if err := r.forEach(ctx, len(destNodes), func(_ context.Context, i int) error {
 		return destNodes[i].DB.Rename(staging, step.Dest)
 	}); err != nil {
 		return StepMetric{}, err
 	}
-	*tempNames = append(*tempNames, step.Dest)
-	if err := session.AddTable(&catalog.Table{
+	r.temps = append(r.temps, step.Dest)
+	if err := r.session.AddTable(&catalog.Table{
 		Name:    step.Dest,
 		Columns: step.DestCols,
 		Dist:    destDist,
@@ -808,7 +829,6 @@ func (a *Appliance) executeMove(ctx context.Context, step dsql.Step, tree *algeb
 		Move: step.MoveKind, IsMove: true,
 		Rows: rows, Bytes: bytes, HashedRow: hashed,
 		MaxNodeBytes: maxNode,
-		Duration:     time.Since(start),
 		LocalOps:     local.Ops, LocalRows: local.Rows,
 		LocalBatches: local.Batches,
 	}, nil
@@ -831,17 +851,17 @@ func (a *Appliance) destFor(step dsql.Step) ([]*Node, catalog.Distribution) {
 // merging per-node streams in node order, then applying the plan's order
 // spec and TOP — so the merged relation is identical under any worker
 // schedule.
-func (a *Appliance) executeReturn(ctx context.Context, step dsql.Step, tree *algebra.Tree, p *dsql.Plan, start time.Time) (*Result, StepMetric, error) {
-	sources := a.sourceNodes(step)
-	rels, local, err := a.runOnNodes(ctx, step.ID, Any, tree, sources)
+func (r *run) executeReturn(ctx context.Context, step dsql.Step, tree *algebra.Tree) (*Result, StepMetric, error) {
+	p := r.plan
+	rels, local, err := r.runOnNodes(ctx, step.ID, Any, tree, r.a.sourceNodes(step))
 	if err != nil {
 		return nil, StepMetric{}, err
 	}
 	out := &Result{Cols: p.OutCols}
 	var bytes int64
 	for _, rel := range rels {
-		for _, r := range rel.Rows {
-			bytes += int64(r.Width())
+		for _, row := range rel.Rows {
+			bytes += int64(row.Width())
 		}
 		out.Rows = append(out.Rows, rel.Rows...)
 	}
@@ -864,7 +884,6 @@ func (a *Appliance) executeReturn(ctx context.Context, step dsql.Step, tree *alg
 	}
 	return out, StepMetric{
 		Rows: int64(len(out.Rows)), Bytes: bytes,
-		Duration:     time.Since(start),
 		LocalOps:     local.Ops,
 		LocalRows:    local.Rows,
 		LocalBatches: local.Batches,

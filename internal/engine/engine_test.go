@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"testing"
 
 	"pdwqo/internal/algebra"
@@ -103,7 +104,7 @@ func TestExecuteShuffleJoin(t *testing.T) {
 	a, _ := buildAppliance(t, 4)
 	p := planFor(t, a, `SELECT * FROM customer c, orders o
 		WHERE c.c_custkey = o.o_custkey AND o.o_totalprice > 1000`)
-	res, err := a.Execute(p)
+	res, err := a.Execute(context.Background(), p, ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestTempTablesCleanedUp(t *testing.T) {
 	a, _ := buildAppliance(t, 4)
 	p := planFor(t, a, `SELECT * FROM customer c, orders o
 		WHERE c.c_custkey = o.o_custkey AND o.o_totalprice > 1000`)
-	if _, err := a.Execute(p); err != nil {
+	if _, err := a.Execute(context.Background(), p, ExecConfig{}); err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range append(a.Compute, a.Control) {
@@ -137,7 +138,7 @@ func TestTempTablesCleanedUp(t *testing.T) {
 		}
 	}
 	// Re-running the same plan works (no name collisions).
-	if _, err := a.Execute(p); err != nil {
+	if _, err := a.Execute(context.Background(), p, ExecConfig{}); err != nil {
 		t.Fatalf("re-execute: %v", err)
 	}
 }
@@ -145,7 +146,7 @@ func TestTempTablesCleanedUp(t *testing.T) {
 func TestExecuteOrderedTop(t *testing.T) {
 	a, _ := buildAppliance(t, 4)
 	p := planFor(t, a, `SELECT TOP 5 c_name, c_acctbal FROM customer ORDER BY c_acctbal DESC`)
-	res, err := a.Execute(p)
+	res, err := a.Execute(context.Background(), p, ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestShuffleRedistribution(t *testing.T) {
 	a, data := buildAppliance(t, 4)
 	p := planFor(t, a, `SELECT o_custkey, COUNT(*) AS cnt, SUM(o_totalprice) AS s,
 		MIN(o_orderdate) AS d FROM orders GROUP BY o_custkey`)
-	res, err := a.Execute(p)
+	res, err := a.Execute(context.Background(), p, ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +198,7 @@ func TestBroadcastExecution(t *testing.T) {
 	if !hasBroadcast {
 		t.Skip("plan did not broadcast; nothing to exercise")
 	}
-	if _, err := a.Execute(p); err != nil {
+	if _, err := a.Execute(context.Background(), p, ExecConfig{}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -205,7 +206,7 @@ func TestBroadcastExecution(t *testing.T) {
 func TestScalarAggregateOnControl(t *testing.T) {
 	a, data := buildAppliance(t, 4)
 	p := planFor(t, a, `SELECT SUM(l_quantity) AS s, COUNT(*) AS c FROM lineitem`)
-	res, err := a.Execute(p)
+	res, err := a.Execute(context.Background(), p, ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +223,11 @@ func TestExecuteBadPlan(t *testing.T) {
 	bad := &dsql.Plan{Steps: []dsql.Step{{
 		ID: 0, Kind: dsql.StepReturn, SQL: "SELECT nope FROM nothing", Where: core.DistHash,
 	}}}
-	if _, err := a.Execute(bad); err == nil {
+	if _, err := a.Execute(context.Background(), bad, ExecConfig{}); err == nil {
 		t.Error("bad SQL must error")
 	}
 	empty := &dsql.Plan{}
-	if _, err := a.Execute(empty); err == nil {
+	if _, err := a.Execute(context.Background(), empty, ExecConfig{}); err == nil {
 		t.Error("plan without return step must error")
 	}
 }
@@ -234,11 +235,11 @@ func TestExecuteBadPlan(t *testing.T) {
 func TestDeterministicAcrossRuns(t *testing.T) {
 	a, _ := buildAppliance(t, 4)
 	p := planFor(t, a, `SELECT o_custkey, COUNT(*) AS c FROM orders GROUP BY o_custkey`)
-	r1, err := a.Execute(p)
+	r1, err := a.Execute(context.Background(), p, ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := a.Execute(p)
+	r2, err := a.Execute(context.Background(), p, ExecConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +291,7 @@ func TestAllSevenMoveKinds(t *testing.T) {
 		{ID: 1, Kind: dsql.StepReturn, Where: core.DistHash,
 			SQL: "SELECT T.c1 AS [c1] FROM (SELECT c1 FROM [tempdb].[T_SH]) AS T"},
 	}, OutCols: []algebra.ColumnMeta{{ID: 1, Name: "c1", Type: types.KindInt}}}
-	res, err := a.Execute(plan)
+	res, err := a.Execute(context.Background(), plan, ExecConfig{})
 	if err != nil {
 		t.Fatalf("shuffle: %v", err)
 	}
@@ -305,7 +306,7 @@ func TestAllSevenMoveKinds(t *testing.T) {
 		{ID: 1, Kind: dsql.StepReturn, Where: core.DistReplicated,
 			SQL: "SELECT T.c1 AS [c1] FROM (SELECT c1 FROM [tempdb].[T_BC]) AS T"},
 	}, OutCols: []algebra.ColumnMeta{{ID: 1, Name: "c1", Type: types.KindInt}}}
-	if _, err := a.Execute(planB); err != nil {
+	if _, err := a.Execute(context.Background(), planB, ExecConfig{}); err != nil {
 		t.Fatalf("broadcast: %v", err)
 	}
 
@@ -317,12 +318,16 @@ func TestAllSevenMoveKinds(t *testing.T) {
 		{ID: 1, Kind: dsql.StepReturn, Where: core.DistHash,
 			SQL: "SELECT T.c1 AS [c1] FROM (SELECT c1 FROM [tempdb].[T_TR]) AS T"},
 	}, OutCols: []algebra.ColumnMeta{{ID: 1, Name: "c1", Type: types.KindInt}}}
-	resT, err := a.Execute(planT)
+	resT, err := a.Execute(context.Background(), planT, ExecConfig{})
 	if err != nil {
 		t.Fatalf("trim: %v", err)
 	}
 	if len(resT.Rows) != nNation {
 		t.Errorf("trim must keep each row exactly once: %d vs %d", len(resT.Rows), nNation)
+	}
+	// Every replica hashes every row, though each keeps only its share.
+	if got, want := resT.Steps[0].HashedRow, int64(len(a.Compute)*nNation); got != want {
+		t.Errorf("trim hashed %d rows, want %d", got, want)
 	}
 
 	// 4/5. PartitionMove then ControlNodeMove: gather nation keys onto the
@@ -335,7 +340,7 @@ func TestAllSevenMoveKinds(t *testing.T) {
 		{ID: 2, Kind: dsql.StepReturn, Where: core.DistReplicated,
 			SQL: "SELECT T.c1 AS [c1] FROM (SELECT c1 FROM [tempdb].[T_CN]) AS T"},
 	}, OutCols: []algebra.ColumnMeta{{ID: 1, Name: "c1", Type: types.KindInt}}}
-	resPC, err := a.Execute(planPC)
+	resPC, err := a.Execute(context.Background(), planPC, ExecConfig{})
 	if err != nil {
 		t.Fatalf("partition+controlmove: %v", err)
 	}
@@ -350,7 +355,7 @@ func TestAllSevenMoveKinds(t *testing.T) {
 		{ID: 1, Kind: dsql.StepReturn, Where: core.DistReplicated,
 			SQL: "SELECT T.c1 AS [c1] FROM (SELECT c1 FROM [tempdb].[T_RB]) AS T"},
 	}, OutCols: []algebra.ColumnMeta{{ID: 1, Name: "c1", Type: types.KindInt}}}
-	resRB, err := a.Execute(planRB)
+	resRB, err := a.Execute(context.Background(), planRB, ExecConfig{})
 	if err != nil {
 		t.Fatalf("replicated broadcast: %v", err)
 	}
@@ -365,7 +370,7 @@ func TestAllSevenMoveKinds(t *testing.T) {
 		{ID: 1, Kind: dsql.StepReturn, Where: core.DistSingle,
 			SQL: "SELECT T.c1 AS [c1] FROM (SELECT c1 FROM [tempdb].[T_RC]) AS T"},
 	}, OutCols: []algebra.ColumnMeta{{ID: 1, Name: "c1", Type: types.KindInt}}}
-	resRC, err := a.Execute(planRC)
+	resRC, err := a.Execute(context.Background(), planRC, ExecConfig{})
 	if err != nil {
 		t.Fatalf("remote copy: %v", err)
 	}

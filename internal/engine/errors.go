@@ -23,7 +23,7 @@ const (
 	// ErrKindCorrupt is a DMS delivery whose payload failed verification;
 	// the staged rows are discarded, never published.
 	ErrKindCorrupt
-	// ErrKindTimeout is a step that exceeded Appliance.StepTimeout.
+	// ErrKindTimeout is a step that exceeded ExecConfig.StepTimeout.
 	ErrKindTimeout
 	// ErrKindCancelled is a caller-cancelled execution (context cancel).
 	ErrKindCancelled

@@ -2,9 +2,9 @@
 // deterministic chaos schedule: rules addressed per step / node /
 // move-kind / operation that make node tasks fail (once or N times), run
 // slow, or corrupt a DMS delivery. The engine consults the plan at every
-// node-level operation (per-node query, temp-table create, DMS delivery,
-// table load), so the retry layer and the difftest chaos mode can
-// perturb exactly the paths the paper treats as restartable units.
+// node-level operation of a step (per-node query, temp-table create, DMS
+// delivery), so the retry layer and the difftest chaos mode can perturb
+// exactly the paths the paper treats as restartable units.
 package engine
 
 import (
@@ -62,8 +62,6 @@ const (
 	OpCreate
 	// OpDeliver is the per-node DMS delivery of routed rows.
 	OpDeliver
-	// OpLoad is the per-node initial table load (Appliance.LoadTable).
-	OpLoad
 )
 
 // String names the site.
@@ -77,8 +75,6 @@ func (o FaultOp) String() string {
 		return "create"
 	case OpDeliver:
 		return "deliver"
-	case OpLoad:
-		return "load"
 	default:
 		return fmt.Sprintf("FaultOp(%d)", uint8(o))
 	}
@@ -95,8 +91,7 @@ type Fault struct {
 	Kind FaultKind
 	// Op restricts the rule to one operation site; OpAny matches all.
 	Op FaultOp
-	// Step matches the DSQL step ID (loads run outside any step and only
-	// match Any).
+	// Step matches the DSQL step ID.
 	Step int
 	// Node matches the node ID (-1 is the control node).
 	Node int
@@ -205,8 +200,8 @@ func (p *FaultPlan) Reset() {
 }
 
 // match claims the first applicable rule for the site, decrementing its
-// budget under the lock. step is the DSQL step ID (Any for loads), move
-// is int(cost.MoveKind) (Any for non-move sites).
+// budget under the lock. step is the DSQL step ID, move is
+// int(cost.MoveKind) (Any for non-move sites).
 func (p *FaultPlan) match(op FaultOp, step, node, move int) (Fault, bool) {
 	if p == nil {
 		return Fault{}, false
@@ -287,8 +282,8 @@ func RandomFaultPlan(seed int64, steps, nodes int) *FaultPlan {
 //
 //	kind[:key=value,...]
 //
-// with kind ∈ {fail, slow, corrupt} and keys op (query|create|deliver|
-// load), step, node, move (shuffle|partition-move|control-node-move|
+// with kind ∈ {fail, slow, corrupt} and keys op (query|create|deliver),
+// step, node, move (shuffle|partition-move|control-node-move|
 // broadcast|trim|replicated-broadcast|remote-copy), times, delay (a Go
 // duration). Unaddressed fields are wildcards. The alternative form
 //
@@ -432,8 +427,6 @@ func parseFaultOp(s string) (FaultOp, error) {
 		return OpCreate, nil
 	case "deliver":
 		return OpDeliver, nil
-	case "load":
-		return OpLoad, nil
 	}
 	return OpAny, fmt.Errorf("engine: unknown fault op %q", s)
 }
@@ -447,19 +440,20 @@ func parseMoveKind(s string) (cost.MoveKind, error) {
 	return 0, fmt.Errorf("engine: unknown move kind %q", s)
 }
 
-// injectFault consults the plan at one operation site and applies the
-// matched rule. Slow rules delay (respecting cancellation — a step
+// injectFault consults the run's plan at one operation site and applies
+// the matched rule. Slow rules delay (respecting cancellation — a step
 // timeout still fires through a slow fault) and then let the operation
 // proceed; fail rules return an injected StepError; corrupt rules return
 // a corrupt-delivery StepError, which delivery sites handle specially
 // (staging the garbled payload first) and other sites treat as a plain
 // transient failure.
-func (a *Appliance) injectFault(ctx context.Context, op FaultOp, step, node, move int) (Fault, *StepError) {
-	f, ok := a.Faults.match(op, step, node, move)
+func (r *run) injectFault(ctx context.Context, op FaultOp, step, node, move int) (Fault, *StepError) {
+	f, ok := r.cfg.Faults.match(op, step, node, move)
 	if !ok {
 		return Fault{}, nil
 	}
-	a.Metrics.addFault()
+	r.faults.Add(1)
+	r.a.Metrics.addFault()
 	switch f.Kind {
 	case FaultSlow:
 		if err := sleepCtx(ctx, f.Delay); err != nil {

@@ -65,18 +65,6 @@ func assertNoResidue(t *testing.T, a *Appliance, destPrefix string) {
 	}
 }
 
-// resetResilience restores the appliance's fault/retry knobs after a test.
-func resetResilience(t *testing.T, a *Appliance) {
-	t.Helper()
-	t.Cleanup(func() {
-		a.Faults = nil
-		a.MaxRetries = 0
-		a.StepTimeout = 0
-		a.RetryBackoff = 0
-		a.sleep = nil
-	})
-}
-
 // TestFaultMatrix drives every DMS move kind through every fault kind,
 // both with retries enabled (the fault must be absorbed and the result
 // complete) and disabled (the failure must surface as the right typed
@@ -104,22 +92,19 @@ func TestFaultMatrix(t *testing.T) {
 					dest := fmt.Sprintf("T_FX%d%d", int(mk), int(fk))
 					plan, faultStep := nationMovePlan(mk, dest)
 					f := Fault{Kind: fk, Op: OpDeliver, Step: faultStep, Node: Any, Move: int(mk), Times: 1}
-					a.StepTimeout = 0
+					cfg := ExecConfig{RetryBackoff: time.Microsecond}
 					if fk == FaultSlow {
 						// A slow delivery only fails by exceeding the step
 						// timeout, so give it one it cannot meet.
 						f.Delay = 250 * time.Millisecond
-						a.StepTimeout = 10 * time.Millisecond
+						cfg.StepTimeout = 10 * time.Millisecond
 					}
-					a.Faults = NewFaultPlan(f)
-					a.RetryBackoff = time.Microsecond
-					a.MaxRetries = 0
+					cfg.Faults = NewFaultPlan(f)
 					if retried {
-						a.MaxRetries = 2
+						cfg.MaxRetries = 2
 					}
-					resetResilience(t, a)
 
-					res, err := a.Execute(plan)
+					res, err := a.Execute(context.Background(), plan, cfg)
 					if retried {
 						if err != nil {
 							t.Fatalf("retry should absorb the fault: %v", err)
@@ -191,22 +176,23 @@ func TestRetryBackoffFakeClock(t *testing.T) {
 	plan, faultStep := nationMovePlan(cost.Broadcast, "T_FCK")
 	var mu sync.Mutex
 	var slept []time.Duration
-	a.sleep = func(ctx context.Context, d time.Duration) error {
-		mu.Lock()
-		slept = append(slept, d)
-		mu.Unlock()
-		return nil
+	cfg := ExecConfig{
+		MaxRetries:   3,
+		RetryBackoff: 8 * time.Millisecond,
+		// Pin the fault to node 0 so exactly one delivery fails per
+		// attempt: two failed attempts, then success on the third.
+		Faults: NewFaultPlan(Fault{
+			Kind: FaultFail, Op: OpDeliver, Step: faultStep, Node: 0, Move: Any, Times: 2,
+		}),
+		sleep: func(ctx context.Context, d time.Duration) error {
+			mu.Lock()
+			slept = append(slept, d)
+			mu.Unlock()
+			return nil
+		},
 	}
-	// Pin the fault to node 0 so exactly one delivery fails per attempt:
-	// two failed attempts, then success on the third.
-	a.Faults = NewFaultPlan(Fault{
-		Kind: FaultFail, Op: OpDeliver, Step: faultStep, Node: 0, Move: Any, Times: 2,
-	})
-	a.MaxRetries = 3
-	a.RetryBackoff = 8 * time.Millisecond
-	resetResilience(t, a)
 
-	res, err := a.Execute(plan)
+	res, err := a.Execute(context.Background(), plan, cfg)
 	if err != nil {
 		t.Fatalf("third attempt should succeed: %v", err)
 	}
@@ -220,11 +206,16 @@ func TestRetryBackoffFakeClock(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("backoff waits %v, want %v", got, want)
 	}
-	if n := a.Metrics.RetryCount(); n != 2 {
-		t.Errorf("retry count %d, want 2", n)
+	// The run's own tallies and the appliance's lifetime aggregate agree
+	// on a fresh appliance.
+	if res.Retries != 2 || a.Metrics.RetryCount() != 2 {
+		t.Errorf("retries: run %d, appliance %d, want 2", res.Retries, a.Metrics.RetryCount())
 	}
-	if n := a.Metrics.FaultCount(); n != 2 {
-		t.Errorf("fault count %d, want 2", n)
+	if res.Faults != 2 || a.Metrics.FaultCount() != 2 {
+		t.Errorf("faults: run %d, appliance %d, want 2", res.Faults, a.Metrics.FaultCount())
+	}
+	if got := res.Steps[faultStep].Attempts; got != 3 {
+		t.Errorf("faulted step took %d attempts, want 3", got)
 	}
 }
 
@@ -235,13 +226,13 @@ func TestReturnStepNeverRetries(t *testing.T) {
 	a, _ := buildAppliance(t, 2)
 	plan, _ := nationMovePlan(cost.Broadcast, "T_NRT")
 	retID := plan.Steps[len(plan.Steps)-1].ID
-	a.Faults = NewFaultPlan(Fault{
-		Kind: FaultFail, Op: OpQuery, Step: retID, Node: Any, Move: Any, Times: 1,
+	_, err := a.Execute(context.Background(), plan, ExecConfig{
+		MaxRetries:   5,
+		RetryBackoff: time.Microsecond,
+		Faults: NewFaultPlan(Fault{
+			Kind: FaultFail, Op: OpQuery, Step: retID, Node: Any, Move: Any, Times: 1,
+		}),
 	})
-	a.MaxRetries = 5
-	a.RetryBackoff = time.Microsecond
-	resetResilience(t, a)
-	_, err := a.Execute(plan)
 	if !errors.Is(err, ErrFaultInjected) {
 		t.Fatalf("non-idempotent return step must not retry: err = %v", err)
 	}
@@ -260,10 +251,7 @@ func TestExecErrorNotRetried(t *testing.T) {
 		handStep(0, cost.Broadcast, core.DistReplicated,
 			"SELECT T1.[no_such_col] AS c1 FROM [dbo].[nation] AS T1", "T_EXE", "", keyCols),
 	}, OutCols: []algebra.ColumnMeta{{ID: 1, Name: "c1", Type: types.KindInt}}}
-	a.MaxRetries = 5
-	a.RetryBackoff = time.Microsecond
-	resetResilience(t, a)
-	_, err := a.Execute(plan)
+	_, err := a.Execute(context.Background(), plan, ExecConfig{MaxRetries: 5, RetryBackoff: time.Microsecond})
 	var se *StepError
 	if !errors.As(err, &se) {
 		t.Fatalf("want *StepError, got %v", err)
@@ -283,7 +271,8 @@ func TestExecErrorNotRetried(t *testing.T) {
 // TestMidShuffleFailureNoLeak injects a delivery failure into a shuffle
 // of the orders table (large enough that other nodes' deliveries land
 // first) and checks that neither the destination, its staging table nor
-// any temp survives — then that a clean re-run works.
+// any temp survives — then that a zero-config re-run works: the fault
+// plan, which still has budget left, belonged to the failed run alone.
 func TestMidShuffleFailureNoLeak(t *testing.T) {
 	a, data := buildAppliance(t, 4)
 	keyCols := []catalog.Column{{Name: "c1", Type: types.KindInt}}
@@ -293,21 +282,27 @@ func TestMidShuffleFailureNoLeak(t *testing.T) {
 		{ID: 1, Kind: dsql.StepReturn, Where: core.DistHash,
 			SQL: "SELECT T.c1 AS [c1] FROM (SELECT c1 FROM [tempdb].[T_LEAK]) AS T"},
 	}, OutCols: []algebra.ColumnMeta{{ID: 1, Name: "c1", Type: types.KindInt}}}
-	a.Faults = NewFaultPlan(Fault{
-		Kind: FaultFail, Op: OpDeliver, Step: 0, Node: 1, Move: Any, Times: 1,
+	faults := NewFaultPlan(Fault{
+		Kind: FaultFail, Op: OpDeliver, Step: 0, Node: 1, Move: Any, Times: 1 << 20,
 	})
-	resetResilience(t, a)
 
-	if _, err := a.Execute(plan); err == nil {
+	failed, err := a.Execute(context.Background(), plan, ExecConfig{Faults: faults})
+	if err == nil {
 		t.Fatal("injected mid-shuffle failure must surface without retries")
+	}
+	if failed.Faults != 1 || len(failed.Steps) != 0 {
+		t.Errorf("failed run recorded %d faults and %d steps, want 1 and 0", failed.Faults, len(failed.Steps))
 	}
 	assertNoResidue(t, a, "T_LEAK")
 
-	// The failed run must not have polluted catalog or storage: the same
-	// plan runs clean once the fault budget is spent.
-	res, err := a.Execute(plan)
+	// The failed run must not have polluted catalog, storage or any later
+	// run's configuration.
+	res, err := a.Execute(context.Background(), plan, ExecConfig{})
 	if err != nil {
 		t.Fatalf("re-run after failed shuffle: %v", err)
+	}
+	if res.Faults != 0 || faults.Fired() != 1 {
+		t.Errorf("zero-config re-run saw %d faults (plan fired %d in total), want 0 (1)", res.Faults, faults.Fired())
 	}
 	if len(res.Rows) != len(data["orders"]) {
 		t.Errorf("re-run rows: %d, want %d", len(res.Rows), len(data["orders"]))
@@ -478,7 +473,7 @@ func TestParseFaultSpec(t *testing.T) {
 	}
 
 	for _, bad := range []string{
-		"explode", "fail:bogus=1", "fail:step=x", "fail:op=warp",
+		"explode", "fail:bogus=1", "fail:step=x", "fail:op=warp", "fail:op=load",
 		"fail:move=sideways", "slow:delay=soon", "seed=abc", "seed=1:depth=3",
 		"fail:step", ";",
 	} {
@@ -514,12 +509,13 @@ func TestParseFaultSpec(t *testing.T) {
 func TestMetricsCountersConcurrent(t *testing.T) {
 	a, _ := buildAppliance(t, 4)
 	plan, faultStep := nationMovePlan(cost.Broadcast, "T_MRC")
-	a.Faults = NewFaultPlan(Fault{
-		Kind: FaultFail, Op: OpDeliver, Step: faultStep, Node: 0, Move: Any, Times: 2,
-	})
-	a.MaxRetries = 3
-	a.RetryBackoff = time.Microsecond
-	resetResilience(t, a)
+	cfg := ExecConfig{
+		MaxRetries:   3,
+		RetryBackoff: time.Microsecond,
+		Faults: NewFaultPlan(Fault{
+			Kind: FaultFail, Op: OpDeliver, Step: faultStep, Node: 0, Move: Any, Times: 2,
+		}),
+	}
 
 	done := make(chan struct{})
 	var wg sync.WaitGroup
@@ -541,7 +537,7 @@ func TestMetricsCountersConcurrent(t *testing.T) {
 			}
 		}()
 	}
-	if _, err := a.Execute(plan); err != nil {
+	if _, err := a.Execute(context.Background(), plan, cfg); err != nil {
 		t.Errorf("execute under concurrent metric reads: %v", err)
 	}
 	close(done)

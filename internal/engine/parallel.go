@@ -4,15 +4,13 @@ import (
 	"context"
 	"runtime"
 	"time"
-
-	"pdwqo/internal/par"
 )
 
-// workers returns the effective worker count for n node-local tasks: the
-// appliance's Parallelism knob (0 = GOMAXPROCS, 1 = strictly serial),
-// never more than the task count.
-func (a *Appliance) workers(n int) int {
-	p := a.Parallelism
+// workers returns the effective worker count for n node-local tasks under
+// a Parallelism setting (0 = GOMAXPROCS, 1 = strictly serial), never more
+// than the task count.
+func workers(parallelism, n int) int {
+	p := parallelism
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
@@ -23,12 +21,6 @@ func (a *Appliance) workers(n int) int {
 		p = 1
 	}
 	return p
-}
-
-// forEach runs fn(ctx, i) for every i in [0, n) on the appliance's worker
-// pool; see par.For for the cancellation and error contract.
-func (a *Appliance) forEach(ctx context.Context, n int, fn func(ctx context.Context, i int) error) error {
-	return par.For(ctx, n, a.workers(n), fn)
 }
 
 // sleepCtx waits for d unless the context ends first, returning the

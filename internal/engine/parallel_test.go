@@ -12,7 +12,6 @@ import (
 )
 
 func TestWorkersKnob(t *testing.T) {
-	a := &Appliance{}
 	cases := []struct {
 		parallelism, tasks, want int
 	}{
@@ -23,8 +22,7 @@ func TestWorkersKnob(t *testing.T) {
 		{-2, 1, 1},                      // nonsense clamps to 1
 	}
 	for _, c := range cases {
-		a.Parallelism = c.parallelism
-		if got := a.workers(c.tasks); got != c.want {
+		if got := workers(c.parallelism, c.tasks); got != c.want {
 			t.Errorf("workers(%d) with Parallelism=%d: got %d, want %d",
 				c.tasks, c.parallelism, got, c.want)
 		}
@@ -35,7 +33,7 @@ func TestParallelForVisitsEveryIndex(t *testing.T) {
 	for _, w := range []int{1, 2, 4, 16} {
 		const n = 100
 		var hits [n]int32
-		err := (&Appliance{Parallelism: w}).forEach(context.Background(), n, func(_ context.Context, i int) error {
+		err := (&run{cfg: ExecConfig{Parallelism: w}}).forEach(context.Background(), n, func(_ context.Context, i int) error {
 			atomic.AddInt32(&hits[i], 1)
 			return nil
 		})
@@ -54,7 +52,7 @@ func TestParallelForReturnsLowestIndexError(t *testing.T) {
 	// Several indices fail; the reported error must be the lowest-index
 	// one among those that actually ran, whatever the worker schedule.
 	for _, w := range []int{1, 3, 8} {
-		err := (&Appliance{Parallelism: w}).forEach(context.Background(), 16, func(_ context.Context, i int) error {
+		err := (&run{cfg: ExecConfig{Parallelism: w}}).forEach(context.Background(), 16, func(_ context.Context, i int) error {
 			if i%5 == 3 { // 3, 8, 13
 				return fmt.Errorf("node %d failed", i)
 			}
@@ -74,7 +72,7 @@ func TestParallelForCancelsOnFirstFailure(t *testing.T) {
 	// skipped once the context is cancelled, not executed.
 	var ran int32
 	boom := errors.New("boom")
-	err := (&Appliance{Parallelism: 2}).forEach(context.Background(), 64, func(ctx context.Context, i int) error {
+	err := (&run{cfg: ExecConfig{Parallelism: 2}}).forEach(context.Background(), 64, func(ctx context.Context, i int) error {
 		if i == 0 {
 			return boom
 		}
@@ -99,7 +97,7 @@ func TestParallelForHonorsParentCancellation(t *testing.T) {
 	cancel()
 	for _, w := range []int{1, 4} {
 		var calls atomic.Int32
-		err := (&Appliance{Parallelism: w}).forEach(ctx, 10, func(context.Context, int) error {
+		err := (&run{cfg: ExecConfig{Parallelism: w}}).forEach(ctx, 10, func(context.Context, int) error {
 			calls.Add(1)
 			return nil
 		})
@@ -118,7 +116,6 @@ func TestParallelForHonorsParentCancellation(t *testing.T) {
 // experiment harnesses used to race with Execute.
 func TestMetricsSnapshotRace(t *testing.T) {
 	a, _ := buildAppliance(t, 4)
-	a.Parallelism = 4
 	plan := planFor(t, a, `SELECT c_name, o_totalprice FROM customer, orders
 	                       WHERE c_custkey = o_custkey AND o_totalprice > 1000`)
 
@@ -141,7 +138,7 @@ func TestMetricsSnapshotRace(t *testing.T) {
 		}
 	}()
 	for i := 0; i < 10; i++ {
-		if _, err := a.Execute(plan); err != nil {
+		if _, err := a.Execute(context.Background(), plan, ExecConfig{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -166,14 +163,12 @@ func TestParallelExecutionMatchesSerial(t *testing.T) {
 	plan := planFor(t, a, `SELECT c_mktsegment, COUNT(*) AS cnt, SUM(o_totalprice) AS s
 	                       FROM customer, orders WHERE c_custkey = o_custkey
 	                       GROUP BY c_mktsegment`)
-	a.Parallelism = 1
-	serial, err := a.Execute(plan)
+	serial, err := a.Execute(context.Background(), plan, ExecConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4, 8} {
-		a.Parallelism = par
-		got, err := a.Execute(plan)
+		got, err := a.Execute(context.Background(), plan, ExecConfig{Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

@@ -134,7 +134,7 @@ func TestExplainAnalyzeShowsSplit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, report, err := goldenDB.ExplainAnalyze(plan, false)
+	_, report, err := goldenDB.ExplainAnalyze(plan, pdwqo.ExecConfig{}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

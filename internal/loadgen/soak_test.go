@@ -34,9 +34,6 @@ func TestSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	db.SetPlanCache(1024)
-	// Execution-level parallelism keeps yield points inside queries so
-	// admitted workers genuinely interleave even on a one-CPU host.
-	db.SetParallelism(2)
 	before := runtime.NumGoroutine()
 	for _, procs := range ladder {
 		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
@@ -61,7 +58,10 @@ func TestSoak(t *testing.T) {
 
 // soakArms drives the clean arm, then the chaos arm, each for arm long.
 func soakArms(t *testing.T, db *pdwqo.DB, arm time.Duration) {
-	srv := server.New(db, server.Config{MaxConcurrent: 4, MaxQueue: 256})
+	// Execution-level parallelism keeps yield points inside queries so
+	// admitted workers genuinely interleave even on a one-CPU host.
+	exec := pdwqo.ExecConfig{Parallelism: 2}
+	srv := server.New(db, server.Config{MaxConcurrent: 4, MaxQueue: 256, Exec: exec})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -97,9 +97,9 @@ func soakArms(t *testing.T, db *pdwqo.DB, arm time.Duration) {
 	// server. Absorbed faults look like clean queries; surviving ones must
 	// surface as typed execution errors that the session shrugs off —
 	// never a protocol wedge or a dead connection.
-	db.SetFaultPlan(pdwqo.RandomFaultPlan(424242, 8, 2))
-	db.SetResilience(3, 0)
-	chaosSrv := server.New(db, server.Config{MaxConcurrent: 4, MaxQueue: 256})
+	exec.Faults = pdwqo.RandomFaultPlan(424242, 8, 2)
+	exec.MaxRetries = 3
+	chaosSrv := server.New(db, server.Config{MaxConcurrent: 4, MaxQueue: 256, Exec: exec})
 	chaosAddr, err := chaosSrv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -130,6 +130,4 @@ func soakArms(t *testing.T, db *pdwqo.DB, arm time.Duration) {
 		t.Fatalf("chaos arm mostly failed: %d/%d errors", crep.Errors, crep.Queries)
 	}
 	chaosSrv.Shutdown()
-	db.SetFaultPlan(nil)
-	db.SetResilience(0, 0)
 }

@@ -65,11 +65,12 @@ type Config struct {
 	BatchRows int
 	// MaxStmts caps prepared statements per session (default 64).
 	MaxStmts int
-	// Opts are the optimizer options every session compiles with. The
-	// appliance-mutating knobs (resilience, faults, tracer, parallelism)
-	// are ignored here — configure those once on the DB; sessions share
-	// one appliance and must not reconfigure it mid-flight.
+	// Opts are the optimizer options every session compiles with.
 	Opts pdwqo.Options
+	// Exec is the execution configuration every query runs under
+	// (parallelism, retry policy, fault plan, tracer). Sessions share one
+	// appliance; each run takes this value and reconfigures nothing.
+	Exec pdwqo.ExecConfig
 	// PhaseHook, when non-nil, is called as each query enters each phase
 	// (with the query SQL). Test instrumentation: the cancellation matrix
 	// uses it to line up a cancel with a precise phase. It runs on the

@@ -382,7 +382,7 @@ func (s *session) query(ctx context.Context, sql string) (r qresult) {
 	if hook != nil {
 		hook(PhaseExecuting, sql)
 	}
-	res, err := s.srv.db.ExecutePlanContext(ctx, plan)
+	res, err := s.srv.db.Run(ctx, plan, s.srv.cfg.Exec)
 	if err != nil {
 		return qresult{err: err}
 	}

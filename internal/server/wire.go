@@ -5,7 +5,7 @@
 // parameterized templates without recompiling, an admission queue bounds
 // concurrent execution with typed queue-full/timeout rejections, and
 // cancellation is threaded from the connection's context through
-// DB.ExecutePlanContext into per-step engine execution.
+// DB.Run into per-step engine execution.
 //
 // The wire format is deliberately small: length-prefixed frames, one
 // opcode byte, big-endian fixed-width integers, and length-prefixed

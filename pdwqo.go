@@ -20,7 +20,6 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"time"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
@@ -57,13 +56,19 @@ type (
 	Fault = engine.Fault
 	// FaultPlan is a deterministic schedule of injected faults.
 	FaultPlan = engine.FaultPlan
+	// ExecConfig configures one execution: per-node parallelism, simulated
+	// dispatch latency, the step retry policy, fault injection and the
+	// execution tracer. It is a value passed to DB.Run (or ExplainAnalyze)
+	// and dies with the call; the zero value is the default configuration.
+	ExecConfig = engine.ExecConfig
 	// StepError is the typed failure of one DSQL step (errors.As target).
 	StepError = engine.StepError
 	// ErrorKind classifies why a step failed.
 	ErrorKind = engine.ErrorKind
 	// Tracer records spans and counters across the whole pipeline — parse
 	// through enumeration to per-step execution. Construct with NewTracer
-	// and pass via Options.Tracer; a nil Tracer is off and costs nothing.
+	// and pass via Options.Tracer (compilation) and ExecConfig.Tracer
+	// (execution); a nil Tracer is off and costs nothing.
 	Tracer = trace.Tracer
 	// Span is one recorded trace interval (or instantaneous event).
 	Span = trace.Span
@@ -93,7 +98,6 @@ const (
 	FaultOpQuery   = engine.OpQuery
 	FaultOpCreate  = engine.OpCreate
 	FaultOpDeliver = engine.OpDeliver
-	FaultOpLoad    = engine.OpLoad
 	// FaultAny is the wildcard for Fault.Step / Fault.Node / Fault.Move.
 	FaultAny = engine.Any
 )
@@ -137,6 +141,8 @@ const (
 )
 
 // Options tunes optimization; the zero value is the paper's configuration.
+// Nothing here configures how a compiled plan executes — that is
+// ExecConfig, passed per run.
 type Options struct {
 	Mode OptimizerMode
 	// Budget caps serial exploration (optimizer timeout, §3.1); 0 means
@@ -169,29 +175,15 @@ type Options struct {
 	// regime produced the plan.
 	SearchBudget int
 	// Parallelism bounds the worker pools of the PDW-side plan enumerator
-	// (independent MEMO groups per topological wave) and, when this
-	// Options value is passed to Execute, of the appliance's per-node
-	// step fan-out: 0 means GOMAXPROCS, 1 forces the serial reference
-	// paths. Plans and results are identical at any setting — the
-	// internal/difftest harness certifies it.
+	// (independent MEMO groups per topological wave): 0 means GOMAXPROCS,
+	// 1 forces the serial reference path. Plans are identical at any
+	// setting — the internal/difftest harness certifies it. Execute runs
+	// the plan it compiles under the same bound.
 	Parallelism int
 
-	// MaxRetries is how many times Execute re-runs a failed idempotent
-	// DSQL step (temp-table creates and DMS deliveries) after cleaning up
-	// its partial state; 0 disables retries. Applied to the appliance
-	// like Parallelism.
-	MaxRetries int
-	// StepTimeout bounds each step attempt; exceeding it fails the
-	// attempt with a retryable timeout StepError. 0 means unbounded.
-	StepTimeout time.Duration
-	// FaultPlan injects deterministic faults into this execution's node
-	// operations (testing/chaos only); nil injects nothing.
-	FaultPlan *FaultPlan
-
 	// Tracer, when non-nil, records spans for every pipeline phase (parse,
-	// bind, normalize, MEMO, XML, enumeration, DSQL generation) and — when
-	// this Options value is passed to Execute — per-step execution spans on
-	// the appliance, plus the optimize.*/exec.* counters.
+	// bind, normalize, MEMO, XML, enumeration, DSQL generation) and the
+	// optimize.* counters. Execute also traces the run it starts with it.
 	Tracer *Tracer
 
 	// Verify runs the internal/planverify static analyzer over every
@@ -248,41 +240,9 @@ func OpenTPCHSkewed(sf float64, nodes int, seed int64, skew float64) (*DB, error
 // Shell exposes the shell database.
 func (db *DB) Shell() *Shell { return db.shell }
 
-// Appliance exposes the engine for metrics inspection.
+// Appliance exposes the engine's nodes and lifetime-aggregate metrics for
+// inspection.
 func (db *DB) Appliance() *engine.Appliance { return db.appliance }
-
-// SetParallelism bounds the appliance's per-node worker pool for all
-// subsequent executions: 0 means GOMAXPROCS, 1 forces the serial reference
-// path. It returns the DB for chaining.
-func (db *DB) SetParallelism(n int) *DB {
-	db.appliance.Parallelism = n
-	return db
-}
-
-// SetResilience configures the appliance's retry policy for all
-// subsequent executions: maxRetries re-runs per failed idempotent step
-// (0 disables) and a per-step-attempt timeout (0 disables). It returns
-// the DB for chaining.
-func (db *DB) SetResilience(maxRetries int, stepTimeout time.Duration) *DB {
-	db.appliance.MaxRetries = maxRetries
-	db.appliance.StepTimeout = stepTimeout
-	return db
-}
-
-// SetFaultPlan installs (or, with nil, removes) a fault-injection plan on
-// the appliance. It returns the DB for chaining.
-func (db *DB) SetFaultPlan(p *FaultPlan) *DB {
-	db.appliance.Faults = p
-	return db
-}
-
-// SetTracer installs (or, with nil, removes) a tracer on the appliance so
-// subsequent executions record per-step spans and exec.* counters. It
-// returns the DB for chaining.
-func (db *DB) SetTracer(t *Tracer) *DB {
-	db.appliance.Tracer = t
-	return db
-}
 
 // SetPlanCache installs a shared plan cache bounded to capacity entries
 // (0 means plancache.DefaultCapacity; negative removes the cache). With a
@@ -458,9 +418,8 @@ func (db *DB) optimizeCached(sql string, opts Options) (*QueryPlan, error) {
 }
 
 // envSignature renders every plan-affecting input beyond the query text:
-// optimizer options and appliance topology. Parallelism, retry policy,
-// faults and tracing are deliberately excluded — they never change the
-// plan (the difftest harness certifies plans are identical across
+// optimizer options and appliance topology. Parallelism and tracing are
+// deliberately excluded — they never change the plan (the difftest harness certifies plans are identical across
 // Parallelism settings).
 func (db *DB) envSignature(opts Options) string {
 	lambda := cost.DefaultLambda()
@@ -684,9 +643,9 @@ func (r *Result) String() string {
 	return b.String()
 }
 
-// Execute optimizes and runs a query on the simulated appliance. A
-// non-zero opts.Parallelism also applies to the appliance (equivalent to
-// calling SetParallelism first).
+// Execute optimizes and runs a query on the simulated appliance, with
+// opts.Parallelism and opts.Tracer applied to the run as well as to the
+// compilation.
 func (db *DB) Execute(sql string, opts Options) (*Result, error) {
 	return db.ExecuteContext(context.Background(), sql, opts)
 }
@@ -694,41 +653,32 @@ func (db *DB) Execute(sql string, opts Options) (*Result, error) {
 // ExecuteContext is Execute with caller-controlled cancellation threaded
 // through per-step engine execution: cancelling ctx stops the in-flight
 // step's remaining node tasks and fails the run with a typed cancelled
-// StepError. Note that non-zero resilience/fault/tracer options mutate the
-// shared appliance exactly as Execute does; concurrent callers (the query
-// server) should configure the appliance once and pass zero-valued knobs,
-// or use Optimize + ExecutePlanContext directly.
+// StepError.
 func (db *DB) ExecuteContext(ctx context.Context, sql string, opts Options) (*Result, error) {
 	plan, err := db.Optimize(sql, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Parallelism != 0 {
-		db.SetParallelism(opts.Parallelism)
-	}
-	if opts.MaxRetries != 0 || opts.StepTimeout != 0 {
-		db.SetResilience(opts.MaxRetries, opts.StepTimeout)
-	}
-	if opts.FaultPlan != nil {
-		db.SetFaultPlan(opts.FaultPlan)
-	}
-	if opts.Tracer != nil {
-		db.SetTracer(opts.Tracer)
-	}
-	return db.ExecutePlanContext(ctx, plan)
+	return db.Run(ctx, plan, ExecConfig{Parallelism: opts.Parallelism, Tracer: opts.Tracer})
 }
 
-// ExecutePlan runs a previously optimized plan.
+// ExecutePlan runs a previously optimized plan under the zero ExecConfig.
 func (db *DB) ExecutePlan(plan *QueryPlan) (*Result, error) {
-	return db.ExecutePlanContext(context.Background(), plan)
+	return db.Run(context.Background(), plan, ExecConfig{})
 }
 
-// ExecutePlanContext runs a previously optimized plan under ctx.
-// Executions are isolated (each run rewrites its temp-table names with a
-// unique execution ID) and may proceed concurrently on one DB — this is
-// the entry point the query server dispatches sessions through.
+// ExecutePlanContext is ExecutePlan under ctx.
 func (db *DB) ExecutePlanContext(ctx context.Context, plan *QueryPlan) (*Result, error) {
-	res, err := db.appliance.ExecuteContext(ctx, plan.DSQL)
+	return db.Run(ctx, plan, ExecConfig{})
+}
+
+// Run executes a previously optimized plan under ctx and cfg. The
+// configuration belongs to this run alone: executions are isolated (each
+// rewrites its temp-table names with a unique execution ID) and may
+// proceed concurrently on one DB under different configurations — this is
+// the entry point the query server dispatches sessions through.
+func (db *DB) Run(ctx context.Context, plan *QueryPlan, cfg ExecConfig) (*Result, error) {
+	res, err := db.appliance.Execute(ctx, plan.DSQL, cfg)
 	if err != nil {
 		return nil, err
 	}
