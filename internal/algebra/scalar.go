@@ -8,6 +8,7 @@ package algebra
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pdwqo/internal/sqlparser"
@@ -113,7 +114,7 @@ func NewColRef(m ColumnMeta) *ColRef { return &ColRef{ID: m.ID, Meta: m} }
 func (c *ColRef) Type() types.Kind { return c.Meta.Type }
 
 // Fingerprint implements Scalar.
-func (c *ColRef) Fingerprint() string { return fmt.Sprintf("c%d", c.ID) }
+func (c *ColRef) Fingerprint() string { return "c" + strconv.Itoa(int(c.ID)) }
 
 // Const is a literal value. Param, when non-zero, ties the constant to
 // parameter slot Param-1 of the query's parameterized form (see
@@ -531,14 +532,16 @@ func RewriteScalar(e Scalar, f func(Scalar) Scalar) Scalar {
 }
 
 // Conjuncts splits a boolean expression on AND into its conjunct list.
-func Conjuncts(e Scalar) []Scalar {
+func Conjuncts(e Scalar) []Scalar { return appendConjuncts(nil, e) }
+
+func appendConjuncts(dst []Scalar, e Scalar) []Scalar {
 	if e == nil {
-		return nil
+		return dst
 	}
 	if b, ok := e.(*Binary); ok && b.Op == sqlparser.OpAnd {
-		return append(Conjuncts(b.L), Conjuncts(b.R)...)
+		return appendConjuncts(appendConjuncts(dst, b.L), b.R)
 	}
-	return []Scalar{e}
+	return append(dst, e)
 }
 
 // AndAll rebuilds a conjunction from a list (nil for an empty list).

@@ -76,6 +76,9 @@ type Plan struct {
 	OptionsConsidered int
 	OptionsRetained   int
 	Groups            int
+	// MemoExhausted reports that the serial search behind the memo hit
+	// its budget: the plan is the best of a search that timed out.
+	MemoExhausted bool
 }
 
 // Optimizer is the PDW-side bottom-up optimizer over a parsed memo.
@@ -430,6 +433,7 @@ func (o *Optimizer) extract() (*Plan, error) {
 		OptionsConsidered: int(atomic.LoadInt64(&o.considered)),
 		OptionsRetained:   int(atomic.LoadInt64(&o.retained)),
 		Groups:            len(o.order),
+		MemoExhausted:     o.dec.Exhausted,
 	}, nil
 }
 

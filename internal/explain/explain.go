@@ -76,8 +76,12 @@ func actualsByStep(in Input) map[int]engine.StepMetric {
 
 func renderText(in Input, opts Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- distributed plan  cost=%.6g groups=%d options considered=%d retained=%d\n",
+	fmt.Fprintf(&b, "-- distributed plan  cost=%.6g groups=%d options considered=%d retained=%d",
 		in.Plan.TotalCost, in.Plan.Groups, in.Plan.OptionsConsidered, in.Plan.OptionsRetained)
+	if in.Plan.MemoExhausted {
+		b.WriteString("  memo exhausted")
+	}
+	b.WriteByte('\n')
 	writeTree(&b, in.Plan.Root, 0)
 	b.WriteString("-- DSQL steps\n")
 	acts := actualsByStep(in)

@@ -16,6 +16,7 @@ type jsonPlan struct {
 	Groups            int          `json:"groups"`
 	OptionsConsidered int          `json:"optionsConsidered"`
 	OptionsRetained   int          `json:"optionsRetained"`
+	MemoExhausted     bool         `json:"memoExhausted,omitempty"`
 	Root              *jsonNode    `json:"root"`
 	Steps             []jsonStep   `json:"steps"`
 	Analyze           *jsonAnalyze `json:"analyze,omitempty"`
@@ -89,6 +90,7 @@ func buildJSON(in Input, opts Options) jsonPlan {
 		SQL:               in.SQL,
 		Cost:              in.Plan.TotalCost,
 		Groups:            in.Plan.Groups,
+		MemoExhausted:     in.Plan.MemoExhausted,
 		OptionsConsidered: in.Plan.OptionsConsidered,
 		OptionsRetained:   in.Plan.OptionsRetained,
 		Root:              buildNode(in.Plan.Root),

@@ -9,18 +9,15 @@ import (
 // canonicalAnd rebuilds a conjunction with conjuncts sorted by fingerprint
 // and exact duplicates removed, so that logically identical join conditions
 // produced along different exploration paths deduplicate in the memo.
-func canonicalAnd(conjs []algebra.Scalar) algebra.Scalar {
+func (m *Memo) canonicalAnd(conjs []algebra.Scalar) algebra.Scalar {
 	sort.SliceStable(conjs, func(i, j int) bool {
-		return conjs[i].Fingerprint() < conjs[j].Fingerprint()
+		return m.conjFP[m.conj(conjs[i])] < m.conjFP[m.conj(conjs[j])]
 	})
 	out := conjs[:0]
-	prev := ""
-	for _, c := range conjs {
-		fp := c.Fingerprint()
-		if fp == prev {
+	for i, c := range conjs {
+		if i > 0 && m.conj(c) == m.conj(conjs[i-1]) {
 			continue
 		}
-		prev = fp
 		out = append(out, c)
 	}
 	return algebra.AndAll(out)
@@ -107,7 +104,7 @@ func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr, top *algebra.Join) bool
 		}
 		var bcConds, topConds []algebra.Scalar
 		for _, conj := range pool {
-			if algebra.ScalarCols(conj).SubsetOf(bcCols) {
+			if m.conjCols[m.conj(conj)].SubsetOf(bcCols) {
 				bcConds = append(bcConds, conj)
 			} else {
 				topConds = append(topConds, conj)
@@ -125,11 +122,11 @@ func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr, top *algebra.Join) bool
 			return changed
 		}
 		bcGroup, _ := m.InsertExpr(&GroupExpr{
-			Op:       &algebra.Join{Kind: bcKind, On: canonicalAnd(bcConds)},
+			Op:       &algebra.Join{Kind: bcKind, On: m.canonicalAnd(bcConds)},
 			Children: []GroupID{bID, cID},
 		}, 0)
 		_, added := m.InsertExpr(&GroupExpr{
-			Op:       &algebra.Join{Kind: topKind, On: canonicalAnd(topConds)},
+			Op:       &algebra.Join{Kind: topKind, On: m.canonicalAnd(topConds)},
 			Children: []GroupID{aID, bcGroup},
 		}, g.ID)
 		changed = changed || added

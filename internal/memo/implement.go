@@ -147,9 +147,7 @@ func (m *Memo) CostSerial() {
 		return best
 	}
 	for gi := 1; gi < len(m.Groups); gi++ {
-		if len(m.Groups[gi].Exprs) > 0 {
-			costGroup(GroupID(gi))
-		}
+		costGroup(GroupID(gi))
 	}
 }
 

@@ -11,7 +11,9 @@
 package memo
 
 import (
+	"encoding/binary"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pdwqo/internal/algebra"
@@ -39,12 +41,59 @@ type GroupExpr struct {
 
 // Fingerprint identifies the expression for duplicate detection.
 func (e *GroupExpr) Fingerprint() string {
-	parts := make([]string, 0, len(e.Children)+1)
-	parts = append(parts, e.Op.Fingerprint())
+	fp := e.Op.Fingerprint()
 	for _, c := range e.Children {
-		parts = append(parts, fmt.Sprintf("g%d", c))
+		fp += "|g" + strconv.Itoa(int(c))
 	}
-	return strings.Join(parts, "|")
+	return fp
+}
+
+// bitset is a set of small interned integers. It never ends in a zero
+// word, so equal sets have equal words.
+type bitset []uint64
+
+// set adds i in place (growing as needed); only for sets not yet shared.
+func (b bitset) set(i int) bitset {
+	for len(b) <= i/64 {
+		b = append(b, 0)
+	}
+	b[i/64] |= 1 << (i % 64)
+	return b
+}
+
+// union returns a fresh set holding b and c.
+func (b bitset) union(c bitset) bitset {
+	if len(b) < len(c) {
+		b, c = c, b
+	}
+	out := append(bitset(nil), b...)
+	for i, w := range c {
+		out[i] |= w
+	}
+	return out
+}
+
+// logicalKey is the identity of an inner/cross join expression: the
+// non-join groups it joins ("atoms") and the conjuncts applied anywhere
+// beneath it. Two join trees with equal keys are equivalent by
+// commutativity and associativity whatever their shape, so they share one
+// group — the DP-table entry of their relation set. Every other operator is
+// an atom, identified by expression fingerprint alone.
+type logicalKey struct {
+	atoms bitset // atom ordinals (Memo.atoms)
+	conjs bitset // interned conjunct ids (Memo.conj)
+}
+
+// appendTo appends the key's map-index encoding to buf.
+func (k logicalKey) appendTo(buf []byte) []byte {
+	buf = binary.AppendUvarint(buf, uint64(len(k.atoms)))
+	for _, w := range k.atoms {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	for _, w := range k.conjs {
+		buf = binary.LittleEndian.AppendUint64(buf, w)
+	}
+	return buf
 }
 
 // Group is a set of equivalent expressions with shared logical properties.
@@ -52,6 +101,11 @@ type Group struct {
 	ID    GroupID
 	Exprs []*GroupExpr
 	Props *LogicalProps
+
+	// key is what the group contributes to the key of a join above it: the
+	// key of its first inner/cross join expression, else — from the first
+	// time the group is a join input — its own atom bit and no conjuncts.
+	key logicalKey
 
 	// winner is the index into Exprs of the cheapest physical expression,
 	// -1 before costing.
@@ -68,14 +122,31 @@ func (g *Group) Winner() *GroupExpr {
 	return g.Exprs[g.winner]
 }
 
-// Memo is the search space: groups plus a fingerprint index for duplicate
-// detection of expressions across groups.
+// Memo is the search space: groups plus two indexes that keep it free of
+// duplicates — expression fingerprints, and logical keys so that a join
+// reached through a different shape lands in the group of its relation set.
 type Memo struct {
 	Shell  *catalog.Shell
 	Groups []*Group // Groups[0] is a placeholder; IDs are 1-based
 	Root   GroupID
 
 	exprGroup map[string]GroupID // expression fingerprint → owning group
+	keyGroup  map[string]GroupID // encoded logicalKey → owning group
+	atoms     int                // atom ordinals handed out
+	buf       []byte             // scratch for building index keys
+
+	// Join conjuncts are interned: by pointer (rules pass the same
+	// scalars around) and, behind that, by fingerprint.
+	conjPtr  map[algebra.Scalar]int
+	conjID   map[string]int
+	conjFP   []string         // id → fingerprint
+	conjCols []algebra.ColSet // id → columns referenced
+
+	// conflicts counts InsertExpr calls whose caller asserted a target
+	// group other than the one that already owns the expression. No rule
+	// produces one (a rule's output has its input's key), so the groups are
+	// left apart rather than merged; TestSearchSpaceSize pins it at zero.
+	conflicts int
 
 	// Budget caps the number of expressions created during exploration,
 	// mirroring SQL Server's optimization timeout (paper §3.1). 0 means
@@ -97,13 +168,16 @@ func New(shell *catalog.Shell) *Memo {
 		Shell:     shell,
 		Groups:    []*Group{nil},
 		exprGroup: map[string]GroupID{},
+		keyGroup:  map[string]GroupID{},
+		conjPtr:   map[algebra.Scalar]int{},
+		conjID:    map[string]int{},
 	}
 }
 
 // Group resolves a group by ID.
 func (m *Memo) Group(id GroupID) *Group { return m.Groups[id] }
 
-// NumGroups returns the number of live groups.
+// NumGroups returns the number of groups.
 func (m *Memo) NumGroups() int { return len(m.Groups) - 1 }
 
 // NumExprs returns the total number of group expressions.
@@ -143,75 +217,115 @@ func (m *Memo) InsertSeed(t *algebra.Tree) {
 	m.InsertExpr(&GroupExpr{Op: t.Op, Children: children}, m.Root)
 }
 
-// InsertExpr adds one expression. If target is 0, the expression lands in
-// its fingerprint's existing group or a fresh one; otherwise it must merge
-// into the target group (the caller asserts equivalence, e.g. the output
-// of a transformation rule). Returns the owning group and whether the
-// expression was new.
+// InsertExpr adds one expression. It lands in the group that already owns
+// its fingerprint or, for an inner/cross join, its logical key; failing
+// that in target (the caller asserts equivalence, e.g. the output of a
+// transformation rule) or, if target is 0, in a fresh group. Returns the
+// owning group and whether the expression was new.
 func (m *Memo) InsertExpr(e *GroupExpr, target GroupID) (GroupID, bool) {
-	fp := e.Fingerprint()
-	if owner, ok := m.exprGroup[fp]; ok {
+	fp := m.fingerprint(e)
+	if owner, dup := m.exprGroup[fp]; dup {
 		if target != 0 && owner != target {
-			// Two groups turn out to be equivalent; fold the smaller
-			// (newer) one into the older. This is rare with our rule set;
-			// handle by aliasing expressions into the target.
-			m.mergeGroups(owner, target)
+			m.conflicts++
 		}
-		return m.exprGroup[fp], false
+		return owner, false
 	}
-	if target == 0 {
-		g := &Group{ID: GroupID(len(m.Groups)), winner: -1}
-		m.Groups = append(m.Groups, g)
-		target = g.ID
+	key, keyed := m.keyOf(e)
+	var keyIndex string
+	if keyed {
+		m.buf = key.appendTo(m.buf[:0])
+		keyIndex = string(m.buf)
+	}
+	switch owner := m.keyGroup[keyIndex]; {
+	case owner != 0:
+		if target != 0 && owner != target {
+			m.conflicts++
+		}
+		target = owner
+	case target == 0:
+		target = GroupID(len(m.Groups))
+		m.Groups = append(m.Groups, &Group{ID: target, winner: -1})
 	}
 	g := m.Groups[target]
 	g.Exprs = append(g.Exprs, e)
 	m.exprGroup[fp] = target
 	m.created++
+	if keyed {
+		m.keyGroup[keyIndex] = target
+		if g.key.atoms == nil {
+			g.key = key
+		}
+	}
 	if g.Props == nil && !e.Physical {
 		g.Props = m.deriveProps(e)
 	}
 	return target, true
 }
 
-// mergeGroups re-points every expression of group src into dst. Children
-// references to src elsewhere in the memo are rewritten.
-func (m *Memo) mergeGroups(a, b GroupID) {
-	if a == b {
-		return
-	}
-	dst, src := a, b
-	if src < dst {
-		dst, src = src, dst
-	}
-	srcG := m.Groups[src]
-	dstG := m.Groups[dst]
-	for _, e := range srcG.Exprs {
-		fp := e.Fingerprint()
-		delete(m.exprGroup, fp)
-	}
-	// Rewrite child references across the whole memo.
-	for _, g := range m.Groups[1:] {
-		for _, e := range g.Exprs {
-			for i, c := range e.Children {
-				if c == src {
-					e.Children[i] = dst
-				}
-			}
+// conj interns one join conjunct.
+func (m *Memo) conj(c algebra.Scalar) int {
+	id, ok := m.conjPtr[c]
+	if !ok {
+		fp := c.Fingerprint()
+		if id, ok = m.conjID[fp]; !ok {
+			id = len(m.conjFP)
+			m.conjID[fp] = id
+			m.conjFP = append(m.conjFP, fp)
+			m.conjCols = append(m.conjCols, algebra.ScalarCols(c))
 		}
+		m.conjPtr[c] = id
 	}
-	// Re-insert src expressions into dst (fingerprints changed).
-	for _, e := range srcG.Exprs {
-		fp := e.Fingerprint()
-		if _, ok := m.exprGroup[fp]; !ok {
-			dstG.Exprs = append(dstG.Exprs, e)
-			m.exprGroup[fp] = dst
-		}
+	return id
+}
+
+// fingerprint identifies e for duplicate detection. A join spells its
+// condition as the interned ids of its conjuncts in order, which is what
+// keeps exploring wide joins from re-printing every condition it revisits.
+func (m *Memo) fingerprint(e *GroupExpr) string {
+	op, algo := e.Op, ""
+	if p, ok := op.(*algebra.Phys); ok {
+		op, algo = p.Of, p.Algo
 	}
-	srcG.Exprs = nil
-	if m.Root == src {
-		m.Root = dst
+	j, ok := op.(*algebra.Join)
+	if !ok {
+		return e.Fingerprint()
 	}
+	buf := append(m.buf[:0], algo...)
+	buf = strconv.AppendInt(append(buf, "Join"...), int64(j.Kind), 10)
+	for _, c := range algebra.Conjuncts(j.On) {
+		buf = strconv.AppendInt(append(buf, ','), int64(m.conj(c)), 10)
+	}
+	for _, c := range e.Children {
+		buf = strconv.AppendInt(append(buf, "|g"...), int64(c), 10)
+	}
+	m.buf = buf
+	return string(buf)
+}
+
+// keyOf computes the logical key of an inner/cross join expression from
+// its children's keys; ok is false for every other operator.
+func (m *Memo) keyOf(e *GroupExpr) (k logicalKey, ok bool) {
+	j, isJoin := e.Op.(*algebra.Join)
+	if !isJoin || (j.Kind != algebra.JoinInner && j.Kind != algebra.JoinCross) {
+		return k, false
+	}
+	l, r := m.inputKey(e.Children[0]), m.inputKey(e.Children[1])
+	k = logicalKey{atoms: l.atoms.union(r.atoms), conjs: l.conjs.union(r.conjs)}
+	for _, c := range algebra.Conjuncts(j.On) {
+		k.conjs = k.conjs.set(m.conj(c))
+	}
+	return k, true
+}
+
+// inputKey is what group id contributes to a join over it: its join key,
+// or its own atom bit, handed out the first time it is a join input.
+func (m *Memo) inputKey(id GroupID) logicalKey {
+	g := m.Groups[id]
+	if g.key.atoms == nil {
+		g.key.atoms = bitset(nil).set(m.atoms)
+		m.atoms++
+	}
+	return g.key
 }
 
 // budgetLeft reports whether exploration may create more expressions.
@@ -229,9 +343,6 @@ func (m *Memo) String() string {
 	var b strings.Builder
 	for i := len(m.Groups) - 1; i >= 1; i-- {
 		g := m.Groups[i]
-		if len(g.Exprs) == 0 {
-			continue
-		}
 		fmt.Fprintf(&b, "Group %d", g.ID)
 		if g.Props != nil {
 			fmt.Fprintf(&b, " (rows=%.5g width=%.4g)", g.Props.Rows, g.Props.Width)

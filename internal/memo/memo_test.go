@@ -134,7 +134,7 @@ func testShell(t *testing.T) *catalog.Shell {
 }
 
 // optimizeSQL runs parse→bind→normalize→memo for a query.
-func optimizeSQL(t *testing.T, shell *catalog.Shell, sql string, budget int) *Memo {
+func normalizeSQL(t *testing.T, shell *catalog.Shell, sql string) *algebra.Tree {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
@@ -149,7 +149,12 @@ func optimizeSQL(t *testing.T, shell *catalog.Shell, sql string, budget int) *Me
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := Optimize(shell, norm, budget)
+	return norm
+}
+
+func optimizeSQL(t *testing.T, shell *catalog.Shell, sql string, budget int) *Memo {
+	t.Helper()
+	m, err := Optimize(shell, normalizeSQL(t, shell, sql), budget)
 	if err != nil {
 		t.Fatal(err)
 	}

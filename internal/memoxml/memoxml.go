@@ -158,17 +158,16 @@ func (enc *encoder) colList(cols []algebra.ColumnMeta) string {
 	return strings.Join(parts, ",")
 }
 
-// Encode serializes a memo (groups, logical and physical expressions,
-// statistics, winners) as XML.
+// Encode serializes a memo as XML: every group with its statistics, its
+// logical expressions and its one winner. The other physical expressions
+// stay behind — the PDW side plans over logical expressions and reads a
+// physical one only as the serial baseline's per-group winner.
 func Encode(m *memo.Memo) ([]byte, error) {
 	maxCol := 0
 	enc := &encoder{dict: map[algebra.ColumnID]xCol{}}
 	x := xMemo{Root: int(m.Root)}
 	x.Exhausted = m.Exhausted()
 	for _, g := range m.Groups[1:] {
-		if g == nil || len(g.Exprs) == 0 {
-			continue
-		}
 		xg := xGroup{ID: int(g.ID)}
 		if g.Props != nil {
 			xg.Rows = g.Props.Rows
@@ -189,6 +188,9 @@ func Encode(m *memo.Memo) ([]byte, error) {
 		}
 		winner := g.Winner()
 		for _, e := range g.Exprs {
+			if e.Physical && e != winner {
+				continue
+			}
 			xe, err := enc.encodeExpr(e)
 			if err != nil {
 				return nil, err
