@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"pdwqo"
 )
@@ -56,13 +57,31 @@ func main() {
 	fmt.Println(plan.Memo)
 	if *showXML {
 		fmt.Println("== exported MEMO XML ==")
-		os.Stdout.Write(plan.MemoXML)
-		fmt.Println()
+		fmt.Println(indentXML(plan.MemoXML))
 	}
 	fmt.Println("== augmented distributed plan (Figure 3d) ==")
 	fmt.Println(plan.Distributed.Root)
 	fmt.Println("== DSQL (Figure 3e) ==")
 	fmt.Println(plan.DSQL)
+}
+
+// indentXML indents the exported document, which holds one element per
+// line and no leading space, by nesting depth.
+func indentXML(doc []byte) string {
+	var b strings.Builder
+	depth := 0
+	for _, line := range strings.Split(strings.TrimSpace(string(doc)), "\n") {
+		if strings.HasPrefix(line, "</") {
+			depth--
+		}
+		b.WriteString(strings.Repeat("  ", depth) + line + "\n")
+		// A line that only opens an element: not the prolog, not self-closed,
+		// and not closed on the same line (<Key>1,2</Key>).
+		if !strings.HasPrefix(line, "<?") && !strings.HasSuffix(line, "/>") && !strings.Contains(line, "</") {
+			depth++
+		}
+	}
+	return b.String()
 }
 
 func fail(err error) {

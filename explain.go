@@ -22,7 +22,7 @@ func (p *QueryPlan) ExplainJSON() (string, error) {
 }
 
 func (p *QueryPlan) explainInput() explain.Input {
-	return explain.Input{SQL: p.SQL, Plan: p.Distributed, DSQL: p.DSQL}
+	return explain.Input{SQL: p.SQL, Plan: p.Distributed, DSQL: p.DSQL, Regime: p.regime}
 }
 
 // ExplainAnalyze executes the plan under cfg and renders EXPLAIN ANALYZE:

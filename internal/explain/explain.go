@@ -31,6 +31,9 @@ type Input struct {
 	SQL  string
 	Plan *core.Plan
 	DSQL *dsql.Plan
+	// Regime says how the PDW-side search space was covered; the zero
+	// value is an exhaustive search under no budget.
+	Regime Regime
 
 	// Actuals are the StepMetrics this execution appended, in step order;
 	// steps that never ran (fault-aborted execution) are simply absent.
@@ -38,6 +41,41 @@ type Input struct {
 	Retries int64
 	Faults  int64
 	Elapsed time.Duration
+}
+
+// Regime is how the PDW-side search space was covered and, for the greedy
+// join-order regime, which of its two ways in was taken.
+type Regime struct {
+	Greedy bool
+	// Budget is the search budget in force, 0 when none was set.
+	Budget int
+	// Bound, when positive, is the lower bound on the options an
+	// exhaustive search would consider that met Budget: the regime was
+	// chosen before the memo was exported, and nothing was enumerated.
+	Bound int
+	// Wave of Waves is otherwise the barrier at which the enumeration
+	// tripped the budget.
+	Wave, Waves int
+}
+
+// Name is "greedy" or "exhaustive".
+func (r Regime) Name() string {
+	if r.Greedy {
+		return "greedy"
+	}
+	return "exhaustive"
+}
+
+// String renders the regime as the EXPLAIN header shows it.
+func (r Regime) String() string {
+	switch {
+	case !r.Greedy:
+		return r.Name()
+	case r.Bound > 0:
+		return fmt.Sprintf("greedy (bound %d ≥ budget %d, chosen before export)", r.Bound, r.Budget)
+	default:
+		return fmt.Sprintf("greedy (tripped at wave %d/%d)", r.Wave, r.Waves)
+	}
 }
 
 // Options selects the output flavor.
@@ -76,8 +114,8 @@ func actualsByStep(in Input) map[int]engine.StepMetric {
 
 func renderText(in Input, opts Options) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "-- distributed plan  cost=%.6g groups=%d options considered=%d retained=%d",
-		in.Plan.TotalCost, in.Plan.Groups, in.Plan.OptionsConsidered, in.Plan.OptionsRetained)
+	fmt.Fprintf(&b, "-- distributed plan  cost=%.6g groups=%d options considered=%d retained=%d  regime=%s",
+		in.Plan.TotalCost, in.Plan.Groups, in.Plan.OptionsConsidered, in.Plan.OptionsRetained, in.Regime)
 	if in.Plan.MemoExhausted {
 		b.WriteString("  memo exhausted")
 	}

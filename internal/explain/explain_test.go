@@ -233,3 +233,41 @@ func TestWhereName(t *testing.T) {
 		}
 	}
 }
+
+// TestRenderRegime pins the three ways the header and the JSON document
+// name the search regime.
+func TestRenderRegime(t *testing.T) {
+	cases := []struct {
+		regime     Regime
+		text, json string
+	}{
+		{Regime{}, "retained=4  regime=exhaustive\n", `"regime": "exhaustive"`},
+		{Regime{Budget: 5000}, "retained=4  regime=exhaustive\n", `"searchBudget": 5000`},
+		{Regime{Greedy: true, Budget: 5000, Bound: 10250},
+			"regime=greedy (bound 10250 ≥ budget 5000, chosen before export)\n", `"regimeBound": 10250`},
+		{Regime{Greedy: true, Budget: 20000, Wave: 4, Waves: 13},
+			"regime=greedy (tripped at wave 4/13)\n", `"trippedWave": 4`},
+	}
+	for _, c := range cases {
+		in := fakeInput()
+		in.Regime = c.regime
+		text, err := Render(in, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if header, _, _ := strings.Cut(text, "-- DSQL"); !strings.Contains(header, c.text) {
+			t.Errorf("%+v: header misses %q:\n%s", c.regime, c.text, header)
+		}
+		doc, err := Render(in, Options{JSON: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantName := `"regime": "exhaustive"`
+		if c.regime.Greedy {
+			wantName = `"regime": "greedy"`
+		}
+		if !strings.Contains(doc, c.json) || !strings.Contains(doc, wantName) {
+			t.Errorf("%+v: JSON misses %s or %s:\n%s", c.regime, c.json, wantName, doc)
+		}
+	}
+}

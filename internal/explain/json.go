@@ -17,6 +17,11 @@ type jsonPlan struct {
 	OptionsConsidered int          `json:"optionsConsidered"`
 	OptionsRetained   int          `json:"optionsRetained"`
 	MemoExhausted     bool         `json:"memoExhausted,omitempty"`
+	Regime            string       `json:"regime"`
+	SearchBudget      int          `json:"searchBudget,omitempty"`
+	RegimeBound       int          `json:"regimeBound,omitempty"`
+	TrippedWave       int          `json:"trippedWave,omitempty"`
+	Waves             int          `json:"waves,omitempty"`
 	Root              *jsonNode    `json:"root"`
 	Steps             []jsonStep   `json:"steps"`
 	Analyze           *jsonAnalyze `json:"analyze,omitempty"`
@@ -94,6 +99,11 @@ func buildJSON(in Input, opts Options) jsonPlan {
 		OptionsConsidered: in.Plan.OptionsConsidered,
 		OptionsRetained:   in.Plan.OptionsRetained,
 		Root:              buildNode(in.Plan.Root),
+		Regime:            in.Regime.Name(),
+		SearchBudget:      in.Regime.Budget,
+		RegimeBound:       in.Regime.Bound,
+		TrippedWave:       in.Regime.Wave,
+		Waves:             in.Regime.Waves,
 	}
 	acts := actualsByStep(in)
 	for _, s := range in.DSQL.Steps {

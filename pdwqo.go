@@ -28,6 +28,7 @@ import (
 	"pdwqo/internal/dsql"
 	"pdwqo/internal/engine"
 	"pdwqo/internal/exec"
+	"pdwqo/internal/explain"
 	"pdwqo/internal/memo"
 	"pdwqo/internal/memoxml"
 	"pdwqo/internal/normalize"
@@ -165,14 +166,18 @@ type Options struct {
 	SeedCollocated bool
 	// SearchBudget caps the PDW-side enumeration at a number of options
 	// considered, checked at the wave barriers of the bottom-up search;
-	// 0 disables the cap (exhaustive enumeration, the default). When the
-	// budget trips, compilation does not fail: it switches to the greedy
-	// regime — the join order is fixed by the cheapest-feasible-edge
-	// heuristic (normalize.GreedyJoinOrder), the memo is rebuilt without
-	// exploration, and the enumerator re-runs over that structurally
-	// bounded search space, still inserting movement enforcers so the
-	// plan stays collocation-correct. QueryPlan.Regime reports which
-	// regime produced the plan.
+	// 0 disables the cap (exhaustive enumeration, the default). Over
+	// budget, compilation does not fail: it plans in the greedy regime —
+	// the join order is fixed by the cheapest-feasible-edge heuristic
+	// (normalize.GreedyJoinOrder), the memo is rebuilt without
+	// exploration, and the enumerator runs over that structurally bounded
+	// search space, still inserting movement enforcers so the plan stays
+	// collocation-correct. A query whose explored memo already proves the
+	// budget will trip (core.SearchLowerBound ≥ SearchBudget, ModeFull)
+	// goes there directly and exports only the fixed memo; otherwise the
+	// enumeration is tried first. The plan is the same either way.
+	// QueryPlan.Regime reports which regime produced the plan, and the
+	// EXPLAIN header which way it was reached.
 	SearchBudget int
 	// Parallelism bounds the worker pools of the PDW-side plan enumerator
 	// (independent MEMO groups per topological wave): 0 means GOMAXPROCS,
@@ -303,6 +308,10 @@ type QueryPlan struct {
 	// enumeration finished within it, and "greedy" when the budget
 	// tripped and the plan came from the greedy join-order fallback.
 	Regime string
+	// regime is what EXPLAIN prints of it: the budget in force and, for
+	// "greedy", whether a lower bound chose it before the export or the
+	// enumeration tripped, and where.
+	regime explain.Regime
 }
 
 // Cost returns the plan's modeled DMS cost.
@@ -547,28 +556,49 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		return data, dec, opt, plan, nil
 	}
 
-	regime := ""
-	if opts.SearchBudget > 0 {
-		regime = "exhaustive"
+	// The greedy regime has two ways in. A lower bound on what the
+	// enumeration would consider, read off the serial memo's shape, decides
+	// it before anything is exported whenever it already meets the budget;
+	// when the bound is inconclusive the enumeration runs and may trip.
+	regime, floor := explain.Regime{Budget: opts.SearchBudget}, 0
+	if opts.SearchBudget > 0 && opts.Mode == ModeFull { // the mode the bound is proven for
+		if floor = core.SearchLowerBound(m); floor >= opts.SearchBudget {
+			regime.Greedy, regime.Bound = true, floor
+		}
 	}
-	data, dec, opt, plan, err := lower(m, opts.SearchBudget)
-	if err != nil {
-		var be *core.BudgetError
-		if !errors.As(err, &be) {
+	var (
+		data []byte
+		dec  *memoxml.Decoded
+		opt  *core.Optimizer
+		plan *core.Plan
+		be   *core.BudgetError
+	)
+	if !regime.Greedy {
+		data, dec, opt, plan, err = lower(m, opts.SearchBudget)
+		if errors.As(err, &be) {
+			regime.Greedy, regime.Wave, regime.Waves = true, be.Wave, be.Waves
+		} else if err != nil {
 			osp.SetErr(err)
 			return nil, err
 		}
-		// The budget tripped: switch to the greedy regime. The join
-		// order is fixed by the cheapest-feasible-edge heuristic, the
-		// memo is rebuilt without exploration, and the enumerator
-		// re-runs with the budget off — the fixed memo bounds the
-		// search structurally, and the re-run still inserts movement
-		// enforcers so the plan stays collocation-correct.
-		regime = "greedy"
+	}
+	if regime.Greedy {
+		// The join order is fixed by the cheapest-feasible-edge heuristic,
+		// the memo is rebuilt without exploration, and the enumerator runs
+		// with the budget off — the fixed memo bounds the search
+		// structurally, and the run still inserts movement enforcers so the
+		// plan stays collocation-correct.
 		sp = tr.BeginUnder(osp.ID(), "greedy-fallback")
-		sp.Int("budget", int64(be.Budget))
-		sp.Int("considered", be.Considered)
+		sp.Int("budget", int64(opts.SearchBudget))
+		sp.Int("bound", int64(floor))
 		tr.Counters().Add("optimize.greedy_fallback", 1)
+		if be != nil {
+			sp.Int("predicted", 0)
+			sp.Int("considered", be.Considered)
+		} else {
+			sp.Int("predicted", 1)
+			tr.Counters().Add("optimize.greedy_predicted", 1)
+		}
 		m, err = memo.OptimizeFixed(db.shell, normalize.GreedyJoinOrder(norm))
 		if err != nil {
 			return fail(sp, err)
@@ -616,8 +646,18 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		MemoXML:     data,
 		Distributed: plan,
 		DSQL:        dp,
-		Regime:      regime,
+		Regime:      regimeName(regime),
+		regime:      regime,
 	}, nil
+}
+
+// regimeName is QueryPlan.Regime's spelling of a regime: empty when no
+// search budget was set.
+func regimeName(r explain.Regime) string {
+	if r.Budget == 0 {
+		return ""
+	}
+	return r.Name()
 }
 
 // Result is a query result.
