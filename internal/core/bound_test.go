@@ -60,7 +60,7 @@ func boundCorpus(t *testing.T) []boundCase {
 	return out
 }
 
-func exploredMemo(t *testing.T, c boundCase) *memo.Memo {
+func normalizedTree(t *testing.T, c boundCase) *algebra.Tree {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(c.sql)
 	if err != nil {
@@ -75,11 +75,60 @@ func exploredMemo(t *testing.T, c boundCase) *memo.Memo {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := memo.Optimize(c.shell, norm, memo.DefaultBudget)
+	return norm
+}
+
+func exploredMemo(t *testing.T, c boundCase) *memo.Memo {
+	t.Helper()
+	m, err := memo.Optimize(c.shell, normalizedTree(t, c), memo.DefaultBudget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// TestSearchLowerBoundGrowsWithExploration is what lets pdwqo.compile stop
+// exploring at the first checkpoint whose bound meets the budget: the bound
+// counts groups reachable from the root and their logical expressions, and
+// exploration only adds groups, expressions and edges, so every checkpoint's
+// bound is at least the one before and at most the finished memo's. A
+// predicate that never says yes must leave the memo as memo.Optimize builds
+// it; one that does must get it back unimplemented.
+func TestSearchLowerBoundGrowsWithExploration(t *testing.T) {
+	asked := 0
+	for _, c := range boundCorpus(t) {
+		tree := normalizedTree(t, c)
+		var bounds []int
+		m, err := memo.OptimizeUntil(c.shell, tree, memo.DefaultBudget, func(m *memo.Memo) bool {
+			bounds = append(bounds, SearchLowerBound(m))
+			return false
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		final := SearchLowerBound(m)
+		for i, b := range bounds {
+			if (i > 0 && b < bounds[i-1]) || b > final {
+				t.Fatalf("%s: bound fell, or passed the finished memo's %d: %v", c.name, final, bounds)
+			}
+		}
+		asked += len(bounds)
+		if want := exploredMemo(t, c); m.Decided() || m.NumExprs() != want.NumExprs() || m.NumGroups() != want.NumGroups() {
+			t.Errorf("%s: asking changed the memo: decided %v, %d expressions in %d groups, want %d in %d",
+				c.name, m.Decided(), m.NumExprs(), m.NumGroups(), want.NumExprs(), want.NumGroups())
+		}
+		half := final / 2
+		m, err = memo.OptimizeUntil(c.shell, tree, memo.DefaultBudget, func(m *memo.Memo) bool { return SearchLowerBound(m) >= half })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !m.Decided() || m.Group(m.Root).Winner() != nil || SearchLowerBound(m) < half {
+			t.Errorf("%s: decided %v at bound %d of %d, root winner %v", c.name, m.Decided(), SearchLowerBound(m), final, m.Group(m.Root).Winner())
+		}
+	}
+	if asked < 10*len(boundCorpus(t)) {
+		t.Errorf("%d checkpoints over the corpus: the cadence no longer samples exploration", asked)
+	}
 }
 
 // TestSearchLowerBoundIsSound is the property the regime shortcut in

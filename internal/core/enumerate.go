@@ -257,6 +257,9 @@ func (o *Optimizer) enumJoin(g *pgroup, op *algebra.Join, e memoxml.DecodedExpr)
 	left := o.groups[e.Children[0]]
 	right := o.groups[e.Children[1]]
 	var out []*Option
+	// The output column set is the expression's, not the pair's: every
+	// option of a group has the group's columns.
+	var outSet algebra.ColSet
 	for _, lo := range left.opts {
 		for _, ro := range right.opts {
 			dist, ok := o.joinDist(op, lo, ro)
@@ -264,9 +267,11 @@ func (o *Optimizer) enumJoin(g *pgroup, op *algebra.Join, e memoxml.DecodedExpr)
 				continue
 			}
 			outCols := algebra.OutputColsFromSchemas(op, [][]algebra.ColumnMeta{lo.OutCols, ro.OutCols})
-			outSet := algebra.NewColSet()
-			for _, c := range outCols {
-				outSet.Add(c.ID)
+			if outSet == nil {
+				outSet = algebra.NewColSet()
+				for _, c := range outCols {
+					outSet.Add(c.ID)
+				}
 			}
 			dist = dist.restrict(outSet, nil)
 			width := widthOf(outCols, g.statsOf)

@@ -51,7 +51,10 @@ type Regime struct {
 	Budget int
 	// Bound, when positive, is the lower bound on the options an
 	// exhaustive search would consider that met Budget: the regime was
-	// chosen before the memo was exported, and nothing was enumerated.
+	// chosen before the memo was exported, and nothing was enumerated. It
+	// is the value at the first exploration checkpoint to meet Budget —
+	// the explored memo's when exploration stopped — not the larger one a
+	// memo explored to its own budget would give.
 	Bound int
 	// Wave of Waves is otherwise the barrier at which the enumeration
 	// tripped the budget.

@@ -1,27 +1,9 @@
 package memo
 
 import (
-	"sort"
-
 	"pdwqo/internal/algebra"
+	"pdwqo/internal/sqlparser"
 )
-
-// canonicalAnd rebuilds a conjunction with conjuncts sorted by fingerprint
-// and exact duplicates removed, so that logically identical join conditions
-// produced along different exploration paths deduplicate in the memo.
-func (m *Memo) canonicalAnd(conjs []algebra.Scalar) algebra.Scalar {
-	sort.SliceStable(conjs, func(i, j int) bool {
-		return m.conjFP[m.conj(conjs[i])] < m.conjFP[m.conj(conjs[j])]
-	})
-	out := conjs[:0]
-	for i, c := range conjs {
-		if i > 0 && m.conj(c) == m.conj(conjs[i-1]) {
-			continue
-		}
-		out = append(out, c)
-	}
-	return algebra.AndAll(out)
-}
 
 // Explore applies logical transformation rules to a fixpoint (or until the
 // expression budget — the optimizer "timeout" of paper §3.1 — is hit):
@@ -65,74 +47,101 @@ func (m *Memo) applyRules(g *Group, e *GroupExpr) bool {
 	if j, ok := e.Op.(*algebra.Join); ok {
 		if j.Kind == algebra.JoinInner || j.Kind == algebra.JoinCross {
 			changed = m.ruleJoinCommute(g, e, j) || changed
-			changed = m.ruleJoinAssociate(g, e, j) || changed
+			changed = m.ruleJoinAssociate(g, e) || changed
 			changed = m.ruleJoinBelowGroupBy(g, e, j) || changed
 		}
 	}
 	return changed
 }
 
+// insertJoin adds a join of l and r — a copy of from or, when that is nil,
+// the inner (or cross) join on conj — building it only if the index lacks it.
+func (m *Memo) insertJoin(from *algebra.Join, conj []conjunct, l, r, target GroupID) (GroupID, bool) {
+	j := algebra.Join{Kind: algebra.JoinCross}
+	if from != nil {
+		j = *from
+	} else if len(conj) > 0 {
+		j.Kind = algebra.JoinInner
+	}
+	m.joinKey("", j.Kind, conj, l, r)
+	if owner, dup := m.owner(target); dup {
+		return owner, false
+	}
+	if from == nil {
+		conj = append([]conjunct(nil), conj...)
+		for _, c := range conj {
+			if j.On == nil {
+				j.On = c.s
+			} else {
+				j.On = &algebra.Binary{Op: sqlparser.OpAnd, L: j.On, R: c.s}
+			}
+		}
+	}
+	x := &struct { // one allocation for the three
+		e    GroupExpr
+		j    algebra.Join
+		kids [2]GroupID
+	}{j: j, kids: [2]GroupID{l, r}}
+	x.e = GroupExpr{Op: &x.j, Children: x.kids[:], conj: conj}
+	return m.insertNew(&x.e, target), true
+}
+
 // ruleJoinCommute adds Join(B,A) for Join(A,B).
 func (m *Memo) ruleJoinCommute(g *Group, e *GroupExpr, j *algebra.Join) bool {
-	ne := &GroupExpr{Op: &algebra.Join{Kind: j.Kind, On: j.On}, Children: []GroupID{e.Children[1], e.Children[0]}}
-	_, added := m.InsertExpr(ne, g.ID)
+	_, added := m.insertJoin(j, e.conj, e.Children[1], e.Children[0], g.ID)
 	return added
 }
 
 // ruleJoinAssociate rewrites Join(Join(A,B), C) as Join(A, Join(B,C)),
-// pooling and redistributing conjuncts by column coverage.
-func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr, top *algebra.Join) bool {
-	leftGroup := m.Groups[e.Children[0]]
+// pooling and redistributing conjuncts by column coverage, each condition
+// in fingerprint order without duplicates, so that logically identical
+// conditions produced along different exploration paths deduplicate.
+func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr) bool {
 	cID := e.Children[1]
-	cProps := m.Groups[cID].Props
+	cCols, rank := m.Groups[cID].outCols, m.ranks()
 	changed := false
-	for _, le := range leftGroup.LogicalExprs() {
+	for _, le := range m.Groups[e.Children[0]].Exprs {
 		inner, ok := le.Op.(*algebra.Join)
 		if !ok || (inner.Kind != algebra.JoinInner && inner.Kind != algebra.JoinCross) {
 			continue
 		}
 		aID, bID := le.Children[0], le.Children[1]
-		aProps, bProps := m.Groups[aID].Props, m.Groups[bID].Props
-
-		pool := append(algebra.Conjuncts(top.On), algebra.Conjuncts(inner.On)...)
-		bcCols := algebra.NewColSet()
-		for _, c := range bProps.OutCols {
-			bcCols.Add(c.ID)
-		}
-		for _, c := range cProps.OutCols {
-			bcCols.Add(c.ID)
-		}
-		var bcConds, topConds []algebra.Scalar
-		for _, conj := range pool {
-			if m.conjCols[m.conj(conj)].SubsetOf(bcCols) {
-				bcConds = append(bcConds, conj)
-			} else {
-				topConds = append(topConds, conj)
+		m.cols = m.cols.unionOf(m.Groups[bID].outCols, cCols)
+		bc, top := m.pool[0][:0], m.pool[1][:0]
+		for _, conds := range [2][]conjunct{e.conj, le.conj} {
+			for _, c := range conds {
+				if m.conjCols[c.id].subsetOf(m.cols) {
+					bc = insertByRank(bc, c, rank)
+				} else {
+					top = insertByRank(top, c, rank)
+				}
 			}
 		}
-		bcKind := algebra.JoinInner
-		if len(bcConds) == 0 {
-			bcKind = algebra.JoinCross
-		}
-		topKind := algebra.JoinInner
-		if len(topConds) == 0 {
-			topKind = algebra.JoinCross
-		}
+		m.pool = [2][]conjunct{bc, top}
 		if !m.budgetLeft() {
 			return changed
 		}
-		bcGroup, _ := m.InsertExpr(&GroupExpr{
-			Op:       &algebra.Join{Kind: bcKind, On: m.canonicalAnd(bcConds)},
-			Children: []GroupID{bID, cID},
-		}, 0)
-		_, added := m.InsertExpr(&GroupExpr{
-			Op:       &algebra.Join{Kind: topKind, On: m.canonicalAnd(topConds)},
-			Children: []GroupID{aID, bcGroup},
-		}, g.ID)
+		bcGroup, _ := m.insertJoin(nil, bc, bID, cID, 0)
+		_, added := m.insertJoin(nil, top, aID, bcGroup, g.ID)
 		changed = changed || added
-		_ = aProps
 	}
 	return changed
+}
+
+// insertByRank inserts c behind every conjunct of list that does not rank
+// after it — a stable sort, one element at a time — unless it is there.
+func insertByRank(list []conjunct, c conjunct, rank []int32) []conjunct {
+	i := len(list)
+	for i > 0 && rank[list[i-1].id] > rank[c.id] {
+		i--
+	}
+	if i > 0 && list[i-1].id == c.id {
+		return list
+	}
+	list = append(list, c)
+	copy(list[i+1:], list[i:])
+	list[i] = c
+	return list
 }
 
 // ruleJoinBelowGroupBy rewrites Join([Project](GroupBy(X)), R) into
@@ -159,12 +168,9 @@ func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) b
 	rID := e.Children[1]
 	rProps := m.Groups[rID].Props
 
-	rCols := algebra.NewColSet()
-	for _, c := range rProps.OutCols {
-		rCols.Add(c.ID)
-	}
+	var rCols algebra.ColSet // built for the first GroupBy found
 	changed := false
-	for _, le := range leftGroup.LogicalExprs() {
+	for _, le := range leftGroup.Exprs {
 		var gb *algebra.GroupBy
 		var gbChild GroupID
 		var projDefs []algebra.ProjDef // nil when no intervening Project
@@ -187,6 +193,12 @@ func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) b
 		}
 		if gb == nil || gb.Phase != algebra.AggComplete {
 			continue
+		}
+		if rCols == nil {
+			rCols = algebra.NewColSet()
+			for _, c := range rProps.OutCols {
+				rCols.Add(c.ID)
+			}
 		}
 		keySet := algebra.NewColSet(gb.Keys...)
 		// Columns the join condition may touch on the left side: GB keys,

@@ -47,6 +47,7 @@ func (m *Memo) implementations(e *GroupExpr) []*GroupExpr {
 			Op:       algebra.NewPhys(algo, e.Op),
 			Children: append([]GroupID{}, e.Children...),
 			Physical: true,
+			conj:     e.conj,
 		}
 	}
 	switch op := e.Op.(type) {
@@ -60,7 +61,7 @@ func (m *Memo) implementations(e *GroupExpr) []*GroupExpr {
 		return []*GroupExpr{phys(algebra.AlgoCompute)}
 	case *algebra.Join:
 		out := []*GroupExpr{}
-		if hasCrossEquiConjunct(op, m.Groups[e.Children[0]].Props, m.Groups[e.Children[1]].Props) {
+		if m.hasCrossEquiConjunct(e) {
 			out = append(out, phys(algebra.AlgoHashJoin))
 		}
 		if op.Kind != algebra.JoinFullOuter {
@@ -81,18 +82,11 @@ func (m *Memo) implementations(e *GroupExpr) []*GroupExpr {
 
 // hasCrossEquiConjunct reports whether the join has at least one equality
 // pairing a left column with a right column — the hash join requirement.
-func hasCrossEquiConjunct(j *algebra.Join, l, r *LogicalProps) bool {
-	lCols := algebra.NewColSet()
-	for _, c := range l.OutCols {
-		lCols.Add(c.ID)
-	}
-	rCols := algebra.NewColSet()
-	for _, c := range r.OutCols {
-		rCols.Add(c.ID)
-	}
-	for _, conj := range algebra.Conjuncts(j.On) {
-		if a, b, ok := algebra.EquiJoinSides(conj); ok {
-			if (lCols.Has(a) && rCols.Has(b)) || (lCols.Has(b) && rCols.Has(a)) {
+func (m *Memo) hasCrossEquiConjunct(e *GroupExpr) bool {
+	l, r := m.Groups[e.Children[0]].outCols, m.Groups[e.Children[1]].outCols
+	for _, c := range e.conj {
+		if a, b, ok := algebra.EquiJoinSides(c.s); ok {
+			if (l.has(int(a)) && r.has(int(b))) || (l.has(int(b)) && r.has(int(a))) {
 				return true
 			}
 		}
@@ -272,13 +266,27 @@ func OptimizeFixed(shell *catalog.Shell, tree *algebra.Tree) (*Memo, error) {
 // inserted into the root group before exploration (paper §3.1: "we seed
 // the MEMO with execution plans that consider distribution information").
 func OptimizeSeeded(shell *catalog.Shell, tree *algebra.Tree, budget int, seeds ...*algebra.Tree) (*Memo, error) {
+	return OptimizeUntil(shell, tree, budget, nil, seeds...)
+}
+
+// OptimizeUntil is OptimizeSeeded for a caller that may learn from the
+// logical memo that it will not use it: decided (nil: never) is asked every
+// askEvery created expressions and when exploration ends, and the first yes
+// returns the memo as it stands, Decided() true, nothing implemented. What
+// decided reads must only grow as expressions are added.
+func OptimizeUntil(shell *catalog.Shell, tree *algebra.Tree, budget int, decided func(*Memo) bool, seeds ...*algebra.Tree) (*Memo, error) {
 	m := New(shell)
-	m.Budget = budget
+	m.Budget, m.decided = budget, decided
 	m.Root = m.Insert(tree)
 	for _, sd := range seeds {
 		m.InsertSeed(sd)
 	}
 	m.Explore()
+	// The memo may outlive the compile; the caller's closure need not.
+	m.stopped, m.decided = m.stopped || (decided != nil && decided(m)), nil
+	if m.stopped {
+		return m, nil
+	}
 	m.Implement()
 	m.CostSerial()
 	if m.Groups[m.Root].Winner() == nil {

@@ -13,6 +13,7 @@ package memo
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -37,6 +38,17 @@ type GroupExpr struct {
 	// BestChildren pins the winning child expression index per child
 	// group, set during costing.
 	BestChildren []int
+
+	// conj is a join's condition as interned conjuncts in On order, set
+	// when the expression is inserted; rules and indexes read it, not On.
+	conj []conjunct
+}
+
+// conjunct is one conjunct of a join condition: its interned id and the
+// scalar it was read from, which a rule puts in the conditions it builds.
+type conjunct struct {
+	id int32
+	s  algebra.Scalar
 }
 
 // Fingerprint identifies the expression for duplicate detection.
@@ -61,16 +73,29 @@ func (b bitset) set(i int) bitset {
 	return b
 }
 
-// union returns a fresh set holding b and c.
-func (b bitset) union(c bitset) bitset {
+// has reports whether i is in the set.
+func (b bitset) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64)) != 0 }
+
+// subsetOf reports whether every member of b is in c.
+func (b bitset) subsetOf(c bitset) bool {
+	for i, w := range b {
+		if w != 0 && (i >= len(c) || w&^c[i] != 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// unionOf overwrites dst with b ∪ c, neither of which may share its words.
+func (dst bitset) unionOf(b, c bitset) bitset {
 	if len(b) < len(c) {
 		b, c = c, b
 	}
-	out := append(bitset(nil), b...)
+	dst = append(dst[:0], b...)
 	for i, w := range c {
-		out[i] |= w
+		dst[i] |= w
 	}
-	return out
+	return dst
 }
 
 // logicalKey is the identity of an inner/cross join expression: the
@@ -98,9 +123,10 @@ func (k logicalKey) appendTo(buf []byte) []byte {
 
 // Group is a set of equivalent expressions with shared logical properties.
 type Group struct {
-	ID    GroupID
-	Exprs []*GroupExpr
-	Props *LogicalProps
+	ID      GroupID
+	Exprs   []*GroupExpr
+	Props   *LogicalProps
+	outCols bitset // Props.OutCols by column id
 
 	// key is what the group contributes to the key of a join above it: the
 	// key of its first inner/cross join expression, else — from the first
@@ -134,13 +160,17 @@ type Memo struct {
 	keyGroup  map[string]GroupID // encoded logicalKey → owning group
 	atoms     int                // atom ordinals handed out
 	buf       []byte             // scratch for building index keys
+	key       logicalKey         // scratch keyOf builds its result in
 
 	// Join conjuncts are interned: by pointer (rules pass the same
 	// scalars around) and, behind that, by fingerprint.
-	conjPtr  map[algebra.Scalar]int
-	conjID   map[string]int
-	conjFP   []string         // id → fingerprint
-	conjCols []algebra.ColSet // id → columns referenced
+	conjPtr  map[algebra.Scalar]int32
+	conjID   map[string]int32
+	conjFP   []string      // id → fingerprint
+	conjCols []bitset      // id → columns referenced, by column id
+	conjRank []int32       // id → position in fingerprint order (ranks)
+	pool     [2][]conjunct // ruleJoinAssociate's scratch: the two conditions,
+	cols     bitset        // and the columns of B⋈C
 
 	// conflicts counts InsertExpr calls whose caller asserted a target
 	// group other than the one that already owns the expression. No rule
@@ -154,6 +184,12 @@ type Memo struct {
 	Budget    int
 	exhausted bool
 	created   int
+
+	// decided is OptimizeUntil's predicate, asked when created reaches
+	// nextAsk; stopped records the first yes, which ends exploration.
+	decided func(*Memo) bool
+	nextAsk int
+	stopped bool
 }
 
 // DefaultBudget is the default exploration budget (expressions created
@@ -169,8 +205,8 @@ func New(shell *catalog.Shell) *Memo {
 		Groups:    []*Group{nil},
 		exprGroup: map[string]GroupID{},
 		keyGroup:  map[string]GroupID{},
-		conjPtr:   map[algebra.Scalar]int{},
-		conjID:    map[string]int{},
+		conjPtr:   map[algebra.Scalar]int32{},
+		conjID:    map[string]int32{},
 	}
 }
 
@@ -192,6 +228,9 @@ func (m *Memo) NumExprs() int {
 // Exhausted reports whether exploration hit the budget before finishing —
 // the analogue of SQL Server's optimizer timeout.
 func (m *Memo) Exhausted() bool { return m.exhausted }
+
+// Decided reports whether OptimizeUntil's predicate said yes.
+func (m *Memo) Decided() bool { return m.stopped }
 
 // Insert adds a whole operator tree, returning its group. Duplicate
 // subtrees collapse onto existing groups.
@@ -223,20 +262,57 @@ func (m *Memo) InsertSeed(t *algebra.Tree) {
 // transformation rule) or, if target is 0, in a fresh group. Returns the
 // owning group and whether the expression was new.
 func (m *Memo) InsertExpr(e *GroupExpr, target GroupID) (GroupID, bool) {
-	fp := m.fingerprint(e)
-	if owner, dup := m.exprGroup[fp]; dup {
-		if target != 0 && owner != target {
-			m.conflicts++
+	op, algo := e.Op, ""
+	if p, ok := op.(*algebra.Phys); ok {
+		op, algo = p.Of, p.Algo
+	}
+	if j, ok := op.(*algebra.Join); ok {
+		if e.conj == nil {
+			e.conj = m.intern(j.On)
 		}
+		m.joinKey(algo, j.Kind, e.conj, e.Children[0], e.Children[1])
+	} else {
+		m.buf = append(m.buf[:0], e.Fingerprint()...)
+	}
+	if owner, dup := m.owner(target); dup {
 		return owner, false
 	}
+	return m.insertNew(e, target), true
+}
+
+// joinKey leaves in m.buf a join's fingerprint for duplicate detection,
+// the condition spelt as its interned conjunct ids in order: exploring wide
+// joins prints, and builds, no condition it only revisits.
+func (m *Memo) joinKey(algo string, kind algebra.JoinKind, conj []conjunct, l, r GroupID) {
+	buf := append(m.buf[:0], algo...)
+	buf = strconv.AppendInt(append(buf, "Join"...), int64(kind), 10)
+	for _, c := range conj {
+		buf = strconv.AppendInt(append(buf, ','), int64(c.id), 10)
+	}
+	buf = strconv.AppendInt(append(buf, "|g"...), int64(l), 10)
+	m.buf = strconv.AppendInt(append(buf, "|g"...), int64(r), 10)
+}
+
+// owner looks up the group holding the expression whose fingerprint is in
+// m.buf, counting a conflict when the caller asserted another.
+func (m *Memo) owner(target GroupID) (GroupID, bool) {
+	owner, dup := m.exprGroup[string(m.buf)]
+	if dup && target != 0 && owner != target {
+		m.conflicts++
+	}
+	return owner, dup
+}
+
+// insertNew adds an expression owner just missed, its fingerprint in m.buf.
+func (m *Memo) insertNew(e *GroupExpr, target GroupID) GroupID {
+	fp := string(m.buf)
 	key, keyed := m.keyOf(e)
-	var keyIndex string
+	var owner GroupID
 	if keyed {
 		m.buf = key.appendTo(m.buf[:0])
-		keyIndex = string(m.buf)
+		owner = m.keyGroup[string(m.buf)]
 	}
-	switch owner := m.keyGroup[keyIndex]; {
+	switch {
 	case owner != 0:
 		if target != 0 && owner != target {
 			m.conflicts++
@@ -250,71 +326,74 @@ func (m *Memo) InsertExpr(e *GroupExpr, target GroupID) (GroupID, bool) {
 	g.Exprs = append(g.Exprs, e)
 	m.exprGroup[fp] = target
 	m.created++
-	if keyed {
-		m.keyGroup[keyIndex] = target
+	if keyed && owner == 0 {
+		m.keyGroup[string(m.buf)] = target
 		if g.key.atoms == nil {
-			g.key = key
+			g.key = logicalKey{atoms: append(bitset(nil), key.atoms...), conjs: append(bitset(nil), key.conjs...)}
 		}
 	}
 	if g.Props == nil && !e.Physical {
 		g.Props = m.deriveProps(e)
-	}
-	return target, true
-}
-
-// conj interns one join conjunct.
-func (m *Memo) conj(c algebra.Scalar) int {
-	id, ok := m.conjPtr[c]
-	if !ok {
-		fp := c.Fingerprint()
-		if id, ok = m.conjID[fp]; !ok {
-			id = len(m.conjFP)
-			m.conjID[fp] = id
-			m.conjFP = append(m.conjFP, fp)
-			m.conjCols = append(m.conjCols, algebra.ScalarCols(c))
+		for _, c := range g.Props.OutCols {
+			g.outCols = g.outCols.set(int(c.ID))
 		}
-		m.conjPtr[c] = id
 	}
-	return id
+	return target
 }
 
-// fingerprint identifies e for duplicate detection. A join spells its
-// condition as the interned ids of its conjuncts in order, which is what
-// keeps exploring wide joins from re-printing every condition it revisits.
-func (m *Memo) fingerprint(e *GroupExpr) string {
-	op, algo := e.Op, ""
-	if p, ok := op.(*algebra.Phys); ok {
-		op, algo = p.Of, p.Algo
+// intern splits a join condition into its interned conjuncts.
+func (m *Memo) intern(on algebra.Scalar) []conjunct {
+	var out []conjunct
+	for _, s := range algebra.Conjuncts(on) {
+		id, ok := m.conjPtr[s]
+		if !ok {
+			fp := s.Fingerprint()
+			if id, ok = m.conjID[fp]; !ok {
+				id = int32(len(m.conjFP))
+				m.conjID[fp] = id
+				var cols bitset
+				for c := range algebra.ScalarCols(s) {
+					cols = cols.set(int(c))
+				}
+				m.conjFP, m.conjCols = append(m.conjFP, fp), append(m.conjCols, cols)
+			}
+			m.conjPtr[s] = id
+		}
+		out = append(out, conjunct{id, s})
 	}
-	j, ok := op.(*algebra.Join)
-	if !ok {
-		return e.Fingerprint()
-	}
-	buf := append(m.buf[:0], algo...)
-	buf = strconv.AppendInt(append(buf, "Join"...), int64(j.Kind), 10)
-	for _, c := range algebra.Conjuncts(j.On) {
-		buf = strconv.AppendInt(append(buf, ','), int64(m.conj(c)), 10)
-	}
-	for _, c := range e.Children {
-		buf = strconv.AppendInt(append(buf, "|g"...), int64(c), 10)
-	}
-	m.buf = buf
-	return string(buf)
+	return out
 }
 
-// keyOf computes the logical key of an inner/cross join expression from
-// its children's keys; ok is false for every other operator.
+// ranks orders the interned conjuncts by fingerprint, the canonical order.
+func (m *Memo) ranks() []int32 {
+	if len(m.conjRank) != len(m.conjFP) {
+		order := make([]int32, len(m.conjFP))
+		for i := range order {
+			order[i] = int32(i)
+		}
+		sort.Slice(order, func(i, j int) bool { return m.conjFP[order[i]] < m.conjFP[order[j]] })
+		m.conjRank = make([]int32, len(order))
+		for rank, id := range order {
+			m.conjRank[id] = int32(rank)
+		}
+	}
+	return m.conjRank
+}
+
+// keyOf computes the logical key of an inner/cross join expression from its
+// children's keys, in scratch; ok is false for every other operator.
 func (m *Memo) keyOf(e *GroupExpr) (k logicalKey, ok bool) {
 	j, isJoin := e.Op.(*algebra.Join)
 	if !isJoin || (j.Kind != algebra.JoinInner && j.Kind != algebra.JoinCross) {
 		return k, false
 	}
 	l, r := m.inputKey(e.Children[0]), m.inputKey(e.Children[1])
-	k = logicalKey{atoms: l.atoms.union(r.atoms), conjs: l.conjs.union(r.conjs)}
-	for _, c := range algebra.Conjuncts(j.On) {
-		k.conjs = k.conjs.set(m.conj(c))
+	m.key.atoms = m.key.atoms.unionOf(l.atoms, r.atoms)
+	m.key.conjs = m.key.conjs.unionOf(l.conjs, r.conjs)
+	for _, c := range e.conj {
+		m.key.conjs = m.key.conjs.set(int(c.id))
 	}
-	return k, true
+	return m.key, true
 }
 
 // inputKey is what group id contributes to a join over it: its join key,
@@ -328,13 +407,22 @@ func (m *Memo) inputKey(id GroupID) logicalKey {
 	return g.key
 }
 
-// budgetLeft reports whether exploration may create more expressions.
+// askEvery is how many expressions are created between two questions to
+// Memo.decided: a count, not a clock, so every run decides on the same memo.
+const askEvery = 64
+
+// budgetLeft reports whether exploration may create more expressions: the
+// budget is not spent and decided, asked when it is due, has not said yes.
 func (m *Memo) budgetLeft() bool {
 	if m.Budget > 0 && m.created >= m.Budget {
 		m.exhausted = true
 		return false
 	}
-	return true
+	if m.decided != nil && m.created >= m.nextAsk {
+		m.nextAsk = m.created + askEvery
+		m.stopped = m.decided(m)
+	}
+	return !m.stopped
 }
 
 // String renders the memo in the paper's Figure 3 style: one line per

@@ -144,6 +144,15 @@ func (a Active) Int(key string, v int64) {
 	a.t.mu.Unlock()
 }
 
+// Bool annotates the span with a 0/1 integer attribute.
+func (a Active) Bool(key string, v bool) {
+	n := int64(0)
+	if v {
+		n = 1
+	}
+	a.Int(key, n)
+}
+
 // Str annotates the span with a string attribute.
 func (a Active) Str(key, v string) {
 	if a.t == nil {

@@ -282,3 +282,16 @@ func BenchmarkSpanEnabled(b *testing.B) {
 		sp.End()
 	}
 }
+
+func TestBoolAttr(t *testing.T) {
+	tr := New()
+	sp := tr.Begin("memo")
+	sp.Bool("decided", true)
+	sp.Bool("exhausted", false)
+	sp.End()
+	if a := tr.Spans()[0].Attrs; len(a) != 2 || a[0].Key != "decided" || a[0].Val != 1 || a[1].Val != 0 {
+		t.Errorf("Bool attrs = %+v, want decided=1 exhausted=0", a)
+	}
+	var off *Tracer
+	off.Begin("x").Bool("k", true) // the disabled span records nothing
+}

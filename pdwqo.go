@@ -147,7 +147,8 @@ const (
 type Options struct {
 	Mode OptimizerMode
 	// Budget caps serial exploration (optimizer timeout, §3.1); 0 means
-	// memo.DefaultBudget, negative means unlimited.
+	// memo.DefaultBudget, negative means unlimited — except that under a
+	// SearchBudget exploration ends, as always, once that decides the regime.
 	Budget int
 	// Lambda overrides the cost model constants; nil uses defaults.
 	Lambda *Lambda
@@ -172,10 +173,10 @@ type Options struct {
 	// (normalize.GreedyJoinOrder), the memo is rebuilt without
 	// exploration, and the enumerator runs over that structurally bounded
 	// search space, still inserting movement enforcers so the plan stays
-	// collocation-correct. A query whose explored memo already proves the
-	// budget will trip (core.SearchLowerBound ≥ SearchBudget, ModeFull)
-	// goes there directly and exports only the fixed memo; otherwise the
-	// enumeration is tried first. The plan is the same either way.
+	// collocation-correct. A query whose serial memo proves part-way
+	// through exploration that the budget will trip (core.SearchLowerBound
+	// ≥ SearchBudget, ModeFull) goes there at once, the memo abandoned;
+	// otherwise the enumeration is tried first. The plan is the same either way.
 	// QueryPlan.Regime reports which regime produced the plan, and the
 	// EXPLAIN header which way it was reached.
 	SearchBudget int
@@ -497,11 +498,32 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 	case budget < 0:
 		budget = 0
 	}
+	// The greedy regime has two ways in. A lower bound on what the
+	// enumeration would consider, read off the serial memo's shape, decides
+	// it once it meets the budget: exploring only raises it, so exploration
+	// asks as it goes and stops at the first yes with nothing implemented or
+	// exported. While it is inconclusive the enumeration runs and may trip.
+	regime, floor := explain.Regime{Budget: opts.SearchBudget}, 0
+	var decided func(*memo.Memo) bool
+	if opts.SearchBudget > 0 && opts.Mode == ModeFull { // the mode the bound is proven for
+		decided = func(m *memo.Memo) bool {
+			floor = core.SearchLowerBound(m)
+			return floor >= opts.SearchBudget
+		}
+	}
 	sp = tr.BeginUnder(osp.ID(), "memo")
 	sp.Int("budget", int64(budget))
-	m, err := memo.OptimizeSeeded(db.shell, norm, budget, seeds...)
+	m, err := memo.OptimizeUntil(db.shell, norm, budget, decided, seeds...)
 	if err != nil {
 		return fail(sp, err)
+	}
+	sp.Int("exprs", int64(m.NumExprs()))
+	sp.Int("groups", int64(m.NumGroups()))
+	sp.Bool("exhausted", m.Exhausted())
+	sp.Bool("decided", m.Decided())
+	if m.Decided() {
+		regime.Greedy, regime.Bound = true, floor
+		tr.Counters().Add("memo.explore_decided", 1)
 	}
 	sp.End()
 
@@ -556,16 +578,6 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		return data, dec, opt, plan, nil
 	}
 
-	// The greedy regime has two ways in. A lower bound on what the
-	// enumeration would consider, read off the serial memo's shape, decides
-	// it before anything is exported whenever it already meets the budget;
-	// when the bound is inconclusive the enumeration runs and may trip.
-	regime, floor := explain.Regime{Budget: opts.SearchBudget}, 0
-	if opts.SearchBudget > 0 && opts.Mode == ModeFull { // the mode the bound is proven for
-		if floor = core.SearchLowerBound(m); floor >= opts.SearchBudget {
-			regime.Greedy, regime.Bound = true, floor
-		}
-	}
 	var (
 		data []byte
 		dec  *memoxml.Decoded

@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"pdwqo"
 	"pdwqo/internal/algebra"
@@ -306,4 +308,101 @@ func rowSet(r *pdwqo.Result) string {
 		seen[fmt.Sprint(row)]++
 	}
 	return fmt.Sprint(seen)
+}
+
+// TestDecidedExplorationStops compiles the four 30-relation joins under a
+// search budget the bound meets part-way through exploration, at the
+// default memo budget and with none: the memo span must say exploration
+// was decided well short of either, and the plan must be the unshortened
+// sequence's. Without the stop an unlimited memo budget explores 3³⁰
+// expressions before anyone reads the search budget that rejects them, so
+// each compile runs against a deadline.
+func TestDecidedExplorationStops(t *testing.T) {
+	const searchBudget = 5000
+	for _, topo := range qgen.Topologies() {
+		c := openSpec(t, qgen.Spec{Topology: topo, Relations: 30, Seed: 42030, Nodes: 8})
+		wantRegime, wantText, wantCost := unshortened(t, c.db, c.sql, pdwqo.Options{SearchBudget: searchBudget})
+		for _, memoBudget := range []int{0, -1} {
+			tr := pdwqo.NewTracer()
+			type outcome struct {
+				plan *pdwqo.QueryPlan
+				err  error
+			}
+			done := make(chan outcome, 1)
+			go func() {
+				plan, err := c.db.Optimize(c.sql, pdwqo.Options{Budget: memoBudget, SearchBudget: searchBudget, Tracer: tr})
+				done <- outcome{plan, err}
+			}()
+			var got outcome
+			select {
+			case got = <-done:
+			case <-time.After(30 * time.Second):
+				t.Fatalf("%s memo budget %d: still compiling after 30 s", c.name, memoBudget)
+			}
+			if got.err != nil {
+				t.Fatalf("%s memo budget %d: %v", c.name, memoBudget, got.err)
+			}
+			if got.plan.Regime != wantRegime || got.plan.DSQL.String() != wantText || got.plan.Cost() != wantCost {
+				t.Errorf("%s memo budget %d: regime %q cost %v, unshortened regime %q cost %v",
+					c.name, memoBudget, got.plan.Regime, got.plan.Cost(), wantRegime, wantCost)
+			}
+			for _, sp := range tr.Spans() {
+				if sp.Name != "memo" {
+					continue
+				}
+				attr := map[string]int64{}
+				for _, a := range sp.Attrs {
+					attr[a.Key] = a.Val
+				}
+				if attr["decided"] != 1 || attr["exhausted"] != 0 || attr["exprs"] <= 0 || attr["exprs"] >= memo.DefaultBudget || attr["groups"] <= 0 {
+					t.Errorf("%s memo budget %d: memo span %v, want decided=1 exhausted=0 and under %d expressions", c.name, memoBudget, attr, memo.DefaultBudget)
+				}
+			}
+			if n := tr.Counters().Get("memo.explore_decided"); n != 1 {
+				t.Errorf("%s memo budget %d: memo.explore_decided = %d, want 1", c.name, memoBudget, n)
+			}
+		}
+	}
+}
+
+// TestConcurrentSearchBudgets compiles on one DB from several goroutines
+// at once, each under its own search budget: what decides one compile's
+// exploration is a value on that compile's memo, so every plan must be the
+// one the same call returns alone.
+func TestConcurrentSearchBudgets(t *testing.T) {
+	c := openSpec(t, qgen.Spec{Topology: qgen.Mixed, Relations: 10, Seed: 42010, Nodes: 8})
+	budgets := []int{0, 1, 5000}
+	type result struct{ regime, text string }
+	compile := func(budget int) (result, error) {
+		plan, err := c.db.Optimize(c.sql, pdwqo.Options{SearchBudget: budget})
+		if err != nil {
+			return result{}, err
+		}
+		return result{plan.Regime, plan.DSQL.String()}, nil
+	}
+	want := map[int]result{}
+	for _, b := range budgets {
+		r, err := compile(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[b] = r
+	}
+	if want[0].regime != "" || want[1].regime != "greedy" || want[0].text == want[1].text {
+		t.Fatalf("regimes %q and %q: the budgets no longer tell the compiles apart", want[0].regime, want[1].regime)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < 9; i++ {
+		budget := budgets[i%len(budgets)]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got, err := compile(budget); err != nil {
+				t.Error(err)
+			} else if got != want[budget] {
+				t.Errorf("search budget %d: regime %q concurrently, %q alone, same DSQL %v", budget, got.regime, want[budget].regime, got.text == want[budget].text)
+			}
+		}()
+	}
+	wg.Wait()
 }
