@@ -495,7 +495,8 @@ func e10(db *pdwqo.DB) {
 	header("E10", "§3.1 — optimizer timeout: plan quality vs budget, with/without seeding")
 	// q05's join graph with a deliberately scrambled FROM order: the
 	// normalized initial plan starts from cross joins, so a starved search
-	// depends entirely on what the memo was seeded with.
+	// depends entirely on what the memo was seeded with — SeedCollocated
+	// seeds normalize.GreedyJoinOrder's tree.
 	sql := `SELECT n_name, SUM(l_extendedprice * (1 - l_discount)) AS revenue
 	        FROM customer, region, lineitem, supplier, orders, nation
 	        WHERE c_custkey = o_custkey AND l_orderkey = o_orderkey
@@ -512,8 +513,8 @@ func e10(db *pdwqo.DB) {
 		fmt.Printf("%-8d %-9d %-13.6g %-13.6g %-8.2f %v\n",
 			budget, p.Memo.NumGroups(), p.Cost(), ps.Cost(), ratio(p.Cost(), ps.Cost()), p.Memo.Exhausted())
 	}
-	fmt.Println("(the paper's seeding: distribution-aware initial plans keep quality when the")
-	fmt.Println(" timeout bites before exploration reaches collocated join orders)")
+	fmt.Println("(the paper's seeding: the greedy join order, placed in the memo beside the normalized")
+	fmt.Println(" plan, keeps quality when the timeout bites before exploration reaches collocated orders)")
 	fmt.Println()
 }
 

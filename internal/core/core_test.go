@@ -472,7 +472,7 @@ func TestSeedingHelpsUnderTightBudget(t *testing.T) {
 		}
 		var seeds []*algebra.Tree
 		if seed {
-			seeds = append(seeds, normalize.SeedCollocated(norm))
+			seeds = append(seeds, normalize.GreedyJoinOrder(norm))
 		}
 		m, err := memo.OptimizeSeeded(s, norm, budget, seeds...)
 		if err != nil {

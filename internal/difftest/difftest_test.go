@@ -13,19 +13,14 @@ import (
 	"pdwqo/internal/memoxml"
 )
 
-// openAppliance caches one DB per topology; the corpus sweep reuses them.
-var appliances = map[int]*pdwqo.DB{}
-
+// openAppliance is the shared sf 0.001 appliance of one topology; every
+// sweep of this package reuses them.
 func openAppliance(t testing.TB, nodes int) *pdwqo.DB {
 	t.Helper()
-	if db, ok := appliances[nodes]; ok {
-		return db
-	}
-	db, err := pdwqo.OpenTPCH(0.001, nodes, 42)
+	db, err := SharedTPCH(0.001, nodes, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appliances[nodes] = db
 	return db
 }
 
@@ -136,10 +131,7 @@ func TestParallelSpeedup(t *testing.T) {
 	if raceEnabled {
 		t.Skip("wall-clock assertions are meaningless under the race detector")
 	}
-	db, err := pdwqo.OpenTPCH(0.001, 8, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openAppliance(t, 8)
 	sql, _ := pdwqo.TPCHQuery("q12")
 	plan, err := db.Optimize(sql, pdwqo.Options{})
 	if err != nil {

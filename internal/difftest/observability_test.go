@@ -18,10 +18,7 @@ import (
 //   - sum of move-step span bytes == Metrics.TotalBytesMoved() delta
 //   - the ANALYZE report renders and mentions every executed step
 func TestAnalyzeReconcilesWithMetrics(t *testing.T) {
-	db, err := pdwqo.OpenTPCH(0.001, 4, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openAppliance(t, 4)
 	for _, c := range TPCHCases() {
 		c := c
 		t.Run(c.Name, func(t *testing.T) {
@@ -34,10 +31,7 @@ func TestAnalyzeReconcilesWithMetrics(t *testing.T) {
 // with a seeded random fault plan and retries enabled: retried attempts
 // must not double-count rows or bytes in any of the three views.
 func TestAnalyzeReconcilesUnderChaos(t *testing.T) {
-	db, err := pdwqo.OpenTPCH(0.001, 4, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := openAppliance(t, 4)
 	cases := TPCHCases()
 	if testing.Short() || raceEnabled {
 		cases = cases[:6]

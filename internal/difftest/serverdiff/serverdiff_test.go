@@ -10,19 +10,14 @@ import (
 	"pdwqo/internal/server"
 )
 
-// openAppliance caches one DB per topology; the corpus sweep reuses them.
-var appliances = map[int]*pdwqo.DB{}
-
+// openAppliance is the shared sf 0.001 appliance of one topology; the
+// corpus sweep reuses them.
 func openAppliance(t testing.TB, nodes int) *pdwqo.DB {
 	t.Helper()
-	if db, ok := appliances[nodes]; ok {
-		return db
-	}
-	db, err := pdwqo.OpenTPCH(0.001, nodes, 42)
+	db, err := difftest.SharedTPCH(0.001, nodes, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appliances[nodes] = db
 	return db
 }
 

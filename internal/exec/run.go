@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/types"
@@ -108,7 +109,7 @@ func runGet(op *algebra.Get, src TableSource) (*Relation, error) {
 	for i, c := range op.Cols {
 		pos[i] = -1
 		for j, n := range names {
-			if equalFold(n, c.Name) {
+			if strings.EqualFold(n, c.Name) {
 				pos[i] = j
 				break
 			}
@@ -655,23 +656,4 @@ func SortRows(rows []types.Row, keys []MergeKey) error {
 		return c < 0
 	})
 	return sortErr
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

@@ -12,6 +12,7 @@ package exec
 
 import (
 	"fmt"
+	"strings"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/types"
@@ -206,7 +207,7 @@ func (s *vecScan) next() (*vec.Batch, error) {
 		for i, c := range s.op.Cols {
 			found := -1
 			for j, name := range t.Names {
-				if equalFold(name, c.Name) {
+				if strings.EqualFold(name, c.Name) {
 					found = j
 					break
 				}

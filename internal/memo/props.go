@@ -2,6 +2,7 @@ package memo
 
 import (
 	"math"
+	"strings"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/sqlparser"
@@ -86,7 +87,7 @@ func (m *Memo) deriveProps(e *GroupExpr) *LogicalProps {
 			pk := algebra.NewColSet()
 			for _, name := range op.Table.PrimaryKey {
 				for _, c := range op.Cols {
-					if equalFold(c.Name, name) {
+					if strings.EqualFold(c.Name, name) {
 						pk.Add(c.ID)
 					}
 				}
@@ -483,23 +484,4 @@ func columnCmpSelectivity(cs *ColStat, op sqlparser.BinOp, v types.Value) float6
 	default:
 		return stats.DefaultRangeSel
 	}
-}
-
-func equalFold(a, b string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := 0; i < len(a); i++ {
-		ca, cb := a[i], b[i]
-		if 'A' <= ca && ca <= 'Z' {
-			ca += 'a' - 'A'
-		}
-		if 'A' <= cb && cb <= 'Z' {
-			cb += 'a' - 'A'
-		}
-		if ca != cb {
-			return false
-		}
-	}
-	return true
 }

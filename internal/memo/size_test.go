@@ -124,9 +124,10 @@ func TestSearchSpaceSizeTPCH(t *testing.T) {
 	want := map[string]int{"q02": 100, "q05": 67, "q07": 67, "q09": 67}
 	for _, q := range tpch.Queries() {
 		norm := normalizeSQL(t, shell, q.SQL)
-		// The §3.1 collocated seed is the one caller of InsertSeed: its
-		// join regions must fold into the groups the query's own tree made.
-		for _, seeds := range [][]*algebra.Tree{nil, {normalize.SeedCollocated(norm)}} {
+		// The §3.1 seed (the greedy join order) is the one caller of
+		// InsertSeed: its join regions must fold into the groups the
+		// query's own tree made.
+		for _, seeds := range [][]*algebra.Tree{nil, {normalize.GreedyJoinOrder(norm)}} {
 			m, err := OptimizeSeeded(shell, norm, DefaultBudget, seeds...)
 			if err != nil {
 				t.Fatal(err)

@@ -1,17 +1,24 @@
 package normalize
 
 import (
+	"strings"
+
 	"pdwqo/internal/algebra"
+	"pdwqo/internal/catalog"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/stats"
 	"pdwqo/internal/types"
 )
 
 // GreedyJoinOrder rewrites every maximal inner-join region of the tree
-// into a fixed greedy join order — the large-join fallback regime the
-// optimizer switches to when its enumeration budget trips (ROADMAP item
-// 3; "Efficient Massively Parallel Join Optimization for Large Queries"
-// argues the same DP-below / greedy-above split).
+// into a fixed greedy join order. It is the one join-order heuristic on the
+// SQL-Server side, used two ways: as the §3.1 seed ("we seed the MEMO with
+// execution plans that consider distribution information of tables") that
+// memo.InsertSeed places beside the normalized plan, and as the whole plan
+// of the large-join fallback regime the optimizer switches to when its
+// enumeration budget trips ("Efficient Massively Parallel Join
+// Optimization for Large Queries" keeps one heuristic for the same two
+// jobs: the DP's starting point and its fallback).
 //
 // The heuristic is cheapest-feasible-edge: grow one join component,
 // always attaching the factor reachable over a predicate edge whose join
@@ -24,9 +31,12 @@ import (
 // the current component to any remaining factor — so connected join
 // graphs never cross-join.
 //
-// The rewrite fixes only the join *order*: the PDW-side enumerator still
-// runs over the resulting (exploration-free) memo and inserts movement
-// enforcers, so the plan stays collocation-correct and planverify-clean.
+// Only maximal regions are rebuilt: rebuilding an inner sub-region first
+// would cap it with a projection that fragments the enclosing region and
+// blocks the memo's join reordering across it. The rewrite fixes only the
+// join *order*: the PDW-side enumerator still runs over the resulting memo
+// and inserts movement enforcers, so the plan stays collocation-correct
+// and planverify-clean.
 func GreedyJoinOrder(t *algebra.Tree) *algebra.Tree {
 	if isRegionRoot(t) {
 		factors, conjs := disassembleRegion(t)
@@ -35,8 +45,8 @@ func GreedyJoinOrder(t *algebra.Tree) *algebra.Tree {
 				factors[i] = greedyChildren(factors[i])
 			}
 			// Re-running pushdown restores single-table filters to their
-			// scans and splits join conditions, exactly as SeedCollocated
-			// does for the §3.1 seed plan.
+			// scans and splits join conditions, so the rebuilt tree is as
+			// normalized as the original — only the join order differs.
 			return pushdown(greedyRegion(factors, conjs, t.OutputCols()))
 		}
 	}
@@ -53,6 +63,110 @@ func greedyChildren(t *algebra.Tree) *algebra.Tree {
 		children[i] = GreedyJoinOrder(c)
 	}
 	return algebra.NewTree(t.Op, children...)
+}
+
+// disassembleRegion splits a contiguous inner-join/select region into its
+// leaf factors and the pooled conjuncts.
+func disassembleRegion(t *algebra.Tree) ([]*algebra.Tree, []algebra.Scalar) {
+	var factors []*algebra.Tree
+	var conjs []algebra.Scalar
+	var walk func(n *algebra.Tree)
+	walk = func(n *algebra.Tree) {
+		switch op := n.Op.(type) {
+		case *algebra.Select:
+			conjs = append(conjs, algebra.Conjuncts(op.Filter)...)
+			walk(n.Children[0])
+			return
+		case *algebra.Join:
+			if op.Kind == algebra.JoinInner || op.Kind == algebra.JoinCross {
+				conjs = append(conjs, algebra.Conjuncts(op.On)...)
+				walk(n.Children[0])
+				walk(n.Children[1])
+				return
+			}
+		}
+		factors = append(factors, n)
+	}
+	walk(t)
+	return factors, conjs
+}
+
+// factorDist approximates the natural placement of a factor: the hash
+// columns it is (or stays) distributed on, or replicated.
+type factorDist struct {
+	replicated bool
+	cols       algebra.ColSet
+}
+
+func distOf(t *algebra.Tree) factorDist {
+	switch op := t.Op.(type) {
+	case *algebra.Get:
+		if op.Table.Dist.Kind == catalog.DistReplicated {
+			return factorDist{replicated: true}
+		}
+		cols := algebra.NewColSet()
+		for _, c := range op.Cols {
+			if strings.EqualFold(c.Name, op.Table.Dist.Column) {
+				cols.Add(c.ID)
+			}
+		}
+		return factorDist{cols: cols}
+	case *algebra.Select, *algebra.Sort:
+		return distOf(t.Children[0])
+	case *algebra.Project:
+		in := distOf(t.Children[0])
+		if in.replicated {
+			return in
+		}
+		out := algebra.NewColSet()
+		for _, d := range op.Defs {
+			if c, ok := d.Expr.(*algebra.ColRef); ok && in.cols.Has(c.ID) {
+				out.Add(d.ID)
+			}
+		}
+		return factorDist{cols: out}
+	case *algebra.GroupBy:
+		in := distOf(t.Children[0])
+		if in.replicated {
+			return in
+		}
+		keys := algebra.NewColSet(op.Keys...)
+		out := algebra.NewColSet()
+		for id := range in.cols {
+			if keys.Has(id) {
+				out.Add(id)
+			}
+		}
+		return factorDist{cols: out}
+	case *algebra.Values:
+		return factorDist{replicated: true}
+	default:
+		return factorDist{cols: algebra.NewColSet()}
+	}
+}
+
+// sizeOf estimates a factor's cardinality from shell statistics (filters
+// ignored here; greedyRegion applies single-factor selectivity itself).
+func sizeOf(t *algebra.Tree) float64 {
+	switch op := t.Op.(type) {
+	case *algebra.Get:
+		if r := op.Table.RowCount(); r > 0 {
+			return r
+		}
+		return 1000
+	case *algebra.Values:
+		return float64(len(op.Rows)) + 1
+	}
+	if len(t.Children) > 0 {
+		m := 0.0
+		for _, c := range t.Children {
+			if s := sizeOf(c); s > m {
+				m = s
+			}
+		}
+		return m
+	}
+	return 1000
 }
 
 // gconj is one pooled conjunct with its column footprint and equi-join

@@ -490,11 +490,11 @@ func collectAllConjuncts(t *algebra.Tree) []algebra.Scalar {
 
 func TestSeedCollocatedPrefersCollocatedPairs(t *testing.T) {
 	// partsupp (hash ps_partkey) ⋈ part (hash p_partkey) are collocated on
-	// the partkey equality; lineitem (hash l_orderkey) is not. Seeding must
-	// join partsupp⋈part first regardless of the FROM order.
+	// the partkey equality; lineitem (hash l_orderkey) is not. The greedy
+	// order must join partsupp⋈part first regardless of the FROM order.
 	tree := normalizeSQL(t, `SELECT ps_availqty FROM lineitem, partsupp, part
 		WHERE l_partkey = ps_partkey AND ps_partkey = p_partkey`)
-	seeded := SeedCollocated(tree)
+	seeded := GreedyJoinOrder(tree)
 	// Find the innermost join and check its two sides scan partsupp/part.
 	var innermost *algebra.Tree
 	algebra.VisitTree(seeded, func(n *algebra.Tree) {
@@ -539,7 +539,7 @@ func TestSeedCollocatedPrefersCollocatedPairs(t *testing.T) {
 
 func TestSeedCollocatedIdempotentOnSmallRegions(t *testing.T) {
 	tree := normalizeSQL(t, `SELECT c_name FROM customer WHERE c_acctbal > 0`)
-	if SeedCollocated(tree).Fingerprint() != tree.Fingerprint() {
+	if GreedyJoinOrder(tree).Fingerprint() != tree.Fingerprint() {
 		t.Error("single-factor regions must be untouched")
 	}
 }

@@ -418,3 +418,59 @@ func TestShutdownReleasesEverything(t *testing.T) {
 	srv.Shutdown()
 	assertNoGoroutineGrowth(t, before)
 }
+
+// TestLargeBatchesFitTheFrame sets BatchRows above what a RowBatch frame
+// can say or hold: its row count is a uint16 and the frame is bounded by
+// MaxFrame, so the server must cut such batches short. A 70,001-row result
+// must reach the client row for row, and a result whose rows fit one
+// batch's count but not one frame's bytes must arrive in several frames.
+func TestLargeBatchesFitTheFrame(t *testing.T) {
+	db := sharedDB(t)
+	_, addr := startServer(t, db, Config{BatchRows: 70000})
+
+	const narrow = "SELECT TOP 70001 l_orderkey, n_nationkey FROM lineitem, nation"
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	got, err := c.Query(context.Background(), narrow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.Execute(narrow, pdwqo.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got.Rows) != 70001 || !sameRows(got.Rows, libraryRows(want)) {
+		t.Errorf("%d rows over the wire, %d from the library, or they differ", len(got.Rows), len(want.Rows))
+	}
+
+	const wide = `SELECT TOP 65000 l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity,
+		l_extendedprice, l_discount, l_tax, l_returnflag, l_linestatus, l_shipdate,
+		l_commitdate, l_receiptdate, l_shipmode, n_name FROM lineitem, nation`
+	r := dialRaw(t, addr)
+	var e enc
+	e.str(wide)
+	r.send(OpQuery, e.b)
+	frames, rows, size := 0, 0, 0
+	for done := false; !done; {
+		op, p, err := ReadFrame(r.conn) // rejects a frame over MaxFrame
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch op {
+		case OpRowHeader:
+		case OpRowBatch:
+			d := dec{b: p}
+			frames, rows, size = frames+1, rows+int(d.u16()), size+len(p)
+		case OpDone:
+			done = true
+		default:
+			t.Fatalf("unexpected %s frame: %v", op, decodeError(p))
+		}
+	}
+	if rows != 65000 || size <= MaxFrame || frames < 2 {
+		t.Errorf("%d rows in %d frames of %d bytes: want 65000 rows, more bytes than one frame's %d, so several frames", rows, frames, size, MaxFrame)
+	}
+}

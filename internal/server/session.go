@@ -2,7 +2,9 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"io"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -416,9 +418,10 @@ func (s *session) cancelErr(err error) *Error {
 }
 
 // stream writes the result: RowHeader, RowBatch frames of at most
-// BatchRows rows, then Done. Between batches it polls for a Cancel frame
-// and for shutdown, so a client can stop a large result mid-stream. It
-// reports whether the session may continue.
+// BatchRows rows (and 65,535 rows, and MaxFrame bytes), then Done. Between
+// batches it polls for a Cancel frame and for shutdown, so a client can
+// stop a large result mid-stream. It reports whether the session may
+// continue.
 func (s *session) stream(r qresult) bool {
 	var e enc
 	e.u16(uint16(len(r.res.Columns)))
@@ -429,7 +432,7 @@ func (s *session) stream(r qresult) bool {
 		return false
 	}
 	rows := r.res.Rows
-	batch := s.srv.cfg.BatchRows
+	batch := min(s.srv.cfg.BatchRows, math.MaxUint16) // the frame counts its rows in a uint16
 	for len(rows) > 0 {
 		select {
 		case f := <-s.frames:
@@ -450,17 +453,22 @@ func (s *session) stream(r qresult) bool {
 			return false
 		default:
 		}
-		n := batch
-		if n > len(rows) {
-			n = len(rows)
-		}
-		var b enc
-		b.u16(uint16(n))
-		for _, row := range rows[:n] {
-			for _, v := range row {
+		// A batch ends at BatchRows rows or before the row that would take
+		// the frame past MaxFrame, and always carries one row.
+		b := enc{b: make([]byte, 2)} // the row count, known once the batch is cut
+		n := 0
+		for n < batch && n < len(rows) {
+			mark := len(b.b)
+			for _, v := range rows[n] {
 				b.str(v.String())
 			}
+			if n > 0 && 1+len(b.b) > MaxFrame {
+				b.b = b.b[:mark]
+				break
+			}
+			n++
 		}
+		binary.BigEndian.PutUint16(b.b, uint16(n))
 		if !s.write(OpRowBatch, b.b) {
 			return false
 		}

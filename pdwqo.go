@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
@@ -161,8 +162,9 @@ type Options struct {
 	// It is the control arm of the metamorphic equivalence suite and
 	// the E9/E19 ablations; results must be identical either way.
 	DisableAggSplit bool
-	// SeedCollocated applies the §3.1 distribution-aware seeding: the
-	// initial plan inserted into the MEMO joins collocated factors first,
+	// SeedCollocated applies the §3.1 distribution-aware seeding: it seeds
+	// the memo with the greedy join order (normalize.GreedyJoinOrder — the
+	// tree the greedy regime below would plan) beside the normalized plan,
 	// which preserves plan quality under tight exploration budgets.
 	SeedCollocated bool
 	// SearchBudget caps the PDW-side enumeration at a number of options
@@ -482,13 +484,16 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 	}
 	sp.End()
 
+	// The one join-order heuristic, computed at most once per compile: the
+	// §3.1 seed and the greedy regime's whole plan are the same tree.
+	greedyOrder := sync.OnceValue(func() *algebra.Tree { return normalize.GreedyJoinOrder(norm) })
 	var seeds []*algebra.Tree
 	if opts.SeedCollocated {
 		// §3.1: seed the MEMO with a distribution-aware plan *alongside*
 		// the normalized one, so a tight budget still explores the
 		// collocated neighborhood.
-		if seeded := normalize.SeedCollocated(norm); seeded.Fingerprint() != norm.Fingerprint() {
-			seeds = append(seeds, seeded)
+		if g := greedyOrder(); g.Fingerprint() != norm.Fingerprint() {
+			seeds = append(seeds, g)
 		}
 	}
 	budget := opts.Budget
@@ -611,7 +616,7 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 			sp.Int("predicted", 1)
 			tr.Counters().Add("optimize.greedy_predicted", 1)
 		}
-		m, err = memo.OptimizeFixed(db.shell, normalize.GreedyJoinOrder(norm))
+		m, err = memo.OptimizeFixed(db.shell, greedyOrder())
 		if err != nil {
 			return fail(sp, err)
 		}

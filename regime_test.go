@@ -112,7 +112,7 @@ func openSpec(t *testing.T, spec qgen.Spec) regimeCase {
 // two budgets the difftest suites pin regimes under. -short drops two rungs
 // and the joins above 24 relations.
 func TestRegimeShortcutChangesNoPlan(t *testing.T) {
-	tpchDB, err := pdwqo.OpenTPCH(0.002, 8, 42)
+	tpchDB, err := difftest.SharedTPCH(0.002, 8, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,6 +250,7 @@ func TestRegimeShortcutArms(t *testing.T) {
 		{"full", pdwqo.Options{}, 1},
 		{"no-agg-split", pdwqo.Options{DisableAggSplit: true}, 1},
 		{"no-interesting-retention", pdwqo.Options{DisableInterestingRetention: true}, 1},
+		{"seeded", pdwqo.Options{SeedCollocated: true}, 1}, // the seed and the fixed memo are one tree, built once
 		{"serial-baseline", pdwqo.Options{Mode: pdwqo.ModeSerialBaseline}, 0},
 	}
 	for _, arm := range arms {
@@ -405,4 +406,58 @@ func TestConcurrentSearchBudgets(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestGreedySeedNeverRaisesCost holds the §3.1 seed to its promise over
+// every TPC-H query and the whole generated corpus: at the default memo
+// budget, seeding the greedy join order beside the normalized plan leaves
+// the exhaustive enumeration with no costlier a plan than it finds unseeded
+// (to the 0.1% internal/core TestSeedingHelpsUnderTightBudget allows), and
+// the seeded plan verifies. The one exception is pinned, not tolerated: q05
+// keeps its join tree, but the memo takes a group's cardinality from the
+// group's first expression, and the seed's shape estimates
+// customer⋈supplier⋈nation⋈region — the side that is broadcast — at 3.17
+// rows where the shape exploration reaches first says 1.91. The test logs,
+// without gating, the seeded exhaustive cost beside the greedy regime's:
+// what always-on seeding (ROADMAP item 4) would buy. -short drops the joins
+// above 24 relations.
+func TestGreedySeedNeverRaisesCost(t *testing.T) {
+	tpchDB, err := difftest.SharedTPCH(0.002, 8, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cases []regimeCase
+	for _, q := range tpch.Queries() {
+		cases = append(cases, regimeCase{q.Name, q.SQL, tpchDB})
+	}
+	for _, spec := range qgen.Corpus() {
+		if !testing.Short() || spec.Relations <= 24 {
+			cases = append(cases, openSpec(t, spec))
+		}
+	}
+	cost := func(c regimeCase, opts pdwqo.Options) float64 {
+		t.Helper()
+		plan, err := c.db.Optimize(c.sql, opts)
+		if err != nil {
+			t.Fatalf("%s %+v: %v", c.name, opts, err)
+		}
+		return plan.Cost()
+	}
+	below, above := 0, 0
+	for _, c := range cases {
+		unseeded := cost(c, pdwqo.Options{})
+		seeded := cost(c, pdwqo.Options{SeedCollocated: true, Verify: true})
+		greedy := cost(c, pdwqo.Options{SearchBudget: 1})
+		if raised := seeded > unseeded*1.001; raised != (c.name == "q05") {
+			t.Errorf("%s: seeded cost %v, unseeded %v: only q05's estimate may rise, and if it no longer does drop the exemption", c.name, seeded, unseeded)
+		}
+		switch {
+		case seeded < greedy*0.999:
+			below++
+		case seeded > greedy*1.001:
+			above++
+		}
+		t.Logf("%-15s unseeded %-12.6g seeded %-12.6g greedy regime %.6g", c.name, unseeded, seeded, greedy)
+	}
+	t.Logf("exhaustive with the seed vs the greedy regime: cheaper on %d, costlier on %d, of %d", below, above, len(cases))
 }
