@@ -3,8 +3,9 @@
 // a DMS endpoint. DSQL plans execute exactly as described in the paper —
 // steps run serially; each step ships a SQL *string* to the participating
 // nodes, whose local engines parse and execute it themselves, concurrently
-// across nodes; DMS operations route the resulting rows into temp tables;
-// the final step streams rows back to the client through the control node.
+// across nodes; DMS operations route the resulting column batches into temp
+// tables; the final step streams rows back to the client through the
+// control node, the one place results are boxed into rows.
 //
 // Node-level work inside one step fans out through par.For, the one loop
 // every worker count runs (ExecConfig.Parallelism; default GOMAXPROCS).
@@ -42,6 +43,7 @@ import (
 	"pdwqo/internal/storage"
 	"pdwqo/internal/trace"
 	"pdwqo/internal/types"
+	"pdwqo/internal/vec"
 )
 
 // Node is one appliance node: the control node or a compute node.
@@ -588,15 +590,16 @@ func (a *Appliance) sourceNodes(step dsql.Step) []*Node {
 }
 
 // runOnNodes executes the compiled tree on each node, fanned out over the
-// run's worker pool. Results keep node order; the first failing node's
-// error cancels the remaining tasks. stepID and move address the per-node
-// fault-injection site (move is Any for non-move steps).
-func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tree, nodes []*Node) ([]*exec.Relation, exec.Stats, error) {
+// run's worker pool, and returns each node's result as one column batch.
+// Results keep node order; the first failing node's error cancels the
+// remaining tasks. stepID and move address the per-node fault-injection
+// site (move is Any for non-move steps).
+func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tree, nodes []*Node) ([]*vec.Batch, exec.Stats, error) {
 	// The step tree is shared by every node's executor, and Tree.OutputCols
 	// memoizes lazily; derive the full schema cache here, before the
 	// fan-out, so the workers only ever read it.
 	tree.OutputCols()
-	rels := make([]*exec.Relation, len(nodes))
+	outs := make([]*vec.Batch, len(nodes))
 	// Per-node stat slots (merged after the barrier) exist only while
 	// tracing, so the untraced path allocates nothing extra.
 	var stats []exec.Stats
@@ -614,9 +617,10 @@ func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tr
 		if stats != nil {
 			st = &stats[i]
 		}
-		var rel *exec.Relation
+		var out *vec.Batch
 		var err error
 		if r.cfg.RowExec {
+			var rel *exec.Relation
 			rel, err = exec.RunStats(tree, func(name string) ([]types.Row, []string, error) {
 				t, err := n.DB.ScanColumns(name)
 				if err != nil {
@@ -624,15 +628,18 @@ func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tr
 				}
 				return t.Rows(), t.Names, nil
 			}, st)
+			if err == nil {
+				out = vec.BatchFromRows(len(rel.Cols), rel.Rows)
+			}
 		} else {
-			rel, err = exec.RunVecStats(tree, n.DB.ScanColumns, st)
+			out, err = exec.RunColumns(tree, n.DB.ScanColumns, st)
 		}
 		if err != nil {
 			// Node-local evaluation failures are deterministic: attribute
 			// the node but classify as exec (not retryable).
 			return stepError(stepID, n.ID, ErrKindExec, err)
 		}
-		rels[i] = rel
+		outs[i] = out
 		return nil
 	})
 	var total exec.Stats
@@ -642,31 +649,25 @@ func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tr
 	if err != nil {
 		return nil, total, err
 	}
-	return rels, total, nil
+	return outs, total, nil
 }
 
-// batch is one destination node's routed rows plus its tallied share.
-type batch struct {
-	node *Node
-	rows []types.Row
+// delivery is what one destination node receives: the selected rows of
+// each source batch, in source order (vec.Concat's parts and selections;
+// a nil selection takes the whole part). It is gathered into one batch on
+// the destination's worker.
+type delivery struct {
+	node  *Node
+	parts []*vec.Batch
+	sels  [][]int32
 }
 
-// corruptRows models a DMS payload garbled in transit: the staged copy
-// duplicates every row, so any row-count or checksum verification fails.
-// The garbage only ever exists in a staging table.
-func corruptRows(rows []types.Row) []types.Row {
-	out := make([]types.Row, 0, 2*len(rows))
-	out = append(out, rows...)
-	out = append(out, rows...)
-	return out
-}
-
-// executeMove runs the step SQL on the source nodes and routes rows per
-// the DMS operation into the destination temp table. Routing is computed
-// per source relation and inserted per destination node, both on the
-// worker pool; the merged row order is independent of scheduling (source
-// order within each destination), so parallel and serial execution
-// materialize byte-identical temp tables.
+// executeMove runs the step SQL on the source nodes and routes their
+// column batches per the DMS operation into the destination temp table.
+// Routing is computed per source batch and gathered per destination node,
+// both on the worker pool; the merged row order is independent of
+// scheduling (source order within each destination), so parallel and
+// serial execution materialize byte-identical temp tables.
 //
 // Delivery is transactional: rows accumulate in a per-node staging table
 // that is renamed to the destination only after every batch lands, so a
@@ -675,7 +676,7 @@ func corruptRows(rows []types.Row) []types.Row {
 func (r *run) executeMove(ctx context.Context, step dsql.Step, tree *algebra.Tree) (StepMetric, error) {
 	a := r.a
 	sources := a.sourceNodes(step)
-	rels, local, err := r.runOnNodes(ctx, step.ID, int(step.MoveKind), tree, sources)
+	outs, local, err := r.runOnNodes(ctx, step.ID, int(step.MoveKind), tree, sources)
 	if err != nil {
 		return StepMetric{}, err
 	}
@@ -704,99 +705,88 @@ func (r *run) executeMove(ctx context.Context, step dsql.Step, tree *algebra.Tre
 		}
 	}
 
-	var batches []batch
+	for _, b := range outs {
+		if len(b.Cols) != len(step.DestCols) {
+			return StepMetric{}, stepError(step.ID, NoNode, ErrKindExec,
+				fmt.Errorf("step yields %d columns, destination %q has %d", len(b.Cols), step.Dest, len(step.DestCols)))
+		}
+	}
+	var dests []delivery
 	var hashed int64
 
 	switch step.MoveKind {
 	case cost.Shuffle, cost.Trim:
-		// Hash-route each source relation on the worker pool, then merge
-		// per destination in source order (deterministic under any
-		// schedule). Trim is the node-local form of the same routing: the
-		// sources are the compute nodes themselves, and each keeps only
-		// the rows that hash to it.
+		// Hash-route each source batch on the worker pool, then merge per
+		// destination in source order (deterministic under any schedule).
+		// Trim is the node-local form of the same routing: the sources are
+		// the compute nodes themselves, and each keeps only the rows that
+		// hash to it.
 		trim := step.MoveKind == cost.Trim
 		if trim && len(sources) != len(a.Compute) {
 			return StepMetric{}, stepError(step.ID, NoNode, ErrKindExec,
 				errors.New("trim requires all compute nodes as sources"))
 		}
-		perSrc := make([][][]types.Row, len(rels))
-		if err := r.forEach(ctx, len(rels), func(_ context.Context, si int) error {
-			buckets := make([][]types.Row, len(a.Compute))
-			for _, row := range rels[si].Rows {
-				n := 0
-				if !row[hashPos].IsNull() {
-					n = int(types.Hash(row[hashPos]) % uint64(len(a.Compute)))
-				}
-				if !trim || n == si {
-					buckets[n] = append(buckets[n], row)
-				}
-			}
-			perSrc[si] = buckets
+		perSrc := make([][][]int32, len(outs))
+		if err := r.forEach(ctx, len(outs), func(_ context.Context, si int) error {
+			perSrc[si] = route(outs[si], hashPos, len(a.Compute), trim, si)
 			return nil
 		}); err != nil {
 			return StepMetric{}, err
 		}
-		for _, rel := range rels {
-			hashed += int64(len(rel.Rows))
+		for _, b := range outs {
+			hashed += int64(b.N)
 		}
 		for ni, n := range a.Compute {
-			// The buckets are private to this step, so the first non-empty
-			// one is extended in place instead of copied (under Trim it is
-			// the only one).
-			var rows []types.Row
-			for si := range perSrc {
-				if rows == nil {
-					rows = perSrc[si][ni]
-				} else {
-					rows = append(rows, perSrc[si][ni]...)
+			d := delivery{node: n}
+			for si, b := range outs {
+				if sel := perSrc[si][ni]; len(sel) > 0 {
+					if len(sel) == b.N {
+						sel = nil // every row: the batch itself
+					}
+					d.parts = append(d.parts, b)
+					d.sels = append(d.sels, sel)
 				}
 			}
-			batches = append(batches, batch{node: n, rows: rows})
+			dests = append(dests, d)
 		}
 
 	case cost.Broadcast, cost.ControlNodeMove, cost.ReplicatedBroadcast:
-		var all []types.Row
-		for _, rel := range rels {
-			all = append(all, rel.Rows...)
-		}
+		// One batch, gathered once, shared by every destination.
+		all := []*vec.Batch{vec.Concat(len(step.DestCols), outs, nil)}
 		for _, n := range a.Compute {
-			batches = append(batches, batch{node: n, rows: all})
+			dests = append(dests, delivery{node: n, parts: all})
 		}
 
 	case cost.PartitionMove, cost.RemoteCopySingle:
-		var all []types.Row
-		for _, rel := range rels {
-			all = append(all, rel.Rows...)
-		}
-		batches = append(batches, batch{node: a.Control, rows: all})
+		dests = append(dests, delivery{node: a.Control, parts: outs})
 
 	default:
 		return StepMetric{}, stepError(step.ID, NoNode, ErrKindExec,
 			fmt.Errorf("unsupported move kind %v", step.MoveKind))
 	}
 
-	// Deliver every batch into staging on the worker pool, tallying per
-	// destination so the step metric aggregates race-free and
-	// deterministically.
+	// Gather and deliver every destination's batch into staging on the
+	// worker pool, tallying per destination so the step metric aggregates
+	// race-free and deterministically.
 	type tally struct{ rows, bytes int64 }
-	tallies := make([]tally, len(batches))
-	if err := r.forEach(ctx, len(batches), func(ctx context.Context, i int) error {
+	tallies := make([]tally, len(dests))
+	if err := r.forEach(ctx, len(dests), func(ctx context.Context, i int) error {
 		_ = sleepCtx(ctx, r.cfg.NodeLatency) // dispatch round trip, as in runOnNodes
-		if f, serr := r.injectFault(ctx, OpDeliver, step.ID, batches[i].node.ID, int(step.MoveKind)); serr != nil {
+		d := dests[i]
+		b := vec.Concat(len(step.DestCols), d.parts, d.sels)
+		if f, serr := r.injectFault(ctx, OpDeliver, step.ID, d.node.ID, int(step.MoveKind)); serr != nil {
 			if f.Kind == FaultCorrupt {
 				// Model a payload garbled in transit and caught by
-				// verification: the garbage lands in staging, which is
-				// never published and is dropped on the retry path.
-				_ = batches[i].node.DB.BulkInsert(staging, corruptRows(batches[i].rows))
+				// verification: the staged copy duplicates every row, so
+				// any row-count or checksum verification fails. The
+				// garbage lands in staging, which is never published and
+				// is dropped on the retry path.
+				_ = d.node.DB.InsertColumns(staging, vec.Concat(len(step.DestCols), []*vec.Batch{b, b}, nil))
 			}
 			return serr
 		}
-		var b int64
-		for _, row := range batches[i].rows {
-			b += int64(row.Width())
-		}
-		tallies[i] = tally{rows: int64(len(batches[i].rows)), bytes: b}
-		return batches[i].node.DB.BulkInsert(staging, batches[i].rows)
+		tallies[i] = tally{rows: int64(b.N), bytes: b.Bytes()}
+		return d.node.DB.InsertColumns(staging, b)
 	}); err != nil {
 		return StepMetric{}, err
 	}
@@ -834,6 +824,30 @@ func (r *run) executeMove(ctx context.Context, step dsql.Step, tree *algebra.Tre
 	}, nil
 }
 
+// route hash-partitions one source batch: the returned selections list,
+// per destination node, the rows whose key column hashes there
+// (types.Hash, folded over the typed column; NULL keys go to node 0), in
+// row order. Under trim only the source's own node keeps rows.
+func route(b *vec.Batch, hashPos, nodes int, trim bool, self int) [][]int32 {
+	key := b.Cols[hashPos]
+	hs := make([]uint64, b.N)
+	for i := range hs {
+		hs[i] = types.HashSeed
+	}
+	key.FoldHash(hs)
+	sels := make([][]int32, nodes)
+	for i, h := range hs {
+		n := 0
+		if !key.IsNull(i) {
+			n = int(h % uint64(nodes))
+		}
+		if !trim || n == self {
+			sels[n] = append(sels[n], int32(i))
+		}
+	}
+	return sels
+}
+
 // destFor returns the nodes receiving a move's rows and the temp table's
 // catalog placement.
 func (a *Appliance) destFor(step dsql.Step) ([]*Node, catalog.Distribution) {
@@ -853,17 +867,15 @@ func (a *Appliance) destFor(step dsql.Step) ([]*Node, catalog.Distribution) {
 // schedule.
 func (r *run) executeReturn(ctx context.Context, step dsql.Step, tree *algebra.Tree) (*Result, StepMetric, error) {
 	p := r.plan
-	rels, local, err := r.runOnNodes(ctx, step.ID, Any, tree, r.a.sourceNodes(step))
+	outs, local, err := r.runOnNodes(ctx, step.ID, Any, tree, r.a.sourceNodes(step))
 	if err != nil {
 		return nil, StepMetric{}, err
 	}
-	out := &Result{Cols: p.OutCols}
+	// The client result is the one place rows are boxed.
+	out := &Result{Cols: p.OutCols, Rows: vec.AppendRows(nil, outs...)}
 	var bytes int64
-	for _, rel := range rels {
-		for _, row := range rel.Rows {
-			bytes += int64(row.Width())
-		}
-		out.Rows = append(out.Rows, rel.Rows...)
+	for _, b := range outs {
+		bytes += b.Bytes()
 	}
 	if len(p.OrderBy) > 0 {
 		keys := make([]exec.MergeKey, len(p.OrderBy))

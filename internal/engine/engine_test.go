@@ -17,9 +17,14 @@ import (
 	"pdwqo/internal/types"
 )
 
-func buildAppliance(t *testing.T, nodes int) (*Appliance, tpch.Data) {
+func buildAppliance(t testing.TB, nodes int) (*Appliance, tpch.Data) {
 	t.Helper()
-	shell, data, err := tpch.BuildShell(0.001, nodes, 42)
+	return buildApplianceSF(t, 0.001, nodes)
+}
+
+func buildApplianceSF(t testing.TB, sf float64, nodes int) (*Appliance, tpch.Data) {
+	t.Helper()
+	shell, data, err := tpch.BuildShell(sf, nodes, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +37,7 @@ func buildAppliance(t *testing.T, nodes int) (*Appliance, tpch.Data) {
 	return a, data
 }
 
-func planFor(t *testing.T, a *Appliance, sql string) *dsql.Plan {
+func planFor(t testing.TB, a *Appliance, sql string) *dsql.Plan {
 	t.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {

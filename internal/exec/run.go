@@ -404,17 +404,24 @@ func loopJoin(op *algebra.Join, l, r *Relation, on algebra.Scalar, outCols []alg
 	return out, nil
 }
 
-// aggState accumulates one aggregate within one group.
+// aggState accumulates one aggregate within one group. acc is SUM's
+// running sum, or MIN's / MAX's extreme so far; COUNT uses count.
 type aggState struct {
-	def      algebra.AggDef
-	sum      types.Value
+	def      *algebra.AggDef
+	acc      types.Value
 	count    int64
-	min, max types.Value
 	distinct map[uint64]bool
 }
 
-func newAggState(def algebra.AggDef) *aggState {
-	s := &aggState{def: def, sum: types.Null, min: types.Null, max: types.Null}
+func newAggState(def *algebra.AggDef) *aggState {
+	s := initAggState(def)
+	return &s
+}
+
+// initAggState is a fresh state by value, for callers that keep states
+// in a slab.
+func initAggState(def *algebra.AggDef) aggState {
+	s := aggState{def: def, acc: types.Null}
 	if def.Distinct {
 		s.distinct = map[uint64]bool{}
 	}
@@ -453,32 +460,32 @@ func (s *aggState) addValue(v types.Value) error {
 	case algebra.AggCount:
 		s.count++
 	case algebra.AggSum:
-		if s.sum.IsNull() {
-			s.sum = v
+		if s.acc.IsNull() {
+			s.acc = v
 		} else {
-			sum, err := types.Add(s.sum, v)
+			sum, err := types.Add(s.acc, v)
 			if err != nil {
 				return err
 			}
-			s.sum = sum
+			s.acc = sum
 		}
 	case algebra.AggMin:
 		// MIN/MAX arguments can mix kinds (CASE branches of different
 		// types), so the comparison is checked, not trusted.
-		if s.min.IsNull() {
-			s.min = v
-		} else if c, err := types.CompareChecked(v, s.min); err != nil {
+		if s.acc.IsNull() {
+			s.acc = v
+		} else if c, err := types.CompareChecked(v, s.acc); err != nil {
 			return fmt.Errorf("exec: MIN argument: %w", err)
 		} else if c < 0 {
-			s.min = v
+			s.acc = v
 		}
 	case algebra.AggMax:
-		if s.max.IsNull() {
-			s.max = v
-		} else if c, err := types.CompareChecked(v, s.max); err != nil {
+		if s.acc.IsNull() {
+			s.acc = v
+		} else if c, err := types.CompareChecked(v, s.acc); err != nil {
 			return fmt.Errorf("exec: MAX argument: %w", err)
 		} else if c > 0 {
-			s.max = v
+			s.acc = v
 		}
 	}
 	return nil
@@ -488,12 +495,8 @@ func (s *aggState) result() types.Value {
 	switch s.def.Func {
 	case algebra.AggCount:
 		return types.NewInt(s.count)
-	case algebra.AggSum:
-		return s.sum
-	case algebra.AggMin:
-		return s.min
-	case algebra.AggMax:
-		return s.max
+	case algebra.AggSum, algebra.AggMin, algebra.AggMax:
+		return s.acc
 	}
 	return types.Null
 }
@@ -541,8 +544,8 @@ func runGroupBy(op *algebra.GroupBy, in *Relation, outCols []algebra.ColumnMeta)
 		}
 		if g == nil {
 			g = &group{keyVals: keyVals}
-			for _, a := range op.Aggs {
-				g.aggs = append(g.aggs, newAggState(a))
+			for i := range op.Aggs {
+				g.aggs = append(g.aggs, newAggState(&op.Aggs[i]))
 			}
 			groups[h] = append(groups[h], g)
 			order = append(order, g)
@@ -556,8 +559,8 @@ func runGroupBy(op *algebra.GroupBy, in *Relation, outCols []algebra.ColumnMeta)
 	// A scalar aggregate over empty input yields one all-default row.
 	if len(op.Keys) == 0 && len(order) == 0 {
 		g := &group{}
-		for _, a := range op.Aggs {
-			g.aggs = append(g.aggs, newAggState(a))
+		for i := range op.Aggs {
+			g.aggs = append(g.aggs, newAggState(&op.Aggs[i]))
 		}
 		order = append(order, g)
 	}
@@ -625,8 +628,14 @@ type MergeKey struct {
 // ascending keys and LAST on descending keys. It reports the first
 // incomparable key pair instead of panicking.
 func CompareRowsChecked(a, b types.Row, keys []MergeKey) (int, error) {
+	return compareKeys(keys, func(pos int) (types.Value, types.Value) { return a[pos], b[pos] })
+}
+
+// compareKeys is CompareRowsChecked over a pair of rows however they are
+// stored: pair returns the two rows' values at a column position.
+func compareKeys(keys []MergeKey, pair func(pos int) (types.Value, types.Value)) (int, error) {
 	for _, k := range keys {
-		c, err := types.CompareChecked(a[k.Pos], b[k.Pos])
+		c, err := types.CompareChecked(pair(k.Pos))
 		if err != nil {
 			return 0, err
 		}
@@ -644,9 +653,37 @@ func CompareRowsChecked(a, b types.Row, keys []MergeKey) (int, error) {
 // node-local ORDER BY/TOP-N paths and the control node's final merge.
 // It reports the first incomparable key pair instead of panicking.
 func SortRows(rows []types.Row, keys []MergeKey) error {
+	perm := identity(len(rows))
+	if err := sortPerm(perm, keys, func(row int32, pos int) types.Value { return rows[row][pos] }); err != nil {
+		return err
+	}
+	sorted := make([]types.Row, len(rows))
+	for i, r := range perm {
+		sorted[i] = rows[r]
+	}
+	copy(rows, sorted)
+	return nil
+}
+
+// identity is the permutation 0, 1, …, n-1.
+func identity(n int) []int32 {
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	return perm
+}
+
+// sortPerm stable-sorts a permutation of row indexes by merge keys,
+// reading key values through at, and reports the first incomparable key
+// pair. The columnar engine sorts positions, not rows; SortRows is this
+// over a row slice.
+func sortPerm(perm []int32, keys []MergeKey, at func(row int32, pos int) types.Value) error {
 	var sortErr error
-	sort.SliceStable(rows, func(i, j int) bool {
-		c, err := CompareRowsChecked(rows[i], rows[j], keys)
+	sort.SliceStable(perm, func(i, j int) bool {
+		c, err := compareKeys(keys, func(pos int) (types.Value, types.Value) {
+			return at(perm[i], pos), at(perm[j], pos)
+		})
 		if err != nil {
 			if sortErr == nil {
 				sortErr = err

@@ -112,6 +112,77 @@ func BenchmarkJoinVec(b *testing.B) {
 	}
 }
 
+// benchCompositeJoinTree is a two-column equi-join (INT, VARCHAR) — the
+// q09/q20 partsupp shape: 15k unique build keys probed by 60k rows.
+func benchCompositeJoinTree() (ColSource, *algebra.Tree) {
+	r := rand.New(rand.NewSource(17))
+	nb, np := 15000, 60000
+	tag := func(i int) string { return fmt.Sprintf("supplier#%04d", i%40) }
+	build := make([]types.Row, nb)
+	for i := range build {
+		build[i] = types.Row{types.NewInt(int64(i / 40)), types.NewString(tag(i)), types.NewFloat(r.Float64())}
+	}
+	probe := make([]types.Row, np)
+	for i := range probe {
+		k := r.Intn(nb)
+		probe[i] = types.Row{types.NewInt(int64(k / 40)), types.NewString(tag(k)), types.NewFloat(r.Float64())}
+	}
+	bCols := []algebra.ColumnMeta{{ID: 1, Name: "k", Type: types.KindInt}, {ID: 2, Name: "s", Type: types.KindString}, {ID: 3, Name: "v", Type: types.KindFloat}}
+	pCols := []algebra.ColumnMeta{{ID: 4, Name: "fk", Type: types.KindInt}, {ID: 5, Name: "fs", Type: types.KindString}, {ID: 6, Name: "x", Type: types.KindFloat}}
+	eq := func(a, b algebra.ColumnMeta) algebra.Scalar {
+		return &algebra.Binary{Op: sqlparser.OpEq, L: algebra.NewColRef(a), R: algebra.NewColRef(b)}
+	}
+	get := func(name string, cols []algebra.ColumnMeta) *algebra.Tree {
+		tbl := benchTable(cols)
+		tbl.Name = name
+		return algebra.NewTree(&algebra.Get{Table: tbl, Alias: name, Cols: cols})
+	}
+	tree := algebra.NewTree(
+		&algebra.Join{Kind: algebra.JoinInner, On: &algebra.Binary{Op: sqlparser.OpAnd, L: eq(pCols[0], bCols[0]), R: eq(pCols[1], bCols[1])}},
+		get("p", pCols), get("b", bCols))
+	tables := map[string]*vec.Table{
+		"b": vec.FromRows([]string{"k", "s", "v"}, build),
+		"p": vec.FromRows([]string{"fk", "fs", "x"}, probe),
+	}
+	return func(t string) (*vec.Table, error) { return tables[t], nil }, tree
+}
+
+func BenchmarkJoinVecCompositeKey(b *testing.B) {
+	colSrc, tree := benchCompositeJoinTree()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunColumns(tree, colSrc, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkInListVec filters 60k rows on `mode IN ('MAIL', 'SHIP')`, the
+// q12 / q19 predicate shape.
+func BenchmarkInListVec(b *testing.B) {
+	r := rand.New(rand.NewSource(19))
+	modes := []string{"AIR", "AIR REG", "FOB", "MAIL", "RAIL", "SHIP", "TRUCK"}
+	rows := make([]types.Row, 60000)
+	for i := range rows {
+		rows[i] = types.Row{types.NewString(modes[r.Intn(len(modes))]), types.NewFloat(r.Float64())}
+	}
+	cols := []algebra.ColumnMeta{{ID: 1, Name: "mode", Type: types.KindString}, {ID: 2, Name: "v", Type: types.KindFloat}}
+	tbl := vec.FromRows([]string{"mode", "v"}, rows)
+	pred := &algebra.InList{E: algebra.NewColRef(cols[0]), List: []algebra.Scalar{
+		&algebra.Const{Val: types.NewString("MAIL")}, &algebra.Const{Val: types.NewString("SHIP")}}}
+	tree := algebra.NewTree(&algebra.Select{Filter: pred},
+		algebra.NewTree(&algebra.Get{Table: benchTable(cols), Alias: "t", Cols: cols}))
+	colSrc := func(string) (*vec.Table, error) { return tbl, nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunColumns(tree, colSrc, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // benchAggTree mirrors e20's agg shape: two low-cardinality string keys,
 // two float SUMs and a COUNT(*) over the k column's table.
 func benchAggData() (TableSource, ColSource, *algebra.Tree) {
@@ -192,5 +263,3 @@ func BenchmarkFilterVec(b *testing.B) {
 		}
 	}
 }
-
-func init() { _ = fmt.Sprint }

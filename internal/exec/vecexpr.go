@@ -4,9 +4,10 @@ package exec
 // time over typed column vectors, under a selection vector naming the
 // batch positions still alive. Kernels cover the hot shapes (column
 // references, constants, comparisons, arithmetic, three-valued AND/OR,
-// NOT/NEG/IS NULL, numeric casts); everything else routes through the
-// row engine's Eval one selected row at a time, so the two engines
-// cannot drift on the long tail of expression semantics.
+// NOT/NEG/IS NULL, numeric casts, IN over constants, LIKE); everything
+// else routes through the row engine's Eval one selected row at a time,
+// boxing only the columns the expression reads, so the two engines cannot
+// drift on the long tail of expression semantics.
 //
 // Kernel outputs are read-only after construction: typed fast paths
 // write payloads positionally into dense vectors and may alias an
@@ -24,8 +25,11 @@ package exec
 
 import (
 	"fmt"
+	"slices"
+	"sort"
 
 	"pdwqo/internal/algebra"
+	"pdwqo/internal/normalize"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 	"pdwqo/internal/vec"
@@ -34,10 +38,11 @@ import (
 // vecEnv resolves column IDs against one operator's input schema and
 // lazily carries the row-fallback environment.
 type vecEnv struct {
-	cols []algebra.ColumnMeta
-	idx  map[algebra.ColumnID]int
-	env  *Env      // built on first fallback
-	row  types.Row // reusable fallback row buffer
+	cols  []algebra.ColumnMeta
+	idx   map[algebra.ColumnID]int
+	env   *Env                     // built on first fallback
+	row   types.Row                // reusable fallback row buffer
+	reads map[algebra.Scalar][]int // per expression, the positions it reads
 }
 
 func newVecEnv(cols []algebra.ColumnMeta) *vecEnv {
@@ -46,6 +51,28 @@ func newVecEnv(cols []algebra.ColumnMeta) *vecEnv {
 		idx[c.ID] = i
 	}
 	return &vecEnv{cols: cols, idx: idx}
+}
+
+// readsOf returns the schema positions of the columns e references
+// (algebra.ScalarCols), in ascending order, computed once per expression.
+// A referenced column outside the schema is left out; evaluating it
+// reports the missing column.
+func (ve *vecEnv) readsOf(e algebra.Scalar) []int {
+	if p, ok := ve.reads[e]; ok {
+		return p
+	}
+	var p []int
+	for id := range algebra.ScalarCols(e) {
+		if i, ok := ve.idx[id]; ok {
+			p = append(p, i)
+		}
+	}
+	sort.Ints(p)
+	if ve.reads == nil {
+		ve.reads = map[algebra.Scalar][]int{}
+	}
+	ve.reads[e] = p
+	return p
 }
 
 // selLen returns the number of positions evalVec computes: the selection
@@ -157,25 +184,36 @@ func evalVec(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec,
 		}
 		return out, nil
 
+	case *algebra.InList:
+		if consts, ok := constList(x.List); ok {
+			return evalVecInList(x, consts, ve, b, sel)
+		}
+		return evalVecFallback(e, ve, b, sel)
+
+	case *algebra.Like:
+		return evalVecLike(x, ve, b, sel)
+
 	default:
-		// Like, InList, Func, Case and anything new: the row engine IS
-		// the semantics, one selected row at a time.
+		// Func, Case, IN over non-constant lists and anything new: the
+		// row engine IS the semantics, one selected row at a time.
 		return evalVecFallback(e, ve, b, sel)
 	}
 }
 
 // evalVecFallback materializes each selected row into a reusable buffer
-// and delegates to the row engine's Eval.
+// and delegates to the row engine's Eval. Only the columns the expression
+// reads are boxed into the buffer.
 func evalVecFallback(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
 	if ve.env == nil {
 		ve.env = NewEnv(ve.cols)
 		ve.row = make(types.Row, len(ve.cols))
 	}
+	reads := ve.readsOf(e)
 	n := selLen(sel, b)
 	out := &vec.Vec{}
 	for i := 0; i < n; i++ {
 		p := pos(sel, i)
-		for c := range b.Cols {
+		for _, c := range reads {
 			ve.row[c] = b.Cols[c].At(p)
 		}
 		ve.env.Row = ve.row
@@ -184,6 +222,130 @@ func evalVecFallback(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*
 			return nil, err
 		}
 		out.Append(v)
+	}
+	return out, nil
+}
+
+// constList returns an IN list's values when every element is a constant.
+func constList(list []algebra.Scalar) ([]types.Value, bool) {
+	vals := make([]types.Value, len(list))
+	for i, el := range list {
+		c, ok := el.(*algebra.Const)
+		if !ok {
+			return nil, false
+		}
+		vals[i] = c.Val
+	}
+	return vals, true
+}
+
+// evalVecInList evaluates `e [NOT] IN (const, …)` as Eval does: NULL when
+// e is NULL; otherwise a match among the comparable non-NULL constants
+// decides, and without one a NULL constant makes the answer NULL. Constant
+// elements raise no errors, so element order cannot matter. Typed operands
+// compare on their payloads; a mixed operand boxes.
+func evalVecInList(x *algebra.InList, consts []types.Value, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
+	v, err := evalVec(x.E, ve, b, sel)
+	if err != nil {
+		return nil, err
+	}
+	n := selLen(sel, b)
+	if !v.Mixed && v.Kind == types.KindNull {
+		return vec.NullVec(n), nil
+	}
+	sawNull := false
+	var ints []int64
+	var flts []float64
+	var strs []string
+	for _, c := range consts {
+		switch {
+		case c.IsNull():
+			sawNull = true
+		case v.Mixed:
+		case !types.Comparable(v.Kind, c.Kind()):
+		case c.Kind() == types.KindString:
+			strs = append(strs, c.Str())
+		case c.Kind() == types.KindFloat || v.Kind == types.KindFloat:
+			flts = append(flts, c.Float())
+		case c.Kind() == types.KindInt:
+			ints = append(ints, c.Int())
+		case c.Kind() == types.KindDate:
+			ints = append(ints, c.DateDays())
+		default: // KindBool
+			ints = append(ints, b2i(c.Bool()))
+		}
+	}
+	out := vec.NewDense(types.KindBool, n)
+	for i := 0; i < n; i++ {
+		if v.IsNull(i) {
+			out.SetNull(i)
+			continue
+		}
+		var hit bool
+		switch {
+		case v.Mixed:
+			hit = inConsts(v.At(i), consts)
+		case v.Kind == types.KindString:
+			hit = slices.Contains(strs, v.Str[i])
+		case v.Kind == types.KindFloat:
+			hit = inFloats(v.F64[i], flts)
+		default:
+			hit = slices.Contains(ints, v.I64[i]) ||
+				(v.Kind == types.KindInt && inFloats(float64(v.I64[i]), flts))
+		}
+		switch {
+		case hit:
+			out.I64[i] = b2i(!x.Negated)
+		case sawNull:
+			out.SetNull(i)
+		default:
+			out.I64[i] = b2i(x.Negated)
+		}
+	}
+	return out, nil
+}
+
+// inFloats reports a float-coerced match, NaN-tolerant as types.Compare is.
+func inFloats(x float64, flts []float64) bool {
+	for _, f := range flts {
+		if !(x < f || x > f) {
+			return true
+		}
+	}
+	return false
+}
+
+// inConsts is the boxed form of one IN probe.
+func inConsts(v types.Value, consts []types.Value) bool {
+	for _, c := range consts {
+		if !c.IsNull() && types.Comparable(v.Kind(), c.Kind()) && types.Compare(v, c) == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// evalVecLike evaluates `e [NOT] LIKE pattern` as Eval does: NULL stays
+// NULL, a non-VARCHAR operand is the LIKE operand error at its first row.
+func evalVecLike(x *algebra.Like, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
+	v, err := evalVec(x.E, ve, b, sel)
+	if err != nil {
+		return nil, err
+	}
+	n := selLen(sel, b)
+	out := vec.NewDense(types.KindBool, n)
+	for i := 0; i < n; i++ {
+		if v.IsNull(i) {
+			out.SetNull(i)
+			continue
+		}
+		var s string
+		if !v.Mixed && v.Kind == types.KindString {
+			s = v.Str[i]
+		} else if s, err = v.At(i).AsStr(); err != nil {
+			return nil, fmt.Errorf("exec: LIKE operand: %w", err)
+		}
+		out.I64[i] = b2i(normalize.MatchLike(s, x.Pattern) != x.Negated)
 	}
 	return out, nil
 }
@@ -199,7 +361,7 @@ func b2i(b bool) int64 {
 // constVec broadcasts one value across n rows.
 func constVec(v types.Value, n int) *vec.Vec {
 	if v.IsNull() {
-		return allNullVec(n)
+		return vec.NullVec(n)
 	}
 	out := vec.NewDense(v.Kind(), n)
 	switch v.Kind() {
@@ -230,58 +392,36 @@ func constVec(v types.Value, n int) *vec.Vec {
 	return out
 }
 
-// allNullVec builds an n-row all-NULL vector.
-func allNullVec(n int) *vec.Vec {
-	out := &vec.Vec{}
-	for i := 0; i < n; i++ {
-		out.AppendNull()
+// asBits returns a logical operand as a typed BIT vector (or an all-NULL
+// one), mirroring evalBool: the common typed cases are returned as they
+// are; anything else is decoded row by row, and a non-BIT value is the
+// same *types.KindError AsBool reports, raised at the first offending row.
+func asBits(v *vec.Vec, n int) (*vec.Vec, error) {
+	if !v.Mixed && (v.Kind == types.KindBool || v.Kind == types.KindNull) {
+		return v, nil
 	}
-	return out
-}
-
-// boolCol decodes a logical operand vector into dense bool/null slices,
-// mirroring evalBool: NULL rows are null, non-BIT rows are the same
-// *types.KindError AsBool reports, raised at the first offending row.
-func boolCol(v *vec.Vec, n int) (bs, nulls []bool, err error) {
-	bs = make([]bool, n)
-	nulls = make([]bool, n)
-	if !v.Mixed {
-		switch v.Kind {
-		case types.KindBool:
-			if v.Nulls == nil {
-				for i := 0; i < n; i++ {
-					bs[i] = v.I64[i] != 0
-				}
-			} else {
-				for i := 0; i < n; i++ {
-					if v.IsNull(i) {
-						nulls[i] = true
-					} else {
-						bs[i] = v.I64[i] != 0
-					}
-				}
-			}
-			return bs, nulls, nil
-		case types.KindNull:
-			for i := 0; i < n; i++ {
-				nulls[i] = true
-			}
-			return bs, nulls, nil
-		}
-	}
+	out := vec.NewDense(types.KindBool, n)
 	for i := 0; i < n; i++ {
 		ev := v.At(i)
 		if ev.IsNull() {
-			nulls[i] = true
+			out.SetNull(i)
 			continue
 		}
 		b, err := ev.AsBool()
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		bs[i] = b
+		out.I64[i] = b2i(b)
 	}
-	return bs, nulls, nil
+	return out, nil
+}
+
+// bitAt reads a BIT operand's row as (value, isNull).
+func bitAt(v *vec.Vec, i int) (b, null bool) {
+	if v.IsNull(i) {
+		return false, true
+	}
+	return v.I64[i] != 0, false
 }
 
 // evalVecBinary dispatches AND/OR to the short-circuit kernel,
@@ -341,47 +481,48 @@ func evalVecAndOr(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32) (*ve
 	if err != nil {
 		return nil, err
 	}
-	lb, lnull, err := boolCol(lv, n)
-	if err != nil {
+	if lv, err = asBits(lv, n); err != nil {
 		return nil, err
 	}
-	// Sub-selection of batch positions still undecided by the left side.
-	var sub []int32
-	subAt := make([]int32, n) // dense index -> position in sub results
+	// The batch positions the left side leaves undecided (NULL, or TRUE
+	// for AND / FALSE for OR); when that is every row, the right side runs
+	// under the caller's selection as it stands.
+	sub := make([]int32, 0, n)
 	for i := 0; i < n; i++ {
-		undecided := lnull[i] || (and && lb[i]) || (!and && !lb[i])
-		if undecided {
-			subAt[i] = int32(len(sub))
+		if l, null := bitAt(lv, i); null || l == and {
 			sub = append(sub, int32(pos(sel, i)))
-		} else {
-			subAt[i] = -1
 		}
 	}
-	var rb, rnull []bool
+	var rv *vec.Vec
 	if len(sub) > 0 {
-		rv, err := evalVec(x.R, ve, b, sub)
-		if err != nil {
+		if len(sub) == n {
+			sub = sel
+		}
+		if rv, err = evalVec(x.R, ve, b, sub); err != nil {
 			return nil, err
 		}
-		rb, rnull, err = boolCol(rv, len(sub))
-		if err != nil {
+		if rv, err = asBits(rv, selLen(sub, b)); err != nil {
 			return nil, err
 		}
 	}
+	// Combine, walking the undecided rows' right results in order. Decided
+	// rows are FALSE for AND and TRUE for OR; an undecided row is the right
+	// side's verdict when that decides, NULL when either side is NULL, and
+	// otherwise the left side's own value.
 	out := vec.NewDense(types.KindBool, n)
+	k := 0
 	for i := 0; i < n; i++ {
-		si := subAt[i]
-		if si < 0 {
-			// Left side decided: false for AND, true for OR.
-			out.I64[i] = b2i(!and)
+		l, lnull := bitAt(lv, i)
+		if !lnull && l != and {
+			out.I64[i] = b2i(l)
 			continue
 		}
+		r, rnull := bitAt(rv, k)
+		k++
 		switch {
-		case and && !rnull[si] && !rb[si]:
-			// out.I64[i] already 0
-		case !and && !rnull[si] && rb[si]:
-			out.I64[i] = 1
-		case lnull[i] || rnull[si]:
+		case !rnull && r != and:
+			out.I64[i] = b2i(r)
+		case lnull || rnull:
 			out.SetNull(i)
 		default:
 			out.I64[i] = b2i(and)
@@ -491,7 +632,7 @@ func i64Typed(v *vec.Vec) bool {
 func compareKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
 	if !l.Mixed && !r.Mixed {
 		if l.Kind == types.KindNull || r.Kind == types.KindNull {
-			return allNullVec(n), nil
+			return vec.NullVec(n), nil
 		}
 		out := vec.NewDense(types.KindBool, n)
 		out.OrNulls(l, r)
@@ -550,7 +691,7 @@ func cmpHolds(op sqlparser.BinOp, c int) bool {
 // operand order so error text matches the row engine).
 func compareScalar(op sqlparser.BinOp, v *vec.Vec, cv types.Value, n int, constLeft bool) (*vec.Vec, error) {
 	if cv.IsNull() || (!v.Mixed && v.Kind == types.KindNull) {
-		return allNullVec(n), nil
+		return vec.NullVec(n), nil
 	}
 	eff := op
 	if constLeft {
@@ -660,7 +801,7 @@ func arithLoopScalar[T int64 | float64](op sqlparser.BinOp, a []T, b T, out []T,
 func arithKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
 	if !l.Mixed && !r.Mixed {
 		if l.Kind == types.KindNull || r.Kind == types.KindNull {
-			return allNullVec(n), nil
+			return vec.NullVec(n), nil
 		}
 		switch {
 		case l.Kind == types.KindInt && r.Kind == types.KindInt && op != sqlparser.OpDiv:
@@ -705,7 +846,7 @@ func arithKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
 // broadcasting the constant.
 func arithScalar(op sqlparser.BinOp, v *vec.Vec, cv types.Value, n int, constLeft bool) (*vec.Vec, error) {
 	if cv.IsNull() || (!v.Mixed && v.Kind == types.KindNull) {
-		return allNullVec(n), nil
+		return vec.NullVec(n), nil
 	}
 	if !v.Mixed {
 		switch {
@@ -760,12 +901,68 @@ func arithBoxed(op sqlparser.BinOp, a, b types.Value) (types.Value, error) {
 	return types.Null, fmt.Errorf("exec: unknown operator %s", op)
 }
 
+// trueRows returns, in order, the positions of b where the predicate is
+// TRUE. A conjunction is evaluated conjunct by conjunct, each over only
+// the rows no earlier conjunct made FALSE — exactly the rows the row
+// engine's AND short circuit evaluates it on, so errors arise on the same
+// rows — and a row is kept when no conjunct was FALSE or NULL; a non-BIT
+// conjunct is AND's operand error. A lone predicate's non-BIT value is
+// the TruthyChecked error, wrapped with the site.
+func trueRows(pred algebra.Scalar, ve *vecEnv, b *vec.Batch, site string) ([]int32, error) {
+	conj := algebra.Conjuncts(pred)
+	if len(conj) == 1 {
+		v, err := evalVec(pred, ve, b, nil)
+		if err != nil {
+			return nil, err
+		}
+		sel, err := truthySel(v, b.N)
+		if err != nil {
+			return nil, fmt.Errorf("exec: %s: %w", site, err)
+		}
+		return sel, nil
+	}
+	var sel []int32  // nil = every row
+	var nulls []bool // by batch position: some conjunct was NULL
+	for _, c := range conj {
+		n := selLen(sel, b)
+		v, err := evalVec(c, ve, b, sel)
+		if err != nil {
+			return nil, err
+		}
+		if v, err = asBits(v, n); err != nil {
+			return nil, err
+		}
+		kept := make([]int32, 0, n)
+		for i := 0; i < n; i++ {
+			x, null := bitAt(v, i)
+			if !x && !null {
+				continue
+			}
+			p := pos(sel, i)
+			if null {
+				if nulls == nil {
+					nulls = make([]bool, b.N)
+				}
+				nulls[p] = true
+			}
+			kept = append(kept, int32(p))
+		}
+		if sel = kept; len(sel) == 0 {
+			return nil, nil
+		}
+	}
+	if nulls != nil {
+		sel = slices.DeleteFunc(sel, func(p int32) bool { return nulls[p] })
+	}
+	return sel, nil
+}
+
 // truthySel applies SQL predicate semantics to a predicate result
 // vector, returning the batch positions where it is TRUE (NULL counts as
 // false; a non-BIT value is the TruthyChecked error, unwrapped — callers
 // add their site-specific wrap).
 func truthySel(v *vec.Vec, n int) ([]int32, error) {
-	var sel []int32
+	sel := make([]int32, 0, n)
 	// Typed fast path: a BIT vector selects directly off the payload.
 	if !v.Mixed && v.Kind == types.KindBool {
 		if v.Nulls == nil {

@@ -7,11 +7,13 @@ package exec
 // order, GroupBy emits first-seen groups, sorts are stable), same error
 // texts, same aggregate accumulation (shared aggState) — so the two
 // engines are byte-for-byte interchangeable behind the DSQL step
-// contract. Rows stay the currency of data movement: RunVec materializes
-// its final batches back into a row Relation.
+// contract. Columns are the currency of data movement: RunColumns hands
+// DMS one batch, and RunVec / RunVecStats box the same stream into a row
+// Relation for callers that want rows.
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"pdwqo/internal/algebra"
@@ -32,46 +34,46 @@ func RunVec(t *algebra.Tree, src ColSource) (*Relation, error) {
 // (nil disables collection). Ops/Rows/ScanRows tallies match the row
 // engine's exactly; Batches additionally counts emitted column batches.
 func RunVecStats(t *algebra.Tree, src ColSource, st *Stats) (*Relation, error) {
-	n, err := buildVec(t, src, st)
+	cols, parts, err := runVec(t, src, st)
 	if err != nil {
 		return nil, err
 	}
-	out := &Relation{Cols: n.cols()}
-	var batches []*vec.Batch
-	total := 0
+	return &Relation{Cols: cols, Rows: vec.AppendRows(nil, parts...)}, nil
+}
+
+// RunColumns executes like RunVecStats and returns the result as one batch
+// (vec.Concat of the stream), the form DMS routes and storage inserts.
+func RunColumns(t *algebra.Tree, src ColSource, st *Stats) (*vec.Batch, error) {
+	cols, parts, err := runVec(t, src, st)
+	if err != nil {
+		return nil, err
+	}
+	return vec.Concat(len(cols), parts, nil), nil
+}
+
+// runVec executes a tree and returns its output stream's batches.
+func runVec(t *algebra.Tree, src ColSource, st *Stats) ([]algebra.ColumnMeta, []*vec.Batch, error) {
+	n, err := buildVec(t, src, st)
+	if err != nil {
+		return nil, nil, err
+	}
+	parts, err := drain(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	return n.cols(), parts, nil
+}
+
+// drain pulls an operator's whole output stream.
+func drain(n vecNode) ([]*vec.Batch, error) {
+	var parts []*vec.Batch
 	for {
 		b, err := n.next()
-		if err != nil {
-			return nil, err
+		if err != nil || b == nil {
+			return parts, err
 		}
-		if b == nil {
-			break
-		}
-		batches = append(batches, b)
-		total += b.N
+		parts = append(parts, b)
 	}
-	if total == 0 {
-		return out, nil
-	}
-	// Materialize once at end of stream: one backing array and one row
-	// slice sized to the exact result, filled column-major per batch.
-	w := len(out.Cols)
-	backing := make([]types.Value, total*w)
-	out.Rows = make([]types.Row, 0, total)
-	off := 0
-	for _, b := range batches {
-		for c, v := range b.Cols {
-			for i := 0; i < b.N; i++ {
-				backing[(off+i)*w+c] = v.At(i)
-			}
-		}
-		for i := 0; i < b.N; i++ {
-			base := (off + i) * w
-			out.Rows = append(out.Rows, types.Row(backing[base:base+w:base+w]))
-		}
-		off += b.N
-	}
-	return out, nil
 }
 
 // vecNode is one pull-based operator: next returns the following batch,
@@ -187,23 +189,20 @@ func gatherBatch(b *vec.Batch, sel []int32) *vec.Batch {
 // vecScan windows batches out of a table's stored columns: BatchSize is
 // a multiple of 64, so every window is a zero-copy bitmap-aligned slice.
 type vecScan struct {
-	op   *algebra.Get
-	src  ColSource
-	init bool
-	vecs []*vec.Vec // stored vectors in (possibly pruned) op.Cols order
-	n    int
-	pos  int
+	op  *algebra.Get
+	src ColSource
+	res *windows // the stored vectors in (possibly pruned) op.Cols order
 }
 
 func (s *vecScan) cols() []algebra.ColumnMeta { return s.op.Cols }
 
 func (s *vecScan) next() (*vec.Batch, error) {
-	if !s.init {
+	if s.res == nil {
 		t, err := s.src(s.op.Table.Name)
 		if err != nil {
 			return nil, err
 		}
-		s.vecs = make([]*vec.Vec, len(s.op.Cols))
+		b := &vec.Batch{N: t.N, Cols: make([]*vec.Vec, len(s.op.Cols))}
 		for i, c := range s.op.Cols {
 			found := -1
 			for j, name := range t.Names {
@@ -215,57 +214,37 @@ func (s *vecScan) next() (*vec.Batch, error) {
 			if found < 0 {
 				return nil, fmt.Errorf("exec: column %q missing from stored %q", c.Name, s.op.Table.Name)
 			}
-			s.vecs[i] = t.Cols[found]
+			b.Cols[i] = t.Cols[found]
 		}
-		s.n = t.N
-		s.init = true
+		s.res = &windows{b: b}
 	}
-	if s.pos >= s.n {
-		return nil, nil
-	}
-	hi := s.pos + vec.BatchSize
-	if hi > s.n {
-		hi = s.n
-	}
-	b := &vec.Batch{N: hi - s.pos, Cols: make([]*vec.Vec, len(s.vecs))}
-	for i, v := range s.vecs {
-		b.Cols[i] = v.Window(s.pos, hi)
-	}
-	s.pos = hi
-	return b, nil
+	return s.res.next(), nil
 }
 
 // vecValues emits a literal relation in BatchSize chunks.
 type vecValues struct {
 	op  *algebra.Values
-	pos int
+	res *windows
 }
 
 func (v *vecValues) cols() []algebra.ColumnMeta { return v.op.Cols }
 
 func (v *vecValues) next() (*vec.Batch, error) {
-	if v.pos >= len(v.op.Rows) {
-		return nil, nil
-	}
-	hi := v.pos + vec.BatchSize
-	if hi > len(v.op.Rows) {
-		hi = len(v.op.Rows)
-	}
-	b := &vec.Batch{N: hi - v.pos, Cols: make([]*vec.Vec, len(v.op.Cols))}
-	for c := range v.op.Cols {
-		col := &vec.Vec{}
-		for i := v.pos; i < hi; i++ {
-			col.Append(v.op.Rows[i][c])
+	if v.res == nil {
+		rows := make([]types.Row, len(v.op.Rows))
+		for i, r := range v.op.Rows {
+			rows[i] = types.Row(r)
 		}
-		b.Cols[c] = col
+		v.res = &windows{b: vec.BatchFromRows(len(v.op.Cols), rows)}
 	}
-	v.pos = hi
-	return b, nil
+	return v.res.next(), nil
 }
 
-// vecFilter evaluates the predicate over each input batch and gathers the
-// selected rows, preserving input order. Batches the predicate empties
-// are skipped, not emitted.
+// vecFilter evaluates the predicate over each input batch (trueRows:
+// conjunct by conjunct over a shrinking selection) and gathers the
+// selected rows into a new batch, preserving input order. Batches the
+// predicate keeps whole pass through; batches it empties are skipped, not
+// emitted.
 type vecFilter struct {
 	op *algebra.Select
 	in vecNode
@@ -283,13 +262,9 @@ func (f *vecFilter) next() (*vec.Batch, error) {
 		if b == nil {
 			return nil, nil
 		}
-		pv, err := evalVec(f.op.Filter, f.ve, b, nil)
+		sel, err := trueRows(f.op.Filter, f.ve, b, "WHERE predicate")
 		if err != nil {
 			return nil, err
-		}
-		sel, err := truthySel(pv, b.N)
-		if err != nil {
-			return nil, fmt.Errorf("exec: WHERE predicate: %w", err)
 		}
 		if len(sel) == b.N {
 			return b, nil
@@ -353,7 +328,8 @@ type vecJoin struct {
 	// threaded in ascending row order, preserving the bucket-insertion
 	// output order contract. intKeys records whether table keys are raw
 	// int64 payloads (single typed-INT key: bucket = equality, no confirm
-	// pass) or composite hashes (probe confirms with vecKeysEqual).
+	// pass) or column-wise key hashes (the probe confirms candidate pairs
+	// key column by key column with keepEqual).
 	init         bool
 	rt           *vec.Batch
 	build        *joinTable
@@ -361,7 +337,7 @@ type vecJoin struct {
 	chainNext    []int32
 	rightMatched []bool
 	pairVE       *vecEnv
-	keyBuf       []types.Value
+	hs           []uint64 // probe-side key hash scratch
 
 	leftDone bool
 	tailDone bool
@@ -384,7 +360,6 @@ func newVecJoin(op *algebra.Join, l, r vecNode) *vecJoin {
 		j.useHash = true
 		j.lKeys, j.rKeys = lKeys, rKeys
 		j.residual = algebra.AndAll(residual)
-		j.keyBuf = make([]types.Value, len(lKeys))
 	}
 	return j
 }
@@ -424,30 +399,20 @@ func (j *vecJoin) next() (*vec.Batch, error) {
 	return nil, nil
 }
 
-// buildRight drains the build side into one concatenated batch and, for
-// equi-key joins, a hash table over the non-NULL keys (SQL equality never
-// matches NULLs, so NULL-keyed rows stay out of the table — they still
-// surface through full-outer unmatched emission).
+// buildRight drains the build side as a list of batches, materializes it
+// once at its exact size (vec.Concat) and, for equi-key joins, builds a
+// hash table over the non-NULL keys (SQL equality never matches NULLs, so
+// NULL-keyed rows stay out of the table — they still surface through
+// full-outer unmatched emission).
 func (j *vecJoin) buildRight() error {
-	rCols := len(j.pairCols) - j.lWidth
-	j.rt = &vec.Batch{Cols: make([]*vec.Vec, rCols)}
-	for c := range j.rt.Cols {
-		j.rt.Cols[c] = &vec.Vec{}
+	parts, err := drain(j.right)
+	if err != nil {
+		return err
 	}
-	for {
-		b, err := j.right.next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		for c := range b.Cols {
-			j.rt.Cols[c].Extend(b.Cols[c])
-		}
-		j.rt.N += b.N
+	j.rt = vec.Concat(len(j.pairCols)-j.lWidth, parts, nil)
+	if j.op.Kind == algebra.JoinFullOuter {
+		j.rightMatched = make([]bool, j.rt.N)
 	}
-	j.rightMatched = make([]bool, j.rt.N)
 	if !j.useHash {
 		return nil
 	}
@@ -471,12 +436,104 @@ func (j *vecJoin) buildRight() error {
 			return nil
 		}
 	}
+	hs := keyHashes(j.rt, j.rKeys, nil)
+	nulls := keyNulls(j.rt, j.rKeys)
 	for ri := j.rt.N - 1; ri >= 0; ri-- {
-		if k, ok := vecKeyOf(j.rt, ri, j.rKeys, j.keyBuf); ok {
-			j.build.insert(k, int32(ri), j.chainNext)
+		if !bitSet(nulls, ri) {
+			j.build.insert(hs[ri], int32(ri), j.chainNext)
 		}
 	}
 	return nil
+}
+
+// keyHashes folds a batch's key columns, column by column, into one hash
+// per row (types.Hash's encoding; a single key column gives types.Hash
+// itself). Equal keys hash equally, INT and FLOAT alike, so the hash
+// buckets and the confirming comparison agree. scratch is reused when it
+// is large enough.
+func keyHashes(b *vec.Batch, keys []int, scratch []uint64) []uint64 {
+	hs := scratch
+	if cap(hs) < b.N {
+		hs = make([]uint64, b.N)
+	}
+	hs = hs[:b.N]
+	for i := range hs {
+		hs[i] = types.HashSeed
+	}
+	for _, k := range keys {
+		b.Cols[k].FoldHash(hs)
+	}
+	return hs
+}
+
+// keyNulls ORs the key columns' NULL bitmaps: a set bit marks a row with a
+// NULL key, which equality never matches. nil means no NULL key.
+func keyNulls(b *vec.Batch, keys []int) []uint64 {
+	var out []uint64
+	for _, k := range keys {
+		v := b.Cols[k]
+		if v.Nulls == nil {
+			continue
+		}
+		if out == nil {
+			out = make([]uint64, (b.N+63)>>6)
+		}
+		for w := 0; w < len(out) && w < len(v.Nulls); w++ {
+			out[w] |= v.Nulls[w]
+		}
+	}
+	return out
+}
+
+// bitSet reads bit i of a bitmap that may be short or nil.
+func bitSet(bm []uint64, i int) bool {
+	w := i >> 6
+	return w < len(bm) && bm[w]&(1<<(uint(i)&63)) != 0
+}
+
+// keepEqual narrows candidate (left, right) pairs to those whose values in
+// one key column pair are equal under types.Compare — typed payloads are
+// compared directly, kind pairs without a typed rule box. Candidates never
+// hold a NULL key. The pairs are filtered in place.
+func keepEqual(a, b *vec.Vec, pl, pr []int32) ([]int32, []int32) {
+	out := 0
+	keep := func(i int, eq bool) {
+		if eq {
+			pl[out], pr[out] = pl[i], pr[i]
+			out++
+		}
+	}
+	typed := !a.Mixed && !b.Mixed
+	switch {
+	case typed && a.Kind == b.Kind && i64Typed(a):
+		for i := range pl {
+			keep(i, a.I64[pl[i]] == b.I64[pr[i]])
+		}
+	case typed && a.Kind == types.KindString && b.Kind == types.KindString:
+		for i := range pl {
+			keep(i, a.Str[pl[i]] == b.Str[pr[i]])
+		}
+	case typed && a.Kind.Numeric() && b.Kind.Numeric():
+		// Float-coerced, and NaN-tolerant exactly as types.Compare is.
+		for i := range pl {
+			x, y := numAt(a, pl[i]), numAt(b, pr[i])
+			keep(i, !(x < y || x > y))
+		}
+	default:
+		for i := range pl {
+			x, y := a.At(int(pl[i])), b.At(int(pr[i]))
+			keep(i, types.Comparable(x.Kind(), y.Kind()) && types.Compare(x, y) == 0)
+		}
+	}
+	return pl[:out], pr[:out]
+}
+
+// numAt reads a typed numeric vector's row as a float64.
+func numAt(v *vec.Vec, i int32) float64 {
+	if v.Kind == types.KindFloat {
+		return v.F64[i]
+	}
+	return float64(v.I64[i])
 }
 
 // joinTable is a linear-probing hash table from a 64-bit key to the head
@@ -622,6 +679,31 @@ func (j *vecJoin) probeInt(lb *vec.Batch) (pl, pr []int32) {
 	return pl, pr
 }
 
+// probeHashed probes the key-hash table for one left batch: key hashes
+// fold column-wise, every chain a hash reaches yields candidate pairs, and
+// the candidates are confirmed key column by key column.
+func (j *vecJoin) probeHashed(lb *vec.Batch) (pl, pr []int32) {
+	j.hs = keyHashes(lb, j.lKeys, j.hs)
+	nulls := keyNulls(lb, j.lKeys)
+	pl = make([]int32, 0, lb.N)
+	pr = make([]int32, 0, lb.N)
+	for li, h := range j.hs {
+		if bitSet(nulls, li) {
+			continue
+		}
+		if head, ok := j.build.find(h); ok {
+			for ri := head; ri >= 0; ri = j.chainNext[ri] {
+				pl = append(pl, int32(li))
+				pr = append(pr, ri)
+			}
+		}
+	}
+	for k := range j.lKeys {
+		pl, pr = keepEqual(lb.Cols[j.lKeys[k]], j.rt.Cols[j.rKeys[k]], pl, pr)
+	}
+	return pl, pr
+}
+
 // joinBatch produces one output batch for one left batch (possibly empty
 // for semi/anti/filtered joins; the caller skips empties).
 func (j *vecJoin) joinBatch(lb *vec.Batch) (*vec.Batch, error) {
@@ -630,22 +712,7 @@ func (j *vecJoin) joinBatch(lb *vec.Batch) (*vec.Batch, error) {
 		if j.intKeys {
 			pl, pr = j.probeInt(lb)
 		} else {
-			for li := 0; li < lb.N; li++ {
-				k, ok := vecKeyOf(lb, li, j.lKeys, j.keyBuf)
-				if !ok {
-					continue
-				}
-				head, hit := j.build.find(k)
-				if !hit {
-					continue
-				}
-				for ri := head; ri >= 0; ri = j.chainNext[ri] {
-					if vecKeysEqual(lb, li, j.lKeys, j.rt, int(ri), j.rKeys) {
-						pl = append(pl, int32(li))
-						pr = append(pr, ri)
-					}
-				}
-			}
+			pl, pr = j.probeHashed(lb)
 		}
 		if j.residual != nil && len(pl) > 0 {
 			var err error
@@ -685,23 +752,22 @@ func (j *vecJoin) joinBatch(lb *vec.Batch) (*vec.Batch, error) {
 // TRUE, evaluated over the concatenated pair schema — residuals see the
 // full pair row even when the join's output is left-only.
 func (j *vecJoin) filterPairs(lb *vec.Batch, pl, pr []int32, on algebra.Scalar) ([]int32, []int32, error) {
-	pb := &vec.Batch{N: len(pl), Cols: make([]*vec.Vec, 0, len(j.pairCols))}
-	for _, v := range lb.Cols {
-		pb.Cols = append(pb.Cols, v.Gather(pl))
-	}
-	for _, v := range j.rt.Cols {
-		pb.Cols = append(pb.Cols, v.Gather(pr))
-	}
 	if j.pairVE == nil {
 		j.pairVE = newVecEnv(j.pairCols)
 	}
-	pv, err := evalVec(on, j.pairVE, pb, nil)
+	// Only the columns the predicate reads are gathered; evaluation never
+	// touches the others.
+	pb := &vec.Batch{N: len(pl), Cols: make([]*vec.Vec, len(j.pairCols))}
+	for _, c := range j.pairVE.readsOf(on) {
+		if c < j.lWidth {
+			pb.Cols[c] = lb.Cols[c].Gather(pl)
+		} else {
+			pb.Cols[c] = j.rt.Cols[c-j.lWidth].Gather(pr)
+		}
+	}
+	sel, err := trueRows(on, j.pairVE, pb, "join predicate")
 	if err != nil {
 		return nil, nil, err
-	}
-	sel, err := truthySel(pv, pb.N)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exec: join predicate: %w", err)
 	}
 	npl := make([]int32, len(sel))
 	npr := make([]int32, len(sel))
@@ -722,7 +788,9 @@ func (j *vecJoin) emit(lb *vec.Batch, pl, pr []int32) *vec.Batch {
 		for li := 0; li < lb.N; li++ {
 			start := p
 			for p < len(pl) && pl[p] == int32(li) {
-				j.rightMatched[pr[p]] = true
+				if j.rightMatched != nil {
+					j.rightMatched[pr[p]] = true
+				}
 				p++
 			}
 			matched := p > start
@@ -766,6 +834,28 @@ func (j *vecJoin) emit(lb *vec.Batch, pl, pr []int32) *vec.Batch {
 	return out
 }
 
+// gatherPad gathers with -1 selections producing NULL (outer-join
+// padding): a padded row takes row 0's payload slot under a NULL bit.
+func gatherPad(v *vec.Vec, sel []int32) *vec.Vec {
+	if !slices.Contains(sel, -1) {
+		return v.Gather(sel)
+	}
+	if v.Len() == 0 {
+		return vec.NullVec(len(sel))
+	}
+	safe := make([]int32, len(sel))
+	for i, s := range sel {
+		safe[i] = max(s, 0)
+	}
+	out := v.Gather(safe)
+	for i, s := range sel {
+		if s < 0 {
+			out.SetNull(i)
+		}
+	}
+	return out
+}
+
 // unmatchedRight emits a full outer join's never-matched build rows, NULL
 // padded on the left, in right order.
 func (j *vecJoin) unmatchedRight() *vec.Batch {
@@ -780,70 +870,12 @@ func (j *vecJoin) unmatchedRight() *vec.Batch {
 	}
 	out := &vec.Batch{N: len(rsel), Cols: make([]*vec.Vec, 0, len(j.outCols))}
 	for i := 0; i < j.lWidth; i++ {
-		nv := &vec.Vec{}
-		for range rsel {
-			nv.AppendNull()
-		}
-		out.Cols = append(out.Cols, nv)
+		out.Cols = append(out.Cols, vec.NullVec(len(rsel)))
 	}
 	for _, v := range j.rt.Cols {
 		out.Cols = append(out.Cols, v.Gather(rsel))
 	}
 	return out
-}
-
-// gatherPad gathers with -1 selections producing NULL (outer padding).
-func gatherPad(v *vec.Vec, sel []int32) *vec.Vec {
-	pad := false
-	for _, s := range sel {
-		if s < 0 {
-			pad = true
-			break
-		}
-	}
-	if !pad {
-		return v.Gather(sel)
-	}
-	out := &vec.Vec{}
-	for _, s := range sel {
-		if s < 0 {
-			out.AppendNull()
-		} else {
-			out.Append(v.At(int(s)))
-		}
-	}
-	return out
-}
-
-// vecKeyOf extracts one row's join key hash; ok is false when any key
-// column is NULL. The fold is the engine-local allocation-free FNV with
-// the same Equal ⇒ equal-hash normalization as types.HashRowKey, so the
-// confirmed matches (and therefore results) are identical — only bucket
-// assignment differs, which is unobservable.
-func vecKeyOf(b *vec.Batch, row int, idx []int, buf []types.Value) (uint64, bool) {
-	for i, p := range idx {
-		v := b.Cols[p].At(row)
-		if v.IsNull() {
-			return 0, false
-		}
-		buf[i] = v
-	}
-	return hashRow(buf), true
-}
-
-// vecKeysEqual confirms a hash match with real comparisons, mirroring the
-// row engine's keysEqual (incomparable kinds simply do not match).
-func vecKeysEqual(lb *vec.Batch, li int, lKeys []int, rb *vec.Batch, ri int, rKeys []int) bool {
-	for i := range lKeys {
-		av, bv := lb.Cols[lKeys[i]].At(li), rb.Cols[rKeys[i]].At(ri)
-		if av.IsNull() || bv.IsNull() {
-			return false
-		}
-		if !types.Comparable(av.Kind(), bv.Kind()) || types.Compare(av, bv) != 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // vecGroup aggregates batch streams. Aggregate arguments are evaluated
@@ -855,29 +887,21 @@ type vecGroup struct {
 	out []algebra.ColumnMeta
 	ve  *vecEnv
 
-	built bool
-	rows  []types.Row
-	pos   int
+	res *windows // every group, built on the first pull
 }
 
 func (g *vecGroup) cols() []algebra.ColumnMeta { return g.out }
 
-type vecGroupState struct {
-	keyVals types.Row
-	aggs    []*aggState
-	idx     int32 // position in first-seen order
-}
-
-// groupKeyMatch compares one candidate group's key against batch row i,
-// with typed payload fast paths. Semantics are exactly types.Equal's:
-// NULL keys group together, numerics compare float-coerced across kinds
-// (the cross-kind case falls back to types.Equal), and float equality is
-// Compare==0 — NOT Go == — so NaN keys group the way the row engine
-// groups them.
-func groupKeyMatch(cand *vecGroupState, b *vec.Batch, keyPos []int, i int) bool {
+// groupKeyMatch compares one candidate group's key values against batch
+// row i, with typed payload fast paths. Semantics are exactly
+// types.Equal's: NULL keys group together, numerics compare float-coerced
+// across kinds (the cross-kind case falls back to types.Equal), and float
+// equality is Compare==0 — NOT Go == — so NaN keys group the way the row
+// engine groups them.
+func groupKeyMatch(cand []types.Value, b *vec.Batch, keyPos []int, i int) bool {
 	for ki, p := range keyPos {
 		c := b.Cols[p]
-		kv := cand.keyVals[ki]
+		kv := cand[ki]
 		if c.Mixed {
 			if !types.Equal(kv, c.At(i)) {
 				return false
@@ -956,40 +980,29 @@ func aggVecModeOf(def algebra.AggDef, v *vec.Vec) aggVecMode {
 // running sum once the accumulator is FLOAT; kind adoption and mixed-kind
 // promotion route through addValue so semantics stay shared.
 func (s *aggState) sumFloat(x float64) error {
-	if s.sum.Kind() == types.KindFloat {
-		s.sum = types.NewFloat(s.sum.Float() + x)
+	if s.acc.Kind() == types.KindFloat {
+		s.acc = types.NewFloat(s.acc.Float() + x)
 		return nil
 	}
 	return s.addValue(types.NewFloat(x))
 }
 
 func (g *vecGroup) next() (*vec.Batch, error) {
-	if !g.built {
-		if err := g.aggregate(); err != nil {
+	if g.res == nil {
+		b, err := g.aggregate()
+		if err != nil {
 			return nil, err
 		}
-		g.built = true
+		g.res = &windows{b: b}
 	}
-	if g.pos >= len(g.rows) {
-		return nil, nil
-	}
-	hi := g.pos + vec.BatchSize
-	if hi > len(g.rows) {
-		hi = len(g.rows)
-	}
-	b := &vec.Batch{N: hi - g.pos, Cols: make([]*vec.Vec, len(g.out))}
-	for c := range g.out {
-		col := &vec.Vec{}
-		for i := g.pos; i < hi; i++ {
-			col.Append(g.rows[i][c])
-		}
-		b.Cols[c] = col
-	}
-	g.pos = hi
-	return b, nil
+	return g.res.next(), nil
 }
 
-func (g *vecGroup) aggregate() error {
+// aggregate drains the input and returns one row per group. Groups live in
+// flat slabs — group i's key values at keys[i·k:], its aggregate states
+// at states[i·na:] — found through a hash → newest-group map chained by
+// next, so a new group allocates nothing of its own.
+func (g *vecGroup) aggregate() (*vec.Batch, error) {
 	inCols := g.in.cols()
 	keyPos := make([]int, len(g.op.Keys))
 	for i, k := range g.op.Keys {
@@ -1000,19 +1013,23 @@ func (g *vecGroup) aggregate() error {
 			}
 		}
 		if keyPos[i] < 0 {
-			return fmt.Errorf("exec: group key c%d missing", k)
+			return nil, fmt.Errorf("exec: group key c%d missing", k)
 		}
 	}
-	groups := map[uint64][]*vecGroupState{}
-	var order []*vecGroupState
-	argVecs := make([]*vec.Vec, len(g.op.Aggs))
-	argMode := make([]aggVecMode, len(g.op.Aggs))
+	k, na := len(keyPos), len(g.op.Aggs)
+	heads := map[uint64]int32{}
+	var next []int32 // per group: the previous group with its hash, or -1
+	var keys []types.Value
+	var states []aggState
+	groups := 0
+	argVecs := make([]*vec.Vec, na)
+	argMode := make([]aggVecMode, na)
 	var hs []uint64
 	var gids []int32
 	for {
 		b, err := g.in.next()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		if b == nil {
 			break
@@ -1024,161 +1041,151 @@ func (g *vecGroup) aggregate() error {
 			}
 			v, err := evalVec(a.Arg, g.ve, b, nil)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			argVecs[ai] = v
 			argMode[ai] = aggVecModeOf(a, v)
 		}
 		// Key hashes fold column-wise over the whole batch, reusing one
 		// scratch slice — no per-row hasher or key-row allocation.
-		if cap(hs) < b.N {
-			hs = make([]uint64, b.N)
+		hs = keyHashes(b, keyPos, hs)
+		if cap(gids) < b.N {
 			gids = make([]int32, b.N)
 		}
-		hs = hs[:b.N]
 		gids = gids[:b.N]
-		for i := range hs {
-			hs[i] = fnvOffset64
-		}
-		for _, p := range keyPos {
-			foldVecHash(b.Cols[p], b.N, hs)
-		}
 		// Pass 1: resolve every row to its group in first-seen order.
 		for i := 0; i < b.N; i++ {
-			var gs *vecGroupState
-			for _, cand := range groups[hs[i]] {
-				if groupKeyMatch(cand, b, keyPos, i) {
-					gs = cand
+			gid := int32(-1)
+			head, seen := heads[hs[i]]
+			for c := head; seen && c >= 0; c = next[c] {
+				if groupKeyMatch(keys[int(c)*k:], b, keyPos, i) {
+					gid = c
 					break
 				}
 			}
-			if gs == nil {
-				keyVals := make(types.Row, len(keyPos))
-				for ki, p := range keyPos {
-					keyVals[ki] = b.Cols[p].At(i)
+			if gid < 0 {
+				gid = int32(groups)
+				groups++
+				if !seen {
+					head = -1
 				}
-				gs = &vecGroupState{keyVals: keyVals, idx: int32(len(order))}
-				for _, a := range g.op.Aggs {
-					gs.aggs = append(gs.aggs, newAggState(a))
+				next = append(next, head)
+				heads[hs[i]] = gid
+				for _, p := range keyPos {
+					keys = append(keys, b.Cols[p].At(i))
 				}
-				groups[hs[i]] = append(groups[hs[i]], gs)
-				order = append(order, gs)
+				for a := range g.op.Aggs {
+					states = append(states, initAggState(&g.op.Aggs[a]))
+				}
 			}
-			gids[i] = gs.idx
+			gids[i] = gid
 		}
 		// Pass 2: accumulate one aggregate column at a time. Error choice
 		// can differ from the row engine when distinct (row, agg) cells
 		// would each error — presence cannot (see the vecexpr.go header).
 		for ai := range g.op.Aggs {
+			state := func(gid int32) *aggState { return &states[int(gid)*na+ai] }
 			switch argMode[ai] {
 			case aggVecStar, aggVecCountDense:
 				// COUNT(*) / COUNT over a NULL-free vector: pure tallies.
 				for _, gid := range gids {
-					order[gid].aggs[ai].count++
+					state(gid).count++
 				}
 			case aggVecSumFloat:
 				v := argVecs[ai]
-				if v.Nulls == nil {
-					for i, gid := range gids {
-						if err := order[gid].aggs[ai].sumFloat(v.F64[i]); err != nil {
-							return err
-						}
+				for i, gid := range gids {
+					if v.Nulls != nil && v.IsNull(i) {
+						continue
 					}
-				} else {
-					for i, gid := range gids {
-						if v.IsNull(i) {
-							continue
-						}
-						if err := order[gid].aggs[ai].sumFloat(v.F64[i]); err != nil {
-							return err
-						}
+					if err := state(gid).sumFloat(v.F64[i]); err != nil {
+						return nil, err
 					}
 				}
 			default:
 				v := argVecs[ai]
 				for i, gid := range gids {
-					if err := order[gid].aggs[ai].addValue(v.At(i)); err != nil {
-						return err
+					if err := state(gid).addValue(v.At(i)); err != nil {
+						return nil, err
 					}
 				}
 			}
 		}
 	}
 	// A scalar aggregate over empty input yields one all-default row.
-	if len(g.op.Keys) == 0 && len(order) == 0 {
-		gs := &vecGroupState{}
-		for _, a := range g.op.Aggs {
-			gs.aggs = append(gs.aggs, newAggState(a))
+	if k == 0 && groups == 0 {
+		for a := range g.op.Aggs {
+			states = append(states, initAggState(&g.op.Aggs[a]))
 		}
-		order = append(order, gs)
+		groups = 1
 	}
-	for _, gs := range order {
-		row := make(types.Row, 0, len(gs.keyVals)+len(gs.aggs))
-		row = append(row, gs.keyVals...)
-		for _, a := range gs.aggs {
-			row = append(row, a.result())
-		}
-		g.rows = append(g.rows, row)
+	out := &vec.Batch{N: groups, Cols: make([]*vec.Vec, k+na)}
+	for c := 0; c < k; c++ {
+		out.Cols[c] = vec.Column(groups, func(i int) types.Value { return keys[i*k+c] })
 	}
-	return nil
+	for a := 0; a < na; a++ {
+		out.Cols[k+a] = vec.Column(groups, func(i int) types.Value { return states[i*na+a].result() })
+	}
+	return out, nil
 }
 
-// vecSort drains its input, sorts with the engine-wide MergeKey
-// comparator (stable; NULLS FIRST ascending / LAST descending), applies
-// TOP, and re-emits in batches.
+// vecSort drains its input, sorts a row permutation with the engine-wide
+// MergeKey comparator (stable; NULLS FIRST ascending / LAST descending),
+// applies TOP, gathers the rows in that order and re-emits them in
+// batches.
 type vecSort struct {
 	op *algebra.Sort
 	in vecNode
 
-	built bool
-	rows  []types.Row
-	pos   int
+	res *windows
 }
 
 func (s *vecSort) cols() []algebra.ColumnMeta { return s.in.cols() }
 
 func (s *vecSort) next() (*vec.Batch, error) {
-	if !s.built {
-		for {
-			b, err := s.in.next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			s.rows = b.AppendRows(s.rows)
+	if s.res == nil {
+		parts, err := drain(s.in)
+		if err != nil {
+			return nil, err
 		}
+		in := vec.Concat(len(s.in.cols()), parts, nil)
 		keys, err := sortMergeKeys(s.op.Keys, s.in.cols())
 		if err != nil {
 			return nil, err
 		}
-		if err := SortRows(s.rows, keys); err != nil {
+		perm := identity(in.N)
+		if err := sortPerm(perm, keys, func(row int32, pos int) types.Value { return in.Cols[pos].At(int(row)) }); err != nil {
 			return nil, fmt.Errorf("exec: ORDER BY key: %w", err)
 		}
-		if s.op.Top > 0 && int64(len(s.rows)) > s.op.Top {
-			s.rows = s.rows[:s.op.Top]
+		if s.op.Top > 0 && int64(len(perm)) > s.op.Top {
+			perm = perm[:s.op.Top]
 		}
-		s.built = true
+		s.res = &windows{b: vec.Concat(len(in.Cols), []*vec.Batch{in}, [][]int32{perm})}
 	}
-	if s.pos >= len(s.rows) {
-		return nil, nil
+	return s.res.next(), nil
+}
+
+// windows re-emits a materialized batch BatchSize rows at a time. The
+// windows start on multiples of BatchSize, so they are 64-aligned and
+// share the batch's storage; a batch that fits in one is emitted as is.
+type windows struct {
+	b   *vec.Batch
+	pos int
+}
+
+func (w *windows) next() *vec.Batch {
+	if w.pos >= w.b.N {
+		return nil
 	}
-	hi := s.pos + vec.BatchSize
-	if hi > len(s.rows) {
-		hi = len(s.rows)
+	lo, hi := w.pos, min(w.pos+vec.BatchSize, w.b.N)
+	w.pos = hi
+	if lo == 0 && hi == w.b.N {
+		return w.b
 	}
-	inCols := s.in.cols()
-	b := &vec.Batch{N: hi - s.pos, Cols: make([]*vec.Vec, len(inCols))}
-	for c := range inCols {
-		col := &vec.Vec{}
-		for i := s.pos; i < hi; i++ {
-			col.Append(s.rows[i][c])
-		}
-		b.Cols[c] = col
+	out := &vec.Batch{N: hi - lo, Cols: make([]*vec.Vec, len(w.b.Cols))}
+	for c, v := range w.b.Cols {
+		out.Cols[c] = v.Window(lo, hi)
 	}
-	s.pos = hi
-	return b, nil
+	return out
 }
 
 // vecUnion streams the left input to exhaustion, then the right.

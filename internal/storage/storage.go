@@ -2,9 +2,10 @@
 // SQL Server instance: base tables loaded at appliance construction and
 // temp tables materialized by DMS operations (paper §2.3). A table is held
 // in one form — an immutable columnar vec.Table that an insert replaces
-// and never mutates, so scans share it under the read lock. Bulk inserts
-// are metered in bytes so the cost model can be calibrated against
-// observed writer/bulk-copy work.
+// and never mutates, so scans share it under the read lock. Inserts take
+// columns (BulkInsert is the row-shaped adapter for loading) and are
+// metered in bytes so the cost model can be calibrated against observed
+// writer/bulk-copy work.
 package storage
 
 import (
@@ -21,7 +22,7 @@ import (
 type table struct {
 	name  string
 	names []string   // column names, fixed at Create
-	data  *vec.Table // replaced whole by BulkInsert; never mutated once set
+	data  *vec.Table // replaced whole by an insert; never mutated once set
 }
 
 // DB is a node-local database instance.
@@ -82,45 +83,60 @@ func (db *DB) Rename(oldName, newName string) error {
 	return nil
 }
 
-// BulkInsert appends rows, metering bytes (the SQLBlkCpy component of the
-// paper's Figure 5). The rows are columnarized outside the lock and
-// installed under it; an insert onto a non-empty table installs a new
-// vec.Table holding both, leaving the one scans may still hold untouched.
+// BulkInsert appends rows: InsertColumns over the rows columnarized, after
+// checking every row's arity.
 func (db *DB) BulkInsert(name string, rows []types.Row) error {
-	key := strings.ToLower(name)
-	db.mu.RLock()
-	t, ok := db.tables[key]
-	db.mu.RUnlock()
-	if !ok {
-		return fmt.Errorf("storage: unknown table %q", name)
+	t, err := db.lookup(name)
+	if err != nil {
+		return err
 	}
-	var bytes int64
 	for _, r := range rows {
 		if len(r) != len(t.names) {
 			return fmt.Errorf("storage: %q: row arity %d, want %d", name, len(r), len(t.names))
 		}
-		bytes += int64(r.Width())
 	}
-	add := vec.FromRows(t.names, rows)
+	return db.InsertColumns(name, vec.BatchFromRows(len(t.names), rows))
+}
+
+// InsertColumns appends a batch's rows, metering Σ Row.Width bytes (the
+// SQLBlkCpy component of the paper's Figure 5). Into an empty table the
+// batch's columns are installed as they are, so every node a broadcast
+// delivers one batch to shares its columns; onto a non-empty one a new
+// vec.Table holding both is installed, leaving the one scans may still
+// hold untouched. The batch must not change afterwards.
+func (db *DB) InsertColumns(name string, add *vec.Batch) error {
+	t, err := db.lookup(name)
+	if err != nil {
+		return err
+	}
+	if len(add.Cols) != len(t.names) {
+		return fmt.Errorf("storage: %q: %d columns, want %d", name, len(add.Cols), len(t.names))
+	}
+	bytes := add.Bytes()
 
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.tables[key] != t {
-		// Dropped or renamed while the rows were being columnarized.
+	if db.tables[strings.ToLower(name)] != t {
+		// Dropped or renamed since the lookup.
 		return fmt.Errorf("storage: unknown table %q", name)
 	}
 	if old := t.data; old.N > 0 {
-		for c, v := range add.Cols {
-			both := &vec.Vec{}
-			both.Extend(old.Cols[c])
-			both.Extend(v)
-			add.Cols[c] = both
-		}
-		add.N += old.N
+		add = vec.Concat(len(t.names), []*vec.Batch{{N: old.N, Cols: old.Cols}, add}, nil)
 	}
-	t.data = add
+	t.data = &vec.Table{Names: t.names, N: add.N, Cols: add.Cols}
 	db.BytesWritten += bytes
 	return nil
+}
+
+// lookup resolves a table by name.
+func (db *DB) lookup(name string) (*table, error) {
+	db.mu.RLock()
+	defer db.mu.RUnlock()
+	t, ok := db.tables[strings.ToLower(name)]
+	if !ok {
+		return nil, fmt.Errorf("storage: unknown table %q", name)
+	}
+	return t, nil
 }
 
 // ScanColumns returns the table's columns (shared and immutable; callers

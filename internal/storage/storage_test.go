@@ -183,6 +183,53 @@ func TestInsertAfterInsert(t *testing.T) {
 	}
 }
 
+// TestInsertColumns: a columnar insert stores and meters what the row
+// insert of the same rows does; into an empty table the batch's columns
+// are installed as they are, so two nodes handed one batch share them;
+// a batch of the wrong width is refused.
+func TestInsertColumns(t *testing.T) {
+	rows := []types.Row{
+		{types.NewInt(1), types.NewString("x")},
+		{types.Null, types.NewString("yyy")},
+		{types.NewInt(3), types.Null},
+	}
+	b := vec.BatchFromRows(2, rows)
+	byRows, a1, a2 := NewDB(), NewDB(), NewDB()
+	for _, db := range []*DB{byRows, a1, a2} {
+		if err := db.Create("t", cols()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := byRows.BulkInsert("t", rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []*DB{a1, a2} {
+		if err := db.InsertColumns("t", b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := scan(t, a1, "t"), scan(t, byRows, "t"); !reflect.DeepEqual(got, want) {
+		t.Fatalf("columnar insert stored %v, row insert %v", got, want)
+	}
+	if a1.BytesWritten != byRows.BytesWritten || a1.BytesWritten != b.Bytes() {
+		t.Errorf("bytes metered: columnar %d, rows %d, batch %d", a1.BytesWritten, byRows.BytesWritten, b.Bytes())
+	}
+	t1, _ := a1.ScanColumns("t")
+	t2, _ := a2.ScanColumns("t")
+	if t1.Cols[0] != b.Cols[0] || t2.Cols[1] != b.Cols[1] {
+		t.Error("an insert into an empty table must install the batch's columns, not copies")
+	}
+	if err := a1.InsertColumns("t", b); err != nil {
+		t.Fatal(err)
+	}
+	if got := scan(t, a2, "t"); !reflect.DeepEqual(got, rows) {
+		t.Errorf("appending on one node changed another's shared columns: %v", got)
+	}
+	if err := a1.InsertColumns("t", vec.BatchFromRows(1, []types.Row{{types.NewInt(1)}})); err == nil {
+		t.Error("a batch of the wrong width must be refused")
+	}
+}
+
 func TestRename(t *testing.T) {
 	db := NewDB()
 	if err := db.Create("t__stage", cols()); err != nil {

@@ -9,7 +9,6 @@ package types
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"strconv"
 	"time"
@@ -380,34 +379,91 @@ func Equal(a, b Value) bool {
 	return Compare(a, b) == 0
 }
 
-// Hash returns a distribution hash of the value. Numeric kinds hash by
-// float-coerced payload so 1 and 1.0 land on the same node, matching the
-// equality relation used for joins.
-func Hash(v Value) uint64 {
-	h := fnv.New64a()
+// Hash returns a distribution hash of the value: FNV-1a from HashSeed over
+// a kind tag and the payload. Numeric kinds hash by float-coerced payload so
+// 1 and 1.0 land on the same node, matching the equality relation used for
+// joins; -0 hashes as +0 and every NaN as one NaN, because Equal holds
+// between them too.
+func Hash(v Value) uint64 { return FoldValue(HashSeed, v) }
+
+// HashSeed is the FNV-1a offset basis Hash starts from. The Fold functions
+// continue a running hash with one value each, in Hash's encoding, so a
+// column-wise fold from HashSeed over one column equals Hash of each row.
+const HashSeed uint64 = 14695981039346656037
+
+const hashPrime = 1099511628211
+
+// canonicalNaN is the one NaN payload every NaN hashes as.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// FoldValue folds one value into a running hash.
+func FoldValue(h uint64, v Value) uint64 {
 	switch v.kind {
 	case KindNull:
-		h.Write([]byte{0})
-	case KindBool, KindDate:
-		writeUint64(h, uint64(v.i), byte(v.kind))
+		return FoldNull(h)
+	case KindBool:
+		return foldWord(h, byte(KindBool), uint64(v.i))
 	case KindInt:
-		writeUint64(h, math.Float64bits(float64(v.i)), 2)
+		return FoldInt(h, v.i)
 	case KindFloat:
-		writeUint64(h, math.Float64bits(v.f), 2)
-	case KindString:
-		h.Write([]byte{5})
-		h.Write([]byte(v.s))
+		return FoldFloat(h, v.f)
+	case KindDate:
+		return FoldDate(h, v.i)
+	default: // KindString
+		return FoldString(h, v.s)
 	}
-	return h.Sum64()
 }
 
-func writeUint64(h interface{ Write([]byte) (int, error) }, v uint64, tag byte) {
-	var buf [9]byte
-	buf[0] = tag
-	for i := 0; i < 8; i++ {
-		buf[i+1] = byte(v >> (8 * i))
+// FoldNull folds a NULL: the single byte 0.
+func FoldNull(h uint64) uint64 { return h * hashPrime }
+
+// FoldBool folds a BIT.
+func FoldBool(h uint64, b bool) uint64 {
+	if b {
+		return foldWord(h, byte(KindBool), 1)
 	}
-	h.Write(buf[:])
+	return foldWord(h, byte(KindBool), 0)
+}
+
+// FoldInt folds a BIGINT by its float64 coercion, as FoldFloat would.
+func FoldInt(h uint64, i int64) uint64 { return FoldFloat(h, float64(i)) }
+
+// FoldFloat folds a FLOAT, with -0 as +0 and any NaN as the canonical one.
+func FoldFloat(h uint64, f float64) uint64 {
+	bits := math.Float64bits(f)
+	switch {
+	case f == 0:
+		bits = 0
+	case f != f:
+		bits = canonicalNaN
+	}
+	return foldWord(h, byte(KindInt), bits)
+}
+
+// FoldDate folds a DATE (days since the epoch).
+func FoldDate(h uint64, days int64) uint64 { return foldWord(h, byte(KindDate), uint64(days)) }
+
+// FoldString folds a VARCHAR. Its tag is 5, the same byte as DATE's (the
+// encoding predates the kinds' current ordinals and placement depends on
+// it); equal hashes are always confirmed by comparison, so a shared tag
+// costs nothing but a rare collision.
+func FoldString(h uint64, s string) uint64 {
+	h = (h ^ 5) * hashPrime
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * hashPrime
+	}
+	return h
+}
+
+// foldWord folds a tag byte and then x's eight bytes, least significant
+// first.
+func foldWord(h uint64, tag byte, x uint64) uint64 {
+	h = (h ^ uint64(tag)) * hashPrime
+	for i := 0; i < 8; i++ {
+		h = (h ^ (x & 0xff)) * hashPrime
+		x >>= 8
+	}
+	return h
 }
 
 // HashRowKey hashes a multi-column key by chaining column hashes; used both

@@ -2,6 +2,7 @@ package types
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -122,6 +123,91 @@ func TestHashConsistentWithEqual(t *testing.T) {
 	}
 	if Hash(NewString("abc")) == Hash(NewString("abd")) {
 		t.Error("suspicious collision")
+	}
+}
+
+// TestHashGolden pins Hash bit for bit for every kind: data placement and
+// shuffle routing depend on it, so any value outside the canonicalized -0
+// and NaN classes must keep the hash it has always had.
+func TestHashGolden(t *testing.T) {
+	golden := []struct {
+		v    Value
+		want uint64
+	}{
+		{Null, 0xaf63bd4c8601b7df},
+		{NewBool(false), 0x529a2cdc8ff533ac},
+		{NewBool(true), 0x7194f3e59ae47dcd},
+		{NewInt(0), 0xcd92cf54dc615e5},
+		{NewInt(1), 0xde8ddf54eacc2d8},
+		{NewInt(-7), 0xc7a44f54d75aa29},
+		{NewInt(1 << 53), 0xbff69f54d0cd9cc},
+		{NewInt(math.MaxInt64), 0xe1fa9f54edbacec},
+		{NewInt(math.MinInt64), 0xe2029f54edc866c},
+		{NewFloat(0), 0xcd92cf54dc615e5},
+		{NewFloat(1), 0xde8ddf54eacc2d8},
+		{NewFloat(-2.5), 0xccc54f54dbbcf81},
+		{NewFloat(0.1), 0x493c4472057beee4},
+		{NewFloat(math.Inf(1)), 0xde89df54eac5618},
+		{NewFloat(math.Inf(-1)), 0xde81df54eab7c98},
+		{NewFloat(math.NaN()), 0xf04f8cec44e9cb91},
+		{NewFloat(math.SmallestNonzeroFloat64), 0xedde65ec42d6cbc4},
+		{NewFloat(math.MaxFloat64), 0xaf5e30dfc54e656d},
+		{NewString(""), 0xaf63b84c8601af60},
+		{NewString("a"), 0x8212b07b4dc5eb3},
+		{NewString("BUILDING"), 0x7f51eb43df9afc8},
+		{NewString("héllo\x00"), 0x6aa461f1d0c8b997},
+		{NewDate(0), 0x4f0d7663d895b60},
+		{NewDate(9131), 0x12c5126de6e6cea6},
+		{NewDate(-1), 0xc5470af71b8c53d8},
+	}
+	for _, g := range golden {
+		if got := Hash(g.v); got != g.want {
+			t.Errorf("Hash(%s %v) = %#x, want %#x", g.v.Kind(), g.v, got, g.want)
+		}
+	}
+	key := []Value{NewInt(1), NewString("x"), Null, NewDate(3)}
+	if got := HashRowKey(key); got != 0xed39ac48673e47ad {
+		t.Errorf("HashRowKey = %#x", got)
+	}
+}
+
+// TestEqualValuesHashEqually: -0 equals +0 (and integer 0), and a NaN
+// equals every other NaN, so each class must hash as one value.
+func TestEqualValuesHashEqually(t *testing.T) {
+	negZero := NewFloat(math.Copysign(0, -1))
+	quiet := math.Float64frombits(0x7FF8000000000002)
+	negNaN := math.Float64frombits(0xFFF8000000000000)
+	signal := math.Float64frombits(0x7FF0000000000001)
+	neg, err := Neg(NewFloat(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := [][]Value{
+		{NewFloat(0), negZero, NewInt(0), neg},
+		{NewFloat(math.NaN()), NewFloat(quiet), NewFloat(negNaN), NewFloat(signal)},
+	}
+	for _, class := range classes {
+		for _, v := range class[1:] {
+			if !Equal(class[0], v) {
+				t.Fatalf("%v and %v: not Equal", class[0], v)
+			}
+			if Hash(v) != Hash(class[0]) {
+				t.Errorf("Hash(%v bits %#x) = %#x, Hash(%v) = %#x", v, math.Float64bits(v.f), Hash(v), class[0], Hash(class[0]))
+			}
+		}
+	}
+}
+
+func TestHashAllocatesNothing(t *testing.T) {
+	vals := []Value{Null, NewBool(true), NewInt(3), NewFloat(2.5), NewString("BUILDING"), NewDate(9131)}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, v := range vals {
+			_ = Hash(v)
+		}
+		_ = HashRowKey(vals)
+	})
+	if allocs != 0 {
+		t.Errorf("Hash allocates %.1f times per round", allocs)
 	}
 }
 

@@ -5,11 +5,18 @@
 // it shares one kind — the overwhelmingly common case for stored tables
 // — and falls back to a boxed values payload when an expression (e.g. a
 // CASE whose branches disagree) mixes kinds in one column. It is also the
-// one form tables are stored in (internal/storage); rows remain the
-// currency of data movement, converted at delivery and materialization.
+// one form tables are stored in (internal/storage) and the currency of
+// data movement: an executor's result is one batch, DMS routes it by
+// hashing the key column and gathers each destination's rows, and storage
+// inserts the columns. Rows are boxed only for a client result.
 package vec
 
-import "pdwqo/internal/types"
+import (
+	"math/bits"
+	"slices"
+
+	"pdwqo/internal/types"
+)
 
 // BatchSize is the row capacity of one execution batch. It is a
 // multiple of 64 so batch-aligned windows of a table's null bitmaps can
@@ -23,8 +30,10 @@ const BatchSize = 1024
 //	KindString                  → Str
 //	mixed kinds                 → Vals (boxed fallback)
 //
-// NULL rows have a set bit in Nulls and a zero payload slot. A vector
-// whose rows are all NULL has Kind KindNull and no payload.
+// NULL rows have a set bit in Nulls; their payload slot means nothing
+// (kernels compute through it, outer-join padding copies a live row's),
+// so readers consult the bitmap first. A vector whose rows are all NULL
+// has Kind KindNull and no payload.
 type Vec struct {
 	Kind  types.Kind
 	Mixed bool
@@ -34,13 +43,6 @@ type Vec struct {
 	Str   []string
 	Vals  []types.Value
 	n     int
-}
-
-// NewVec returns an empty vector with capacity for n rows of the kind.
-func NewVec(kind types.Kind, n int) *Vec {
-	v := &Vec{Kind: kind}
-	v.grow(kind, n)
-	return v
 }
 
 func (v *Vec) grow(kind types.Kind, n int) {
@@ -114,52 +116,6 @@ func (v *Vec) OrNulls(a, b *Vec) {
 // CopyNulls shares a's null bitmap with v. Kernel outputs are read-only
 // after construction, so aliasing the words is safe and copy-free.
 func (v *Vec) CopyNulls(a *Vec) { v.Nulls = a.Nulls }
-
-// Extend appends every row of o onto v. Same-kind typed payloads are
-// bulk-copied; kind mixes fall back to boxed appends (demoting v).
-func (v *Vec) Extend(o *Vec) {
-	on := o.Len()
-	if on == 0 {
-		return
-	}
-	typedSame := !v.Mixed && !o.Mixed &&
-		(v.Kind == o.Kind || (v.n == 0 && v.Kind == types.KindNull) || o.Kind == types.KindNull)
-	if !typedSame {
-		for i := 0; i < on; i++ {
-			v.Append(o.At(i))
-		}
-		return
-	}
-	base := v.n
-	if o.Kind != types.KindNull && v.Kind == types.KindNull {
-		v.Kind = o.Kind
-		v.grow(v.Kind, on)
-	}
-	switch v.Kind {
-	case types.KindInt, types.KindDate, types.KindBool:
-		v.I64 = append(v.I64, o.I64...)
-	case types.KindFloat:
-		v.F64 = append(v.F64, o.F64...)
-	case types.KindString:
-		v.Str = append(v.Str, o.Str...)
-	case types.KindNull:
-		// Both sides all-NULL: no payload to copy.
-	}
-	v.n += on
-	if o.Kind == types.KindNull && v.Kind != types.KindNull {
-		// An all-NULL extension onto a typed vector: pad the payload.
-		for i := 0; i < on; i++ {
-			v.appendZero()
-		}
-	}
-	if o.Nulls != nil || o.Kind == types.KindNull {
-		for i := 0; i < on; i++ {
-			if o.IsNull(i) {
-				v.SetNull(base + i)
-			}
-		}
-	}
-}
 
 // At returns row i as a boxed value. The Value is a small struct, so
 // this is a stack construction, not a heap allocation.
@@ -261,38 +217,6 @@ func (v *Vec) demote() {
 	v.I64, v.F64, v.Str = nil, nil, nil
 }
 
-// AppendInt appends a typed BIGINT row without boxing. The vector must
-// already be typed KindInt (or empty).
-func (v *Vec) AppendInt(x int64) {
-	if v.Kind == types.KindNull && !v.Mixed && v.n == 0 {
-		v.Kind = types.KindInt
-	}
-	v.I64 = append(v.I64, x)
-	v.n++
-}
-
-// AppendFloat appends a typed FLOAT row without boxing.
-func (v *Vec) AppendFloat(x float64) {
-	if v.Kind == types.KindNull && !v.Mixed && v.n == 0 {
-		v.Kind = types.KindFloat
-	}
-	v.F64 = append(v.F64, x)
-	v.n++
-}
-
-// AppendBool appends a typed BIT row without boxing.
-func (v *Vec) AppendBool(b bool) {
-	if v.Kind == types.KindNull && !v.Mixed && v.n == 0 {
-		v.Kind = types.KindBool
-	}
-	if b {
-		v.I64 = append(v.I64, 1)
-	} else {
-		v.I64 = append(v.I64, 0)
-	}
-	v.n++
-}
-
 // Window returns rows [lo, hi) sharing payload storage with v. lo must
 // be a multiple of 64 (batch-aligned scans guarantee this) so the null
 // bitmap can be word-sliced.
@@ -347,39 +271,139 @@ func (v *Vec) Gather(sel []int32) *Vec {
 		}
 	}
 	if v.Mixed {
-		out.Vals = make([]types.Value, len(sel))
-		for oi, i := range sel {
-			out.Vals[oi] = v.Vals[i]
-		}
+		out.Vals = gather(v.Vals, sel)
 		return out
 	}
 	switch v.Kind {
 	case types.KindInt, types.KindDate, types.KindBool:
-		out.I64 = make([]int64, len(sel))
-		for oi, i := range sel {
-			out.I64[oi] = v.I64[i]
-		}
+		out.I64 = gather(v.I64, sel)
 	case types.KindFloat:
-		out.F64 = make([]float64, len(sel))
-		for oi, i := range sel {
-			out.F64[oi] = v.F64[i]
-		}
+		out.F64 = gather(v.F64, sel)
 	case types.KindString:
-		out.Str = make([]string, len(sel))
-		for oi, i := range sel {
-			out.Str[oi] = v.Str[i]
-		}
+		out.Str = gather(v.Str, sel)
 	}
 	return out
 }
 
-// FromValues builds a vector from boxed values.
-func FromValues(vals []types.Value) *Vec {
-	v := &Vec{}
-	for _, x := range vals {
-		v.Append(x)
+// gather copies the selected payload slots.
+func gather[T any](src []T, sel []int32) []T {
+	out := make([]T, len(sel))
+	for oi, i := range sel {
+		out[oi] = src[i]
+	}
+	return out
+}
+
+// NullVec returns an n-row all-NULL vector.
+func NullVec(n int) *Vec {
+	v := &Vec{n: n}
+	if n > 0 {
+		v.Nulls = make([]uint64, (n+63)>>6)
+		for i := range v.Nulls {
+			v.Nulls[i] = ^uint64(0)
+		}
 	}
 	return v
+}
+
+// FoldHash folds the vector's first len(hs) rows into running row hashes
+// with types.Hash's encoding, so folding one column into hashes seeded with
+// types.HashSeed yields types.Hash of each row. Typed payloads are read
+// directly; only a mixed vector boxes.
+func (v *Vec) FoldHash(hs []uint64) {
+	if v.Mixed || v.Kind == types.KindNull {
+		for i := range hs {
+			hs[i] = types.FoldValue(hs[i], v.At(i))
+		}
+		return
+	}
+	nulls := v.Nulls != nil
+	switch v.Kind {
+	case types.KindInt:
+		for i := range hs {
+			if nulls && v.IsNull(i) {
+				hs[i] = types.FoldNull(hs[i])
+			} else {
+				hs[i] = types.FoldInt(hs[i], v.I64[i])
+			}
+		}
+	case types.KindFloat:
+		for i := range hs {
+			if nulls && v.IsNull(i) {
+				hs[i] = types.FoldNull(hs[i])
+			} else {
+				hs[i] = types.FoldFloat(hs[i], v.F64[i])
+			}
+		}
+	case types.KindDate:
+		for i := range hs {
+			if nulls && v.IsNull(i) {
+				hs[i] = types.FoldNull(hs[i])
+			} else {
+				hs[i] = types.FoldDate(hs[i], v.I64[i])
+			}
+		}
+	case types.KindBool:
+		for i := range hs {
+			if nulls && v.IsNull(i) {
+				hs[i] = types.FoldNull(hs[i])
+			} else {
+				hs[i] = types.FoldBool(hs[i], v.I64[i] != 0)
+			}
+		}
+	case types.KindString:
+		for i := range hs {
+			if nulls && v.IsNull(i) {
+				hs[i] = types.FoldNull(hs[i])
+			} else {
+				hs[i] = types.FoldString(hs[i], v.Str[i])
+			}
+		}
+	}
+}
+
+// Bytes is the vector's row-accounting width: Σ types.Value.Width over its
+// rows, what types.Row.Width sums per column.
+func (v *Vec) Bytes() int64 {
+	if v.Mixed {
+		var w int64
+		for _, x := range v.Vals[:v.n] {
+			w += int64(x.Width())
+		}
+		return w
+	}
+	nulls := v.nullCount()
+	nullW := int64(nulls) * int64(types.KindNull.Width())
+	if v.Kind != types.KindString {
+		return nullW + int64(v.n-nulls)*int64(v.Kind.Width())
+	}
+	w := nullW
+	for i, s := range v.Str[:v.n] {
+		if nulls == 0 || !v.IsNull(i) {
+			w += int64(len(s) + 2)
+		}
+	}
+	return w
+}
+
+// nullCount counts the NULL rows among the first Len().
+func (v *Vec) nullCount() int {
+	c := 0
+	for w, word := range v.Nulls {
+		if lo := w << 6; lo+64 > v.n {
+			if lo >= v.n {
+				break
+			}
+			word &= 1<<uint(v.n-lo) - 1
+		}
+		c += bits.OnesCount64(word)
+	}
+	return c
+}
+
+// FromValues builds a vector from boxed values (Column over the slice).
+func FromValues(vals []types.Value) *Vec {
+	return Column(len(vals), func(i int) types.Value { return vals[i] })
 }
 
 // Batch is a set of equal-length column vectors.
@@ -388,21 +412,159 @@ type Batch struct {
 	Cols []*Vec
 }
 
-// AppendRows appends the batch's rows, boxed, onto dst. One backing array
-// serves the whole batch and values fill column-major, so boxing costs
-// one allocation per batch rather than one per row.
-func (b *Batch) AppendRows(dst []types.Row) []types.Row {
-	w := len(b.Cols)
-	backing := make([]types.Value, b.N*w)
-	for c, v := range b.Cols {
-		for i := 0; i < b.N; i++ {
-			backing[i*w+c] = v.At(i)
-		}
+// AppendRows appends the rows of equally wide batches, boxed, onto dst.
+// One backing array serves every row and values fill column-major, so
+// boxing costs one allocation per call rather than one per row.
+func AppendRows(dst []types.Row, bs ...*Batch) []types.Row {
+	n, w := 0, 0
+	for _, b := range bs {
+		n, w = n+b.N, len(b.Cols)
 	}
-	for i := 0; i < b.N; i++ {
-		dst = append(dst, types.Row(backing[i*w:(i+1)*w:(i+1)*w]))
+	if n == 0 {
+		return dst
+	}
+	backing := make([]types.Value, n*w)
+	dst = slices.Grow(dst, n)
+	off := 0
+	for _, b := range bs {
+		for c, v := range b.Cols {
+			for i := 0; i < b.N; i++ {
+				backing[(off+i)*w+c] = v.At(i)
+			}
+		}
+		for i := off; i < off+b.N; i++ {
+			dst = append(dst, types.Row(backing[i*w:(i+1)*w:(i+1)*w]))
+		}
+		off += b.N
 	}
 	return dst
+}
+
+// Bytes is the batch's row-accounting width, Σ types.Row.Width over its
+// rows: what DMS and storage meter.
+func (b *Batch) Bytes() int64 {
+	var w int64
+	for _, v := range b.Cols {
+		w += v.Bytes()
+	}
+	return w
+}
+
+// Concat materializes the selected rows of each part, part after part, as
+// one batch of width columns, each column allocated once at its exact
+// size. sels[i] lists the rows of parts[i] to take, in order, and a nil
+// sels[i] (or a nil sels) takes all of them. A lone part taken whole is
+// returned as it is: batches are immutable once built, so sharing one is
+// safe. A column is typed when every part's column has one kind (all-NULL
+// parts fit any) and boxed otherwise.
+//
+// The hash-join build side, an executor's result, a DMS destination's
+// rows and a storage append are all this one call.
+func Concat(width int, parts []*Batch, sels [][]int32) *Batch {
+	selOf := func(i int) []int32 {
+		if sels == nil {
+			return nil
+		}
+		return sels[i]
+	}
+	if len(parts) == 1 && selOf(0) == nil {
+		return parts[0]
+	}
+	n := 0
+	for i, p := range parts {
+		if s := selOf(i); s != nil {
+			n += len(s)
+		} else {
+			n += p.N
+		}
+	}
+	out := &Batch{N: n, Cols: make([]*Vec, width)}
+	srcs := make([]*Vec, len(parts))
+	for c := range out.Cols {
+		for i, p := range parts {
+			srcs[i] = p.Cols[c]
+		}
+		out.Cols[c] = concatVec(srcs, selOf, n)
+	}
+	return out
+}
+
+// concatVec is Concat for one column.
+func concatVec(srcs []*Vec, selOf func(int) []int32, n int) *Vec {
+	out := &Vec{n: n}
+	for _, v := range srcs {
+		switch {
+		case v.Mixed:
+			out.Mixed = true
+		case v.Kind == types.KindNull:
+		case out.Kind == types.KindNull:
+			out.Kind = v.Kind
+		case out.Kind != v.Kind:
+			out.Mixed = true
+		}
+	}
+	switch {
+	case out.Mixed:
+		out.Kind = types.KindNull
+		out.Vals = make([]types.Value, n)
+	case out.Kind == types.KindInt || out.Kind == types.KindDate || out.Kind == types.KindBool:
+		out.I64 = make([]int64, n)
+	case out.Kind == types.KindFloat:
+		out.F64 = make([]float64, n)
+	case out.Kind == types.KindString:
+		out.Str = make([]string, n)
+	}
+	o := 0
+	for i, v := range srcs {
+		sel := selOf(i)
+		m := v.n
+		if sel != nil {
+			m = len(sel)
+		}
+		row := func(k int) int {
+			if sel == nil {
+				return k
+			}
+			return int(sel[k])
+		}
+		if v.Nulls != nil {
+			for k := 0; k < m; k++ {
+				if v.IsNull(row(k)) {
+					if out.Nulls == nil {
+						out.Nulls = make([]uint64, (n+63)>>6)
+					}
+					out.Nulls[(o+k)>>6] |= 1 << (uint(o+k) & 63)
+				}
+			}
+		}
+		switch {
+		case out.Mixed:
+			for k := 0; k < m; k++ {
+				out.Vals[o+k] = v.At(row(k))
+			}
+		case v.Kind == types.KindNull:
+			// NULL rows keep the zero payload.
+		case out.I64 != nil:
+			place(out.I64[o:o+m], v.I64, sel)
+		case out.F64 != nil:
+			place(out.F64[o:o+m], v.F64, sel)
+		case out.Str != nil:
+			place(out.Str[o:o+m], v.Str, sel)
+		}
+		o += m
+	}
+	return out
+}
+
+// place copies src's selected slots (all of them when sel is nil) into dst.
+func place[T int64 | float64 | string](dst, src []T, sel []int32) {
+	if sel == nil {
+		copy(dst, src)
+		return
+	}
+	for k, r := range sel {
+		dst[k] = src[r]
+	}
 }
 
 // Table is a stored table: the zero-copy source the vectorized scan
@@ -415,19 +577,72 @@ type Table struct {
 
 // FromRows columnarizes a row relation under the given column names.
 func FromRows(names []string, rows []types.Row) *Table {
-	t := &Table{Names: names, N: len(rows)}
-	t.Cols = make([]*Vec, len(names))
-	for c := range t.Cols {
-		v := &Vec{}
-		for _, r := range rows {
-			v.Append(r[c])
-		}
-		t.Cols[c] = v
+	b := BatchFromRows(len(names), rows)
+	return &Table{Names: names, N: b.N, Cols: b.Cols}
+}
+
+// BatchFromRows columnarizes rows of the given width, each column built
+// by Column.
+func BatchFromRows(width int, rows []types.Row) *Batch {
+	b := &Batch{N: len(rows), Cols: make([]*Vec, width)}
+	for c := range b.Cols {
+		b.Cols[c] = Column(len(rows), func(i int) types.Value { return rows[i][c] })
 	}
-	return t
+	return b
+}
+
+// Column builds an n-row vector from boxed values, allocated once at its
+// exact size: typed when every non-NULL value shares one kind (all-NULL
+// when none does), boxed otherwise — the representation appending the
+// values one by one would reach.
+func Column(n int, at func(i int) types.Value) *Vec {
+	kind, mixed := types.KindNull, false
+	for i := 0; i < n && !mixed; i++ {
+		if k := at(i).Kind(); k != types.KindNull && k != kind {
+			mixed = kind != types.KindNull
+			kind = k
+		}
+	}
+	v := NewDense(kind, n)
+	if mixed {
+		v = &Vec{Kind: types.KindNull, Mixed: true, n: n, Vals: make([]types.Value, n)}
+	}
+	for i := 0; i < n; i++ {
+		x := at(i)
+		switch {
+		case x.IsNull():
+			if v.Nulls == nil {
+				v.Nulls = make([]uint64, (n+63)>>6)
+			}
+			v.Nulls[i>>6] |= 1 << (uint(i) & 63)
+			if mixed {
+				v.Vals[i] = x
+			}
+		case mixed:
+			v.Vals[i] = x
+		case kind == types.KindInt:
+			v.I64[i] = x.Int()
+		case kind == types.KindDate:
+			v.I64[i] = x.DateDays()
+		case kind == types.KindBool:
+			v.I64[i] = b2i(x.Bool())
+		case kind == types.KindFloat:
+			v.F64[i] = x.Float()
+		default: // KindString
+			v.Str[i] = x.Str()
+		}
+	}
+	return v
+}
+
+func b2i(b bool) int64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Rows boxes the table back into rows, the inverse of FromRows.
 func (t *Table) Rows() []types.Row {
-	return (&Batch{N: t.N, Cols: t.Cols}).AppendRows(make([]types.Row, 0, t.N))
+	return AppendRows(make([]types.Row, 0, t.N), &Batch{N: t.N, Cols: t.Cols})
 }
