@@ -23,9 +23,11 @@ import (
 func checkAggSplit(p *core.Plan) []Violation {
 	var out []Violation
 
-	// One pass builds the upward (consumer) edges; shared subplans alias
-	// the same *Option, so edges are deduplicated per pointer pair.
-	parents := map[*core.Option]map[*core.Option]bool{}
+	// One pass builds the upward (consumer) edges in walk order, so the
+	// report's order is the plan's. Shared subplans alias the same
+	// *Option and are walked once; the climb skips a consumer it has
+	// already seen.
+	parents := map[*core.Option][]*core.Option{}
 	var partials []*core.Option
 	seen := map[*core.Option]bool{}
 	var walk func(o *core.Option)
@@ -43,10 +45,7 @@ func checkAggSplit(p *core.Plan) []Violation {
 			}
 		}
 		for _, in := range o.Inputs {
-			if parents[in] == nil {
-				parents[in] = map[*core.Option]bool{}
-			}
-			parents[in][o] = true
+			parents[in] = append(parents[in], o)
 			walk(in)
 		}
 	}
@@ -134,13 +133,13 @@ func mergeFunc(p algebra.AggFunc) (algebra.AggFunc, bool) {
 // checkAggPartialReach climbs from a partial aggregation through its
 // consumers: movements pass states along unchanged, a finalizing
 // GroupBy terminates the climb, anything else observes raw states.
-func checkAggPartialReach(partial *core.Option, parents map[*core.Option]map[*core.Option]bool) []Violation {
+func checkAggPartialReach(partial *core.Option, parents map[*core.Option][]*core.Option) []Violation {
 	var out []Violation
 	finals := map[*core.Option]bool{}
 	visited := map[*core.Option]bool{}
 	var climb func(o *core.Option)
 	climb = func(o *core.Option) {
-		for c := range parents[o] {
+		for _, c := range parents[o] {
 			if visited[c] {
 				continue
 			}

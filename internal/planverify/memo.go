@@ -9,22 +9,19 @@ import (
 )
 
 // CheckMemo verifies the decoded search space the PDW optimizer
-// consumed: a live root, live child references, an acyclic group graph
-// from the root, at most one winner per group, winners extracting only
-// from live groups, and non-negative estimates throughout.
+// consumed: no empty group, at most one winner per group, winners
+// extracting only from groups with expressions, and non-negative
+// estimates throughout. The graph itself — a live root, resolvable child
+// references, no reference cycle — is memoxml.Decode's to reject, so a
+// *Decoded has one.
 func CheckMemo(dec *memoxml.Decoded) []Violation {
 	if dec == nil {
-		return []Violation{violation(CodeMemoRootMissing, "no decoded memo")}
+		return nil
 	}
 	var out []Violation
-	if _, ok := dec.Groups[dec.Root]; !ok {
-		out = append(out, violation(CodeMemoRootMissing, "root group %d does not exist", dec.Root))
-	}
 	for _, id := range sortedGroupIDs(dec) {
-		g := dec.Groups[id]
-		out = append(out, checkGroup(dec, g)...)
+		out = append(out, checkGroup(dec, dec.Groups[id])...)
 	}
-	out = append(out, checkAcyclic(dec)...)
 	return out
 }
 
@@ -53,13 +50,7 @@ func checkGroup(dec *memoxml.Decoded, g *memoxml.DecodedGroup) []Violation {
 				"%s expression cost %g", e.Op.OpName(), e.Cost))
 		}
 		for _, c := range e.Children {
-			child, ok := dec.Groups[c]
-			if !ok {
-				out = append(out, groupViolation(CodeMemoDanglingChild, g.ID,
-					"%s expression references missing group %d", e.Op.OpName(), c))
-				continue
-			}
-			if e.Winner && len(child.Exprs) == 0 {
+			if child := dec.Groups[c]; e.Winner && child != nil && len(child.Exprs) == 0 {
 				// Winner extraction descends the marked expressions; a
 				// winner over an expressionless group has nothing to
 				// extract.
@@ -74,41 +65,6 @@ func checkGroup(dec *memoxml.Decoded, g *memoxml.DecodedGroup) []Violation {
 	if winners > 1 {
 		out = append(out, groupViolation(CodeWinnerDuplicate, g.ID, "%d winner expressions", winners))
 	}
-	return out
-}
-
-// checkAcyclic rejects cycles in the group graph reachable from the
-// root: the PDW enumerator's bottom-up order does not exist for a
-// cyclic memo.
-func checkAcyclic(dec *memoxml.Decoded) []Violation {
-	const (
-		visiting = 1
-		done     = 2
-	)
-	state := map[int]uint8{}
-	var out []Violation
-	var dfs func(id int)
-	dfs = func(id int) {
-		switch state[id] {
-		case visiting:
-			out = append(out, groupViolation(CodeMemoCycle, id, "group participates in a reference cycle"))
-			return
-		case done:
-			return
-		}
-		g, ok := dec.Groups[id]
-		if !ok {
-			return // reported as dangling by checkGroup
-		}
-		state[id] = visiting
-		for _, e := range g.Exprs {
-			for _, c := range e.Children {
-				dfs(c)
-			}
-		}
-		state[id] = done
-	}
-	dfs(dec.Root)
 	return out
 }
 

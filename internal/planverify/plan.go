@@ -2,17 +2,17 @@ package planverify
 
 import (
 	"math"
+	"strings"
 
-	"pdwqo/internal/algebra"
 	"pdwqo/internal/core"
-	"pdwqo/internal/cost"
 )
 
-// CheckPlan verifies distribution-property soundness over the winning
-// plan tree. The compatibility rules are re-derived here from the
-// paper's §2.4/§4 semantics rather than calling the enumerator's own
-// joinDist/gbCompatible, so a bug in either implementation shows up as
-// a disagreement.
+// CheckPlan verifies the winning plan tree one option at a time: the
+// placement rules (placement.go) must accept the option's inputs as
+// their placements are recorded, and must give exactly the placement the
+// option records. The check is local — an option is judged against its
+// inputs' recorded placements, not against a re-derivation of them — so
+// one defect yields one violation instead of a cascade up the tree.
 func CheckPlan(p *core.Plan) []Violation {
 	var out []Violation
 	if p == nil || p.Root == nil {
@@ -40,48 +40,23 @@ func CheckPlan(p *core.Plan) []Violation {
 	return out
 }
 
-// checkOption verifies one plan node against its children.
+// checkOption verifies one plan node against its inputs.
 func checkOption(o *core.Option) []Violation {
-	var out []Violation
-	switch {
-	case o.Op == nil && o.Move == nil:
-		return []Violation{violation(CodeMalformedOption, "option with neither operator nor movement")}
-	case o.Op != nil && o.Move != nil:
+	if (o.Op == nil) == (o.Move == nil) {
 		return []Violation{violation(CodeMalformedOption,
-			"option with both operator %s and movement %s", o.Op.OpName(), o.Move)}
+			"option must carry exactly one of an operator and a movement")}
 	}
-
-	out = append(out, checkEstimates(o)...)
-	out = append(out, checkHashCols(o)...)
-
-	if o.Move != nil {
-		if len(o.Inputs) != 1 {
-			return append(out, violation(CodeMalformedOption,
-				"movement %s with %d inputs", o.Move, len(o.Inputs)))
-		}
-		out = append(out, checkMove(o)...)
-		return out
+	out := checkEstimates(o)
+	in := make([]core.Distribution, len(o.Inputs))
+	for i, c := range o.Inputs {
+		in[i] = c.Dist
 	}
-
-	switch op := o.Op.(type) {
-	case *algebra.Join:
-		if len(o.Inputs) != 2 {
-			return append(out, violation(CodeMalformedOption,
-				"join with %d inputs", len(o.Inputs)))
-		}
-		out = append(out, checkJoin(o, op)...)
-	case *algebra.GroupBy:
-		if len(o.Inputs) != 1 {
-			return append(out, violation(CodeMalformedOption,
-				"group-by with %d inputs", len(o.Inputs)))
-		}
-		out = append(out, checkGroupBy(o, op)...)
-	case *algebra.UnionAll:
-		if len(o.Inputs) != 2 {
-			return append(out, violation(CodeMalformedOption,
-				"union with %d inputs", len(o.Inputs)))
-		}
-		out = append(out, checkUnion(o)...)
+	switch d, code := Placement(o, in); {
+	case code != "":
+		out = append(out, violation(code, "%s over %s", describe(o), placements(in)))
+	case !SamePlacement(d, o.Dist):
+		out = append(out, violation(CodePlacementMismatch,
+			"%s records %s but its inputs %s give %s", describe(o), o.Dist, placements(in), d))
 	}
 	return out
 }
@@ -104,176 +79,6 @@ func checkEstimates(o *core.Option) []Violation {
 	return out
 }
 
-// checkHashCols requires a hash placement's partitioning-column
-// equivalence class to be part of the node's output schema: a claimed
-// partitioning column the node does not produce can never route rows.
-func checkHashCols(o *core.Option) []Violation {
-	if o.Dist.Kind != core.DistHash {
-		return nil
-	}
-	outSet := outColSet(o)
-	for _, c := range o.Dist.Cols.Sorted() {
-		if !outSet.Has(c) {
-			return []Violation{violation(CodeHashColsNotOutput,
-				"option %s hashed on c%d which it does not output", describe(o), c)}
-		}
-	}
-	return nil
-}
-
-// moveSourceKind is the placement each movement kind consumes, and
-// moveDestKind the placement it promises (paper §3.3.2's operation
-// table, re-stated independently of core.newMoveOption).
-var moveSourceKind = map[cost.MoveKind]core.DistKind{
-	cost.Shuffle:             core.DistHash,
-	cost.Broadcast:           core.DistHash,
-	cost.PartitionMove:       core.DistHash,
-	cost.Trim:                core.DistReplicated,
-	cost.ReplicatedBroadcast: core.DistReplicated,
-	cost.RemoteCopySingle:    core.DistReplicated,
-	cost.ControlNodeMove:     core.DistSingle,
-}
-
-var moveDestKind = map[cost.MoveKind]core.DistKind{
-	cost.Shuffle:             core.DistHash,
-	cost.Trim:                core.DistHash,
-	cost.Broadcast:           core.DistReplicated,
-	cost.ControlNodeMove:     core.DistReplicated,
-	cost.ReplicatedBroadcast: core.DistReplicated,
-	cost.PartitionMove:       core.DistSingle,
-	cost.RemoteCopySingle:    core.DistSingle,
-}
-
-// checkMove verifies a movement consumes and produces the placements
-// its kind defines.
-func checkMove(o *core.Option) []Violation {
-	var out []Violation
-	in := o.Inputs[0]
-	kind := o.Move.Kind
-	wantSrc, ok := moveSourceKind[kind]
-	if !ok {
-		return []Violation{violation(CodeMalformedOption, "unknown movement kind %v", kind)}
-	}
-	if in.Dist.Kind != wantSrc {
-		out = append(out, violation(CodeMoveSource,
-			"%s over %s input (needs %s source)", o.Move, in.Dist, distKindName(wantSrc)))
-	}
-	if o.Dist.Kind != moveDestKind[kind] {
-		out = append(out, violation(CodeMoveDistribution,
-			"%s produced %s (kind promises %s)", o.Move, o.Dist, distKindName(moveDestKind[kind])))
-	}
-	if kind == cost.Shuffle || kind == cost.Trim {
-		if !o.Dist.Cols.Has(o.Move.Col) {
-			out = append(out, violation(CodeMoveDistribution,
-				"%s output placement %s misses its routing column c%d", o.Move, o.Dist, o.Move.Col))
-		}
-	}
-	return out
-}
-
-// checkJoin re-derives the §2.4 partition-compatibility rules.
-func checkJoin(o *core.Option, op *algebra.Join) []Violation {
-	lo, ro := o.Inputs[0], o.Inputs[1]
-	lk, rk := lo.Dist.Kind, ro.Dist.Kind
-	switch {
-	case lk == core.DistSingle && rk == core.DistSingle:
-		return nil
-	case lk == core.DistSingle || rk == core.DistSingle:
-		// One side on the control node, the other spread over compute
-		// nodes: no node holds both operands.
-		return []Violation{violation(CodeJoinPlacement,
-			"join of %s against %s crosses the control-node boundary", lo.Dist, ro.Dist)}
-	case lk == core.DistReplicated && rk == core.DistReplicated:
-		return nil
-	case lk == core.DistHash && rk == core.DistReplicated:
-		// Right side fully present everywhere: sound unless the join
-		// must null-extend the right side, which every node would do.
-		if op.Kind == algebra.JoinFullOuter {
-			return []Violation{violation(CodeJoinPlacement,
-				"full outer join over a replicated right side duplicates null extensions")}
-		}
-		return nil
-	case lk == core.DistReplicated && rk == core.DistHash:
-		// A replicated left re-processes every left row per node: only
-		// join kinds without preserved/filtered left semantics survive.
-		if op.Kind != algebra.JoinInner && op.Kind != algebra.JoinCross {
-			return []Violation{violation(CodeJoinPlacement,
-				"%v join with replicated left over partitioned right duplicates left-side semantics", op.Kind)}
-		}
-		return nil
-	default: // both hash-distributed
-		if !equiPaired(op.On, lo.Dist.Cols, ro.Dist.Cols) {
-			return []Violation{violation(CodeJoinNotCollocated,
-				"hash-hash join of %s against %s with no pairing equijoin conjunct", lo.Dist, ro.Dist)}
-		}
-		return nil
-	}
-}
-
-// equiPaired reports whether some equality conjunct equates a column of
-// the left partitioning class with one of the right class — the
-// condition under which matching rows are guaranteed to meet on one
-// node.
-func equiPaired(on algebra.Scalar, l, r algebra.ColSet) bool {
-	for _, conj := range algebra.Conjuncts(on) {
-		a, b, ok := algebra.EquiJoinSides(conj)
-		if !ok {
-			continue
-		}
-		if (l.Has(a) && r.Has(b)) || (l.Has(b) && r.Has(a)) {
-			return true
-		}
-	}
-	return false
-}
-
-// checkGroupBy requires complete and finalizing aggregations to see
-// every row of each group on one node; partial aggregations are correct
-// anywhere by construction.
-func checkGroupBy(o *core.Option, op *algebra.GroupBy) []Violation {
-	if op.Phase == algebra.AggPartial {
-		return nil
-	}
-	in := o.Inputs[0]
-	switch in.Dist.Kind {
-	case core.DistSingle, core.DistReplicated:
-		return nil
-	default:
-		if len(op.Keys) == 0 {
-			return []Violation{violation(CodeGroupByPlacement,
-				"keyless %s aggregation over %s input", phaseName(op.Phase), in.Dist)}
-		}
-		keySet := algebra.NewColSet(op.Keys...)
-		for c := range in.Dist.Cols {
-			if keySet.Has(c) {
-				return nil
-			}
-		}
-		return []Violation{violation(CodeGroupByPlacement,
-			"%s aggregation keyed on %v over input partitioned by %s", phaseName(op.Phase), op.Keys, in.Dist)}
-	}
-}
-
-// checkUnion requires both branches to agree on placement so the union
-// is a per-node concatenation.
-func checkUnion(o *core.Option) []Violation {
-	lo, ro := o.Inputs[0], o.Inputs[1]
-	lk, rk := lo.Dist.Kind, ro.Dist.Kind
-	if lk != rk {
-		return []Violation{violation(CodeUnionPlacement,
-			"union of %s against %s", lo.Dist, ro.Dist)}
-	}
-	return nil
-}
-
-func outColSet(o *core.Option) algebra.ColSet {
-	s := algebra.NewColSet()
-	for _, c := range o.OutCols {
-		s.Add(c.ID)
-	}
-	return s
-}
-
 func describe(o *core.Option) string {
 	if o.Move != nil {
 		return o.Move.String()
@@ -284,24 +89,11 @@ func describe(o *core.Option) string {
 	return "<empty>"
 }
 
-func distKindName(k core.DistKind) string {
-	switch k {
-	case core.DistReplicated:
-		return "replicated"
-	case core.DistSingle:
-		return "single-node"
-	default:
-		return "hash-distributed"
+// placements renders input placements as "(hash(c1), replicated)".
+func placements(in []core.Distribution) string {
+	parts := make([]string, len(in))
+	for i, d := range in {
+		parts[i] = d.String()
 	}
-}
-
-func phaseName(p algebra.AggPhase) string {
-	switch p {
-	case algebra.AggPartial:
-		return "partial"
-	case algebra.AggFinal:
-		return "final"
-	default:
-		return "complete"
-	}
+	return "(" + strings.Join(parts, ", ") + ")"
 }

@@ -6,30 +6,32 @@
 // enforcer or a bad DSQL cut surfaces as a typed Violation at compile
 // time instead of as wrong rows much later in difftest.
 //
-// Three layers are checked:
+// The placement rules — which input placements a join, group-by or
+// union accepts without movement, and what each data movement consumes
+// and produces — are stated once, in placement.go, and each fact has one
+// owner. Three layers are checked:
 //
-//   - Distribution-property soundness over the winning plan tree
-//     (CheckPlan): every join's child placements must be compatible
-//     after the chosen enforcers (hash-hash joins collocated on an
-//     equijoin conjunct, replicated sides only where the join kind
-//     tolerates them), every complete/finalizing group-by must be placed
-//     so all rows of a group live on one node, every partial/final
-//     aggregation split must pair correctly across its data movement,
-//     and every data movement must produce the placement its kind
-//     promises.
+//   - Placement soundness over the winning plan tree (CheckPlan): the
+//     rules must accept every option's inputs as recorded (hash-hash
+//     joins collocated on an equijoin conjunct, replicated sides only
+//     where the join kind tolerates them, complete/finalizing group-bys
+//     placed so all rows of a group live on one node, movements over the
+//     placement they consume) and give exactly the placement the option
+//     records; every partial/final aggregation split must pair correctly
+//     across its data movement.
 //
 //   - Dataflow soundness over the DSQL step sequence (CheckDSQL):
 //     exactly one Return step and it comes last, every temp table is
 //     defined by an earlier step than any use, no orphan temp tables,
-//     move source/destination placement is consistent with the move
-//     kind and the catalog, and the step list's move multiset matches
-//     the plan tree's.
+//     move steps are well-formed for their kind, and base tables exist
+//     in the catalog. Whether each step computes what its plan fragment
+//     says is the translation validator's (package transval).
 //
-//   - MEMO-side invariants (CheckMemo / CheckInteresting): winner
-//     extraction references live group expressions, estimates are
-//     non-negative, the group graph reachable from the root is acyclic,
-//     and the interesting-column derivation is closed under equijoin
-//     transitivity, group-by keys and parent demand.
+//   - MEMO-side invariants (CheckMemo / CheckInteresting): no empty
+//     group, winner extraction references live group expressions,
+//     estimates are non-negative, and the interesting-column derivation
+//     is closed under equijoin transitivity, group-by keys and parent
+//     demand.
 //
 // Check bundles all layers over one query's artifacts and returns a
 // *Report whose Err is a typed *Error carrying every Violation.

@@ -72,6 +72,29 @@ func TestCheckGuards(t *testing.T) {
 		t.Errorf("misaligned move step: %v", vs)
 	}
 
+	// The step must move by its plan move's kind and routing column; a
+	// missing or stray routing column is CheckDSQL's step shape.
+	shuffle := &core.Option{Move: &core.MoveSpec{Kind: cost.Shuffle, Col: 1},
+		Inputs: []*core.Option{get}, Dist: core.HashOn(1)}
+	step := func(kind cost.MoveKind, hashCol string) []dsql.Step {
+		return []dsql.Step{{Kind: dsql.StepMove, Dest: "T", MoveKind: kind, HashCol: hashCol, SQL: "SELECT 1 AS c1"}, ret}
+	}
+	for _, c := range []struct {
+		kind    cost.MoveKind
+		hashCol string
+	}{{cost.Broadcast, ""}, {cost.Shuffle, "c2"}} {
+		vs = Check(&core.Plan{Root: shuffle}, &dsql.Plan{Steps: step(c.kind, c.hashCol)}, shell)
+		if len(vs) != 1 || vs[0].Code != CodeRefs || vs[0].Step != 0 {
+			t.Errorf("%v on %q against Shuffle(c1): %v", c.kind, c.hashCol, vs)
+		}
+	}
+	vs = Check(&core.Plan{Root: shuffle}, &dsql.Plan{Steps: step(cost.Shuffle, "")}, shell)
+	for _, v := range vs {
+		if v.Code == CodeRefs && v.Step == 0 && strings.Contains(v.Detail, "plan move") {
+			t.Errorf("missing routing column reported as misalignment: %v", v)
+		}
+	}
+
 	// The final step must be a Return step.
 	vs = Check(&core.Plan{Root: get},
 		&dsql.Plan{Steps: []dsql.Step{{Kind: dsql.StepMove, Dest: "T", SQL: "SELECT 1 AS c1"}}}, shell)
@@ -114,7 +137,7 @@ func TestReparseNonSelect(t *testing.T) {
 func TestCompareFragmentOrder(t *testing.T) {
 	mkRel := func() *absRel {
 		return &absRel{
-			dist: absDist{Kind: core.DistHash, Cols: algebra.NewColSet(1)},
+			dist: core.Distribution{Kind: core.DistHash, Cols: algebra.NewColSet(1)},
 			cols: []absCol{
 				{ID: 1, Type: types.KindInt, Origins: map[string]struct{}{"t.a": {}}},
 				{ID: 2, Type: types.KindFloat, Nullable: true, Origins: map[string]struct{}{"t.b": {}}},
@@ -136,7 +159,7 @@ func TestCompareFragmentOrder(t *testing.T) {
 
 	run := func(where core.DistKind, pr, sr *absRel, pa, sa *fragAcc) (planverify.Code, bool) {
 		pi := newPlanInterp()
-		clean := compareFragment(pi, where, pr, pa, sr, sa)
+		clean := compareFragment(pi, where, mkRel().dist, pr, pa, sr, sa)
 		if clean {
 			return "", true
 		}
@@ -197,9 +220,9 @@ func TestCompareFragmentOrder(t *testing.T) {
 	if code, _ := run(core.DistHash, mkRel(), nn, baseAcc(), baseAcc()); code != CodeNullability {
 		t.Errorf("nullability diff code = %s", code)
 	}
-	// Recorded execution placement disagrees with the derived one; an
-	// out-of-range kind exercises the fallback name.
-	if code, _ := run(core.DistKind(9), mkRel(), mkRel(), baseAcc(), baseAcc()); code != CodeDistribution {
+	// The step's execution placement disagrees with the fragment's
+	// recorded one, whatever the two sides derive.
+	if code, _ := run(core.DistReplicated, mkRel(), mkRel(), baseAcc(), baseAcc()); code != CodeDistribution {
 		t.Errorf("where diff code = %s", code)
 	}
 	// Plan and SQL derive different hash classes.

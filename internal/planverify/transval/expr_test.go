@@ -14,7 +14,7 @@ import (
 // expression tests can reach every type/nullability branch.
 func mixedTemp() *absRel {
 	return &absRel{
-		dist: absDist{Kind: core.DistHash, Cols: algebra.NewColSet(1)},
+		dist: core.Distribution{Kind: core.DistHash, Cols: algebra.NewColSet(1)},
 		cols: []absCol{
 			{ID: 1, Type: types.KindInt, Origins: map[string]struct{}{"t.a": {}}},
 			{ID: 2, Type: types.KindFloat, Nullable: true, Origins: map[string]struct{}{"t.b": {}}},

@@ -33,7 +33,7 @@ func fuzzShell() *catalog.Shell {
 // fuzzTemp is a plausible temp-table boundary for steps that read
 // [tempdb].[TEMP_ID_1]: a dozen hash-placed integer columns.
 func fuzzTemp() *absRel {
-	r := &absRel{dist: absDist{Kind: core.DistHash, Cols: algebra.NewColSet(1)}}
+	r := &absRel{dist: core.Distribution{Kind: core.DistHash, Cols: algebra.NewColSet(1)}}
 	for id := 1; id <= 12; id++ {
 		r.cols = append(r.cols, absCol{
 			ID:      algebra.ColumnID(id),

@@ -13,7 +13,6 @@ import (
 
 	"pdwqo"
 	"pdwqo/internal/catalog"
-	"pdwqo/internal/core"
 	"pdwqo/internal/planverify"
 	"pdwqo/internal/planverify/transval"
 )
@@ -150,26 +149,11 @@ func TestMutationNullability(t *testing.T) {
 }
 
 // TestMutationDistributionStep flips the placement a move step records
-// for its source fragment: the re-derived placement disagrees.
+// for its source fragment: it no longer matches the fragment's recorded
+// placement.
 func TestMutationDistributionStep(t *testing.T) {
 	qp, shell := freshPlan(t, "q01")
 	qp.DSQL.Steps[0].Where = (qp.DSQL.Steps[0].Where + 1) % 3
-	assertOnly(t, runCheck(qp, shell), transval.CodeDistribution)
-}
-
-// TestMutationDistributionRecorded flips the optimizer's recorded
-// distribution on the winning root option: the plan-side abstract
-// interpreter must notice the recorded placement is underivable.
-func TestMutationDistributionRecorded(t *testing.T) {
-	qp, shell := freshPlan(t, "q01")
-	root := qp.Distributed.Root
-	root.Dist.Kind = (root.Dist.Kind + 1) % 3
-	if root.Dist.Kind == core.DistHash && len(root.Dist.Cols) == 0 {
-		root.Dist.Kind++ // an empty hash class is not a representable flip
-	}
-	// The recorded kind feeds the return step's placement note too; keep
-	// them consistent so only the plan-side re-derivation disagrees.
-	qp.DSQL.Steps[len(qp.DSQL.Steps)-1].Where = root.Dist.Kind
 	assertOnly(t, runCheck(qp, shell), transval.CodeDistribution)
 }
 

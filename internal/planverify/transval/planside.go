@@ -3,12 +3,9 @@ package transval
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"pdwqo/internal/algebra"
-	"pdwqo/internal/catalog"
 	"pdwqo/internal/core"
-	"pdwqo/internal/cost"
 	"pdwqo/internal/planverify"
 	"pdwqo/internal/types"
 )
@@ -23,53 +20,11 @@ type absCol struct {
 	Origins  map[string]struct{}
 }
 
-// absDist is the re-derived placement of an intermediate.
-type absDist struct {
-	Kind core.DistKind
-	Cols algebra.ColSet // hash equivalence class; nil for non-hash kinds
-}
-
-func (d absDist) String() string {
-	return core.Distribution{Kind: d.Kind, Cols: d.Cols}.String()
-}
-
-func distEqual(a, b absDist) bool {
-	if a.Kind != b.Kind {
-		return false
-	}
-	if a.Kind != core.DistHash {
-		return true
-	}
-	if len(a.Cols) != len(b.Cols) {
-		return false
-	}
-	return a.Cols.SubsetOf(b.Cols)
-}
-
-// restrictAbs mirrors core.Distribution.restrict: hash classes drop members
-// not in the output and gain pass-through renames.
-func restrictAbs(d absDist, out algebra.ColSet, rename map[algebra.ColumnID][]algebra.ColumnID) absDist {
-	if d.Kind != core.DistHash {
-		return d
-	}
-	cols := algebra.NewColSet()
-	for id := range d.Cols {
-		if out.Has(id) {
-			cols.Add(id)
-		}
-		for _, nid := range rename[id] {
-			if out.Has(nid) {
-				cols.Add(nid)
-			}
-		}
-	}
-	return absDist{Kind: core.DistHash, Cols: cols}
-}
-
-// absRel is the abstract state of one intermediate relation.
+// absRel is the abstract state of one intermediate relation: its columns
+// and its derived placement.
 type absRel struct {
 	cols []absCol
-	dist absDist
+	dist core.Distribution
 }
 
 func (r *absRel) byID(id algebra.ColumnID) *absCol {
@@ -79,14 +34,6 @@ func (r *absRel) byID(id algebra.ColumnID) *absCol {
 		}
 	}
 	return nil
-}
-
-func (r *absRel) outSet() algebra.ColSet {
-	s := algebra.NewColSet()
-	for _, c := range r.cols {
-		s.Add(c.ID)
-	}
-	return s
 }
 
 func cloneCols(cols []absCol) []absCol {
@@ -291,8 +238,7 @@ func applyKills(cols []absCol, kills algebra.ColSet) {
 // --- Plan-side abstract interpreter ---
 
 // planInterp evaluates the abstract state of every plan option, memoized,
-// and cross-checks each option's re-derived placement against the
-// optimizer's recorded one.
+// and records the violations of the step being validated.
 type planInterp struct {
 	rels      map[*core.Option]*absRel
 	moveDest  map[*core.Option]string
@@ -336,52 +282,39 @@ func (pi *planInterp) collectSlotKinds(o *core.Option) {
 }
 
 // rel returns the abstract state of an option, deriving it on first use.
-// The derivation mirrors the enumerator's distribution rules exactly; a
-// mismatch between the re-derived placement and the option's recorded one
-// is a distribution violation.
 func (pi *planInterp) rel(o *core.Option) *absRel {
 	if r, ok := pi.rels[o]; ok {
 		return r
 	}
-	r, derivable := pi.derive(o)
+	r := pi.derive(o)
 	pi.rels[o] = r
-	recorded := absDist{Kind: o.Dist.Kind, Cols: o.Dist.Cols}
-	if !derivable {
-		pi.violatef(CodeDistribution, "placement of %s is not derivable from its inputs (recorded %s)",
-			describeOption(o), recorded)
-		r.dist = recorded
-	} else if !distEqual(r.dist, recorded) {
-		pi.violatef(CodeDistribution, "%s: re-derived placement %s does not match recorded %s",
-			describeOption(o), r.dist, recorded)
+	return r
+}
+
+// derive computes the abstract state bottom-up from the inputs' derived
+// states: columns from the operator, placement by planverify's rules.
+// Where the rules reject the derived inputs the recorded placement
+// stands in, so later steps stay analyzable; whether the recorded
+// placements follow from each other is planverify.CheckPlan's to report.
+func (pi *planInterp) derive(o *core.Option) *absRel {
+	ins := make([]*absRel, len(o.Inputs))
+	dists := make([]core.Distribution, len(o.Inputs))
+	for i, in := range o.Inputs {
+		ins[i] = pi.rel(in)
+		dists[i] = ins[i].dist
+	}
+	r := &absRel{cols: deriveCols(o, ins), dist: o.Dist}
+	if d, code := planverify.Placement(o, dists); code == "" {
+		r.dist = d
 	}
 	return r
 }
 
-func describeOption(o *core.Option) string {
+// deriveCols derives an option's output columns from its inputs'.
+func deriveCols(o *core.Option, ins []*absRel) []absCol {
 	if o.Move != nil {
-		return "move " + o.Move.String()
+		return cloneCols(ins[0].cols)
 	}
-	return o.Op.OpName()
-}
-
-// derive computes the abstract state bottom-up. The second result is false
-// when the children's placements admit no movement-free combination for
-// this operator (the enumerator would never have built it).
-func (pi *planInterp) derive(o *core.Option) (*absRel, bool) {
-	if o.Move != nil {
-		in := pi.rel(o.Inputs[0])
-		var d absDist
-		switch o.Move.Kind {
-		case cost.Shuffle, cost.Trim:
-			d = absDist{Kind: core.DistHash, Cols: algebra.NewColSet(o.Move.Col)}
-		case cost.Broadcast, cost.ControlNodeMove, cost.ReplicatedBroadcast:
-			d = absDist{Kind: core.DistReplicated}
-		case cost.PartitionMove, cost.RemoteCopySingle:
-			d = absDist{Kind: core.DistSingle}
-		}
-		return &absRel{cols: cloneCols(in.cols), dist: d}, true
-	}
-
 	switch op := o.Op.(type) {
 	case *algebra.Get:
 		cols := make([]absCol, len(op.Cols))
@@ -391,17 +324,7 @@ func (pi *planInterp) derive(o *core.Option) (*absRel, bool) {
 				Origins: map[string]struct{}{op.Table.Name + "." + c.Name: {}},
 			}
 		}
-		d := absDist{Kind: core.DistReplicated}
-		if op.Table.Dist.Kind == catalog.DistHash {
-			s := algebra.NewColSet()
-			for _, c := range op.Cols {
-				if strings.EqualFold(c.Name, op.Table.Dist.Column) {
-					s.Add(c.ID)
-				}
-			}
-			d = absDist{Kind: core.DistHash, Cols: s}
-		}
-		return &absRel{cols: cols, dist: d}, true
+		return cols
 
 	case *algebra.Values:
 		cols := make([]absCol, len(op.Cols))
@@ -414,31 +337,20 @@ func (pi *planInterp) derive(o *core.Option) (*absRel, bool) {
 			}
 			cols[i] = absCol{ID: c.ID, Type: c.Type, Nullable: nullable, Origins: map[string]struct{}{}}
 		}
-		return &absRel{cols: cols, dist: absDist{Kind: core.DistReplicated}}, true
+		return cols
 
 	case *algebra.Select:
-		in := pi.rel(o.Inputs[0])
-		r := &absRel{cols: cloneCols(in.cols)}
+		cols := cloneCols(ins[0].cols)
 		for _, c := range algebra.Conjuncts(op.Filter) {
-			applyKills(r.cols, killSet(c))
+			applyKills(cols, killSet(c))
 		}
-		r.dist = restrictAbs(in.dist, r.outSet(), nil)
-		return r, true
+		return cols
 
 	case *algebra.Sort:
-		in := pi.rel(o.Inputs[0])
-		r := &absRel{cols: cloneCols(in.cols)}
-		r.dist = restrictAbs(in.dist, r.outSet(), nil)
-		return r, true
+		return cloneCols(ins[0].cols)
 
 	case *algebra.Project:
-		in := pi.rel(o.Inputs[0])
-		rename := map[algebra.ColumnID][]algebra.ColumnID{}
-		for _, d := range op.Defs {
-			if cr, ok := d.Expr.(*algebra.ColRef); ok {
-				rename[cr.ID] = append(rename[cr.ID], d.ID)
-			}
-		}
+		in := ins[0]
 		cols := make([]absCol, len(op.Defs))
 		for i, d := range op.Defs {
 			if cr, ok := d.Expr.(*algebra.ColRef); ok {
@@ -454,52 +366,29 @@ func (pi *planInterp) derive(o *core.Option) (*absRel, bool) {
 				Origins:  originsScalar(d.Expr, in.byID),
 			}
 		}
-		r := &absRel{cols: cols}
-		r.dist = restrictAbs(in.dist, r.outSet(), rename)
-		return r, true
+		return cols
 
 	case *algebra.Join:
-		return pi.deriveJoin(o, op)
+		return joinCols(op, ins[0], ins[1])
 
 	case *algebra.GroupBy:
-		return pi.deriveGroupBy(o, op)
+		return groupByCols(op, ins[0])
 
 	case *algebra.UnionAll:
-		l, rr := pi.rel(o.Inputs[0]), pi.rel(o.Inputs[1])
+		l, r := ins[0], ins[1]
 		cols := cloneCols(l.cols)
 		for i := range cols {
-			if i < len(rr.cols) {
-				cols[i].Nullable = cols[i].Nullable || rr.cols[i].Nullable
-				cols[i].Origins = mergeOrigins(cols[i].Origins, rr.cols[i].Origins)
+			if i < len(r.cols) {
+				cols[i].Nullable = cols[i].Nullable || r.cols[i].Nullable
+				cols[i].Origins = mergeOrigins(cols[i].Origins, r.cols[i].Origins)
 			}
 		}
-		r := &absRel{cols: cols}
-		switch {
-		case l.dist.Kind == core.DistSingle && rr.dist.Kind == core.DistSingle:
-			r.dist = absDist{Kind: core.DistSingle}
-		case l.dist.Kind == core.DistReplicated && rr.dist.Kind == core.DistReplicated:
-			r.dist = absDist{Kind: core.DistReplicated}
-		case l.dist.Kind == core.DistHash && rr.dist.Kind == core.DistHash:
-			shared := algebra.NewColSet()
-			for c := range l.dist.Cols {
-				if rr.dist.Cols.Has(c) {
-					shared.Add(c)
-				}
-			}
-			if len(shared) == 0 && len(l.dist.Cols)+len(rr.dist.Cols) > 0 {
-				return r, false
-			}
-			r.dist = absDist{Kind: core.DistHash, Cols: shared}
-		default:
-			return r, false
-		}
-		return r, true
+		return cols
 	}
-	return &absRel{}, false
+	return nil
 }
 
-func (pi *planInterp) deriveJoin(o *core.Option, op *algebra.Join) (*absRel, bool) {
-	l, r := pi.rel(o.Inputs[0]), pi.rel(o.Inputs[1])
+func joinCols(op *algebra.Join, l, r *absRel) []absCol {
 	var cols []absCol
 	switch op.Kind {
 	case algebra.JoinSemi:
@@ -529,92 +418,10 @@ func (pi *planInterp) deriveJoin(o *core.Option, op *algebra.Join) (*absRel, boo
 			applyKills(cols, killSet(c))
 		}
 	}
-	out := &absRel{cols: cols}
-	d, ok := joinDistAbs(op.Kind, op.On, l.dist, r.dist)
-	if !ok {
-		return out, false
-	}
-	out.dist = restrictAbs(d, out.outSet(), nil)
-	return out, true
+	return cols
 }
 
-// joinDistAbs mirrors the enumerator's partition-compatibility rules.
-func joinDistAbs(kind algebra.JoinKind, on algebra.Scalar, l, r absDist) (absDist, bool) {
-	switch {
-	case l.Kind == core.DistSingle && r.Kind == core.DistSingle:
-		return absDist{Kind: core.DistSingle}, true
-	case l.Kind == core.DistSingle || r.Kind == core.DistSingle:
-		return absDist{}, false
-
-	case l.Kind == core.DistReplicated && r.Kind == core.DistReplicated:
-		return absDist{Kind: core.DistReplicated}, true
-
-	case l.Kind == core.DistHash && r.Kind == core.DistReplicated:
-		if kind == algebra.JoinFullOuter {
-			return absDist{}, false
-		}
-		cols := algebra.NewColSet()
-		cols.AddSet(l.Cols)
-		if kind == algebra.JoinInner {
-			addEquated(on, l.Cols, cols)
-		}
-		return absDist{Kind: core.DistHash, Cols: cols}, true
-
-	case l.Kind == core.DistReplicated && r.Kind == core.DistHash:
-		if kind != algebra.JoinInner && kind != algebra.JoinCross {
-			return absDist{}, false
-		}
-		cols := algebra.NewColSet()
-		cols.AddSet(r.Cols)
-		if kind == algebra.JoinInner {
-			addEquated(on, r.Cols, cols)
-		}
-		return absDist{Kind: core.DistHash, Cols: cols}, true
-
-	default: // both hash
-		if !collocatedAbs(on, l.Cols, r.Cols) {
-			return absDist{}, false
-		}
-		cols := algebra.NewColSet()
-		cols.AddSet(l.Cols)
-		if kind == algebra.JoinInner {
-			cols.AddSet(r.Cols)
-		}
-		return absDist{Kind: core.DistHash, Cols: cols}, true
-	}
-}
-
-func collocatedAbs(on algebra.Scalar, l, r algebra.ColSet) bool {
-	for _, conj := range algebra.Conjuncts(on) {
-		a, b, ok := algebra.EquiJoinSides(conj)
-		if !ok {
-			continue
-		}
-		if (l.Has(a) && r.Has(b)) || (l.Has(b) && r.Has(a)) {
-			return true
-		}
-	}
-	return false
-}
-
-func addEquated(on algebra.Scalar, class, into algebra.ColSet) {
-	for _, conj := range algebra.Conjuncts(on) {
-		a, b, ok := algebra.EquiJoinSides(conj)
-		if !ok {
-			continue
-		}
-		if class.Has(a) {
-			into.Add(b)
-		}
-		if class.Has(b) {
-			into.Add(a)
-		}
-	}
-}
-
-func (pi *planInterp) deriveGroupBy(o *core.Option, op *algebra.GroupBy) (*absRel, bool) {
-	in := pi.rel(o.Inputs[0])
-	keySet := algebra.NewColSet(op.Keys...)
+func groupByCols(op *algebra.GroupBy, in *absRel) []absCol {
 	keyed := len(op.Keys) > 0
 	cols := make([]absCol, 0, len(op.Keys)+len(op.Aggs))
 	for _, k := range op.Keys {
@@ -641,39 +448,7 @@ func (pi *planInterp) deriveGroupBy(o *core.Option, op *algebra.GroupBy) (*absRe
 		}
 		cols = append(cols, absCol{ID: a.ID, Type: rt, Nullable: nullable, Origins: originsScalar(a.Arg, in.byID)})
 	}
-	r := &absRel{cols: cols}
-
-	if op.Phase == algebra.AggPartial {
-		r.dist = restrictAbs(in.dist, keySet, nil)
-		return r, true
-	}
-	if !gbCompatibleAbs(op, in.dist) {
-		return r, false
-	}
-	if in.dist.Kind == core.DistHash {
-		r.dist = restrictAbs(in.dist, keySet, nil)
-	} else {
-		r.dist = in.dist
-	}
-	return r, true
-}
-
-func gbCompatibleAbs(op *algebra.GroupBy, d absDist) bool {
-	switch d.Kind {
-	case core.DistSingle, core.DistReplicated:
-		return true
-	default:
-		if len(op.Keys) == 0 {
-			return false
-		}
-		keySet := algebra.NewColSet(op.Keys...)
-		for c := range d.Cols {
-			if keySet.Has(c) {
-				return true
-			}
-		}
-		return false
-	}
+	return cols
 }
 
 // --- Fragment collection ---

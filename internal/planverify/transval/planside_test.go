@@ -6,6 +6,7 @@ import (
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/core"
 	"pdwqo/internal/cost"
+	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/tpch"
 	"pdwqo/internal/types"
 )
@@ -20,7 +21,7 @@ func seeded(in *absRel) (*planInterp, *core.Option) {
 }
 
 func hashRel(ids ...algebra.ColumnID) *absRel {
-	r := &absRel{dist: absDist{Kind: core.DistHash, Cols: algebra.NewColSet(ids[0])}}
+	r := &absRel{dist: core.HashOn(ids[0])}
 	for _, id := range ids {
 		r.cols = append(r.cols, absCol{ID: id, Type: types.KindInt,
 			Origins: map[string]struct{}{"t.x": {}}})
@@ -29,31 +30,44 @@ func hashRel(ids ...algebra.ColumnID) *absRel {
 }
 
 func withDist(r *absRel, k core.DistKind) *absRel {
-	c := &absRel{cols: cloneCols(r.cols), dist: absDist{Kind: k}}
+	c := &absRel{cols: cloneCols(r.cols), dist: core.Distribution{Kind: k}}
 	return c
+}
+
+// metas is the output schema of columns ids, as an option records it.
+func metas(ids ...algebra.ColumnID) []algebra.ColumnMeta {
+	out := make([]algebra.ColumnMeta, len(ids))
+	for i, id := range ids {
+		out[i] = algebra.ColumnMeta{ID: id, Type: types.KindInt}
+	}
+	return out
 }
 
 func TestDeriveMoves(t *testing.T) {
 	cases := []struct {
-		kind cost.MoveKind
-		want core.DistKind
+		kind     cost.MoveKind
+		from, to core.DistKind
 	}{
-		{cost.Shuffle, core.DistHash},
-		{cost.Trim, core.DistHash},
-		{cost.Broadcast, core.DistReplicated},
-		{cost.ControlNodeMove, core.DistReplicated},
-		{cost.ReplicatedBroadcast, core.DistReplicated},
-		{cost.PartitionMove, core.DistSingle},
-		{cost.RemoteCopySingle, core.DistSingle},
+		{cost.Shuffle, core.DistHash, core.DistHash},
+		{cost.Trim, core.DistReplicated, core.DistHash},
+		{cost.Broadcast, core.DistHash, core.DistReplicated},
+		{cost.ControlNodeMove, core.DistSingle, core.DistReplicated},
+		{cost.ReplicatedBroadcast, core.DistReplicated, core.DistReplicated},
+		{cost.PartitionMove, core.DistHash, core.DistSingle},
+		{cost.RemoteCopySingle, core.DistReplicated, core.DistSingle},
 	}
 	for _, c := range cases {
-		pi, in := seeded(hashRel(7))
-		o := &core.Option{Move: &core.MoveSpec{Kind: c.kind, Col: 7}, Inputs: []*core.Option{in}}
-		r, ok := pi.derive(o)
-		if !ok || r.dist.Kind != c.want {
-			t.Errorf("%v: dist = %v, ok=%v, want kind %v", c.kind, r.dist, ok, c.want)
+		src := hashRel(7)
+		if c.from != core.DistHash {
+			src = withDist(src, c.from)
 		}
-		if c.want == core.DistHash && !r.dist.Cols.Has(7) {
+		pi, in := seeded(src)
+		o := &core.Option{Move: &core.MoveSpec{Kind: c.kind, Col: 7}, Inputs: []*core.Option{in}, OutCols: metas(7)}
+		r := pi.derive(o)
+		if r.dist.Kind != c.to {
+			t.Errorf("%v: dist = %v, want kind %v", c.kind, r.dist, c.to)
+		}
+		if c.to == core.DistHash && !r.dist.Cols.Has(7) {
 			t.Errorf("%v: hash class missing move column", c.kind)
 		}
 	}
@@ -64,20 +78,20 @@ func TestDeriveValues(t *testing.T) {
 	meta := []algebra.ColumnMeta{{ID: 1, Name: "a", Type: types.KindInt}}
 
 	empty := &core.Option{Op: &algebra.Values{Cols: meta}}
-	r, ok := pi.derive(empty)
-	if !ok || !r.cols[0].Nullable || r.dist.Kind != core.DistReplicated {
-		t.Errorf("empty values: %+v ok=%v", r, ok)
+	r := pi.derive(empty)
+	if !r.cols[0].Nullable || r.dist.Kind != core.DistReplicated {
+		t.Errorf("empty values: %+v", r)
 	}
 
 	withNull := &core.Option{Op: &algebra.Values{Cols: meta,
 		Rows: [][]types.Value{{types.Null}}}}
-	if r, _ := pi.derive(withNull); !r.cols[0].Nullable {
+	if r := pi.derive(withNull); !r.cols[0].Nullable {
 		t.Error("NULL literal row must derive nullable")
 	}
 
 	plain := &core.Option{Op: &algebra.Values{Cols: meta,
 		Rows: [][]types.Value{{types.NewInt(4)}}}}
-	if r, _ := pi.derive(plain); r.cols[0].Nullable {
+	if r := pi.derive(plain); r.cols[0].Nullable {
 		t.Error("non-NULL literal row must derive non-nullable")
 	}
 }
@@ -98,15 +112,15 @@ func TestDeriveGet(t *testing.T) {
 			replTab = g
 		}
 	}
-	r, ok := pi.derive(&core.Option{Op: hashTab})
-	if !ok || r.dist.Kind != core.DistHash || len(r.dist.Cols) != 1 {
+	r := pi.derive(&core.Option{Op: hashTab, OutCols: hashTab.Cols})
+	if r.dist.Kind != core.DistHash || len(r.dist.Cols) != 1 {
 		t.Errorf("lineitem get dist = %v", r.dist)
 	}
 	if _, has := r.cols[0].Origins["lineitem.l_orderkey"]; !has {
 		t.Errorf("get origins = %v", r.cols[0].Origins)
 	}
-	r, ok = pi.derive(&core.Option{Op: replTab})
-	if !ok || r.dist.Kind != core.DistReplicated {
+	r = pi.derive(&core.Option{Op: replTab, OutCols: replTab.Cols})
+	if r.dist.Kind != core.DistReplicated {
 		t.Errorf("nation get dist = %v", r.dist)
 	}
 }
@@ -118,55 +132,47 @@ func TestDeriveProjectComputed(t *testing.T) {
 			Args: []algebra.Scalar{col(1, types.KindDate)}, Out: types.KindInt}},
 		{ID: 10, Expr: col(2, types.KindInt)},
 	}}
-	r, ok := pi.derive(&core.Option{Op: proj, Inputs: []*core.Option{in}})
-	if !ok {
-		t.Fatal("project underivable")
-	}
+	r := pi.derive(&core.Option{Op: proj, Inputs: []*core.Option{in}, OutCols: metas(9, 10)})
 	if r.cols[0].Type != types.KindInt {
 		t.Errorf("computed col type = %v", r.cols[0].Type)
 	}
 	if _, has := r.cols[0].Origins["t.x"]; !has {
 		t.Errorf("computed col origins = %v", r.cols[0].Origins)
 	}
-	// The rename c2 -> c10 must keep the hash class alive when c1 drops.
+	// The rename c1 -> c10 must keep the hash class alive when c1 drops.
 	proj2 := &algebra.Project{Defs: []algebra.ProjDef{{ID: 10, Expr: col(1, types.KindInt)}}}
-	r, _ = pi.derive(&core.Option{Op: proj2, Inputs: []*core.Option{in}})
+	r = pi.derive(&core.Option{Op: proj2, Inputs: []*core.Option{in}, OutCols: metas(10)})
 	if !r.dist.Cols.Has(10) {
 		t.Errorf("renamed hash class = %v", r.dist)
 	}
 }
 
 func TestDeriveUnionAll(t *testing.T) {
+	// The union records a single-node placement, which stands in wherever
+	// the rules reject the branches.
 	mk := func(l, r *absRel) (*planInterp, *core.Option) {
 		pi := newPlanInterp()
 		lo, ro := &core.Option{}, &core.Option{}
 		pi.rels[lo] = l
 		pi.rels[ro] = r
-		return pi, &core.Option{Op: &algebra.UnionAll{}, Inputs: []*core.Option{lo, ro}}
+		return pi, &core.Option{Op: &algebra.UnionAll{}, Inputs: []*core.Option{lo, ro},
+			Dist: core.Single(), OutCols: metas(1, 2)}
 	}
 	base := hashRel(1)
 
-	pi, o := mk(withDist(base, core.DistSingle), withDist(base, core.DistSingle))
-	if r, ok := pi.derive(o); !ok || r.dist.Kind != core.DistSingle {
-		t.Error("single+single union")
-	}
-	pi, o = mk(withDist(base, core.DistReplicated), withDist(base, core.DistReplicated))
-	if r, ok := pi.derive(o); !ok || r.dist.Kind != core.DistReplicated {
+	pi, o := mk(withDist(base, core.DistReplicated), withDist(base, core.DistReplicated))
+	if r := pi.derive(o); r.dist.Kind != core.DistReplicated {
 		t.Error("repl+repl union")
 	}
 	pi, o = mk(hashRel(1), hashRel(1))
-	if r, ok := pi.derive(o); !ok || !r.dist.Cols.Has(1) {
+	if r := pi.derive(o); !r.dist.Cols.Has(1) {
 		t.Error("hash+hash union with shared class")
 	}
 	left, right := hashRel(1, 2), hashRel(1, 2)
-	right.dist = absDist{Kind: core.DistHash, Cols: algebra.NewColSet(2)}
+	right.dist = core.HashOn(2)
 	pi, o = mk(left, right)
-	if _, ok := pi.derive(o); ok {
-		t.Error("disjoint hash classes must be underivable")
-	}
-	pi, o = mk(withDist(base, core.DistSingle), withDist(base, core.DistReplicated))
-	if _, ok := pi.derive(o); ok {
-		t.Error("mixed single+repl must be underivable")
+	if r := pi.derive(o); r.dist.Kind != core.DistSingle {
+		t.Errorf("disjoint hash classes must fall back to the recorded placement, got %v", r.dist)
 	}
 
 	// Nullability and origins union across branches.
@@ -174,78 +180,82 @@ func TestDeriveUnionAll(t *testing.T) {
 	r2.cols[0].Nullable = true
 	r2.cols[0].Origins = map[string]struct{}{"u.y": {}}
 	pi, o = mk(l2, r2)
-	if r, _ := pi.derive(o); !r.cols[0].Nullable || len(r.cols[0].Origins) != 2 {
+	if r := pi.derive(o); !r.cols[0].Nullable || len(r.cols[0].Origins) != 2 {
 		t.Errorf("union col merge = %+v", r.cols[0])
+	}
+}
+
+// TestDeriveJoinKinds pins the plan side's join columns per kind — which
+// sides survive, which go nullable, which the condition proves non-NULL
+// — and that the placement comes from the shared rules.
+func TestDeriveJoinKinds(t *testing.T) {
+	on := &algebra.Binary{Op: sqlparser.OpEq, L: col(1, types.KindInt), R: col(2, types.KindInt)}
+	cases := []struct {
+		kind     algebra.JoinKind
+		nullable []bool // per output column
+		dist     string
+	}{
+		{algebra.JoinInner, []bool{false, false}, "hash(c1,c2)"},
+		{algebra.JoinLeftOuter, []bool{true, true}, "hash(c1)"},
+		{algebra.JoinFullOuter, []bool{true, true}, "hash(c1)"},
+		{algebra.JoinSemi, []bool{false}, "hash(c1)"},
+		{algebra.JoinAnti, []bool{true}, "hash(c1)"},
+	}
+	for _, c := range cases {
+		pi := newPlanInterp()
+		l, r := hashRel(1), hashRel(2)
+		l.cols[0].Nullable, r.cols[0].Nullable = true, true
+		lo, ro := &core.Option{}, &core.Option{}
+		pi.rels[lo], pi.rels[ro] = l, r
+		out := metas(1, 2)[:len(c.nullable)]
+		got := pi.derive(&core.Option{Op: &algebra.Join{Kind: c.kind, On: on}, Inputs: []*core.Option{lo, ro}, OutCols: out})
+		if len(got.cols) != len(c.nullable) || got.dist.String() != c.dist {
+			t.Errorf("%v join: cols %+v, placement %s; want %d cols, %s", c.kind, got.cols, got.dist, len(c.nullable), c.dist)
+			continue
+		}
+		for i, want := range c.nullable {
+			if got.cols[i].Nullable != want {
+				t.Errorf("%v join: c%d nullable = %v, want %v", c.kind, got.cols[i].ID, got.cols[i].Nullable, want)
+			}
+		}
 	}
 }
 
 func TestDeriveGroupBy(t *testing.T) {
 	sum := algebra.AggDef{Func: algebra.AggSum, Arg: col(2, types.KindInt), ID: 9}
+	gbOpt := func(gb *algebra.GroupBy, in *core.Option) *core.Option {
+		return &core.Option{Op: gb, Inputs: []*core.Option{in}, Dist: core.Single(),
+			OutCols: metas(append(append([]algebra.ColumnID{}, gb.Keys...), 9)...)}
+	}
 
 	// Keyless SUM over a single-node input: nullable result.
 	pi, in := seeded(withDist(hashRel(1, 2), core.DistSingle))
 	gb := &algebra.GroupBy{Aggs: []algebra.AggDef{sum}}
-	r, ok := pi.derive(&core.Option{Op: gb, Inputs: []*core.Option{in}})
-	if !ok || !r.cols[0].Nullable {
-		t.Errorf("keyless sum: %+v ok=%v", r.cols, ok)
-	}
-
-	// Keyless aggregate over a hash placement is not locally computable.
-	pi, in = seeded(hashRel(1, 2))
-	if _, ok := pi.derive(&core.Option{Op: gb, Inputs: []*core.Option{in}}); ok {
-		t.Error("keyless agg over hash must be underivable")
+	if r := pi.derive(gbOpt(gb, in)); !r.cols[0].Nullable || r.dist.Kind != core.DistSingle {
+		t.Errorf("keyless sum: %+v", r)
 	}
 
 	// Partial phase is computable anywhere; the class restricts to keys.
 	partial := &algebra.GroupBy{Keys: []algebra.ColumnID{2}, Aggs: []algebra.AggDef{sum},
 		Phase: algebra.AggPartial}
 	pi, in = seeded(hashRel(1, 2))
-	if r, ok := pi.derive(&core.Option{Op: partial, Inputs: []*core.Option{in}}); !ok || len(r.dist.Cols) != 0 {
-		t.Errorf("partial over non-key hash: dist = %v ok=%v", r.dist, ok)
+	if r := pi.derive(gbOpt(partial, in)); r.dist.Kind != core.DistHash || len(r.dist.Cols) != 0 {
+		t.Errorf("partial over non-key hash: dist = %v", r.dist)
 	}
 
 	// Keyed complete agg whose keys cover the hash class is fine.
 	keyed := &algebra.GroupBy{Keys: []algebra.ColumnID{1}, Aggs: []algebra.AggDef{sum}}
 	pi, in = seeded(hashRel(1, 2))
-	if r, ok := pi.derive(&core.Option{Op: keyed, Inputs: []*core.Option{in}}); !ok || !r.dist.Cols.Has(1) {
-		t.Errorf("keyed agg: dist = %v ok=%v", r.dist, ok)
+	if r := pi.derive(gbOpt(keyed, in)); !r.dist.Cols.Has(1) {
+		t.Errorf("keyed agg: dist = %v", r.dist)
 	}
 
 	// Keys disjoint from the hash class: rows for one group live on many
-	// nodes, so the complete phase is underivable.
+	// nodes, so the rules reject it and the recorded placement stands in.
 	offKey := &algebra.GroupBy{Keys: []algebra.ColumnID{2}, Aggs: []algebra.AggDef{sum}}
 	pi, in = seeded(hashRel(1, 2))
-	if _, ok := pi.derive(&core.Option{Op: offKey, Inputs: []*core.Option{in}}); ok {
-		t.Error("off-key complete agg must be underivable")
-	}
-}
-
-func TestRelRecordsDistributionViolation(t *testing.T) {
-	// An underivable placement must surface CodeDistribution and fall
-	// back to the recorded one so later steps stay analyzable.
-	pi, in := seeded(hashRel(1, 2))
-	gb := &algebra.GroupBy{Aggs: []algebra.AggDef{{Func: algebra.AggSum, Arg: col(2, types.KindInt), ID: 9}}}
-	o := &core.Option{Op: gb, Inputs: []*core.Option{in}, Dist: core.Single()}
-	r := pi.rel(o)
-	if len(pi.vs) != 1 || pi.vs[0].Code != CodeDistribution {
-		t.Fatalf("violations = %v", pi.vs)
-	}
-	if r.dist.Kind != core.DistSingle {
-		t.Errorf("fallback dist = %v, want recorded single", r.dist)
-	}
-	// Memoized: a second read must not re-report.
-	pi.rel(o)
-	if len(pi.vs) != 1 {
-		t.Error("memoized rel re-reported")
-	}
-
-	// A derivable but mismatching recorded placement also fires.
-	pi2, in2 := seeded(hashRel(1))
-	o2 := &core.Option{Move: &core.MoveSpec{Kind: cost.Broadcast}, Inputs: []*core.Option{in2},
-		Dist: core.Single()}
-	pi2.rel(o2)
-	if len(pi2.vs) != 1 || pi2.vs[0].Code != CodeDistribution {
-		t.Fatalf("mismatch violations = %v", pi2.vs)
+	if r := pi.derive(gbOpt(offKey, in)); r.dist.Kind != core.DistSingle {
+		t.Errorf("off-key complete agg must fall back to the recorded placement, got %v", r.dist)
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/core"
+	"pdwqo/internal/planverify"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 )
@@ -59,7 +60,7 @@ func (sc *scope) resolve(table, name string) (*absCol, *scopeItem, error) {
 // boundFrom is the result of binding one FROM factor.
 type boundFrom struct {
 	items    []scopeItem
-	dist     absDist
+	dist     core.Distribution
 	hashName string
 }
 
@@ -128,10 +129,10 @@ func (si *sqlInterp) bindRef(ref sqlparser.TableRef) (*boundFrom, error) {
 		}
 		bf := &boundFrom{
 			items: []scopeItem{{alias: alias, cols: cols, names: names}},
-			dist:  absDist{Kind: core.DistReplicated},
+			dist:  core.Distribution{Kind: core.DistReplicated},
 		}
 		if tbl.Dist.Kind == catalog.DistHash {
-			bf.dist = absDist{Kind: core.DistHash, Cols: algebra.NewColSet()}
+			bf.dist = core.Distribution{Kind: core.DistHash, Cols: algebra.NewColSet()}
 			bf.hashName = tbl.Dist.Column
 			bf.items[0].hashName = tbl.Dist.Column
 		}
@@ -195,6 +196,7 @@ func (si *sqlInterp) bindJoin(j *sqlparser.JoinRef) (*boundFrom, error) {
 		}
 	}
 
+	kind := algebra.JoinInner
 	switch j.Kind {
 	case sqlparser.JoinInner:
 		for _, c := range conjs {
@@ -207,6 +209,7 @@ func (si *sqlInterp) bindJoin(j *sqlparser.JoinRef) (*boundFrom, error) {
 			}
 		}
 	case sqlparser.JoinLeft:
+		kind = algebra.JoinLeftOuter
 		for i := range items {
 			if i >= len(l.items) {
 				for k := range items[i].cols {
@@ -215,86 +218,24 @@ func (si *sqlInterp) bindJoin(j *sqlparser.JoinRef) (*boundFrom, error) {
 			}
 		}
 	case sqlparser.JoinFull:
+		kind = algebra.JoinFullOuter
 		for i := range items {
 			for k := range items[i].cols {
 				items[i].cols[k].Nullable = true
 			}
 		}
 	case sqlparser.JoinCross:
-		// no condition, no kills
+		kind = algebra.JoinCross // no condition, no kills
 	}
 
-	d, ok := joinDistSQL(j.Kind, pairs, l.dist, r.dist)
-	if !ok {
+	d, code := planverify.JoinPlacement(kind, pairs, l.dist, r.dist)
+	if code != "" {
 		// The placement rules admit no movement-free combination; fall back
 		// to the left side so the mismatch surfaces as a distribution
 		// violation against the plan side rather than a bind failure.
 		d = l.dist
 	}
 	return &boundFrom{items: items, dist: d}, nil
-}
-
-// joinDistSQL mirrors the enumerator's partition-compatibility rules over
-// resolved equi-join column pairs.
-func joinDistSQL(kind sqlparser.JoinKind, pairs [][2]algebra.ColumnID, l, r absDist) (absDist, bool) {
-	addEq := func(class, into algebra.ColSet) {
-		for _, p := range pairs {
-			if class.Has(p[0]) {
-				into.Add(p[1])
-			}
-			if class.Has(p[1]) {
-				into.Add(p[0])
-			}
-		}
-	}
-	switch {
-	case l.Kind == core.DistSingle && r.Kind == core.DistSingle:
-		return absDist{Kind: core.DistSingle}, true
-	case l.Kind == core.DistSingle || r.Kind == core.DistSingle:
-		return absDist{}, false
-
-	case l.Kind == core.DistReplicated && r.Kind == core.DistReplicated:
-		return absDist{Kind: core.DistReplicated}, true
-
-	case l.Kind == core.DistHash && r.Kind == core.DistReplicated:
-		if kind == sqlparser.JoinFull {
-			return absDist{}, false
-		}
-		cols := algebra.NewColSet()
-		cols.AddSet(l.Cols)
-		if kind == sqlparser.JoinInner {
-			addEq(l.Cols, cols)
-		}
-		return absDist{Kind: core.DistHash, Cols: cols}, true
-
-	case l.Kind == core.DistReplicated && r.Kind == core.DistHash:
-		if kind != sqlparser.JoinInner && kind != sqlparser.JoinCross {
-			return absDist{}, false
-		}
-		cols := algebra.NewColSet()
-		cols.AddSet(r.Cols)
-		if kind == sqlparser.JoinInner {
-			addEq(r.Cols, cols)
-		}
-		return absDist{Kind: core.DistHash, Cols: cols}, true
-
-	default: // both hash: must be collocated on an equi-join pair
-		coll := false
-		for _, p := range pairs {
-			if (l.Cols.Has(p[0]) && r.Cols.Has(p[1])) || (l.Cols.Has(p[1]) && r.Cols.Has(p[0])) {
-				coll = true
-			}
-		}
-		if !coll {
-			return absDist{}, false
-		}
-		cols := algebra.NewColSet()
-		cols.AddSet(l.Cols)
-		if kind == sqlparser.JoinInner {
-			cols.AddSet(r.Cols)
-		}
-		return absDist{Kind: core.DistHash, Cols: cols}, true
-	}
 }
 
 // selectRel interprets a SELECT (possibly a UNION ALL chain). When exists
@@ -322,23 +263,10 @@ func (si *sqlInterp) selectRel(sel *sqlparser.SelectStmt, outer *scope, exists, 
 			out.cols[i].Nullable = out.cols[i].Nullable || br.cols[i].Nullable
 			out.cols[i].Origins = mergeOrigins(out.cols[i].Origins, br.cols[i].Origins)
 		}
-		switch {
-		case out.dist.Kind == core.DistSingle && br.dist.Kind == core.DistSingle:
-			out.dist = absDist{Kind: core.DistSingle}
-		case out.dist.Kind == core.DistReplicated && br.dist.Kind == core.DistReplicated:
-			out.dist = absDist{Kind: core.DistReplicated}
-		case out.dist.Kind == core.DistHash && br.dist.Kind == core.DistHash:
-			shared := algebra.NewColSet()
-			for c := range out.dist.Cols {
-				if br.dist.Cols.Has(c) {
-					shared.Add(c)
-				}
-			}
-			out.dist = absDist{Kind: core.DistHash, Cols: shared}
-		default:
-			// Mixed kinds would not have been generated; surface the
-			// disagreement through the distribution comparison.
-			out.dist = absDist{Kind: out.dist.Kind, Cols: out.dist.Cols}
+		// Branches the rules reject would not have been generated: keep
+		// the left placement and let the distribution comparison report.
+		if d, code := planverify.UnionPlacement(out.dist, br.dist); code == "" {
+			out.dist = d
 		}
 	}
 	return out, nil
@@ -353,7 +281,7 @@ func (si *sqlInterp) branchRel(sel *sqlparser.SelectStmt, outer *scope, exists, 
 	}
 
 	var items []scopeItem
-	srcDist := absDist{Kind: core.DistReplicated}
+	srcDist := core.Distribution{Kind: core.DistReplicated}
 	hashName := ""
 	switch len(sel.From) {
 	case 0:
@@ -470,7 +398,7 @@ func (si *sqlInterp) branchRel(sel *sqlparser.SelectStmt, outer *scope, exists, 
 				class.Add(out[i].ID)
 			}
 		}
-		d = absDist{Kind: core.DistHash, Cols: class}
+		d = core.Distribution{Kind: core.DistHash, Cols: class}
 	}
 	return &absRel{cols: out, dist: d}, nil
 }

@@ -12,15 +12,18 @@
 //   - nullability — three-valued-logic aware: outer joins introduce NULLs,
 //     comparisons and IS NOT NULL filters kill them, matching the vec
 //     engine's NULL-mask conventions;
-//   - distribution — each intermediate's placement re-derived from base
-//     table metadata and move kinds by the enumerator's own rules, checked
-//     against the optimizer's recorded placement.
+//   - distribution — each intermediate's placement derived from base table
+//     metadata and move kinds by planverify's placement rules, the one
+//     statement of them the plan layer also checks.
 //
 // A disagreement on any domain, on referenced tables/temps, or on the
-// canonicalized predicate multiset is a typed planverify.Violation. Checks
-// run per step in a fixed order and stop at the first mismatch for that
-// step, so a single seeded defect yields a single, precisely-coded
-// violation.
+// canonicalized predicate multiset is a typed planverify.Violation, and
+// so is a step whose recorded execution placement is not the recorded
+// placement of the fragment it runs, or whose move kind or routing column
+// is not its plan move's. Whether the recorded placements follow from
+// each other is planverify.CheckPlan's. Checks run per step in a fixed
+// order and stop at the first mismatch for that step, so a single seeded
+// defect yields a single, precisely-coded violation.
 package transval
 
 import (
@@ -29,6 +32,7 @@ import (
 
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/core"
+	"pdwqo/internal/cost"
 	"pdwqo/internal/dsql"
 	"pdwqo/internal/planverify"
 	"pdwqo/internal/sqlparser"
@@ -40,7 +44,8 @@ const (
 	// CodeReparse: a step's SQL does not re-parse through the front-end.
 	CodeReparse planverify.Code = "transval-reparse"
 	// CodeRefs: the step references different base tables or temp tables
-	// than its plan fragment, or its SQL does not re-bind.
+	// than its plan fragment, its SQL does not re-bind, or the step list
+	// does not line up with the plan's moves (count, kind, routing column).
 	CodeRefs planverify.Code = "transval-refs"
 	// CodeSchema: the step's derived output schema (column identities and
 	// types, in order) differs from the plan fragment's.
@@ -51,11 +56,9 @@ const (
 	// CodeNullability: the 3VL nullability derivation disagrees between
 	// the two sides for some output column.
 	CodeNullability planverify.Code = "transval-nullability"
-	// CodeDistribution: a re-derived placement disagrees — either the
-	// optimizer's recorded placement is not reproducible from the
-	// enumerator's rules, or the SQL side derives a different placement
-	// than the plan side, or the step's recorded execution placement is
-	// wrong.
+	// CodeDistribution: the SQL side derives a different placement than
+	// the plan side, or the step's recorded execution placement is not
+	// the recorded placement of the fragment it runs.
 	CodeDistribution planverify.Code = "transval-distribution"
 	// CodePredicate: the canonicalized predicate multisets differ.
 	CodePredicate planverify.Code = "transval-predicate"
@@ -86,6 +89,14 @@ func Check(plan *core.Plan, dp *dsql.Plan, shell *catalog.Shell) []planverify.Vi
 			return []planverify.Violation{{
 				Code: CodeRefs, Step: i, Group: -1,
 				Detail: "step does not line up with a plan move boundary",
+			}}
+		}
+		// A missing or stray routing column is step shape, CheckDSQL's.
+		hashing := mo.Move.Kind == cost.Shuffle || mo.Move.Kind == cost.Trim
+		if st.MoveKind != mo.Move.Kind || hashing && st.HashCol != "" && st.HashCol != fmt.Sprintf("c%d", mo.Move.Col) {
+			return []planverify.Violation{{
+				Code: CodeRefs, Step: i, Group: -1,
+				Detail: fmt.Sprintf("step moves by %v on %q but its plan move is %s", st.MoveKind, st.HashCol, mo.Move),
 			}}
 		}
 		pi.moveDest[mo] = st.Dest
@@ -177,7 +188,7 @@ func checkMoveStep(pi *planInterp, si *sqlInterp, st dsql.Step, mo *core.Option)
 		pi.violatef(CodeRefs, "step SQL does not re-bind: %v", err)
 		return
 	}
-	compareFragment(pi, st.Where, planRel, planAcc, sqlRel, si.acc)
+	compareFragment(pi, st.Where, src.Dist, planRel, planAcc, sqlRel, si.acc)
 }
 
 func checkReturnStep(pi *planInterp, si *sqlInterp, st dsql.Step, plan *core.Plan, dp *dsql.Plan) {
@@ -195,7 +206,7 @@ func checkReturnStep(pi *planInterp, si *sqlInterp, st dsql.Step, plan *core.Pla
 		pi.violatef(CodeRefs, "return step SQL does not re-bind: %v", err)
 		return
 	}
-	if !compareFragment(pi, st.Where, planRel, planAcc, innerRel, si.acc) {
+	if !compareFragment(pi, st.Where, plan.Root.Dist, planRel, planAcc, innerRel, si.acc) {
 		return
 	}
 	if len(outs) != len(dp.OutCols) {
@@ -215,8 +226,10 @@ func checkReturnStep(pi *planInterp, si *sqlInterp, st dsql.Step, plan *core.Pla
 
 // compareFragment runs the per-step checks in order — references, schema,
 // lineage, nullability, distribution, predicates — stopping at the first
-// mismatch. Returns true when the fragment is clean.
-func compareFragment(pi *planInterp, where core.DistKind, planRel *absRel, planAcc *fragAcc, sqlRel *absRel, sqlAcc *fragAcc) bool {
+// mismatch. where is the placement the step records for its execution,
+// recorded the one the plan records for the fragment. Returns true when
+// the fragment is clean.
+func compareFragment(pi *planInterp, where core.DistKind, recorded core.Distribution, planRel *absRel, planAcc *fragAcc, sqlRel *absRel, sqlAcc *fragAcc) bool {
 	if !sameStringSet(planAcc.tables, sqlAcc.tables) {
 		pi.violatef(CodeRefs, "base tables differ: plan references %v, SQL references %v",
 			sortedKeys(planAcc.tables), sortedKeys(sqlAcc.tables))
@@ -266,12 +279,12 @@ func compareFragment(pi *planInterp, where core.DistKind, planRel *absRel, planA
 		}
 	}
 
-	if where != planRel.dist.Kind {
-		pi.violatef(CodeDistribution, "step records execution placement %s but the fragment's derived placement is %s",
-			distKindName(where), distKindName(planRel.dist.Kind))
+	if where != recorded.Kind {
+		pi.violatef(CodeDistribution, "step records execution placement %s but the fragment it runs is placed %s",
+			core.Distribution{Kind: where}, recorded)
 		return false
 	}
-	if !distEqual(planRel.dist, sqlRel.dist) {
+	if !planverify.SamePlacement(planRel.dist, sqlRel.dist) {
 		pi.violatef(CodeDistribution, "plan derives placement %s, SQL derives %s", planRel.dist, sqlRel.dist)
 		return false
 	}
@@ -306,17 +319,4 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-func distKindName(k core.DistKind) string {
-	switch k {
-	case core.DistHash:
-		return "hash"
-	case core.DistReplicated:
-		return "replicated"
-	case core.DistSingle:
-		return "single"
-	default:
-		return fmt.Sprintf("DistKind(%d)", int(k))
-	}
 }

@@ -26,19 +26,6 @@ func TestSQLTypeName(t *testing.T) {
 	}
 }
 
-func TestDistKindName(t *testing.T) {
-	cases := map[core.DistKind]string{
-		core.DistHash:       "hash",
-		core.DistReplicated: "replicated",
-		core.DistSingle:     "single",
-	}
-	for k, want := range cases {
-		if got := distKindName(k); got != want {
-			t.Errorf("distKindName(%v) = %s, want %s", k, got, want)
-		}
-	}
-}
-
 func TestCanonBinary(t *testing.T) {
 	// > and >= flip into < and <= with swapped operands; symmetric ops
 	// sort their operand texts, so a = b and b = a canonicalize equal.
@@ -241,6 +228,36 @@ func TestBindJoinRejects(t *testing.T) {
 	}
 }
 
+// TestBindJoinKinds pins the SQL side's joins: outer joins null-extend,
+// and the placement comes from the shared rules over the equi-pairs the
+// ON clause resolves to — falling back to the left side where the rules
+// reject the pair.
+func TestBindJoinKinds(t *testing.T) {
+	const (
+		left  = "(SELECT c1 FROM [tempdb].[TEMP_ID_1]) AS T5"
+		right = "(SELECT c1 AS c13 FROM [tempdb].[TEMP_ID_1]) AS T6"
+	)
+	for _, c := range []struct {
+		join     string
+		nullable [2]bool
+		dist     string
+	}{
+		{"INNER JOIN " + right + " ON (T5.c1 = T6.c13)", [2]bool{false, false}, "hash(c1,c13)"},
+		{"LEFT JOIN " + right + " ON (T5.c1 = T6.c13)", [2]bool{false, true}, "hash(c1)"},
+		{"FULL JOIN " + right + " ON (T5.c1 = T6.c13)", [2]bool{true, true}, "hash(c1)"},
+		{"CROSS JOIN " + right, [2]bool{false, false}, "hash(c1)"},
+	} {
+		si := sqlInterpFor()
+		rel, err := si.selectRel(mustSelect(t, "SELECT T5.c1 AS c1, T6.c13 AS c13 FROM "+left+" "+c.join), nil, false, false)
+		if err != nil {
+			t.Fatalf("%s: %v", c.join, err)
+		}
+		if got := [2]bool{rel.cols[0].Nullable, rel.cols[1].Nullable}; got != c.nullable || rel.dist.String() != c.dist {
+			t.Errorf("%s: nullable %v placed %s, want %v placed %s", c.join, got, rel.dist, c.nullable, c.dist)
+		}
+	}
+}
+
 func TestReturnRelRejects(t *testing.T) {
 	for _, sql := range []string{
 		"SELECT c1 FROM [tempdb].[TEMP_ID_1]",                                                    // not a derived table
@@ -340,39 +357,5 @@ func TestScopeResolve(t *testing.T) {
 	outer := &scope{parent: sc}
 	if c, _, _ := outer.resolve("", "c1"); c == nil {
 		t.Error("parent-scope resolve failed")
-	}
-}
-
-func TestJoinDistAbs(t *testing.T) {
-	hash1 := absDist{Kind: core.DistHash, Cols: algebra.NewColSet(1)}
-	hash2 := absDist{Kind: core.DistHash, Cols: algebra.NewColSet(20)}
-	repl := absDist{Kind: core.DistReplicated}
-	single := absDist{Kind: core.DistSingle}
-	on := &algebra.Binary{Op: sqlparser.OpEq, L: col(1, types.KindInt), R: col(20, types.KindInt)}
-
-	if d, ok := joinDistAbs(algebra.JoinInner, on, single, single); !ok || d.Kind != core.DistSingle {
-		t.Error("single x single")
-	}
-	if _, ok := joinDistAbs(algebra.JoinInner, on, single, repl); ok {
-		t.Error("single x repl must be invalid")
-	}
-	if d, ok := joinDistAbs(algebra.JoinInner, on, repl, repl); !ok || d.Kind != core.DistReplicated {
-		t.Error("repl x repl")
-	}
-	if _, ok := joinDistAbs(algebra.JoinFullOuter, on, hash1, repl); ok {
-		t.Error("hash x repl full outer must be invalid")
-	}
-	if d, ok := joinDistAbs(algebra.JoinInner, on, hash1, repl); !ok || !d.Cols.Has(20) {
-		t.Error("hash x repl inner must extend the class with the equated col")
-	}
-	if _, ok := joinDistAbs(algebra.JoinLeftOuter, on, repl, hash2); ok {
-		t.Error("repl x hash left outer must be invalid")
-	}
-	if d, ok := joinDistAbs(algebra.JoinInner, on, hash1, hash2); !ok || !d.Cols.Has(1) || !d.Cols.Has(20) {
-		t.Error("collocated hash x hash inner")
-	}
-	offOn := &algebra.Binary{Op: sqlparser.OpEq, L: col(2, types.KindInt), R: col(20, types.KindInt)}
-	if _, ok := joinDistAbs(algebra.JoinInner, offOn, hash1, hash2); ok {
-		t.Error("non-collocated hash x hash must be invalid")
 	}
 }

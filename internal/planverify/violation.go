@@ -12,11 +12,12 @@ type Code string
 
 // Violation codes, grouped by layer.
 const (
-	// --- Plan-tree distribution soundness (CheckPlan) ---
+	// --- Plan-tree placement soundness (CheckPlan) ---
 
 	// CodeMalformedOption: an Option node is neither a relational
-	// operator nor a data movement (or both), or its input arity is
-	// wrong for its payload.
+	// operator nor a data movement (or both), its input arity is wrong
+	// for its payload, or its payload has no placement rule (an unknown
+	// movement kind).
 	CodeMalformedOption Code = "malformed-option"
 	// CodeJoinNotCollocated: both join children are hash-distributed but
 	// no equijoin conjunct pairs their partitioning column classes.
@@ -29,19 +30,18 @@ const (
 	// CodeGroupByPlacement: a complete or global aggregation over a
 	// placement that can split one group's rows across nodes.
 	CodeGroupByPlacement Code = "groupby-placement"
-	// CodeUnionPlacement: UNION ALL branches with incompatible
-	// placements.
+	// CodeUnionPlacement: UNION ALL branches with different placement
+	// kinds, or hash classes that share no column.
 	CodeUnionPlacement Code = "union-placement"
-	// CodeMoveDistribution: a movement's output placement does not match
-	// what its kind promises (e.g. a Shuffle not hash-placed on its
-	// routing column, a Broadcast not replicated).
-	CodeMoveDistribution Code = "move-distribution"
 	// CodeMoveSource: a movement applied to a placement its kind cannot
 	// consume (e.g. a Trim over a hash-distributed input).
 	CodeMoveSource Code = "move-source"
-	// CodeHashColsNotOutput: a hash placement claims partitioning
-	// columns the node does not output.
-	CodeHashColsNotOutput Code = "hash-cols-not-output"
+	// CodePlacementMismatch: an option records a placement other than
+	// the one its inputs' recorded placements give under the placement
+	// rules, restricted to its output columns (e.g. a Shuffle not placed
+	// on its routing column, a Broadcast not replicated, a hash class
+	// naming a column the option does not output).
+	CodePlacementMismatch Code = "placement-mismatch"
 	// CodeEstimateNegative: a negative or NaN row count, width or cost
 	// estimate, or a cost smaller than one of its inputs' costs.
 	CodeEstimateNegative Code = "estimate-negative"
@@ -81,24 +81,16 @@ const (
 	// from the shell catalog.
 	CodeUnknownBaseTable Code = "unknown-base-table"
 	// CodeMoveStepShape: a move step whose fields are inconsistent with
-	// its kind (missing destination, routing column absent from the
-	// destination schema, a routing column on a non-hashing kind, source
-	// placement the kind cannot consume, or a non-idempotent move).
+	// its kind (missing destination, routing column missing or absent
+	// from the destination schema, a routing column on a non-hashing
+	// kind, or a non-idempotent move).
 	CodeMoveStepShape Code = "move-step-shape"
-	// CodeMoveSetMismatch: the multiset of move kinds in the step list
-	// differs from the distinct movements of the plan tree.
-	CodeMoveSetMismatch Code = "move-set-mismatch"
 
 	// --- MEMO-side invariants (CheckMemo / CheckInteresting) ---
+	//
+	// A missing root, an unknown child group and a reference cycle never
+	// reach here: memoxml.Decode rejects them.
 
-	// CodeMemoRootMissing: the root group id resolves to no group.
-	CodeMemoRootMissing Code = "memo-root-missing"
-	// CodeMemoDanglingChild: an expression references a group id that
-	// does not exist.
-	CodeMemoDanglingChild Code = "memo-dangling-child"
-	// CodeMemoCycle: the group graph reachable from the root contains a
-	// cycle.
-	CodeMemoCycle Code = "memo-cycle"
 	// CodeMemoEmptyGroup: a group with no expressions.
 	CodeMemoEmptyGroup Code = "memo-empty-group"
 	// CodeWinnerDangling: a winner expression references a child group
