@@ -295,7 +295,7 @@ func TestBindSubqueries(t *testing.T) {
 	if !ok || sq.Kind != SubqueryIn || sq.Outer == nil {
 		t.Fatalf("IN subquery: %T", f)
 	}
-	if len(FreeCols(sq.Input)) != 0 {
+	if FreeCols(sq.Input).Len() != 0 {
 		t.Error("uncorrelated subquery has no free columns")
 	}
 }
@@ -309,7 +309,7 @@ func TestBindCorrelatedSubquery(t *testing.T) {
 		t.Fatal("exists kind")
 	}
 	free := FreeCols(sq.Input)
-	if len(free) != 1 {
+	if free.Len() != 1 {
 		t.Fatalf("free cols: %v", free)
 	}
 	// The free column must be customer's c_custkey.

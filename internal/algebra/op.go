@@ -232,7 +232,7 @@ type Tree struct {
 	Children []*Tree
 
 	outputCols   []ColumnMeta // lazily derived
-	outputColSet ColSet       // lazily derived; callers must not mutate
+	outputColSet *ColSet      // lazily derived; callers must not mutate
 }
 
 // NewTree builds a tree node, validating arity.
@@ -346,21 +346,17 @@ func OutputColsFromSchemas(op Operator, children [][]ColumnMeta) []ColumnMeta {
 	}
 }
 
-// OutputColSet returns the IDs of the tree's output columns.
 // OutputColSet returns the output schema as a column set. The set is
 // computed once and cached — normalization passes probe it on every
 // conjunct placement, which is quadratic in plan depth on the
 // 100-relation stress corpus — so callers must treat it as read-only
-// (clone before extending, as pruneColumns does).
+// (Copy before extending, as pruneColumns does).
 func (t *Tree) OutputColSet() ColSet {
 	if t.outputColSet != nil {
-		return t.outputColSet
+		return *t.outputColSet
 	}
-	s := NewColSet()
-	for _, c := range t.OutputCols() {
-		s.Add(c.ID)
-	}
-	t.outputColSet = s
+	s := ColSetOf(t.OutputCols())
+	t.outputColSet = &s
 	return s
 }
 
@@ -443,22 +439,17 @@ func OperatorScalars(op Operator) []Scalar {
 // nested subqueries) that are not produced inside it — i.e. its correlated
 // outer references.
 func FreeCols(t *Tree) ColSet {
-	produced := NewColSet()
-	referenced := NewColSet()
+	var produced, referenced ColSet
 	var walk func(n *Tree)
 	walk = func(n *Tree) {
 		if n == nil {
 			return
 		}
-		for _, c := range n.OutputCols() {
-			produced.Add(c.ID)
-		}
+		produced = produced.Union(n.OutputColSet())
 		// Inputs to operators also count as produced (e.g. columns consumed
 		// by a Project but not re-exposed).
 		for _, ch := range n.Children {
-			for _, c := range ch.OutputCols() {
-				produced.Add(c.ID)
-			}
+			produced = produced.Union(ch.OutputColSet())
 		}
 		for _, s := range OperatorScalars(n.Op) {
 			VisitScalar(s, func(e Scalar) {
@@ -485,12 +476,12 @@ func FreeCols(t *Tree) ColSet {
 		}
 	}
 	walk(t)
-	free := NewColSet()
-	for id := range referenced {
+	var free ColSet
+	referenced.ForEach(func(id ColumnID) {
 		if !produced.Has(id) {
 			free.Add(id)
 		}
-	}
+	})
 	return free
 }
 

@@ -7,7 +7,6 @@ package algebra
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -18,71 +17,6 @@ import (
 // ColumnID uniquely identifies a column instance across the whole query.
 // Every Get of a base table mints fresh IDs, so self-joins are unambiguous.
 type ColumnID int
-
-// ColSet is a set of column IDs.
-type ColSet map[ColumnID]struct{}
-
-// NewColSet builds a set from IDs.
-func NewColSet(ids ...ColumnID) ColSet {
-	s := make(ColSet, len(ids))
-	for _, id := range ids {
-		s[id] = struct{}{}
-	}
-	return s
-}
-
-// Add inserts id.
-func (s ColSet) Add(id ColumnID) { s[id] = struct{}{} }
-
-// Has reports membership.
-func (s ColSet) Has(id ColumnID) bool { _, ok := s[id]; return ok }
-
-// AddSet inserts all of o.
-func (s ColSet) AddSet(o ColSet) {
-	for id := range o {
-		s[id] = struct{}{}
-	}
-}
-
-// SubsetOf reports whether every member of s is in o.
-func (s ColSet) SubsetOf(o ColSet) bool {
-	for id := range s {
-		if !o.Has(id) {
-			return false
-		}
-	}
-	return true
-}
-
-// Intersects reports whether the sets share a member.
-func (s ColSet) Intersects(o ColSet) bool {
-	for id := range s {
-		if o.Has(id) {
-			return true
-		}
-	}
-	return false
-}
-
-// Sorted returns the members in ascending order.
-func (s ColSet) Sorted() []ColumnID {
-	out := make([]ColumnID, 0, len(s))
-	for id := range s {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// String renders the set for fingerprints and debug output.
-func (s ColSet) String() string {
-	ids := s.Sorted()
-	parts := make([]string, len(ids))
-	for i, id := range ids {
-		parts[i] = fmt.Sprintf("c%d", id)
-	}
-	return "{" + strings.Join(parts, ",") + "}"
-}
 
 // ColumnMeta describes one output column of an operator.
 type ColumnMeta struct {

@@ -46,7 +46,7 @@ func (e *BudgetError) Error() string {
 //  1. Every finished group holds a replicated and a single-node option:
 //     enforce derives both kinds from any option (hash → Broadcast and
 //     PartitionMove, replicated → RemoteCopySingle, single →
-//     ControlNodeMove) and pruneOptions keeps the best of class R and of
+//     ControlNodeMove) and the pruner keeps the best of class R and of
 //     class S under every Config.
 //  2. So a logical expression over finished children creates at least two
 //     options — one per R and per S child option for Select, Sort, Project

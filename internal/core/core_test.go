@@ -34,31 +34,7 @@ func shell(t *testing.T) *catalog.Shell {
 // XML → PDW optimize.
 func plan(t *testing.T, s *catalog.Shell, sql string, cfg Config) *Plan {
 	t.Helper()
-	sel, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := algebra.NewBinder(s)
-	tree, err := b.Bind(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm, err := normalize.New(b).Normalize(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := memo.Optimize(s, norm, memo.DefaultBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := memoxml.Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := memoxml.Decode(data, s)
-	if err != nil {
-		t.Fatal(err)
-	}
+	dec := decodeMemo(t, s, sql, false)
 	model := cost.NewModel(s.Topology.ComputeNodes, cost.DefaultLambda())
 	p, err := New(dec, s, model, cfg).Optimize()
 	if err != nil {

@@ -33,7 +33,10 @@ const (
 // Distribution is the physical placement property of an option. For
 // DistHash, Cols is the equivalence class of output columns known equal to
 // the partitioning value: a relation hashed on ps_partkey that also
-// outputs p_partkey (joined by equality) is hashed "on both".
+// outputs p_partkey (joined by equality) is hashed "on both". Cols only
+// ever holds columns of the exported memo (at most Decoded.MaxCol): the
+// state columns a partial aggregate mints above that range are never a
+// partitioning column, because a split hashes only on group-by keys.
 type Distribution struct {
 	Kind DistKind
 	Cols algebra.ColSet
@@ -58,35 +61,30 @@ func (d Distribution) String() string {
 	case DistSingle:
 		return "single-node"
 	default:
-		if len(d.Cols) == 0 {
+		if d.Cols.Len() == 0 {
 			return "distributed(?)"
 		}
-		ids := d.Cols.Sorted()
-		parts := make([]string, len(ids))
-		for i, id := range ids {
-			parts[i] = fmt.Sprintf("c%d", id)
-		}
-		return "hash(" + strings.Join(parts, ",") + ")"
+		cols := d.Cols.String() // "{c1,c2}"
+		return "hash(" + cols[1:len(cols)-1] + ")"
 	}
 }
 
 // restrict drops hash columns no longer present in the output and applies
-// pass-through renames (projection support).
+// pass-through renames (projection support). A class already inside out
+// comes back as it is: a distribution's columns never change once built,
+// so options may share them.
 func (d Distribution) restrict(out algebra.ColSet, rename map[algebra.ColumnID][]algebra.ColumnID) Distribution {
-	if d.Kind != DistHash {
+	if d.Kind != DistHash || (len(rename) == 0 && d.Cols.SubsetOf(out)) {
 		return d
 	}
-	cols := algebra.NewColSet()
-	for id := range d.Cols {
-		if out.Has(id) {
-			cols.Add(id)
-		}
+	cols := d.Cols.Intersect(out)
+	d.Cols.ForEach(func(id algebra.ColumnID) {
 		for _, nid := range rename[id] {
 			if out.Has(nid) {
 				cols.Add(nid)
 			}
 		}
-	}
+	})
 	return Distribution{Kind: DistHash, Cols: cols}
 }
 
@@ -124,6 +122,10 @@ type Option struct {
 	// movement plans pick the cheaper serial shape.
 	DMSCost float64
 	TieCost float64
+
+	// in backs Inputs: an option and its inputs (at most two) are one
+	// allocation.
+	in [2]*Option
 }
 
 // Cost returns the plan cost (DMS only, per §3.3).

@@ -3,7 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -22,29 +22,30 @@ func (o *Optimizer) enumerateGroup(g *pgroup, parent trace.SpanID) error {
 	sp := o.config.Tracer.BeginUnder(parent, "group")
 	sp.Int("id", int64(g.ID))
 	defer sp.End()
-	var opts []*Option
+	p := o.newPruner(g)
 	for _, e := range g.exprs {
-		es, err := o.enumerateExpr(g, e)
-		if err != nil {
+		if err := o.enumerateExpr(g, e, p); err != nil {
 			sp.SetErr(err)
 			return err
 		}
-		opts = append(opts, es...)
 	}
-	if len(opts) == 0 {
+	if p.offered == 0 {
 		err := fmt.Errorf("core: no feasible options for group %d", g.ID)
 		sp.SetErr(err)
 		return err
 	}
-	sp.Int("enumerated", int64(len(opts)))
-	opts = o.pruneOptions(g, opts)
+	sp.Int("enumerated", int64(p.offered))
+	opts := p.survivors()
 
 	// Enforcer step (07): movement alternatives for every retained option.
-	enforced := append([]*Option{}, opts...)
+	q := o.newPruner(g)
 	for _, opt := range opts {
-		enforced = append(enforced, o.enforce(g, opt)...)
+		q.offer(opt, opt)
 	}
-	g.opts = o.pruneOptions(g, enforced)
+	for _, opt := range opts {
+		o.enforce(g, opt, q)
+	}
+	g.opts = q.survivors()
 	sp.Int("retained", int64(len(g.opts)))
 	atomic.AddInt64(&o.retained, int64(len(g.opts)))
 	return nil
@@ -56,17 +57,20 @@ func (g *pgroup) statsOf(id algebra.ColumnID) (memoxml.DecodedColStat, bool) {
 	return cs, ok
 }
 
-// newRelOption builds a relational option, accumulating input costs.
-func (o *Optimizer) newRelOption(op algebra.Operator, inputs []*Option, dist Distribution, rows float64, out []algebra.ColumnMeta, width float64) *Option {
-	opt := &Option{Op: op, Inputs: inputs, Dist: dist, Rows: rows, OutCols: out, Width: width}
-	for _, in := range inputs {
-		opt.DMSCost += in.DMSCost
-		opt.TieCost += in.TieCost
-	}
+// relOption builds a relational option over inputs (nil-padded),
+// accumulating their costs. Options are built as values, and a pruner
+// copies to the heap only those it keeps (Option.heap).
+func (o *Optimizer) relOption(op algebra.Operator, in [2]*Option, dist Distribution, rows float64, out []algebra.ColumnMeta, width float64) Option {
+	opt := Option{Op: op, in: in, Dist: dist, Rows: rows, OutCols: out, Width: width}
 	// Relational work tiebreaker: rows consumed. Replicated inputs are
 	// processed on every node.
 	work := 0.0
-	for _, in := range inputs {
+	for _, in := range in {
+		if in == nil {
+			continue
+		}
+		opt.DMSCost += in.DMSCost
+		opt.TieCost += in.TieCost
 		mult := 1.0
 		if in.Dist.Kind == DistReplicated {
 			mult = float64(o.model.Nodes)
@@ -78,8 +82,8 @@ func (o *Optimizer) newRelOption(op algebra.Operator, inputs []*Option, dist Dis
 	return opt
 }
 
-// newMoveOption wraps an option in a data movement.
-func (o *Optimizer) newMoveOption(kind cost.MoveKind, col algebra.ColumnID, in *Option) *Option {
+// moveOption wraps an option in a data movement.
+func (o *Optimizer) moveOption(kind cost.MoveKind, col algebra.ColumnID, in *Option) Option {
 	var dist Distribution
 	switch kind {
 	case cost.Shuffle, cost.Trim:
@@ -89,9 +93,10 @@ func (o *Optimizer) newMoveOption(kind cost.MoveKind, col algebra.ColumnID, in *
 	case cost.PartitionMove, cost.RemoteCopySingle:
 		dist = Single()
 	}
-	opt := &Option{
+	atomic.AddInt64(&o.considered, 1)
+	return Option{
 		Move:    &MoveSpec{Kind: kind, Col: col},
-		Inputs:  []*Option{in},
+		in:      [2]*Option{in},
 		Dist:    dist,
 		Rows:    in.Rows,
 		Width:   in.Width,
@@ -99,78 +104,107 @@ func (o *Optimizer) newMoveOption(kind cost.MoveKind, col algebra.ColumnID, in *
 		DMSCost: in.DMSCost + o.model.MoveCost(kind, in.Rows, in.Width),
 		TieCost: in.TieCost,
 	}
-	atomic.AddInt64(&o.considered, 1)
-	return opt
 }
 
-// enforce yields movement alternatives for one option (Figure 4 step 07).
-func (o *Optimizer) enforce(g *pgroup, opt *Option) []*Option {
-	var out []*Option
+// heap returns a copy of opt on the heap, its Inputs the non-nil prefix of
+// in.
+func (opt *Option) heap() *Option {
+	h := new(Option)
+	*h = *opt
+	n := 0
+	for n < len(h.in) && h.in[n] != nil {
+		n++
+	}
+	if n > 0 {
+		h.Inputs = h.in[:n]
+	}
+	return h
+}
+
+// enforce offers the movement alternatives for one option (Figure 4 step
+// 07). A group's interesting columns are all among its outputs (demand
+// adds only those).
+func (o *Optimizer) enforce(g *pgroup, opt *Option, p *pruner) {
+	move := func(kind cost.MoveKind, col algebra.ColumnID) {
+		m := o.moveOption(kind, col, opt)
+		p.offer(&m, nil)
+	}
 	switch opt.Dist.Kind {
 	case DistHash:
-		for _, c := range sortedColIDs(g.interesting) {
-			if g.outSet.Has(c) && !opt.Dist.Cols.Has(c) {
-				out = append(out, o.newMoveOption(cost.Shuffle, c, opt))
+		g.interesting.ForEach(func(c algebra.ColumnID) {
+			if !opt.Dist.Cols.Has(c) {
+				move(cost.Shuffle, c)
 			}
-		}
-		out = append(out,
-			o.newMoveOption(cost.Broadcast, 0, opt),
-			o.newMoveOption(cost.PartitionMove, 0, opt))
+		})
+		move(cost.Broadcast, 0)
+		move(cost.PartitionMove, 0)
 	case DistReplicated:
-		for _, c := range sortedColIDs(g.interesting) {
-			if g.outSet.Has(c) {
-				out = append(out, o.newMoveOption(cost.Trim, c, opt))
-			}
-		}
-		out = append(out, o.newMoveOption(cost.RemoteCopySingle, 0, opt))
+		g.interesting.ForEach(func(c algebra.ColumnID) { move(cost.Trim, c) })
+		move(cost.RemoteCopySingle, 0)
 	case DistSingle:
-		out = append(out, o.newMoveOption(cost.ControlNodeMove, 0, opt))
+		move(cost.ControlNodeMove, 0)
 	}
-	return out
 }
 
-// pruneOptions implements Figure 4 step 06.ii: keep the overall best plus
-// the best per interesting property (here: per interesting hash column,
-// plus the replicated and single-node properties needed for feasibility).
-func (o *Optimizer) pruneOptions(g *pgroup, opts []*Option) []*Option {
-	classes := map[string]*Option{}
-	consider := func(key string, opt *Option) {
-		if cur, ok := classes[key]; !ok || better(opt, cur) {
-			classes[key] = opt
-		}
+// pruner implements Figure 4 step 06.ii as options arrive: it keeps the
+// overall best plus the best per interesting property (here: per
+// interesting hash column, plus the replicated and single-node properties
+// needed for feasibility). The classes are small integers — one per entry
+// of g.hashClasses, then overall, replicated, single-node — and the
+// survivors are taken in class order, which fixes the order of options
+// tied on (cost, tie, placement) whatever the serial or parallel
+// enumerator met first.
+type pruner struct {
+	hash    []algebra.ColumnID // the per-column classes; none without interesting retention
+	best    []*Option
+	offered int
+}
+
+func (o *Optimizer) newPruner(g *pgroup) *pruner {
+	p := &pruner{hash: g.hashClasses}
+	if o.config.DisableInterestingRetention {
+		p.hash = nil
 	}
-	for _, opt := range opts {
-		consider("O", opt)
-		switch opt.Dist.Kind {
-		case DistHash:
-			if !o.config.DisableInterestingRetention {
-				for c := range opt.Dist.Cols {
-					if g.interesting.Has(c) {
-						consider(fmt.Sprintf("H%d", c), opt)
-					}
-				}
+	p.best = make([]*Option, len(p.hash)+3)
+	return p
+}
+
+// offer makes cand the best of every class whose best it beats. A best
+// gives way only to a strictly better option, so a candidate that wins
+// nothing on arrival could never survive: cand is copied to the heap only
+// at its first win, unless it is already there (built).
+func (p *pruner) offer(cand, built *Option) {
+	p.offered++
+	kept := built
+	win := func(class int) {
+		if cur := p.best[class]; cur == nil || better(cand, cur) {
+			if kept == nil {
+				kept = cand.heap()
 			}
-		case DistReplicated:
-			consider("R", opt)
-		case DistSingle:
-			consider("S", opt)
+			p.best[class] = kept
 		}
 	}
-	// Deduplicate survivors deterministically: iterate classes in sorted
-	// key order — ranging the map directly would let options tied on
-	// (cost, tie, placement) surface in map-iteration order, which varies
-	// run to run and across the serial/parallel enumerators.
-	keys := make([]string, 0, len(classes))
-	for k := range classes {
-		keys = append(keys, k)
+	h := len(p.hash)
+	win(h)
+	switch cand.Dist.Kind {
+	case DistHash:
+		for i, c := range p.hash {
+			if cand.Dist.Cols.Has(c) {
+				win(i)
+			}
+		}
+	case DistReplicated:
+		win(h + 1)
+	case DistSingle:
+		win(h + 2)
 	}
-	sort.Strings(keys)
-	seen := map[*Option]bool{}
-	var out []*Option
-	for _, k := range keys {
-		opt := classes[k]
-		if !seen[opt] {
-			seen[opt] = true
+}
+
+// survivors returns each class's best once, in class order, then sorted.
+func (p *pruner) survivors() []*Option {
+	out := p.best[:0]
+	for _, opt := range p.best {
+		if opt != nil && !slices.Contains(out, opt) {
 			out = append(out, opt)
 		}
 	}
@@ -178,112 +212,135 @@ func (o *Optimizer) pruneOptions(g *pgroup, opts []*Option) []*Option {
 	return out
 }
 
-// enumerateExpr produces the relational options of one logical expression.
-func (o *Optimizer) enumerateExpr(g *pgroup, e memoxml.DecodedExpr) ([]*Option, error) {
+// enumerateExpr offers the relational options of one logical expression.
+func (o *Optimizer) enumerateExpr(g *pgroup, e pexpr, p *pruner) error {
 	switch op := e.Op.(type) {
 	case *algebra.Get:
-		return o.enumGet(g, op), nil
+		o.enumGet(g, op, p)
 	case *algebra.Values:
-		width := widthOf(g.OutCols, g.statsOf)
-		return []*Option{o.newRelOption(op, nil, Replicated(), g.Rows, g.OutCols, width)}, nil
-	case *algebra.Select:
-		return o.enumUnary(g, op, e), nil
-	case *algebra.Project:
-		return o.enumProject(g, op, e), nil
+		opt := o.relOption(op, [2]*Option{}, Replicated(), g.Rows, g.OutCols, widthOf(g.OutCols, g.statsOf))
+		p.offer(&opt, nil)
+	case *algebra.Select, *algebra.Sort, *algebra.Project:
+		o.enumUnary(g, op, e, p)
 	case *algebra.Join:
-		return o.enumJoin(g, op, e), nil
+		o.enumJoin(g, op, e, p)
 	case *algebra.GroupBy:
-		return o.enumGroupBy(g, op, e), nil
-	case *algebra.Sort:
-		return o.enumUnary(g, op, e), nil
+		o.enumGroupBy(g, op, e, p)
 	case *algebra.UnionAll:
-		return o.enumUnion(g, op, e), nil
+		o.enumUnion(g, op, e, p)
+	default:
+		return fmt.Errorf("core: cannot enumerate operator %T", e.Op)
 	}
-	return nil, fmt.Errorf("core: cannot enumerate operator %T", e.Op)
+	return nil
+}
+
+// schemas memoizes one operator's output schema and width per pair of
+// input schemas. Options of one group may list their columns in different
+// orders, and the width is an order-sensitive float sum, so the key is the
+// input schemas' contents, not the group. Equal inputs get the same output
+// slice, and the options above see fewer distinct schemas in turn.
+type schemas struct {
+	op      algebra.Operator
+	statsOf func(algebra.ColumnID) (memoxml.DecodedColStat, bool)
+	seen    []schemaEntry
+}
+
+type schemaEntry struct {
+	l, r, cols []algebra.ColumnMeta
+	width      float64
+}
+
+// of returns op's output schema and its width over inputs l and r (r nil
+// for a unary operator).
+func (s *schemas) of(l, r []algebra.ColumnMeta) ([]algebra.ColumnMeta, float64) {
+	for _, e := range s.seen {
+		if sameCols(e.l, l) && sameCols(e.r, r) {
+			return e.cols, e.width
+		}
+	}
+	in := [][]algebra.ColumnMeta{l, r}
+	if r == nil {
+		in = in[:1]
+	}
+	cols := algebra.OutputColsFromSchemas(s.op, in)
+	width := widthOf(cols, s.statsOf)
+	s.seen = append(s.seen, schemaEntry{l: l, r: r, cols: cols, width: width})
+	return cols, width
+}
+
+// sameCols reports whether two schemas list the same columns, trying
+// identity before contents.
+func sameCols(a, b []algebra.ColumnMeta) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0] || slices.Equal(a, b))
 }
 
 // enumGet yields the table's natural placement.
-func (o *Optimizer) enumGet(g *pgroup, op *algebra.Get) []*Option {
+func (o *Optimizer) enumGet(g *pgroup, op *algebra.Get, p *pruner) {
 	width := widthOf(g.OutCols, g.statsOf)
 	dist := Replicated()
 	if op.Table.Dist.Kind == catalog.DistHash {
-		dist = Distribution{Kind: DistHash, Cols: algebra.NewColSet()}
+		dist = Distribution{Kind: DistHash}
 		for _, c := range op.Cols {
 			if strings.EqualFold(c.Name, op.Table.Dist.Column) {
 				dist.Cols.Add(c.ID)
 			}
 		}
 	}
-	return []*Option{o.newRelOption(op, nil, dist, g.Rows, g.OutCols, width)}
+	opt := o.relOption(op, [2]*Option{}, dist, g.Rows, g.OutCols, width)
+	p.offer(&opt, nil)
 }
 
-// enumUnary handles Select and Sort: distribution is preserved.
-func (o *Optimizer) enumUnary(g *pgroup, op algebra.Operator, e memoxml.DecodedExpr) []*Option {
-	child := o.groups[e.Children[0]]
-	var out []*Option
-	for _, co := range child.opts {
-		dist := co.Dist.restrict(g.outSet, nil)
-		width := widthOf(co.OutCols, g.statsOf)
-		out = append(out, o.newRelOption(op, []*Option{co}, dist, g.Rows, co.OutCols, width))
-	}
-	return out
-}
-
-// enumProject remaps distribution columns through pass-through defs.
-func (o *Optimizer) enumProject(g *pgroup, op *algebra.Project, e memoxml.DecodedExpr) []*Option {
-	child := o.groups[e.Children[0]]
-	rename := map[algebra.ColumnID][]algebra.ColumnID{}
-	for _, d := range op.Defs {
-		if c, ok := d.Expr.(*algebra.ColRef); ok {
-			rename[c.ID] = append(rename[c.ID], d.ID)
+// enumUnary handles Select, Sort and Project: the child's placement carries
+// over, restricted to the output and, through a projection, renamed along
+// its pass-through defs.
+func (o *Optimizer) enumUnary(g *pgroup, op algebra.Operator, e pexpr, p *pruner) {
+	outSet, rename := g.outSet, map[algebra.ColumnID][]algebra.ColumnID(nil)
+	if proj, ok := op.(*algebra.Project); ok {
+		outSet, rename = algebra.ColSet{}, map[algebra.ColumnID][]algebra.ColumnID{}
+		for _, d := range proj.Defs {
+			outSet.Add(d.ID)
+			if c, ok := d.Expr.(*algebra.ColRef); ok {
+				rename[c.ID] = append(rename[c.ID], d.ID)
+			}
 		}
 	}
-	var out []*Option
-	for _, co := range child.opts {
-		outCols := algebra.OutputColsFromSchemas(op, [][]algebra.ColumnMeta{co.OutCols})
-		outSet := algebra.NewColSet()
-		for _, c := range outCols {
-			outSet.Add(c.ID)
-		}
-		dist := co.Dist.restrict(outSet, rename)
-		width := widthOf(outCols, g.statsOf)
-		out = append(out, o.newRelOption(op, []*Option{co}, dist, g.Rows, outCols, width))
+	sc := &schemas{op: op, statsOf: g.statsOf}
+	for _, co := range o.groups[e.Children[0]].opts {
+		outCols, width := sc.of(co.OutCols, nil)
+		opt := o.relOption(op, [2]*Option{co}, co.Dist.restrict(outSet, rename), g.Rows, outCols, width)
+		p.offer(&opt, nil)
 	}
-	return out
 }
 
 // enumJoin pairs child options and keeps distribution-compatible ones.
-func (o *Optimizer) enumJoin(g *pgroup, op *algebra.Join, e memoxml.DecodedExpr) []*Option {
+func (o *Optimizer) enumJoin(g *pgroup, op *algebra.Join, e pexpr, p *pruner) {
 	left := o.groups[e.Children[0]]
 	right := o.groups[e.Children[1]]
-	var out []*Option
+	sc := &schemas{op: op, statsOf: g.statsOf}
 	// The output column set is the expression's, not the pair's: every
 	// option of a group has the group's columns.
 	var outSet algebra.ColSet
+	haveOut := false
 	for _, lo := range left.opts {
 		for _, ro := range right.opts {
-			dist, ok := o.joinDist(op, lo, ro)
+			dist, ok := joinDist(op, e.equi, lo, ro)
 			if !ok {
 				continue
 			}
-			outCols := algebra.OutputColsFromSchemas(op, [][]algebra.ColumnMeta{lo.OutCols, ro.OutCols})
-			if outSet == nil {
-				outSet = algebra.NewColSet()
-				for _, c := range outCols {
-					outSet.Add(c.ID)
-				}
+			outCols, width := sc.of(lo.OutCols, ro.OutCols)
+			if !haveOut {
+				outSet, haveOut = algebra.ColSetOf(outCols), true
 			}
-			dist = dist.restrict(outSet, nil)
-			width := widthOf(outCols, g.statsOf)
-			out = append(out, o.newRelOption(op, []*Option{lo, ro}, dist, g.Rows, outCols, width))
+			opt := o.relOption(op, [2]*Option{lo, ro}, dist.restrict(outSet, nil), g.Rows, outCols, width)
+			p.offer(&opt, nil)
 		}
 	}
-	return out
 }
 
 // joinDist decides whether two placements can join without movement and
 // what the result placement is (the §2.4 "partition compatible" check).
-func (o *Optimizer) joinDist(op *algebra.Join, lo, ro *Option) (Distribution, bool) {
+// equi is the join condition's equi-pairs.
+func joinDist(op *algebra.Join, equi [][2]algebra.ColumnID, lo, ro *Option) (Distribution, bool) {
 	lk, rk := lo.Dist.Kind, ro.Dist.Kind
 	switch {
 	case lk == DistSingle && rk == DistSingle:
@@ -301,9 +358,9 @@ func (o *Optimizer) joinDist(op *algebra.Join, lo, ro *Option) (Distribution, bo
 		if op.Kind == algebra.JoinFullOuter {
 			return Distribution{}, false
 		}
-		cols := cloneColSet(lo.Dist.Cols)
+		cols := lo.Dist.Cols
 		if op.Kind == algebra.JoinInner {
-			addEquatedCols(op.On, lo.Dist.Cols, cols)
+			cols = equated(cols, equi)
 		}
 		return Distribution{Kind: DistHash, Cols: cols}, true
 
@@ -314,20 +371,20 @@ func (o *Optimizer) joinDist(op *algebra.Join, lo, ro *Option) (Distribution, bo
 		if op.Kind != algebra.JoinInner && op.Kind != algebra.JoinCross {
 			return Distribution{}, false
 		}
-		cols := cloneColSet(ro.Dist.Cols)
+		cols := ro.Dist.Cols
 		if op.Kind == algebra.JoinInner {
-			addEquatedCols(op.On, ro.Dist.Cols, cols)
+			cols = equated(cols, equi)
 		}
 		return Distribution{Kind: DistHash, Cols: cols}, true
 
 	default: // both hash-distributed
-		if !collocated(op.On, lo.Dist.Cols, ro.Dist.Cols) {
+		if !collocated(equi, lo.Dist.Cols, ro.Dist.Cols) {
 			return Distribution{}, false
 		}
-		cols := cloneColSet(lo.Dist.Cols)
+		cols := lo.Dist.Cols
 		switch op.Kind {
 		case algebra.JoinInner:
-			cols.AddSet(ro.Dist.Cols)
+			cols = cols.Union(ro.Dist.Cols)
 		case algebra.JoinCross:
 			// Unreachable: cross joins have no equi conjuncts, so they
 			// are never collocated.
@@ -336,14 +393,11 @@ func (o *Optimizer) joinDist(op *algebra.Join, lo, ro *Option) (Distribution, bo
 	}
 }
 
-// collocated reports whether an equality conjunct pairs the two hash
-// column classes.
-func collocated(on algebra.Scalar, l, r algebra.ColSet) bool {
-	for _, conj := range algebra.Conjuncts(on) {
-		a, b, ok := algebra.EquiJoinSides(conj)
-		if !ok {
-			continue
-		}
+// collocated reports whether an equi-pair pairs the two hash column
+// classes.
+func collocated(equi [][2]algebra.ColumnID, l, r algebra.ColSet) bool {
+	for _, p := range equi {
+		a, b := p[0], p[1]
 		if (l.Has(a) && r.Has(b)) || (l.Has(b) && r.Has(a)) {
 			return true
 		}
@@ -351,26 +405,18 @@ func collocated(on algebra.Scalar, l, r algebra.ColSet) bool {
 	return false
 }
 
-// addEquatedCols extends a hash equivalence class with columns equated to
-// it by the join condition.
-func addEquatedCols(on algebra.Scalar, class algebra.ColSet, into algebra.ColSet) {
-	for _, conj := range algebra.Conjuncts(on) {
-		a, b, ok := algebra.EquiJoinSides(conj)
-		if !ok {
-			continue
+// equated extends a hash equivalence class with the columns the equi-pairs
+// equate to it.
+func equated(class algebra.ColSet, equi [][2]algebra.ColumnID) algebra.ColSet {
+	out := class.Copy()
+	for _, p := range equi {
+		if class.Has(p[0]) {
+			out.Add(p[1])
 		}
-		if class.Has(a) {
-			into.Add(b)
-		}
-		if class.Has(b) {
-			into.Add(a)
+		if class.Has(p[1]) {
+			out.Add(p[0])
 		}
 	}
-}
-
-func cloneColSet(s algebra.ColSet) algebra.ColSet {
-	out := algebra.NewColSet()
-	out.AddSet(s)
 	return out
 }
 
@@ -381,61 +427,49 @@ func cloneColSet(s algebra.ColSet) algebra.ColSet {
 // hash-distributed child option — not merely as a fallback when the
 // complete shape is infeasible — and pruning keeps whichever moves fewer
 // bytes.
-func (o *Optimizer) enumGroupBy(g *pgroup, op *algebra.GroupBy, e memoxml.DecodedExpr) []*Option {
+func (o *Optimizer) enumGroupBy(g *pgroup, op *algebra.GroupBy, e pexpr, p *pruner) {
 	child := o.groups[e.Children[0]]
 	keySet := algebra.NewColSet(op.Keys...)
-	var out []*Option
+	sc := &schemas{op: op, statsOf: g.statsOf}
 
 	for _, co := range child.opts {
 		// Complete aggregation wherever the placement already brings every
 		// row of each group to one node.
-		if gbCompatible(op, co.Dist) {
-			dist := co.Dist.restrict(keySet, nil)
-			if co.Dist.Kind != DistHash {
-				dist = co.Dist
-			}
-			outCols := algebra.OutputColsFromSchemas(op, [][]algebra.ColumnMeta{co.OutCols})
-			width := widthOf(outCols, g.statsOf)
-			out = append(out, o.newRelOption(op, []*Option{co}, dist, g.Rows, outCols, width))
+		if gbCompatible(keySet, co.Dist) {
+			outCols, width := sc.of(co.OutCols, nil)
+			opt := o.relOption(op, [2]*Option{co}, co.Dist.restrict(keySet, nil), g.Rows, outCols, width)
+			p.offer(&opt, nil)
 		}
 		// Partial aggregation on each node, move the shrunken states, then
 		// finalize. Only decomposable aggregates split (splitAggs guards
 		// DISTINCT and unknown functions); replicated or single-node inputs
 		// never benefit — their complete aggregation is movement-free.
 		if co.Dist.Kind == DistHash && !o.config.DisableAggSplit {
-			out = append(out, o.splitOptions(g, op, co)...)
+			o.splitOptions(g, op, keySet, co, p)
 		}
 	}
-	return out
 }
 
-// gbCompatible reports whether a complete GroupBy over the placement is
-// correct without movement: all rows of any group live on one node.
-func gbCompatible(op *algebra.GroupBy, d Distribution) bool {
+// gbCompatible reports whether a complete GroupBy on keys is correct over
+// the placement without movement: all rows of any group live on one node.
+func gbCompatible(keys algebra.ColSet, d Distribution) bool {
 	switch d.Kind {
 	case DistSingle, DistReplicated:
 		return true
 	default:
-		if len(op.Keys) == 0 {
-			return false
-		}
-		keySet := algebra.NewColSet(op.Keys...)
-		for c := range d.Cols {
-			if keySet.Has(c) {
-				return true
-			}
-		}
-		return false
+		return d.Cols.Intersects(keys)
 	}
 }
 
-// splitOptions builds PartialGB → move → FinalGB chains over one child
+// splitOptions offers PartialGB → move → FinalGB chains over one child
 // option: per-node partial aggregation shrinks the stream before it moves,
 // and the finalizing aggregation merges partial states after the movement.
-func (o *Optimizer) splitOptions(g *pgroup, op *algebra.GroupBy, co *Option) []*Option {
+// The partial states are minted columns; they appear in schemas only, and
+// every placement here hashes on a group-by key.
+func (o *Optimizer) splitOptions(g *pgroup, op *algebra.GroupBy, keySet algebra.ColSet, co *Option, p *pruner) {
 	partialAggs, finalAggs, ok := splitAggs(g, op.Aggs)
 	if !ok {
-		return nil
+		return
 	}
 	n := float64(o.model.Nodes)
 	if n < 1 {
@@ -455,24 +489,26 @@ func (o *Optimizer) splitOptions(g *pgroup, op *algebra.GroupBy, co *Option) []*
 		partialRows = math.Min(n*expectedDistinct(g.Rows, co.Rows/n), co.Rows)
 	}
 	partialWidth := widthOf(partialCols, g.statsOf)
-	partialDist := co.Dist.restrict(algebra.NewColSet(op.Keys...), nil)
-	partial := o.newRelOption(partialOp, []*Option{co}, partialDist, partialRows, partialCols, partialWidth)
+	partialDist := co.Dist.restrict(keySet, nil)
+	pv := o.relOption(partialOp, [2]*Option{co}, partialDist, partialRows, partialCols, partialWidth)
+	partial := pv.heap()
 
 	finalOp := &algebra.GroupBy{Keys: op.Keys, Aggs: finalAggs, Phase: algebra.AggFinal}
 	finalCols := algebra.OutputColsFromSchemas(finalOp, [][]algebra.ColumnMeta{partialCols})
 	finalWidth := widthOf(finalCols, g.statsOf)
 
-	var out []*Option
+	final := func(kind cost.MoveKind, col algebra.ColumnID, dist Distribution) {
+		mv := o.moveOption(kind, col, partial)
+		opt := o.relOption(finalOp, [2]*Option{mv.heap()}, dist, g.Rows, finalCols, finalWidth)
+		p.offer(&opt, nil)
+	}
 	if len(op.Keys) == 0 {
-		moved := o.newMoveOption(cost.PartitionMove, 0, partial)
-		out = append(out, o.newRelOption(finalOp, []*Option{moved}, Single(), g.Rows, finalCols, finalWidth))
-		return out
+		final(cost.PartitionMove, 0, Single())
+		return
 	}
 	for _, k := range op.Keys {
-		moved := o.newMoveOption(cost.Shuffle, k, partial)
-		out = append(out, o.newRelOption(finalOp, []*Option{moved}, HashOn(k), g.Rows, finalCols, finalWidth))
+		final(cost.Shuffle, k, HashOn(k))
 	}
-	return out
 }
 
 // splitAggs rewrites complete aggregates into partial/final pairs with
@@ -510,10 +546,10 @@ func splitAggs(g *pgroup, aggs []algebra.AggDef) (partial, final []algebra.AggDe
 }
 
 // enumUnion requires compatible placements; enforcers provide movement.
-func (o *Optimizer) enumUnion(g *pgroup, op *algebra.UnionAll, e memoxml.DecodedExpr) []*Option {
+func (o *Optimizer) enumUnion(g *pgroup, op *algebra.UnionAll, e pexpr, p *pruner) {
 	left := o.groups[e.Children[0]]
 	right := o.groups[e.Children[1]]
-	var out []*Option
+	sc := &schemas{op: op, statsOf: g.statsOf}
 	for _, lo := range left.opts {
 		for _, ro := range right.opts {
 			var dist Distribution
@@ -523,22 +559,17 @@ func (o *Optimizer) enumUnion(g *pgroup, op *algebra.UnionAll, e memoxml.Decoded
 			case lo.Dist.Kind == DistReplicated && ro.Dist.Kind == DistReplicated:
 				dist = Replicated()
 			case lo.Dist.Kind == DistHash && ro.Dist.Kind == DistHash:
-				shared := algebra.NewColSet()
-				for c := range lo.Dist.Cols {
-					if ro.Dist.Cols.Has(c) {
-						shared.Add(c)
-					}
-				}
-				if len(shared) == 0 && len(lo.Dist.Cols)+len(ro.Dist.Cols) > 0 {
+				shared := lo.Dist.Cols.Intersect(ro.Dist.Cols)
+				if shared.Len() == 0 && lo.Dist.Cols.Len()+ro.Dist.Cols.Len() > 0 {
 					continue
 				}
 				dist = Distribution{Kind: DistHash, Cols: shared}
 			default:
 				continue
 			}
-			width := widthOf(lo.OutCols, g.statsOf)
-			out = append(out, o.newRelOption(op, []*Option{lo, ro}, dist, g.Rows, lo.OutCols, width))
+			outCols, width := sc.of(lo.OutCols, ro.OutCols)
+			opt := o.relOption(op, [2]*Option{lo, ro}, dist, g.Rows, outCols, width)
+			p.offer(&opt, nil)
 		}
 	}
-	return out
 }

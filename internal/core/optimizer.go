@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 	"sync/atomic"
 
 	"pdwqo/internal/algebra"
@@ -66,10 +69,9 @@ type Config struct {
 // search statistics.
 type Plan struct {
 	Root *Option
-	// ReturnCost is the modeled cost of streaming the final result to the
-	// client through the control node.
-	ReturnCost float64
-	// TotalCost = Root.DMSCost + ReturnCost.
+	// TotalCost is Root.DMSCost. Returning the result adds nothing: it
+	// streams from the nodes to the client without DMS (paper §2.3: "such
+	// queries will not involve DMS"), whatever the root's placement.
 	TotalCost float64
 	// OptionsConsidered counts options created during enumeration;
 	// OptionsRetained counts options surviving pruning.
@@ -100,14 +102,34 @@ type Optimizer struct {
 // pgroup is the PDW-side view of one memo group.
 type pgroup struct {
 	*memoxml.DecodedGroup
-	exprs       []memoxml.DecodedExpr // logical expressions in play (mode-dependent)
+	exprs       []pexpr // logical expressions in play (mode-dependent)
 	interesting algebra.ColSet
+	// hashClasses lists interesting in the order of the pruner's
+	// per-column classes.
+	hashClasses []algebra.ColumnID
 	opts        []*Option
 	outSet      algebra.ColSet
 	// nextCol walks this group's private fresh-column range (see
 	// colStride): enumeration within a group is sequential, so minting is
 	// deterministic even when groups enumerate concurrently.
 	nextCol algebra.ColumnID
+}
+
+// pexpr is one logical expression in play. For a join, equi holds the
+// column pairs its equality conjuncts equate (algebra.EquiJoinSides, in
+// conjunct order), split once here rather than per pair of child options.
+type pexpr struct {
+	memoxml.DecodedExpr
+	equi [][2]algebra.ColumnID
+}
+
+// exprKey identifies a logical expression for step 03's merge: its
+// operator's fingerprint and its child groups (no operator has more than
+// two).
+type exprKey struct {
+	op   string
+	n    int
+	kids [2]int
 }
 
 // colStride is the size of each group's fresh-column ID range. Fresh
@@ -243,17 +265,15 @@ func (o *Optimizer) waves() [][]int {
 // decoded memo, select the expressions in play for the mode, and compute a
 // bottom-up order.
 func (o *Optimizer) prepare() error {
-	o.groups = map[int]*pgroup{}
+	o.groups = make(map[int]*pgroup, len(o.dec.Groups))
+	seen := map[exprKey]bool{}
 	for id, dg := range o.dec.Groups {
-		g := &pgroup{DecodedGroup: dg, interesting: algebra.NewColSet(), outSet: algebra.NewColSet()}
-		for _, c := range dg.OutCols {
-			g.outSet.Add(c.ID)
-		}
+		g := &pgroup{DecodedGroup: dg, outSet: algebra.ColSetOf(dg.OutCols)}
 		// Step 03 (merge equivalent expressions from the PDW perspective):
 		// physical algorithm choices are irrelevant to movement planning,
 		// so expressions are considered at the logical level and
 		// duplicates collapse.
-		seen := map[string]bool{}
+		clear(seen)
 		switch o.config.Mode {
 		case ModeSerialBaseline:
 			for _, e := range dg.Exprs {
@@ -264,14 +284,14 @@ func (o *Optimizer) prepare() error {
 				if p, ok := e.Op.(*algebra.Phys); ok {
 					le.Op = p.Of
 				}
-				g.exprs = append(g.exprs, le)
+				g.exprs = append(g.exprs, newPExpr(le))
 			}
 			if len(g.exprs) == 0 {
 				// Groups unreachable from the winner tree keep their first
 				// logical expr for safety; they will not be visited.
 				for _, e := range dg.Exprs {
 					if !e.Physical {
-						g.exprs = append(g.exprs, e)
+						g.exprs = append(g.exprs, newPExpr(e))
 						break
 					}
 				}
@@ -281,12 +301,12 @@ func (o *Optimizer) prepare() error {
 				if e.Physical {
 					continue
 				}
-				fp := exprFingerprint(e)
-				if seen[fp] {
-					continue
+				k := exprKey{op: e.Op.Fingerprint(), n: len(e.Children)}
+				copy(k.kids[:], e.Children)
+				if !seen[k] {
+					seen[k] = true
+					g.exprs = append(g.exprs, newPExpr(e))
 				}
-				seen[fp] = true
-				g.exprs = append(g.exprs, e)
 			}
 		}
 		if len(g.exprs) == 0 {
@@ -335,65 +355,58 @@ func (o *Optimizer) prepare() error {
 	return nil
 }
 
-func exprFingerprint(e memoxml.DecodedExpr) string {
-	fp := e.Op.Fingerprint()
-	for _, c := range e.Children {
-		fp += fmt.Sprintf("|g%d", c)
+// newPExpr wraps a logical expression, splitting a join's equi-pairs.
+func newPExpr(e memoxml.DecodedExpr) pexpr {
+	pe := pexpr{DecodedExpr: e}
+	if j, ok := e.Op.(*algebra.Join); ok {
+		for _, conj := range algebra.Conjuncts(j.On) {
+			if a, b, ok := algebra.EquiJoinSides(conj); ok {
+				pe.equi = append(pe.equi, [2]algebra.ColumnID{a, b})
+			}
+		}
 	}
-	return fp
+	return pe
 }
 
 // deriveInteresting implements Figure 4 step 04: interesting columns are
 // (a) columns referenced in equality join predicates and (b) group-by
-// columns, propagated top-down through the memo.
+// columns, propagated top-down through the memo. One pass over the
+// reversed bottom-up order is the fixpoint: every parent precedes its
+// children there, so a group's set is final before it passes it down.
 func (o *Optimizer) deriveInteresting() {
-	// Iterate top-down (reverse bottom-up order) until fixpoint; the memo
-	// is a DAG so a couple of rounds suffice.
-	for round := 0; round < 8; round++ {
-		changed := false
-		for i := len(o.order) - 1; i >= 0; i-- {
-			g := o.groups[o.order[i]]
-			for _, e := range g.exprs {
-				switch op := e.Op.(type) {
-				case *algebra.Join:
-					for _, conj := range algebra.Conjuncts(op.On) {
-						a, b, ok := algebra.EquiJoinSides(conj)
-						if !ok {
-							continue
-						}
-						for _, cid := range e.Children {
-							c := o.groups[cid]
-							for _, col := range []algebra.ColumnID{a, b} {
-								if c.outSet.Has(col) && !c.interesting.Has(col) {
-									c.interesting.Add(col)
-									changed = true
-								}
-							}
-						}
-					}
-				case *algebra.GroupBy:
-					c := o.groups[e.Children[0]]
-					for _, k := range op.Keys {
-						if c.outSet.Has(k) && !c.interesting.Has(k) {
-							c.interesting.Add(k)
-							changed = true
-						}
+	for i := len(o.order) - 1; i >= 0; i-- {
+		g := o.groups[o.order[i]]
+		for _, e := range g.exprs {
+			switch op := e.Op.(type) {
+			case *algebra.Join:
+				for _, pair := range e.equi {
+					for _, cid := range e.Children {
+						o.groups[cid].demand(pair[:]...)
 					}
 				}
-				// Parent demand flows through to children.
-				for _, cid := range e.Children {
-					c := o.groups[cid]
-					for col := range g.interesting {
-						if c.outSet.Has(col) && !c.interesting.Has(col) {
-							c.interesting.Add(col)
-							changed = true
-						}
-					}
-				}
+			case *algebra.GroupBy:
+				o.groups[e.Children[0]].demand(op.Keys...)
+			}
+			// Parent demand flows through to children.
+			for _, cid := range e.Children {
+				c := o.groups[cid]
+				g.interesting.ForEach(func(col algebra.ColumnID) { c.demand(col) })
 			}
 		}
-		if !changed {
-			return
+	}
+	for _, g := range o.groups {
+		g.hashClasses = g.interesting.Sorted()
+		slices.SortFunc(g.hashClasses, func(a, b algebra.ColumnID) int {
+			return strings.Compare(strconv.Itoa(int(a)), strconv.Itoa(int(b)))
+		})
+	}
+}
+
+// demand marks the columns the group outputs among cols interesting.
+func (g *pgroup) demand(cols ...algebra.ColumnID) {
+	for _, c := range cols {
+		if g.outSet.Has(c) {
+			g.interesting.Add(c)
 		}
 	}
 }
@@ -408,19 +421,12 @@ func (o *Optimizer) Interesting(group int) []algebra.ColumnID {
 	return g.interesting.Sorted()
 }
 
-// extract implements Figure 4 step 08: pick the best root option including
-// the cost of returning rows to the client.
+// extract implements Figure 4 step 08: pick the best root option.
 func (o *Optimizer) extract() (*Plan, error) {
-	root := o.groups[o.dec.Root]
 	var best *Option
-	bestTotal := math.Inf(1)
-	bestReturn := 0.0
-	for _, opt := range root.opts {
-		ret := o.returnCost(opt)
-		total := opt.DMSCost + ret
-		if best == nil || total < bestTotal ||
-			(total == bestTotal && opt.TieCost < best.TieCost) {
-			best, bestTotal, bestReturn = opt, total, ret
+	for _, opt := range o.groups[o.dec.Root].opts {
+		if best == nil || better(opt, best) {
+			best = opt
 		}
 	}
 	if best == nil {
@@ -428,27 +434,13 @@ func (o *Optimizer) extract() (*Plan, error) {
 	}
 	return &Plan{
 		Root:              best,
-		ReturnCost:        bestReturn,
-		TotalCost:         bestTotal,
+		TotalCost:         best.DMSCost,
 		OptionsConsidered: int(atomic.LoadInt64(&o.considered)),
 		OptionsRetained:   int(atomic.LoadInt64(&o.retained)),
 		Groups:            len(o.order),
 		MemoExhausted:     o.dec.Exhausted,
 	}, nil
 }
-
-// returnCost models the final Return operation. Results stream from the
-// nodes directly back to the client without materializing a temp table
-// (paper §2.3: "such queries will not involve DMS"), and the client
-// receives the same bytes regardless of where the result sits — so the
-// Return is free for every placement and plans compete on movement alone.
-func (o *Optimizer) returnCost(opt *Option) float64 {
-	_ = opt
-	return 0
-}
-
-// sortedColIDs gives deterministic iteration over a column set.
-func sortedColIDs(s algebra.ColSet) []algebra.ColumnID { return s.Sorted() }
 
 // widthOf computes the byte width of a schema using group stats when
 // available.

@@ -596,12 +596,8 @@ func passThrough2(la string, lcols []algebra.ColumnMeta, ra string, rcols []alge
 type resolver func(algebra.ColumnID) (string, error)
 
 func singleResolver(alias string, cols []algebra.ColumnMeta) resolver {
-	set := algebra.NewColSet()
-	for _, c := range cols {
-		set.Add(c.ID)
-	}
 	return func(id algebra.ColumnID) (string, error) {
-		if !set.Has(id) {
+		if !hasCol(cols, id) {
 			return "", fmt.Errorf("dsql: column c%d not in scope", id)
 		}
 		return alias + "." + colName(id), nil
@@ -609,23 +605,27 @@ func singleResolver(alias string, cols []algebra.ColumnMeta) resolver {
 }
 
 func pairResolver(la string, lcols []algebra.ColumnMeta, ra string, rcols []algebra.ColumnMeta) resolver {
-	lset := algebra.NewColSet()
-	for _, c := range lcols {
-		lset.Add(c.ID)
-	}
-	rset := algebra.NewColSet()
-	for _, c := range rcols {
-		rset.Add(c.ID)
-	}
 	return func(id algebra.ColumnID) (string, error) {
-		if lset.Has(id) {
+		if hasCol(lcols, id) {
 			return la + "." + colName(id), nil
 		}
-		if rset.Has(id) {
+		if hasCol(rcols, id) {
 			return ra + "." + colName(id), nil
 		}
 		return "", fmt.Errorf("dsql: column c%d not in scope", id)
 	}
+}
+
+// hasCol reports whether the schema has column id. Resolvers scan the
+// schema rather than build a column set: a partial aggregate's state
+// columns are minted far above the memo's ids, where a dense set is large.
+func hasCol(cols []algebra.ColumnMeta, id algebra.ColumnID) bool {
+	for _, c := range cols {
+		if c.ID == id {
+			return true
+		}
+	}
+	return false
 }
 
 // renderScalar renders a bound expression as SQL text in the engine's

@@ -62,11 +62,11 @@ func (ve *vecEnv) readsOf(e algebra.Scalar) []int {
 		return p
 	}
 	var p []int
-	for id := range algebra.ScalarCols(e) {
+	algebra.ScalarCols(e).ForEach(func(id algebra.ColumnID) {
 		if i, ok := ve.idx[id]; ok {
 			p = append(p, i)
 		}
-	}
+	})
 	sort.Ints(p)
 	if ve.reads == nil {
 		ve.reads = map[algebra.Scalar][]int{}

@@ -106,11 +106,11 @@ func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr) bool {
 			continue
 		}
 		aID, bID := le.Children[0], le.Children[1]
-		m.cols = m.cols.unionOf(m.Groups[bID].outCols, cCols)
+		m.cols.SetUnion(m.Groups[bID].outCols, cCols)
 		bc, top := m.pool[0][:0], m.pool[1][:0]
 		for _, conds := range [2][]conjunct{e.conj, le.conj} {
 			for _, c := range conds {
-				if m.conjCols[c.id].subsetOf(m.cols) {
+				if m.conjCols[c.id].SubsetOf(m.cols) {
 					bc = insertByRank(bc, c, rank)
 				} else {
 					top = insertByRank(top, c, rank)
@@ -167,8 +167,7 @@ func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) b
 	leftGroup := m.Groups[e.Children[0]]
 	rID := e.Children[1]
 	rProps := m.Groups[rID].Props
-
-	var rCols algebra.ColSet // built for the first GroupBy found
+	rCols := m.Groups[rID].outCols
 	changed := false
 	for _, le := range leftGroup.Exprs {
 		var gb *algebra.GroupBy
@@ -194,12 +193,6 @@ func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) b
 		if gb == nil || gb.Phase != algebra.AggComplete {
 			continue
 		}
-		if rCols == nil {
-			rCols = algebra.NewColSet()
-			for _, c := range rProps.OutCols {
-				rCols.Add(c.ID)
-			}
-		}
 		keySet := algebra.NewColSet(gb.Keys...)
 		// Columns the join condition may touch on the left side: GB keys,
 		// and for the Project case only keys passed through unchanged.
@@ -212,9 +205,7 @@ func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) b
 				}
 			}
 		}
-		allowed := algebra.NewColSet()
-		allowed.AddSet(joinableLeft)
-		allowed.AddSet(rCols)
+		allowed := joinableLeft.Union(rCols)
 
 		rJoinCols := algebra.NewColSet()
 		valid := true

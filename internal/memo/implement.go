@@ -86,7 +86,7 @@ func (m *Memo) hasCrossEquiConjunct(e *GroupExpr) bool {
 	l, r := m.Groups[e.Children[0]].outCols, m.Groups[e.Children[1]].outCols
 	for _, c := range e.conj {
 		if a, b, ok := algebra.EquiJoinSides(c.s); ok {
-			if (l.has(int(a)) && r.has(int(b))) || (l.has(int(b)) && r.has(int(a))) {
+			if (l.Has(a) && r.Has(b)) || (l.Has(b) && r.Has(a)) {
 				return true
 			}
 		}

@@ -60,44 +60,6 @@ func (e *GroupExpr) Fingerprint() string {
 	return fp
 }
 
-// bitset is a set of small interned integers. It never ends in a zero
-// word, so equal sets have equal words.
-type bitset []uint64
-
-// set adds i in place (growing as needed); only for sets not yet shared.
-func (b bitset) set(i int) bitset {
-	for len(b) <= i/64 {
-		b = append(b, 0)
-	}
-	b[i/64] |= 1 << (i % 64)
-	return b
-}
-
-// has reports whether i is in the set.
-func (b bitset) has(i int) bool { return i/64 < len(b) && b[i/64]&(1<<(i%64)) != 0 }
-
-// subsetOf reports whether every member of b is in c.
-func (b bitset) subsetOf(c bitset) bool {
-	for i, w := range b {
-		if w != 0 && (i >= len(c) || w&^c[i] != 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// unionOf overwrites dst with b ∪ c, neither of which may share its words.
-func (dst bitset) unionOf(b, c bitset) bitset {
-	if len(b) < len(c) {
-		b, c = c, b
-	}
-	dst = append(dst[:0], b...)
-	for i, w := range c {
-		dst[i] |= w
-	}
-	return dst
-}
-
 // logicalKey is the identity of an inner/cross join expression: the
 // non-join groups it joins ("atoms") and the conjuncts applied anywhere
 // beneath it. Two join trees with equal keys are equivalent by
@@ -105,17 +67,18 @@ func (dst bitset) unionOf(b, c bitset) bitset {
 // group — the DP-table entry of their relation set. Every other operator is
 // an atom, identified by expression fingerprint alone.
 type logicalKey struct {
-	atoms bitset // atom ordinals (Memo.atoms)
-	conjs bitset // interned conjunct ids (Memo.conj)
+	atoms algebra.ColSet // atom ordinals (Memo.atoms)
+	conjs algebra.ColSet // interned conjunct ids (Memo.conj)
 }
 
 // appendTo appends the key's map-index encoding to buf.
 func (k logicalKey) appendTo(buf []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(k.atoms)))
-	for _, w := range k.atoms {
+	atoms := k.atoms.Words()
+	buf = binary.AppendUvarint(buf, uint64(len(atoms)))
+	for _, w := range atoms {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
-	for _, w := range k.conjs {
+	for _, w := range k.conjs.Words() {
 		buf = binary.LittleEndian.AppendUint64(buf, w)
 	}
 	return buf
@@ -126,7 +89,7 @@ type Group struct {
 	ID      GroupID
 	Exprs   []*GroupExpr
 	Props   *LogicalProps
-	outCols bitset // Props.OutCols by column id
+	outCols algebra.ColSet // Props.OutCols
 
 	// key is what the group contributes to the key of a join above it: the
 	// key of its first inner/cross join expression, else — from the first
@@ -166,11 +129,11 @@ type Memo struct {
 	// scalars around) and, behind that, by fingerprint.
 	conjPtr  map[algebra.Scalar]int32
 	conjID   map[string]int32
-	conjFP   []string      // id → fingerprint
-	conjCols []bitset      // id → columns referenced, by column id
-	conjRank []int32       // id → position in fingerprint order (ranks)
-	pool     [2][]conjunct // ruleJoinAssociate's scratch: the two conditions,
-	cols     bitset        // and the columns of B⋈C
+	conjFP   []string         // id → fingerprint
+	conjCols []algebra.ColSet // id → columns referenced
+	conjRank []int32          // id → position in fingerprint order (ranks)
+	pool     [2][]conjunct    // ruleJoinAssociate's scratch: the two conditions,
+	cols     algebra.ColSet   // and the columns of B⋈C
 
 	// conflicts counts InsertExpr calls whose caller asserted a target
 	// group other than the one that already owns the expression. No rule
@@ -328,15 +291,13 @@ func (m *Memo) insertNew(e *GroupExpr, target GroupID) GroupID {
 	m.created++
 	if keyed && owner == 0 {
 		m.keyGroup[string(m.buf)] = target
-		if g.key.atoms == nil {
-			g.key = logicalKey{atoms: append(bitset(nil), key.atoms...), conjs: append(bitset(nil), key.conjs...)}
+		if g.key.atoms.Len() == 0 {
+			g.key = logicalKey{atoms: key.atoms.Copy(), conjs: key.conjs.Copy()}
 		}
 	}
 	if g.Props == nil && !e.Physical {
 		g.Props = m.deriveProps(e)
-		for _, c := range g.Props.OutCols {
-			g.outCols = g.outCols.set(int(c.ID))
-		}
+		g.outCols = algebra.ColSetOf(g.Props.OutCols)
 	}
 	return target
 }
@@ -351,11 +312,7 @@ func (m *Memo) intern(on algebra.Scalar) []conjunct {
 			if id, ok = m.conjID[fp]; !ok {
 				id = int32(len(m.conjFP))
 				m.conjID[fp] = id
-				var cols bitset
-				for c := range algebra.ScalarCols(s) {
-					cols = cols.set(int(c))
-				}
-				m.conjFP, m.conjCols = append(m.conjFP, fp), append(m.conjCols, cols)
+				m.conjFP, m.conjCols = append(m.conjFP, fp), append(m.conjCols, algebra.ScalarCols(s))
 			}
 			m.conjPtr[s] = id
 		}
@@ -388,10 +345,10 @@ func (m *Memo) keyOf(e *GroupExpr) (k logicalKey, ok bool) {
 		return k, false
 	}
 	l, r := m.inputKey(e.Children[0]), m.inputKey(e.Children[1])
-	m.key.atoms = m.key.atoms.unionOf(l.atoms, r.atoms)
-	m.key.conjs = m.key.conjs.unionOf(l.conjs, r.conjs)
+	m.key.atoms.SetUnion(l.atoms, r.atoms)
+	m.key.conjs.SetUnion(l.conjs, r.conjs)
 	for _, c := range e.conj {
-		m.key.conjs = m.key.conjs.set(int(c.id))
+		m.key.conjs.Add(algebra.ColumnID(c.id))
 	}
 	return m.key, true
 }
@@ -400,8 +357,8 @@ func (m *Memo) keyOf(e *GroupExpr) (k logicalKey, ok bool) {
 // or its own atom bit, handed out the first time it is a join input.
 func (m *Memo) inputKey(id GroupID) logicalKey {
 	g := m.Groups[id]
-	if g.key.atoms == nil {
-		g.key.atoms = bitset(nil).set(m.atoms)
+	if g.key.atoms.Len() == 0 {
+		g.key.atoms = algebra.NewColSet(algebra.ColumnID(m.atoms))
 		m.atoms++
 	}
 	return g.key

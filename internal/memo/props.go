@@ -42,7 +42,7 @@ func (p *LogicalProps) ColStat(id algebra.ColumnID) *ColStat {
 // UniqueOn reports whether some known key is covered by cols.
 func (p *LogicalProps) UniqueOn(cols algebra.ColSet) bool {
 	for _, k := range p.Keys {
-		if len(k) > 0 && k.SubsetOf(cols) {
+		if k.Len() > 0 && k.SubsetOf(cols) {
 			return true
 		}
 	}
@@ -92,7 +92,7 @@ func (m *Memo) deriveProps(e *GroupExpr) *LogicalProps {
 					}
 				}
 			}
-			if len(pk) == len(op.Table.PrimaryKey) {
+			if pk.Len() == len(op.Table.PrimaryKey) {
 				p.Keys = append(p.Keys, pk)
 			}
 		}
@@ -216,10 +216,7 @@ func (m *Memo) joinCardinality(op *algebra.Join, childProps []*LogicalProps) (fl
 	cross := math.Max(l.Rows, 1) * math.Max(r.Rows, 1)
 	sel := 1.0
 	eqSeen := map[string]bool{}
-	leftCols := algebra.NewColSet()
-	for _, c := range l.OutCols {
-		leftCols.Add(c.ID)
-	}
+	leftCols := algebra.ColSetOf(l.OutCols)
 	rightEq := algebra.NewColSet()
 	for _, conj := range algebra.Conjuncts(op.On) {
 		if a, b, ok := algebra.EquiJoinSides(conj); ok {
@@ -278,10 +275,7 @@ func (m *Memo) joinCardinality(op *algebra.Join, childProps []*LogicalProps) (fl
 // semiFraction estimates the fraction of left rows with at least one match.
 func semiFraction(l, r *LogicalProps, op *algebra.Join) float64 {
 	frac := 0.9 // default: most rows match
-	leftCols := algebra.NewColSet()
-	for _, c := range l.OutCols {
-		leftCols.Add(c.ID)
-	}
+	leftCols := algebra.ColSetOf(l.OutCols)
 	for _, conj := range algebra.Conjuncts(op.On) {
 		a, b, ok := algebra.EquiJoinSides(conj)
 		if !ok {

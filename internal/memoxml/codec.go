@@ -202,14 +202,16 @@ func appendIDs[T ~int](buf []byte, ids []T) []byte {
 }
 
 // parseIDs reads a comma-joined id list; what names the kind of id in the
-// error.
+// error. An id is at most maxColID, so that a column set built from a list
+// stays small.
 func parseIDs[T ~int](c *codec, val []byte, what string, p *[]T) {
 	for more := len(val) > 0; more; {
 		var part []byte
 		part, val, more = bytes.Cut(val, []byte(","))
 		id, err := strconv.Atoi(string(part))
-		if err != nil {
+		if err != nil || id < 0 || id > maxColID {
 			c.fail("bad %s %q", what, part)
+			return
 		}
 		*p = append(*p, T(id))
 	}
@@ -377,7 +379,7 @@ func (c *codec) operator(op algebra.Operator) {
 	case *algebra.Project:
 		c.lit("op", "Project")
 		list(c, "Defs", "Def", &o.Defs, func(d *algebra.ProjDef) {
-			num(c, "id", &d.ID)
+			c.colID("projection", &d.ID)
 			c.str("name", &d.Name)
 			if c.scalar(&d.Expr); d.Expr == nil {
 				c.fail("projection of column %d has no expression", d.ID)
@@ -394,7 +396,7 @@ func (c *codec) operator(op algebra.Operator) {
 		list(c, "Aggs", "Agg", &o.Aggs, func(a *algebra.AggDef) {
 			num(c, "func", &a.Func)
 			c.flag("distinct", &a.Distinct)
-			num(c, "id", &a.ID)
+			c.colID("aggregate", &a.ID)
 			c.str("name", &a.Name)
 			c.scalar(&a.Arg)
 		})
@@ -402,13 +404,22 @@ func (c *codec) operator(op algebra.Operator) {
 		c.lit("op", "Sort")
 		num(c, "top", &o.Top)
 		list(c, "SortKeys", "Key", &o.Keys, func(k *algebra.SortKey) {
-			num(c, "id", &k.ID)
+			c.colID("sort key", &k.ID)
 			c.flag("desc", &k.Desc)
 		})
 	case *algebra.UnionAll:
 		c.lit("op", "UnionAll")
 	default:
 		c.fail("cannot encode operator %T", op)
+	}
+}
+
+// colID describes the id attribute of a column an operator defines or
+// names. A decoded id is range-checked like an id list's, so that it can
+// enter a column set.
+func (c *codec) colID(what string, id *algebra.ColumnID) {
+	if num(c, "id", id); *id < 0 || *id > maxColID {
+		c.fail("%s column id %d out of range", what, *id)
 	}
 }
 

@@ -63,6 +63,27 @@ func TestDecodeMalformedXML(t *testing.T) {
 		{"bad key colset",
 			`<Memo root="1" maxCol="1"><Group id="1"><Keys><Key>1,bogus</Key></Keys><Expr op="UnionAll"/></Group></Memo>`,
 			"bad column id"},
+		{"negative key column",
+			`<Memo root="1" maxCol="1"><Group id="1"><Keys><Key>1,-5</Key></Keys><Expr op="UnionAll"/></Group></Memo>`,
+			`bad column id "-5"`},
+		{"key column past the dictionary's range",
+			`<Memo root="1" maxCol="1"><Group id="1"><Keys><Key>99999999999</Key></Keys><Expr op="UnionAll"/></Group></Memo>`,
+			`bad column id "99999999999"`},
+		{"negative group key",
+			`<Memo root="1" maxCol="1"><Group id="1"><Expr op="GroupBy" keys="-1"/></Group></Memo>`,
+			`bad group key "-1"`},
+		{"negative projection column",
+			`<Memo root="1" maxCol="1"><Group id="1"><Expr op="Project"><Defs><Def id="-2" name="x"><S kind="const" valKind="1" val="1"/></Def></Defs></Expr></Group></Memo>`,
+			"projection column id -2 out of range"},
+		{"negative aggregate column",
+			`<Memo root="1" maxCol="1"><Group id="1"><Expr op="GroupBy"><Aggs><Agg func="1" id="-3" name="a"><S kind="const" valKind="1" val="1"/></Agg></Aggs></Expr></Group></Memo>`,
+			"aggregate column id -3 out of range"},
+		{"aggregate column past the dictionary's range",
+			`<Memo root="1" maxCol="1"><Group id="1"><Expr op="GroupBy"><Aggs><Agg func="1" id="2000000" name="a"><S kind="const" valKind="1" val="1"/></Agg></Aggs></Expr></Group></Memo>`,
+			"aggregate column id 2000000 out of range"},
+		{"negative sort key column",
+			`<Memo root="1" maxCol="1"><Group id="1"><Expr op="Sort"><SortKeys><Key id="-4"/></SortKeys></Expr></Group></Memo>`,
+			"sort key column id -4 out of range"},
 		{"unknown scalar kind",
 			`<Memo root="1" maxCol="1"><Group id="1"><Expr op="Select"><Filter><S kind="mystery"/></Filter></Expr></Group></Memo>`,
 			`unknown scalar kind "mystery"`},

@@ -130,18 +130,11 @@ func distOf(t *algebra.Tree) factorDist {
 		if in.replicated {
 			return in
 		}
-		keys := algebra.NewColSet(op.Keys...)
-		out := algebra.NewColSet()
-		for id := range in.cols {
-			if keys.Has(id) {
-				out.Add(id)
-			}
-		}
-		return factorDist{cols: out}
+		return factorDist{cols: in.cols.Intersect(algebra.NewColSet(op.Keys...))}
 	case *algebra.Values:
 		return factorDist{replicated: true}
 	default:
-		return factorDist{cols: algebra.NewColSet()}
+		return factorDist{}
 	}
 }
 
@@ -338,9 +331,7 @@ func greedyRegion(factors []*algebra.Tree, conjs []algebra.Scalar, want []algebr
 	// one pass aggregates the facts for every connected pair.
 	owner := map[algebra.ColumnID]*gitem{}
 	for _, it := range items {
-		for id := range it.cols {
-			owner[id] = it
-		}
+		it.cols.ForEach(func(id algebra.ColumnID) { owner[id] = it })
 	}
 	nextID := len(items)
 	for i, it := range items {
@@ -358,7 +349,10 @@ func greedyRegion(factors []*algebra.Tree, conjs []algebra.Scalar, want []algebr
 		for _, c := range pending {
 			var a, b *gitem
 			spans2 := true
-			for id := range c.cols {
+			c.cols.ForEach(func(id algebra.ColumnID) {
+				if !spans2 {
+					return
+				}
 				switch o := owner[id]; {
 				case o == nil:
 					spans2 = false
@@ -369,10 +363,7 @@ func greedyRegion(factors []*algebra.Tree, conjs []algebra.Scalar, want []algebr
 				default:
 					spans2 = false // three components; not an edge yet
 				}
-				if !spans2 {
-					break
-				}
-			}
+			})
 			if !spans2 || b == nil {
 				continue
 			}
@@ -436,9 +427,7 @@ func greedyRegion(factors []*algebra.Tree, conjs []algebra.Scalar, want []algebr
 
 	join := func(a, b *gitem) *gitem {
 		size := joinSize(a, b, facts(a, b)) // before takeConds drains the edges it reads
-		cols := algebra.NewColSet()
-		cols.AddSet(a.cols)
-		cols.AddSet(b.cols)
+		cols := a.cols.Union(b.cols)
 		conds := takeConds(cols)
 		kind := algebra.JoinInner
 		if len(conds) == 0 {
@@ -454,10 +443,7 @@ func greedyRegion(factors []*algebra.Tree, conjs []algebra.Scalar, want []algebr
 		case b.dist.replicated:
 			d = a.dist
 		default:
-			merged := algebra.NewColSet()
-			merged.AddSet(a.dist.cols)
-			merged.AddSet(b.dist.cols)
-			d = factorDist{cols: merged}
+			d = factorDist{cols: a.dist.cols.Union(b.dist.cols)}
 		}
 		ndv := make(map[algebra.ColumnID]float64, len(a.ndv)+len(b.ndv))
 		for id, n := range a.ndv {
@@ -468,9 +454,7 @@ func greedyRegion(factors []*algebra.Tree, conjs []algebra.Scalar, want []algebr
 		}
 		merged := &gitem{tree: tree, dist: d, cols: cols, size: size, width: a.width + b.width, ndv: ndv, id: nextID}
 		nextID++
-		for id := range cols {
-			owner[id] = merged
-		}
+		cols.ForEach(func(id algebra.ColumnID) { owner[id] = merged })
 		classify() // pending and ownership changed; refresh pair facts
 		return merged
 	}

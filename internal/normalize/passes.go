@@ -453,32 +453,31 @@ func prune(t *algebra.Tree, required algebra.ColSet) *algebra.Tree {
 		return t
 
 	case *algebra.Select:
-		need := cloneSet(required)
-		need.AddSet(algebra.ScalarCols(op.Filter))
+		need := required.Union(algebra.ScalarCols(op.Filter))
 		return algebra.NewTree(op, prune(t.Children[0], need))
 
 	case *algebra.Project:
 		var defs []algebra.ProjDef
-		need := algebra.NewColSet()
+		var need algebra.ColSet
 		for _, d := range op.Defs {
 			if required.Has(d.ID) {
 				defs = append(defs, d)
-				need.AddSet(algebra.ScalarCols(d.Expr))
+				need = need.Union(algebra.ScalarCols(d.Expr))
 			}
 		}
 		if len(defs) == 0 {
 			defs = op.Defs[:1]
-			need.AddSet(algebra.ScalarCols(defs[0].Expr))
+			need = need.Union(algebra.ScalarCols(defs[0].Expr))
 		}
 		return algebra.NewTree(&algebra.Project{Defs: defs}, prune(t.Children[0], need))
 
 	case *algebra.Join:
-		need := cloneSet(required)
+		need := required
 		if op.On != nil {
-			need.AddSet(algebra.ScalarCols(op.On))
+			need = need.Union(algebra.ScalarCols(op.On))
 		}
-		left := prune(t.Children[0], intersect(need, t.Children[0].OutputColSet()))
-		right := prune(t.Children[1], intersect(need, t.Children[1].OutputColSet()))
+		left := prune(t.Children[0], need.Intersect(t.Children[0].OutputColSet()))
+		right := prune(t.Children[1], need.Intersect(t.Children[1].OutputColSet()))
 		return algebra.NewTree(op, left, right)
 
 	case *algebra.GroupBy:
@@ -488,14 +487,14 @@ func prune(t *algebra.Tree, required algebra.ColSet) *algebra.Tree {
 			if required.Has(a.ID) {
 				aggs = append(aggs, a)
 				if a.Arg != nil {
-					need.AddSet(algebra.ScalarCols(a.Arg))
+					need = need.Union(algebra.ScalarCols(a.Arg))
 				}
 			}
 		}
 		return algebra.NewTree(&algebra.GroupBy{Keys: op.Keys, Aggs: aggs, Phase: op.Phase}, prune(t.Children[0], need))
 
 	case *algebra.Sort:
-		need := cloneSet(required)
+		need := required.Copy()
 		for _, k := range op.Keys {
 			need.Add(k.ID)
 		}
@@ -507,22 +506,6 @@ func prune(t *algebra.Tree, required algebra.ColSet) *algebra.Tree {
 	default:
 		return t
 	}
-}
-
-func cloneSet(s algebra.ColSet) algebra.ColSet {
-	out := algebra.NewColSet()
-	out.AddSet(s)
-	return out
-}
-
-func intersect(a, b algebra.ColSet) algebra.ColSet {
-	out := algebra.NewColSet()
-	for id := range a {
-		if b.Has(id) {
-			out.Add(id)
-		}
-	}
-	return out
 }
 
 // dropIdentityProjects removes projections that pass through exactly their

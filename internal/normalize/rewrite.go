@@ -298,25 +298,25 @@ func pushdownOnce(t *algebra.Tree) (*algebra.Tree, bool) {
 			cols := algebra.ScalarCols(conj)
 			switch op.Kind {
 			case algebra.JoinInner, algebra.JoinCross:
-				if cols.SubsetOf(left.OutputColSet()) && len(cols) > 0 {
+				if cols.SubsetOf(left.OutputColSet()) && cols.Len() > 0 {
 					left = algebra.NewTreeSameSchema(left, &algebra.Select{Filter: conj}, left)
 					changed = true
 					continue
 				}
-				if cols.SubsetOf(right.OutputColSet()) && len(cols) > 0 {
+				if cols.SubsetOf(right.OutputColSet()) && cols.Len() > 0 {
 					right = algebra.NewTreeSameSchema(right, &algebra.Select{Filter: conj}, right)
 					changed = true
 					continue
 				}
 			case algebra.JoinLeftOuter:
 				// Only right-side-only conjuncts push into the right input.
-				if cols.SubsetOf(right.OutputColSet()) && len(cols) > 0 {
+				if cols.SubsetOf(right.OutputColSet()) && cols.Len() > 0 {
 					right = algebra.NewTreeSameSchema(right, &algebra.Select{Filter: conj}, right)
 					changed = true
 					continue
 				}
 			case algebra.JoinSemi, algebra.JoinAnti:
-				if cols.SubsetOf(right.OutputColSet()) && len(cols) > 0 {
+				if cols.SubsetOf(right.OutputColSet()) && cols.Len() > 0 {
 					right = algebra.NewTreeSameSchema(right, &algebra.Select{Filter: conj}, right)
 					changed = true
 					continue
@@ -417,7 +417,7 @@ func placeConjunct(node *algebra.Tree, conj algebra.Scalar) (*algebra.Tree, bool
 		if op.Phase != algebra.AggComplete {
 			return node, false
 		}
-		if cols.SubsetOf(algebra.NewColSet(op.Keys...)) && len(cols) > 0 {
+		if cols.SubsetOf(algebra.NewColSet(op.Keys...)) && cols.Len() > 0 {
 			child, pushed := placeConjunct(node.Children[0], conj)
 			if !pushed {
 				child = algebra.NewTreeSameSchema(node.Children[0], &algebra.Select{Filter: conj}, node.Children[0])

@@ -214,7 +214,7 @@ type liftedSubquery struct {
 // exposes the inner columns they mention through the root projection.
 func (n *Normalizer) liftCorrelation(t *algebra.Tree) (*liftedSubquery, error) {
 	free := algebra.FreeCols(t)
-	if len(free) == 0 {
+	if free.Len() == 0 {
 		return &liftedSubquery{tree: t}, nil
 	}
 	var lifted []algebra.Scalar
@@ -264,13 +264,13 @@ func (n *Normalizer) liftCorrelation(t *algebra.Tree) (*liftedSubquery, error) {
 		return nil, err
 	}
 	// Expose the inner columns mentioned by lifted predicates.
-	need := algebra.NewColSet()
+	var need algebra.ColSet
 	for _, l := range lifted {
-		for id := range algebra.ScalarCols(l) {
+		algebra.ScalarCols(l).ForEach(func(id algebra.ColumnID) {
 			if !free.Has(id) {
 				need.Add(id)
 			}
-		}
+		})
 	}
 	exposed, err := exposeColumns(stripped, need)
 	if err != nil {
@@ -304,7 +304,7 @@ func (n *Normalizer) decorrelateAggregate(t *algebra.Tree) (*decorrelatedAgg, er
 	}
 	inner := gbNode.Children[0]
 
-	if len(free) == 0 {
+	if free.Len() == 0 {
 		valueCol := t.OutputCols()[0]
 		return &decorrelatedAgg{tree: t, valueCol: valueCol}, nil
 	}
@@ -431,14 +431,14 @@ func findColMeta(t *algebra.Tree, id algebra.ColumnID) algebra.ColumnMeta {
 // exposeColumns ensures the tree's output includes the given columns,
 // extending root projections as needed.
 func exposeColumns(t *algebra.Tree, need algebra.ColSet) (*algebra.Tree, error) {
-	missing := algebra.NewColSet()
+	var missing algebra.ColSet
 	out := t.OutputColSet()
-	for id := range need {
+	need.ForEach(func(id algebra.ColumnID) {
 		if !out.Has(id) {
 			missing.Add(id)
 		}
-	}
-	if len(missing) == 0 {
+	})
+	if missing.Len() == 0 {
 		return t, nil
 	}
 	switch op := t.Op.(type) {
@@ -474,24 +474,13 @@ func exposeColumns(t *algebra.Tree, need algebra.ColSet) (*algebra.Tree, error) 
 
 // joinColsOf returns the inner-side columns referenced by a join condition.
 func joinColsOf(cond algebra.Scalar, inner *algebra.Tree) []algebra.ColumnID {
-	out := inner.OutputColSet()
-	var cols []algebra.ColumnID
-	seen := algebra.NewColSet()
-	for id := range algebra.ScalarCols(cond) {
-		if out.Has(id) && !seen.Has(id) {
-			seen.Add(id)
-			cols = append(cols, id)
-		}
-	}
-	// Deterministic order.
-	set := algebra.NewColSet(cols...)
-	return set.Sorted()
+	return algebra.ScalarCols(cond).Intersect(inner.OutputColSet()).Sorted()
 }
 
 // isUniqueOn reports whether the tree provably yields at most one row per
 // combination of the given columns: group-by keys and primary keys qualify.
 func isUniqueOn(t *algebra.Tree, cols algebra.ColSet) bool {
-	if len(cols) == 0 {
+	if cols.Len() == 0 {
 		return false
 	}
 	switch op := t.Op.(type) {
@@ -510,26 +499,20 @@ func isUniqueOn(t *algebra.Tree, cols algebra.ColSet) bool {
 				}
 			}
 		}
-		return len(pk) > 0 && pk.SubsetOf(cols)
+		return pk.Len() > 0 && pk.SubsetOf(cols)
 	case *algebra.Select:
 		return isUniqueOn(t.Children[0], cols)
 	case *algebra.Sort:
 		return isUniqueOn(t.Children[0], cols)
 	case *algebra.Project:
 		// Unique through pass-through projections.
-		passthru := algebra.NewColSet()
+		var passthru algebra.ColSet
 		for _, d := range op.Defs {
 			if c, ok := d.Expr.(*algebra.ColRef); ok {
 				passthru.Add(c.ID)
 			}
 		}
-		inter := algebra.NewColSet()
-		for id := range cols {
-			if passthru.Has(id) {
-				inter.Add(id)
-			}
-		}
-		return isUniqueOn(t.Children[0], inter)
+		return isUniqueOn(t.Children[0], cols.Intersect(passthru))
 	}
 	return false
 }

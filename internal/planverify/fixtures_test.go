@@ -294,7 +294,7 @@ func flipRecordedPlacement(t *testing.T) *pdwqo.QueryPlan {
 	qp := freshPlan(t, "q01")
 	root := qp.Distributed.Root
 	root.Dist.Kind = (root.Dist.Kind + 1) % 3
-	if root.Dist.Kind == core.DistHash && len(root.Dist.Cols) == 0 {
+	if root.Dist.Kind == core.DistHash && root.Dist.Cols.Len() == 0 {
 		root.Dist.Kind++ // an empty hash class is not a representable flip
 	}
 	qp.DSQL.Steps[len(qp.DSQL.Steps)-1].Where = root.Dist.Kind

@@ -2,6 +2,7 @@ package planverify
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"pdwqo/internal/algebra"
@@ -81,11 +82,7 @@ func CheckInteresting(dec *memoxml.Decoded, interesting func(group int) []algebr
 	outSets := map[int]algebra.ColSet{}
 	for id, g := range dec.Groups {
 		sets[id] = algebra.NewColSet(interesting(id)...)
-		outs := algebra.NewColSet()
-		for _, c := range g.OutCols {
-			outs.Add(c.ID)
-		}
-		outSets[id] = outs
+		outSets[id] = algebra.ColSetOf(g.OutCols)
 	}
 	var out []Violation
 	// require records a single missing-column violation per (group, col).
@@ -148,9 +145,10 @@ func sortedGroupIDs(dec *memoxml.Decoded) []int {
 }
 
 func sortedStatIDs(g *memoxml.DecodedGroup) []algebra.ColumnID {
-	s := algebra.NewColSet()
+	ids := make([]algebra.ColumnID, 0, len(g.ColStats))
 	for id := range g.ColStats {
-		s.Add(id)
+		ids = append(ids, id)
 	}
-	return s.Sorted()
+	slices.Sort(ids)
+	return ids
 }

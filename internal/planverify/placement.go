@@ -94,7 +94,7 @@ func SamePlacement(a, b core.Distribution) bool {
 	if a.Kind != b.Kind {
 		return false
 	}
-	return a.Kind != core.DistHash || len(a.Cols) == len(b.Cols) && a.Cols.SubsetOf(b.Cols)
+	return a.Kind != core.DistHash || a.Cols.Len() == b.Cols.Len() && a.Cols.SubsetOf(b.Cols)
 }
 
 // getPlacement reads a scan's placement from the table metadata.
@@ -102,7 +102,7 @@ func getPlacement(op *algebra.Get) core.Distribution {
 	if op.Table.Dist.Kind != catalog.DistHash {
 		return core.Distribution{Kind: core.DistReplicated}
 	}
-	cols := algebra.NewColSet()
+	var cols algebra.ColSet
 	for _, c := range op.Cols {
 		if strings.EqualFold(c.Name, op.Table.Dist.Column) {
 			cols.Add(c.ID)
@@ -163,10 +163,9 @@ func JoinPlacement(kind algebra.JoinKind, pairs [][2]algebra.ColumnID, l, r core
 	if !collocated {
 		return core.Distribution{}, CodeJoinNotCollocated
 	}
-	cols := algebra.NewColSet()
-	cols.AddSet(l.Cols)
+	cols := l.Cols
 	if kind == algebra.JoinInner {
-		cols.AddSet(r.Cols)
+		cols = cols.Union(r.Cols)
 	}
 	return core.Distribution{Kind: core.DistHash, Cols: cols}, ""
 }
@@ -175,8 +174,7 @@ func JoinPlacement(kind algebra.JoinKind, pairs [][2]algebra.ColumnID, l, r core
 // partitioned side's class, which an inner join extends by every column
 // its condition equates to a member.
 func equated(class algebra.ColSet, kind algebra.JoinKind, pairs [][2]algebra.ColumnID) core.Distribution {
-	cols := algebra.NewColSet()
-	cols.AddSet(class)
+	cols := class.Copy()
 	if kind == algebra.JoinInner {
 		for _, p := range pairs {
 			if class.Has(p[0]) {
@@ -225,13 +223,8 @@ func UnionPlacement(l, r core.Distribution) (core.Distribution, Code) {
 	if l.Kind != core.DistHash {
 		return core.Distribution{Kind: l.Kind}, ""
 	}
-	shared := algebra.NewColSet()
-	for c := range l.Cols {
-		if r.Cols.Has(c) {
-			shared.Add(c)
-		}
-	}
-	if len(shared) == 0 && len(l.Cols)+len(r.Cols) > 0 {
+	shared := l.Cols.Intersect(r.Cols)
+	if shared.Len() == 0 && l.Cols.Len()+r.Cols.Len() > 0 {
 		return core.Distribution{}, CodeUnionPlacement
 	}
 	return core.Distribution{Kind: core.DistHash, Cols: shared}, ""
@@ -243,8 +236,8 @@ func restrict(d core.Distribution, out func(algebra.ColumnID) bool, rename map[a
 	if d.Kind != core.DistHash {
 		return core.Distribution{Kind: d.Kind}
 	}
-	cols := algebra.NewColSet()
-	for id := range d.Cols {
+	var cols algebra.ColSet
+	d.Cols.ForEach(func(id algebra.ColumnID) {
 		if out(id) {
 			cols.Add(id)
 		}
@@ -253,6 +246,6 @@ func restrict(d core.Distribution, out func(algebra.ColumnID) bool, rename map[a
 				cols.Add(nid)
 			}
 		}
-	}
+	})
 	return core.Distribution{Kind: core.DistHash, Cols: cols}
 }

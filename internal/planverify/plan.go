@@ -18,9 +18,8 @@ func CheckPlan(p *core.Plan) []Violation {
 	if p == nil || p.Root == nil {
 		return []Violation{violation(CodeMalformedOption, "plan has no root option")}
 	}
-	if p.TotalCost < 0 || math.IsNaN(p.TotalCost) || p.ReturnCost < 0 || math.IsNaN(p.ReturnCost) {
-		out = append(out, violation(CodeEstimateNegative,
-			"plan costs total=%g return=%g", p.TotalCost, p.ReturnCost))
+	if p.TotalCost < 0 || math.IsNaN(p.TotalCost) {
+		out = append(out, violation(CodeEstimateNegative, "plan cost total=%g", p.TotalCost))
 	}
 	// Shared subplans alias the same *Option; verify each node once.
 	seen := map[*core.Option]bool{}

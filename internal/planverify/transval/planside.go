@@ -187,16 +187,16 @@ func nullDeps(e algebra.Scalar) algebra.ColSet {
 		out.Add(x.ID)
 	case *algebra.Binary:
 		if !x.Op.IsComparison() && x.Op != binOpAnd && x.Op != binOpOr {
-			out.AddSet(nullDeps(x.L))
-			out.AddSet(nullDeps(x.R))
+			out = out.Union(nullDeps(x.L))
+			out = out.Union(nullDeps(x.R))
 		}
 	case *algebra.Neg:
-		out.AddSet(nullDeps(x.E))
+		out = out.Union(nullDeps(x.E))
 	case *algebra.Cast:
-		out.AddSet(nullDeps(x.E))
+		out = out.Union(nullDeps(x.E))
 	case *algebra.Func:
 		for _, a := range x.Args {
-			out.AddSet(nullDeps(a))
+			out = out.Union(nullDeps(a))
 		}
 	}
 	return out
@@ -212,16 +212,16 @@ func killSet(conj algebra.Scalar) algebra.ColSet {
 	switch x := conj.(type) {
 	case *algebra.Binary:
 		if x.Op.IsComparison() {
-			out.AddSet(nullDeps(x.L))
-			out.AddSet(nullDeps(x.R))
+			out = out.Union(nullDeps(x.L))
+			out = out.Union(nullDeps(x.R))
 		}
 	case *algebra.Like:
-		out.AddSet(nullDeps(x.E))
+		out = out.Union(nullDeps(x.E))
 	case *algebra.InList:
-		out.AddSet(nullDeps(x.E))
+		out = out.Union(nullDeps(x.E))
 	case *algebra.IsNull:
 		if x.Negated {
-			out.AddSet(nullDeps(x.E))
+			out = out.Union(nullDeps(x.E))
 		}
 	}
 	return out

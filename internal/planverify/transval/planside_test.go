@@ -113,7 +113,7 @@ func TestDeriveGet(t *testing.T) {
 		}
 	}
 	r := pi.derive(&core.Option{Op: hashTab, OutCols: hashTab.Cols})
-	if r.dist.Kind != core.DistHash || len(r.dist.Cols) != 1 {
+	if r.dist.Kind != core.DistHash || r.dist.Cols.Len() != 1 {
 		t.Errorf("lineitem get dist = %v", r.dist)
 	}
 	if _, has := r.cols[0].Origins["lineitem.l_orderkey"]; !has {
@@ -239,7 +239,7 @@ func TestDeriveGroupBy(t *testing.T) {
 	partial := &algebra.GroupBy{Keys: []algebra.ColumnID{2}, Aggs: []algebra.AggDef{sum},
 		Phase: algebra.AggPartial}
 	pi, in = seeded(hashRel(1, 2))
-	if r := pi.derive(gbOpt(partial, in)); r.dist.Kind != core.DistHash || len(r.dist.Cols) != 0 {
+	if r := pi.derive(gbOpt(partial, in)); r.dist.Kind != core.DistHash || r.dist.Cols.Len() != 0 {
 		t.Errorf("partial over non-key hash: dist = %v", r.dist)
 	}
 

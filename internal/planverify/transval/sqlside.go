@@ -73,9 +73,10 @@ type sqlInterp struct {
 	acc       *fragAcc
 }
 
-// parseColName recognizes the generator's c<id> column aliases.
+// parseColName recognizes the generator's c<id> column aliases. An id has
+// at most nine digits, so that no alias overflows into a negative id.
 func parseColName(s string) (algebra.ColumnID, bool) {
-	if len(s) < 2 || s[0] != 'c' {
+	if len(s) < 2 || len(s) > 10 || s[0] != 'c' {
 		return 0, false
 	}
 	n := 0

@@ -146,7 +146,7 @@ func TestScalarHelpersPlanSide(t *testing.T) {
 	if ks := killSet(&algebra.IsNull{E: c1}); ks.Has(1) {
 		t.Error("IS NULL must not kill")
 	}
-	if nd := nullDeps(caseExpr); len(nd) != 0 {
+	if nd := nullDeps(caseExpr); nd.Len() != 0 {
 		t.Error("case has no simple null deps")
 	}
 }
