@@ -1,6 +1,6 @@
 // Command memoviz renders the optimizer's intermediate artifacts for a
 // query in the style of the paper's Figure 3: the normalized logical tree,
-// the serial MEMO (groups with logical and physical expressions), the
+// the serial MEMO (groups of logical expressions), the
 // exported XML (optionally), and the augmented distributed plan.
 //
 // Usage:
@@ -53,7 +53,7 @@ func main() {
 
 	fmt.Println("== normalized logical tree ==")
 	fmt.Println(plan.Normalized)
-	fmt.Println("== serial MEMO (Figure 3c style; L logical, P physical) ==")
+	fmt.Println("== serial MEMO (Figure 3c style) ==")
 	fmt.Println(plan.Memo)
 	if *showXML {
 		fmt.Println("== exported MEMO XML ==")

@@ -164,7 +164,7 @@ func e1(db *pdwqo.DB) {
 	        WHERE C.c_custkey = O.o_custkey AND O.o_totalprice > 1000`
 	p := mustPlan(db, sql, pdwqo.Options{})
 	fmt.Println("query:", strings.Join(strings.Fields(sql), " "))
-	fmt.Println("\nserial memo (logical L / physical P expressions):")
+	fmt.Println("\nserial memo (logical expressions):")
 	fmt.Println(p.Memo)
 	fmt.Printf("exported MEMO XML: %d bytes\n", len(p.MemoXML))
 	fmt.Println("\naugmented (distributed) plan chosen by PDW QO:")

@@ -339,8 +339,6 @@ func OutputColsFromSchemas(op Operator, children [][]ColumnMeta) []ColumnMeta {
 		return children[0]
 	case *Values:
 		return o.Cols
-	case *Phys:
-		return OutputColsFromSchemas(o.Of, children)
 	default:
 		panic(fmt.Sprintf("algebra: OutputCols on unknown operator %T", op))
 	}

@@ -72,9 +72,6 @@ func SearchLowerBound(m *memo.Memo) int {
 		seen[id] = true
 		options := 1 // the enforcer step
 		for _, e := range m.Group(id).Exprs {
-			if e.Physical {
-				continue
-			}
 			if options += 2; len(e.Children) == 0 {
 				options--
 			}

@@ -48,7 +48,7 @@ func budgetFixture(t *testing.T) (*memoxml.Decoded, *catalog.Shell) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := memo.Optimize(s, norm, memo.DefaultBudget)
+	m, err := memo.OptimizeSeeded(s, norm, memo.DefaultBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

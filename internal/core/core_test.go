@@ -30,11 +30,12 @@ func shell(t *testing.T) *catalog.Shell {
 	return sharedShell
 }
 
-// plan runs the full pipeline: parse → bind → normalize → serial memo →
+// plan runs the full pipeline: parse → bind → normalize → serial memo (costed
+// for the serial baseline) →
 // XML → PDW optimize.
 func plan(t *testing.T, s *catalog.Shell, sql string, cfg Config) *Plan {
 	t.Helper()
-	dec := decodeMemo(t, s, sql, false)
+	dec := decodeMemo(t, s, sql, false, cfg.Mode == ModeSerialBaseline)
 	model := cost.NewModel(s.Topology.ComputeNodes, cost.DefaultLambda())
 	p, err := New(dec, s, model, cfg).Optimize()
 	if err != nil {
@@ -375,7 +376,7 @@ func TestInterestingColumnsDerived(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := memo.Optimize(s, norm, memo.DefaultBudget)
+	m, err := memo.OptimizeSeeded(s, norm, memo.DefaultBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

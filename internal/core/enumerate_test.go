@@ -24,8 +24,9 @@ type enumCase struct {
 
 // decodeMemo compiles sql up to the PDW side's input: the serial memo
 // explored to memo.DefaultBudget or, with fixed, built over the greedy join
-// order (the regime a large join falls back to), round-tripped through XML.
-func decodeMemo(tb testing.TB, s *catalog.Shell, sql string, fixed bool) *memoxml.Decoded {
+// order (the regime a large join falls back to), costed for the serial
+// baseline when costed, round-tripped through XML.
+func decodeMemo(tb testing.TB, s *catalog.Shell, sql string, fixed, costed bool) *memoxml.Decoded {
 	tb.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
@@ -44,10 +45,15 @@ func decodeMemo(tb testing.TB, s *catalog.Shell, sql string, fixed bool) *memoxm
 	if fixed {
 		m, err = memo.OptimizeFixed(s, normalize.GreedyJoinOrder(norm))
 	} else {
-		m, err = memo.Optimize(s, norm, memo.DefaultBudget)
+		m, err = memo.OptimizeSeeded(s, norm, memo.DefaultBudget)
 	}
 	if err != nil {
 		tb.Fatal(err)
+	}
+	if costed {
+		if err := m.CostSerial(); err != nil {
+			tb.Fatal(err)
+		}
 	}
 	data, err := memoxml.Encode(m)
 	if err != nil {
@@ -70,7 +76,7 @@ func enumCorpus(tb testing.TB) []enumCase {
 	}
 	var out []enumCase
 	for _, q := range tpch.Queries() {
-		out = append(out, enumCase{q.Name, decodeMemo(tb, s, q.SQL, false), s})
+		out = append(out, enumCase{q.Name, decodeMemo(tb, s, q.SQL, false, false), s})
 	}
 	for _, spec := range qgen.Corpus() {
 		q, err := qgen.Generate(spec)
@@ -81,7 +87,7 @@ func enumCorpus(tb testing.TB) []enumCase {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		out = append(out, enumCase{q.Name, decodeMemo(tb, qs, q.SQL, spec.Relations > 10), qs})
+		out = append(out, enumCase{q.Name, decodeMemo(tb, qs, q.SQL, spec.Relations > 10, false), qs})
 	}
 	return out
 }
@@ -145,7 +151,7 @@ func BenchmarkEnumerate(b *testing.B) {
 		if !ok {
 			b.Fatalf("no query %s", name)
 		}
-		dec := decodeMemo(b, s, q.SQL, false)
+		dec := decodeMemo(b, s, q.SQL, false, false)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

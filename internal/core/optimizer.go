@@ -28,8 +28,9 @@ const (
 	// QO).
 	ModeFull Mode = iota
 	// ModeSerialBaseline parallelizes only the best serial plan: per
-	// group, the single logical shape under the serial winner is used.
-	// This is the baseline the paper argues against (§1.2, §3.2).
+	// group, only the expression a costed export marks as the serial
+	// winner (memo.CostSerial) is used. This is the baseline the paper
+	// argues against (§1.2, §3.2).
 	ModeSerialBaseline
 )
 
@@ -121,15 +122,6 @@ type pgroup struct {
 type pexpr struct {
 	memoxml.DecodedExpr
 	equi [][2]algebra.ColumnID
-}
-
-// exprKey identifies a logical expression for step 03's merge: its
-// operator's fingerprint and its child groups (no operator has more than
-// two).
-type exprKey struct {
-	op   string
-	n    int
-	kids [2]int
 }
 
 // colStride is the size of each group's fresh-column ID range. Fresh
@@ -266,51 +258,24 @@ func (o *Optimizer) waves() [][]int {
 // bottom-up order.
 func (o *Optimizer) prepare() error {
 	o.groups = make(map[int]*pgroup, len(o.dec.Groups))
-	seen := map[exprKey]bool{}
 	for id, dg := range o.dec.Groups {
 		g := &pgroup{DecodedGroup: dg, outSet: algebra.ColSetOf(dg.OutCols)}
-		// Step 03 (merge equivalent expressions from the PDW perspective):
-		// physical algorithm choices are irrelevant to movement planning,
-		// so expressions are considered at the logical level and
-		// duplicates collapse.
-		clear(seen)
-		switch o.config.Mode {
-		case ModeSerialBaseline:
-			for _, e := range dg.Exprs {
-				if !e.Winner {
-					continue
-				}
-				le := e
-				if p, ok := e.Op.(*algebra.Phys); ok {
-					le.Op = p.Of
-				}
-				g.exprs = append(g.exprs, newPExpr(le))
-			}
-			if len(g.exprs) == 0 {
-				// Groups unreachable from the winner tree keep their first
-				// logical expr for safety; they will not be visited.
-				for _, e := range dg.Exprs {
-					if !e.Physical {
-						g.exprs = append(g.exprs, newPExpr(e))
-						break
-					}
-				}
-			}
-		default:
-			for _, e := range dg.Exprs {
-				if e.Physical {
-					continue
-				}
-				k := exprKey{op: e.Op.Fingerprint(), n: len(e.Children)}
-				copy(k.kids[:], e.Children)
-				if !seen[k] {
-					seen[k] = true
-					g.exprs = append(g.exprs, newPExpr(e))
-				}
+		// Step 03 (merge equivalent expressions from the PDW perspective)
+		// has nothing left to merge: the memo holds no physical algorithm
+		// choices, and no two logical expressions of a group share an
+		// operator and children.
+		for _, e := range dg.Exprs {
+			if o.config.Mode != ModeSerialBaseline || e.Winner {
+				g.exprs = append(g.exprs, newPExpr(e))
 			}
 		}
 		if len(g.exprs) == 0 {
-			return fmt.Errorf("core: group %d has no logical expressions", id)
+			if len(dg.Exprs) == 0 {
+				return fmt.Errorf("core: group %d has no logical expressions", id)
+			}
+			// A group off the winner tree keeps its first expression; it
+			// will not be visited.
+			g.exprs = append(g.exprs, newPExpr(dg.Exprs[0]))
 		}
 		o.groups[id] = g
 	}

@@ -45,7 +45,7 @@ func dsqlFor(t *testing.T, sql string, cfg core.Config) *Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := memo.Optimize(s, norm, memo.DefaultBudget)
+	m, err := memo.OptimizeSeeded(s, norm, memo.DefaultBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

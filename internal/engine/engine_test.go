@@ -52,7 +52,7 @@ func planFor(t testing.TB, a *Appliance, sql string) *dsql.Plan {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := memo.Optimize(a.Shell, norm, memo.DefaultBudget)
+	m, err := memo.OptimizeSeeded(a.Shell, norm, memo.DefaultBudget)
 	if err != nil {
 		t.Fatal(err)
 	}

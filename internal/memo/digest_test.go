@@ -70,12 +70,15 @@ func digestCases(t testing.TB) []digestCase {
 	return out
 }
 
-// TestMemoDigests holds the serial memo to a record taken at 06662c2,
-// before exploration moved onto interned conjunct ids: group and expression
+// TestMemoDigests holds the serial memo to a record: group and expression
 // counts, whether the budget ran out, and the SHA-256 of the exported
 // document — so insertion order, group ids and the conjunct order inside
 // every join condition are all pinned — at the default budget and at two
-// small ones that stop exploration part-way.
+// small ones that stop exploration part-way. The group counts and budget
+// outcomes date from 06662c2, before exploration moved onto interned
+// conjunct ids; the expression counts and digests were re-recorded when
+// the memo stopped holding physical expressions, each count the logical
+// expressions of the memo before.
 func TestMemoDigests(t *testing.T) {
 	var got strings.Builder
 	for _, c := range digestCases(t) {

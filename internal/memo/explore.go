@@ -2,8 +2,50 @@ package memo
 
 import (
 	"pdwqo/internal/algebra"
+	"pdwqo/internal/catalog"
 	"pdwqo/internal/sqlparser"
 )
+
+// OptimizeSeeded builds the serial memo of a normalized tree: the tree,
+// then equivalent seed plans in its root group (paper §3.1: "we seed the
+// MEMO with execution plans that consider distribution information"),
+// then exploration under budget (0 = unlimited). Nothing is costed; the
+// serial baseline calls CostSerial. The error is always nil.
+func OptimizeSeeded(shell *catalog.Shell, tree *algebra.Tree, budget int, seeds ...*algebra.Tree) (*Memo, error) {
+	return OptimizeUntil(shell, tree, budget, nil, seeds...)
+}
+
+// OptimizeFixed builds the memo WITHOUT exploration: the tree's own shape
+// is the only logical plan in the memo. This is the greedy large-join
+// regime's lowering path — the join order was already fixed upstream
+// (normalize.GreedyJoinOrder), so exploring alternatives would re-open
+// exactly the search space the budget trip just abandoned. The PDW-side
+// enumerator still runs over the fixed memo and inserts movement
+// enforcers, so distribution correctness is untouched. The error is
+// always nil.
+func OptimizeFixed(shell *catalog.Shell, tree *algebra.Tree) (*Memo, error) {
+	m := New(shell)
+	m.Root = m.Insert(tree)
+	return m, nil
+}
+
+// OptimizeUntil is OptimizeSeeded for a caller that may learn from the
+// logical memo that it will not use it: decided (nil: never) is asked every
+// askEvery created expressions and when exploration ends, and the first yes
+// stops exploration, Decided() true. What decided reads must only grow as
+// expressions are added.
+func OptimizeUntil(shell *catalog.Shell, tree *algebra.Tree, budget int, decided func(*Memo) bool, seeds ...*algebra.Tree) (*Memo, error) {
+	m := New(shell)
+	m.Budget, m.decided = budget, decided
+	m.Root = m.Insert(tree)
+	for _, sd := range seeds {
+		m.InsertSeed(sd)
+	}
+	m.Explore()
+	// The memo may outlive the compile; the caller's closure need not.
+	m.stopped, m.decided = m.stopped || (decided != nil && decided(m)), nil
+	return m, nil
+}
 
 // Explore applies logical transformation rules to a fixpoint (or until the
 // expression budget — the optimizer "timeout" of paper §3.1 — is hit):
@@ -24,14 +66,10 @@ func (m *Memo) Explore() {
 			g.exploredRound = round
 			// Snapshot expressions: rules append to g.Exprs.
 			for ei := 0; ei < len(g.Exprs); ei++ {
-				e := g.Exprs[ei]
-				if e.Physical {
-					continue
-				}
 				if !m.budgetLeft() {
 					return
 				}
-				if m.applyRules(g, e) {
+				if m.applyRules(g, g.Exprs[ei]) {
 					changed = true
 				}
 			}
@@ -63,7 +101,7 @@ func (m *Memo) insertJoin(from *algebra.Join, conj []conjunct, l, r, target Grou
 	} else if len(conj) > 0 {
 		j.Kind = algebra.JoinInner
 	}
-	m.joinKey("", j.Kind, conj, l, r)
+	m.joinKey(j.Kind, conj, l, r)
 	if owner, dup := m.owner(target); dup {
 		return owner, false
 	}
@@ -182,7 +220,7 @@ func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) b
 			// group; require every join conjunct to reference only
 			// identity pass-through columns.
 			childGroup := m.Groups[le.Children[0]]
-			for _, ce := range childGroup.LogicalExprs() {
+			for _, ce := range childGroup.Exprs {
 				if inner, ok := ce.Op.(*algebra.GroupBy); ok {
 					gb, gbChild = inner, ce.Children[0]
 					projDefs = op.Defs

@@ -25,19 +25,15 @@ import (
 // paper's Figure 3 numbering; 0 is invalid.
 type GroupID int
 
-// GroupExpr is one operator with groups as children. Logical and physical
-// expressions share the structure; physical ones carry a cost.
+// GroupExpr is one logical operator with groups as children.
 type GroupExpr struct {
 	Op       algebra.Operator
 	Children []GroupID
-	Physical bool
 
-	// Cost is the serial cost model's total cost (own + best children)
-	// for physical expressions; 0 until costed.
+	// Cost is the serial cost model's total cost: the cheapest algorithm
+	// that could run the operator plus its children's winners. 0 until
+	// CostSerial.
 	Cost float64
-	// BestChildren pins the winning child expression index per child
-	// group, set during costing.
-	BestChildren []int
 
 	// conj is a join's condition as interned conjuncts in On order, set
 	// when the expression is inserted; rules and indexes read it, not On.
@@ -96,14 +92,14 @@ type Group struct {
 	// time the group is a join input — its own atom bit and no conjuncts.
 	key logicalKey
 
-	// winner is the index into Exprs of the cheapest physical expression,
-	// -1 before costing.
+	// winner is the index into Exprs of the cheapest expression, -1
+	// before costing.
 	winner int
 	// explored guards re-running transformation rules.
 	exploredRound int
 }
 
-// Winner returns the cheapest physical expression, or nil.
+// Winner returns the cheapest expression, or nil before CostSerial.
 func (g *Group) Winner() *GroupExpr {
 	if g.winner < 0 || g.winner >= len(g.Exprs) {
 		return nil
@@ -225,15 +221,11 @@ func (m *Memo) InsertSeed(t *algebra.Tree) {
 // transformation rule) or, if target is 0, in a fresh group. Returns the
 // owning group and whether the expression was new.
 func (m *Memo) InsertExpr(e *GroupExpr, target GroupID) (GroupID, bool) {
-	op, algo := e.Op, ""
-	if p, ok := op.(*algebra.Phys); ok {
-		op, algo = p.Of, p.Algo
-	}
-	if j, ok := op.(*algebra.Join); ok {
+	if j, ok := e.Op.(*algebra.Join); ok {
 		if e.conj == nil {
 			e.conj = m.intern(j.On)
 		}
-		m.joinKey(algo, j.Kind, e.conj, e.Children[0], e.Children[1])
+		m.joinKey(j.Kind, e.conj, e.Children[0], e.Children[1])
 	} else {
 		m.buf = append(m.buf[:0], e.Fingerprint()...)
 	}
@@ -246,9 +238,8 @@ func (m *Memo) InsertExpr(e *GroupExpr, target GroupID) (GroupID, bool) {
 // joinKey leaves in m.buf a join's fingerprint for duplicate detection,
 // the condition spelt as its interned conjunct ids in order: exploring wide
 // joins prints, and builds, no condition it only revisits.
-func (m *Memo) joinKey(algo string, kind algebra.JoinKind, conj []conjunct, l, r GroupID) {
-	buf := append(m.buf[:0], algo...)
-	buf = strconv.AppendInt(append(buf, "Join"...), int64(kind), 10)
+func (m *Memo) joinKey(kind algebra.JoinKind, conj []conjunct, l, r GroupID) {
+	buf := strconv.AppendInt(append(m.buf[:0], "Join"...), int64(kind), 10)
 	for _, c := range conj {
 		buf = strconv.AppendInt(append(buf, ','), int64(c.id), 10)
 	}
@@ -295,7 +286,7 @@ func (m *Memo) insertNew(e *GroupExpr, target GroupID) GroupID {
 			g.key = logicalKey{atoms: key.atoms.Copy(), conjs: key.conjs.Copy()}
 		}
 	}
-	if g.Props == nil && !e.Physical {
+	if g.Props == nil {
 		g.Props = m.deriveProps(e)
 		g.outCols = algebra.ColSetOf(g.Props.OutCols)
 	}
@@ -397,11 +388,7 @@ func (m *Memo) String() string {
 		}
 		b.WriteString(":\n")
 		for j, e := range g.Exprs {
-			kind := "L"
-			if e.Physical {
-				kind = "P"
-			}
-			fmt.Fprintf(&b, "  %d.%d %s %s", g.ID, j+1, kind, e.Op.OpName())
+			fmt.Fprintf(&b, "  %d.%d %s", g.ID, j+1, e.Op.OpName())
 			if len(e.Children) > 0 {
 				parts := make([]string, len(e.Children))
 				for k, c := range e.Children {
@@ -409,22 +396,11 @@ func (m *Memo) String() string {
 				}
 				fmt.Fprintf(&b, "(%s)", strings.Join(parts, ","))
 			}
-			if e.Physical && e.Cost > 0 {
+			if e.Cost > 0 {
 				fmt.Fprintf(&b, " cost=%.5g", e.Cost)
 			}
 			b.WriteByte('\n')
 		}
 	}
 	return b.String()
-}
-
-// LogicalExprs returns the group's logical expressions.
-func (g *Group) LogicalExprs() []*GroupExpr {
-	var out []*GroupExpr
-	for _, e := range g.Exprs {
-		if !e.Physical {
-			out = append(out, e)
-		}
-	}
-	return out
 }

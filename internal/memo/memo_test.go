@@ -154,11 +154,39 @@ func normalizeSQL(t *testing.T, shell *catalog.Shell, sql string) *algebra.Tree 
 
 func optimizeSQL(t *testing.T, shell *catalog.Shell, sql string, budget int) *Memo {
 	t.Helper()
-	m, err := Optimize(shell, normalizeSQL(t, shell, sql), budget)
+	m, err := OptimizeSeeded(shell, normalizeSQL(t, shell, sql), budget)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// costedSQL is optimizeSQL followed by the serial costing.
+func costedSQL(t *testing.T, shell *catalog.Shell, sql string, budget int) *Memo {
+	t.Helper()
+	m := optimizeSQL(t, shell, sql, budget)
+	if err := m.CostSerial(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// winnerShape renders the winner tree below group id as nested operator
+// names, e.g. Project(Select(Get)).
+func winnerShape(m *Memo, id GroupID) string {
+	w := m.Group(id).Winner()
+	if w == nil {
+		return "?"
+	}
+	s := w.Op.OpName()
+	if len(w.Children) > 0 {
+		kids := make([]string, len(w.Children))
+		for i, c := range w.Children {
+			kids[i] = winnerShape(m, c)
+		}
+		s += "(" + strings.Join(kids, ",") + ")"
+	}
+	return s
 }
 
 func TestMemoInsertDedup(t *testing.T) {
@@ -178,25 +206,18 @@ func TestMemoInsertDedup(t *testing.T) {
 }
 
 func TestSimpleScanPlan(t *testing.T) {
-	m := optimizeSQL(t, testShell(t), "SELECT c_name FROM customer WHERE c_acctbal > 100", 0)
-	plan, err := m.BestPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := plan.String()
-	for _, want := range []string{"ComputeScalar", "Filter", "TableScan"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("plan missing %s:\n%s", want, s)
-		}
+	m := costedSQL(t, testShell(t), "SELECT c_name FROM customer WHERE c_acctbal > 100", 0)
+	if got, want := winnerShape(m, m.Root), "Project(Select(Get))"; got != want {
+		t.Errorf("serial plan %s, want %s:\n%s", got, want, m)
 	}
 }
 
 func TestPaperFigure3Memo(t *testing.T) {
 	// The query from Figure 3: the memo must contain logical groups for
-	// Get C, Get O, Select(O), Join, with physical implementations.
+	// Get C, Get O, Select(O), Join.
 	m := optimizeSQL(t, testShell(t),
 		"SELECT * FROM CUSTOMER C, ORDERS O WHERE C.c_custkey = O.o_custkey AND O.o_totalprice > 1000", 0)
-	var hasGetC, hasGetO, hasSelect, hasJoin, hasHashJoin, hasScan bool
+	var hasGetC, hasGetO, hasSelect, hasJoin bool
 	for _, g := range m.Groups[1:] {
 		for _, e := range g.Exprs {
 			switch op := e.Op.(type) {
@@ -211,19 +232,12 @@ func TestPaperFigure3Memo(t *testing.T) {
 				hasSelect = true
 			case *algebra.Join:
 				hasJoin = true
-			case *algebra.Phys:
-				if op.Algo == algebra.AlgoHashJoin {
-					hasHashJoin = true
-				}
-				if op.Algo == algebra.AlgoTableScan {
-					hasScan = true
-				}
 			}
 		}
 	}
 	for name, ok := range map[string]bool{
 		"Get customer": hasGetC, "Get orders": hasGetO, "Select": hasSelect,
-		"Join": hasJoin, "HashJoin": hasHashJoin, "TableScan": hasScan,
+		"Join": hasJoin,
 	} {
 		if !ok {
 			t.Errorf("memo missing %s:\n%s", name, m)
@@ -234,7 +248,7 @@ func TestPaperFigure3Memo(t *testing.T) {
 	for _, g := range m.Groups[1:] {
 		joins := 0
 		for _, e := range g.Exprs {
-			if j, ok := e.Op.(*algebra.Join); ok && j.Kind == algebra.JoinInner && !e.Physical {
+			if j, ok := e.Op.(*algebra.Join); ok && j.Kind == algebra.JoinInner {
 				joins++
 			}
 		}
@@ -254,7 +268,7 @@ func TestJoinOrderExploration(t *testing.T) {
 	rootJoins := map[string]bool{}
 	for _, g := range m.Groups[1:] {
 		for _, e := range g.Exprs {
-			if _, ok := e.Op.(*algebra.Join); ok && !e.Physical {
+			if _, ok := e.Op.(*algebra.Join); ok {
 				rootJoins[e.Fingerprint()] = true
 			}
 		}
@@ -285,31 +299,25 @@ func TestBestSerialJoinOrderUsesSmallTableFirst(t *testing.T) {
 	shell := testShell(t)
 	// part (200 rows, LIKE-filtered) joins lineitem (40k): the hash join
 	// must build on the small (part) side.
-	m := optimizeSQL(t, shell, `SELECT l.l_quantity FROM part p, lineitem l
+	m := costedSQL(t, shell, `SELECT l.l_quantity FROM part p, lineitem l
 		WHERE p.p_partkey = l.l_partkey AND p.p_name LIKE 'forest%'`, 0)
-	plan, err := m.BestPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	var join *PhysPlan
-	var walk func(p *PhysPlan)
-	walk = func(p *PhysPlan) {
-		if ph, ok := p.Op.(*algebra.Phys); ok && ph.Algo == algebra.AlgoHashJoin {
-			join = p
+	// Walk the winner tree down to the join.
+	id := m.Root
+	w := m.Group(id).Winner()
+	for w != nil {
+		if _, ok := w.Op.(*algebra.Join); ok || len(w.Children) == 0 {
+			break
 		}
-		for _, c := range p.Children {
-			walk(c)
-		}
+		id = w.Children[0]
+		w = m.Group(id).Winner()
 	}
-	walk(plan)
-	if join == nil {
-		t.Fatalf("no hash join in plan:\n%s", plan)
+	if w == nil || len(w.Children) != 2 {
+		t.Fatalf("no join in the serial plan %s:\n%s", winnerShape(m, m.Root), m)
 	}
 	// Build side is the right child; it must be the (filtered) part side.
-	right := join.Children[1]
-	if right.Props.Rows > join.Children[0].Props.Rows {
-		t.Errorf("build side (%v rows) should be smaller than probe (%v rows)",
-			right.Props.Rows, join.Children[0].Props.Rows)
+	probe, build := m.Group(w.Children[0]).Props.Rows, m.Group(w.Children[1]).Props.Rows
+	if build > probe {
+		t.Errorf("build side (%v rows) should be smaller than probe (%v rows)", build, probe)
 	}
 }
 
@@ -320,8 +328,8 @@ func TestBudgetExhaustion(t *testing.T) {
 	if !m.Exhausted() {
 		t.Error("tiny budget must exhaust")
 	}
-	if _, err := m.BestPlan(); err != nil {
-		t.Errorf("plan must still extract under exhaustion: %v", err)
+	if err := m.CostSerial(); err != nil {
+		t.Errorf("the serial plan must still cost under exhaustion: %v", err)
 	}
 	// Unlimited exploration must find strictly more expressions.
 	full := optimizeSQL(t, shell, `SELECT c_name FROM customer c, orders o, lineitem l, part p
@@ -343,7 +351,7 @@ func TestJoinBelowGroupByRule(t *testing.T) {
 	for _, g := range m.Groups[1:] {
 		for _, e := range g.Exprs {
 			gb, ok := e.Op.(*algebra.GroupBy)
-			if !ok || e.Physical || len(gb.Aggs) == 0 {
+			if !ok || len(gb.Aggs) == 0 {
 				continue
 			}
 			child := m.Groups[e.Children[0]]
@@ -369,13 +377,9 @@ func TestMemoStringRendersFigure3Style(t *testing.T) {
 
 func TestValuesPlan(t *testing.T) {
 	// Contradictions normalize to Values; the memo must still plan them.
-	m := optimizeSQL(t, testShell(t), "SELECT c_name FROM customer WHERE c_acctbal > 10 AND c_acctbal < 5", 0)
-	plan, err := m.BestPlan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan.String(), "ValuesScan") {
-		t.Errorf("expected ValuesScan:\n%s", plan)
+	m := costedSQL(t, testShell(t), "SELECT c_name FROM customer WHERE c_acctbal > 10 AND c_acctbal < 5", 0)
+	if got, want := winnerShape(m, m.Root), "Project(Values)"; got != want {
+		t.Errorf("serial plan %s, want %s:\n%s", got, want, m)
 	}
 }
 

@@ -182,7 +182,7 @@ func (m *Memo) deriveProps(e *GroupExpr) *LogicalProps {
 		copyScaledStats(p, childProps[0], childProps[0].Rows)
 
 	default:
-		// Physical wrappers never create groups; nothing else should.
+		// Every operator a memo holds is handled above.
 		p.Rows = 1
 	}
 

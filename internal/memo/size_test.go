@@ -14,7 +14,7 @@ import (
 // expressions the join-order rules produce and logical keys identify.
 func isReorderable(e *GroupExpr) bool {
 	j, ok := e.Op.(*algebra.Join)
-	return ok && !e.Physical && (j.Kind == algebra.JoinInner || j.Kind == algebra.JoinCross)
+	return ok && (j.Kind == algebra.JoinInner || j.Kind == algebra.JoinCross)
 }
 
 // searchSpace is the size of an explored memo in the terms the DP-table

@@ -29,7 +29,7 @@ func exploredMemo(tb testing.TB, shell *catalog.Shell, sql string) *memo.Memo {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	m, err := memo.Optimize(shell, norm, memo.DefaultBudget)
+	m, err := memo.OptimizeSeeded(shell, norm, memo.DefaultBudget)
 	if err != nil {
 		tb.Fatal(err)
 	}

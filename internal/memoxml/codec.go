@@ -317,15 +317,9 @@ func (c *codec) lit(name, value string) {
 }
 
 // expr describes one <Expr>; children are group ids of either side's id
-// type. A physical expression wraps its operator in the algorithm.
-func expr[T ~int](c *codec, op *algebra.Operator, children *[]T, physical *bool, cost *float64, winner *bool) {
-	algo, inner := "", *op
-	if p, ok := inner.(*algebra.Phys); ok {
-		algo, inner = p.Algo, p.Of
-	}
-	c.str("algo", &algo)
+// type.
+func expr[T ~int](c *codec, op *algebra.Operator, children *[]T, cost *float64, winner *bool) {
 	ids(c, "children", "child group", children)
-	c.flag("physical", physical)
 	c.float("cost", cost)
 	c.flag("winner", winner)
 	if c.dec {
@@ -335,15 +329,9 @@ func expr[T ~int](c *codec, op *algebra.Operator, children *[]T, physical *bool,
 			c.fail("unknown operator %q", name)
 			fresh = newOperator["UnionAll"]
 		}
-		inner = fresh()
+		*op = fresh()
 	}
-	c.operator(inner)
-	if c.dec {
-		if algo != "" {
-			inner = algebra.NewPhys(algo, inner)
-		}
-		*op = inner
-	}
+	c.operator(*op)
 }
 
 // operator describes an operator's payload: attributes, then the child

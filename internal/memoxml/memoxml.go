@@ -27,11 +27,11 @@ import (
 	"pdwqo/internal/memo"
 )
 
-// DecodedExpr is one parsed group expression.
+// DecodedExpr is one parsed group expression. A costed export (the serial
+// baseline's) marks each group's winner and carries its serial cost.
 type DecodedExpr struct {
 	Op       algebra.Operator
 	Children []int
-	Physical bool
 	Cost     float64
 	Winner   bool
 }
@@ -87,10 +87,9 @@ func (d *colDict) put(id int, ref *algebra.ColRef) bool {
 	return true
 }
 
-// Encode serializes a memo as XML: every group with its statistics, its
-// logical expressions and its one winner. The other physical expressions
-// stay behind — the PDW side plans over logical expressions and reads a
-// physical one only as the serial baseline's per-group winner.
+// Encode serializes a memo as XML: every group with its statistics and its
+// logical expressions. After CostSerial, each group's winner is marked and
+// carries its serial cost — all the serial baseline reads of the costing.
 func Encode(m *memo.Memo) ([]byte, error) {
 	c, maxCol := &codec{}, 0
 	for _, g := range m.Groups[1:] {
@@ -105,11 +104,13 @@ func Encode(m *memo.Memo) ([]byte, error) {
 			return DecodedColStat{NDV: p.Cols[id].NDV, NullFrac: p.Cols[id].NullFrac, Width: p.Cols[id].Width}
 		})
 		for _, x := range g.Exprs {
-			if winner := x == g.Winner(); winner || !x.Physical {
-				c.begin("Expr")
-				expr(c, &x.Op, &x.Children, &x.Physical, &x.Cost, &winner)
-				c.end("Expr")
+			winner, cost := x == g.Winner(), 0.0
+			if winner {
+				cost = x.Cost
 			}
+			c.begin("Expr")
+			expr(c, &x.Op, &x.Children, &cost, &winner)
+			c.end("Expr")
 		}
 		c.end("Group")
 	}
@@ -128,7 +129,7 @@ func (d *Decoded) Encode() ([]byte, error) {
 		for i := range g.Exprs {
 			x := &g.Exprs[i]
 			c.begin("Expr")
-			expr(c, &x.Op, &x.Children, &x.Physical, &x.Cost, &x.Winner)
+			expr(c, &x.Op, &x.Children, &x.Cost, &x.Winner)
 			c.end("Expr")
 		}
 		c.end("Group")
@@ -255,7 +256,7 @@ func (c *codec) readGroup() *DecodedGroup {
 		case "Expr":
 			var x DecodedExpr
 			depth := len(c.stack)
-			expr(c, &x.Op, &x.Children, &x.Physical, &x.Cost, &x.Winner)
+			expr(c, &x.Op, &x.Children, &x.Cost, &x.Winner)
 			c.leave(depth)
 			g.Exprs = append(g.Exprs, x)
 		default:

@@ -1,6 +1,7 @@
 package memoxml
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -87,7 +88,7 @@ func buildMemoBudget(t *testing.T, shell *catalog.Shell, sql string, budget int)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := memo.Optimize(shell, norm, budget)
+	m, err := memo.OptimizeSeeded(shell, norm, budget)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,29 +122,22 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if len(d.Groups) != m.NumGroups() {
 		t.Errorf("groups: %d vs %d", len(d.Groups), m.NumGroups())
 	}
-	// What is exported must round-trip with identical fingerprints: every
-	// logical expression, in order, and the group's winner.
+	// Every expression must round-trip, in order, with an identical
+	// fingerprint.
 	for _, g := range m.Groups[1:] {
 		dg, ok := d.Groups[int(g.ID)]
 		if !ok {
 			t.Fatalf("group %d missing after decode", g.ID)
 		}
-		want := exported(g)
-		if len(dg.Exprs) != len(want) {
-			t.Fatalf("group %d: %d exprs vs %d exported", g.ID, len(dg.Exprs), len(want))
+		if len(dg.Exprs) != len(g.Exprs) {
+			t.Fatalf("group %d: %d exprs vs %d in the memo", g.ID, len(dg.Exprs), len(g.Exprs))
 		}
-		for i, e := range want {
+		for i, e := range g.Exprs {
 			if dg.Exprs[i].Op.Fingerprint() != e.Op.Fingerprint() {
 				t.Errorf("group %d expr %d: %s vs %s", g.ID, i, dg.Exprs[i].Op.Fingerprint(), e.Op.Fingerprint())
 			}
 			if len(dg.Exprs[i].Children) != len(e.Children) {
 				t.Errorf("group %d expr %d children mismatch", g.ID, i)
-			}
-			if dg.Exprs[i].Physical != e.Physical {
-				t.Errorf("group %d expr %d physical flag", g.ID, i)
-			}
-			if dg.Exprs[i].Winner != (e == g.Winner()) {
-				t.Errorf("group %d expr %d winner flag", g.ID, i)
 			}
 		}
 		// Properties round-trip.
@@ -166,24 +160,14 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 
 const xmlHeaderPrefix = "<?xml"
 
-// exported lists what Encode writes of a group: its logical expressions
-// and its winner, in memo order.
-func exported(g *memo.Group) []*memo.GroupExpr {
-	var out []*memo.GroupExpr
-	for _, e := range g.Exprs {
-		if !e.Physical || e == g.Winner() {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// TestExportHoldsLogicalExprsAndOneWinner pins the export contract on the
-// 22 TPC-H memos: a decoded group holds every logical expression of the
-// memo's group, the winner as its only physical expression, and nothing
-// else — which keeps six-relation q05 (6.3 MB when every physical
-// alternative of 1,461 groups was shipped) under 400 KB.
-func TestExportHoldsLogicalExprsAndOneWinner(t *testing.T) {
+// TestExportHoldsDistinctLogicalExprsAndNoWinner pins the export contract
+// on the 22 TPC-H memos: a decoded group holds the memo group's
+// expressions, in order, no two with one operator fingerprint and child
+// list — the PDW side plans over them as they come, with no merge step —
+// and an export that was not costed marks no winner and carries no cost.
+// Six-relation q05 (6.3 MB when every physical alternative of 1,461 groups
+// was shipped) stays under 400 KB.
+func TestExportHoldsDistinctLogicalExprsAndNoWinner(t *testing.T) {
 	shell, _, err := tpch.BuildShell(0.002, 8, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -202,32 +186,34 @@ func TestExportHoldsLogicalExprsAndOneWinner(t *testing.T) {
 			t.Fatalf("%s: %v", q.Name, err)
 		}
 		for _, g := range m.Groups[1:] {
-			logical, physical, winners := 0, 0, 0
-			for _, e := range d.Groups[int(g.ID)].Exprs {
-				switch {
-				case !e.Physical:
-					logical++
-				case e.Winner:
-					winners++
-				default:
-					physical++
+			exprs := d.Groups[int(g.ID)].Exprs
+			if len(exprs) != len(g.Exprs) {
+				t.Errorf("%s group %d: %d expressions, want %d", q.Name, g.ID, len(exprs), len(g.Exprs))
+			}
+			seen := map[string]bool{}
+			for _, e := range exprs {
+				if e.Winner || e.Cost != 0 {
+					t.Errorf("%s group %d: un-costed export marks %s winner=%v cost=%v", q.Name, g.ID, e.Op.OpName(), e.Winner, e.Cost)
 				}
-			}
-			wantWinners := 0
-			if g.Winner() != nil {
-				wantWinners = 1
-			}
-			if logical != len(g.LogicalExprs()) || winners != wantWinners || physical != 0 {
-				t.Errorf("%s group %d: %d logical, %d winners, %d other physical; want %d, %d, 0",
-					q.Name, g.ID, logical, winners, physical, len(g.LogicalExprs()), wantWinners)
+				key := fmt.Sprint(e.Op.Fingerprint(), e.Children)
+				if seen[key] {
+					t.Errorf("%s group %d: %s twice", q.Name, g.ID, key)
+				}
+				seen[key] = true
 			}
 		}
 	}
 }
 
+// TestWinnerSurvivesRoundTrip exports a memo costed for the serial
+// baseline: every group marks exactly one winner, the logical expression
+// CostSerial chose, with its cost bit for bit.
 func TestWinnerSurvivesRoundTrip(t *testing.T) {
 	shell := testShell(t)
 	m := buildMemo(t, shell, roundTripSQL)
+	if err := m.CostSerial(); err != nil {
+		t.Fatal(err)
+	}
 	data, err := Encode(m)
 	if err != nil {
 		t.Fatal(err)
@@ -236,18 +222,23 @@ func TestWinnerSurvivesRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := d.Groups[d.Root]
-	winners := 0
-	for _, e := range root.Exprs {
-		if e.Winner {
+	for _, g := range m.Groups[1:] {
+		winners := 0
+		for i, e := range d.Groups[int(g.ID)].Exprs {
+			if !e.Winner {
+				if e.Cost != 0 {
+					t.Errorf("group %d expr %d: cost %v off the winner", g.ID, i, e.Cost)
+				}
+				continue
+			}
 			winners++
-			if !e.Physical {
-				t.Error("winner must be physical")
+			if w := g.Winner(); g.Exprs[i] != w || e.Cost != w.Cost {
+				t.Errorf("group %d: expr %d (cost %v) marked winner, want %s (cost %v)", g.ID, i, e.Cost, w.Fingerprint(), w.Cost)
 			}
 		}
-	}
-	if winners != 1 {
-		t.Errorf("root group winners = %d, want 1", winners)
+		if winners != 1 {
+			t.Errorf("group %d winners = %d, want 1", g.ID, winners)
+		}
 	}
 }
 

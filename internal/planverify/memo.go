@@ -102,10 +102,6 @@ func CheckInteresting(dec *memoxml.Decoded, interesting func(group int) []algebr
 	for _, id := range sortedGroupIDs(dec) {
 		g := dec.Groups[id]
 		for _, e := range g.Exprs {
-			if e.Physical {
-				// The PDW side plans over the logical expressions only.
-				continue
-			}
 			switch op := e.Op.(type) {
 			case *algebra.Join:
 				for _, conj := range algebra.Conjuncts(op.On) {

@@ -747,14 +747,6 @@ func TestInterestingClosure(t *testing.T) {
 		t.Fatalf("expected a group-3 closure violation, got %v", vs)
 	}
 
-	// Physical expressions are outside the PDW planning surface.
-	phys := memoxml.DecodedExpr{
-		Op:       &algebra.Join{Kind: algebra.JoinInner, On: eq(1, 2)},
-		Children: []int{1, 2},
-		Physical: true,
-	}
-	dec.Groups[3].Exprs = append(dec.Groups[3].Exprs, phys)
-	wantClean(t, CheckInteresting(dec, lookup(full)))
 }
 
 // --- Check / Report / Error ---

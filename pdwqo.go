@@ -506,8 +506,8 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 	// The greedy regime has two ways in. A lower bound on what the
 	// enumeration would consider, read off the serial memo's shape, decides
 	// it once it meets the budget: exploring only raises it, so exploration
-	// asks as it goes and stops at the first yes with nothing implemented or
-	// exported. While it is inconclusive the enumeration runs and may trip.
+	// asks as it goes and stops at the first yes with nothing exported.
+	// While it is inconclusive the enumeration runs and may trip.
 	regime, floor := explain.Regime{Budget: opts.SearchBudget}, 0
 	var decided func(*memo.Memo) bool
 	if opts.SearchBudget > 0 && opts.Mode == ModeFull { // the mode the bound is proven for
@@ -537,11 +537,17 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		lambda = *opts.Lambda
 	}
 	model := cost.NewModel(db.shell.Topology.ComputeNodes, lambda)
-	// lower runs the back half of the pipeline — XML round-trip and
-	// PDW-side enumeration — over one memo, under the given search
-	// budget. Phase spans close themselves on error; the caller decides
-	// whether the error fails compilation or switches regimes.
+	// lower runs the back half of the pipeline — serial costing for the
+	// baseline, XML round-trip and PDW-side enumeration — over one memo,
+	// under the given search budget. Phase spans close themselves on
+	// error; the caller decides whether the error fails compilation or
+	// switches regimes.
 	lower := func(m *memo.Memo, searchBudget int) ([]byte, *memoxml.Decoded, *core.Optimizer, *core.Plan, error) {
+		if opts.Mode == ModeSerialBaseline {
+			if err := m.CostSerial(); err != nil {
+				return nil, nil, nil, nil, err
+			}
+		}
 		sp := tr.BeginUnder(osp.ID(), "memoxml-encode")
 		data, err := memoxml.Encode(m)
 		if err != nil {

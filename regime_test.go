@@ -24,9 +24,9 @@ import (
 
 // unshortened compiles sql the way DB.Optimize did before it could choose
 // the greedy regime ahead of the export, from the layers' exported calls:
-// export and enumerate the explored memo under the budget, and only when
-// the enumeration trips re-plan over the greedy join order. It returns
-// what a caller can observe of the outcome.
+// export the explored memo (costed for the serial baseline) and enumerate
+// it under the budget, and only when the enumeration trips re-plan over the
+// greedy join order. It returns what a caller can observe of the outcome.
 func unshortened(t *testing.T, db *pdwqo.DB, sql string, opts pdwqo.Options) (regime, text string, planCost float64) {
 	t.Helper()
 	shell := db.Shell()
@@ -49,6 +49,11 @@ func unshortened(t *testing.T, db *pdwqo.DB, sql string, opts pdwqo.Options) (re
 	}
 	model := cost.NewModel(shell.Topology.ComputeNodes, cost.DefaultLambda())
 	lower := func(m *memo.Memo, budget int) (*core.Plan, error) {
+		if opts.Mode == pdwqo.ModeSerialBaseline {
+			if err := m.CostSerial(); err != nil {
+				t.Fatal(err)
+			}
+		}
 		data, err := memoxml.Encode(m)
 		if err != nil {
 			t.Fatal(err)
