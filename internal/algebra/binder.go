@@ -646,7 +646,7 @@ func (b *Binder) bindMaybeAgg(e sqlparser.Expr, s *scope, agg *aggCollector, gro
 		if err != nil {
 			return nil, err
 		}
-		return castScalar(inner, x.To)
+		return &Cast{E: inner, To: x.To}, nil
 	}
 	return b.bindExpr(e, s, false)
 }
@@ -721,42 +721,6 @@ func negateScalar(e Scalar) Scalar {
 		}
 	}
 	return &Not{E: e}
-}
-
-// castScalar folds constant casts and validates the conversion.
-func castScalar(e Scalar, to types.Kind) (Scalar, error) {
-	if c, ok := e.(*Const); ok {
-		v, err := convertValue(c.Val, to)
-		if err != nil {
-			return nil, err
-		}
-		return &Const{Val: v}, nil
-	}
-	return &Cast{E: e, To: to}, nil
-}
-
-// convertValue converts a constant to a target kind.
-func convertValue(v types.Value, to types.Kind) (types.Value, error) {
-	if v.IsNull() || v.Kind() == to {
-		return v, nil
-	}
-	switch to {
-	case types.KindFloat:
-		if v.Kind().Numeric() {
-			return types.NewFloat(v.Float()), nil
-		}
-	case types.KindInt:
-		if v.Kind() == types.KindFloat {
-			return types.NewInt(int64(v.Float())), nil
-		}
-	case types.KindDate:
-		if v.Kind() == types.KindString {
-			return types.ParseDate(v.Str())
-		}
-	case types.KindString:
-		return types.NewString(v.String()), nil
-	}
-	return types.Null, fmt.Errorf("algebra: cannot cast %s to %s", v.Kind(), to)
 }
 
 // makeBinary builds a binary expression with implicit string→date coercion
@@ -960,7 +924,7 @@ func (b *Binder) bindExpr(e sqlparser.Expr, s *scope, allowMissing bool) (Scalar
 		if err != nil {
 			return nil, err
 		}
-		return castScalar(inner, x.To)
+		return &Cast{E: inner, To: x.To}, nil
 
 	case *sqlparser.FuncExpr:
 		if x.IsAggregate() {
@@ -995,14 +959,12 @@ func (b *Binder) bindFunc(x *sqlparser.FuncExpr, s *scope, allowMissing bool) (S
 			}
 			args[2] = &Const{Val: d}
 		}
-		f := &Func{Name: "DATEADD", Args: args, Out: types.KindDate}
-		return foldConstFunc(f)
+		return &Func{Name: "DATEADD", Args: args, Out: types.KindDate}, nil
 	case "YEAR":
 		if len(args) != 1 {
 			return nil, fmt.Errorf("algebra: YEAR takes one argument")
 		}
-		f := &Func{Name: "YEAR", Args: args, Out: types.KindInt}
-		return foldConstFunc(f)
+		return &Func{Name: "YEAR", Args: args, Out: types.KindInt}, nil
 	case "SUBSTRING":
 		if len(args) != 3 {
 			return nil, fmt.Errorf("algebra: SUBSTRING takes (str, start, len)")
@@ -1011,59 +973,4 @@ func (b *Binder) bindFunc(x *sqlparser.FuncExpr, s *scope, allowMissing bool) (S
 	default:
 		return nil, fmt.Errorf("algebra: unknown function %s", x.Name)
 	}
-}
-
-// foldConstFunc evaluates a function over constant arguments at bind time.
-func foldConstFunc(f *Func) (Scalar, error) {
-	for _, a := range f.Args {
-		if _, ok := a.(*Const); !ok {
-			return f, nil
-		}
-	}
-	v, err := EvalConstFunc(f.Name, constValues(f.Args))
-	if err != nil {
-		return nil, err
-	}
-	return &Const{Val: v}, nil
-}
-
-func constValues(args []Scalar) []types.Value {
-	out := make([]types.Value, len(args))
-	for i, a := range args {
-		out[i] = a.(*Const).Val
-	}
-	return out
-}
-
-// EvalConstFunc evaluates a scalar function over concrete values; shared
-// with the runtime expression evaluator.
-func EvalConstFunc(name string, args []types.Value) (types.Value, error) {
-	switch name {
-	case "DATEADD":
-		if args[1].IsNull() {
-			return types.Null, nil
-		}
-		return types.DateAdd(args[0].Str(), args[1].Int(), args[2])
-	case "YEAR":
-		return types.DateYear(args[0])
-	case "SUBSTRING":
-		if args[0].IsNull() || args[1].IsNull() || args[2].IsNull() {
-			return types.Null, nil
-		}
-		s := args[0].Str()
-		start := int(args[1].Int()) - 1
-		n := int(args[2].Int())
-		if start < 0 {
-			start = 0
-		}
-		if start > len(s) {
-			start = len(s)
-		}
-		end := start + n
-		if end > len(s) {
-			end = len(s)
-		}
-		return types.NewString(s[start:end]), nil
-	}
-	return types.Null, fmt.Errorf("algebra: unknown function %s", name)
 }

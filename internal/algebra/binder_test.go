@@ -279,12 +279,17 @@ func TestBindDateCoercion(t *testing.T) {
 	if c.Val.Kind() != types.KindDate {
 		t.Errorf("string literal should coerce to date: %v", c.Val.Kind())
 	}
-	// DATEADD over constants folds at bind time.
+	// DATEADD's string date argument is typed as a DATE at bind time; the
+	// call itself stays for normalization to fold (normalize
+	// TestFoldDateAdd).
 	tree = bindSQL(t, "SELECT l_orderkey FROM lineitem WHERE l_shipdate < DATEADD(year, 1, '1994-01-01')")
 	f = tree.Children[0].Op.(*Select).Filter.(*Binary)
-	c = f.R.(*Const)
-	if c.Val.Kind() != types.KindDate || c.Val.String() != "1995-01-01" {
-		t.Errorf("folded DATEADD: %v", c.Val)
+	fn, ok := f.R.(*Func)
+	if !ok || fn.Name != "DATEADD" || fn.Type() != types.KindDate {
+		t.Fatalf("bound DATEADD: %s", f.R.Fingerprint())
+	}
+	if c, ok := fn.Args[2].(*Const); !ok || c.Val.Kind() != types.KindDate || c.Val.String() != "1994-01-01" {
+		t.Errorf("DATEADD date argument should coerce to DATE: %s", fn.Args[2].Fingerprint())
 	}
 }
 

@@ -9,9 +9,9 @@ package exec
 import (
 	"fmt"
 	"math"
+	"strings"
 
 	"pdwqo/internal/algebra"
-	"pdwqo/internal/normalize"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 )
@@ -81,7 +81,7 @@ func Eval(e algebra.Scalar, env *Env) (types.Value, error) {
 		if err != nil {
 			return types.Null, fmt.Errorf("exec: LIKE operand: %w", err)
 		}
-		m := normalize.MatchLike(s, x.Pattern)
+		m := MatchLike(s, x.Pattern)
 		return types.NewBool(m != x.Negated), nil
 
 	case *algebra.InList:
@@ -120,7 +120,7 @@ func Eval(e algebra.Scalar, env *Env) (types.Value, error) {
 			}
 			args[i] = v
 		}
-		return algebra.EvalConstFunc(x.Name, args)
+		return EvalConstFunc(x.Name, args)
 
 	case *algebra.Case:
 		for _, w := range x.Whens {
@@ -243,6 +243,101 @@ func evalBinary(x *algebra.Binary, env *Env) (types.Value, error) {
 		return types.Div(l, r)
 	}
 	return types.Null, fmt.Errorf("exec: unknown operator %s", x.Op)
+}
+
+// MatchLike evaluates a SQL LIKE pattern with % and _ wildcards.
+func MatchLike(s, pattern string) bool {
+	// Fast path for pure-prefix patterns, the common TPC-H shape.
+	if i := indexWildcard(pattern); i < 0 {
+		return s == pattern
+	} else if pattern[i] == '%' && i == len(pattern)-1 {
+		return strings.HasPrefix(s, pattern[:i])
+	}
+	return likeMatch(s, pattern)
+}
+
+func indexWildcard(p string) int {
+	for i := 0; i < len(p); i++ {
+		if p[i] == '%' || p[i] == '_' {
+			return i
+		}
+	}
+	return -1
+}
+
+// likeMatch is a standard greedy-with-backtracking wildcard matcher.
+func likeMatch(s, p string) bool {
+	var si, pi, starP, starS = 0, 0, -1, 0
+	for si < len(s) {
+		switch {
+		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
+			si++
+			pi++
+		case pi < len(p) && p[pi] == '%':
+			starP, starS = pi, si
+			pi++
+		case starP >= 0:
+			starS++
+			si, pi = starS, starP+1
+		default:
+			return false
+		}
+	}
+	for pi < len(p) && p[pi] == '%' {
+		pi++
+	}
+	return pi == len(p)
+}
+
+// EvalConstFunc evaluates a scalar function over concrete values. The
+// binder does not check argument kinds, so a wrong kind or a negative
+// SUBSTRING length is a typed error here, not a panic.
+func EvalConstFunc(name string, args []types.Value) (types.Value, error) {
+	switch name {
+	case "DATEADD":
+		if args[1].IsNull() {
+			return types.Null, nil
+		}
+		part, err := args[0].AsStr()
+		if err != nil {
+			return types.Null, fmt.Errorf("exec: DATEADD part: %w", err)
+		}
+		n, err := args[1].AsInt()
+		if err != nil {
+			return types.Null, fmt.Errorf("exec: DATEADD count: %w", err)
+		}
+		return types.DateAdd(part, n, args[2])
+	case "YEAR":
+		return types.DateYear(args[0])
+	case "SUBSTRING":
+		if args[0].IsNull() || args[1].IsNull() || args[2].IsNull() {
+			return types.Null, nil
+		}
+		s, err := args[0].AsStr()
+		if err != nil {
+			return types.Null, fmt.Errorf("exec: SUBSTRING string: %w", err)
+		}
+		start, err := args[1].AsInt()
+		if err != nil {
+			return types.Null, fmt.Errorf("exec: SUBSTRING start: %w", err)
+		}
+		n, err := args[2].AsInt()
+		if err != nil {
+			return types.Null, fmt.Errorf("exec: SUBSTRING length: %w", err)
+		}
+		if n < 0 {
+			return types.Null, fmt.Errorf("exec: SUBSTRING length %d is negative", n)
+		}
+		// Clamp in int64 before slicing: start−1 and start−1+n can both
+		// leave the string (or overflow) for extreme arguments.
+		lo := min(max(start-1, 0), int64(len(s)))
+		hi := int64(len(s))
+		if n < hi-lo {
+			hi = lo + n
+		}
+		return types.NewString(s[lo:hi]), nil
+	}
+	return types.Null, fmt.Errorf("exec: unknown function %s", name)
 }
 
 // CastError reports a CAST that is unsupported between two kinds, or —

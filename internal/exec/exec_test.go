@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -126,6 +127,69 @@ func TestEvalLike(t *testing.T) {
 	e.Row = types.Row{types.Null}
 	if v, _ := Eval(like, e); !v.IsNull() {
 		t.Error("NULL LIKE → NULL")
+	}
+}
+
+func TestLikeMatch(t *testing.T) {
+	cases := []struct {
+		s, p string
+		want bool
+	}{
+		{"forest green", "forest%", true},
+		{"enchanted forest", "forest%", false},
+		{"enchanted forest", "%forest", true},
+		{"abc", "a_c", true},
+		{"abc", "a_d", false},
+		{"abc", "abc", true},
+		{"abc", "%b%", true},
+		{"", "%", true},
+		{"x", "", false},
+		{"mississippi", "%iss%ppi", true},
+	}
+	for _, c := range cases {
+		if got := MatchLike(c.s, c.p); got != c.want {
+			t.Errorf("MatchLike(%q, %q) = %v", c.s, c.p, got)
+		}
+	}
+}
+
+func TestEvalConstFunc(t *testing.T) {
+	day := types.NewString("day")
+	date, _ := types.ParseDate("1994-01-31")
+	str := types.NewString("forest green")
+	i := types.NewInt
+	cases := []struct {
+		name string
+		args []types.Value
+		want string // the value, or "error"
+	}{
+		{"DATEADD", []types.Value{types.NewString("month"), i(1), date}, "1994-02-28"},
+		{"DATEADD", []types.Value{day, types.Null, date}, "NULL"},
+		{"DATEADD", []types.Value{day, types.NewFloat(1.5), date}, "error"},
+		{"DATEADD", []types.Value{i(1), i(1), date}, "error"},
+		{"YEAR", []types.Value{date}, "1994"},
+		{"YEAR", []types.Value{i(5)}, "error"},
+		{"SUBSTRING", []types.Value{str, i(8), i(5)}, "green"},
+		{"SUBSTRING", []types.Value{str, i(0), i(3)}, "for"},
+		{"SUBSTRING", []types.Value{str, i(20), i(3)}, ""},
+		{"SUBSTRING", []types.Value{str, i(2), i(math.MaxInt64)}, "orest green"},
+		{"SUBSTRING", []types.Value{str, i(math.MinInt64), i(2)}, ""},
+		{"SUBSTRING", []types.Value{types.Null, i(1), i(2)}, "NULL"},
+		{"SUBSTRING", []types.Value{str, i(1), i(-1)}, "error"},
+		{"SUBSTRING", []types.Value{i(5), i(1), i(2)}, "error"},
+		{"SUBSTRING", []types.Value{str, types.NewFloat(1), i(2)}, "error"},
+		{"SUBSTRING", []types.Value{str, i(1), types.NewFloat(2)}, "error"},
+		{"NOPE", nil, "error"},
+	}
+	for _, c := range cases {
+		v, err := EvalConstFunc(c.name, c.args)
+		got := v.String()
+		if err != nil {
+			got = "error"
+		}
+		if got != c.want {
+			t.Errorf("%s%v = %q (%v), want %q", c.name, c.args, got, err, c.want)
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"sort"
 
 	"pdwqo/internal/algebra"
-	"pdwqo/internal/normalize"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 	"pdwqo/internal/vec"
@@ -345,7 +344,7 @@ func evalVecLike(x *algebra.Like, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.V
 		} else if s, err = v.At(i).AsStr(); err != nil {
 			return nil, fmt.Errorf("exec: LIKE operand: %w", err)
 		}
-		out.I64[i] = b2i(normalize.MatchLike(s, x.Pattern) != x.Negated)
+		out.I64[i] = b2i(MatchLike(s, x.Pattern) != x.Negated)
 	}
 	return out, nil
 }

@@ -374,29 +374,6 @@ func TestColumnPruning(t *testing.T) {
 	}
 }
 
-func TestLikeMatch(t *testing.T) {
-	cases := []struct {
-		s, p string
-		want bool
-	}{
-		{"forest green", "forest%", true},
-		{"enchanted forest", "forest%", false},
-		{"enchanted forest", "%forest", true},
-		{"abc", "a_c", true},
-		{"abc", "a_d", false},
-		{"abc", "abc", true},
-		{"abc", "%b%", true},
-		{"", "%", true},
-		{"x", "", false},
-		{"mississippi", "%iss%ppi", true},
-	}
-	for _, c := range cases {
-		if got := MatchLike(c.s, c.p); got != c.want {
-			t.Errorf("MatchLike(%q, %q) = %v", c.s, c.p, got)
-		}
-	}
-}
-
 func TestFoldScalarBasics(t *testing.T) {
 	two := &algebra.Const{Val: types.NewInt(2)}
 	three := &algebra.Const{Val: types.NewInt(3)}

@@ -1,9 +1,11 @@
 package normalize
 
 import (
+	"math"
+
 	"pdwqo/internal/algebra"
+	"pdwqo/internal/exec"
 	"pdwqo/internal/sqlparser"
-	"pdwqo/internal/stats"
 	"pdwqo/internal/types"
 )
 
@@ -49,10 +51,24 @@ func foldTree(t *algebra.Tree) *algebra.Tree {
 	return out
 }
 
-// FoldScalar simplifies an expression: constant arithmetic and comparisons
-// evaluate; AND/OR with constant sides collapse; double negation drops.
+// FoldScalar simplifies an expression. A closed scalar — one with no
+// column and no subquery beneath it — is evaluated by exec.Eval and
+// replaced by its value, so folding has no semantics of its own; when
+// Eval fails, or yields a float DSQL cannot spell (NaN, ±Inf), the scalar
+// stays for the nodes to evaluate. Over columns, AND/OR with one constant
+// side collapse and double negation drops.
 func FoldScalar(e algebra.Scalar) algebra.Scalar {
 	return algebra.RewriteScalar(e, func(x algebra.Scalar) algebra.Scalar {
+		if _, ok := x.(*algebra.Const); ok {
+			return nil
+		}
+		if closed(x) {
+			// A closed scalar reads no row, so Eval needs no environment.
+			if v, err := exec.Eval(x, nil); err == nil && spellable(v) {
+				return &algebra.Const{Val: v}
+			}
+			return nil
+		}
 		switch b := x.(type) {
 		case *algebra.Binary:
 			lc, lok := b.L.(*algebra.Const)
@@ -72,59 +88,36 @@ func FoldScalar(e algebra.Scalar) algebra.Scalar {
 				if rok {
 					return foldOrSide(rc.Val, b.L)
 				}
-			default:
-				if lok && rok {
-					if v, ok := evalConstBinary(b.Op, lc.Val, rc.Val); ok {
-						return &algebra.Const{Val: v}
-					}
-				}
 			}
 		case *algebra.Not:
-			if c, ok := b.E.(*algebra.Const); ok {
-				if c.Val.IsNull() {
-					return &algebra.Const{Val: types.Null}
-				}
-				if c.Val.Kind() == types.KindBool {
-					return &algebra.Const{Val: types.NewBool(!c.Val.Bool())}
-				}
-			}
 			if inner, ok := b.E.(*algebra.Not); ok {
 				return inner.E
-			}
-		case *algebra.Neg:
-			if c, ok := b.E.(*algebra.Const); ok && c.Val.Kind().Numeric() {
-				if v, err := types.Neg(c.Val); err == nil {
-					return &algebra.Const{Val: v}
-				}
-			}
-		case *algebra.IsNull:
-			if c, ok := b.E.(*algebra.Const); ok {
-				return &algebra.Const{Val: types.NewBool(c.Val.IsNull() != b.Negated)}
-			}
-		case *algebra.Like:
-			if c, ok := b.E.(*algebra.Const); ok && c.Val.Kind() == types.KindString {
-				m := MatchLike(c.Val.Str(), b.Pattern)
-				return &algebra.Const{Val: types.NewBool(m != b.Negated)}
-			}
-		case *algebra.Func:
-			allConst := len(b.Args) > 0
-			for _, a := range b.Args {
-				if _, ok := a.(*algebra.Const); !ok {
-					allConst = false
-				}
-			}
-			if allConst {
-				vals := make([]types.Value, len(b.Args))
-				for i, a := range b.Args {
-					vals[i] = a.(*algebra.Const).Val
-				}
-				if v, err := algebra.EvalConstFunc(b.Name, vals); err == nil {
-					return &algebra.Const{Val: v}
-				}
 			}
 		}
 		return nil
 	})
+}
+
+// closed reports whether e references no column and no subquery, so its
+// value is the same for every row.
+func closed(e algebra.Scalar) bool {
+	open := false
+	algebra.VisitScalar(e, func(s algebra.Scalar) {
+		switch s.(type) {
+		case *algebra.ColRef, *algebra.Subquery:
+			open = true
+		}
+	})
+	return !open
+}
+
+// spellable reports whether DSQL text can carry v as a literal.
+func spellable(v types.Value) bool {
+	if v.Kind() != types.KindFloat {
+		return true
+	}
+	f := v.Float()
+	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
 func foldAndSide(v types.Value, other algebra.Scalar) algebra.Scalar {
@@ -145,98 +138,6 @@ func foldOrSide(v types.Value, other algebra.Scalar) algebra.Scalar {
 		return other
 	}
 	return nil
-}
-
-// evalConstBinary evaluates op over two constants with SQL NULL semantics.
-func evalConstBinary(op sqlparser.BinOp, l, r types.Value) (types.Value, bool) {
-	if op.IsComparison() {
-		if l.IsNull() || r.IsNull() {
-			return types.Null, true
-		}
-		if !types.Comparable(l.Kind(), r.Kind()) {
-			return types.Null, false
-		}
-		c := types.Compare(l, r)
-		var out bool
-		switch op {
-		case sqlparser.OpEq:
-			out = c == 0
-		case sqlparser.OpNe:
-			out = c != 0
-		case sqlparser.OpLt:
-			out = c < 0
-		case sqlparser.OpLe:
-			out = c <= 0
-		case sqlparser.OpGt:
-			out = c > 0
-		case sqlparser.OpGe:
-			out = c >= 0
-		}
-		return types.NewBool(out), true
-	}
-	var v types.Value
-	var err error
-	switch op {
-	case sqlparser.OpAdd:
-		v, err = types.Add(l, r)
-	case sqlparser.OpSub:
-		v, err = types.Sub(l, r)
-	case sqlparser.OpMul:
-		v, err = types.Mul(l, r)
-	case sqlparser.OpDiv:
-		v, err = types.Div(l, r)
-	default:
-		return types.Null, false
-	}
-	if err != nil {
-		return types.Null, false
-	}
-	return v, true
-}
-
-// MatchLike evaluates a SQL LIKE pattern with % and _ wildcards; shared by
-// constant folding and the runtime evaluator.
-func MatchLike(s, pattern string) bool {
-	// Fast path for pure-prefix patterns, the common TPC-H shape.
-	if i := indexWildcard(pattern); i < 0 {
-		return s == pattern
-	} else if pattern[i] == '%' && i == len(pattern)-1 && indexWildcard(pattern[:i]) < 0 {
-		return stats.MatchesLikePrefix(s, pattern[:i])
-	}
-	return likeMatch(s, pattern)
-}
-
-func indexWildcard(p string) int {
-	for i := 0; i < len(p); i++ {
-		if p[i] == '%' || p[i] == '_' {
-			return i
-		}
-	}
-	return -1
-}
-
-// likeMatch is a standard greedy-with-backtracking wildcard matcher.
-func likeMatch(s, p string) bool {
-	var si, pi, starP, starS = 0, 0, -1, 0
-	for si < len(s) {
-		switch {
-		case pi < len(p) && (p[pi] == '_' || p[pi] == s[si]):
-			si++
-			pi++
-		case pi < len(p) && p[pi] == '%':
-			starP, starS = pi, si
-			pi++
-		case starP >= 0:
-			starS++
-			si, pi = starS, starP+1
-		default:
-			return false
-		}
-	}
-	for pi < len(p) && p[pi] == '%' {
-		pi++
-	}
-	return pi == len(p)
 }
 
 // pushdown moves filter conjuncts as close to the data as possible,

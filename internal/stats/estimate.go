@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 
 	"pdwqo/internal/types"
 )
@@ -225,7 +224,3 @@ func GroupCardinality(rows, total float64, ndvs []float64) float64 {
 	}
 	return math.Max(math.Min(prod, rows), 1)
 }
-
-// MatchesLikePrefix evaluates s LIKE 'prefix%' at runtime; kept here so the
-// estimator and executor share one definition of the predicate.
-func MatchesLikePrefix(s, prefix string) bool { return strings.HasPrefix(s, prefix) }
