@@ -10,6 +10,7 @@ package pdwqo
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -17,9 +18,10 @@ import (
 )
 
 // outcome runs sql serially or distributed (with the verifiers on) and
-// renders what came back: every row's values with their kinds, or the
-// typed cast error. Any other error renders as its message, which
-// differs between the two paths, so it never compares equal by accident.
+// renders what came back: every row's values with their kinds, rows
+// sorted, or the typed cast error. Any other error renders as its
+// message, which differs between the two paths, so it never compares
+// equal by accident.
 func outcome(db *DB, sql string, distributed bool) string {
 	var res *Result
 	var err error
@@ -35,14 +37,16 @@ func outcome(db *DB, sql string, distributed bool) string {
 		}
 		return "error: " + err.Error()
 	}
-	var b strings.Builder
-	for _, row := range res.Rows {
+	rows := make([]string, len(res.Rows))
+	for i, row := range res.Rows {
+		var b strings.Builder
 		for _, v := range row {
 			fmt.Fprintf(&b, "%s:%s ", v.Kind(), v)
 		}
-		b.WriteByte('\n')
+		rows[i] = b.String()
 	}
-	return b.String()
+	sort.Strings(rows)
+	return strings.Join(rows, "\n")
 }
 
 func TestConstantFoldingIsEvaluation(t *testing.T) {
@@ -73,5 +77,23 @@ func TestConstantFoldingIsEvaluation(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDSQLLiteralsReadBack runs constants whose DSQL spelling once read
+// back as a different value or kind on the nodes: int64's minimum (which
+// the lexer cannot read as one number), a whole FLOAT (read back as
+// BIGINT) and negative zero (read back as integer zero).
+func TestDSQLLiteralsReadBack(t *testing.T) {
+	db := openTest(t)
+	for _, sql := range []string{
+		"SELECT -9223372036854775807 - 1 AS x FROM region",
+		"SELECT r_regionkey, 3.0 AS x FROM region",
+		"SELECT 0.0 * -1.0 AS x FROM region",
+	} {
+		serial, distributed := outcome(db, sql, false), outcome(db, sql, true)
+		if serial != distributed {
+			t.Errorf("%s:\ndistributed:\n%s\nserial:\n%s", sql, distributed, serial)
+		}
 	}
 }

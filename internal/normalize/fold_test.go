@@ -141,3 +141,33 @@ func TestClosedDoesNotAllocate(t *testing.T) {
 		t.Errorf("closed allocates %v times per call", n)
 	}
 }
+
+// TestSQLLiteralRoundTrip spells edge values of every kind the way DSQL
+// does and reads them back as a node would: the text must parse, bind and
+// fold to a constant of the same kind and bits.
+func TestSQLLiteralRoundTrip(t *testing.T) {
+	date := func(s string) types.Value {
+		d, err := types.ParseDate(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	vals := []types.Value{
+		types.Null, types.NewBool(true), types.NewBool(false),
+		types.NewInt(0), types.NewInt(-1), types.NewInt(7),
+		types.NewInt(math.MaxInt64), types.NewInt(math.MinInt64), types.NewInt(math.MinInt64 + 1),
+		types.NewFloat(0), types.NewFloat(math.Copysign(0, -1)), types.NewFloat(3), types.NewFloat(-3),
+		types.NewFloat(0.1), types.NewFloat(1e21), types.NewFloat(-1e-300), types.NewFloat(1 << 53),
+		types.NewFloat(math.MaxFloat64), types.NewFloat(math.SmallestNonzeroFloat64),
+		types.NewString(""), types.NewString("O'Brien"), types.NewString("a%b_c"),
+		date("1994-01-01"), date("1970-01-01"), date("1969-12-31"),
+	}
+	for _, v := range vals {
+		lit := v.SQLLiteral()
+		e := FoldScalar(bindItem(t, lit))
+		if c, ok := e.(*algebra.Const); !ok || !sameValue(c.Val, v) {
+			t.Errorf("%s %s spelled %s reads back as %s", v.Kind(), v, lit, e.Fingerprint())
+		}
+	}
+}

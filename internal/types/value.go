@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -271,16 +272,30 @@ func (v Value) String() string {
 	}
 }
 
-// SQLLiteral renders the value as a SQL literal for DSQL generation.
+// SQLLiteral renders the value as a SQL literal for DSQL generation: the
+// text a node parses back to the same kind and bits. The lexer reads a
+// number without a sign, so int64's minimum (whose magnitude is no
+// int64) is spelled as a subtraction, and a whole float keeps a ".0" —
+// "3" would read back as BIGINT and "-0" as integer zero. NaN and ±Inf
+// have no literal; they print as they are.
 func (v Value) SQLLiteral() string {
 	switch v.kind {
 	case KindString:
 		return "'" + escapeSQL(v.s) + "'"
 	case KindDate:
 		return "CAST('" + v.String() + "' AS DATE)"
-	default:
-		return v.String()
+	case KindInt:
+		if v.i == math.MinInt64 {
+			return "(-9223372036854775807 - 1)"
+		}
+	case KindFloat:
+		s := v.String()
+		if !strings.ContainsAny(s, ".eIN") {
+			s += ".0"
+		}
+		return s
 	}
+	return v.String()
 }
 
 func escapeSQL(s string) string {
