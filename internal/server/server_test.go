@@ -2,8 +2,10 @@ package server
 
 import (
 	"context"
+	"math"
 	"net"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -226,6 +228,38 @@ func TestPreparedStatementErrors(t *testing.T) {
 	}
 	if _, err := c.Prepare("SELECT r_name FROM region WHERE r_regionkey = 3"); CodeOf(err) != CodeTooManyStmts {
 		t.Errorf("stmt cap: want CodeTooManyStmts, got %v", err)
+	}
+}
+
+// TestPrepareTooManyLiterals prepares a statement with one more literal
+// slot than the ack's uint16 count can carry (a ~380 KB IN list, well
+// under MaxFrame): the server must refuse it with a typed error before
+// registering it, and the session must stay usable.
+func TestPrepareTooManyLiterals(t *testing.T) {
+	_, addr := startServer(t, sharedDB(t), Config{MaxStmts: 1})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var b strings.Builder
+	b.WriteString("SELECT r_name FROM region WHERE r_regionkey IN (0")
+	for i := 1; i <= math.MaxUint16; i++ {
+		b.WriteString(", ")
+		b.WriteString(strconv.Itoa(i))
+	}
+	b.WriteString(")")
+	if _, err := c.Prepare(b.String()); CodeOf(err) != CodeExec {
+		t.Fatalf("65,536 literals: want CodeExec, got %v", err)
+	}
+	// Not registered: the one-statement cap still has room.
+	st, err := c.Prepare("SELECT r_name FROM region WHERE r_regionkey = 1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := st.Exec(context.Background(), 2)
+	if err != nil || len(res.Rows) != 1 {
+		t.Fatalf("session after the refused prepare: %v, %v", res, err)
 	}
 }
 

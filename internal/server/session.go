@@ -206,6 +206,10 @@ func (s *session) prepare(p []byte) bool {
 	if err != nil {
 		return s.writeErr(CodeExec, "prepare: %v", err)
 	}
+	if len(pq.Lits) > math.MaxUint16 { // the ack counts the slots in a uint16
+		return s.writeErr(CodeExec, "prepare: %d literals, the protocol carries at most %d",
+			len(pq.Lits), math.MaxUint16)
+	}
 	s.nextStmt++
 	id := s.nextStmt
 	s.stmts[id] = &stmt{pq: pq}
@@ -423,6 +427,10 @@ func (s *session) cancelErr(err error) *Error {
 // stop a large result mid-stream. It reports whether the session may
 // continue.
 func (s *session) stream(r qresult) bool {
+	if len(r.res.Columns) > math.MaxUint16 { // the header counts the columns in a uint16
+		return s.writeErr(CodeExec, "result has %d columns, the protocol carries at most %d",
+			len(r.res.Columns), math.MaxUint16)
+	}
 	var e enc
 	e.u16(uint16(len(r.res.Columns)))
 	for _, c := range r.res.Columns {
