@@ -59,10 +59,12 @@ func main() {
 		fmt.Println("== exported MEMO XML ==")
 		fmt.Println(indentXML(plan.MemoXML))
 	}
-	fmt.Println("== augmented distributed plan (Figure 3d) ==")
-	fmt.Println(plan.Distributed.Root)
-	fmt.Println("== DSQL (Figure 3e) ==")
-	fmt.Println(plan.DSQL)
+	out, err := plan.ExplainText()
+	if err != nil {
+		fail(err)
+	}
+	fmt.Println("== augmented distributed plan (Figure 3d) and DSQL (Figure 3e) ==")
+	fmt.Println(out)
 }
 
 // indentXML indents the exported document, which holds one element per

@@ -122,6 +122,15 @@ func mustPlan(db *pdwqo.DB, sql string, opts pdwqo.Options) *pdwqo.QueryPlan {
 	return p
 }
 
+// mustExplain renders p's EXPLAIN text: the distributed plan and its DSQL.
+func mustExplain(p *pdwqo.QueryPlan) string {
+	out, err := p.ExplainText()
+	if err != nil {
+		fatal(err)
+	}
+	return out
+}
+
 // runConfig is the execution configuration the -parallel and -trace-out
 // flags select for the main appliance; experiments extend it per arm.
 func runConfig() pdwqo.ExecConfig {
@@ -167,8 +176,8 @@ func e1(db *pdwqo.DB) {
 	fmt.Println("\nserial memo (logical expressions):")
 	fmt.Println(p.Memo)
 	fmt.Printf("exported MEMO XML: %d bytes\n", len(p.MemoXML))
-	fmt.Println("\naugmented (distributed) plan chosen by PDW QO:")
-	fmt.Println(p.Distributed.Root)
+	fmt.Println("\naugmented (distributed) plan chosen by PDW QO, and its DSQL:")
+	fmt.Println(mustExplain(p))
 	fmt.Printf("options considered %d, retained %d across %d groups\n\n",
 		p.Distributed.OptionsConsidered, p.Distributed.OptionsRetained, p.Distributed.Groups)
 }
@@ -991,7 +1000,7 @@ func e19(db *pdwqo.DB) {
 	for _, name := range pdwqo.TPCHQueryNames() {
 		sql := mustTPCH(name)
 		on := mustPlan(db, sql, pdwqo.Options{})
-		if !strings.Contains(on.Explain(), "PartialGroupBy") {
+		if !strings.Contains(mustExplain(on), "PartialGroupBy") {
 			continue
 		}
 		adopted++

@@ -33,10 +33,16 @@ func main() {
 		log.Fatal(err)
 	}
 
-	fmt.Println("=== full PDW search ===")
-	fmt.Println(full.Explain())
-	fmt.Println("=== parallelized best serial plan (baseline) ===")
-	fmt.Println(base.Explain())
+	for _, arm := range []struct {
+		title string
+		plan  *pdwqo.QueryPlan
+	}{{"full PDW search", full}, {"parallelized best serial plan (baseline)", base}} {
+		out, err := arm.plan.ExplainText()
+		if err != nil {
+			log.Fatal(err)
+		}
+		fmt.Printf("=== %s ===\n%s\n", arm.title, out)
+	}
 
 	fmt.Printf("modeled DMS cost: full=%.6g baseline=%.6g (ratio %.2fx)\n",
 		full.Cost(), base.Cost(), safeRatio(base.Cost(), full.Cost()))

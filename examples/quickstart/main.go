@@ -27,8 +27,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	out, err := plan.ExplainText()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("=== distributed plan and DSQL steps ===")
-	fmt.Println(plan.Explain())
+	fmt.Println(out)
 
 	res, err := db.ExecutePlan(plan)
 	if err != nil {

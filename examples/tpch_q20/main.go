@@ -29,8 +29,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	out, err := plan.ExplainText()
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Println("=== optimizer output ===")
-	fmt.Println(plan.Explain())
+	fmt.Println(out)
 
 	fmt.Println("=== data movement summary (compare with Figure 7) ===")
 	for kind, n := range plan.Moves() {

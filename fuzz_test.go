@@ -243,8 +243,16 @@ func TestFuzzPlansAreDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Distributed.Root.String() != b.Distributed.Root.String() {
-			t.Fatalf("nondeterministic plan for %s", sql)
+		ea, err := a.ExplainText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		eb, err := b.ExplainText()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ea != eb {
+			t.Fatalf("nondeterministic plan for %s:\n%s\nvs\n%s", sql, ea, eb)
 		}
 	}
 }

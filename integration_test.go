@@ -177,7 +177,10 @@ func TestQ20AgainstPaperExpectations(t *testing.T) {
 	if moves[MoveKind(3)] < 1 { // Broadcast
 		t.Errorf("Q20 should broadcast the filtered part table: %v", moves)
 	}
-	out := plan.Explain()
+	out, err := plan.ExplainText()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(out, "PartialGroupBy") || !strings.Contains(out, "FinalGroupBy") {
 		t.Errorf("Q20 should split aggregation locally/globally:\n%s", out)
 	}
@@ -202,8 +205,8 @@ func TestAggSplitGuards(t *testing.T) {
 		if err != nil {
 			t.Fatalf("optimize %q: %v", sql[:min(40, len(sql))], err)
 		}
-		if out := plan.Explain(); strings.Contains(out, "PartialGroupBy") {
-			t.Errorf("DISTINCT aggregate was split:\n%s", out)
+		if out, err := plan.ExplainText(); err != nil || strings.Contains(out, "PartialGroupBy") {
+			t.Errorf("DISTINCT aggregate was split (%v):\n%s", err, out)
 		}
 		assertSameResults(t, db, sql, Options{}, false)
 	}

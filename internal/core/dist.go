@@ -8,7 +8,6 @@ package core
 
 import (
 	"fmt"
-	"strings"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/cost"
@@ -146,40 +145,6 @@ func better(a, b *Option) bool {
 		return a.DMSCost < b.DMSCost
 	}
 	return a.TieCost < b.TieCost
-}
-
-// String renders the option subtree.
-func (o *Option) String() string {
-	var b strings.Builder
-	o.format(&b, 0)
-	return b.String()
-}
-
-func (o *Option) format(b *strings.Builder, depth int) {
-	b.WriteString(strings.Repeat("  ", depth))
-	if o.Move != nil {
-		fmt.Fprintf(b, "%s", o.Move)
-	} else {
-		b.WriteString(o.Op.OpName())
-		switch op := o.Op.(type) {
-		case *algebra.Get:
-			fmt.Fprintf(b, "(%s)", op.Table.Name)
-		case *algebra.Join:
-			if op.On != nil {
-				fmt.Fprintf(b, " on %s", op.On.Fingerprint())
-			}
-		case *algebra.GroupBy:
-			keys := make([]string, len(op.Keys))
-			for i, k := range op.Keys {
-				keys[i] = fmt.Sprintf("c%d", k)
-			}
-			fmt.Fprintf(b, " keys=[%s]", strings.Join(keys, ","))
-		}
-	}
-	fmt.Fprintf(b, "  [%s rows=%.6g dms=%.6g]\n", o.Dist, o.Rows, o.DMSCost)
-	for _, in := range o.Inputs {
-		in.format(b, depth+1)
-	}
 }
 
 // Visit walks the option tree pre-order.

@@ -323,17 +323,6 @@ func (p *QueryPlan) Cost() float64 { return p.Distributed.TotalCost }
 // Moves counts data-movement operations by kind.
 func (p *QueryPlan) Moves() map[MoveKind]int { return p.Distributed.Root.CountMoves() }
 
-// Explain renders the distributed plan and its DSQL steps.
-func (p *QueryPlan) Explain() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "-- distributed plan (DMS cost %.6g, %d groups, %d options considered)\n",
-		p.Distributed.TotalCost, p.Distributed.Groups, p.Distributed.OptionsConsidered)
-	b.WriteString(p.Distributed.Root.String())
-	b.WriteString("-- DSQL\n")
-	b.WriteString(p.DSQL.String())
-	return b.String()
-}
-
 // Optimize compiles a SQL query into a distributed plan. With a plan
 // cache installed (SetPlanCache), the query is parameterized and the
 // cache is consulted first; a hit re-binds the cached template's literal
