@@ -12,7 +12,14 @@ import (
 // then exploration under budget (0 = unlimited). Nothing is costed; the
 // serial baseline calls CostSerial. The error is always nil.
 func OptimizeSeeded(shell *catalog.Shell, tree *algebra.Tree, budget int, seeds ...*algebra.Tree) (*Memo, error) {
-	return OptimizeUntil(shell, tree, budget, nil, seeds...)
+	m := New(shell)
+	m.Budget = budget
+	m.Root = m.Insert(tree)
+	for _, sd := range seeds {
+		m.InsertSeed(sd)
+	}
+	m.Explore()
+	return m, nil
 }
 
 // OptimizeFixed builds the memo WITHOUT exploration: the tree's own shape
@@ -29,72 +36,49 @@ func OptimizeFixed(shell *catalog.Shell, tree *algebra.Tree) (*Memo, error) {
 	return m, nil
 }
 
-// OptimizeUntil is OptimizeSeeded for a caller that may learn from the
-// logical memo that it will not use it: decided (nil: never) is asked every
-// askEvery created expressions and when exploration ends, and the first yes
-// stops exploration, Decided() true. What decided reads must only grow as
-// expressions are added.
-func OptimizeUntil(shell *catalog.Shell, tree *algebra.Tree, budget int, decided func(*Memo) bool, seeds ...*algebra.Tree) (*Memo, error) {
-	m := New(shell)
-	m.Budget, m.decided = budget, decided
-	m.Root = m.Insert(tree)
-	for _, sd := range seeds {
-		m.InsertSeed(sd)
-	}
-	m.Explore()
-	// The memo may outlive the compile; the caller's closure need not.
-	m.stopped, m.decided = m.stopped || (decided != nil && decided(m)), nil
-	return m, nil
-}
-
-// Explore applies logical transformation rules to a fixpoint (or until the
-// expression budget — the optimizer "timeout" of paper §3.1 — is hit):
+// Explore applies logical transformation rules until a pass over every
+// expression of every group creates nothing (a fixpoint: each rule has
+// then been applied to each expression against the final memo) or the
+// expression budget — the optimizer "timeout" of paper §3.1 — is spent:
 //
 //   - join commutativity (inner/cross)
 //   - join associativity (inner/cross), generating all join orders
 //   - push-join-below-group-by, the eager-aggregation shape the paper's
 //     Q20 plan requires (join part⋈lineitem below the local aggregation)
+//
+// Those are its only two ends, which core.TreeLowerBound relies on. The
+// rules' search space is finite, and the first pass reaches the fixpoint
+// on every query of the corpus; the second confirms it.
 func (m *Memo) Explore() {
-	for round := 1; round <= 32; round++ {
-		changed := false
-		// Snapshot group count: rules may add groups.
+	for {
+		before := m.created
+		// Groups and expressions are indexed, not ranged: rules append to both.
 		for gi := 1; gi < len(m.Groups); gi++ {
 			g := m.Groups[gi]
-			if g.exploredRound == round {
-				continue
-			}
-			g.exploredRound = round
-			// Snapshot expressions: rules append to g.Exprs.
 			for ei := 0; ei < len(g.Exprs); ei++ {
 				if !m.budgetLeft() {
 					return
 				}
-				if m.applyRules(g, g.Exprs[ei]) {
-					changed = true
-				}
+				m.applyRules(g, g.Exprs[ei])
 			}
 		}
-		if !changed {
+		if m.created == before {
 			return
 		}
 	}
 }
 
-func (m *Memo) applyRules(g *Group, e *GroupExpr) bool {
-	changed := false
-	if j, ok := e.Op.(*algebra.Join); ok {
-		if j.Kind == algebra.JoinInner || j.Kind == algebra.JoinCross {
-			changed = m.ruleJoinCommute(g, e, j) || changed
-			changed = m.ruleJoinAssociate(g, e) || changed
-			changed = m.ruleJoinBelowGroupBy(g, e, j) || changed
-		}
+func (m *Memo) applyRules(g *Group, e *GroupExpr) {
+	if j, ok := e.Op.(*algebra.Join); ok && (j.Kind == algebra.JoinInner || j.Kind == algebra.JoinCross) {
+		m.ruleJoinCommute(g, e, j)
+		m.ruleJoinAssociate(g, e)
+		m.ruleJoinBelowGroupBy(g, e, j)
 	}
-	return changed
 }
 
 // insertJoin adds a join of l and r — a copy of from or, when that is nil,
 // the inner (or cross) join on conj — building it only if the index lacks it.
-func (m *Memo) insertJoin(from *algebra.Join, conj []conjunct, l, r, target GroupID) (GroupID, bool) {
+func (m *Memo) insertJoin(from *algebra.Join, conj []conjunct, l, r, target GroupID) GroupID {
 	j := algebra.Join{Kind: algebra.JoinCross}
 	if from != nil {
 		j = *from
@@ -103,7 +87,7 @@ func (m *Memo) insertJoin(from *algebra.Join, conj []conjunct, l, r, target Grou
 	}
 	m.joinKey(j.Kind, conj, l, r)
 	if owner, dup := m.owner(target); dup {
-		return owner, false
+		return owner
 	}
 	if from == nil {
 		conj = append([]conjunct(nil), conj...)
@@ -121,23 +105,21 @@ func (m *Memo) insertJoin(from *algebra.Join, conj []conjunct, l, r, target Grou
 		kids [2]GroupID
 	}{j: j, kids: [2]GroupID{l, r}}
 	x.e = GroupExpr{Op: &x.j, Children: x.kids[:], conj: conj}
-	return m.insertNew(&x.e, target), true
+	return m.insertNew(&x.e, target)
 }
 
 // ruleJoinCommute adds Join(B,A) for Join(A,B).
-func (m *Memo) ruleJoinCommute(g *Group, e *GroupExpr, j *algebra.Join) bool {
-	_, added := m.insertJoin(j, e.conj, e.Children[1], e.Children[0], g.ID)
-	return added
+func (m *Memo) ruleJoinCommute(g *Group, e *GroupExpr, j *algebra.Join) {
+	m.insertJoin(j, e.conj, e.Children[1], e.Children[0], g.ID)
 }
 
 // ruleJoinAssociate rewrites Join(Join(A,B), C) as Join(A, Join(B,C)),
 // pooling and redistributing conjuncts by column coverage, each condition
 // in fingerprint order without duplicates, so that logically identical
 // conditions produced along different exploration paths deduplicate.
-func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr) bool {
+func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr) {
 	cID := e.Children[1]
 	cCols, rank := m.Groups[cID].outCols, m.ranks()
-	changed := false
 	for _, le := range m.Groups[e.Children[0]].Exprs {
 		inner, ok := le.Op.(*algebra.Join)
 		if !ok || (inner.Kind != algebra.JoinInner && inner.Kind != algebra.JoinCross) {
@@ -157,13 +139,11 @@ func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr) bool {
 		}
 		m.pool = [2][]conjunct{bc, top}
 		if !m.budgetLeft() {
-			return changed
+			return
 		}
-		bcGroup, _ := m.insertJoin(nil, bc, bID, cID, 0)
-		_, added := m.insertJoin(nil, top, aID, bcGroup, g.ID)
-		changed = changed || added
+		bcGroup := m.insertJoin(nil, bc, bID, cID, 0)
+		m.insertJoin(nil, top, aID, bcGroup, g.ID)
 	}
-	return changed
 }
 
 // insertByRank inserts c behind every conjunct of list that does not rank
@@ -198,15 +178,14 @@ func insertByRank(list []conjunct, c conjunct, rank []int32) []conjunct {
 // value wrapped in an expression, keys passed through) is looked through.
 // This is the transform behind the paper's Q20 DSQL step 0/1: part ⋈
 // lineitem runs below the (local) aggregation.
-func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) bool {
+func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) {
 	if top.Kind != algebra.JoinInner {
-		return false
+		return
 	}
 	leftGroup := m.Groups[e.Children[0]]
 	rID := e.Children[1]
 	rProps := m.Groups[rID].Props
 	rCols := m.Groups[rID].outCols
-	changed := false
 	for _, le := range leftGroup.Exprs {
 		var gb *algebra.GroupBy
 		var gbChild GroupID
@@ -265,7 +244,7 @@ func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) b
 			continue
 		}
 		if !m.budgetLeft() {
-			return changed
+			return
 		}
 		newKeys := append([]algebra.ColumnID{}, gb.Keys...)
 		for _, c := range rProps.OutCols {
@@ -294,11 +273,9 @@ func (m *Memo) ruleJoinBelowGroupBy(g *Group, e *GroupExpr, top *algebra.Join) b
 		for _, c := range rProps.OutCols {
 			defs = append(defs, algebra.ProjDef{Expr: algebra.NewColRef(c), ID: c.ID, Name: c.Name})
 		}
-		_, added := m.InsertExpr(&GroupExpr{
+		m.InsertExpr(&GroupExpr{
 			Op:       &algebra.Project{Defs: defs},
 			Children: []GroupID{gbGroup},
 		}, g.ID)
-		changed = changed || added
 	}
-	return changed
 }

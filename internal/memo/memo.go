@@ -95,8 +95,6 @@ type Group struct {
 	// winner is the index into Exprs of the cheapest expression, -1
 	// before costing.
 	winner int
-	// explored guards re-running transformation rules.
-	exploredRound int
 }
 
 // Winner returns the cheapest expression, or nil before CostSerial.
@@ -143,12 +141,6 @@ type Memo struct {
 	Budget    int
 	exhausted bool
 	created   int
-
-	// decided is OptimizeUntil's predicate, asked when created reaches
-	// nextAsk; stopped records the first yes, which ends exploration.
-	decided func(*Memo) bool
-	nextAsk int
-	stopped bool
 }
 
 // DefaultBudget is the default exploration budget (expressions created
@@ -187,9 +179,6 @@ func (m *Memo) NumExprs() int {
 // Exhausted reports whether exploration hit the budget before finishing —
 // the analogue of SQL Server's optimizer timeout.
 func (m *Memo) Exhausted() bool { return m.exhausted }
-
-// Decided reports whether OptimizeUntil's predicate said yes.
-func (m *Memo) Decided() bool { return m.stopped }
 
 // Insert adds a whole operator tree, returning its group. Duplicate
 // subtrees collapse onto existing groups.
@@ -355,22 +344,13 @@ func (m *Memo) inputKey(id GroupID) logicalKey {
 	return g.key
 }
 
-// askEvery is how many expressions are created between two questions to
-// Memo.decided: a count, not a clock, so every run decides on the same memo.
-const askEvery = 64
-
-// budgetLeft reports whether exploration may create more expressions: the
-// budget is not spent and decided, asked when it is due, has not said yes.
+// budgetLeft reports whether exploration may create more expressions.
 func (m *Memo) budgetLeft() bool {
 	if m.Budget > 0 && m.created >= m.Budget {
 		m.exhausted = true
 		return false
 	}
-	if m.decided != nil && m.created >= m.nextAsk {
-		m.nextAsk = m.created + askEvery
-		m.stopped = m.decided(m)
-	}
-	return !m.stopped
+	return true
 }
 
 // String renders the memo in the paper's Figure 3 style: one line per

@@ -187,3 +187,38 @@ func TestAssertedEquivalenceBetweenGroups(t *testing.T) {
 	m.Explore()
 	measureSearchSpace(t, m)
 }
+
+// TestExploreEndsAtTheClosure is the half of core.TreeLowerBound's proof
+// that rests on the memo: explored without a budget, a join region over n
+// relations holds exactly one group per relation set of two or more and one
+// split per ordered pair of sides — the closure under commutation and
+// associativity, cross products included — and the memo Explore returns is
+// a fixpoint: exploring it again creates nothing.
+func TestExploreEndsAtTheClosure(t *testing.T) {
+	for _, topo := range qgen.Topologies() {
+		for n := 2; n <= 8; n++ {
+			q, err := qgen.Generate(qgen.Spec{Topology: topo, Relations: n, Seed: int64(300 + n)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shell, err := q.Shell()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := optimizeSQL(t, shell, q.SQL, 0)
+			s := measureSearchSpace(t, m)
+			pow3 := 1
+			for i := 0; i < n; i++ {
+				pow3 *= 3
+			}
+			if s.atomSets != 1<<n-n-1 || s.splits != pow3-2<<n+1 {
+				t.Errorf("%s: %d relation sets and %d splits, want the closure's %d and %d",
+					q.Name, s.atomSets, s.splits, 1<<n-n-1, pow3-2<<n+1)
+			}
+			exprs := m.NumExprs()
+			if m.Explore(); m.NumExprs() != exprs {
+				t.Errorf("%s: exploring the explored memo again added %d expressions", q.Name, m.NumExprs()-exprs)
+			}
+		}
+	}
+}

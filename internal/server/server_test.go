@@ -263,6 +263,37 @@ func TestPrepareTooManyLiterals(t *testing.T) {
 	}
 }
 
+// TestOversizedRequestKeepsSession sends a query and a statement argument
+// that do not fit one frame: each is refused with a typed protocol error
+// before a byte is written, and the session goes on serving.
+func TestOversizedRequestKeepsSession(t *testing.T) {
+	_, addr := startServer(t, sharedDB(t), Config{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	huge := strings.Repeat("x", MaxFrame+1<<20)
+	ctx := context.Background()
+	if _, err := c.Query(ctx, "SELECT r_name FROM region WHERE r_name = '"+huge+"'"); CodeOf(err) != CodeProtocol {
+		t.Fatalf("oversized query: want CodeProtocol, got %v", err)
+	}
+	st, err := c.Prepare("SELECT r_regionkey FROM region WHERE r_name = 'ASIA'")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Exec(ctx, huge); CodeOf(err) != CodeProtocol {
+		t.Fatalf("oversized argument: want CodeProtocol, got %v", err)
+	}
+	res, err := c.Query(ctx, "SELECT r_name FROM region ORDER BY r_name")
+	if err != nil || len(res.Rows) != 5 {
+		t.Fatalf("session after the refused frames: %v, %v", res, err)
+	}
+	if res, err = st.Exec(ctx, "EUROPE"); err != nil || len(res.Rows) != 1 {
+		t.Fatalf("statement after the refused frame: %v, %v", res, err)
+	}
+}
+
 func TestHandshakeErrors(t *testing.T) {
 	_, addr := startServer(t, sharedDB(t), Config{})
 	cases := []struct {

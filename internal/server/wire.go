@@ -224,8 +224,14 @@ func CodeOf(err error) Code {
 // --- frame I/O ---
 
 // WriteFrame writes one frame: uint32 big-endian length (opcode byte +
-// payload), then the opcode, then the payload.
+// payload), then the opcode, then the payload. A frame over MaxFrame, which
+// the reader would refuse and drop the connection for, is refused with a
+// *Error of CodeProtocol before any byte is written, so the connection
+// stays usable.
 func WriteFrame(w io.Writer, op Op, payload []byte) error {
+	if 1+len(payload) > MaxFrame {
+		return errf(CodeProtocol, "%s frame of %d bytes exceeds the %d-byte bound", op, 1+len(payload), MaxFrame)
+	}
 	var hdr [5]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(1+len(payload)))
 	hdr[4] = byte(op)

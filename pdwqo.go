@@ -148,8 +148,8 @@ const (
 type Options struct {
 	Mode OptimizerMode
 	// Budget caps serial exploration (optimizer timeout, §3.1); 0 means
-	// memo.DefaultBudget, negative means unlimited — except that under a
-	// SearchBudget exploration ends, as always, once that decides the regime.
+	// memo.DefaultBudget, negative means unlimited. A query the
+	// SearchBudget sends to the greedy regime up front explores nothing.
 	Budget int
 	// Lambda overrides the cost model constants; nil uses defaults.
 	Lambda *Lambda
@@ -175,10 +175,10 @@ type Options struct {
 	// (normalize.GreedyJoinOrder), the memo is rebuilt without
 	// exploration, and the enumerator runs over that structurally bounded
 	// search space, still inserting movement enforcers so the plan stays
-	// collocation-correct. A query whose serial memo proves part-way
-	// through exploration that the budget will trip (core.SearchLowerBound
-	// ≥ SearchBudget, ModeFull) goes there at once, the memo abandoned;
-	// otherwise the enumeration is tried first. The plan is the same either way.
+	// collocation-correct. A query whose normalized tree proves that the
+	// budget will trip (core.TreeLowerBound ≥ SearchBudget, ModeFull) goes
+	// there at once, before any memo is built; otherwise the memo is
+	// explored and the enumeration tried first. The plan is the same either way.
 	// QueryPlan.Regime reports which regime produced the plan, and the
 	// EXPLAIN header which way it was reached.
 	SearchBudget int
@@ -493,33 +493,15 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		budget = 0
 	}
 	// The greedy regime has two ways in. A lower bound on what the
-	// enumeration would consider, read off the serial memo's shape, decides
-	// it once it meets the budget: exploring only raises it, so exploration
-	// asks as it goes and stops at the first yes with nothing exported.
-	// While it is inconclusive the enumeration runs and may trip.
-	regime, floor := explain.Regime{Budget: opts.SearchBudget}, 0
-	var decided func(*memo.Memo) bool
+	// enumeration would consider, read off the normalized tree, decides it
+	// before any memo exists once it meets the budget. Otherwise the memo
+	// is explored and exported, and the enumeration may trip.
+	regime := explain.Regime{Budget: opts.SearchBudget}
 	if opts.SearchBudget > 0 && opts.Mode == ModeFull { // the mode the bound is proven for
-		decided = func(m *memo.Memo) bool {
-			floor = core.SearchLowerBound(m)
-			return floor >= opts.SearchBudget
+		if bound := core.TreeLowerBound(norm, budget, seeds...); bound >= opts.SearchBudget {
+			regime.Greedy, regime.Bound = true, bound
 		}
 	}
-	sp = tr.BeginUnder(osp.ID(), "memo")
-	sp.Int("budget", int64(budget))
-	m, err := memo.OptimizeUntil(db.shell, norm, budget, decided, seeds...)
-	if err != nil {
-		return fail(sp, err)
-	}
-	sp.Int("exprs", int64(m.NumExprs()))
-	sp.Int("groups", int64(m.NumGroups()))
-	sp.Bool("exhausted", m.Exhausted())
-	sp.Bool("decided", m.Decided())
-	if m.Decided() {
-		regime.Greedy, regime.Bound = true, floor
-		tr.Counters().Add("memo.explore_decided", 1)
-	}
-	sp.End()
 
 	lambda := cost.DefaultLambda()
 	if opts.Lambda != nil {
@@ -579,6 +561,7 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 	}
 
 	var (
+		m    *memo.Memo
 		data []byte
 		dec  *memoxml.Decoded
 		opt  *core.Optimizer
@@ -586,6 +569,16 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		be   *core.BudgetError
 	)
 	if !regime.Greedy {
+		sp = tr.BeginUnder(osp.ID(), "memo")
+		sp.Int("budget", int64(budget))
+		m, err = memo.OptimizeSeeded(db.shell, norm, budget, seeds...)
+		if err != nil {
+			return fail(sp, err)
+		}
+		sp.Int("exprs", int64(m.NumExprs()))
+		sp.Int("groups", int64(m.NumGroups()))
+		sp.Bool("exhausted", m.Exhausted())
+		sp.End()
 		data, dec, opt, plan, err = lower(m, opts.SearchBudget)
 		if errors.As(err, &be) {
 			regime.Greedy, regime.Wave, regime.Waves = true, be.Wave, be.Waves
@@ -602,7 +595,7 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		// plan stays collocation-correct.
 		sp = tr.BeginUnder(osp.ID(), "greedy-fallback")
 		sp.Int("budget", int64(opts.SearchBudget))
-		sp.Int("bound", int64(floor))
+		sp.Int("bound", int64(regime.Bound))
 		tr.Counters().Add("optimize.greedy_fallback", 1)
 		if be != nil {
 			sp.Int("predicted", 0)

@@ -184,9 +184,10 @@ func explainOf(t *testing.T, plan *pdwqo.QueryPlan) string {
 
 // TestLargeJoinExportsOnce traces DB.Optimize of the eight
 // compile_largejoin queries (bench/compile.go's specs and budget): each is
-// sent to the greedy regime by the bound, so the trace holds one
-// memoxml-encode and one memoxml-decode span — the fixed memo's, under
-// 256 KB — and the greedy-fallback span says the regime was predicted.
+// sent to the greedy regime by the tree bound, so the trace holds no memo
+// span (no exploratory memo was built), one memoxml-encode and one
+// memoxml-decode span — the fixed memo's, under 256 KB — and the
+// greedy-fallback span says the regime was predicted.
 func TestLargeJoinExportsOnce(t *testing.T) {
 	const budget, nodes, dataSeed = 5000, 8, 42
 	for _, topo := range qgen.Topologies() {
@@ -225,6 +226,9 @@ func TestLargeJoinExportsOnce(t *testing.T) {
 			if count["memoxml-encode"] != 1 || count["memoxml-decode"] != 1 || count["greedy-fallback"] != 1 {
 				t.Errorf("%s: %d encode, %d decode, %d greedy-fallback spans, want one of each",
 					c.name, count["memoxml-encode"], count["memoxml-decode"], count["greedy-fallback"])
+			}
+			if count["memo"] != 0 {
+				t.Errorf("%s: %d memo spans: an exploratory memo was built for a query the bound sends to greedy", c.name, count["memo"])
 			}
 			reg := tr.Counters()
 			if reg.Get("optimize.greedy_fallback") != 1 || reg.Get("optimize.greedy_predicted") != 1 {
@@ -317,12 +321,11 @@ func rowSet(r *pdwqo.Result) string {
 }
 
 // TestDecidedExplorationStops compiles the four 30-relation joins under a
-// search budget the bound meets part-way through exploration, at the
-// default memo budget and with none: the memo span must say exploration
-// was decided well short of either, and the plan must be the unshortened
-// sequence's. Without the stop an unlimited memo budget explores 3³⁰
-// expressions before anyone reads the search budget that rejects them, so
-// each compile runs against a deadline.
+// search budget the tree bound meets, at the default memo budget and with
+// none: the regime must be decided before any memo exists — no memo span,
+// so not one expression explored — and the plan must be the unshortened
+// sequence's. Explored with no memo budget, such a join holds 3³⁰
+// expressions, so each compile runs against a deadline.
 func TestDecidedExplorationStops(t *testing.T) {
 	const searchBudget = 5000
 	for _, topo := range qgen.Topologies() {
@@ -353,19 +356,16 @@ func TestDecidedExplorationStops(t *testing.T) {
 					c.name, memoBudget, got.plan.Regime, got.plan.Cost(), wantRegime, wantCost)
 			}
 			for _, sp := range tr.Spans() {
-				if sp.Name != "memo" {
-					continue
-				}
-				attr := map[string]int64{}
-				for _, a := range sp.Attrs {
-					attr[a.Key] = a.Val
-				}
-				if attr["decided"] != 1 || attr["exhausted"] != 0 || attr["exprs"] <= 0 || attr["exprs"] >= memo.DefaultBudget || attr["groups"] <= 0 {
-					t.Errorf("%s memo budget %d: memo span %v, want decided=1 exhausted=0 and under %d expressions", c.name, memoBudget, attr, memo.DefaultBudget)
+				if sp.Name == "memo" {
+					t.Errorf("%s memo budget %d: an exploratory memo was built (%v)", c.name, memoBudget, sp.Attrs)
 				}
 			}
-			if n := tr.Counters().Get("memo.explore_decided"); n != 1 {
-				t.Errorf("%s memo budget %d: memo.explore_decided = %d, want 1", c.name, memoBudget, n)
+			if n := tr.Counters().Get("optimize.greedy_predicted"); n != 1 {
+				t.Errorf("%s memo budget %d: optimize.greedy_predicted = %d, want 1", c.name, memoBudget, n)
+			}
+			if m := got.plan.Memo; m.NumExprs() != m.NumGroups() {
+				t.Errorf("%s memo budget %d: the plan's memo holds %d expressions in %d groups, want the fixed memo's one each",
+					c.name, memoBudget, m.NumExprs(), m.NumGroups())
 			}
 		}
 	}
@@ -373,8 +373,8 @@ func TestDecidedExplorationStops(t *testing.T) {
 
 // TestConcurrentSearchBudgets compiles on one DB from several goroutines
 // at once, each under its own search budget: what decides one compile's
-// exploration is a value on that compile's memo, so every plan must be the
-// one the same call returns alone.
+// regime is a value of that compile alone, so every plan must be the one
+// the same call returns alone.
 func TestConcurrentSearchBudgets(t *testing.T) {
 	c := openSpec(t, qgen.Spec{Topology: qgen.Mixed, Relations: 10, Seed: 42010, Nodes: 8})
 	budgets := []int{0, 1, 5000}
