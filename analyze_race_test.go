@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pdwqo/internal/rowcmp"
 )
 
 // TestAnalyzeDuringExecution hammers the Metrics accessors and the
@@ -192,8 +194,8 @@ func TestFaultPlanDiesWithItsRun(t *testing.T) {
 	if doc.Analyze.Faults != 0 || doc.Analyze.Retries != 0 {
 		t.Errorf("zero-config run reports faults=%d retries=%d, want 0 and 0", doc.Analyze.Faults, doc.Analyze.Retries)
 	}
-	if !reflect.DeepEqual(canon(got, true), canon(want, true)) {
-		t.Error("zero-config run after a faulted run returned different rows")
+	if err := rowcmp.Exact.Compare(relation(rowcmp.Exact, "before", want), relation(rowcmp.Exact, "after", got)); err != nil {
+		t.Errorf("zero-config run after a faulted run: %v", err)
 	}
 }
 
@@ -211,7 +213,7 @@ func TestMixedConfigIsolation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canon(serial, true)
+	want := relation(rowcmp.Exact, "serial", serial)
 
 	const rounds = 4
 	tracer := NewTracer()
@@ -240,8 +242,8 @@ func TestMixedConfigIsolation(t *testing.T) {
 					t.Errorf("%s: %v", arm.name, err)
 					return
 				}
-				if got := canon(resultOf(run.Cols, run.Rows), true); !reflect.DeepEqual(got, want) {
-					t.Errorf("%s: rows differ from the serial run", arm.name)
+				if err := rowcmp.Exact.Compare(want, relation(rowcmp.Exact, arm.name, resultOf(run.Cols, run.Rows))); err != nil {
+					t.Errorf("%s: %v", arm.name, err)
 				}
 				if len(run.Steps) != steps {
 					t.Errorf("%s: run recorded %d steps, want %d", arm.name, len(run.Steps), steps)

@@ -8,6 +8,7 @@ import (
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/exec"
+	"pdwqo/internal/rowcmp"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/tpch"
 	"pdwqo/internal/types"
@@ -95,7 +96,7 @@ func e20(db *pdwqo.DB) {
 			}
 			vecRel = rel
 		})
-		if err := sameRelation(rowRel, vecRel); err != nil {
+		if err := rowcmp.Exact.Compare(e20Rendered("row engine", rowRel), e20Rendered("vectorized", vecRel)); err != nil {
 			fatal(fmt.Errorf("e20 %s: engines diverged: %w", w.name, err))
 		}
 		sp := ratio(float64(tRow), float64(tVec))
@@ -200,24 +201,13 @@ func e20Workloads(data tpch.Data) []e20Workload {
 	}
 }
 
-// sameRelation checks the two engines produced identical results, value
-// by value in row order.
-func sameRelation(row, vect *exec.Relation) error {
-	if len(row.Rows) != len(vect.Rows) {
-		return fmt.Errorf("row engine returned %d rows, vectorized %d", len(row.Rows), len(vect.Rows))
+// e20Rendered renders an engine's relation for rowcmp's exact rule.
+func e20Rendered(name string, r *exec.Relation) rowcmp.Relation {
+	cols := make([]string, len(r.Cols))
+	for i, c := range r.Cols {
+		cols[i] = c.Name
 	}
-	for i := range row.Rows {
-		if len(row.Rows[i]) != len(vect.Rows[i]) {
-			return fmt.Errorf("row %d: width %d vs %d", i, len(row.Rows[i]), len(vect.Rows[i]))
-		}
-		for c := range row.Rows[i] {
-			if row.Rows[i][c].String() != vect.Rows[i][c].String() {
-				return fmt.Errorf("row %d col %d: %s vs %s", i, c,
-					row.Rows[i][c].String(), vect.Rows[i][c].String())
-			}
-		}
-	}
-	return nil
+	return rowcmp.Exact.Render(name, cols, r.Rows)
 }
 
 // tpchTable resolves a shell table definition by name.

@@ -6,8 +6,6 @@ import (
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/sqlparser"
-	"pdwqo/internal/stats"
-	"pdwqo/internal/types"
 )
 
 // NewShellFromDDL builds a shell database for an n-node appliance from PDW
@@ -38,69 +36,4 @@ func NewShellFromDDL(nodes int, ddl ...string) (*Shell, error) {
 		}
 	}
 	return shell, nil
-}
-
-// buildMissingStats computes global statistics for any table that lacks
-// them, following the paper's §2.2 path: rows are placed per the table's
-// distribution, per-node local statistics are built, and the locals are
-// merged into globals.
-func buildMissingStats(shell *catalog.Shell, data map[string][]types.Row) error {
-	nodes := shell.Topology.ComputeNodes
-	if nodes < 1 {
-		nodes = 1
-	}
-	for _, tbl := range shell.Tables() {
-		if tbl.Stats != nil {
-			continue
-		}
-		rows := data[tbl.Name]
-		placed := placeRows(tbl, rows, nodes)
-		locals := make([]*stats.Table, 0, nodes)
-		for _, nodeRows := range placed {
-			cols := map[string][]types.Value{}
-			for ci, c := range tbl.Columns {
-				vals := make([]types.Value, len(nodeRows))
-				for ri, row := range nodeRows {
-					if ci >= len(row) {
-						return fmt.Errorf("pdwqo: table %q row has %d values, want %d",
-							tbl.Name, len(row), len(tbl.Columns))
-					}
-					vals[ri] = row[ci]
-				}
-				cols[c.Name] = vals
-			}
-			st, err := stats.BuildTable(cols)
-			if err != nil {
-				return err
-			}
-			locals = append(locals, st)
-		}
-		var global *stats.Table
-		if tbl.Dist.Kind == catalog.DistReplicated {
-			global = locals[0]
-		} else {
-			global = stats.MergeTables(locals, tbl.Dist.Column)
-		}
-		if err := shell.SetStats(tbl.Name, global); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// placeRows assigns rows to nodes per the table's distribution.
-func placeRows(tbl *catalog.Table, rows []types.Row, nodes int) [][]types.Row {
-	out := make([][]types.Row, nodes)
-	if tbl.Dist.Kind == catalog.DistReplicated {
-		for i := range out {
-			out[i] = rows
-		}
-		return out
-	}
-	ci := tbl.ColumnIndex(tbl.Dist.Column)
-	for _, r := range rows {
-		n := int(types.Hash(r[ci]) % uint64(nodes))
-		out[n] = append(out[n], r)
-	}
-	return out
 }

@@ -1,11 +1,10 @@
 package pdwqo
 
 import (
-	"math"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
+
+	"pdwqo/internal/rowcmp"
 )
 
 var testDB *DB
@@ -22,56 +21,14 @@ func openTest(t testing.TB) *DB {
 	return testDB
 }
 
-// canon renders rows order-independently (unless ordered is true) so
-// distributed and serial results compare exactly.
-func canon(r *Result, ordered bool) []string {
-	out := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		parts := make([]string, len(row))
-		for j, v := range row {
-			// Full precision; rowsEquivalent applies a relative tolerance
-			// for summation-order differences on floats.
-			parts[j] = v.String()
-		}
-		out[i] = strings.Join(parts, "|")
-	}
-	if !ordered {
-		sort.Strings(out)
-	}
-	return out
-}
-
-// rowsEquivalent compares two canonical rows field-wise, allowing a small
-// relative error on floating-point fields: distributed plans sum in a
-// different order than the serial reference, so the low bits may differ.
-func rowsEquivalent(a, b string) bool {
-	if a == b {
-		return true
-	}
-	af, bf := strings.Split(a, "|"), strings.Split(b, "|")
-	if len(af) != len(bf) {
-		return false
-	}
-	for i := range af {
-		if af[i] == bf[i] {
-			continue
-		}
-		x, errX := strconv.ParseFloat(af[i], 64)
-		y, errY := strconv.ParseFloat(bf[i], 64)
-		if errX != nil || errY != nil {
-			return false
-		}
-		diff := math.Abs(x - y)
-		scale := math.Max(math.Abs(x), math.Abs(y))
-		if diff > 1e-6*scale+1e-9 {
-			return false
-		}
-	}
-	return true
+// relation renders a result for rowcmp under rule.
+func relation(rule rowcmp.Rule, name string, r *Result) rowcmp.Relation {
+	return rule.Render(name, r.Columns, r.Rows)
 }
 
 // assertSameResults runs a query both distributed and serially and
-// compares: the paper's correctness contract for any chosen plan.
+// compares them under the serial rule: the paper's correctness contract
+// for any chosen plan.
 func assertSameResults(t *testing.T, db *DB, sql string, opts Options, ordered bool) {
 	t.Helper()
 	dist, err := db.Execute(sql, opts)
@@ -82,14 +39,9 @@ func assertSameResults(t *testing.T, db *DB, sql string, opts Options, ordered b
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	dc, rc := canon(dist, ordered), canon(ref, ordered)
-	if len(dc) != len(rc) {
-		t.Fatalf("row counts differ: distributed %d vs serial %d", len(dc), len(rc))
-	}
-	for i := range dc {
-		if !rowsEquivalent(dc[i], rc[i]) {
-			t.Fatalf("row %d differs:\ndistributed: %s\nserial:      %s", i, dc[i], rc[i])
-		}
+	rule := rowcmp.Serial(ordered)
+	if err := rule.Compare(relation(rule, "distributed", dist), relation(rule, "serial", ref)); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -58,17 +58,6 @@ func (b *Binder) NextID() ColumnID {
 	return id
 }
 
-// MaxID returns the highest ID allocated so far plus one; exported through
-// the memo XML so the PDW side can continue the sequence.
-func (b *Binder) MaxID() ColumnID { return b.nextID }
-
-// SetMinID advances the allocator (used after importing a memo).
-func (b *Binder) SetMinID(id ColumnID) {
-	if id > b.nextID {
-		b.nextID = id
-	}
-}
-
 // scope is one level of name resolution; parent chains implement
 // correlated subqueries.
 type scope struct {

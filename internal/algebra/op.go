@@ -42,11 +42,6 @@ func (k JoinKind) String() string {
 	return [...]string{"Inner", "Cross", "LeftOuter", "FullOuter", "Semi", "Anti"}[k]
 }
 
-// PreservesLeft reports whether every left row appears at least once.
-func (k JoinKind) PreservesLeft() bool {
-	return k == JoinLeftOuter || k == JoinFullOuter
-}
-
 // Get scans a base table. Cols holds the fresh column IDs this instance
 // minted for the table's columns, in table order.
 type Get struct {

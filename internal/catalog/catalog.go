@@ -103,24 +103,23 @@ func (t *Table) AvgRowWidth() float64 {
 	return w
 }
 
-// IsPrimaryKey reports whether cols (in any order) covers the primary key.
-func (t *Table) IsPrimaryKey(cols []string) bool {
-	if len(t.PrimaryKey) == 0 || len(cols) < len(t.PrimaryKey) {
-		return false
-	}
-	for _, pk := range t.PrimaryKey {
-		found := false
-		for _, c := range cols {
-			if strings.EqualFold(pk, c) {
-				found = true
-				break
-			}
+// Place assigns rows to the appliance's compute nodes per the table's
+// distribution: a replicated table's rows land on every node, a hashed
+// table's row on the node owning the hash of its distribution column.
+func (t *Table) Place(rows []types.Row, nodes int) [][]types.Row {
+	out := make([][]types.Row, nodes)
+	if t.Dist.Kind == DistReplicated {
+		for i := range out {
+			out[i] = rows
 		}
-		if !found {
-			return false
-		}
+		return out
 	}
-	return true
+	ci := t.ColumnIndex(t.Dist.Column)
+	for _, r := range rows {
+		n := int(types.Hash(r[ci]) % uint64(nodes))
+		out[n] = append(out[n], r)
+	}
+	return out
 }
 
 // Topology describes the appliance (paper §2.1): homogeneous compute nodes
@@ -239,5 +238,50 @@ func (s *Shell) SetStats(table string, st *stats.Table) error {
 	nt.Stats = st
 	s.tables[key] = &nt
 	s.epoch.Add(1)
+	return nil
+}
+
+// BuildMissingStats computes global statistics for every table that has
+// none, on the paper's §2.2 path: the table's rows are placed per its
+// distribution, local statistics are built on each node, and the locals
+// are merged into global ones. A replicated table's global statistics are
+// one node's, since every node holds the same copy.
+func (s *Shell) BuildMissingStats(data map[string][]types.Row) error {
+	nodes := max(s.Topology.ComputeNodes, 1)
+	for _, tbl := range s.Tables() {
+		if tbl.Stats != nil {
+			continue
+		}
+		rows := data[tbl.Name]
+		for _, row := range rows {
+			if len(row) < len(tbl.Columns) {
+				return fmt.Errorf("catalog: table %q row has %d values, want %d",
+					tbl.Name, len(row), len(tbl.Columns))
+			}
+		}
+		locals := make([]*stats.Table, 0, nodes)
+		for _, nodeRows := range tbl.Place(rows, nodes) {
+			cols := map[string][]types.Value{}
+			for ci, c := range tbl.Columns {
+				vals := make([]types.Value, len(nodeRows))
+				for ri, row := range nodeRows {
+					vals[ri] = row[ci]
+				}
+				cols[c.Name] = vals
+			}
+			st, err := stats.BuildTable(cols)
+			if err != nil {
+				return err
+			}
+			locals = append(locals, st)
+		}
+		global := locals[0]
+		if tbl.Dist.Kind == DistHash {
+			global = stats.MergeTables(locals, tbl.Dist.Column)
+		}
+		if err := s.SetStats(tbl.Name, global); err != nil {
+			return err
+		}
+	}
 	return nil
 }

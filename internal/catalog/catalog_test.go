@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"strings"
 	"testing"
 
 	"pdwqo/internal/stats"
@@ -82,15 +83,6 @@ func TestColumnHelpers(t *testing.T) {
 	if c := tbl.Column("o_orderdate"); c == nil || c.Type != types.KindDate {
 		t.Error("column lookup")
 	}
-	if !tbl.IsPrimaryKey([]string{"extra", "O_ORDERKEY"}) {
-		t.Error("superset covers PK")
-	}
-	if tbl.IsPrimaryKey([]string{"o_custkey"}) {
-		t.Error("non-key columns are not a PK")
-	}
-	if (&Table{Name: "x", Columns: []Column{{Name: "a"}}}).IsPrimaryKey([]string{"a"}) {
-		t.Error("no declared PK means false")
-	}
 }
 
 func TestStatsAttachment(t *testing.T) {
@@ -157,5 +149,81 @@ func TestDistributionString(t *testing.T) {
 	}
 	if (Distribution{Kind: DistReplicated}).String() != "REPLICATE" {
 		t.Error("replicate string")
+	}
+}
+
+func TestPlaceRows(t *testing.T) {
+	orders := ordersTable()
+	rows := make([]types.Row, 3000)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i + 1)), types.NewInt(int64(i % 7)), types.NewFloat(1), types.NewDate(9000)}
+	}
+	placed := orders.Place(rows, 4)
+	total := 0
+	for i, p := range placed {
+		total += len(p)
+		if len(p) < len(rows)/8 {
+			t.Errorf("node %d underloaded: %d of %d", i, len(p), len(rows))
+		}
+		for _, r := range p {
+			if n := int(types.Hash(r[0]) % 4); n != i {
+				t.Fatalf("key %v placed on node %d, its hash owns node %d", r[0], i, n)
+			}
+		}
+	}
+	if total != len(rows) {
+		t.Errorf("hash placement holds %d of %d rows; it must partition exactly", total, len(rows))
+	}
+	nation := &Table{Name: "nation", Columns: []Column{{Name: "n_nationkey", Type: types.KindInt}},
+		Dist: Distribution{Kind: DistReplicated}}
+	for i, p := range nation.Place(rows[:25], 4) {
+		if len(p) != 25 {
+			t.Errorf("replicated table holds %d rows on node %d, want all 25", len(p), i)
+		}
+	}
+}
+
+// TestBuildMissingStats: statistics built on the §2.2 path count every
+// row once (a replicated table's copies are not summed), the hash
+// column's merged NDV is exact, a table that has statistics keeps them,
+// and a short row is refused before it is placed.
+func TestBuildMissingStats(t *testing.T) {
+	s := NewShell(4)
+	if err := s.AddTable(ordersTable()); err != nil {
+		t.Fatal(err)
+	}
+	region := &Table{Name: "region", Columns: []Column{{Name: "r_regionkey", Type: types.KindInt}},
+		Dist: Distribution{Kind: DistReplicated}}
+	if err := s.AddTable(region); err != nil {
+		t.Fatal(err)
+	}
+	kept := stats.NewTable()
+	kept.RowCount = 99
+	if err := s.SetStats("region", kept); err != nil {
+		t.Fatal(err)
+	}
+	rows := make([]types.Row, 500)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(i)), types.NewInt(int64(i % 10)), types.NewFloat(float64(i)), types.NewDate(9000)}
+	}
+	data := map[string][]types.Row{"Orders": rows, "region": {{types.NewInt(1)}}}
+	if err := s.BuildMissingStats(data); err != nil {
+		t.Fatal(err)
+	}
+	st := s.Table("orders").Stats
+	if st == nil || st.RowCount != 500 || st.Column("o_orderkey").NDV != 500 {
+		t.Errorf("orders statistics: %+v", st)
+	}
+	if s.Table("region").Stats != kept {
+		t.Error("a table's existing statistics were rebuilt")
+	}
+
+	short := NewShell(2)
+	if err := short.AddTable(ordersTable()); err != nil {
+		t.Fatal(err)
+	}
+	err := short.BuildMissingStats(map[string][]types.Row{"Orders": {{types.NewInt(1)}}})
+	if err == nil || !strings.Contains(err.Error(), "row has 1 values, want 4") {
+		t.Errorf("short row: err = %v", err)
 	}
 }

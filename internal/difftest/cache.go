@@ -15,16 +15,14 @@ package difftest
 // cache must never have.
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"strconv"
-	"strings"
 
 	"pdwqo"
 	"pdwqo/internal/normalize"
+	"pdwqo/internal/rowcmp"
 	"pdwqo/internal/types"
 )
 
@@ -80,13 +78,14 @@ func CacheDiff(db *pdwqo.DB, c Case, par int) error {
 	}
 
 	// miss and hit instantiate the same template: byte-identical rows.
-	if err := diffResults(c.Name+" (miss vs hit)", par, miss, hit); err != nil {
+	if err := compare(rowcmp.Exact, c.Name, "miss", miss, "hit", hit); err != nil {
 		return err
 	}
 	// cold may have compiled a (legitimately) different plan — slot
 	// markers inhibit some constant dedup — so compare relations, not
-	// plans: same rows in the same order.
-	if err := diffResults(c.Name+" (cold vs hit)", par, cold, hit); err != nil {
+	// plans: same rows in the same order, or for a TOP query the same
+	// count, since another plan may keep other rows tied at the cut.
+	if err := compare(rowcmp.Exact.AcrossPlans(c.SQL), c.Name, "cold", cold, "hit", hit); err != nil {
 		return err
 	}
 	return serialAgrees(db, c, hit)
@@ -135,13 +134,14 @@ func CacheInvalidation(db *pdwqo.DB, c Case, par int) error {
 	if err != nil {
 		return fmt.Errorf("%s: post-bump execute: %w", c.Name, err)
 	}
-	return diffResults(c.Name+" (pre vs post epoch bump)", par, hit, post)
+	return compare(rowcmp.Exact, c.Name, "pre-bump", hit, "post-bump", post)
 }
 
 // CacheChaos certifies that a cache-served plan is exactly as robust as a
-// cold one: the re-bound template executed under a seeded random fault
-// plan either recovers to the fault-free answer or fails with a clean
-// typed StepError, and never leaks temp tables.
+// cold one: the re-bound template, run fault-free as the reference and
+// then under a seeded random fault plan, either recovers to the
+// reference's exact rows or fails with a clean typed StepError, and
+// never leaks temp tables.
 func CacheChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
 	db.SetPlanCache(cacheCapacity)
 	defer db.SetPlanCache(-1)
@@ -156,22 +156,11 @@ func CacheChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error
 	if plan.CacheStatus != "hit" {
 		return fmt.Errorf("%s: chaos plan has CacheStatus %q, want hit", c.Name, plan.CacheStatus)
 	}
-	ref, err := runAt(db, plan, par)
-	if err != nil {
-		return fmt.Errorf("%s: fault-free reference execute: %w", c.Name, err)
-	}
-
-	res, err := runRecovered(db, plan, ChaosConfig(db, plan, par, seed, maxRetries))
-	if leaks := leakedTables(db); len(leaks) > 0 {
-		return fmt.Errorf("%s: leaked tables after cached chaos run (seed %d): %v", c.Name, seed, leaks)
-	}
-	if err != nil {
-		if !isStepError(err) {
-			return fmt.Errorf("%s: cached chaos failure (seed %d) is not a typed StepError: %w", c.Name, seed, err)
-		}
-		return nil
-	}
-	return diffResults(c.Name+" (cached chaos)", par, ref, res)
+	return runChaos(db, c, chaosArm{
+		ref:  func() (*pdwqo.Result, error) { return runAt(db, plan, par) },
+		plan: plan,
+		rule: rowcmp.Exact,
+	}, par, seed, maxRetries)
 }
 
 // ParamVariants derives n same-shape variants of c by perturbing every
@@ -237,77 +226,14 @@ func perturbLiteral(r *rand.Rand, l normalize.Literal) string {
 }
 
 // serialAgrees compares a distributed result against ExecuteSerial, the
-// engine's ground truth: sorted canonical rows with a relative float
-// tolerance (distributed plans sum in a different order). TOP queries
-// are tie-nondeterministic across engines, so only the row count is
-// compared for them.
+// engine's ground truth, under the serial rule: sorted rows with a
+// relative float tolerance (distributed plans sum in a different order),
+// and for a TOP query the row count only, since the two engines may keep
+// different rows tied at the cut.
 func serialAgrees(db *pdwqo.DB, c Case, dist *pdwqo.Result) error {
 	serial, err := db.ExecuteSerial(c.SQL)
 	if err != nil {
 		return fmt.Errorf("%s: serial reference: %w", c.Name, err)
 	}
-	if hasTop(c.SQL) {
-		if len(dist.Rows) != len(serial.Rows) {
-			return fmt.Errorf("%s: TOP row count diverged: distributed %d, serial %d",
-				c.Name, len(dist.Rows), len(serial.Rows))
-		}
-		return nil
-	}
-	d, s := sortedCanon(dist), sortedCanon(serial)
-	if len(d) != len(s) {
-		return fmt.Errorf("%s: row count diverged from serial: %d vs %d", c.Name, len(d), len(s))
-	}
-	for i := range d {
-		if !rowsEquivalent(d[i], s[i]) {
-			return fmt.Errorf("%s: row diverged from serial reference:\n  distributed: %s\n  serial:      %s",
-				c.Name, d[i], s[i])
-		}
-	}
-	return nil
-}
-
-func hasTop(sql string) bool {
-	return strings.Contains(strings.ToUpper(sql), "TOP ")
-}
-
-func sortedCanon(r *pdwqo.Result) []string {
-	out := make([]string, len(r.Rows))
-	for i, row := range r.Rows {
-		out[i] = canonRow(row)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// rowsEquivalent compares two canonical rows field-wise with a relative
-// float tolerance, mirroring the root package's serial-agreement check.
-func rowsEquivalent(a, b string) bool {
-	if a == b {
-		return true
-	}
-	af, bf := strings.Split(a, "|"), strings.Split(b, "|")
-	if len(af) != len(bf) {
-		return false
-	}
-	for i := range af {
-		if af[i] == bf[i] {
-			continue
-		}
-		x, errX := strconv.ParseFloat(af[i], 64)
-		y, errY := strconv.ParseFloat(bf[i], 64)
-		if errX != nil || errY != nil {
-			return false
-		}
-		diff := math.Abs(x - y)
-		scale := math.Max(math.Abs(x), math.Abs(y))
-		if diff > 1e-6*scale+1e-9 {
-			return false
-		}
-	}
-	return true
-}
-
-func isStepError(err error) bool {
-	var se *pdwqo.StepError
-	return errors.As(err, &se)
+	return compare(rowcmp.Serial(false).AcrossPlans(c.SQL), c.Name, "distributed", dist, "serial", serial)
 }

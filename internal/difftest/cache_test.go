@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"pdwqo"
+	"pdwqo/internal/rowcmp"
 )
 
 // TestCacheMetamorphicTPCH is the headline plan-cache sweep: every
@@ -256,5 +257,63 @@ func TestCacheStampedeDB(t *testing.T) {
 	}
 	if m.Compiles >= total {
 		t.Errorf("singleflight ineffective: %d compiles for %d requests", m.Compiles, total)
+	}
+}
+
+// TestCacheColdRetry reaches optimizeCached's cold retry. The query's
+// ORDER BY expression matches its select item only while both literals
+// are literals: compiled with slots it fails ("not in the select list"),
+// so the miss compiles it again cold. The retried plan is cached under
+// the exact literals — the second call is a hit and the rows agree with
+// the serial reference — and a same-shape query whose two literals differ
+// fails through the cache exactly as it fails cold.
+func TestCacheColdRetry(t *testing.T) {
+	db := openAppliance(t, 4)
+	const sql = "SELECT o_totalprice + 1 AS x FROM orders ORDER BY o_totalprice + 1"
+	const other = "SELECT o_totalprice + 2 AS x FROM orders ORDER BY o_totalprice + 1"
+	_, coldErr := db.Optimize(other, pdwqo.Options{})
+	if coldErr == nil {
+		t.Fatalf("%s compiled cold; the test needs a query that fails", other)
+	}
+
+	db.SetPlanCache(cacheCapacity)
+	defer db.SetPlanCache(-1)
+	tracer := pdwqo.NewTracer()
+	for i, want := range []string{"miss", "hit"} {
+		opts := pdwqo.Options{Parallelism: 8}
+		if i == 0 {
+			opts.Tracer = tracer
+		}
+		plan, err := db.Optimize(sql, opts)
+		if err != nil {
+			t.Fatalf("call %d: %v", i+1, err)
+		}
+		if plan.CacheStatus != want {
+			t.Errorf("call %d: CacheStatus %q, want %q", i+1, plan.CacheStatus, want)
+		}
+		res, err := runAt(db, plan, 8)
+		if err != nil {
+			t.Fatalf("call %d: execute: %v", i+1, err)
+		}
+		serial, err := db.ExecuteSerial(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := compare(rowcmp.Serial(true), want, "distributed", res, "serial", serial); err != nil {
+			t.Error(err)
+		}
+	}
+	var compiles []string
+	for _, sp := range tracer.Spans() {
+		if sp.Name == "optimize" {
+			compiles = append(compiles, sp.Err)
+		}
+	}
+	if len(compiles) != 2 || !strings.Contains(compiles[0], "not in the select list") || compiles[1] != "" {
+		t.Errorf("the miss compiled %d times with errors %q; want a slotted failure, then a cold success", len(compiles), compiles)
+	}
+
+	if _, err := db.Optimize(other, pdwqo.Options{}); err == nil || err.Error() != coldErr.Error() {
+		t.Errorf("through the cache: %v\ncold: %v", err, coldErr)
 	}
 }

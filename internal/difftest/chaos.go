@@ -9,38 +9,40 @@ import (
 
 	"pdwqo"
 	"pdwqo/internal/par"
+	"pdwqo/internal/rowcmp"
 )
 
-// Chaos certifies the engine's robustness contract for one case: run it
-// fault-free on the serial reference path, then again under a seeded
-// random fault plan, and assert that
+// chaosArm is what one chaos family supplies to runChaos: its fault-free
+// reference run, the plan it executes under faults, and the rule the
+// faulted result must meet against the reference.
+type chaosArm struct {
+	ref  func() (*pdwqo.Result, error)
+	plan *pdwqo.QueryPlan
+	rule rowcmp.Rule
+}
+
+// runChaos certifies the engine's robustness contract for one case and
+// one family: run the arm's fault-free reference, run its plan again
+// under a seeded random fault plan, and assert that
 //
-//   - when retries absorb every fault, the chaos result is byte-identical
-//     to the fault-free reference (determinism under perturbation);
+//   - no temp or staging table is left behind on any node;
+//   - when retries absorb every fault, the chaos result meets the arm's
+//     rule against the reference (determinism under perturbation);
 //   - when they don't, the failure is a clean *pdwqo.StepError — never a
-//     panic;
-//   - either way, no temp or staging table is left behind on any node.
+//     panic.
 //
-// Every arm passes its own ExecConfig, so a cached DB can be shared with
-// other tests.
-func Chaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
-	// Fault-free serial reference.
-	plan, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: 1})
-	if err != nil {
-		return fmt.Errorf("%s: optimize: %w", c.Name, err)
-	}
-	ref, err := runAt(db, plan, 1)
+// Every run passes its own ExecConfig, so a shared DB serves other tests
+// at the same time.
+func runChaos(db *pdwqo.DB, c Case, arm chaosArm, par int, seed int64, maxRetries int) error {
+	ref, err := arm.ref()
 	if err != nil {
 		return fmt.Errorf("%s: fault-free reference execute: %w", c.Name, err)
 	}
-
-	cfg := ChaosConfig(db, plan, par, seed, maxRetries)
-	res, err := runRecovered(db, plan, cfg)
-
-	if leaks := leakedTables(db); len(leaks) > 0 {
+	cfg := ChaosConfig(db, arm.plan, par, seed, maxRetries)
+	res, err := runRecovered(db, arm.plan, cfg)
+	if leaks := LeakedTables(db); len(leaks) > 0 {
 		return fmt.Errorf("%s: leaked tables after chaos run (seed %d): %v", c.Name, seed, leaks)
 	}
-
 	if err != nil {
 		var se *pdwqo.StepError
 		if !errors.As(err, &se) {
@@ -48,11 +50,26 @@ func Chaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
 		}
 		return nil // clean typed failure is an accepted outcome
 	}
-	if derr := diffResults(c.Name, par, ref, res); derr != nil {
+	if derr := compare(arm.rule, c.Name, "reference", ref, "chaos", res); derr != nil {
 		return fmt.Errorf("chaos (seed %d, %d faults fired, retries %d): %w",
 			seed, cfg.Faults.Fired(), maxRetries, derr)
 	}
 	return nil
+}
+
+// Chaos is the serial-reference family: the plan compiled at
+// Parallelism=1 runs fault-free on one worker, then under faults at par,
+// and the two results must agree exactly.
+func Chaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error {
+	plan, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: 1})
+	if err != nil {
+		return fmt.Errorf("%s: optimize: %w", c.Name, err)
+	}
+	return runChaos(db, c, chaosArm{
+		ref:  func() (*pdwqo.Result, error) { return runAt(db, plan, 1) },
+		plan: plan,
+		rule: rowcmp.Exact,
+	}, par, seed, maxRetries)
 }
 
 // ChaosConfig is a chaos arm's execution configuration: a fault plan
@@ -89,9 +106,9 @@ type panicError struct{ msg string }
 
 func (e panicError) Error() string { return e.msg }
 
-// leakedTables scans every node for temp or staging tables; after any
+// LeakedTables scans every node for temp or staging tables; after any
 // execution — successful, failed or retried — there must be none.
-func leakedTables(db *pdwqo.DB) []string {
+func LeakedTables(db *pdwqo.DB) []string {
 	a := db.Appliance()
 	var leaks []string
 	check := func(nodeID int, names []string) {

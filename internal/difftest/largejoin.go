@@ -8,6 +8,7 @@ import (
 	"pdwqo/internal/core"
 	"pdwqo/internal/cost"
 	"pdwqo/internal/qgen"
+	"pdwqo/internal/rowcmp"
 )
 
 // OpenQGen builds a private appliance for one generated large-join query:
@@ -48,7 +49,6 @@ func LargeJoinDiff(db *pdwqo.DB, q *qgen.Query, par int) (float64, error) {
 	if err := GreedyPlanShape(q, greedy); err != nil {
 		return 0, err
 	}
-	c := Case{Name: q.Name, SQL: q.SQL}
 	gres, err := runAt(db, greedy, par)
 	if err != nil {
 		return 0, fmt.Errorf("%s: execute greedy plan: %w", q.Name, err)
@@ -57,7 +57,8 @@ func LargeJoinDiff(db *pdwqo.DB, q *qgen.Query, par int) (float64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%s: execute exhaustive plan: %w", q.Name, err)
 	}
-	if derr := diffRelations(c, gres, eres); derr != nil {
+	rule := rowcmp.Split(rowcmp.HasOrderBy(q.SQL))
+	if derr := compare(rule, q.Name, "greedy", gres, "exhaustive", eres); derr != nil {
 		return 0, fmt.Errorf("greedy-vs-exhaustive: %w", derr)
 	}
 	return cost.PlanCostRatio(greedy.Cost(), exh.Cost()), nil

@@ -2,18 +2,19 @@
 // library path: the same appliance, the same corpus, byte-identical
 // results. It lives in its own directory (rather than in
 // internal/difftest proper) so the wire sweep compiles into its own test
-// binary with its own -timeout budget; the comparison machinery is shared
-// through internal/difftest's exported helpers.
+// binary with its own -timeout budget. The comparison rule is
+// internal/rowcmp's Exact; the leak check and the chaos configuration are
+// internal/difftest's.
 package serverdiff
 
 import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 
 	"pdwqo"
 	"pdwqo/internal/difftest"
+	"pdwqo/internal/rowcmp"
 	"pdwqo/internal/server"
 )
 
@@ -22,8 +23,7 @@ import (
 // cache → engine → result frames) and through the library path on the
 // same appliance, and the two result relations must match byte-for-byte —
 // same column names, same rows, same order, same rendered values. The
-// server streams rows as strings, so the comparison is against the same
-// canonical rendering the library sweeps use.
+// server streams rows as strings, which is the form rowcmp compares.
 func ServerDiff(db *pdwqo.DB, c *server.Client, cs difftest.Case) error {
 	wire, err := c.Query(context.Background(), cs.SQL)
 	if err != nil {
@@ -37,13 +37,18 @@ func ServerDiff(db *pdwqo.DB, c *server.Client, cs difftest.Case) error {
 	if err != nil {
 		return fmt.Errorf("%s: library execute: %w", cs.Name, err)
 	}
-	return diffWire(cs.Name, wire, ref)
+	w := rowcmp.Relation{Name: "wire", Columns: wire.Columns, Rows: wire.Rows}
+	if err := rowcmp.Exact.Compare(w, rowcmp.Exact.Render("library", ref.Columns, ref.Rows)); err != nil {
+		return fmt.Errorf("%s: %w", cs.Name, err)
+	}
+	return nil
 }
 
-// ServerChaos is the wire-path analogue of difftest's Chaos: execute the
-// case over a connection to a server whose queries run under a seeded
-// random fault plan with retries. If the retries absorb every fault the
-// wire result must be byte-identical to the fault-free library reference;
+// ServerChaos is the wire-path analogue of difftest's chaos runner, with
+// its own retry loop on one connection: execute the case over a
+// connection to a server whose queries run under a seeded random fault
+// plan with retries. If the retries absorb every fault the wire result
+// must be byte-identical to the fault-free library reference;
 // if they don't, the client must observe a typed execution error — never
 // a protocol wedge or a dead session. Either way no temp or staging table
 // may leak. The server is built for the case over the shared DB, so the
@@ -58,6 +63,7 @@ func ServerChaos(db *pdwqo.DB, cs difftest.Case, seed int64, maxRetries int) err
 	if err != nil {
 		return fmt.Errorf("%s: fault-free reference execute: %w", cs.Name, err)
 	}
+	lib := rowcmp.Exact.Render("library", ref.Columns, ref.Rows)
 
 	cfg := difftest.ChaosConfig(db, plan, 0, seed, maxRetries)
 	srv := server.New(db, server.Config{MaxConcurrent: 4, MaxQueue: 64, Exec: cfg})
@@ -85,8 +91,9 @@ func ServerChaos(db *pdwqo.DB, cs difftest.Case, seed int64, maxRetries int) err
 			return fmt.Errorf("%s: leaked tables after wire chaos run (seed %d): %v", cs.Name, seed, leaks)
 		}
 		if werr == nil {
-			if derr := diffWire(cs.Name, wire, ref); derr != nil {
-				return fmt.Errorf("chaos (seed %d, retries %d, query %d on the connection): %w", seed, maxRetries, attempt, derr)
+			w := rowcmp.Relation{Name: "wire", Columns: wire.Columns, Rows: wire.Rows}
+			if derr := rowcmp.Exact.Compare(w, lib); derr != nil {
+				return fmt.Errorf("%s: chaos (seed %d, retries %d, query %d on the connection): %w", cs.Name, seed, maxRetries, attempt, derr)
 			}
 			return nil
 		}
@@ -97,23 +104,4 @@ func ServerChaos(db *pdwqo.DB, cs difftest.Case, seed int64, maxRetries int) err
 	}
 	return fmt.Errorf("%s: session never recovered (seed %d): %d queries failed against a fault budget of %d",
 		cs.Name, seed, budget+1, budget)
-}
-
-// diffWire asserts the streamed wire result matches a library result
-// exactly, comparing the same canonical per-row rendering the library
-// sweeps use.
-func diffWire(name string, wire *server.Result, ref *pdwqo.Result) error {
-	if wc, rc := strings.Join(wire.Columns, "|"), strings.Join(ref.Columns, "|"); wc != rc {
-		return fmt.Errorf("%s: columns diverged: wire %q, library %q", name, wc, rc)
-	}
-	if len(wire.Rows) != len(ref.Rows) {
-		return fmt.Errorf("%s: row count diverged: wire %d, library %d", name, len(wire.Rows), len(ref.Rows))
-	}
-	for i := range ref.Rows {
-		w, r := strings.Join(wire.Rows[i], "|"), difftest.CanonRow(ref.Rows[i])
-		if w != r {
-			return fmt.Errorf("%s: row %d diverged:\n  wire:    %s\n  library: %s", name, i, w, r)
-		}
-	}
-	return nil
 }

@@ -7,6 +7,7 @@ import (
 
 	"pdwqo"
 	"pdwqo/internal/difftest"
+	"pdwqo/internal/rowcmp"
 	"pdwqo/internal/server"
 )
 
@@ -130,6 +131,7 @@ func TestExecuteEpochRace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantRel := rowcmp.Exact.Render("before", want.Columns, want.Rows)
 
 	const readers, iters = 8, 30
 	stop := make(chan struct{})
@@ -165,7 +167,7 @@ func TestExecuteEpochRace(t *testing.T) {
 					errs <- err
 					return
 				}
-				if derr := difftest.DiffResults("epoch-race", 1, want, res); derr != nil {
+				if derr := rowcmp.Exact.Compare(wantRel, rowcmp.Exact.Render("during", res.Columns, res.Rows)); derr != nil {
 					errs <- derr
 					return
 				}

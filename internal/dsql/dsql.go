@@ -16,7 +16,6 @@ import (
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/core"
 	"pdwqo/internal/cost"
-	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 )
 
@@ -763,9 +762,4 @@ func renderAgg(a algebra.AggDef, res resolver) (string, error) {
 		d = "DISTINCT "
 	}
 	return fmt.Sprintf("%s(%s%s)", a.Func, d, arg), nil
-}
-
-// MakeBinary builds a binary scalar for helpers/tests.
-func MakeBinary(op sqlparser.BinOp, l, r algebra.Scalar) algebra.Scalar {
-	return &algebra.Binary{Op: op, L: l, R: r}
 }

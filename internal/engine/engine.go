@@ -271,18 +271,7 @@ func (a *Appliance) LoadTable(name string, rows []types.Row) error {
 	if tbl == nil {
 		return fmt.Errorf("engine: unknown table %q", name)
 	}
-	buckets := make([][]types.Row, len(a.Compute))
-	if tbl.Dist.Kind == catalog.DistReplicated {
-		for i := range buckets {
-			buckets[i] = rows
-		}
-	} else {
-		ci := tbl.ColumnIndex(tbl.Dist.Column)
-		for _, r := range rows {
-			n := int(types.Hash(r[ci]) % uint64(len(a.Compute)))
-			buckets[n] = append(buckets[n], r)
-		}
-	}
+	buckets := tbl.Place(rows, len(a.Compute))
 	n := len(a.Compute)
 	return par.For(context.Background(), n, workers(0, n), func(_ context.Context, i int) error {
 		db := a.Compute[i].DB

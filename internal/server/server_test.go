@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"pdwqo"
+	"pdwqo/internal/rowcmp"
+	"pdwqo/internal/types"
 )
 
 var (
@@ -48,35 +50,11 @@ func startServer(t testing.TB, db *pdwqo.DB, cfg Config) (*Server, string) {
 	return srv, addr.String()
 }
 
-// libraryRows canonicalizes a library-path result into the wire's string
-// rendering for byte-identical comparison.
-func libraryRows(res *pdwqo.Result) [][]string {
-	out := make([][]string, len(res.Rows))
-	for i, row := range res.Rows {
-		r := make([]string, len(row))
-		for j, v := range row {
-			r[j] = v.String()
-		}
-		out[i] = r
-	}
-	return out
-}
-
-func sameRows(a, b [][]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
+// sameAsLibrary compares a wire result with the library's result of the
+// same query under the exact rule.
+func sameAsLibrary(got *Result, want *pdwqo.Result) error {
+	wire := rowcmp.Relation{Name: "wire", Columns: got.Columns, Rows: got.Rows}
+	return rowcmp.Exact.Compare(wire, rowcmp.Exact.Render("library", want.Columns, want.Rows))
 }
 
 func TestQueryRoundTrip(t *testing.T) {
@@ -103,11 +81,8 @@ func TestQueryRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Columns) != len(want.Columns) {
-		t.Fatalf("columns = %v, want %v", got.Columns, want.Columns)
-	}
-	if !sameRows(got.Rows, libraryRows(want)) {
-		t.Errorf("wire rows diverge from library rows")
+	if err := sameAsLibrary(got, want); err != nil {
+		t.Error(err)
 	}
 	if got.Epoch != db.Shell().Epoch() {
 		t.Error("Done must carry the current epoch")
@@ -162,8 +137,8 @@ func TestPreparedStatements(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameRows(got.Rows, libraryRows(want)) {
-			t.Errorf("rk=%d: wire rows diverge from library", rk)
+		if err := sameAsLibrary(got, want); err != nil {
+			t.Errorf("rk=%d: %v", rk, err)
 		}
 		if rk > 0 && got.CacheStatus != "hit" {
 			// The first execution may miss (or hit, if another test already
@@ -228,6 +203,52 @@ func TestPreparedStatementErrors(t *testing.T) {
 	}
 	if _, err := c.Prepare("SELECT r_name FROM region WHERE r_regionkey = 3"); CodeOf(err) != CodeTooManyStmts {
 		t.Errorf("stmt cap: want CodeTooManyStmts, got %v", err)
+	}
+}
+
+// TestFloatArgumentsAreDecimalLiterals: a float argument is spliced into
+// the statement's text, so only a finite decimal literal may reach it.
+// NaN once became a reference to a column named NaN (and returned that
+// column's comparison's rows), ±Inf a reference to an unknown column,
+// and a hex float a parse error. Each is refused with CodeBadParams, the
+// decimal spellings accepted before still run, and the session serves on.
+func TestFloatArgumentsAreDecimalLiterals(t *testing.T) {
+	shell, err := pdwqo.NewShellFromDDL(2,
+		"CREATE TABLE t (k BIGINT PRIMARY KEY, x FLOAT, NaN FLOAT) WITH (DISTRIBUTION = HASH(k))")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, err := pdwqo.Open(shell, map[string][]pdwqo.Row{"t": {
+		{types.NewInt(1), types.NewFloat(5), types.NewFloat(1)},
+		{types.NewInt(2), types.NewFloat(0), types.NewFloat(-1)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := startServer(t, db, Config{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Prepare("SELECT k FROM t WHERE x > 1.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, arg := range []any{math.NaN(), math.Inf(1), math.Inf(-1), "0x1p3", "NaN", "Inf", "1e", "1.5.2", "-", ""} {
+		if res, err := st.Exec(ctx, arg); CodeOf(err) != CodeBadParams {
+			t.Errorf("argument %v: want CodeBadParams, got rows %v, err %v", arg, res, err)
+		}
+	}
+	for _, arg := range []any{1.5, "+5", "0005", "1e+06", "-2", ".5", "4.", "2E0"} {
+		if _, err := st.Exec(ctx, arg); err != nil {
+			t.Errorf("argument %v: %v", arg, err)
+		}
+	}
+	res, err := st.Exec(ctx, 1.5)
+	if err != nil || len(res.Rows) != 1 || res.Rows[0][0] != "1" {
+		t.Fatalf("session after the refused arguments: %v, %v", res, err)
 	}
 }
 
@@ -427,7 +448,6 @@ func TestConcurrentSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := libraryRows(want)
 	_, addr := startServer(t, db, Config{MaxConcurrent: 4, MaxQueue: 64})
 	const sessions = 16
 	var wg sync.WaitGroup
@@ -448,8 +468,8 @@ func TestConcurrentSessions(t *testing.T) {
 					errs <- err
 					return
 				}
-				if !sameRows(got.Rows, wantRows) {
-					errs <- errf(CodeExec, "rows diverged")
+				if err := sameAsLibrary(got, want); err != nil {
+					errs <- err
 					return
 				}
 			}
@@ -507,8 +527,11 @@ func TestLargeBatchesFitTheFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Rows) != 70001 || !sameRows(got.Rows, libraryRows(want)) {
-		t.Errorf("%d rows over the wire, %d from the library, or they differ", len(got.Rows), len(want.Rows))
+	if len(got.Rows) != 70001 {
+		t.Errorf("%d rows over the wire, want 70001", len(got.Rows))
+	}
+	if err := sameAsLibrary(got, want); err != nil {
+		t.Error(err)
 	}
 
 	const wide = `SELECT TOP 65000 l_orderkey, l_partkey, l_suppkey, l_linenumber, l_quantity,

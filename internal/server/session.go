@@ -281,8 +281,11 @@ func literalText(kind normalize.LitKind, text string) (string, error) {
 		}
 		return text, nil
 	case normalize.LitFloat:
-		if _, err := strconv.ParseFloat(text, 64); err != nil {
-			return "", errf(CodeBadParams, "not a float: %q", text)
+		// ParseFloat also takes NaN, Inf and hex floats, which the SQL
+		// lexer would read as an identifier or a number and a trailing
+		// one: only a finite decimal literal is spliced.
+		if _, err := strconv.ParseFloat(text, 64); err != nil || !isDecimal(text) {
+			return "", errf(CodeBadParams, "not a finite decimal float: %q", text)
 		}
 		return text, nil
 	case normalize.LitString:
@@ -290,6 +293,41 @@ func literalText(kind normalize.LitKind, text string) (string, error) {
 	default:
 		return "", errf(CodeBadParams, "unknown literal kind %d", kind)
 	}
+}
+
+// isDecimal reports whether text is an optional sign followed by one
+// decimal number token: digits with at most one point (at least one digit
+// on either side) and an optional exponent of e or E, a sign and digits.
+func isDecimal(text string) bool {
+	i := 0
+	if i < len(text) && (text[i] == '+' || text[i] == '-') {
+		i++
+	}
+	digits := func() int {
+		start := i
+		for i < len(text) && text[i] >= '0' && text[i] <= '9' {
+			i++
+		}
+		return i - start
+	}
+	mantissa := digits()
+	if i < len(text) && text[i] == '.' {
+		i++
+		mantissa += digits()
+	}
+	if mantissa == 0 {
+		return false
+	}
+	if i < len(text) && (text[i] == 'e' || text[i] == 'E') {
+		i++
+		if i < len(text) && (text[i] == '+' || text[i] == '-') {
+			i++
+		}
+		if digits() == 0 {
+			return false
+		}
+	}
+	return i == len(text)
 }
 
 // runQuery takes the session through one query lifecycle: admission,

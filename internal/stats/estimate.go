@@ -169,31 +169,6 @@ func prefixUpperBound(prefix string) string {
 	return prefix + "\xff"
 }
 
-// SelectivityIsNull estimates IS NULL.
-func (c *Column) SelectivityIsNull() float64 {
-	if c == nil || c.RowCount == 0 {
-		return DefaultEqSel
-	}
-	return Clamp(c.NullCount/c.RowCount, 0, 1)
-}
-
-// JoinCardinality estimates |L ⋈ R| for an equijoin on columns with the
-// given statistics, using the standard containment formula
-// |L|·|R| / max(NDV_l, NDV_r).
-func JoinCardinality(lRows, rRows float64, l, r *Column) float64 {
-	d := 0.0
-	if l != nil {
-		d = math.Max(d, l.NDV)
-	}
-	if r != nil {
-		d = math.Max(d, r.NDV)
-	}
-	if d <= 0 {
-		d = math.Max(math.Min(lRows, rRows), 1)
-	}
-	return lRows * rRows / d
-}
-
 // DistinctAfterFilter scales a column NDV when its table has been filtered
 // to `rows` of `total` rows, using the standard Yao/Cardenas approximation.
 func DistinctAfterFilter(ndv, total, rows float64) float64 {

@@ -49,9 +49,6 @@ func TestBuildColumnNulls(t *testing.T) {
 	if c.NullCount != 2 || c.NDV != 1 {
 		t.Errorf("null handling: %+v", c)
 	}
-	if got := c.SelectivityIsNull(); math.Abs(got-2.0/3) > 1e-9 {
-		t.Errorf("IS NULL selectivity = %v", got)
-	}
 	empty := BuildColumn(nil)
 	if empty.RowCount != 0 || len(empty.Buckets) != 0 {
 		t.Errorf("empty column: %+v", empty)
@@ -322,24 +319,6 @@ func TestMergePreservesEstimates(t *testing.T) {
 		if math.Abs(d-m) > 0.05 {
 			t.Errorf("range [%d,%d]: direct %v vs merged %v", q.lo, q.hi, d, m)
 		}
-	}
-}
-
-func TestJoinCardinality(t *testing.T) {
-	l := BuildColumn(seqCol(1000))          // PK side
-	r := BuildColumn(func() []types.Value { // FK side, 10 refs per key
-		out := make([]types.Value, 0, 10000)
-		for i := 0; i < 10000; i++ {
-			out = append(out, types.NewInt(int64(i%1000)))
-		}
-		return out
-	}())
-	got := JoinCardinality(1000, 10000, l, r)
-	if math.Abs(got-10000) > 500 {
-		t.Errorf("PK-FK join card = %v, want ≈10000", got)
-	}
-	if JoinCardinality(10, 10, nil, nil) != 10 {
-		t.Errorf("no-stats fallback: %v", JoinCardinality(10, 10, nil, nil))
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"pdwqo/internal/catalog"
-	"pdwqo/internal/stats"
 	"pdwqo/internal/types"
 )
 
@@ -204,25 +203,6 @@ func GenerateSkewed(sf float64, seed int64, skew float64) Data {
 	return d
 }
 
-// PlaceRows assigns each row of a table to a compute node per the table's
-// placement: replicated rows land on every node, hash rows on the node
-// owning the hash of the distribution column.
-func PlaceRows(tbl *catalog.Table, rows []types.Row, nodes int) [][]types.Row {
-	out := make([][]types.Row, nodes)
-	if tbl.Dist.Kind == catalog.DistReplicated {
-		for i := range out {
-			out[i] = rows
-		}
-		return out
-	}
-	ci := tbl.ColumnIndex(tbl.Dist.Column)
-	for _, row := range rows {
-		n := int(types.Hash(row[ci]) % uint64(nodes))
-		out[n] = append(out[n], row)
-	}
-	return out
-}
-
 // BuildShell generates data, places it on the topology, computes per-node
 // local statistics, merges them into global statistics (paper §2.2), and
 // returns the populated shell database plus the dataset.
@@ -238,37 +218,9 @@ func BuildShellSkewed(sf float64, nodes int, seed int64, skew float64) (*catalog
 		if err := shell.AddTable(tbl); err != nil {
 			return nil, nil, err
 		}
-		rows := data[tbl.Name]
-		placed := PlaceRows(tbl, rows, nodes)
-		locals := make([]*stats.Table, 0, nodes)
-		for _, nodeRows := range placed {
-			cols := map[string][]types.Value{}
-			for ci, c := range tbl.Columns {
-				vals := make([]types.Value, len(nodeRows))
-				for ri, row := range nodeRows {
-					vals[ri] = row[ci]
-				}
-				cols[c.Name] = vals
-			}
-			st, err := stats.BuildTable(cols)
-			if err != nil {
-				return nil, nil, err
-			}
-			locals = append(locals, st)
-		}
-		hashCol := ""
-		if tbl.Dist.Kind == catalog.DistHash {
-			hashCol = tbl.Dist.Column
-		}
-		global := stats.MergeTables(locals, hashCol)
-		if tbl.Dist.Kind == catalog.DistReplicated {
-			// Every node holds the same copy; merging N copies would
-			// multiply counts. Use one node's stats directly.
-			global = locals[0]
-		}
-		if err := shell.SetStats(tbl.Name, global); err != nil {
-			return nil, nil, err
-		}
+	}
+	if err := shell.BuildMissingStats(data); err != nil {
+		return nil, nil, err
 	}
 	return shell, data, nil
 }

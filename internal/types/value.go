@@ -214,17 +214,6 @@ func (v Value) AsInt() (int64, error) {
 	return v.i, nil
 }
 
-// AsFloat is the checked form of Float (BIGINT coerces).
-func (v Value) AsFloat() (float64, error) {
-	switch v.kind {
-	case KindFloat:
-		return v.f, nil
-	case KindInt:
-		return float64(v.i), nil
-	}
-	return 0, &KindError{Op: "Float()", Kind: v.kind, Want: KindFloat}
-}
-
 // AsStr is the checked form of Str.
 func (v Value) AsStr() (string, error) {
 	if v.kind != KindString {

@@ -426,9 +426,6 @@ func TestCheckedAccessors(t *testing.T) {
 	if n, err := NewInt(7).AsInt(); err != nil || n != 7 {
 		t.Errorf("AsInt: %v %v", n, err)
 	}
-	if f, err := NewInt(7).AsFloat(); err != nil || f != 7.0 {
-		t.Errorf("AsFloat must coerce BIGINT: %v %v", f, err)
-	}
 	if s, err := NewString("x").AsStr(); err != nil || s != "x" {
 		t.Errorf("AsStr: %v %v", s, err)
 	}
@@ -441,7 +438,6 @@ func TestCheckedAccessors(t *testing.T) {
 		want Kind
 	}{
 		{func() error { _, e := NewString("x").AsInt(); return e }(), KindInt},
-		{func() error { _, e := NewString("x").AsFloat(); return e }(), KindFloat},
 		{func() error { _, e := NewInt(1).AsStr(); return e }(), KindString},
 		{func() error { _, e := Null.AsBool(); return e }(), KindBool},
 	} {

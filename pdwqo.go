@@ -216,7 +216,7 @@ type DB struct {
 // rows on the appliance per each table's distribution. Tables without
 // statistics get them computed per node and merged (paper §2.2).
 func Open(shell *catalog.Shell, data map[string][]types.Row) (*DB, error) {
-	if err := buildMissingStats(shell, data); err != nil {
+	if err := shell.BuildMissingStats(data); err != nil {
 		return nil, err
 	}
 	db := &DB{shell: shell, appliance: engine.New(shell), data: data}
