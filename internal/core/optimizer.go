@@ -118,7 +118,8 @@ type pgroup struct {
 
 // pexpr is one logical expression in play. For a join, equi holds the
 // column pairs its equality conjuncts equate (algebra.EquiJoinSides, in
-// conjunct order), split once here rather than per pair of child options.
+// conjunct order), split once per conjunct of the memo's dictionary rather
+// than per expression or per pair of child options.
 type pexpr struct {
 	memoxml.DecodedExpr
 	equi [][2]algebra.ColumnID
@@ -258,6 +259,12 @@ func (o *Optimizer) waves() [][]int {
 // bottom-up order.
 func (o *Optimizer) prepare() error {
 	o.groups = make(map[int]*pgroup, len(o.dec.Groups))
+	equi := make([]*[2]algebra.ColumnID, len(o.dec.Conjs)) // nil: not an equality
+	for id, s := range o.dec.Conjs {
+		if a, b, ok := algebra.EquiJoinSides(s); ok {
+			equi[id] = &[2]algebra.ColumnID{a, b}
+		}
+	}
 	for id, dg := range o.dec.Groups {
 		g := &pgroup{DecodedGroup: dg, outSet: algebra.ColSetOf(dg.OutCols)}
 		// Step 03 (merge equivalent expressions from the PDW perspective)
@@ -266,7 +273,7 @@ func (o *Optimizer) prepare() error {
 		// operator and children.
 		for _, e := range dg.Exprs {
 			if o.config.Mode != ModeSerialBaseline || e.Winner {
-				g.exprs = append(g.exprs, newPExpr(e))
+				g.exprs = append(g.exprs, newPExpr(e, equi))
 			}
 		}
 		if len(g.exprs) == 0 {
@@ -275,7 +282,7 @@ func (o *Optimizer) prepare() error {
 			}
 			// A group off the winner tree keeps its first expression; it
 			// will not be visited.
-			g.exprs = append(g.exprs, newPExpr(dg.Exprs[0]))
+			g.exprs = append(g.exprs, newPExpr(dg.Exprs[0], equi))
 		}
 		o.groups[id] = g
 	}
@@ -320,14 +327,13 @@ func (o *Optimizer) prepare() error {
 	return nil
 }
 
-// newPExpr wraps a logical expression, splitting a join's equi-pairs.
-func newPExpr(e memoxml.DecodedExpr) pexpr {
+// newPExpr wraps a logical expression, gathering a join's equi-pairs from
+// the split of each of its conjuncts.
+func newPExpr(e memoxml.DecodedExpr, equi []*[2]algebra.ColumnID) pexpr {
 	pe := pexpr{DecodedExpr: e}
-	if j, ok := e.Op.(*algebra.Join); ok {
-		for _, conj := range algebra.Conjuncts(j.On) {
-			if a, b, ok := algebra.EquiJoinSides(conj); ok {
-				pe.equi = append(pe.equi, [2]algebra.ColumnID{a, b})
-			}
+	for _, id := range e.Conjs {
+		if p := equi[id]; p != nil {
+			pe.equi = append(pe.equi, *p)
 		}
 	}
 	return pe

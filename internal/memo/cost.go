@@ -30,8 +30,8 @@ const (
 // pairing a left column with a right column — the hash join requirement.
 func (m *Memo) hasCrossEquiConjunct(e *GroupExpr) bool {
 	l, r := m.Groups[e.Children[0]].outCols, m.Groups[e.Children[1]].outCols
-	for _, c := range e.conj {
-		if a, b, ok := algebra.EquiJoinSides(c.s); ok {
+	for _, id := range e.conj {
+		if a, b, ok := algebra.EquiJoinSides(m.conjS[id]); ok {
 			if (l.Has(a) && r.Has(b)) || (l.Has(b) && r.Has(a)) {
 				return true
 			}

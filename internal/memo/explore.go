@@ -78,7 +78,7 @@ func (m *Memo) applyRules(g *Group, e *GroupExpr) {
 
 // insertJoin adds a join of l and r — a copy of from or, when that is nil,
 // the inner (or cross) join on conj — building it only if the index lacks it.
-func (m *Memo) insertJoin(from *algebra.Join, conj []conjunct, l, r, target GroupID) GroupID {
+func (m *Memo) insertJoin(from *algebra.Join, conj []int32, l, r, target GroupID) GroupID {
 	j := algebra.Join{Kind: algebra.JoinCross}
 	if from != nil {
 		j = *from
@@ -90,12 +90,12 @@ func (m *Memo) insertJoin(from *algebra.Join, conj []conjunct, l, r, target Grou
 		return owner
 	}
 	if from == nil {
-		conj = append([]conjunct(nil), conj...)
-		for _, c := range conj {
+		conj = append([]int32(nil), conj...)
+		for _, id := range conj {
 			if j.On == nil {
-				j.On = c.s
+				j.On = m.conjS[id]
 			} else {
-				j.On = &algebra.Binary{Op: sqlparser.OpAnd, L: j.On, R: c.s}
+				j.On = &algebra.Binary{Op: sqlparser.OpAnd, L: j.On, R: m.conjS[id]}
 			}
 		}
 	}
@@ -128,16 +128,16 @@ func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr) {
 		aID, bID := le.Children[0], le.Children[1]
 		m.cols.SetUnion(m.Groups[bID].outCols, cCols)
 		bc, top := m.pool[0][:0], m.pool[1][:0]
-		for _, conds := range [2][]conjunct{e.conj, le.conj} {
+		for _, conds := range [2][]int32{e.conj, le.conj} {
 			for _, c := range conds {
-				if m.conjCols[c.id].SubsetOf(m.cols) {
+				if m.conjCols[c].SubsetOf(m.cols) {
 					bc = insertByRank(bc, c, rank)
 				} else {
 					top = insertByRank(top, c, rank)
 				}
 			}
 		}
-		m.pool = [2][]conjunct{bc, top}
+		m.pool = [2][]int32{bc, top}
 		if !m.budgetLeft() {
 			return
 		}
@@ -148,12 +148,12 @@ func (m *Memo) ruleJoinAssociate(g *Group, e *GroupExpr) {
 
 // insertByRank inserts c behind every conjunct of list that does not rank
 // after it — a stable sort, one element at a time — unless it is there.
-func insertByRank(list []conjunct, c conjunct, rank []int32) []conjunct {
+func insertByRank(list []int32, c int32, rank []int32) []int32 {
 	i := len(list)
-	for i > 0 && rank[list[i-1].id] > rank[c.id] {
+	for i > 0 && rank[list[i-1]] > rank[c] {
 		i--
 	}
-	if i > 0 && list[i-1].id == c.id {
+	if i > 0 && list[i-1] == c {
 		return list
 	}
 	list = append(list, c)

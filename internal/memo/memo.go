@@ -13,6 +13,7 @@ package memo
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -35,16 +36,9 @@ type GroupExpr struct {
 	// CostSerial.
 	Cost float64
 
-	// conj is a join's condition as interned conjuncts in On order, set
+	// conj is a join's condition as interned conjunct ids in On order, set
 	// when the expression is inserted; rules and indexes read it, not On.
-	conj []conjunct
-}
-
-// conjunct is one conjunct of a join condition: its interned id and the
-// scalar it was read from, which a rule puts in the conditions it builds.
-type conjunct struct {
-	id int32
-	s  algebra.Scalar
+	conj []int32
 }
 
 // Fingerprint identifies the expression for duplicate detection.
@@ -125,8 +119,9 @@ type Memo struct {
 	conjID   map[string]int32
 	conjFP   []string         // id → fingerprint
 	conjCols []algebra.ColSet // id → columns referenced
+	conjS    []algebra.Scalar // id → the first scalar interned: what rules and export use
 	conjRank []int32          // id → position in fingerprint order (ranks)
-	pool     [2][]conjunct    // ruleJoinAssociate's scratch: the two conditions,
+	pool     [2][]int32       // ruleJoinAssociate's scratch: the two conditions,
 	cols     algebra.ColSet   // and the columns of B⋈C
 
 	// conflicts counts InsertExpr calls whose caller asserted a target
@@ -227,10 +222,10 @@ func (m *Memo) InsertExpr(e *GroupExpr, target GroupID) (GroupID, bool) {
 // joinKey leaves in m.buf a join's fingerprint for duplicate detection,
 // the condition spelt as its interned conjunct ids in order: exploring wide
 // joins prints, and builds, no condition it only revisits.
-func (m *Memo) joinKey(kind algebra.JoinKind, conj []conjunct, l, r GroupID) {
+func (m *Memo) joinKey(kind algebra.JoinKind, conj []int32, l, r GroupID) {
 	buf := strconv.AppendInt(append(m.buf[:0], "Join"...), int64(kind), 10)
-	for _, c := range conj {
-		buf = strconv.AppendInt(append(buf, ','), int64(c.id), 10)
+	for _, id := range conj {
+		buf = strconv.AppendInt(append(buf, ','), int64(id), 10)
 	}
 	buf = strconv.AppendInt(append(buf, "|g"...), int64(l), 10)
 	m.buf = strconv.AppendInt(append(buf, "|g"...), int64(r), 10)
@@ -282,9 +277,9 @@ func (m *Memo) insertNew(e *GroupExpr, target GroupID) GroupID {
 	return target
 }
 
-// intern splits a join condition into its interned conjuncts.
-func (m *Memo) intern(on algebra.Scalar) []conjunct {
-	var out []conjunct
+// intern splits a join condition into its interned conjunct ids.
+func (m *Memo) intern(on algebra.Scalar) []int32 {
+	var out []int32
 	for _, s := range algebra.Conjuncts(on) {
 		id, ok := m.conjPtr[s]
 		if !ok {
@@ -293,12 +288,26 @@ func (m *Memo) intern(on algebra.Scalar) []conjunct {
 				id = int32(len(m.conjFP))
 				m.conjID[fp] = id
 				m.conjFP, m.conjCols = append(m.conjFP, fp), append(m.conjCols, algebra.ScalarCols(s))
+				m.conjS = append(m.conjS, s)
 			}
 			m.conjPtr[s] = id
 		}
-		out = append(out, conjunct{id, s})
+		out = append(out, id)
 	}
 	return out
+}
+
+// Conjuncts returns the interned join conjuncts indexed by id. The slice
+// is the caller's; the scalars are shared and must not be modified.
+func (m *Memo) Conjuncts() []algebra.Scalar { return slices.Clone(m.conjS) }
+
+// AppendConjuncts appends the interned ids of a join expression's
+// conjuncts, in On order, to dst.
+func (e *GroupExpr) AppendConjuncts(dst []int) []int {
+	for _, id := range e.conj {
+		dst = append(dst, int(id))
+	}
+	return dst
 }
 
 // ranks orders the interned conjuncts by fingerprint, the canonical order.
@@ -327,8 +336,8 @@ func (m *Memo) keyOf(e *GroupExpr) (k logicalKey, ok bool) {
 	l, r := m.inputKey(e.Children[0]), m.inputKey(e.Children[1])
 	m.key.atoms.SetUnion(l.atoms, r.atoms)
 	m.key.conjs.SetUnion(l.conjs, r.conjs)
-	for _, c := range e.conj {
-		m.key.conjs.Add(algebra.ColumnID(c.id))
+	for _, id := range e.conj {
+		m.key.conjs.Add(algebra.ColumnID(id))
 	}
 	return m.key, true
 }

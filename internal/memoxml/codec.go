@@ -10,6 +10,7 @@ import (
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
+	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 )
 
@@ -31,7 +32,16 @@ type codec struct {
 
 	buf, colBuf []byte // encoding: the groups, and the <Cols> dictionary
 	inTag       bool   // encoding: a start tag is open for attributes
-	dict        colDict
+	dict        dict[*algebra.ColRef]
+	conjs       dict[algebra.Scalar]
+	ons         map[string]onList // decoding: the condition of each on list
+}
+
+// onList is a join condition rebuilt from an on list, shared by every join
+// that names the same list.
+type onList struct {
+	ids  []int
+	cond algebra.Scalar
 }
 
 // --- elements ---
@@ -261,7 +271,7 @@ func (c *codec) dictCol(m *algebra.ColumnMeta) {
 	num(c, "id", &m.ID)
 	c.str("name", &m.Name)
 	c.str("qual", &m.Qual)
-	num(c, "type", &m.Type)
+	enum(c, "type", &m.Type, types.KindDate)
 }
 
 func (c *codec) memoAttrs(root, maxCol *int, exhausted *bool) {
@@ -317,13 +327,14 @@ func (c *codec) lit(name, value string) {
 }
 
 // expr describes one <Expr>; children are group ids of either side's id
-// type.
-func expr[T ~int](c *codec, op *algebra.Operator, children *[]T, cost *float64, winner *bool) {
+// type, and conjs a join's conjunct ids.
+func expr[T ~int](c *codec, op *algebra.Operator, children *[]T, conjs *[]int, cost *float64, winner *bool) {
 	ids(c, "children", "child group", children)
 	c.float("cost", cost)
 	c.flag("winner", winner)
+	name := ""
 	if c.dec {
-		name := string(c.get("op"))
+		name = string(c.get("op"))
 		fresh := newOperator[name]
 		if fresh == nil {
 			c.fail("unknown operator %q", name)
@@ -331,12 +342,22 @@ func expr[T ~int](c *codec, op *algebra.Operator, children *[]T, cost *float64, 
 		}
 		*op = fresh()
 	}
-	c.operator(*op)
+	if c.operator(*op, conjs); c.dec && len(*children) != (*op).Arity() {
+		c.fail("%s expression with %d children, want %d", name, len(*children), (*op).Arity())
+	}
+}
+
+// enum describes an attribute holding a constant of an enumeration that
+// runs from zero to last; a decoded value past last is an error.
+func enum[T ~uint8](c *codec, name string, p *T, last T) {
+	if num(c, name, p); *p > last {
+		c.fail("%s=%d out of range", name, *p)
+	}
 }
 
 // operator describes an operator's payload: attributes, then the child
 // elements that hold its scalars.
-func (c *codec) operator(op algebra.Operator) {
+func (c *codec) operator(op algebra.Operator, conjs *[]int) {
 	switch o := op.(type) {
 	case *algebra.Get:
 		c.lit("op", "Get")
@@ -363,7 +384,9 @@ func (c *codec) operator(op algebra.Operator) {
 		})
 	case *algebra.Select:
 		c.lit("op", "Select")
-		c.wrap("Filter", &o.Filter)
+		if c.wrap("Filter", &o.Filter); o.Filter == nil {
+			c.fail("select without a filter")
+		}
 	case *algebra.Project:
 		c.lit("op", "Project")
 		list(c, "Defs", "Def", &o.Defs, func(d *algebra.ProjDef) {
@@ -375,14 +398,14 @@ func (c *codec) operator(op algebra.Operator) {
 		})
 	case *algebra.Join:
 		c.lit("op", "Join")
-		num(c, "joinKind", &o.Kind)
-		c.wrap("On", &o.On)
+		enum(c, "joinKind", &o.Kind, algebra.JoinAnti)
+		c.on(&o.On, conjs)
 	case *algebra.GroupBy:
 		c.lit("op", "GroupBy")
 		ids(c, "keys", "group key", &o.Keys)
-		num(c, "phase", &o.Phase)
+		enum(c, "phase", &o.Phase, algebra.AggFinal)
 		list(c, "Aggs", "Agg", &o.Aggs, func(a *algebra.AggDef) {
-			num(c, "func", &a.Func)
+			enum(c, "func", &a.Func, algebra.AggMax)
 			c.flag("distinct", &a.Distinct)
 			c.colID("aggregate", &a.ID)
 			c.str("name", &a.Name)
@@ -400,6 +423,34 @@ func (c *codec) operator(op algebra.Operator) {
 	default:
 		c.fail("cannot encode operator %T", op)
 	}
+}
+
+// on carries a join condition as its conjuncts' ids in the <Conjs>
+// dictionary; encoding writes the ids, not cond. Decoding rebuilds cond as
+// the conjunction of the dictionary's scalars in list order — the shape
+// memo.insertJoin builds — once per distinct list.
+func (c *codec) on(cond *algebra.Scalar, conjs *[]int) {
+	if o, ok := c.ons[string(c.get("on"))]; ok {
+		*cond, *conjs = o.cond, o.ids
+		return
+	}
+	if ids(c, "on", "conjunct id", conjs); !c.dec {
+		return
+	}
+	scalars := make([]algebra.Scalar, len(*conjs))
+	for i, id := range *conjs {
+		if scalars[i] = c.conjs.get(id); scalars[i] == nil {
+			c.fail("conjunct %d missing from dictionary", id)
+		}
+	}
+	*cond = algebra.AndAll(scalars)
+	c.ons[string(c.get("on"))] = onList{*conjs, *cond}
+}
+
+// dictConj describes one <C> of the conjunct dictionary.
+func (c *codec) dictConj(id *int, s *algebra.Scalar) {
+	num(c, "id", id)
+	c.scalar(s)
 }
 
 // colID describes the id attribute of a column an operator defines or
@@ -520,7 +571,7 @@ func (c *codec) node(p *algebra.Scalar) {
 		num(c, "param", &x.Param)
 	case *algebra.Binary:
 		c.lit("kind", "bin")
-		num(c, "binop", &x.Op)
+		enum(c, "binop", &x.Op, sqlparser.OpDiv)
 		_, lok := x.L.(*algebra.ColRef)
 		_, rok := x.R.(*algebra.ColRef)
 		// Collapsed: both sides bare when encoding, l or r present when
@@ -553,14 +604,14 @@ func (c *codec) node(p *algebra.Scalar) {
 	case *algebra.Func:
 		c.lit("kind", "func")
 		c.str("name", &x.Name)
-		num(c, "outKind", &x.Out)
+		enum(c, "outKind", &x.Out, types.KindDate)
 		c.args(kind, nil, &x.Args)
 	case *algebra.Case:
 		c.lit("kind", "case")
 		c.caseArms(x)
 	case *algebra.Cast:
 		c.lit("kind", "cast")
-		num(c, "outKind", &x.To)
+		enum(c, "outKind", &x.To, types.KindDate)
 		c.args(kind, []*algebra.Scalar{&x.E}, nil)
 	case *algebra.Subquery:
 		c.fail("subquery survived normalization")

@@ -8,6 +8,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -197,6 +198,58 @@ func TestGoldenDocuments(t *testing.T) {
 	}
 }
 
+// TestConjunctDictionary pins the conjunct dictionary on q08, the TPC-H
+// memo with the most join expressions: <Conjs> holds each conjunct a join
+// names exactly once, every decoded join naming an id holds the one scalar
+// the dictionary decoded for it, and the decoded memo re-encodes to the
+// same bytes.
+func TestConjunctDictionary(t *testing.T) {
+	m, shell := tpchMemo(t, "q08")
+	named, joins := map[int]bool{}, 0
+	for _, g := range m.Groups[1:] {
+		for _, x := range g.Exprs {
+			for _, id := range x.AppendConjuncts(nil) {
+				named[id] = true
+			}
+		}
+	}
+	doc, err := Encode(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := regexp.MustCompile(`(?m)^<C[ >/]`).FindAll(doc, -1); len(n) != len(named) {
+		t.Errorf("%d <C> elements, want one per distinct conjunct id: %d", len(n), len(named))
+	}
+	d, err := Decode(doc, shell)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range d.Groups {
+		for _, x := range g.Exprs {
+			j, ok := x.Op.(*algebra.Join)
+			if !ok {
+				continue
+			}
+			joins++
+			conj := algebra.Conjuncts(j.On)
+			if len(conj) != len(x.Conjs) {
+				t.Fatalf("group %d: a join naming %v has %d conjuncts", g.ID, x.Conjs, len(conj))
+			}
+			for i, id := range x.Conjs {
+				if conj[i] != d.Conjs[id] {
+					t.Errorf("group %d: conjunct %d is a copy, not the dictionary's scalar", g.ID, id)
+				}
+			}
+		}
+	}
+	if joins < 4000 {
+		t.Errorf("q08 decoded %d join expressions, want its thousands", joins)
+	}
+	if again, err := d.Encode(); err != nil || !bytes.Equal(doc, again) {
+		t.Errorf("Decode(doc).Encode() differs from doc (err %v)", err)
+	}
+}
+
 // malformedScalars are the operand-count violations that used to index
 // past the end of an empty operand list.
 var malformedScalars = []string{
@@ -216,7 +269,8 @@ func TestDecodeMalformedScalars(t *testing.T) {
 }
 
 // FuzzDecode: whatever the bytes, Decode returns a memoxml: error or a
-// memo that encodes to a document which decodes to the same memo — never a
+// memo whose expressions and conjuncts name and fingerprint themselves, and
+// that encodes to a document which decodes to the same memo — never a
 // panic, never a hang. Seeds: the malformed scalars, the hand-written
 // planverify fixtures, the golden document of each generator topology,
 // and every one of those cut short at a few places.
@@ -267,6 +321,17 @@ func FuzzDecode(f *testing.F) {
 				t.Fatalf("untyped failure: %v", err)
 			}
 			return
+		}
+		// What the memo's consumers print and key on must not panic.
+		for _, g := range d.Groups {
+			for _, x := range g.Exprs {
+				_, _ = x.Op.OpName(), x.Op.Fingerprint()
+			}
+		}
+		for _, s := range d.Conjs {
+			if s != nil {
+				_ = s.Fingerprint()
+			}
 		}
 		doc, err := d.Encode()
 		if err != nil {

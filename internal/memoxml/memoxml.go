@@ -7,10 +7,13 @@
 //
 // Column metadata is hoisted into a single document-level dictionary
 // (<Cols>), and every other site — group output lists, scan column lists,
-// scalar column references — names columns by id alone. On a 100-relation
-// join memo the join conditions repeat the same few hundred columns tens
-// of thousands of times; the dictionary keeps the document linear in memo
-// size rather than quadratic in join width.
+// scalar column references — names columns by id alone. Join conditions get
+// the same treatment: a second dictionary (<Conjs>) holds each conjunct the
+// memo interned once, under the memo's conjunct id, and a join names its
+// conjuncts by id (on="3,7"). Exploration writes the same few conjuncts
+// into thousands of join expressions; the dictionaries keep the document
+// linear in memo size rather than quadratic in join width, and decoding
+// builds each conjunct once, shared by every join that names it.
 //
 // Both directions stream: Encode appends the document to one byte slice,
 // one element per line, and Decode builds the Decoded memo in one descent
@@ -28,10 +31,13 @@ import (
 )
 
 // DecodedExpr is one parsed group expression. A costed export (the serial
-// baseline's) marks each group's winner and carries its serial cost.
+// baseline's) marks each group's winner and carries its serial cost. For a
+// join, Conjs lists the dictionary ids of its conjuncts and Op's On is
+// their conjunction, in that order.
 type DecodedExpr struct {
 	Op       algebra.Operator
 	Children []int
+	Conjs    []int
 	Cost     float64
 	Winner   bool
 }
@@ -54,36 +60,39 @@ type DecodedColStat struct {
 	Width    float64
 }
 
-// Decoded is the parsed memo, the input to the PDW optimizer.
+// Decoded is the parsed memo, the input to the PDW optimizer. Conjs is the
+// join conjunct dictionary indexed by id, nil where the document defines
+// none; every join naming an id shares its scalar, which is read-only.
 type Decoded struct {
 	Root      int
 	MaxCol    int
 	Exhausted bool
 	Groups    map[int]*DecodedGroup
+	Conjs     []algebra.Scalar
 }
 
-// maxColID bounds the ids of the column dictionary, a table indexed by id
-// holding the one reference that every site naming the id shares.
+// maxColID bounds the ids of the two dictionaries, tables indexed by id
+// holding the one value that every site naming the id shares.
 const maxColID = 1 << 20
 
-type colDict []*algebra.ColRef
+type dict[T any] []T
 
-func (d colDict) get(id int) *algebra.ColRef {
-	if id < 0 || id >= len(d) {
-		return nil
+func (d dict[T]) get(id int) (v T) {
+	if id >= 0 && id < len(d) {
+		v = d[id]
 	}
-	return d[id]
+	return v
 }
 
-// put enters ref under id; it reports false for an id out of range.
-func (d *colDict) put(id int, ref *algebra.ColRef) bool {
+// put enters v under id; it reports false for an id out of range.
+func (d *dict[T]) put(id int, v T) bool {
 	if id < 0 || id > maxColID {
 		return false
 	}
-	for id >= len(*d) {
-		*d = append(*d, nil)
+	if id >= len(*d) {
+		*d = append(*d, make([]T, id+1-len(*d))...)
 	}
-	(*d)[id] = ref
+	(*d)[id] = v
 	return true
 }
 
@@ -91,7 +100,8 @@ func (d *colDict) put(id int, ref *algebra.ColRef) bool {
 // logical expressions. After CostSerial, each group's winner is marked and
 // carries its serial cost — all the serial baseline reads of the costing.
 func Encode(m *memo.Memo) ([]byte, error) {
-	c, maxCol := &codec{}, 0
+	c, maxCol := &codec{conjs: m.Conjuncts()}, 0
+	var on []int
 	for _, g := range m.Groups[1:] {
 		p := g.Props
 		if p == nil {
@@ -108,8 +118,9 @@ func Encode(m *memo.Memo) ([]byte, error) {
 			if winner {
 				cost = x.Cost
 			}
+			on = x.AppendConjuncts(on[:0])
 			c.begin("Expr")
-			expr(c, &x.Op, &x.Children, &cost, &winner)
+			expr(c, &x.Op, &x.Children, &on, &cost, &winner)
 			c.end("Expr")
 		}
 		c.end("Group")
@@ -120,7 +131,7 @@ func Encode(m *memo.Memo) ([]byte, error) {
 // Encode serializes a decoded memo back into the document form, groups in
 // id order: Decode(d.Encode()) is d.
 func (d *Decoded) Encode() ([]byte, error) {
-	c := &codec{}
+	c := &codec{conjs: d.Conjs}
 	for _, id := range sortedKeys(d.Groups) {
 		g := d.Groups[id]
 		c.group(g.ID, g.Rows, g.Width, g.OutCols, g.Keys, sortedKeys(g.ColStats), func(id algebra.ColumnID) DecodedColStat {
@@ -129,7 +140,7 @@ func (d *Decoded) Encode() ([]byte, error) {
 		for i := range g.Exprs {
 			x := &g.Exprs[i]
 			c.begin("Expr")
-			expr(c, &x.Op, &x.Children, &x.Cost, &x.Winner)
+			expr(c, &x.Op, &x.Children, &x.Conjs, &x.Cost, &x.Winner)
 			c.end("Expr")
 		}
 		c.end("Group")
@@ -172,32 +183,50 @@ func (c *codec) group(id int, rows, width float64, out []algebra.ColumnMeta, key
 	}
 }
 
-// finish splices the dictionary and the groups under the root element.
+// finish splices the dictionaries and the groups under the root element:
+// the conjuncts in id order, then the columns, which the conjuncts too
+// have entered.
 func (c *codec) finish(root, maxCol int, exhausted bool) ([]byte, error) {
-	body, cols := c.buf, c.colBuf
-	c.buf = make([]byte, 0, len(cols)+len(body)+128)
+	body := c.buf
+	c.buf = nil
+	for id, s := range c.conjs {
+		if s != nil {
+			c.begin("C")
+			c.dictConj(&id, &s)
+			c.end("C")
+		}
+	}
+	conjs, cols := c.buf, c.colBuf
+	c.buf = make([]byte, 0, len(cols)+len(conjs)+len(body)+128)
 	c.raw(`<?xml version="1.0" encoding="UTF-8"?>` + "\n")
 	c.begin("Memo")
 	c.memoAttrs(&root, &maxCol, &exhausted)
-	if len(cols) > 0 {
-		c.begin("Cols")
-		c.closeTag()
-		c.buf = append(c.buf, cols...)
-		c.end("Cols")
-	}
+	c.splice("Cols", cols)
+	c.splice("Conjs", conjs)
 	c.closeTag()
 	c.buf = append(c.buf, body...)
 	c.end("Memo")
 	return c.buf, c.err
 }
 
+// splice writes a dictionary element holding entries, if there are any.
+func (c *codec) splice(tag string, entries []byte) {
+	if len(entries) > 0 {
+		c.begin(tag)
+		c.closeTag()
+		c.buf = append(c.buf, entries...)
+		c.end(tag)
+	}
+}
+
 // Decode parses memo XML, resolving table references against the shell
-// database. Malformed input of any kind — syntax, operand counts, dangling
-// ids — is an error prefixed "memoxml:", never a panic. Unknown elements
-// and attributes are skipped; the column dictionary must precede the
-// groups that name its ids, which is where Encode puts it.
+// database. Malformed input of any kind — syntax, operand and child
+// counts, enumeration values, dangling ids — is an error prefixed
+// "memoxml:", never a panic. Unknown elements and attributes are skipped;
+// the dictionaries must precede the groups that name their ids, which is
+// where Encode puts them.
 func Decode(data []byte, shell *catalog.Shell) (*Decoded, error) {
-	c := &codec{dec: true, scanner: scanner{data: data}, shell: shell}
+	c := &codec{dec: true, scanner: scanner{data: data}, shell: shell, ons: map[string]onList{}}
 	if !c.child() || string(c.name) != "Memo" {
 		c.fail("expected a <Memo> document")
 	}
@@ -212,6 +241,19 @@ func Decode(data []byte, shell *catalog.Shell) (*Decoded, error) {
 					c.fail("column id %d out of range", m.ID)
 				}
 				c.skip()
+			}
+		case "Conjs":
+			for c.each("C") {
+				var id int
+				var s algebra.Scalar
+				switch c.dictConj(&id, &s); {
+				case s == nil:
+					c.fail("conjunct %d has no scalar", id)
+				case c.conjs.get(id) != nil:
+					c.fail("duplicate conjunct id %d", id)
+				case !c.conjs.put(id, s):
+					c.fail("conjunct id %d out of range", id)
+				}
 			}
 		case "Group":
 			g := c.readGroup()
@@ -230,6 +272,7 @@ func Decode(data []byte, shell *catalog.Shell) (*Decoded, error) {
 	if c.err != nil {
 		return nil, c.err
 	}
+	out.Conjs = c.conjs
 	return out, nil
 }
 
@@ -256,7 +299,7 @@ func (c *codec) readGroup() *DecodedGroup {
 		case "Expr":
 			var x DecodedExpr
 			depth := len(c.stack)
-			expr(c, &x.Op, &x.Children, &x.Cost, &x.Winner)
+			expr(c, &x.Op, &x.Children, &x.Conjs, &x.Cost, &x.Winner)
 			c.leave(depth)
 			g.Exprs = append(g.Exprs, x)
 		default:
