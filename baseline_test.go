@@ -21,8 +21,8 @@ var updateBaseline = flag.Bool("update", false, "rewrite testdata/serial_baselin
 // baseline (§1.2, §3.2; ModeSerialBaseline) to a record: the SHA-256 of its
 // DSQL text and its cost, bit for bit, for the 22 TPC-H queries on one
 // shared 8-node appliance and the generated corpus up to 10 relations —
-// with no search budget, and with a search budget of 1, which trips the
-// enumeration and re-plans over the greedy join order's fixed memo. The
+// with no search budget, and with a search budget of 1, which every query
+// here meets, so it plans over the greedy join order's fixed memo. The
 // full search is pinned elsewhere (EXPLAIN goldens, the difftest suites);
 // this is the serial winner's only byte-for-byte record.
 func TestSerialBaselinePlans(t *testing.T) {

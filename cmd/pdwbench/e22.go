@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"pdwqo"
+	"pdwqo/internal/core"
 	"pdwqo/internal/difftest"
 	"pdwqo/internal/qgen"
 )
@@ -13,11 +14,12 @@ import (
 
 // e22 maps the search-budget frontier on generated large-join queries:
 // every topology at 8, 20 and 48 relations plus the 100-relation clique
-// headline, each compiled under a descending sequence of enumeration
-// budgets with the static verifier on. The table shows where the
-// bottom-up enumerator's budget trips — switching the compiler into the
-// greedy join-order regime — and what that switch costs in plan quality
-// (ratio against the best arm of the same query) and buys in wall clock.
+// headline, each compiled under a descending sequence of search budgets
+// with the static verifier on. The table shows each query's search space
+// (core.SearchSpace, the count a budget is held against), where the budget
+// sends the compiler into the greedy join-order regime, and what that
+// costs in plan quality (ratio against the best arm of the same query) and
+// buys in wall clock.
 // The metamorphic certification that greedy plans return byte-identical
 // results lives in internal/difftest; this experiment records the
 // quality/latency frontier.
@@ -33,13 +35,14 @@ func e22(db *pdwqo.DB) {
 
 	type arm struct {
 		budget  int
+		space   int
 		regime  string
 		options int
 		cost    float64
 		wall    time.Duration
 	}
-	fmt.Printf("%-14s %-9s %-10s %-9s %-13s %-7s %s\n",
-		"query", "budget", "regime", "options", "cost", "ratio", "time")
+	fmt.Printf("%-14s %-9s %-18s %-10s %-9s %-13s %-7s %s\n",
+		"query", "budget", "space", "regime", "options", "cost", "ratio", "time")
 	queries, greedyArms, exhaustiveArms := 0, 0, 0
 	var worstRatio float64 = 1
 	for _, spec := range specs {
@@ -67,7 +70,7 @@ func e22(db *pdwqo.DB) {
 				regime = "unbounded"
 			}
 			arms = append(arms, arm{
-				budget: b, regime: regime, options: p.Distributed.OptionsConsidered,
+				budget: b, space: core.SearchSpace(p.Normalized), regime: regime, options: p.Distributed.OptionsConsidered,
 				cost: p.Cost(), wall: time.Since(start),
 			})
 		}
@@ -89,8 +92,8 @@ func e22(db *pdwqo.DB) {
 			case "exhaustive", "unbounded":
 				exhaustiveArms++
 			}
-			fmt.Printf("%-14s %-9d %-10s %-9d %-13.6g %-7.2f %s\n",
-				q.Name, a.budget, a.regime, a.options, a.cost, r, a.wall.Round(time.Millisecond))
+			fmt.Printf("%-14s %-9d %-18d %-10s %-9d %-13.6g %-7.2f %s\n",
+				q.Name, a.budget, a.space, a.regime, a.options, a.cost, r, a.wall.Round(time.Millisecond))
 		}
 	}
 	fmt.Printf("E22 RESULT: ok queries=%d greedy-arms=%d exhaustive-arms=%d worst-ratio=%.2f\n\n",

@@ -64,7 +64,7 @@ func main() {
 		faultStr  = flag.String("fault", "", `fault-injection spec, e.g. "fail:step=1,node=2" or "seed=42" (see pdwqo.ParseFaultSpec)`)
 		planCache = flag.Int("plan-cache", -1, "install a plan cache with this capacity (0 = default capacity, negative = off) and report its metrics")
 		noSplit   = flag.Bool("no-agg-split", false, "disable the partial/final aggregation split (ablation control arm)")
-		sbudget   = flag.Int("search-budget", 0, "cap on PDW enumeration options before the greedy join-order fallback kicks in (0 = unbounded)")
+		sbudget   = flag.Int("search-budget", 0, "plan in the greedy join-order regime when the query's search space (the weight of its fixpoint memo, counted off the tree) reaches this count (0 = unbounded)")
 	)
 	flag.Parse()
 

@@ -1,29 +1,26 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
-	"pdwqo/internal/cost"
 	"pdwqo/internal/memo"
-	"pdwqo/internal/memoxml"
 	"pdwqo/internal/normalize"
 	"pdwqo/internal/qgen"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/tpch"
 )
 
-// boundCase is one query whose explored memo the bound is checked against.
+// boundCase is one query whose explored memo the count is checked against.
 type boundCase struct {
 	name, sql string
 	shell     *catalog.Shell
 }
 
 // boundCorpus is TPC-H on 1, 2, 4 and 8 nodes plus generated joins of
-// every topology from 2 to 30 relations. -short keeps one topology of
+// every topology from 2 to 10 relations. -short keeps one topology of
 // each size and two node counts.
 func boundCorpus(t *testing.T) []boundCase {
 	t.Helper()
@@ -41,7 +38,7 @@ func boundCorpus(t *testing.T) []boundCase {
 			out = append(out, boundCase{fmt.Sprintf("%s/N=%d", q.Name, n), q.SQL, s})
 		}
 	}
-	for i, relations := range []int{2, 3, 4, 6, 8, 10, 16, 24, 30} {
+	for i, relations := range []int{2, 3, 4, 6, 8, 10} {
 		for j, topo := range qgen.Topologies() {
 			if testing.Short() && j != i%len(qgen.Topologies()) {
 				continue
@@ -78,120 +75,73 @@ func normalizedTree(t *testing.T, c boundCase) *algebra.Tree {
 	return norm
 }
 
-func exploredMemo(t *testing.T, c boundCase) *memo.Memo {
-	t.Helper()
-	m, err := memo.OptimizeSeeded(c.shell, normalizedTree(t, c), memo.DefaultBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// SearchLowerBound is the memo's weight that TreeLowerBound's proof bounds
-// from below: over the non-root groups the root reaches, 1 for the enforcer
-// step, 2 per non-leaf logical expression and 1 per leaf. Its first half —
-// the enumeration considers at least this many options by its last budget
-// barrier — is TestSearchLowerBoundIsSound; its second — the tree bound
-// never exceeds it — is TestTreeLowerBoundIsBelowTheMemo.
-func SearchLowerBound(m *memo.Memo) int {
+// memoWeight is the weight SearchSpace counts, read off an explored memo:
+// over the non-root groups the root reaches, 1 per group plus 2 per
+// non-leaf logical expression and 1 per leaf.
+func memoWeight(m *memo.Memo) int {
 	seen := make([]bool, len(m.Groups))
-	bound := 0
+	weight := 0
 	var visit func(id memo.GroupID)
 	visit = func(id memo.GroupID) {
 		if seen[id] {
 			return
 		}
 		seen[id] = true
-		options := 1 // the enforcer step
+		w := 1
 		for _, e := range m.Group(id).Exprs {
-			if options += 2; len(e.Children) == 0 {
-				options--
+			if w += 2; len(e.Children) == 0 {
+				w--
 			}
 			for _, c := range e.Children {
 				visit(c)
 			}
 		}
 		if id != m.Root {
-			bound += options
+			weight += w
 		}
 	}
 	visit(m.Root)
-	return bound
+	return weight
 }
 
-// largestRegion is the most inputs of any inner/cross-join region of t.
-func largestRegion(t *algebra.Tree) int {
-	most := 0
-	var inputs func(t *algebra.Tree) int
-	inputs = func(t *algebra.Tree) int {
-		if !reorderable(t) {
-			most = max(most, largestRegion(t))
-			return 1
-		}
-		return inputs(t.Children[0]) + inputs(t.Children[1])
-	}
-	if reorderable(t) {
-		return max(inputs(t), most)
-	}
-	for _, c := range t.Children {
-		most = max(most, largestRegion(c))
-	}
-	return most
-}
-
-// TestTreeLowerBoundIsBelowTheMemo is what lets pdwqo.compile choose the
-// greedy regime before any memo exists: over the corpus, with and without
-// the §3.1 seed, at memo budgets that truncate exploration and — for
-// regions of up to eight inputs — at none, the bound read off the tree is
-// at most the weight of the memo memo.OptimizeSeeded builds from it. It
-// also holds the bound to a floor, so that a bound of 0 cannot pass: it
-// meets at least half the weight of every memo at a fixpoint, and of a
-// truncated memo at least that or the truncation term 2·(B − 2).
-func TestTreeLowerBoundIsBelowTheMemo(t *testing.T) {
-	runs, tight := 0, 0
+// TestSearchSpaceIsBelowTheMemo checks the count against the memo it
+// counts: over the corpus, wherever exploration at the default memo budget
+// reaches its fixpoint, the count read off the tree is at most the weight
+// of the explored memo (rules beyond join reordering only add to it), and
+// at least half of it, so that a count of 0 cannot pass.
+func TestSearchSpaceIsBelowTheMemo(t *testing.T) {
+	equal, below, truncated := 0, 0, 0
 	for _, c := range boundCorpus(t) {
 		tree := normalizedTree(t, c)
-		seedings := [][]*algebra.Tree{nil}
-		if g := normalize.GreedyJoinOrder(tree); g.Fingerprint() != tree.Fingerprint() {
-			seedings = append(seedings, []*algebra.Tree{g})
+		m, err := memo.OptimizeSeeded(c.shell, tree, memo.DefaultBudget)
+		if err != nil {
+			t.Fatal(err)
 		}
-		budgets := []int{50, 500, memo.DefaultBudget}
-		if largestRegion(tree) <= 8 {
-			budgets = append(budgets, 0)
+		if m.Exhausted() {
+			truncated++
+			continue
 		}
-		for _, seeds := range seedings {
-			for _, b := range budgets {
-				m, err := memo.OptimizeSeeded(c.shell, tree, b, seeds...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				bound, weight := TreeLowerBound(tree, b, seeds...), SearchLowerBound(m)
-				runs++
-				if bound > weight {
-					t.Errorf("%s memo budget %d, %d seeds: tree bound %d exceeds the memo's %d (%d expressions, exhausted %v)",
-						c.name, b, len(seeds), bound, weight, m.NumExprs(), m.Exhausted())
-				}
-				if bound == weight {
-					tight++
-				}
-				if floor := weight / 2; !m.Exhausted() && bound < floor {
-					t.Errorf("%s memo budget %d, %d seeds: tree bound %d under half the fixpoint memo's %d", c.name, b, len(seeds), bound, weight)
-				}
-				if floor := min(weight/2, 2*(b-2)); m.Exhausted() && bound < floor {
-					t.Errorf("%s memo budget %d, %d seeds: tree bound %d under %d for a truncated memo of weight %d", c.name, b, len(seeds), bound, floor, weight)
-				}
-			}
+		count, weight := SearchSpace(tree), memoWeight(m)
+		switch {
+		case count > weight:
+			t.Errorf("%s: search space %d exceeds the explored memo's weight %d (%d expressions)", c.name, count, weight, m.NumExprs())
+		case count < weight/2:
+			t.Errorf("%s: search space %d under half the explored memo's weight %d", c.name, count, weight)
+		case count == weight:
+			equal++
+		default:
+			below++
 		}
 	}
-	t.Logf("%d runs, bound equal to the memo's weight in %d", runs, tight)
+	t.Logf("search space equal to the memo's weight in %d, below it in %d; %d memos truncated", equal, below, truncated)
 }
 
-// TestTreeLowerBoundSharedNodes covers the trees the corpus never makes:
-// a root that is itself a join region, a region whose input repeats, and
-// two regions over one shared input. The memo folds each repeat into one
-// group, so the bound must count it once; the expected values are worked
-// by hand from the proof.
-func TestTreeLowerBoundSharedNodes(t *testing.T) {
+// TestSearchSpaceSharedNodes covers the trees the corpus never makes: a
+// root that is itself a join region, a region whose input repeats, and two
+// regions over one shared input. The memo folds each repeat into one group,
+// so the count must count it once; the expected values are worked by hand
+// from SearchSpace's doc.
+func TestSearchSpaceSharedNodes(t *testing.T) {
 	q, _ := tpch.Get("q05")
 	c := boundCase{"q05", q.SQL, shell(t)}
 	var inputs []*algebra.Tree
@@ -221,8 +171,8 @@ func TestTreeLowerBoundSharedNodes(t *testing.T) {
 		t.Fatalf("q05's join region has %d inputs, want at least 3", len(inputs))
 	}
 	a, b, in3 := inputs[0], inputs[1], inputs[2]
-	// weight is what the proof counts for an input subtree: 2 for a leaf, and
-	// 3 plus its children's for anything else (none of them holds a join).
+	// weight is what the count gives an input subtree: 2 for a leaf, and 3
+	// plus its children's for anything else (none of them holds a join).
 	var weight func(n *algebra.Tree) int
 	weight = func(n *algebra.Tree) int {
 		if len(n.Children) == 0 {
@@ -241,7 +191,7 @@ func TestTreeLowerBoundSharedNodes(t *testing.T) {
 	cases := []struct {
 		name string
 		tree *algebra.Tree
-		want int // at no memo budget
+		want int
 	}{
 		// Three pair groups of weight 1 + 2·2 below the root.
 		{"root region", cross(ab, in3), 3*5 + weight(a) + weight(b) + weight(in3)},
@@ -252,103 +202,12 @@ func TestTreeLowerBoundSharedNodes(t *testing.T) {
 		{"shared input", algebra.NewTree(&algebra.Join{Kind: algebra.JoinLeftOuter}, ab, cross(a, in3)), 5 + weight(a) + weight(b) + weight(in3)},
 	}
 	for _, tc := range cases {
-		for _, budget := range []int{0, 50} {
-			m, err := memo.OptimizeSeeded(c.shell, tc.tree, budget)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound, memoWeight := TreeLowerBound(tc.tree, budget), SearchLowerBound(m)
-			if bound > memoWeight {
-				t.Errorf("%s, memo budget %d: bound %d exceeds the memo's weight %d", tc.name, budget, bound, memoWeight)
-			}
-			if budget == 0 && bound != tc.want {
-				t.Errorf("%s: bound %d, want %d", tc.name, bound, tc.want)
-			}
-		}
-	}
-}
-
-// TestSearchLowerBoundIsSound is the first half of TreeLowerBound's proof,
-// on which the regime shortcut in pdwqo.compile rests: an enumeration given
-// SearchBudget = the memo's weight trips, having considered at least that
-// many options — under the paper's configuration and under each ablation
-// switch, none of which removes an option the weight counts. A memo of one
-// wave has no barrier and weight 0.
-func TestSearchLowerBoundIsSound(t *testing.T) {
-	configs := []struct {
-		name string
-		cfg  Config
-	}{
-		{"full", Config{}},
-		{"no-agg-split", Config{DisableAggSplit: true}},
-		{"no-interesting-retention", Config{DisableInterestingRetention: true}},
-	}
-	tight := 0
-	for _, c := range boundCorpus(t) {
-		m := exploredMemo(t, c)
-		bound := SearchLowerBound(m)
-		if bound == 0 {
-			if m.NumGroups() > 1 {
-				t.Errorf("%s: bound 0 for a memo of %d groups", c.name, m.NumGroups())
-			}
-			continue
-		}
-		data, err := memoxml.Encode(m)
+		m, err := memo.OptimizeSeeded(c.shell, tc.tree, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dec, err := memoxml.Decode(data, c.shell)
-		if err != nil {
-			t.Fatal(err)
+		if count, w := SearchSpace(tc.tree), memoWeight(m); count != tc.want || count > w {
+			t.Errorf("%s: search space %d, want %d and at most the fixpoint memo's weight %d", tc.name, count, tc.want, w)
 		}
-		model := cost.NewModel(c.shell.Topology.ComputeNodes, cost.DefaultLambda())
-		for _, cc := range configs {
-			cfg := cc.cfg
-			cfg.SearchBudget = bound
-			_, err := New(dec, c.shell, model, cfg).Optimize()
-			var be *BudgetError
-			if !errors.As(err, &be) {
-				t.Errorf("%s/%s: SearchBudget = bound %d did not trip: %v", c.name, cc.name, bound, err)
-				continue
-			}
-			if int64(bound) > be.Considered {
-				t.Errorf("%s/%s: bound %d exceeds the %d options considered at wave %d/%d",
-					c.name, cc.name, bound, be.Considered, be.Wave, be.Waves)
-			}
-			if int64(bound) == be.Considered {
-				tight++
-			}
-		}
-	}
-	t.Logf("bound met with equality in %d runs", tight)
-}
-
-// TestSearchLowerBoundExcludesSerialBaseline records why the shortcut is
-// limited to ModeFull: the baseline enumerates one expression per group,
-// so a bound counted over every logical expression overshoots it — here a
-// budget of bound lets the baseline finish where the full search trips.
-func TestSearchLowerBoundExcludesSerialBaseline(t *testing.T) {
-	q, _ := tpch.Get("q05")
-	c := boundCase{"q05", q.SQL, shell(t)}
-	m := exploredMemo(t, c)
-	bound := SearchLowerBound(m)
-	if err := m.CostSerial(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := memoxml.Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := memoxml.Decode(data, c.shell)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := cost.NewModel(c.shell.Topology.ComputeNodes, cost.DefaultLambda())
-	if _, err := New(dec, c.shell, model, Config{Mode: ModeSerialBaseline, SearchBudget: bound}).Optimize(); err != nil {
-		t.Fatalf("serial baseline under SearchBudget = bound %d: %v (the bound is not expected to hold there)", bound, err)
-	}
-	var be *BudgetError
-	if _, err := New(dec, c.shell, model, Config{SearchBudget: bound}).Optimize(); !errors.As(err, &be) {
-		t.Fatalf("full search under SearchBudget = bound %d did not trip: %v", bound, err)
 	}
 }

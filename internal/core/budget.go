@@ -15,9 +15,10 @@ import (
 // recorded counter is exact at any Parallelism setting: every option
 // created by completed waves is counted, and no wave is half-counted.
 //
-// Callers (pdwqo.DB.Optimize) treat a BudgetError as the signal to
-// switch regimes: re-plan the query with the greedy join-order heuristic
-// over a fixed memo instead of exhaustive enumeration.
+// pdwqo.DB.Optimize never sets Config.SearchBudget, so it never sees a
+// BudgetError: it decides the regime from SearchSpace before any memo
+// exists. The traced compile replica in bench/ still trips it; the error
+// and the barrier check go when that replica does.
 type BudgetError struct {
 	// Budget is the configured cap on options considered.
 	Budget int
@@ -38,64 +39,35 @@ func (e *BudgetError) Error() string {
 		e.Considered, e.Budget, e.Wave, e.Waves, e.Groups)
 }
 
-// TreeLowerBound returns a lower bound on the options a ModeFull
-// enumeration of memo.OptimizeSeeded(shell, tree, memoBudget, seeds...) will
-// have considered when it reaches its last budget barrier, read off the
-// normalized tree before any memo exists. A caller holding SearchBudget ≤
-// bound knows the enumeration would end in a *BudgetError and can go
-// straight to the greedy regime. The proof has two halves.
+// SearchSpace counts the search space of a normalized tree: the weight of
+// the memo that exploring it to its fixpoint builds — over the non-root
+// groups the root reaches, 1 per group plus 2 per non-leaf expression and
+// 1 per leaf — read off the tree before any memo exists. pdwqo.Options'
+// SearchBudget is in these units.
 //
-// What the enumerator considers (enumerate.go): every finished group keeps
-// a replicated and a single-node option (enforce derives both kinds from
-// any option, and the pruner keeps the best of class R and of class S under
-// every Config), so a non-leaf logical expression creates at least two
-// options, a leaf one, and a group's enforcer step at least one. The root
-// reaches every group, so it is alone in the last wave and every other group
-// is finished at the last barrier: the memo's "weight" — over the non-root
-// groups the root reaches, 1 + 2 per non-leaf expression + 1 per leaf — is
-// at most the counter there.
+// What the fixpoint memo holds (memo.Explore). Take a maximal inner/cross-
+// join region of the tree over k distinct inputs. Every join group on a set
+// S of them holds every ordered split of S: for |S| = 2 by commutation;
+// above, a split (Z, W) either has a single input x on the left or, Z
+// holding (x, Z∖x) by induction, associates to (x, Join(Z∖x, W)); commuting
+// that and associating over every split (u, v) of S∖x gives (u, Join(v,
+// x)), and commutation the rest. ruleJoinAssociate builds Join(B, C)
+// whether or not a conjunct connects B and C, so the region holds 2ᵏ−k−1
+// groups, one per input set (a group has one set), and 3ᵏ−2ᵏ⁺¹+1 join
+// expressions, one per split. Every other node of the tree is a group of
+// its own expression. Nodes are told apart by operator and children,
+// regions by their input set, no finer than the memo tells groups apart,
+// and a region sharing an input with one counted before adds nothing.
 //
-// What the memo weighs. Exploration ends in one of two ways (memo.Explore):
-//
-//  1. At a fixpoint. Take a maximal inner/cross-join region of the tree over
-//     k distinct inputs. Every join group on a set S of them holds every
-//     ordered split of S: for |S| = 2 by commutation; above, a split
-//     (Z, W) either has a single input x on the left or, Z holding (x, Z∖x)
-//     by induction, associates to (x, Join(Z∖x, W)); commuting that and
-//     associating over every split (u, v) of S∖x gives (u, Join(v, x)), and
-//     commutation the rest. ruleJoinAssociate builds Join(B, C) whether or
-//     not a conjunct connects B and C, so the region holds 2ᵏ−k−1 groups,
-//     one per input set (a group has one set), and 3ᵏ−2ᵏ⁺¹+1 join
-//     expressions, one per split. Every other node of the tree is a group of
-//     its own expression. Nodes are told apart by operator and children,
-//     regions by their input set, no finer than the memo tells groups apart,
-//     and a region sharing an input with one counted before adds nothing.
-//  2. At the memo budget B, having created at least B expressions. Every
-//     one is in a group the root reaches: a new group is made only for a
-//     child of the next expression inserted, with no budget check between,
-//     and a duplicate of that expression references it already. A leaf
-//     group holds only its leaf, so each expression outside the root group
-//     weighs at least 2. When neither the tree's root nor a seed's is an
-//     inner/cross join, no rule adds to the root group, which holds the
-//     tree's root and at most one expression per seed: the weight is at
-//     least 2·(B − 1 − seeds).
-//
-// The bound is the fixpoint count, or under a budget the smaller of the
-// two. Seeds only add expressions to reachable groups. ModeSerialBaseline
-// enumerates one expression per group and is not covered; the ablation
-// switches (DisableAggSplit, DisableInterestingRetention) only remove
-// options the bound never counted.
-func TreeLowerBound(tree *algebra.Tree, memoBudget int, seeds ...*algebra.Tree) int {
+// Other rules (a join pushed below a group-by) only add expressions, so the
+// count is at most the weight of the fixpoint memo. A memo budget that
+// truncates exploration does not enter it: the count is a function of the
+// tree alone. A region of more than 33 inputs counts as one of 33 (about
+// 10¹⁶), past any budget.
+func SearchSpace(tree *algebra.Tree) int {
 	c := treeCount{ids: map[string]int{}, inputs: map[int]bool{}}
 	c.node(tree, true)
-	if memoBudget <= 0 {
-		return c.weight
-	}
-	truncated := 0
-	if !reorderable(tree) && !slices.ContainsFunc(seeds, reorderable) {
-		truncated = 2 * (memoBudget - 1 - len(seeds))
-	}
-	return max(min(c.weight, truncated), 0)
+	return c.weight
 }
 
 // treeCount sums the weight of the groups a fixpoint memo of a tree holds.

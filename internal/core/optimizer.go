@@ -58,6 +58,8 @@ type Config struct {
 	// final value) is deterministic and identical at any Parallelism.
 	// 0 disables the budget (exhaustive enumeration). A search that
 	// reaches the last barrier finishes even if the final wave overshoots.
+	// pdwqo.DB.Optimize leaves it 0 (it decides the regime from
+	// SearchSpace up front); only bench/'s compile replica still sets it.
 	SearchBudget int
 	// Tracer, when non-nil, records phase/wave/group spans and the
 	// optimize.* counters; TraceParent parents them under the caller's

@@ -25,8 +25,8 @@ func OpenQGen(q *qgen.Query) (*pdwqo.DB, error) {
 // LargeJoinDiff certifies the metamorphic contract of the greedy
 // large-join regime on one generated query where exhaustive search is
 // feasible: the same query compiled exhaustively (no budget) and under a
-// forced greedy fallback (SearchBudget=1 trips at the first wave
-// barrier) must produce byte-identical result relations — the generated
+// forced greedy fallback (SearchBudget=1, which every join's search space
+// meets) must produce byte-identical result relations — the generated
 // heads aggregate integers only, so not even float reassociation is in
 // play. Both compilations run with the static plan verifier on. The
 // returned value is the smoothed plan-cost ratio greedy/exhaustive

@@ -43,20 +43,17 @@ type Input struct {
 	Elapsed time.Duration
 }
 
-// Regime is how the PDW-side search space was covered and, for the greedy
-// join-order regime, which of its two ways in was taken.
+// Regime is how the PDW-side search space was covered, decided once from
+// the normalized tree: the greedy join-order regime when a search budget
+// was set and the tree's search space (core.SearchSpace) meets it, else the
+// exhaustive search.
 type Regime struct {
 	Greedy bool
 	// Budget is the search budget in force, 0 when none was set.
 	Budget int
-	// Bound, when positive, is the lower bound on the options an
-	// exhaustive search would consider that met Budget: the regime was
-	// chosen from the normalized tree (core.TreeLowerBound) before any memo
-	// was built, and nothing was explored, exported or enumerated.
-	Bound int
-	// Wave of Waves is otherwise the barrier at which the enumeration
-	// tripped the budget.
-	Wave, Waves int
+	// SearchSpace is the count the budget was held against, 0 when none
+	// was set.
+	SearchSpace int
 }
 
 // Name is "greedy" or "exhaustive".
@@ -69,14 +66,10 @@ func (r Regime) Name() string {
 
 // String renders the regime as the EXPLAIN header shows it.
 func (r Regime) String() string {
-	switch {
-	case !r.Greedy:
+	if !r.Greedy {
 		return r.Name()
-	case r.Bound > 0:
-		return fmt.Sprintf("greedy (bound %d ≥ budget %d, chosen before export)", r.Bound, r.Budget)
-	default:
-		return fmt.Sprintf("greedy (tripped at wave %d/%d)", r.Wave, r.Waves)
 	}
+	return fmt.Sprintf("greedy (search space %d ≥ budget %d)", r.SearchSpace, r.Budget)
 }
 
 // Options selects the output flavor.

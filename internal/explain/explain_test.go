@@ -234,19 +234,18 @@ func TestWhereName(t *testing.T) {
 	}
 }
 
-// TestRenderRegime pins the three ways the header and the JSON document
-// name the search regime.
+// TestRenderRegime pins how the header and the JSON document name the
+// search regime: with no budget, under a budget the search space stays
+// below, and under one it meets.
 func TestRenderRegime(t *testing.T) {
 	cases := []struct {
 		regime     Regime
 		text, json string
 	}{
 		{Regime{}, "retained=4  regime=exhaustive\n", `"regime": "exhaustive"`},
-		{Regime{Budget: 5000}, "retained=4  regime=exhaustive\n", `"searchBudget": 5000`},
-		{Regime{Greedy: true, Budget: 5000, Bound: 10250},
-			"regime=greedy (bound 10250 ≥ budget 5000, chosen before export)\n", `"regimeBound": 10250`},
-		{Regime{Greedy: true, Budget: 20000, Wave: 4, Waves: 13},
-			"regime=greedy (tripped at wave 4/13)\n", `"trippedWave": 4`},
+		{Regime{Budget: 20000, SearchSpace: 12347}, "retained=4  regime=exhaustive\n", `"searchSpace": 12347`},
+		{Regime{Greedy: true, Budget: 5000, SearchSpace: 12347},
+			"regime=greedy (search space 12347 ≥ budget 5000)\n", `"searchBudget": 5000`},
 	}
 	for _, c := range cases {
 		in := fakeInput()

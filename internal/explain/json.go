@@ -19,9 +19,7 @@ type jsonPlan struct {
 	MemoExhausted     bool         `json:"memoExhausted,omitempty"`
 	Regime            string       `json:"regime"`
 	SearchBudget      int          `json:"searchBudget,omitempty"`
-	RegimeBound       int          `json:"regimeBound,omitempty"`
-	TrippedWave       int          `json:"trippedWave,omitempty"`
-	Waves             int          `json:"waves,omitempty"`
+	SearchSpace       int          `json:"searchSpace,omitempty"`
 	Root              *jsonNode    `json:"root"`
 	Steps             []jsonStep   `json:"steps"`
 	Analyze           *jsonAnalyze `json:"analyze,omitempty"`
@@ -101,9 +99,7 @@ func buildJSON(in Input, opts Options) jsonPlan {
 		Root:              buildNode(in.Plan.Root),
 		Regime:            in.Regime.Name(),
 		SearchBudget:      in.Regime.Budget,
-		RegimeBound:       in.Regime.Bound,
-		TrippedWave:       in.Regime.Wave,
-		Waves:             in.Regime.Waves,
+		SearchSpace:       in.Regime.SearchSpace,
 	}
 	acts := actualsByStep(in)
 	for _, s := range in.DSQL.Steps {

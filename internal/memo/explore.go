@@ -26,7 +26,7 @@ func OptimizeSeeded(shell *catalog.Shell, tree *algebra.Tree, budget int, seeds 
 // is the only logical plan in the memo. This is the greedy large-join
 // regime's lowering path — the join order was already fixed upstream
 // (normalize.GreedyJoinOrder), so exploring alternatives would re-open
-// exactly the search space the budget trip just abandoned. The PDW-side
+// exactly the search space the search budget ruled out. The PDW-side
 // enumerator still runs over the fixed memo and inserts movement
 // enforcers, so distribution correctness is untouched. The error is
 // always nil.
@@ -46,7 +46,7 @@ func OptimizeFixed(shell *catalog.Shell, tree *algebra.Tree) (*Memo, error) {
 //   - push-join-below-group-by, the eager-aggregation shape the paper's
 //     Q20 plan requires (join part⋈lineitem below the local aggregation)
 //
-// Those are its only two ends, which core.TreeLowerBound relies on. The
+// Those are its only two ends; core.SearchSpace counts the first. The
 // rules' search space is finite, and the first pass reaches the fixpoint
 // on every query of the corpus; the second confirms it.
 func (m *Memo) Explore() {

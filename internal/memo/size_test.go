@@ -188,8 +188,8 @@ func TestAssertedEquivalenceBetweenGroups(t *testing.T) {
 	measureSearchSpace(t, m)
 }
 
-// TestExploreEndsAtTheClosure is the half of core.TreeLowerBound's proof
-// that rests on the memo: explored without a budget, a join region over n
+// TestExploreEndsAtTheClosure is what core.SearchSpace counts, checked on
+// the memo: explored without a budget, a join region over n
 // relations holds exactly one group per relation set of two or more and one
 // split per ordered pair of sides — the closure under commutation and
 // associativity, cross products included — and the memo Explore returns is

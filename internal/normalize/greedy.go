@@ -15,8 +15,8 @@ import (
 // SQL-Server side, used two ways: as the §3.1 seed ("we seed the MEMO with
 // execution plans that consider distribution information of tables") that
 // memo.InsertSeed places beside the normalized plan, and as the whole plan
-// of the large-join fallback regime the optimizer switches to when its
-// enumeration budget trips ("Efficient Massively Parallel Join
+// of the large-join fallback regime the optimizer takes when the tree's
+// search space meets its search budget ("Efficient Massively Parallel Join
 // Optimization for Large Queries" keeps one heuristic for the same two
 // jobs: the DP's starting point and its fallback).
 //

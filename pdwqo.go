@@ -17,10 +17,8 @@ package pdwqo
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
@@ -149,7 +147,7 @@ type Options struct {
 	Mode OptimizerMode
 	// Budget caps serial exploration (optimizer timeout, §3.1); 0 means
 	// memo.DefaultBudget, negative means unlimited. A query the
-	// SearchBudget sends to the greedy regime up front explores nothing.
+	// SearchBudget sends to the greedy regime explores nothing.
 	Budget int
 	// Lambda overrides the cost model constants; nil uses defaults.
 	Lambda *Lambda
@@ -167,20 +165,20 @@ type Options struct {
 	// tree the greedy regime below would plan) beside the normalized plan,
 	// which preserves plan quality under tight exploration budgets.
 	SeedCollocated bool
-	// SearchBudget caps the PDW-side enumeration at a number of options
-	// considered, checked at the wave barriers of the bottom-up search;
-	// 0 disables the cap (exhaustive enumeration, the default). Over
-	// budget, compilation does not fail: it plans in the greedy regime —
-	// the join order is fixed by the cheapest-feasible-edge heuristic
-	// (normalize.GreedyJoinOrder), the memo is rebuilt without
-	// exploration, and the enumerator runs over that structurally bounded
-	// search space, still inserting movement enforcers so the plan stays
-	// collocation-correct. A query whose normalized tree proves that the
-	// budget will trip (core.TreeLowerBound ≥ SearchBudget, ModeFull) goes
-	// there at once, before any memo is built; otherwise the memo is
-	// explored and the enumeration tried first. The plan is the same either way.
-	// QueryPlan.Regime reports which regime produced the plan, and the
-	// EXPLAIN header which way it was reached.
+	// SearchBudget bounds the search space a compile may take on, in the
+	// units of core.SearchSpace: the weight of the memo that exploring the
+	// normalized tree to its fixpoint builds (groups, plus two per join
+	// split, per non-root node), counted off the tree before any memo
+	// exists. 0 or less disables the cap (exhaustive search, the default).
+	// When the count meets the budget, compilation does not fail: it plans
+	// in the greedy regime — the join order is fixed by the
+	// cheapest-feasible-edge heuristic (normalize.GreedyJoinOrder), the
+	// memo is built without exploration, and the enumerator runs over that
+	// structurally bounded search space, still inserting movement
+	// enforcers so the plan stays collocation-correct. Otherwise the memo
+	// is explored and enumerated with no cap. The decision is made once,
+	// in every Mode; QueryPlan.Regime reports it, and the EXPLAIN header
+	// prints the count beside the budget.
 	SearchBudget int
 	// Parallelism bounds the worker pools of the PDW-side plan enumerator
 	// (independent MEMO groups per topological wave): 0 means GOMAXPROCS,
@@ -307,13 +305,12 @@ type QueryPlan struct {
 	// (this caller compiled it).
 	CacheStatus string
 	// Regime reports how the search space was covered: "" when no
-	// search budget was set, "exhaustive" when a budget was set but the
-	// enumeration finished within it, and "greedy" when the budget
-	// tripped and the plan came from the greedy join-order fallback.
+	// search budget was set, "exhaustive" when one was set and the
+	// search space stayed below it, and "greedy" when the search space
+	// met it and the plan came from the greedy join-order regime.
 	Regime string
-	// regime is what EXPLAIN prints of it: the budget in force and, for
-	// "greedy", whether a lower bound chose it before the export or the
-	// enumeration tripped, and where.
+	// regime is what EXPLAIN prints of it: the budget in force and the
+	// search space counted against it.
 	regime explain.Regime
 }
 
@@ -418,18 +415,20 @@ func (db *DB) optimizeCached(sql string, opts Options) (*QueryPlan, error) {
 	return qp, nil
 }
 
-// envSignature renders every plan-affecting input beyond the query text:
-// optimizer options and appliance topology. Parallelism and tracing are
-// deliberately excluded — they never change the plan (the difftest harness certifies plans are identical across
-// Parallelism settings).
+// envSignature renders every plan-affecting input beyond the query text —
+// optimizer options and appliance topology — and Verify, so a caller who
+// asks for a verified plan never gets one compiled unverified. Parallelism
+// and tracing are deliberately excluded — they never change the plan (the
+// difftest harness certifies plans are identical across Parallelism
+// settings) — and every SearchBudget ≤ 0 is the one "no cap".
 func (db *DB) envSignature(opts Options) string {
 	lambda := cost.DefaultLambda()
 	if opts.Lambda != nil {
 		lambda = *opts.Lambda
 	}
-	return fmt.Sprintf("mode=%d budget=%d sb=%d noir=%t nosplit=%t seedcol=%t nodes=%d lambda=%+v",
-		opts.Mode, opts.Budget, opts.SearchBudget, opts.DisableInterestingRetention,
-		opts.DisableAggSplit, opts.SeedCollocated,
+	return fmt.Sprintf("mode=%d budget=%d sb=%d noir=%t nosplit=%t seedcol=%t verify=%t nodes=%d lambda=%+v",
+		opts.Mode, opts.Budget, max(opts.SearchBudget, 0), opts.DisableInterestingRetention,
+		opts.DisableAggSplit, opts.SeedCollocated, opts.Verify,
 		db.shell.Topology.ComputeNodes, lambda)
 }
 
@@ -473,102 +472,46 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 	}
 	sp.End()
 
-	// The one join-order heuristic, computed at most once per compile: the
-	// §3.1 seed and the greedy regime's whole plan are the same tree.
-	greedyOrder := sync.OnceValue(func() *algebra.Tree { return normalize.GreedyJoinOrder(norm) })
-	var seeds []*algebra.Tree
-	if opts.SeedCollocated {
-		// §3.1: seed the MEMO with a distribution-aware plan *alongside*
-		// the normalized one, so a tight budget still explores the
-		// collocated neighborhood.
-		if g := greedyOrder(); g.Fingerprint() != norm.Fingerprint() {
-			seeds = append(seeds, g)
+	// The regime is decided once, from the tree: the greedy join-order
+	// regime when a search budget is set and the search space meets it,
+	// else exploration and enumeration with no cap.
+	var regime explain.Regime
+	if opts.SearchBudget > 0 {
+		regime.Budget, regime.SearchSpace = opts.SearchBudget, core.SearchSpace(norm)
+		regime.Greedy = regime.SearchSpace >= regime.Budget
+	}
+	var m *memo.Memo
+	if regime.Greedy {
+		// The join order is fixed by the cheapest-feasible-edge heuristic
+		// and the memo is built without exploration; the enumerator still
+		// inserts movement enforcers, so the plan stays
+		// collocation-correct.
+		sp = tr.BeginUnder(osp.ID(), "greedy-fallback")
+		sp.Int("budget", int64(regime.Budget))
+		sp.Int("search_space", int64(regime.SearchSpace))
+		tr.Counters().Add("optimize.greedy_fallback", 1)
+		m, err = memo.OptimizeFixed(db.shell, normalize.GreedyJoinOrder(norm))
+		if err != nil {
+			return fail(sp, err)
 		}
-	}
-	budget := opts.Budget
-	switch {
-	case budget == 0:
-		budget = memo.DefaultBudget
-	case budget < 0:
-		budget = 0
-	}
-	// The greedy regime has two ways in. A lower bound on what the
-	// enumeration would consider, read off the normalized tree, decides it
-	// before any memo exists once it meets the budget. Otherwise the memo
-	// is explored and exported, and the enumeration may trip.
-	regime := explain.Regime{Budget: opts.SearchBudget}
-	if opts.SearchBudget > 0 && opts.Mode == ModeFull { // the mode the bound is proven for
-		if bound := core.TreeLowerBound(norm, budget, seeds...); bound >= opts.SearchBudget {
-			regime.Greedy, regime.Bound = true, bound
-		}
-	}
-
-	lambda := cost.DefaultLambda()
-	if opts.Lambda != nil {
-		lambda = *opts.Lambda
-	}
-	model := cost.NewModel(db.shell.Topology.ComputeNodes, lambda)
-	// lower runs the back half of the pipeline — serial costing for the
-	// baseline, XML round-trip and PDW-side enumeration — over one memo,
-	// under the given search budget. Phase spans close themselves on
-	// error; the caller decides whether the error fails compilation or
-	// switches regimes.
-	lower := func(m *memo.Memo, searchBudget int) ([]byte, *memoxml.Decoded, *core.Optimizer, *core.Plan, error) {
-		if opts.Mode == ModeSerialBaseline {
-			if err := m.CostSerial(); err != nil {
-				return nil, nil, nil, nil, err
+		sp.End()
+	} else {
+		var seeds []*algebra.Tree
+		if opts.SeedCollocated {
+			// §3.1: seed the MEMO with a distribution-aware plan — the
+			// greedy regime's join order — *alongside* the normalized one,
+			// so a tight budget still explores the collocated neighborhood.
+			if g := normalize.GreedyJoinOrder(norm); g.Fingerprint() != norm.Fingerprint() {
+				seeds = append(seeds, g)
 			}
 		}
-		sp := tr.BeginUnder(osp.ID(), "memoxml-encode")
-		data, err := memoxml.Encode(m)
-		if err != nil {
-			sp.SetErr(err)
-			sp.End()
-			return nil, nil, nil, nil, err
+		budget := opts.Budget
+		switch {
+		case budget == 0:
+			budget = memo.DefaultBudget
+		case budget < 0:
+			budget = 0
 		}
-		sp.Int("bytes", int64(len(data)))
-		sp.End()
-
-		sp = tr.BeginUnder(osp.ID(), "memoxml-decode")
-		dec, err := memoxml.Decode(data, db.shell)
-		if err != nil {
-			sp.SetErr(err)
-			sp.End()
-			return nil, nil, nil, nil, err
-		}
-		sp.End()
-
-		sp = tr.BeginUnder(osp.ID(), "pdw-optimize")
-		cfg := core.Config{
-			Mode:                        opts.Mode,
-			DisableInterestingRetention: opts.DisableInterestingRetention,
-			DisableAggSplit:             opts.DisableAggSplit,
-			Parallelism:                 opts.Parallelism,
-			SearchBudget:                searchBudget,
-			Tracer:                      tr,
-			TraceParent:                 sp.ID(),
-		}
-		opt := core.New(dec, db.shell, model, cfg)
-		plan, err := opt.Optimize()
-		if err != nil {
-			sp.SetErr(err)
-			sp.End()
-			return nil, nil, nil, nil, err
-		}
-		sp.Int("options_considered", int64(plan.OptionsConsidered))
-		sp.End()
-		return data, dec, opt, plan, nil
-	}
-
-	var (
-		m    *memo.Memo
-		data []byte
-		dec  *memoxml.Decoded
-		opt  *core.Optimizer
-		plan *core.Plan
-		be   *core.BudgetError
-	)
-	if !regime.Greedy {
 		sp = tr.BeginUnder(osp.ID(), "memo")
 		sp.Int("budget", int64(budget))
 		m, err = memo.OptimizeSeeded(db.shell, norm, budget, seeds...)
@@ -579,42 +522,48 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		sp.Int("groups", int64(m.NumGroups()))
 		sp.Bool("exhausted", m.Exhausted())
 		sp.End()
-		data, dec, opt, plan, err = lower(m, opts.SearchBudget)
-		if errors.As(err, &be) {
-			regime.Greedy, regime.Wave, regime.Waves = true, be.Wave, be.Waves
-		} else if err != nil {
+	}
+	if opts.Mode == ModeSerialBaseline {
+		if err := m.CostSerial(); err != nil {
 			osp.SetErr(err)
 			return nil, err
 		}
 	}
-	if regime.Greedy {
-		// The join order is fixed by the cheapest-feasible-edge heuristic,
-		// the memo is rebuilt without exploration, and the enumerator runs
-		// with the budget off — the fixed memo bounds the search
-		// structurally, and the run still inserts movement enforcers so the
-		// plan stays collocation-correct.
-		sp = tr.BeginUnder(osp.ID(), "greedy-fallback")
-		sp.Int("budget", int64(opts.SearchBudget))
-		sp.Int("bound", int64(regime.Bound))
-		tr.Counters().Add("optimize.greedy_fallback", 1)
-		if be != nil {
-			sp.Int("predicted", 0)
-			sp.Int("considered", be.Considered)
-		} else {
-			sp.Int("predicted", 1)
-			tr.Counters().Add("optimize.greedy_predicted", 1)
-		}
-		m, err = memo.OptimizeFixed(db.shell, greedyOrder())
-		if err != nil {
-			return fail(sp, err)
-		}
-		sp.End()
-		data, dec, opt, plan, err = lower(m, 0)
-		if err != nil {
-			osp.SetErr(err)
-			return nil, err
-		}
+
+	sp = tr.BeginUnder(osp.ID(), "memoxml-encode")
+	data, err := memoxml.Encode(m)
+	if err != nil {
+		return fail(sp, err)
 	}
+	sp.Int("bytes", int64(len(data)))
+	sp.End()
+
+	sp = tr.BeginUnder(osp.ID(), "memoxml-decode")
+	dec, err := memoxml.Decode(data, db.shell)
+	if err != nil {
+		return fail(sp, err)
+	}
+	sp.End()
+
+	lambda := cost.DefaultLambda()
+	if opts.Lambda != nil {
+		lambda = *opts.Lambda
+	}
+	sp = tr.BeginUnder(osp.ID(), "pdw-optimize")
+	opt := core.New(dec, db.shell, cost.NewModel(db.shell.Topology.ComputeNodes, lambda), core.Config{
+		Mode:                        opts.Mode,
+		DisableInterestingRetention: opts.DisableInterestingRetention,
+		DisableAggSplit:             opts.DisableAggSplit,
+		Parallelism:                 opts.Parallelism,
+		Tracer:                      tr,
+		TraceParent:                 sp.ID(),
+	})
+	plan, err := opt.Optimize()
+	if err != nil {
+		return fail(sp, err)
+	}
+	sp.Int("options_considered", int64(plan.OptionsConsidered))
+	sp.End()
 
 	sp = tr.BeginUnder(osp.ID(), "dsql-gen")
 	dp, err := dsql.Generate(plan, norm.OutputCols())

@@ -1,7 +1,6 @@
 package pdwqo_test
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -9,87 +8,11 @@ import (
 	"time"
 
 	"pdwqo"
-	"pdwqo/internal/algebra"
 	"pdwqo/internal/core"
-	"pdwqo/internal/cost"
 	"pdwqo/internal/difftest"
-	"pdwqo/internal/dsql"
-	"pdwqo/internal/memo"
-	"pdwqo/internal/memoxml"
-	"pdwqo/internal/normalize"
 	"pdwqo/internal/qgen"
-	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/tpch"
 )
-
-// unshortened compiles sql the way DB.Optimize did before it could choose
-// the greedy regime ahead of the export, from the layers' exported calls:
-// export the explored memo (costed for the serial baseline) and enumerate
-// it under the budget, and only when the enumeration trips re-plan over the
-// greedy join order. It returns what a caller can observe of the outcome.
-func unshortened(t *testing.T, db *pdwqo.DB, sql string, opts pdwqo.Options) (regime, text string, planCost float64) {
-	t.Helper()
-	shell := db.Shell()
-	sel, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := algebra.NewBinder(shell)
-	bound, err := b.Bind(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm, err := normalize.New(b).Normalize(bound)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := memo.OptimizeSeeded(shell, norm, memo.DefaultBudget)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model := cost.NewModel(shell.Topology.ComputeNodes, cost.DefaultLambda())
-	lower := func(m *memo.Memo, budget int) (*core.Plan, error) {
-		if opts.Mode == pdwqo.ModeSerialBaseline {
-			if err := m.CostSerial(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		data, err := memoxml.Encode(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dec, err := memoxml.Decode(data, shell)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return core.New(dec, shell, model, core.Config{
-			Mode:                        opts.Mode,
-			DisableAggSplit:             opts.DisableAggSplit,
-			DisableInterestingRetention: opts.DisableInterestingRetention,
-			SearchBudget:                budget,
-		}).Optimize()
-	}
-	if opts.SearchBudget > 0 {
-		regime = "exhaustive"
-	}
-	plan, err := lower(m, opts.SearchBudget)
-	var be *core.BudgetError
-	if errors.As(err, &be) {
-		regime = "greedy"
-		if m, err = memo.OptimizeFixed(shell, normalize.GreedyJoinOrder(norm)); err != nil {
-			t.Fatal(err)
-		}
-		plan, err = lower(m, 0)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := dsql.Generate(plan, norm.OutputCols())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return regime, dp.String(), plan.TotalCost
-}
 
 type regimeCase struct {
 	name, sql string
@@ -109,14 +32,15 @@ func openSpec(t *testing.T, spec qgen.Spec) regimeCase {
 	return regimeCase{q.Name, q.SQL, db}
 }
 
-// TestRegimeShortcutChangesNoPlan holds DB.Optimize, which may choose the
-// greedy regime from a lower bound before exporting anything, to the
-// unshortened sequence: same regime, same DSQL text, same cost — for every
-// TPC-H query and every small generated join at each rung of a budget
-// ladder, and for the whole generated corpus (up to 100 relations) at the
-// two budgets the difftest suites pin regimes under. -short drops two rungs
-// and the joins above 24 relations.
-func TestRegimeShortcutChangesNoPlan(t *testing.T) {
+// TestRegimeIsOneOfTwoPlans holds the one regime decision to its two
+// outcomes, for every TPC-H query and every small generated join at each
+// rung of a budget ladder, and for the whole generated corpus (up to 100
+// relations) at the two budgets the difftest suites pin regimes under: a
+// budgeted compile is greedy iff the tree's search space meets the budget,
+// and its DSQL text and cost are then the SearchBudget: 1 compile's, and
+// otherwise the unbudgeted compile's. -short drops two rungs and the joins
+// above 24 relations.
+func TestRegimeIsOneOfTwoPlans(t *testing.T) {
 	tpchDB, err := difftest.SharedTPCH(0.002, 8, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -141,35 +65,43 @@ func TestRegimeShortcutChangesNoPlan(t *testing.T) {
 			runs = append(runs, run{openSpec(t, spec), []int{1, 20000}})
 		}
 	}
-	predicted, tripped, exhaustive := 0, 0, 0
+	greedyRuns, exhaustiveRuns := 0, 0
 	for _, r := range runs {
-		for _, budget := range r.budgets {
-			opts := pdwqo.Options{SearchBudget: budget}
-			wantRegime, wantText, wantCost := unshortened(t, r.db, r.sql, opts)
-			got, err := r.db.Optimize(r.sql, opts)
+		compile := func(opts pdwqo.Options) *pdwqo.QueryPlan {
+			t.Helper()
+			plan, err := r.db.Optimize(r.sql, opts)
 			if err != nil {
-				t.Fatalf("%s budget %d: %v", r.name, budget, err)
+				t.Fatalf("%s budget %d: %v", r.name, opts.SearchBudget, err)
 			}
-			if got.Regime != wantRegime || got.DSQL.String() != wantText || got.Cost() != wantCost {
-				t.Errorf("%s budget %d: regime %q cost %v, unshortened regime %q cost %v, same DSQL %v",
-					r.name, budget, got.Regime, got.Cost(), wantRegime, wantCost, got.DSQL.String() == wantText)
+			return plan
+		}
+		greedy := compile(pdwqo.Options{SearchBudget: 1})
+		space := core.SearchSpace(greedy.Normalized)
+		var exhaustive *pdwqo.QueryPlan // compiled only if a rung needs it
+		for _, budget := range r.budgets {
+			got := compile(pdwqo.Options{SearchBudget: budget})
+			want, wantRegime, wantHeader := greedy, "greedy", fmt.Sprintf("regime=greedy (search space %d ≥ budget %d)", space, budget)
+			if space < budget {
+				if exhaustive == nil {
+					exhaustive = compile(pdwqo.Options{})
+				}
+				want, wantRegime, wantHeader = exhaustive, "exhaustive", "regime=exhaustive"
+				exhaustiveRuns++
+			} else {
+				greedyRuns++
 			}
-			header, _, _ := strings.Cut(explainOf(t, got), "\n")
-			switch {
-			case strings.Contains(header, "chosen before export"):
-				predicted++
-			case strings.Contains(header, "tripped at wave"):
-				tripped++
-			case strings.Contains(header, "regime=exhaustive"):
-				exhaustive++
-			default:
-				t.Errorf("%s budget %d: EXPLAIN header names no regime: %s", r.name, budget, header)
+			if got.Regime != wantRegime || got.DSQL.String() != want.DSQL.String() || got.Cost() != want.Cost() {
+				t.Errorf("%s budget %d, search space %d: regime %q cost %v, want %s cost %v, same DSQL %v",
+					r.name, budget, space, got.Regime, got.Cost(), wantRegime, want.Cost(), got.DSQL.String() == want.DSQL.String())
+			}
+			if header, _, _ := strings.Cut(explainOf(t, got), "\n"); !strings.Contains(header, wantHeader) {
+				t.Errorf("%s budget %d: EXPLAIN header %q does not say %q", r.name, budget, header, wantHeader)
 			}
 		}
 	}
-	t.Logf("%d chosen before export, %d tripped, %d exhaustive", predicted, tripped, exhaustive)
-	if predicted == 0 || tripped == 0 || exhaustive == 0 {
-		t.Errorf("the ladder must reach all three outcomes: %d predicted, %d tripped, %d exhaustive", predicted, tripped, exhaustive)
+	t.Logf("%d greedy, %d exhaustive", greedyRuns, exhaustiveRuns)
+	if greedyRuns == 0 || exhaustiveRuns == 0 {
+		t.Errorf("the ladder must reach both outcomes: %d greedy, %d exhaustive", greedyRuns, exhaustiveRuns)
 	}
 }
 
@@ -182,12 +114,37 @@ func explainOf(t *testing.T, plan *pdwqo.QueryPlan) string {
 	return text
 }
 
+// spanAttr is the first value of an integer attribute on a span of the
+// given name, or -1.
+func spanAttr(tr *pdwqo.Tracer, span, key string) int64 {
+	for _, sp := range tr.Spans() {
+		if sp.Name != span {
+			continue
+		}
+		for _, a := range sp.Attrs {
+			if a.Key == key {
+				return a.Val
+			}
+		}
+	}
+	return -1
+}
+
+// spanCount counts a trace's spans by name.
+func spanCount(tr *pdwqo.Tracer) map[string]int {
+	count := map[string]int{}
+	for _, sp := range tr.Spans() {
+		count[sp.Name]++
+	}
+	return count
+}
+
 // TestLargeJoinExportsOnce traces DB.Optimize of the eight
-// compile_largejoin queries (bench/compile.go's specs and budget): each is
-// sent to the greedy regime by the tree bound, so the trace holds no memo
-// span (no exploratory memo was built), one memoxml-encode and one
-// memoxml-decode span — the fixed memo's, under 256 KB — and the
-// greedy-fallback span says the regime was predicted.
+// compile_largejoin queries (bench/compile.go's specs and budget): the
+// search space of each meets the budget, so the trace holds no memo span
+// (no exploratory memo was built), one memoxml-encode and one
+// memoxml-decode span — the fixed memo's, under 256 KB — and a
+// greedy-fallback span carrying the count.
 func TestLargeJoinExportsOnce(t *testing.T) {
 	const budget, nodes, dataSeed = 5000, 8, 42
 	for _, topo := range qgen.Topologies() {
@@ -201,81 +158,78 @@ func TestLargeJoinExportsOnce(t *testing.T) {
 			if plan.Regime != "greedy" {
 				t.Errorf("%s: regime %q, want greedy", c.name, plan.Regime)
 			}
-			count := map[string]int{}
-			for _, sp := range tr.Spans() {
-				count[sp.Name]++
-				attr := func(key string) int64 {
-					for _, a := range sp.Attrs {
-						if a.Key == key {
-							return a.Val
-						}
-					}
-					return -1
-				}
-				switch sp.Name {
-				case "memoxml-encode":
-					if b := attr("bytes"); b <= 0 || b >= 256<<10 {
-						t.Errorf("%s: exported %d bytes, want under 256 KB", c.name, b)
-					}
-				case "greedy-fallback":
-					if attr("predicted") != 1 || attr("bound") < budget {
-						t.Errorf("%s: greedy-fallback predicted=%d bound=%d, want 1 and ≥ %d", c.name, attr("predicted"), attr("bound"), budget)
-					}
-				}
+			space := core.SearchSpace(plan.Normalized)
+			if got := spanAttr(tr, "greedy-fallback", "search_space"); got != int64(space) || space < budget {
+				t.Errorf("%s: greedy-fallback search_space=%d, tree's %d, want it ≥ %d", c.name, got, space, budget)
 			}
+			if b := spanAttr(tr, "memoxml-encode", "bytes"); b <= 0 || b >= 256<<10 {
+				t.Errorf("%s: exported %d bytes, want under 256 KB", c.name, b)
+			}
+			count := spanCount(tr)
 			if count["memoxml-encode"] != 1 || count["memoxml-decode"] != 1 || count["greedy-fallback"] != 1 {
 				t.Errorf("%s: %d encode, %d decode, %d greedy-fallback spans, want one of each",
 					c.name, count["memoxml-encode"], count["memoxml-decode"], count["greedy-fallback"])
 			}
 			if count["memo"] != 0 {
-				t.Errorf("%s: %d memo spans: an exploratory memo was built for a query the bound sends to greedy", c.name, count["memo"])
+				t.Errorf("%s: %d memo spans: an exploratory memo was built for a query the budget sends to greedy", c.name, count["memo"])
 			}
-			reg := tr.Counters()
-			if reg.Get("optimize.greedy_fallback") != 1 || reg.Get("optimize.greedy_predicted") != 1 {
-				t.Errorf("%s: counters greedy_fallback=%d greedy_predicted=%d, want 1 and 1",
-					c.name, reg.Get("optimize.greedy_fallback"), reg.Get("optimize.greedy_predicted"))
+			if n := tr.Counters().Get("optimize.greedy_fallback"); n != 1 {
+				t.Errorf("%s: counter greedy_fallback=%d, want 1", c.name, n)
 			}
 			header, _, _ := strings.Cut(explainOf(t, plan), "\n")
-			if !strings.Contains(header, fmt.Sprintf("≥ budget %d, chosen before export)", budget)) {
-				t.Errorf("%s: EXPLAIN header %q does not say the regime was chosen before the export", c.name, header)
+			if want := fmt.Sprintf("regime=greedy (search space %d ≥ budget %d)", space, budget); !strings.Contains(header, want) {
+				t.Errorf("%s: EXPLAIN header %q does not say %q", c.name, header, want)
 			}
 		}
 	}
 }
 
-// TestRegimeShortcutArms says which option arms may take the shortcut. The
-// bound is proven for ModeFull, and the two ablation switches only remove
-// options it never counted (internal/core TestSearchLowerBoundIsSound runs
-// it under each), so they predict; ModeSerialBaseline enumerates another
-// expression set and always exports first. Either way the outcome is the
-// unshortened sequence's.
+// TestRegimeShortcutArms holds every option arm, both modes included, to
+// the count: at a search budget equal to the tree's search space the
+// compile plans the SearchBudget: 1 compile's greedy plan without building
+// an exploratory memo, and at one above it explores and plans what the
+// unbudgeted compile plans, with no greedy-fallback span.
 func TestRegimeShortcutArms(t *testing.T) {
-	c := openSpec(t, qgen.Spec{Topology: qgen.Star, Relations: 10, Seed: 42010, Nodes: 8})
+	c := openSpec(t, qgen.Spec{Topology: qgen.Star, Relations: 6, Seed: 42006, Nodes: 8})
 	arms := []struct {
-		name      string
-		opts      pdwqo.Options
-		predicted int64
+		name string
+		opts pdwqo.Options
 	}{
-		{"full", pdwqo.Options{}, 1},
-		{"no-agg-split", pdwqo.Options{DisableAggSplit: true}, 1},
-		{"no-interesting-retention", pdwqo.Options{DisableInterestingRetention: true}, 1},
-		{"seeded", pdwqo.Options{SeedCollocated: true}, 1}, // the seed and the fixed memo are one tree, built once
-		{"serial-baseline", pdwqo.Options{Mode: pdwqo.ModeSerialBaseline}, 0},
+		{"full", pdwqo.Options{}},
+		{"no-agg-split", pdwqo.Options{DisableAggSplit: true}},
+		{"no-interesting-retention", pdwqo.Options{DisableInterestingRetention: true}},
+		{"seeded", pdwqo.Options{SeedCollocated: true}},
+		{"serial-baseline", pdwqo.Options{Mode: pdwqo.ModeSerialBaseline}},
 	}
 	for _, arm := range arms {
-		opts := arm.opts
-		opts.SearchBudget = 200
-		wantRegime, wantText, wantCost := unshortened(t, c.db, c.sql, opts)
-		opts.Tracer = pdwqo.NewTracer()
-		got, err := c.db.Optimize(c.sql, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", arm.name, err)
+		compile := func(budget int, tr *pdwqo.Tracer) *pdwqo.QueryPlan {
+			t.Helper()
+			opts := arm.opts
+			opts.SearchBudget, opts.Tracer = budget, tr
+			plan, err := c.db.Optimize(c.sql, opts)
+			if err != nil {
+				t.Fatalf("%s budget %d: %v", arm.name, budget, err)
+			}
+			return plan
 		}
-		if got.Regime != wantRegime || got.DSQL.String() != wantText || got.Cost() != wantCost {
-			t.Errorf("%s: regime %q cost %v, unshortened regime %q cost %v", arm.name, got.Regime, got.Cost(), wantRegime, wantCost)
-		}
-		if n := opts.Tracer.Counters().Get("optimize.greedy_predicted"); n != arm.predicted {
-			t.Errorf("%s: optimize.greedy_predicted = %d, want %d (regime %q)", arm.name, n, arm.predicted, got.Regime)
+		exhaustive, greedy := compile(0, nil), compile(1, nil)
+		space := core.SearchSpace(exhaustive.Normalized)
+		for _, budget := range []int{space, space + 1} {
+			tr := pdwqo.NewTracer()
+			got := compile(budget, tr)
+			want, wantRegime := greedy, "greedy"
+			if budget > space {
+				want, wantRegime = exhaustive, "exhaustive"
+			}
+			if got.Regime != wantRegime || got.DSQL.String() != want.DSQL.String() || got.Cost() != want.Cost() {
+				t.Errorf("%s budget %d, search space %d: regime %q cost %v, want %s cost %v",
+					arm.name, budget, space, got.Regime, got.Cost(), wantRegime, want.Cost())
+			}
+			count := spanCount(tr)
+			if greedyRegime := wantRegime == "greedy"; (count["greedy-fallback"] == 1) != greedyRegime || (count["memo"] == 1) == greedyRegime {
+				t.Errorf("%s budget %d: %d greedy-fallback and %d memo spans for a %s compile",
+					arm.name, budget, count["greedy-fallback"], count["memo"], wantRegime)
+			}
 		}
 	}
 }
@@ -321,16 +275,19 @@ func rowSet(r *pdwqo.Result) string {
 }
 
 // TestDecidedExplorationStops compiles the four 30-relation joins under a
-// search budget the tree bound meets, at the default memo budget and with
-// none: the regime must be decided before any memo exists — no memo span,
-// so not one expression explored — and the plan must be the unshortened
-// sequence's. Explored with no memo budget, such a join holds 3³⁰
-// expressions, so each compile runs against a deadline.
+// search budget their search space meets, at the default memo budget and
+// with none: the regime must be decided before any memo exists — no memo
+// span, so not one expression explored — and the plan must be the
+// SearchBudget: 1 compile's. Explored with no memo budget, such a join
+// holds 3³⁰ expressions, so each compile runs against a deadline.
 func TestDecidedExplorationStops(t *testing.T) {
 	const searchBudget = 5000
 	for _, topo := range qgen.Topologies() {
 		c := openSpec(t, qgen.Spec{Topology: topo, Relations: 30, Seed: 42030, Nodes: 8})
-		wantRegime, wantText, wantCost := unshortened(t, c.db, c.sql, pdwqo.Options{SearchBudget: searchBudget})
+		want, err := c.db.Optimize(c.sql, pdwqo.Options{SearchBudget: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		for _, memoBudget := range []int{0, -1} {
 			tr := pdwqo.NewTracer()
 			type outcome struct {
@@ -351,17 +308,15 @@ func TestDecidedExplorationStops(t *testing.T) {
 			if got.err != nil {
 				t.Fatalf("%s memo budget %d: %v", c.name, memoBudget, got.err)
 			}
-			if got.plan.Regime != wantRegime || got.plan.DSQL.String() != wantText || got.plan.Cost() != wantCost {
-				t.Errorf("%s memo budget %d: regime %q cost %v, unshortened regime %q cost %v",
-					c.name, memoBudget, got.plan.Regime, got.plan.Cost(), wantRegime, wantCost)
+			if got.plan.Regime != "greedy" || got.plan.DSQL.String() != want.DSQL.String() || got.plan.Cost() != want.Cost() {
+				t.Errorf("%s memo budget %d: regime %q cost %v, want greedy cost %v",
+					c.name, memoBudget, got.plan.Regime, got.plan.Cost(), want.Cost())
 			}
-			for _, sp := range tr.Spans() {
-				if sp.Name == "memo" {
-					t.Errorf("%s memo budget %d: an exploratory memo was built (%v)", c.name, memoBudget, sp.Attrs)
-				}
+			if n := spanCount(tr)["memo"]; n != 0 {
+				t.Errorf("%s memo budget %d: %d exploratory memos were built", c.name, memoBudget, n)
 			}
-			if n := tr.Counters().Get("optimize.greedy_predicted"); n != 1 {
-				t.Errorf("%s memo budget %d: optimize.greedy_predicted = %d, want 1", c.name, memoBudget, n)
+			if space := spanAttr(tr, "greedy-fallback", "search_space"); space < searchBudget {
+				t.Errorf("%s memo budget %d: greedy-fallback search_space=%d, want ≥ %d", c.name, memoBudget, space, searchBudget)
 			}
 			if m := got.plan.Memo; m.NumExprs() != m.NumGroups() {
 				t.Errorf("%s memo budget %d: the plan's memo holds %d expressions in %d groups, want the fixed memo's one each",
@@ -424,7 +379,7 @@ func TestConcurrentSearchBudgets(t *testing.T) {
 // customer⋈supplier⋈nation⋈region — the side that is broadcast — at 3.17
 // rows where the shape exploration reaches first says 1.91. The test logs,
 // without gating, the seeded exhaustive cost beside the greedy regime's:
-// what always-on seeding (ROADMAP item 4) would buy. -short drops the joins
+// what always-on seeding ([estimates] in ROADMAP.md) would buy. -short drops the joins
 // above 24 relations.
 func TestGreedySeedNeverRaisesCost(t *testing.T) {
 	tpchDB, err := difftest.SharedTPCH(0.002, 8, 42)
@@ -465,4 +420,57 @@ func TestGreedySeedNeverRaisesCost(t *testing.T) {
 		t.Logf("%-15s unseeded %-12.6g seeded %-12.6g greedy regime %.6g", c.name, unseeded, seeded, greedy)
 	}
 	t.Logf("exhaustive with the seed vs the greedy regime: cheaper on %d, costlier on %d, of %d", below, above, len(cases))
+}
+
+// TestNegativeSearchBudgetIsUnset holds every search budget ≤ 0 to the one
+// documented meaning, "no cap": no regime is reported, EXPLAIN names no
+// budget, and the plan cache files it under the template an unbudgeted
+// compile cached.
+func TestNegativeSearchBudgetIsUnset(t *testing.T) {
+	db, err := pdwqo.OpenTPCH(0.001, 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, _ := pdwqo.TPCHQuery("q03")
+	db.SetPlanCache(0)
+	if _, err := db.Optimize(sql, pdwqo.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := db.Optimize(sql, pdwqo.Options{SearchBudget: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if plan.Regime != "" || plan.CacheStatus != "hit" {
+		t.Errorf("SearchBudget -1: regime %q, cache %q, want \"\" and a hit on the unbudgeted template", plan.Regime, plan.CacheStatus)
+	}
+	doc, err := plan.ExplainJSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(doc, "searchBudget") {
+		t.Errorf("SearchBudget -1: EXPLAIN names a budget:\n%s", doc)
+	}
+}
+
+// TestCacheHitKeepsVerify compiles one query unverified and then asks for
+// it verified through the plan cache: the second caller must get a plan the
+// verifier ran over, not the first caller's unverified template.
+func TestCacheHitKeepsVerify(t *testing.T) {
+	db, err := pdwqo.OpenTPCH(0.001, 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sql, _ := pdwqo.TPCHQuery("q03")
+	db.SetPlanCache(0)
+	if _, err := db.Optimize(sql, pdwqo.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	tr := pdwqo.NewTracer()
+	plan, err := db.Optimize(sql, pdwqo.Options{Verify: true, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := spanCount(tr)["verify"]; plan.CacheStatus != "miss" || n != 1 {
+		t.Errorf("Verify after an unverified compile: cache %q with %d verify spans, want a miss that verifies", plan.CacheStatus, n)
+	}
 }
