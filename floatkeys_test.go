@@ -85,3 +85,27 @@ func TestEqualFloatsAreOneKey(t *testing.T) {
 		}
 	}
 }
+
+// TestNaNComparisonsMatchSerial: a comparison with a NaN operand follows
+// types.CompareChecked on both sides, so an unordered pair compares equal
+// and `NaN <= 1` holds. Each nation's key times 1e308·10 overflows to +Inf
+// (0 for key 0), and +Inf − +Inf is NaN, so every one of the 25 rows
+// qualifies, distributed as serially.
+func TestNaNComparisonsMatchSerial(t *testing.T) {
+	db, err := OpenTPCH(0.001, 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sql = `SELECT COUNT(*) AS n FROM nation WHERE n_nationkey * 1e308 * 10 - n_nationkey * 1e308 * 10 <= 1`
+	serial, err := db.ExecuteSerial(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist, err := db.Execute(sql, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := dist.Rows[0].String(), serial.Rows[0].String(); got != want || want != "(25)" {
+		t.Fatalf("distributed %s, serial %s, want (25) from both", got, want)
+	}
+}

@@ -823,7 +823,7 @@ func route(b *vec.Batch, hashPos, nodes int, trim bool, self int) [][]int32 {
 	for i := range hs {
 		hs[i] = types.HashSeed
 	}
-	key.FoldHash(hs)
+	key.FoldHash(hs, nil)
 	sels := make([][]int32, nodes)
 	for i, h := range hs {
 		n := 0

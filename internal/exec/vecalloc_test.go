@@ -1,0 +1,84 @@
+package exec
+
+import (
+	"testing"
+
+	"pdwqo/internal/algebra"
+	"pdwqo/internal/sqlparser"
+	"pdwqo/internal/types"
+	"pdwqo/internal/vec"
+)
+
+// TestVecAllocations pins the allocations of two small pipelines over
+// typed tables: a three-conjunct filter under a projection that reads one
+// column, over one 1,024-row batch, and an INT-key join probed by four
+// batches. A BIT vector or a kept list per conjunct, a filter that
+// gathers its output, or pair lists made afresh for each probe batch each
+// raise the count past its pin.
+func TestVecAllocations(t *testing.T) {
+	cols := []algebra.ColumnMeta{
+		{ID: 1, Name: "k", Type: types.KindInt},
+		{ID: 2, Name: "f", Type: types.KindFloat},
+		{ID: 3, Name: "s", Type: types.KindString},
+	}
+	table := func(n, keys int) *vec.Table {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = types.Row{types.NewInt(int64(i % keys)), types.NewFloat(float64(i%10) / 10), types.NewString("x")}
+		}
+		return vec.FromRows([]string{"k", "f", "s"}, rows)
+	}
+	tables := map[string]*vec.Table{"t": table(1024, 1024), "p": table(4*vec.BatchSize, 512), "u": table(64, 64)}
+	src := func(name string) (*vec.Table, error) { return tables[name], nil }
+	get := func(name string, base algebra.ColumnID) *algebra.Tree {
+		c := make([]algebra.ColumnMeta, len(cols))
+		for i, m := range cols {
+			m.ID += base
+			c[i] = m
+		}
+		tbl := benchTable(c)
+		tbl.Name = name
+		return algebra.NewTree(&algebra.Get{Table: tbl, Alias: name, Cols: c})
+	}
+	ref := func(id algebra.ColumnID, kind types.Kind) algebra.Scalar {
+		return algebra.NewColRef(algebra.ColumnMeta{ID: id, Type: kind})
+	}
+	cmp := func(op sqlparser.BinOp, l algebra.Scalar, v types.Value) algebra.Scalar {
+		return &algebra.Binary{Op: op, L: l, R: &algebra.Const{Val: v}}
+	}
+	k, f := ref(1, types.KindInt), ref(2, types.KindFloat)
+	pred := &algebra.Binary{Op: sqlparser.OpAnd,
+		L: &algebra.Binary{Op: sqlparser.OpAnd, L: cmp(sqlparser.OpGt, k, types.NewInt(10)), R: cmp(sqlparser.OpLt, f, types.NewFloat(0.5))},
+		R: cmp(sqlparser.OpLe, k, types.NewInt(900)),
+	}
+	filter := algebra.NewTree(&algebra.Project{Defs: []algebra.ProjDef{{Expr: k, ID: 50, Name: "k"}}},
+		algebra.NewTree(&algebra.Select{Filter: pred}, get("t", 0)))
+	join := algebra.NewTree(&algebra.Join{Kind: algebra.JoinInner, On: &algebra.Binary{Op: sqlparser.OpEq, L: ref(11, types.KindInt), R: ref(21, types.KindInt)}},
+		get("p", 10), get("u", 20))
+	for _, tc := range []struct {
+		name string
+		tree *algebra.Tree
+		rows int
+		pin  float64
+	}{
+		{"filter under project", filter, 445, 36},
+		{"INT-key join probe", join, 512, 115},
+	} {
+		b, err := RunColumns(tc.tree, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.N != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.name, b.N, tc.rows)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := RunColumns(tc.tree, src, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocations per run", tc.name, got)
+		if got > tc.pin {
+			t.Errorf("%s: %v allocations per run, pinned at %v", tc.name, got, tc.pin)
+		}
+	}
+}

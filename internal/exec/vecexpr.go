@@ -14,6 +14,17 @@ package exec
 // operand's null bitmap, so callers must never mutate a vector evalVec
 // returned.
 //
+// Predicates do not build BIT vectors where they can help it: trueRows
+// narrows a selection (ascending batch positions) conjunct by conjunct,
+// and narrow runs comparisons, IN over constants and LIKE on columns and
+// constants, and AND/OR trees of those, as loops over the selection that
+// read payloads in place and append survivors to selection buffers. Those
+// buffers belong to the operator's vecEnv: take lends one, give returns
+// it, and they are reused batch after batch until the operator is
+// dropped. trueRows' result is one of them, valid until trueRows next runs
+// on the same vecEnv. Every comparison, BIT kernel and narrowing loop
+// alike, goes through holds.
+//
 // Error fidelity: every error the row engine raises is raised here with
 // the same text, because kernels either call the same types helpers or
 // construct the same typed errors. The one documented divergence is
@@ -42,6 +53,12 @@ type vecEnv struct {
 	env   *Env                     // built on first fallback
 	row   types.Row                // reusable fallback row buffer
 	reads map[algebra.Scalar][]int // per expression, the positions it reads
+
+	conj   map[algebra.Scalar][]algebra.Scalar // per predicate, its conjuncts
+	consts map[*algebra.Const]*vec.Vec         // per constant, a one-row vector
+	free   [][]int32                           // selection buffers give returned
+	iota   []int32                             // 0, 1, 2, …: a whole batch
+	out    []int32                             // trueRows' last result
 }
 
 func newVecEnv(cols []algebra.ColumnMeta) *vecEnv {
@@ -72,6 +89,45 @@ func (ve *vecEnv) readsOf(e algebra.Scalar) []int {
 	}
 	ve.reads[e] = p
 	return p
+}
+
+// take lends an empty selection buffer with room for n positions; give
+// returns buffers, grown or not, for later takes. A buffer given back must
+// not be read again.
+func (ve *vecEnv) take(n int) []int32 {
+	var s []int32
+	if k := len(ve.free); k > 0 {
+		s = ve.free[k-1]
+		ve.free = ve.free[:k-1]
+	}
+	return reuse(s, n)
+}
+
+// reuse empties a scratch buffer, replacing it when it cannot hold n.
+func reuse(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, 0, n)
+	}
+	return s[:0]
+}
+
+func (ve *vecEnv) give(bufs ...[]int32) {
+	for _, s := range bufs {
+		if cap(s) > 0 {
+			ve.free = append(ve.free, s)
+		}
+	}
+}
+
+// all returns the selection of every row of an n-row batch.
+func (ve *vecEnv) all(n int) []int32 {
+	if len(ve.iota) < n {
+		ve.iota = make([]int32, n)
+		for i := range ve.iota {
+			ve.iota[i] = int32(i)
+		}
+	}
+	return ve.iota[:n]
 }
 
 // selLen returns the number of positions evalVec computes: the selection
@@ -238,11 +294,7 @@ func constList(list []algebra.Scalar) ([]types.Value, bool) {
 	return vals, true
 }
 
-// evalVecInList evaluates `e [NOT] IN (const, …)` as Eval does: NULL when
-// e is NULL; otherwise a match among the comparable non-NULL constants
-// decides, and without one a NULL constant makes the answer NULL. Constant
-// elements raise no errors, so element order cannot matter. Typed operands
-// compare on their payloads; a mixed operand boxes.
+// evalVecInList evaluates `e [NOT] IN (const, …)` as Eval does (inSet).
 func evalVecInList(x *algebra.InList, consts []types.Value, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
 	v, err := evalVec(x.E, ve, b, sel)
 	if err != nil {
@@ -252,62 +304,85 @@ func evalVecInList(x *algebra.InList, consts []types.Value, ve *vecEnv, b *vec.B
 	if !v.Mixed && v.Kind == types.KindNull {
 		return vec.NullVec(n), nil
 	}
-	sawNull := false
-	var ints []int64
-	var flts []float64
-	var strs []string
-	for _, c := range consts {
-		switch {
-		case c.IsNull():
-			sawNull = true
-		case v.Mixed:
-		case !types.Comparable(v.Kind, c.Kind()):
-		case c.Kind() == types.KindString:
-			strs = append(strs, c.Str())
-		case c.Kind() == types.KindFloat || v.Kind == types.KindFloat:
-			flts = append(flts, c.Float())
-		case c.Kind() == types.KindInt:
-			ints = append(ints, c.Int())
-		case c.Kind() == types.KindDate:
-			ints = append(ints, c.DateDays())
-		default: // KindBool
-			ints = append(ints, b2i(c.Bool()))
-		}
-	}
+	set := newInSet(consts, v)
 	out := vec.NewDense(types.KindBool, n)
 	for i := 0; i < n; i++ {
-		if v.IsNull(i) {
+		if in, null := set.verdict(v, i, x.Negated); null {
 			out.SetNull(i)
-			continue
-		}
-		var hit bool
-		switch {
-		case v.Mixed:
-			hit = inConsts(v.At(i), consts)
-		case v.Kind == types.KindString:
-			hit = slices.Contains(strs, v.Str[i])
-		case v.Kind == types.KindFloat:
-			hit = inFloats(v.F64[i], flts)
-		default:
-			hit = slices.Contains(ints, v.I64[i]) ||
-				(v.Kind == types.KindInt && inFloats(float64(v.I64[i]), flts))
-		}
-		switch {
-		case hit:
-			out.I64[i] = b2i(!x.Negated)
-		case sawNull:
-			out.SetNull(i)
-		default:
-			out.I64[i] = b2i(x.Negated)
+		} else {
+			out.I64[i] = b2i(in)
 		}
 	}
 	return out, nil
 }
 
+// inSet holds an IN list's constants by the payload a probe vector's rows
+// compare them on. Eval's rule: NULL when the probe is NULL; otherwise a
+// match among the comparable non-NULL constants decides, and without one
+// a NULL constant makes the answer NULL. Constant elements raise no
+// errors, so element order cannot matter. Typed probes compare on their
+// payloads; a mixed probe boxes.
+type inSet struct {
+	consts  []types.Value
+	sawNull bool
+	ints    []int64
+	flts    []float64
+	strs    []string
+}
+
+func newInSet(consts []types.Value, v *vec.Vec) inSet {
+	s := inSet{consts: consts}
+	for _, c := range consts {
+		switch {
+		case c.IsNull():
+			s.sawNull = true
+		case v.Mixed:
+		case !types.Comparable(v.Kind, c.Kind()):
+		case c.Kind() == types.KindString:
+			s.strs = append(s.strs, c.Str())
+		case c.Kind() == types.KindFloat || v.Kind == types.KindFloat:
+			s.flts = append(s.flts, c.Float())
+		case c.Kind() == types.KindInt:
+			s.ints = append(s.ints, c.Int())
+		case c.Kind() == types.KindDate:
+			s.ints = append(s.ints, c.DateDays())
+		default: // KindBool
+			s.ints = append(s.ints, b2i(c.Bool()))
+		}
+	}
+	return s
+}
+
+// verdict is `row i of v [NOT] IN (…)` as (value, NULL).
+func (s *inSet) verdict(v *vec.Vec, i int, negated bool) (in, null bool) {
+	if v.IsNull(i) {
+		return false, true
+	}
+	var hit bool
+	switch {
+	case v.Mixed:
+		hit = inConsts(v.At(i), s.consts)
+	case v.Kind == types.KindString:
+		hit = slices.Contains(s.strs, v.Str[i])
+	case v.Kind == types.KindFloat:
+		hit = inFloats(v.F64[i], s.flts)
+	default:
+		hit = slices.Contains(s.ints, v.I64[i]) ||
+			(v.Kind == types.KindInt && inFloats(float64(v.I64[i]), s.flts))
+	}
+	switch {
+	case hit:
+		return !negated, false
+	case s.sawNull:
+		return false, true
+	}
+	return negated, false
+}
+
 // inFloats reports a float-coerced match, NaN-tolerant as types.Compare is.
 func inFloats(x float64, flts []float64) bool {
 	for _, f := range flts {
-		if !(x < f || x > f) {
+		if holds(sqlparser.OpEq, x, f) {
 			return true
 		}
 	}
@@ -438,7 +513,7 @@ func evalVecBinary(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32) (*v
 			return nil, err
 		}
 		if x.Op.IsComparison() {
-			return compareScalar(x.Op, l, c.Val, n, false)
+			return compareKernel(x.Op, l, ve.constOf(c), -1, 0, n)
 		}
 		return arithScalar(x.Op, l, c.Val, n, false)
 	}
@@ -448,7 +523,7 @@ func evalVecBinary(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32) (*v
 			return nil, err
 		}
 		if x.Op.IsComparison() {
-			return compareScalar(x.Op, r, c.Val, n, true)
+			return compareKernel(x.Op, ve.constOf(c), r, 0, -1, n)
 		}
 		return arithScalar(x.Op, r, c.Val, n, true)
 	}
@@ -462,159 +537,107 @@ func evalVecBinary(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32) (*v
 		return nil, err
 	}
 	if x.Op.IsComparison() {
-		return compareKernel(x.Op, l, r, n)
+		return compareKernel(x.Op, l, r, -1, -1, n)
 	}
 	return arithKernel(x.Op, l, r, n)
 }
 
-// evalVecAndOr reproduces the row engine's three-valued short circuit on
-// batches: the left operand is evaluated over every selected row; the
-// right operand only over the sub-selection the left side did not
-// already decide (not-false for AND, not-true for OR) — so a row whose
-// right side would error is error-free exactly when the row engine
-// short-circuits past it.
+// evalVecAndOr is narrowAndOr's verdict over sel as a BIT vector.
 func evalVecAndOr(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
-	and := x.Op == sqlparser.OpAnd
-	n := selLen(sel, b)
-	lv, err := evalVec(x.L, ve, b, sel)
+	if sel == nil {
+		sel = ve.all(b.N)
+	}
+	t, u, err := ve.narrowAndOr(x, b, sel, ve.take(len(sel)), ve.take(len(sel)))
 	if err != nil {
 		return nil, err
 	}
-	if lv, err = asBits(lv, n); err != nil {
-		return nil, err
-	}
-	// The batch positions the left side leaves undecided (NULL, or TRUE
-	// for AND / FALSE for OR); when that is every row, the right side runs
-	// under the caller's selection as it stands.
-	sub := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if l, null := bitAt(lv, i); null || l == and {
-			sub = append(sub, int32(pos(sel, i)))
-		}
-	}
-	var rv *vec.Vec
-	if len(sub) > 0 {
-		if len(sub) == n {
-			sub = sel
-		}
-		if rv, err = evalVec(x.R, ve, b, sub); err != nil {
-			return nil, err
-		}
-		if rv, err = asBits(rv, selLen(sub, b)); err != nil {
-			return nil, err
-		}
-	}
-	// Combine, walking the undecided rows' right results in order. Decided
-	// rows are FALSE for AND and TRUE for OR; an undecided row is the right
-	// side's verdict when that decides, NULL when either side is NULL, and
-	// otherwise the left side's own value.
-	out := vec.NewDense(types.KindBool, n)
-	k := 0
-	for i := 0; i < n; i++ {
-		l, lnull := bitAt(lv, i)
-		if !lnull && l != and {
-			out.I64[i] = b2i(l)
-			continue
-		}
-		r, rnull := bitAt(rv, k)
-		k++
+	out := vec.NewDense(types.KindBool, len(sel))
+	ti, ui := 0, 0
+	for i, p := range sel {
 		switch {
-		case !rnull && r != and:
-			out.I64[i] = b2i(r)
-		case lnull || rnull:
+		case ti < len(t) && t[ti] == p:
+			out.I64[i] = 1
+			ti++
+		case ui < len(u) && u[ui] == p:
 			out.SetNull(i)
-		default:
-			out.I64[i] = b2i(and)
+			ui++
 		}
 	}
+	ve.give(t, u)
 	return out, nil
 }
 
-// cmpLoop writes one comparison over two equal-length payload slices
-// into a BIT payload, with the operator switch hoisted out of the loop.
-func cmpLoop[T int64 | float64 | string](op sqlparser.BinOp, a, b []T, out []int64) {
+// holds is the one comparison rule, for every kernel and narrowing loop.
+// It is types.CompareChecked's: an unordered pair — a NaN, the one value
+// unequal to itself — compares equal, so = is !(a<b || a>b), <> is
+// a<b || a>b, <= is !(a>b) and >= is !(a<b). Equality is spelled as ==
+// or a NaN on either side, so a VARCHAR pair costs one comparison.
+func holds[T int64 | float64 | string](op sqlparser.BinOp, a, b T) bool {
 	switch op {
 	case sqlparser.OpEq:
-		for i := range out {
-			out[i] = b2i(a[i] == b[i])
-		}
+		return a == b || a != a || b != b
 	case sqlparser.OpNe:
-		for i := range out {
-			out[i] = b2i(a[i] != b[i])
-		}
+		return a != b && a == a && b == b
 	case sqlparser.OpLt:
-		for i := range out {
-			out[i] = b2i(a[i] < b[i])
-		}
+		return a < b
 	case sqlparser.OpLe:
-		for i := range out {
-			out[i] = b2i(a[i] <= b[i])
-		}
+		return !(a > b)
 	case sqlparser.OpGt:
-		for i := range out {
-			out[i] = b2i(a[i] > b[i])
-		}
-	default: // OpGe
-		for i := range out {
-			out[i] = b2i(a[i] >= b[i])
-		}
+		return a > b
+	}
+	return !(a < b) // OpGe
+}
+
+// cmpBits writes a[i&am] op b[i&bm] into a BIT payload: a mask of -1
+// reads an operand row by row, a mask of 0 a constant's one slot.
+func cmpBits[T int64 | float64 | string](op sqlparser.BinOp, a, b []T, am, bm int, out []int64) {
+	for i := range out {
+		out[i] = b2i(holds(op, a[i&am], b[i&bm]))
 	}
 }
 
-// cmpLoopScalar is cmpLoop against one fixed right operand.
-func cmpLoopScalar[T int64 | float64 | string](op sqlparser.BinOp, a []T, b T, out []int64) {
-	switch op {
-	case sqlparser.OpEq:
-		for i := range out {
-			out[i] = b2i(a[i] == b)
+// cmpSel appends to t the positions p of sel at which a[p&am] op b[p&bm]
+// holds, the masks as in cmpBits. Every position is written and the end
+// advances by the verdict, so the loop has no branch on the data; a column
+// against a constant, the common shape, has a loop of its own.
+func cmpSel[T int64 | float64 | string](op sqlparser.BinOp, a, b []T, am, bm int32, sel, t []int32) []int32 {
+	n := len(t)
+	t = slices.Grow(t, len(sel))[:n+len(sel)]
+	if bm == 0 && am != 0 {
+		x := b[0]
+		for _, p := range sel {
+			t[n] = p
+			n += int(b2i(holds(op, a[p], x)))
 		}
-	case sqlparser.OpNe:
-		for i := range out {
-			out[i] = b2i(a[i] != b)
-		}
-	case sqlparser.OpLt:
-		for i := range out {
-			out[i] = b2i(a[i] < b)
-		}
-	case sqlparser.OpLe:
-		for i := range out {
-			out[i] = b2i(a[i] <= b)
-		}
-	case sqlparser.OpGt:
-		for i := range out {
-			out[i] = b2i(a[i] > b)
-		}
-	default: // OpGe
-		for i := range out {
-			out[i] = b2i(a[i] >= b)
-		}
+		return t[:n]
 	}
+	for _, p := range sel {
+		t[n] = p
+		n += int(b2i(holds(op, a[p&am], b[p&bm])))
+	}
+	return t[:n]
 }
 
-// flipCmp mirrors a comparison so `const op col` can run as `col op' const`.
-func flipCmp(op sqlparser.BinOp) sqlparser.BinOp {
-	switch op {
-	case sqlparser.OpLt:
-		return sqlparser.OpGt
-	case sqlparser.OpLe:
-		return sqlparser.OpGe
-	case sqlparser.OpGt:
-		return sqlparser.OpLt
-	case sqlparser.OpGe:
-		return sqlparser.OpLe
+// cmpSelNum is cmpSel across INT and FLOAT, after float coercion.
+func cmpSelNum[A, B int64 | float64](op sqlparser.BinOp, a []A, b []B, am, bm int32, sel, t []int32) []int32 {
+	n := len(t)
+	t = slices.Grow(t, len(sel))[:n+len(sel)]
+	for _, p := range sel {
+		t[n] = p
+		n += int(b2i(holds(op, float64(a[p&am]), float64(b[p&bm]))))
 	}
-	return op // Eq, Ne are symmetric
+	return t[:n]
 }
 
-// floatCol coerces a numeric vector's payload to a dense float64 slice
-// (NULL lanes hold garbage the bitmap masks).
-func floatCol(v *vec.Vec, n int) []float64 {
+// floatCol coerces a numeric vector's payload to a float64 slice (NULL
+// lanes hold garbage the bitmap masks).
+func floatCol(v *vec.Vec) []float64 {
 	if v.Kind == types.KindFloat {
 		return v.F64
 	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = float64(v.I64[i])
+	out := make([]float64, len(v.I64))
+	for i, x := range v.I64 {
+		out[i] = float64(x)
 	}
 	return out
 }
@@ -625,10 +648,11 @@ func i64Typed(v *vec.Vec) bool {
 	return v.Kind == types.KindInt || v.Kind == types.KindDate || v.Kind == types.KindBool
 }
 
-// compareKernel evaluates one comparison over two dense operand vectors,
-// with typed fast paths and a boxed general path sharing the row
+// compareKernel evaluates one comparison over two operand vectors, row i
+// reading l at i&lm and r at i&rm (a constant is a one-row vector under
+// mask 0), with typed fast paths and a boxed general path sharing the row
 // engine's semantics (NULL in → NULL out, incomparable kinds error).
-func compareKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
+func compareKernel(op sqlparser.BinOp, l, r *vec.Vec, lm, rm, n int) (*vec.Vec, error) {
 	if !l.Mixed && !r.Mixed {
 		if l.Kind == types.KindNull || r.Kind == types.KindNull {
 			return vec.NullVec(n), nil
@@ -637,22 +661,22 @@ func compareKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
 		out.OrNulls(l, r)
 		switch {
 		case l.Kind == r.Kind && i64Typed(l):
-			cmpLoop(op, l.I64, r.I64, out.I64)
+			cmpBits(op, l.I64, r.I64, lm, rm, out.I64)
 			return out, nil
 		case l.Kind.Numeric() && r.Kind.Numeric():
 			// Mixed INT/FLOAT compares after float coercion, exactly as
 			// types.CompareChecked does.
-			cmpLoop(op, floatCol(l, n), floatCol(r, n), out.I64)
+			cmpBits(op, floatCol(l), floatCol(r), lm, rm, out.I64)
 			return out, nil
 		case l.Kind == types.KindString && r.Kind == types.KindString:
-			cmpLoop(op, l.Str, r.Str, out.I64)
+			cmpBits(op, l.Str, r.Str, lm, rm, out.I64)
 			return out, nil
 		}
 	}
 	// General path: boxed elementwise, same checks as evalBinary.
 	out := vec.NewDense(types.KindBool, n)
 	for i := 0; i < n; i++ {
-		a, b := l.At(i), r.At(i)
+		a, b := l.At(i&lm), r.At(i&rm)
 		if a.IsNull() || b.IsNull() {
 			out.SetNull(i)
 			continue
@@ -661,92 +685,7 @@ func compareKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exec: comparing %s with %s", a.Kind(), b.Kind())
 		}
-		out.I64[i] = b2i(cmpHolds(op, c))
-	}
-	return out, nil
-}
-
-// cmpHolds applies a comparison operator to a three-way compare result.
-func cmpHolds(op sqlparser.BinOp, c int) bool {
-	switch op {
-	case sqlparser.OpEq:
-		return c == 0
-	case sqlparser.OpNe:
-		return c != 0
-	case sqlparser.OpLt:
-		return c < 0
-	case sqlparser.OpLe:
-		return c <= 0
-	case sqlparser.OpGt:
-		return c > 0
-	default: // OpGe
-		return c >= 0
-	}
-}
-
-// compareScalar evaluates column-vs-constant comparisons without
-// broadcasting the constant. constLeft records that the constant was the
-// left operand (loops run the mirrored operator; the general path keeps
-// operand order so error text matches the row engine).
-func compareScalar(op sqlparser.BinOp, v *vec.Vec, cv types.Value, n int, constLeft bool) (*vec.Vec, error) {
-	if cv.IsNull() || (!v.Mixed && v.Kind == types.KindNull) {
-		return vec.NullVec(n), nil
-	}
-	eff := op
-	if constLeft {
-		eff = flipCmp(op)
-	}
-	if !v.Mixed {
-		switch {
-		case v.Kind == cv.Kind() && i64Typed(v):
-			out := vec.NewDense(types.KindBool, n)
-			out.CopyNulls(v)
-			var x int64
-			switch v.Kind {
-			case types.KindInt:
-				x = cv.Int()
-			case types.KindDate:
-				x = cv.DateDays()
-			default:
-				x = b2i(cv.Bool())
-			}
-			cmpLoopScalar(eff, v.I64, x, out.I64)
-			return out, nil
-		case v.Kind.Numeric() && cv.Kind().Numeric():
-			out := vec.NewDense(types.KindBool, n)
-			out.CopyNulls(v)
-			var x float64
-			if cv.Kind() == types.KindInt {
-				x = float64(cv.Int())
-			} else {
-				x = cv.Float()
-			}
-			cmpLoopScalar(eff, floatCol(v, n), x, out.I64)
-			return out, nil
-		case v.Kind == types.KindString && cv.Kind() == types.KindString:
-			out := vec.NewDense(types.KindBool, n)
-			out.CopyNulls(v)
-			cmpLoopScalar(eff, v.Str, cv.Str(), out.I64)
-			return out, nil
-		}
-	}
-	// General path: boxed elementwise in original operand order.
-	out := vec.NewDense(types.KindBool, n)
-	for i := 0; i < n; i++ {
-		ev := v.At(i)
-		if ev.IsNull() {
-			out.SetNull(i)
-			continue
-		}
-		a, b := ev, cv
-		if constLeft {
-			a, b = cv, ev
-		}
-		c, err := types.CompareChecked(a, b)
-		if err != nil {
-			return nil, fmt.Errorf("exec: comparing %s with %s", a.Kind(), b.Kind())
-		}
-		out.I64[i] = b2i(cmpHolds(op, c))
+		out.I64[i] = b2i(holds(op, int64(c), 0))
 	}
 	return out, nil
 }
@@ -811,12 +750,12 @@ func arithKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
 		case l.Kind.Numeric() && r.Kind.Numeric() && op != sqlparser.OpDiv:
 			out := vec.NewDense(types.KindFloat, n)
 			out.OrNulls(l, r)
-			arithLoop(op, floatCol(l, n), floatCol(r, n), out.F64)
+			arithLoop(op, floatCol(l), floatCol(r), out.F64)
 			return out, nil
 		case l.Kind.Numeric() && r.Kind.Numeric():
 			out := vec.NewDense(types.KindFloat, n)
 			out.OrNulls(l, r)
-			lf, rf := floatCol(l, n), floatCol(r, n)
+			lf, rf := floatCol(l), floatCol(r)
 			for i := 0; i < n; i++ {
 				if out.IsNull(i) {
 					continue
@@ -863,7 +802,7 @@ func arithScalar(op sqlparser.BinOp, v *vec.Vec, cv types.Value, n int, constLef
 			} else {
 				x = cv.Float()
 			}
-			arithLoopScalar(op, floatCol(v, n), x, out.F64, constLeft)
+			arithLoopScalar(op, floatCol(v), x, out.F64, constLeft)
 			return out, nil
 		}
 	}
@@ -900,97 +839,272 @@ func arithBoxed(op sqlparser.BinOp, a, b types.Value) (types.Value, error) {
 	return types.Null, fmt.Errorf("exec: unknown operator %s", op)
 }
 
-// trueRows returns, in order, the positions of b where the predicate is
-// TRUE. A conjunction is evaluated conjunct by conjunct, each over only
-// the rows no earlier conjunct made FALSE — exactly the rows the row
-// engine's AND short circuit evaluates it on, so errors arise on the same
-// rows — and a row is kept when no conjunct was FALSE or NULL; a non-BIT
-// conjunct is AND's operand error. A lone predicate's non-BIT value is
-// the TruthyChecked error, wrapped with the site.
-func trueRows(pred algebra.Scalar, ve *vecEnv, b *vec.Batch, site string) ([]int32, error) {
-	conj := algebra.Conjuncts(pred)
-	if len(conj) == 1 {
-		v, err := evalVec(pred, ve, b, nil)
+// trueRows narrows sel (nil: every row of b) to the positions at which
+// pred is TRUE. A conjunction runs conjunct by conjunct, each over the
+// rows no earlier conjunct made FALSE — exactly the rows the row engine's
+// AND short circuit evaluates it on, so errors arise on the same rows; a
+// row a conjunct makes NULL stays in flight and is dropped at the end. A
+// non-BIT conjunct is AND's operand error, a lone predicate's non-BIT
+// value the TruthyChecked error wrapped with the site. The result is a
+// buffer of ve's, valid until trueRows next runs on ve.
+func trueRows(pred algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32, site string) ([]int32, error) {
+	conj, ok := ve.conj[pred]
+	if !ok {
+		if ve.conj == nil {
+			ve.conj = map[algebra.Scalar][]algebra.Scalar{}
+		}
+		conj = algebra.Conjuncts(pred)
+		ve.conj[pred] = conj
+	}
+	if len(conj) > 1 {
+		site = ""
+	}
+	ve.give(ve.out)
+	ve.out = nil
+	cur := sel
+	if cur == nil {
+		cur = ve.all(b.N)
+	}
+	var unknown []int32 // the rows some conjunct made NULL
+	for ci, c := range conj {
+		t, u, err := ve.narrow(c, b, cur, ve.take(len(cur)), ve.take(len(cur)), site)
 		if err != nil {
 			return nil, err
 		}
-		sel, err := truthySel(v, b.N)
-		if err != nil {
-			return nil, fmt.Errorf("exec: %s: %w", site, err)
+		if ci > 0 {
+			ve.give(cur)
 		}
-		return sel, nil
-	}
-	var sel []int32  // nil = every row
-	var nulls []bool // by batch position: some conjunct was NULL
-	for _, c := range conj {
-		n := selLen(sel, b)
-		v, err := evalVec(c, ve, b, sel)
-		if err != nil {
-			return nil, err
+		cur = t
+		if len(u) > 0 {
+			cur = union(ve.take(len(t)+len(u)), t, u)
+			all := union(ve.take(len(unknown)+len(u)), unknown, u)
+			ve.give(t, unknown)
+			unknown = all
 		}
-		if v, err = asBits(v, n); err != nil {
-			return nil, err
-		}
-		kept := make([]int32, 0, n)
-		for i := 0; i < n; i++ {
-			x, null := bitAt(v, i)
-			if !x && !null {
-				continue
-			}
-			p := pos(sel, i)
-			if null {
-				if nulls == nil {
-					nulls = make([]bool, b.N)
-				}
-				nulls[p] = true
-			}
-			kept = append(kept, int32(p))
-		}
-		if sel = kept; len(sel) == 0 {
-			return nil, nil
+		ve.give(u)
+		if len(cur) == 0 {
+			break
 		}
 	}
-	if nulls != nil {
-		sel = slices.DeleteFunc(sel, func(p int32) bool { return nulls[p] })
+	if unknown != nil {
+		kept := minus(ve.take(len(cur)), cur, unknown)
+		ve.give(cur, unknown)
+		cur = kept
 	}
-	return sel, nil
+	ve.out = cur
+	return cur, nil
 }
 
-// truthySel applies SQL predicate semantics to a predicate result
-// vector, returning the batch positions where it is TRUE (NULL counts as
-// false; a non-BIT value is the TruthyChecked error, unwrapped — callers
-// add their site-specific wrap).
-func truthySel(v *vec.Vec, n int) ([]int32, error) {
-	sel := make([]int32, 0, n)
-	// Typed fast path: a BIT vector selects directly off the payload.
-	if !v.Mixed && v.Kind == types.KindBool {
-		if v.Nulls == nil {
-			for i := 0; i < n; i++ {
-				if v.I64[i] != 0 {
-					sel = append(sel, int32(i))
-				}
-			}
-			return sel, nil
+// narrow appends to t the positions of sel at which the predicate e is
+// TRUE and to u those at which it is NULL, in sel order; the others are
+// FALSE. Comparisons, IN over constants and LIKE on typed columns and
+// constants, and AND/OR trees of them, are loops over sel reading the
+// payloads in place; any other predicate is evaluated by evalVec under sel.
+// Its non-BIT value is AsBool's error, wrapped with site when that is set.
+func (ve *vecEnv) narrow(e algebra.Scalar, b *vec.Batch, sel, t, u []int32, site string) ([]int32, []int32, error) {
+	switch x := e.(type) {
+	case *algebra.Binary:
+		if x.Op == sqlparser.OpAnd || x.Op == sqlparser.OpOr {
+			return ve.narrowAndOr(x, b, sel, t, u)
 		}
-		for i := 0; i < n; i++ {
-			if v.I64[i] != 0 && !v.IsNull(i) {
-				sel = append(sel, int32(i))
+		if x.Op.IsComparison() {
+			if t, u, ok := ve.narrowCmp(x, b, sel, t, u); ok {
+				return t, u, nil
 			}
 		}
-		return sel, nil
-	}
-	if !v.Mixed && v.Kind == types.KindNull {
-		return nil, nil
-	}
-	for i := 0; i < n; i++ {
-		ev := v.At(i)
-		keep, err := TruthyChecked(ev)
-		if err != nil {
-			return nil, err
+	case *algebra.InList:
+		v, m, ok := ve.operand(x.E, b)
+		if !ok || m == 0 {
+			break
 		}
-		if keep {
-			sel = append(sel, int32(i))
+		consts, ok := constList(x.List)
+		if !ok {
+			break
+		}
+		if !v.Mixed && v.Kind == types.KindNull {
+			return t, append(u, sel...), nil
+		}
+		set := newInSet(consts, v)
+		for _, p := range sel {
+			if in, null := set.verdict(v, int(p), x.Negated); null {
+				u = append(u, p)
+			} else if in {
+				t = append(t, p)
+			}
+		}
+		return t, u, nil
+	case *algebra.Like:
+		v, m, ok := ve.operand(x.E, b)
+		if !ok || m == 0 || v.Mixed || v.Kind != types.KindString {
+			break
+		}
+		for _, p := range sel {
+			if v.IsNull(int(p)) {
+				u = append(u, p)
+			} else if MatchLike(v.Str[p], x.Pattern) != x.Negated {
+				t = append(t, p)
+			}
+		}
+		return t, u, nil
+	}
+	es := sel
+	if len(sel) == b.N {
+		es = nil // every row: evalVec reads columns without gathering
+	}
+	v, err := evalVec(e, ve, b, es)
+	if err != nil {
+		return t, u, err
+	}
+	if v, err = asBits(v, len(sel)); err != nil {
+		if site != "" {
+			err = fmt.Errorf("exec: %s: %w", site, err)
+		}
+		return t, u, err
+	}
+	for i, p := range sel {
+		if x, null := bitAt(v, i); null {
+			u = append(u, p)
+		} else if x {
+			t = append(t, p)
 		}
 	}
-	return sel, nil
+	return t, u, nil
+}
+
+// narrowAndOr reproduces the row engine's three-valued short circuit on
+// selections: the right operand runs only over the rows the left leaves
+// undecided (not FALSE for AND, not TRUE for OR), so a row whose right
+// side would error is error-free exactly when the row engine
+// short-circuits past it.
+func (ve *vecEnv) narrowAndOr(x *algebra.Binary, b *vec.Batch, sel, t, u []int32) ([]int32, []int32, error) {
+	and := x.Op == sqlparser.OpAnd
+	lt, lu, err := ve.narrow(x.L, b, sel, ve.take(len(sel)), ve.take(len(sel)), "")
+	if err != nil {
+		return t, u, err
+	}
+	rsel := ve.take(len(sel))
+	if and {
+		rsel = union(rsel, lt, lu)
+	} else {
+		rsel = minus(rsel, sel, lt)
+	}
+	rt, ru, err := ve.narrow(x.R, b, rsel, ve.take(len(rsel)), ve.take(len(rsel)), "")
+	if err != nil {
+		return t, u, err
+	}
+	tmp := ve.take(len(sel))
+	if and {
+		// TRUE where both sides are; NULL where the right is, or where a
+		// TRUE right meets a NULL left.
+		t = minus(t, rt, lu)
+		tmp = minus(tmp, rt, lt)
+	} else {
+		// TRUE where either side is; NULL where the right is, or where a
+		// NULL left meets a right that is not TRUE.
+		t = union(t, lt, rt)
+		tmp = minus(tmp, lu, rt)
+	}
+	u = union(u, ru, tmp)
+	ve.give(lt, lu, rsel, rt, ru, tmp)
+	return t, u, nil
+}
+
+// narrowCmp runs a comparison over sel when its operands are columns or
+// constants (not two constants) of typed kinds it can compare; ok is
+// false otherwise, and evalVec decides, errors included.
+func (ve *vecEnv) narrowCmp(x *algebra.Binary, b *vec.Batch, sel, t, u []int32) (_, _ []int32, ok bool) {
+	l, lm, lok := ve.operand(x.L, b)
+	r, rm, rok := ve.operand(x.R, b)
+	if !lok || !rok || lm|rm == 0 || l.Mixed || r.Mixed {
+		return t, u, false
+	}
+	if l.Kind == types.KindNull || r.Kind == types.KindNull {
+		return t, append(u, sel...), true
+	}
+	if l.Kind != r.Kind && !(l.Kind.Numeric() && r.Kind.Numeric()) {
+		return t, u, false
+	}
+	live := sel
+	if l.Nulls != nil || r.Nulls != nil {
+		live = ve.take(len(sel))
+		for _, p := range sel {
+			if l.IsNull(int(p&lm)) || r.IsNull(int(p&rm)) {
+				u = append(u, p)
+			} else {
+				live = append(live, p)
+			}
+		}
+		defer ve.give(live)
+	}
+	switch {
+	case l.Kind == types.KindFloat && r.Kind == types.KindFloat:
+		t = cmpSel(x.Op, l.F64, r.F64, lm, rm, live, t)
+	case l.Kind == types.KindFloat:
+		t = cmpSelNum(x.Op, l.F64, r.I64, lm, rm, live, t)
+	case r.Kind == types.KindFloat:
+		t = cmpSelNum(x.Op, l.I64, r.F64, lm, rm, live, t)
+	case l.Kind == types.KindString:
+		t = cmpSel(x.Op, l.Str, r.Str, lm, rm, live, t)
+	default: // INT, DATE or BIT on both sides
+		t = cmpSel(x.Op, l.I64, r.I64, lm, rm, live, t)
+	}
+	return t, u, true
+}
+
+// operand returns a predicate operand as a vector and the mask that reads
+// it at a batch position: a column in place (-1), a constant at its one
+// row (0). ok is false for any other expression.
+func (ve *vecEnv) operand(e algebra.Scalar, b *vec.Batch) (v *vec.Vec, mask int32, ok bool) {
+	switch x := e.(type) {
+	case *algebra.ColRef:
+		if i, ok := ve.idx[x.ID]; ok {
+			return b.Cols[i], -1, true
+		}
+	case *algebra.Const:
+		return ve.constOf(x), 0, true
+	}
+	return nil, 0, false
+}
+
+// constOf returns a constant as a one-row vector, built once per constant.
+func (ve *vecEnv) constOf(c *algebra.Const) *vec.Vec {
+	v, ok := ve.consts[c]
+	if !ok {
+		if ve.consts == nil {
+			ve.consts = map[*algebra.Const]*vec.Vec{}
+		}
+		v = constVec(c.Val, 1)
+		ve.consts[c] = v
+	}
+	return v
+}
+
+// union appends to dst the ascending merge of two ascending position
+// lists, a position on both once.
+func union(dst, a, b []int32) []int32 {
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			dst, a = append(dst, a[0]), a[1:]
+		case b[0] < a[0]:
+			dst, b = append(dst, b[0]), b[1:]
+		default:
+			dst, a, b = append(dst, a[0]), a[1:], b[1:]
+		}
+	}
+	return append(append(dst, a...), b...)
+}
+
+// minus appends to dst the positions of a that b does not hold (both
+// ascending).
+func minus(dst, a, b []int32) []int32 {
+	for _, p := range a {
+		for len(b) > 0 && b[0] < p {
+			b = b[1:]
+		}
+		if len(b) == 0 || b[0] != p {
+			dst = append(dst, p)
+		}
+	}
+	return dst
 }

@@ -23,7 +23,8 @@ import (
 )
 
 // kernelCols are one generated table's columns: k INT, f FLOAT, i INT
-// (f's cross-kind partner), s VARCHAR, m mixed kinds, all with NULLs.
+// (f's cross-kind partner), s VARCHAR, m mixed kinds, d DATE and t BIT,
+// all with NULLs.
 func kernelCols(base algebra.ColumnID) []algebra.ColumnMeta {
 	return []algebra.ColumnMeta{
 		{ID: base, Name: "k", Type: types.KindInt},
@@ -31,8 +32,12 @@ func kernelCols(base algebra.ColumnID) []algebra.ColumnMeta {
 		{ID: base + 2, Name: "i", Type: types.KindInt},
 		{ID: base + 3, Name: "s", Type: types.KindString},
 		{ID: base + 4, Name: "m", Type: types.KindInt},
+		{ID: base + 5, Name: "d", Type: types.KindDate},
+		{ID: base + 6, Name: "t", Type: types.KindBool},
 	}
 }
+
+var kernelNames = []string{"k", "f", "i", "s", "m", "d", "t"}
 
 func kernelRows(r *rand.Rand, n int) []types.Row {
 	pick := func(vals ...types.Value) types.Value {
@@ -51,6 +56,8 @@ func kernelRows(r *rand.Rand, n int) []types.Row {
 			pick(types.NewInt(0), types.NewInt(1), types.NewInt(2)),
 			pick(types.NewString(""), types.NewString("a"), types.NewString("MAIL"), types.NewString("SHIP"), types.NewString("AIR REG")),
 			pick(types.NewInt(1), types.NewFloat(1), types.NewString("1"), types.NewInt(2), types.NewDate(1)),
+			pick(types.NewDate(0), types.NewDate(1), types.NewDate(2)),
+			pick(types.NewBool(false), types.NewBool(true)),
 		}
 	}
 	return rows
@@ -73,9 +80,22 @@ func newKernelDB(seed int64, na, nb int) *kernelDB {
 		cols:   map[string][]algebra.ColumnMeta{"a": kernelCols(1), "b": kernelCols(11)},
 	}
 	for name, rows := range d.rows {
-		d.tables[name] = vec.FromRows([]string{"k", "f", "i", "s", "m"}, rows)
+		d.put(name, rows)
 	}
 	return d
+}
+
+// put stores a table's rows for both executors, padding each row with
+// NULLs to the generated width.
+func (d *kernelDB) put(name string, rows []types.Row) {
+	for i, r := range rows {
+		for len(r) < len(kernelNames) {
+			r = append(r, types.Null)
+		}
+		rows[i] = r
+	}
+	d.rows[name] = rows
+	d.tables[name] = vec.FromRows(kernelNames, rows)
 }
 
 func (d *kernelDB) get(name string) *algebra.Tree {
@@ -138,6 +158,7 @@ func bin(op sqlparser.BinOp, l, r algebra.Scalar) algebra.Scalar {
 // predicateCases are the scalar predicates under test over table a.
 func (d *kernelDB) predicateCases() map[string]algebra.Scalar {
 	k, f, i, s, m := d.ref("a", 0), d.ref("a", 1), d.ref("a", 2), d.ref("a", 3), d.ref("a", 4)
+	dt, t := d.ref("a", 5), d.ref("a", 6)
 	c := func(v types.Value) algebra.Scalar { return cnst(v) }
 	in := func(e algebra.Scalar, neg bool, vals ...types.Value) algebra.Scalar {
 		list := make([]algebra.Scalar, len(vals))
@@ -148,6 +169,7 @@ func (d *kernelDB) predicateCases() map[string]algebra.Scalar {
 	}
 	kIs := func(x int64) algebra.Scalar { return bin(sqlparser.OpEq, k, c(types.NewInt(x))) }
 	fGt := bin(sqlparser.OpGt, f, c(types.NewFloat(1)))
+	divByKMinus1 := bin(sqlparser.OpGt, bin(sqlparser.OpDiv, c(types.NewInt(1)), bin(sqlparser.OpSub, k, c(types.NewInt(1)))), c(types.NewInt(0)))
 	return map[string]algebra.Scalar{
 		"s IN (MAIL, NULL, SHIP)":   in(s, false, types.NewString("MAIL"), types.Null, types.NewString("SHIP")),
 		"s NOT IN (MAIL, SHIP)":     in(s, true, types.NewString("MAIL"), types.NewString("SHIP")),
@@ -170,6 +192,39 @@ func (d *kernelDB) predicateCases() map[string]algebra.Scalar {
 		"f>100 OR 1/(k-1) (errors)": bin(sqlparser.OpOr, bin(sqlparser.OpGt, f, c(types.NewFloat(100))), bin(sqlparser.OpGt, bin(sqlparser.OpDiv, c(types.NewInt(1)), bin(sqlparser.OpSub, k, c(types.NewInt(1)))), c(types.NewInt(0)))),
 		"k AND f>1 (errors)":        bin(sqlparser.OpAnd, k, fGt),
 		"k=1 AND s AND f>1 (NULL)":  bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, kIs(1), bin(sqlparser.OpEq, s, c(types.Null))), fGt),
+		// Unordered floats compare equal, as types.CompareChecked has it.
+		"f = 2.5":  bin(sqlparser.OpEq, f, c(types.NewFloat(2.5))),
+		"f <= 2.5": bin(sqlparser.OpLe, f, c(types.NewFloat(2.5))),
+		"f <> 1":   bin(sqlparser.OpNe, f, c(types.NewFloat(1))),
+		"f >= f":   bin(sqlparser.OpGe, f, f),
+		"f = i":    bin(sqlparser.OpEq, f, i),
+		// The shapes filters narrow in place.
+		"1 < k":                 bin(sqlparser.OpLt, c(types.NewInt(1)), k),
+		"2.5 >= f":              bin(sqlparser.OpGe, c(types.NewFloat(2.5)), f),
+		"'MAIL' <= s":           bin(sqlparser.OpLe, c(types.NewString("MAIL")), s),
+		"d > d1":                bin(sqlparser.OpGt, dt, c(types.NewDate(1))),
+		"d1 <> d":               bin(sqlparser.OpNe, c(types.NewDate(1)), dt),
+		"t = TRUE":              bin(sqlparser.OpEq, t, c(types.NewBool(true))),
+		"k < 1.5":               bin(sqlparser.OpLt, k, c(types.NewFloat(1.5))),
+		"f > 1 (INT constant)":  bin(sqlparser.OpGt, f, c(types.NewInt(1))),
+		"k <= i":                bin(sqlparser.OpLe, k, i),
+		"s > s":                 bin(sqlparser.OpGt, s, s),
+		"i < f":                 bin(sqlparser.OpLt, i, f),
+		"k = NULL":              bin(sqlparser.OpEq, k, c(types.Null)),
+		"d = k (errors)":        bin(sqlparser.OpEq, dt, k),
+		"m = 1 (errors)":        bin(sqlparser.OpEq, m, c(types.NewInt(1))),
+		"d IN (d0, NULL)":       in(dt, false, types.NewDate(0), types.Null),
+		"t AND k > 1":           bin(sqlparser.OpAnd, t, bin(sqlparser.OpGt, k, c(types.NewInt(1)))),
+		"k>1 OR s LIKE 'A%'":    bin(sqlparser.OpOr, bin(sqlparser.OpGt, k, c(types.NewInt(1))), &algebra.Like{E: s, Pattern: "A%"}),
+		"(k=1 AND f<>1) OR i=2": bin(sqlparser.OpOr, bin(sqlparser.OpAnd, kIs(1), bin(sqlparser.OpNe, f, c(types.NewFloat(1)))), bin(sqlparser.OpEq, i, c(types.NewInt(2)))),
+		"(k=1 OR f<2) AND (i IN (0, NULL) OR s<>'a')": bin(sqlparser.OpAnd,
+			bin(sqlparser.OpOr, kIs(1), bin(sqlparser.OpLt, f, c(types.NewInt(2)))),
+			bin(sqlparser.OpOr, in(i, false, types.NewInt(0), types.Null), bin(sqlparser.OpNe, s, c(types.NewString("a"))))),
+		// A NULL middle conjunct keeps its rows in flight, so the last one
+		// runs, and errors, on exactly the rows the row engine's short
+		// circuit evaluates it on.
+		"k=1 AND s=NULL AND 1/(k-1) > 0 (errors)": bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, kIs(1), bin(sqlparser.OpEq, s, c(types.Null))), divByKMinus1),
+		"k<>1 AND i>0 AND 1/(k-1) > 0":            bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, bin(sqlparser.OpNe, k, c(types.NewInt(1))), bin(sqlparser.OpGt, i, c(types.NewInt(0)))), divByKMinus1),
 	}
 }
 
@@ -235,9 +290,7 @@ func TestHashCollisionsAreConfirmed(t *testing.T) {
 	}
 	d := &kernelDB{rows: map[string][]types.Row{}, tables: map[string]*vec.Table{}, cols: map[string][]algebra.ColumnMeta{}}
 	for name, v := range map[string]types.Value{"a": date, "b": str} {
-		rows := []types.Row{{types.NewInt(1), types.Null, types.Null, types.Null, v}}
-		d.rows[name] = rows
-		d.tables[name] = vec.FromRows([]string{"k", "f", "i", "s", "m"}, rows)
+		d.put(name, []types.Row{{types.NewInt(1), types.Null, types.Null, types.Null, v}})
 	}
 	d.cols["a"], d.cols["b"] = kernelCols(1), kernelCols(11)
 	for name, on := range map[string]algebra.Scalar{
@@ -264,8 +317,7 @@ func TestEqualFloatsGroupAndJoinAsOne(t *testing.T) {
 		for _, v := range vals {
 			rows = append(rows, types.Row{types.NewInt(1), v, types.NewInt(0), types.Null, types.Null})
 		}
-		d.rows[name] = rows
-		d.tables[name] = vec.FromRows([]string{"k", "f", "i", "s", "m"}, rows)
+		d.put(name, rows)
 	}
 	d.cols["a"], d.cols["b"] = kernelCols(1), kernelCols(11)
 	group := algebra.NewTree(&algebra.GroupBy{
@@ -283,5 +335,62 @@ func TestEqualFloatsGroupAndJoinAsOne(t *testing.T) {
 	cross := algebra.NewTree(&algebra.Join{Kind: algebra.JoinInner, On: bin(sqlparser.OpEq, d.ref("a", 1), d.ref("b", 2))}, d.get("a"), d.get("b"))
 	if n := d.both(t, "a.f = b.i", cross); n != 4*len(vals) {
 		t.Errorf("a.f = b.i (integer 0): %d pairs, want %d", n, 4*len(vals))
+	}
+}
+
+// TestVecSelectionHandOff: a filter hands its batch on under a selection
+// rather than gathering it, and every consumer reads that selection: a
+// project, a filter, a group-by, a sort, a union, and a join's build and
+// probe sides, for every join kind, hashed and nested-loop. The tables
+// span several batches.
+func TestVecSelectionHandOff(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		d := newKernelDB(seed, 2500, 1100)
+		a := func(c int) algebra.Scalar { return d.ref("a", c) }
+		b := func(c int) algebra.Scalar { return d.ref("b", c) }
+		c := func(v types.Value) algebra.Scalar { return cnst(v) }
+		filter := func(in *algebra.Tree, pred algebra.Scalar) *algebra.Tree {
+			return algebra.NewTree(&algebra.Select{Filter: pred}, in)
+		}
+		// A conjunct over a column with NULLs beside a NULL-free one.
+		fa := filter(d.get("a"), bin(sqlparser.OpAnd, bin(sqlparser.OpGt, a(0), c(types.NewInt(0))), bin(sqlparser.OpNe, a(3), c(types.NewString("a")))))
+		cases := map[string]*algebra.Tree{
+			"project": algebra.NewTree(&algebra.Project{Defs: []algebra.ProjDef{
+				{Expr: bin(sqlparser.OpMul, a(1), c(types.NewInt(2))), ID: 100, Name: "x"},
+				{Expr: a(0), ID: 101, Name: "k"},
+			}}, fa),
+			"filter": filter(fa, bin(sqlparser.OpEq, a(2), c(types.NewInt(1)))),
+			"group by": algebra.NewTree(&algebra.GroupBy{
+				Keys: []algebra.ColumnID{4},
+				Aggs: []algebra.AggDef{
+					{Func: algebra.AggCount, ID: 100, Name: "n"},
+					{Func: algebra.AggSum, Arg: a(1), ID: 101, Name: "sf"},
+					{Func: algebra.AggCount, Arg: a(2), ID: 102, Name: "ni"},
+				},
+				Phase: algebra.AggComplete,
+			}, fa),
+			"sort":  algebra.NewTree(&algebra.Sort{Keys: []algebra.SortKey{{ID: 1, Desc: true}, {ID: 4}}}, fa),
+			"union": algebra.NewTree(&algebra.UnionAll{}, fa, filter(d.get("a"), bin(sqlparser.OpLe, a(0), c(types.NewInt(0))))),
+		}
+		// Join inputs of a few hundred rows each, spread over every batch;
+		// a.k = 3 finds no b.i, so every join kind emits rows.
+		pa := filter(d.get("a"), bin(sqlparser.OpAnd, bin(sqlparser.OpGt, a(0), c(types.NewInt(1))), bin(sqlparser.OpEq, a(3), c(types.NewString("SHIP")))))
+		pb := filter(d.get("b"), bin(sqlparser.OpAnd, bin(sqlparser.OpEq, b(3), c(types.NewString("MAIL"))), bin(sqlparser.OpLt, b(1), c(types.NewFloat(2.5)))))
+		intKey := bin(sqlparser.OpEq, a(0), b(2))
+		ons := map[string]algebra.Scalar{
+			"INT key":                 intKey,
+			"composite key, residual": bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, intKey, bin(sqlparser.OpEq, a(6), b(6))), bin(sqlparser.OpLt, a(1), b(1))),
+			"nested loop":             bin(sqlparser.OpLt, a(2), b(2)),
+		}
+		for _, kind := range []algebra.JoinKind{algebra.JoinInner, algebra.JoinLeftOuter, algebra.JoinFullOuter, algebra.JoinSemi, algebra.JoinAnti} {
+			for name, on := range ons {
+				cases[fmt.Sprintf("%v join, %s", kind, name)] = algebra.NewTree(&algebra.Join{Kind: kind, On: on}, pa, pb)
+			}
+		}
+		for name, tree := range cases {
+			if n := d.both(t, fmt.Sprintf("seed %d %s", seed, name), tree); n <= 0 {
+				t.Fatalf("seed %d %s: no rows, so the case tests nothing", seed, name)
+			}
+		}
 	}
 }

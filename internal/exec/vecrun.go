@@ -34,9 +34,14 @@ func RunVec(t *algebra.Tree, src ColSource) (*Relation, error) {
 // (nil disables collection). Ops/Rows/ScanRows tallies match the row
 // engine's exactly; Batches additionally counts emitted column batches.
 func RunVecStats(t *algebra.Tree, src ColSource, st *Stats) (*Relation, error) {
-	cols, parts, err := runVec(t, src, st)
+	cols, parts, sels, err := runVec(t, src, st)
 	if err != nil {
 		return nil, err
+	}
+	for i, sel := range sels {
+		if sel != nil {
+			parts[i] = vec.Concat(len(cols), parts[i:i+1], sels[i:i+1])
+		}
 	}
 	return &Relation{Cols: cols, Rows: vec.AppendRows(nil, parts...)}, nil
 }
@@ -44,43 +49,57 @@ func RunVecStats(t *algebra.Tree, src ColSource, st *Stats) (*Relation, error) {
 // RunColumns executes like RunVecStats and returns the result as one batch
 // (vec.Concat of the stream), the form DMS routes and storage inserts.
 func RunColumns(t *algebra.Tree, src ColSource, st *Stats) (*vec.Batch, error) {
-	cols, parts, err := runVec(t, src, st)
+	cols, parts, sels, err := runVec(t, src, st)
 	if err != nil {
 		return nil, err
 	}
-	return vec.Concat(len(cols), parts, nil), nil
+	return vec.Concat(len(cols), parts, sels), nil
 }
 
-// runVec executes a tree and returns its output stream's batches.
-func runVec(t *algebra.Tree, src ColSource, st *Stats) ([]algebra.ColumnMeta, []*vec.Batch, error) {
+// runVec executes a tree and returns its output stream's batches and
+// their selections.
+func runVec(t *algebra.Tree, src ColSource, st *Stats) ([]algebra.ColumnMeta, []*vec.Batch, [][]int32, error) {
 	n, err := buildVec(t, src, st)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	parts, err := drain(n)
+	parts, sels, err := drain(n)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	return n.cols(), parts, nil
+	return n.cols(), parts, sels, nil
 }
 
-// drain pulls an operator's whole output stream.
-func drain(n vecNode) ([]*vec.Batch, error) {
+// drain pulls an operator's whole output stream, copying each selection
+// (its producer reuses the buffer) so that vec.Concat can take the
+// selected rows once; sels stays nil while every batch is whole.
+func drain(n vecNode) ([]*vec.Batch, [][]int32, error) {
 	var parts []*vec.Batch
+	var sels [][]int32
 	for {
-		b, err := n.next()
+		b, sel, err := n.next()
 		if err != nil || b == nil {
-			return parts, err
+			return parts, sels, err
+		}
+		if sel != nil && sels == nil {
+			sels = make([][]int32, len(parts), cap(parts)+1)
 		}
 		parts = append(parts, b)
+		if sels != nil {
+			sels = append(sels, slices.Clone(sel))
+		}
 	}
 }
 
-// vecNode is one pull-based operator: next returns the following batch,
-// or nil at end of stream.
+// vecNode is one pull-based operator: next returns the following batch
+// and its selection, or a nil batch at end of stream. A selection lists
+// the batch positions that are rows of the stream, ascending; nil means
+// every position is. It stays valid until the node's next call, so a
+// consumer that keeps a batch longer copies it. Batches are never
+// modified once emitted.
 type vecNode interface {
 	cols() []algebra.ColumnMeta
-	next() (*vec.Batch, error)
+	next() (*vec.Batch, []int32, error)
 }
 
 // statNode wraps an operator with work tallying: rows and batches are
@@ -99,21 +118,21 @@ type statNode struct {
 
 func (s *statNode) cols() []algebra.ColumnMeta { return s.inner.cols() }
 
-func (s *statNode) next() (*vec.Batch, error) {
-	b, err := s.inner.next()
+func (s *statNode) next() (*vec.Batch, []int32, error) {
+	b, sel, err := s.inner.next()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if b == nil {
 		if !s.done {
 			s.done = true
 			s.st.recordCounts(s.op, s.rows, s.batches)
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
-	s.rows += int64(b.N)
+	s.rows += int64(selLen(sel, b))
 	s.batches++
-	return b, nil
+	return b, sel, nil
 }
 
 // buildVec compiles a bound tree into an operator pipeline.
@@ -177,15 +196,6 @@ func buildVec(t *algebra.Tree, src ColSource, st *Stats) (vecNode, error) {
 	return n, nil
 }
 
-// gatherBatch gathers every column of a batch under one selection.
-func gatherBatch(b *vec.Batch, sel []int32) *vec.Batch {
-	out := &vec.Batch{N: len(sel), Cols: make([]*vec.Vec, len(b.Cols))}
-	for i, v := range b.Cols {
-		out.Cols[i] = v.Gather(sel)
-	}
-	return out
-}
-
 // vecScan windows batches out of a table's stored columns: BatchSize is
 // a multiple of 64, so every window is a zero-copy bitmap-aligned slice.
 type vecScan struct {
@@ -196,11 +206,11 @@ type vecScan struct {
 
 func (s *vecScan) cols() []algebra.ColumnMeta { return s.op.Cols }
 
-func (s *vecScan) next() (*vec.Batch, error) {
+func (s *vecScan) next() (*vec.Batch, []int32, error) {
 	if s.res == nil {
 		t, err := s.src(s.op.Table.Name)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		b := &vec.Batch{N: t.N, Cols: make([]*vec.Vec, len(s.op.Cols))}
 		for i, c := range s.op.Cols {
@@ -212,13 +222,13 @@ func (s *vecScan) next() (*vec.Batch, error) {
 				}
 			}
 			if found < 0 {
-				return nil, fmt.Errorf("exec: column %q missing from stored %q", c.Name, s.op.Table.Name)
+				return nil, nil, fmt.Errorf("exec: column %q missing from stored %q", c.Name, s.op.Table.Name)
 			}
 			b.Cols[i] = t.Cols[found]
 		}
 		s.res = &windows{b: b}
 	}
-	return s.res.next(), nil
+	return s.res.next(), nil, nil
 }
 
 // vecValues emits a literal relation in BatchSize chunks.
@@ -229,7 +239,7 @@ type vecValues struct {
 
 func (v *vecValues) cols() []algebra.ColumnMeta { return v.op.Cols }
 
-func (v *vecValues) next() (*vec.Batch, error) {
+func (v *vecValues) next() (*vec.Batch, []int32, error) {
 	if v.res == nil {
 		rows := make([]types.Row, len(v.op.Rows))
 		for i, r := range v.op.Rows {
@@ -237,14 +247,15 @@ func (v *vecValues) next() (*vec.Batch, error) {
 		}
 		v.res = &windows{b: vec.BatchFromRows(len(v.op.Cols), rows)}
 	}
-	return v.res.next(), nil
+	return v.res.next(), nil, nil
 }
 
-// vecFilter evaluates the predicate over each input batch (trueRows:
-// conjunct by conjunct over a shrinking selection) and gathers the
-// selected rows into a new batch, preserving input order. Batches the
-// predicate keeps whole pass through; batches it empties are skipped, not
-// emitted.
+// vecFilter narrows each input batch's selection to the rows the
+// predicate keeps (trueRows: conjunct by conjunct, in place over the
+// payloads) and hands the batch on under that selection: it copies no
+// column, and its consumer reads only the rows and columns it needs.
+// Batches the predicate keeps whole pass through; batches it empties are
+// skipped, not emitted.
 type vecFilter struct {
 	op *algebra.Select
 	in vecNode
@@ -253,29 +264,26 @@ type vecFilter struct {
 
 func (f *vecFilter) cols() []algebra.ColumnMeta { return f.in.cols() }
 
-func (f *vecFilter) next() (*vec.Batch, error) {
+func (f *vecFilter) next() (*vec.Batch, []int32, error) {
 	for {
-		b, err := f.in.next()
-		if err != nil {
-			return nil, err
+		b, sel, err := f.in.next()
+		if err != nil || b == nil {
+			return nil, nil, err
 		}
-		if b == nil {
-			return nil, nil
-		}
-		sel, err := trueRows(f.op.Filter, f.ve, b, "WHERE predicate")
-		if err != nil {
-			return nil, err
-		}
-		if len(sel) == b.N {
-			return b, nil
-		}
-		if len(sel) > 0 {
-			return gatherBatch(b, sel), nil
+		keep, err := trueRows(f.op.Filter, f.ve, b, sel, "WHERE predicate")
+		switch {
+		case err != nil:
+			return nil, nil, err
+		case len(keep) == b.N:
+			return b, nil, nil
+		case len(keep) > 0:
+			return b, keep, nil
 		}
 	}
 }
 
-// vecProject computes each projection definition as one vector per batch.
+// vecProject computes each projection definition as one vector per batch,
+// under the input's selection, so its output is dense.
 type vecProject struct {
 	op  *algebra.Project
 	in  vecNode
@@ -285,31 +293,32 @@ type vecProject struct {
 
 func (p *vecProject) cols() []algebra.ColumnMeta { return p.out }
 
-func (p *vecProject) next() (*vec.Batch, error) {
-	b, err := p.in.next()
-	if err != nil {
-		return nil, err
+func (p *vecProject) next() (*vec.Batch, []int32, error) {
+	b, sel, err := p.in.next()
+	if err != nil || b == nil {
+		return nil, nil, err
 	}
-	if b == nil {
-		return nil, nil
-	}
-	nb := &vec.Batch{N: b.N, Cols: make([]*vec.Vec, len(p.op.Defs))}
+	nb := &vec.Batch{N: selLen(sel, b), Cols: make([]*vec.Vec, len(p.op.Defs))}
 	for i, d := range p.op.Defs {
-		v, err := evalVec(d.Expr, p.ve, b, nil)
+		v, err := evalVec(d.Expr, p.ve, b, sel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		nb.Cols[i] = v
 	}
-	return nb, nil
+	return nb, nil, nil
 }
 
 // vecJoin joins batch streams. The right (build) side is drained into one
-// concatenated columnar batch; equi-key joins probe a hash table built
-// over it, other joins fall back to a per-left-row nested loop over the
-// same batch. Output order matches the row engine: left order × bucket
-// insertion (= right row) order, with outer padding and full-outer
-// unmatched-right emission in right order at the end.
+// concatenated columnar batch, its selections taken in the same copy;
+// equi-key joins probe a hash table built over it, other joins fall back
+// to a per-left-row nested loop over the same batch. A probe walks the
+// left batch's selection and writes candidate pairs into the join's own
+// buffers, reused batch after batch: emit gathers the output columns from
+// them, and filterPairs narrows them in place. Output order matches the
+// row engine: left order × bucket insertion (= right row) order, with
+// outer padding and full-outer unmatched-right emission in right order at
+// the end.
 type vecJoin struct {
 	op       *algebra.Join
 	left     vecNode
@@ -338,6 +347,9 @@ type vecJoin struct {
 	rightMatched []bool
 	pairVE       *vecEnv
 	hs           []uint64 // probe-side key hash scratch
+	pl, pr       []int32  // candidate pairs: left positions, right rows
+	cl, cr       []int32  // one left row's nested-loop candidates
+	ls, rs       []int32  // emit's output selections
 
 	leftDone bool
 	tailDone bool
@@ -366,37 +378,37 @@ func newVecJoin(op *algebra.Join, l, r vecNode) *vecJoin {
 
 func (j *vecJoin) cols() []algebra.ColumnMeta { return j.outCols }
 
-func (j *vecJoin) next() (*vec.Batch, error) {
+func (j *vecJoin) next() (*vec.Batch, []int32, error) {
 	if !j.init {
 		if err := j.buildRight(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		j.init = true
 	}
 	for !j.leftDone {
-		lb, err := j.left.next()
+		lb, sel, err := j.left.next()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if lb == nil {
 			j.leftDone = true
 			break
 		}
-		ob, err := j.joinBatch(lb)
+		ob, err := j.joinBatch(lb, sel)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if ob != nil && ob.N > 0 {
-			return ob, nil
+			return ob, nil, nil
 		}
 	}
 	if j.op.Kind == algebra.JoinFullOuter && !j.tailDone {
 		j.tailDone = true
 		if ob := j.unmatchedRight(); ob != nil && ob.N > 0 {
-			return ob, nil
+			return ob, nil, nil
 		}
 	}
-	return nil, nil
+	return nil, nil, nil
 }
 
 // buildRight drains the build side as a list of batches, materializes it
@@ -405,11 +417,11 @@ func (j *vecJoin) next() (*vec.Batch, error) {
 // NULL-keyed rows stay out of the table — they still surface through
 // full-outer unmatched emission).
 func (j *vecJoin) buildRight() error {
-	parts, err := drain(j.right)
+	parts, sels, err := drain(j.right)
 	if err != nil {
 		return err
 	}
-	j.rt = vec.Concat(len(j.pairCols)-j.lWidth, parts, nil)
+	j.rt = vec.Concat(len(j.pairCols)-j.lWidth, parts, sels)
 	if j.op.Kind == algebra.JoinFullOuter {
 		j.rightMatched = make([]bool, j.rt.N)
 	}
@@ -436,7 +448,7 @@ func (j *vecJoin) buildRight() error {
 			return nil
 		}
 	}
-	hs := keyHashes(j.rt, j.rKeys, nil)
+	hs := keyHashes(j.rt, nil, j.rKeys, nil)
 	nulls := keyNulls(j.rt, j.rKeys)
 	for ri := j.rt.N - 1; ri >= 0; ri-- {
 		if !bitSet(nulls, ri) {
@@ -447,21 +459,22 @@ func (j *vecJoin) buildRight() error {
 }
 
 // keyHashes folds a batch's key columns, column by column, into one hash
-// per row (types.Hash's encoding; a single key column gives types.Hash
-// itself). Equal keys hash equally, INT and FLOAT alike, so the hash
-// buckets and the confirming comparison agree. scratch is reused when it
-// is large enough.
-func keyHashes(b *vec.Batch, keys []int, scratch []uint64) []uint64 {
+// per selected row (types.Hash's encoding; a single key column gives
+// types.Hash itself). Equal keys hash equally, INT and FLOAT alike, so the
+// hash buckets and the confirming comparison agree. scratch is reused when
+// it is large enough.
+func keyHashes(b *vec.Batch, sel []int32, keys []int, scratch []uint64) []uint64 {
+	n := selLen(sel, b)
 	hs := scratch
-	if cap(hs) < b.N {
-		hs = make([]uint64, b.N)
+	if cap(hs) < n {
+		hs = make([]uint64, n)
 	}
-	hs = hs[:b.N]
+	hs = hs[:n]
 	for i := range hs {
 		hs[i] = types.HashSeed
 	}
 	for _, k := range keys {
-		b.Cols[k].FoldHash(hs)
+		b.Cols[k].FoldHash(hs, sel)
 	}
 	return hs
 }
@@ -612,62 +625,41 @@ func intKeyFromFloat(f float64) (int64, bool) {
 	return int64(f), true
 }
 
-// probeInt probes the typed-INT build table for one left batch.
-func (j *vecJoin) probeInt(lb *vec.Batch) (pl, pr []int32) {
-	pl = make([]int32, 0, lb.N)
-	pr = make([]int32, 0, lb.N)
+// probeInt probes the typed-INT build table for one left batch's
+// selected rows, appending the candidate pairs to pl, pr.
+func (j *vecJoin) probeInt(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []int32) {
 	kv := lb.Cols[j.lKeys[0]]
-	if !kv.Mixed {
-		switch kv.Kind {
-		case types.KindInt:
-			for li := 0; li < lb.N; li++ {
-				if kv.IsNull(li) {
-					continue
-				}
-				if head, ok := j.build.find(uint64(kv.I64[li])); ok {
-					for ri := head; ri >= 0; ri = j.chainNext[ri] {
-						pl = append(pl, int32(li))
-						pr = append(pr, ri)
-					}
-				}
-			}
-			return pl, pr
-		case types.KindFloat:
-			for li := 0; li < lb.N; li++ {
-				if kv.IsNull(li) {
-					continue
-				}
-				k, ok := intKeyFromFloat(kv.F64[li])
-				if !ok {
-					continue
-				}
-				if head, ok := j.build.find(uint64(k)); ok {
-					for ri := head; ri >= 0; ri = j.chainNext[ri] {
-						pl = append(pl, int32(li))
-						pr = append(pr, ri)
-					}
-				}
-			}
-			return pl, pr
-		default:
-			// DATE/BIT/STRING/all-NULL probes are never comparable with a
-			// BIGINT build key, so nothing matches.
-			return nil, nil
-		}
+	if !kv.Mixed && kv.Kind != types.KindInt && kv.Kind != types.KindFloat {
+		// DATE/BIT/STRING/all-NULL probes are never comparable with a
+		// BIGINT build key, so nothing matches.
+		return pl, pr
 	}
-	for li := 0; li < lb.N; li++ {
-		v := kv.At(li)
+	for i, n := 0, selLen(sel, lb); i < n; i++ {
+		li := pos(sel, i)
 		var k int64
-		switch v.Kind() {
-		case types.KindInt:
-			k = v.Int()
-		case types.KindFloat:
-			var ok bool
-			if k, ok = intKeyFromFloat(v.Float()); !ok {
+		switch {
+		case kv.IsNull(li):
+			continue
+		case kv.Mixed:
+			v := kv.At(li)
+			switch v.Kind() {
+			case types.KindInt:
+				k = v.Int()
+			case types.KindFloat:
+				var ok bool
+				if k, ok = intKeyFromFloat(v.Float()); !ok {
+					continue
+				}
+			default:
 				continue
 			}
+		case kv.Kind == types.KindInt:
+			k = kv.I64[li]
 		default:
-			continue
+			var ok bool
+			if k, ok = intKeyFromFloat(kv.F64[li]); !ok {
+				continue
+			}
 		}
 		if head, ok := j.build.find(uint64(k)); ok {
 			for ri := head; ri >= 0; ri = j.chainNext[ri] {
@@ -679,15 +671,15 @@ func (j *vecJoin) probeInt(lb *vec.Batch) (pl, pr []int32) {
 	return pl, pr
 }
 
-// probeHashed probes the key-hash table for one left batch: key hashes
-// fold column-wise, every chain a hash reaches yields candidate pairs, and
-// the candidates are confirmed key column by key column.
-func (j *vecJoin) probeHashed(lb *vec.Batch) (pl, pr []int32) {
-	j.hs = keyHashes(lb, j.lKeys, j.hs)
+// probeHashed probes the key-hash table for one left batch's selected
+// rows: key hashes fold column-wise, every chain a hash reaches yields
+// candidate pairs, and the candidates are confirmed key column by key
+// column.
+func (j *vecJoin) probeHashed(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []int32) {
+	j.hs = keyHashes(lb, sel, j.lKeys, j.hs)
 	nulls := keyNulls(lb, j.lKeys)
-	pl = make([]int32, 0, lb.N)
-	pr = make([]int32, 0, lb.N)
-	for li, h := range j.hs {
+	for i, h := range j.hs {
+		li := pos(sel, i)
 		if bitSet(nulls, li) {
 			continue
 		}
@@ -704,53 +696,48 @@ func (j *vecJoin) probeHashed(lb *vec.Batch) (pl, pr []int32) {
 	return pl, pr
 }
 
-// joinBatch produces one output batch for one left batch (possibly empty
-// for semi/anti/filtered joins; the caller skips empties).
-func (j *vecJoin) joinBatch(lb *vec.Batch) (*vec.Batch, error) {
-	var pl, pr []int32 // matched pairs, left-major
+// joinBatch produces one output batch for one left batch's selected rows
+// (possibly empty for semi/anti/filtered joins; the caller skips empties).
+func (j *vecJoin) joinBatch(lb *vec.Batch, sel []int32) (*vec.Batch, error) {
+	n := selLen(sel, lb)
+	pl, pr := reuse(j.pl, n), reuse(j.pr, n) // matched pairs, left-major
+	var err error
 	if j.useHash {
 		if j.intKeys {
-			pl, pr = j.probeInt(lb)
+			pl, pr = j.probeInt(lb, sel, pl, pr)
 		} else {
-			pl, pr = j.probeHashed(lb)
+			pl, pr = j.probeHashed(lb, sel, pl, pr)
 		}
 		if j.residual != nil && len(pl) > 0 {
-			var err error
-			pl, pr, err = j.filterPairs(lb, pl, pr, j.residual)
-			if err != nil {
+			if pl, pr, err = j.filterPairs(lb, pl, pr, j.residual); err != nil {
 				return nil, err
 			}
 		}
 	} else {
 		// Nested loop, one left row at a time so the candidate pair batch
 		// stays bounded by the build side's size.
-		cpl := make([]int32, j.rt.N)
-		cpr := make([]int32, j.rt.N)
-		for ri := range cpr {
-			cpr[ri] = int32(ri)
-		}
-		for li := 0; li < lb.N; li++ {
-			for i := range cpl {
-				cpl[i] = int32(li)
+		for i := 0; i < n; i++ {
+			kl, kr := reuse(j.cl, j.rt.N), reuse(j.cr, j.rt.N)
+			for ri := 0; ri < j.rt.N; ri++ {
+				kl, kr = append(kl, int32(pos(sel, i))), append(kr, int32(ri))
 			}
-			kl, kr := cpl, cpr
+			j.cl, j.cr = kl, kr
 			if j.op.On != nil && len(kl) > 0 {
-				var err error
-				kl, kr, err = j.filterPairs(lb, kl, kr, j.op.On)
-				if err != nil {
+				if kl, kr, err = j.filterPairs(lb, kl, kr, j.op.On); err != nil {
 					return nil, err
 				}
 			}
-			pl = append(pl, kl...)
-			pr = append(pr, kr...)
+			pl, pr = append(pl, kl...), append(pr, kr...)
 		}
 	}
-	return j.emit(lb, pl, pr), nil
+	j.pl, j.pr = pl, pr
+	return j.emit(lb, sel, pl, pr), nil
 }
 
-// filterPairs keeps the candidate (left, right) pairs whose predicate is
-// TRUE, evaluated over the concatenated pair schema — residuals see the
-// full pair row even when the join's output is left-only.
+// filterPairs keeps, in place, the candidate (left, right) pairs whose
+// predicate is TRUE, evaluated over the concatenated pair schema —
+// residuals see the full pair row even when the join's output is
+// left-only.
 func (j *vecJoin) filterPairs(lb *vec.Batch, pl, pr []int32, on algebra.Scalar) ([]int32, []int32, error) {
 	if j.pairVE == nil {
 		j.pairVE = newVecEnv(j.pairCols)
@@ -765,27 +752,26 @@ func (j *vecJoin) filterPairs(lb *vec.Batch, pl, pr []int32, on algebra.Scalar) 
 			pb.Cols[c] = j.rt.Cols[c-j.lWidth].Gather(pr)
 		}
 	}
-	sel, err := trueRows(on, j.pairVE, pb, "join predicate")
+	keep, err := trueRows(on, j.pairVE, pb, nil, "join predicate")
 	if err != nil {
 		return nil, nil, err
 	}
-	npl := make([]int32, len(sel))
-	npr := make([]int32, len(sel))
-	for oi, s := range sel {
-		npl[oi] = pl[s]
-		npr[oi] = pr[s]
+	for k, i := range keep {
+		pl[k], pr[k] = pl[i], pr[i]
 	}
-	return npl, npr, nil
+	return pl[:len(keep)], pr[:len(keep)], nil
 }
 
-// emit walks the left batch in row order and materializes the join kind's
-// output from the matched pairs (which are left-major).
-func (j *vecJoin) emit(lb *vec.Batch, pl, pr []int32) *vec.Batch {
+// emit walks the left batch's selection in row order and materializes the
+// join kind's output from the matched pairs (which are left-major).
+func (j *vecJoin) emit(lb *vec.Batch, sel, pl, pr []int32) *vec.Batch {
 	var lsel, rsel []int32 // rsel entry -1 = NULL right padding
 	switch j.op.Kind {
 	case algebra.JoinSemi, algebra.JoinAnti, algebra.JoinLeftOuter, algebra.JoinFullOuter:
+		lsel, rsel = reuse(j.ls, len(pl)+lb.N), reuse(j.rs, len(pl)+lb.N)
 		p := 0
-		for li := 0; li < lb.N; li++ {
+		for i, n := 0, selLen(sel, lb); i < n; i++ {
+			li := pos(sel, i)
 			start := p
 			for p < len(pl) && pl[p] == int32(li) {
 				if j.rightMatched != nil {
@@ -815,6 +801,7 @@ func (j *vecJoin) emit(lb *vec.Batch, pl, pr []int32) *vec.Batch {
 				}
 			}
 		}
+		j.ls, j.rs = lsel, rsel
 	default:
 		// Inner and cross joins: the left-major pairs already ARE the
 		// output selection, and nothing reads rightMatched.
@@ -879,7 +866,8 @@ func (j *vecJoin) unmatchedRight() *vec.Batch {
 }
 
 // vecGroup aggregates batch streams. Aggregate arguments are evaluated
-// one vector per batch; accumulation reuses the row engine's aggState
+// one vector per batch, and keys hashed and resolved, under the input's
+// selection; accumulation reuses the row engine's aggState
 // (shared addValue), and groups emit in first-seen order.
 type vecGroup struct {
 	op  *algebra.GroupBy
@@ -893,7 +881,7 @@ type vecGroup struct {
 func (g *vecGroup) cols() []algebra.ColumnMeta { return g.out }
 
 // groupKeyMatch compares one candidate group's key values against batch
-// row i, with typed payload fast paths. Semantics are exactly
+// position i, with typed payload fast paths. Semantics are exactly
 // types.Equal's: NULL keys group together, numerics compare float-coerced
 // across kinds (the cross-kind case falls back to types.Equal), and float
 // equality is Compare==0 — NOT Go == — so NaN keys group the way the row
@@ -987,15 +975,15 @@ func (s *aggState) sumFloat(x float64) error {
 	return s.addValue(types.NewFloat(x))
 }
 
-func (g *vecGroup) next() (*vec.Batch, error) {
+func (g *vecGroup) next() (*vec.Batch, []int32, error) {
 	if g.res == nil {
 		b, err := g.aggregate()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		g.res = &windows{b: b}
 	}
-	return g.res.next(), nil
+	return g.res.next(), nil, nil
 }
 
 // aggregate drains the input and returns one row per group. Groups live in
@@ -1027,19 +1015,20 @@ func (g *vecGroup) aggregate() (*vec.Batch, error) {
 	var hs []uint64
 	var gids []int32
 	for {
-		b, err := g.in.next()
+		b, sel, err := g.in.next()
 		if err != nil {
 			return nil, err
 		}
 		if b == nil {
 			break
 		}
+		n := selLen(sel, b)
 		for ai, a := range g.op.Aggs {
 			if a.Arg == nil {
 				argMode[ai] = aggVecStar
 				continue
 			}
-			v, err := evalVec(a.Arg, g.ve, b, nil)
+			v, err := evalVec(a.Arg, g.ve, b, sel)
 			if err != nil {
 				return nil, err
 			}
@@ -1048,17 +1037,17 @@ func (g *vecGroup) aggregate() (*vec.Batch, error) {
 		}
 		// Key hashes fold column-wise over the whole batch, reusing one
 		// scratch slice — no per-row hasher or key-row allocation.
-		hs = keyHashes(b, keyPos, hs)
-		if cap(gids) < b.N {
-			gids = make([]int32, b.N)
+		hs = keyHashes(b, sel, keyPos, hs)
+		if cap(gids) < n {
+			gids = make([]int32, n)
 		}
-		gids = gids[:b.N]
+		gids = gids[:n]
 		// Pass 1: resolve every row to its group in first-seen order.
-		for i := 0; i < b.N; i++ {
+		for i := 0; i < n; i++ {
 			gid := int32(-1)
 			head, seen := heads[hs[i]]
 			for c := head; seen && c >= 0; c = next[c] {
-				if groupKeyMatch(keys[int(c)*k:], b, keyPos, i) {
+				if groupKeyMatch(keys[int(c)*k:], b, keyPos, pos(sel, i)) {
 					gid = c
 					break
 				}
@@ -1072,7 +1061,7 @@ func (g *vecGroup) aggregate() (*vec.Batch, error) {
 				next = append(next, head)
 				heads[hs[i]] = gid
 				for _, p := range keyPos {
-					keys = append(keys, b.Cols[p].At(i))
+					keys = append(keys, b.Cols[p].At(pos(sel, i)))
 				}
 				for a := range g.op.Aggs {
 					states = append(states, initAggState(&g.op.Aggs[a]))
@@ -1141,27 +1130,27 @@ type vecSort struct {
 
 func (s *vecSort) cols() []algebra.ColumnMeta { return s.in.cols() }
 
-func (s *vecSort) next() (*vec.Batch, error) {
+func (s *vecSort) next() (*vec.Batch, []int32, error) {
 	if s.res == nil {
-		parts, err := drain(s.in)
+		parts, sels, err := drain(s.in)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		in := vec.Concat(len(s.in.cols()), parts, nil)
+		in := vec.Concat(len(s.in.cols()), parts, sels)
 		keys, err := sortMergeKeys(s.op.Keys, s.in.cols())
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		perm := identity(in.N)
 		if err := sortPerm(perm, keys, func(row int32, pos int) types.Value { return in.Cols[pos].At(int(row)) }); err != nil {
-			return nil, fmt.Errorf("exec: ORDER BY key: %w", err)
+			return nil, nil, fmt.Errorf("exec: ORDER BY key: %w", err)
 		}
 		if s.op.Top > 0 && int64(len(perm)) > s.op.Top {
 			perm = perm[:s.op.Top]
 		}
 		s.res = &windows{b: vec.Concat(len(in.Cols), []*vec.Batch{in}, [][]int32{perm})}
 	}
-	return s.res.next(), nil
+	return s.res.next(), nil, nil
 }
 
 // windows re-emits a materialized batch BatchSize rows at a time. The
@@ -1188,7 +1177,8 @@ func (w *windows) next() *vec.Batch {
 	return out
 }
 
-// vecUnion streams the left input to exhaustion, then the right.
+// vecUnion streams the left input to exhaustion, then the right, each
+// batch under its own selection.
 type vecUnion struct {
 	l, r     vecNode
 	leftDone bool
@@ -1196,14 +1186,11 @@ type vecUnion struct {
 
 func (u *vecUnion) cols() []algebra.ColumnMeta { return u.l.cols() }
 
-func (u *vecUnion) next() (*vec.Batch, error) {
+func (u *vecUnion) next() (*vec.Batch, []int32, error) {
 	if !u.leftDone {
-		b, err := u.l.next()
-		if err != nil {
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
+		b, sel, err := u.l.next()
+		if err != nil || b != nil {
+			return b, sel, err
 		}
 		u.leftDone = true
 	}

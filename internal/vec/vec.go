@@ -306,14 +306,21 @@ func NullVec(n int) *Vec {
 	return v
 }
 
-// FoldHash folds the vector's first len(hs) rows into running row hashes
-// with types.Hash's encoding, so folding one column into hashes seeded with
-// types.HashSeed yields types.Hash of each row. Typed payloads are read
-// directly; only a mixed vector boxes.
-func (v *Vec) FoldHash(hs []uint64) {
+// FoldHash folds rows of the vector into running row hashes with
+// types.Hash's encoding, so folding one column into hashes seeded with
+// types.HashSeed yields types.Hash of each row: hs[i] takes row sel[i],
+// or row i when sel is nil. Typed payloads are read directly; only a
+// mixed vector boxes.
+func (v *Vec) FoldHash(hs []uint64, sel []int32) {
+	row := func(i int) int {
+		if sel == nil {
+			return i
+		}
+		return int(sel[i])
+	}
 	if v.Mixed || v.Kind == types.KindNull {
 		for i := range hs {
-			hs[i] = types.FoldValue(hs[i], v.At(i))
+			hs[i] = types.FoldValue(hs[i], v.At(row(i)))
 		}
 		return
 	}
@@ -321,42 +328,42 @@ func (v *Vec) FoldHash(hs []uint64) {
 	switch v.Kind {
 	case types.KindInt:
 		for i := range hs {
-			if nulls && v.IsNull(i) {
+			if r := row(i); nulls && v.IsNull(r) {
 				hs[i] = types.FoldNull(hs[i])
 			} else {
-				hs[i] = types.FoldInt(hs[i], v.I64[i])
+				hs[i] = types.FoldInt(hs[i], v.I64[r])
 			}
 		}
 	case types.KindFloat:
 		for i := range hs {
-			if nulls && v.IsNull(i) {
+			if r := row(i); nulls && v.IsNull(r) {
 				hs[i] = types.FoldNull(hs[i])
 			} else {
-				hs[i] = types.FoldFloat(hs[i], v.F64[i])
+				hs[i] = types.FoldFloat(hs[i], v.F64[r])
 			}
 		}
 	case types.KindDate:
 		for i := range hs {
-			if nulls && v.IsNull(i) {
+			if r := row(i); nulls && v.IsNull(r) {
 				hs[i] = types.FoldNull(hs[i])
 			} else {
-				hs[i] = types.FoldDate(hs[i], v.I64[i])
+				hs[i] = types.FoldDate(hs[i], v.I64[r])
 			}
 		}
 	case types.KindBool:
 		for i := range hs {
-			if nulls && v.IsNull(i) {
+			if r := row(i); nulls && v.IsNull(r) {
 				hs[i] = types.FoldNull(hs[i])
 			} else {
-				hs[i] = types.FoldBool(hs[i], v.I64[i] != 0)
+				hs[i] = types.FoldBool(hs[i], v.I64[r] != 0)
 			}
 		}
 	case types.KindString:
 		for i := range hs {
-			if nulls && v.IsNull(i) {
+			if r := row(i); nulls && v.IsNull(r) {
 				hs[i] = types.FoldNull(hs[i])
 			} else {
-				hs[i] = types.FoldString(hs[i], v.Str[i])
+				hs[i] = types.FoldString(hs[i], v.Str[r])
 			}
 		}
 	}

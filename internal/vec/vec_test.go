@@ -163,13 +163,13 @@ func TestFoldHashIsTypesHash(t *testing.T) {
 		for i := range hs {
 			hs[i] = types.HashSeed
 		}
-		v.FoldHash(hs)
+		v.FoldHash(hs, nil)
 		for i, x := range vals {
 			if hs[i] != types.Hash(x) {
 				t.Errorf("%s row %d (%v): column fold %#x, types.Hash %#x", name, i, x, hs[i], types.Hash(x))
 			}
 		}
-		v.FoldHash(hs)
+		v.FoldHash(hs, nil)
 		for i, x := range vals {
 			if want := types.FoldValue(types.Hash(x), x); hs[i] != want {
 				t.Errorf("%s row %d: second fold %#x, want %#x", name, i, hs[i], want)
