@@ -409,19 +409,32 @@ func evalVecLike(x *algebra.Like, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.V
 	n := selLen(sel, b)
 	out := vec.NewDense(types.KindBool, n)
 	for i := 0; i < n; i++ {
-		if v.IsNull(i) {
+		match, null, err := likeVerdict(x, v, i)
+		if err != nil {
+			return nil, err
+		}
+		if null {
 			out.SetNull(i)
-			continue
 		}
-		var s string
-		if !v.Mixed && v.Kind == types.KindString {
-			s = v.Str[i]
-		} else if s, err = v.At(i).AsStr(); err != nil {
-			return nil, fmt.Errorf("exec: LIKE operand: %w", err)
-		}
-		out.I64[i] = b2i(MatchLike(s, x.Pattern) != x.Negated)
+		out.I64[i] = b2i(match)
 	}
 	return out, nil
+}
+
+// likeVerdict is row i's `[NOT] LIKE pattern` verdict, for the kernel and
+// the narrowing loop alike: NULL stays NULL, a non-VARCHAR value is the
+// LIKE operand error.
+func likeVerdict(x *algebra.Like, v *vec.Vec, i int) (match, null bool, err error) {
+	if v.IsNull(i) {
+		return false, true, nil
+	}
+	var s string
+	if !v.Mixed && v.Kind == types.KindString {
+		s = v.Str[i]
+	} else if s, err = v.At(i).AsStr(); err != nil {
+		return false, false, fmt.Errorf("exec: LIKE operand: %w", err)
+	}
+	return MatchLike(s, x.Pattern) != x.Negated, false, nil
 }
 
 // b2i is the branch-free bool→BIT payload conversion.
@@ -598,19 +611,10 @@ func cmpBits[T int64 | float64 | string](op sqlparser.BinOp, a, b []T, am, bm in
 
 // cmpSel appends to t the positions p of sel at which a[p&am] op b[p&bm]
 // holds, the masks as in cmpBits. Every position is written and the end
-// advances by the verdict, so the loop has no branch on the data; a column
-// against a constant, the common shape, has a loop of its own.
+// advances by the verdict, so the loop has no branch on the data.
 func cmpSel[T int64 | float64 | string](op sqlparser.BinOp, a, b []T, am, bm int32, sel, t []int32) []int32 {
 	n := len(t)
 	t = slices.Grow(t, len(sel))[:n+len(sel)]
-	if bm == 0 && am != 0 {
-		x := b[0]
-		for _, p := range sel {
-			t[n] = p
-			n += int(b2i(holds(op, a[p], x)))
-		}
-		return t[:n]
-	}
 	for _, p := range sel {
 		t[n] = p
 		n += int(b2i(holds(op, a[p&am], b[p&bm])))
@@ -935,13 +939,17 @@ func (ve *vecEnv) narrow(e algebra.Scalar, b *vec.Batch, sel, t, u []int32, site
 		return t, u, nil
 	case *algebra.Like:
 		v, m, ok := ve.operand(x.E, b)
-		if !ok || m == 0 || v.Mixed || v.Kind != types.KindString {
+		if !ok || m == 0 {
 			break
 		}
 		for _, p := range sel {
-			if v.IsNull(int(p)) {
+			match, null, err := likeVerdict(x, v, int(p))
+			if err != nil {
+				return t, u, err
+			}
+			if null {
 				u = append(u, p)
-			} else if MatchLike(v.Str[p], x.Pattern) != x.Negated {
+			} else if match {
 				t = append(t, p)
 			}
 		}

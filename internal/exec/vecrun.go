@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"pdwqo/internal/algebra"
+	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 	"pdwqo/internal/vec"
 )
@@ -529,8 +530,7 @@ func keepEqual(a, b *vec.Vec, pl, pr []int32) ([]int32, []int32) {
 	case typed && a.Kind.Numeric() && b.Kind.Numeric():
 		// Float-coerced, and NaN-tolerant exactly as types.Compare is.
 		for i := range pl {
-			x, y := numAt(a, pl[i]), numAt(b, pr[i])
-			keep(i, !(x < y || x > y))
+			keep(i, holds(sqlparser.OpEq, numAt(a, pl[i]), numAt(b, pr[i])))
 		}
 	default:
 		for i := range pl {
