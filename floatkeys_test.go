@@ -9,6 +9,7 @@ package pdwqo
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pdwqo/internal/types"
@@ -107,5 +108,48 @@ func TestNaNComparisonsMatchSerial(t *testing.T) {
 	}
 	if got, want := dist.Rows[0].String(), serial.Rows[0].String(); got != want || want != "(25)" {
 		t.Fatalf("distributed %s, serial %s, want (25) from both", got, want)
+	}
+}
+
+// TestNegativeZeroSumsMatchSerial: SUM adopts its first value and adds
+// the rest, so a sum of -0 alone is -0 (an accumulator started at 0 would
+// read +0), in the compute nodes' vectorized group-by as in the serial
+// reference's row engine. Every nation's key times -0.0 is -0.
+func TestNegativeZeroSumsMatchSerial(t *testing.T) {
+	db, err := OpenTPCH(0.001, 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		sql  string
+		want string // every row
+	}{
+		{`SELECT SUM(n_nationkey * -0.0) AS s FROM nation`, "(-0)"},
+		{`SELECT n_regionkey, SUM(n_nationkey * -0.0) AS s FROM nation GROUP BY n_regionkey`, ", -0)"},
+		{`SELECT n_regionkey, AVG(n_nationkey * -0.0) AS s FROM nation GROUP BY n_regionkey`, ", -0)"},
+	} {
+		serial, err := db.ExecuteSerial(tc.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dist, err := db.Execute(tc.sql, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(serial.Rows) == 0 || len(dist.Rows) != len(serial.Rows) {
+			t.Fatalf("%s: distributed %d rows, serial %d", tc.sql, len(dist.Rows), len(serial.Rows))
+		}
+		got, want := map[string]bool{}, map[string]bool{}
+		for i := range serial.Rows {
+			got[dist.Rows[i].String()], want[serial.Rows[i].String()] = true, true
+		}
+		for row := range want {
+			if !strings.HasSuffix(row, tc.want) {
+				t.Errorf("%s: serial row %s, want every row to end %q", tc.sql, row, tc.want)
+			}
+			if !got[row] {
+				t.Errorf("%s: serial row %s missing from the distributed result %v", tc.sql, row, dist.Rows)
+			}
+		}
 	}
 }

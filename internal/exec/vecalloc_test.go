@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"runtime"
 	"testing"
 
 	"pdwqo/internal/algebra"
@@ -62,7 +63,7 @@ func TestVecAllocations(t *testing.T) {
 		pin  float64
 	}{
 		{"filter under project", filter, 445, 36},
-		{"INT-key join probe", join, 512, 115},
+		{"INT-key join probe", join, 512, 113},
 	} {
 		b, err := RunColumns(tc.tree, src, nil)
 		if err != nil {
@@ -79,6 +80,81 @@ func TestVecAllocations(t *testing.T) {
 		t.Logf("%s: %v allocations per run", tc.name, got)
 		if got > tc.pin {
 			t.Errorf("%s: %v allocations per run, pinned at %v", tc.name, got, tc.pin)
+		}
+	}
+}
+
+// TestVecBytes pins the bytes allocated per RunColumns run (the
+// runtime.MemStats.TotalAlloc delta over repeated runs on this goroutine;
+// testing.AllocsPerRun counts allocations, not their size) of an INT-key
+// join over a 16,384-row build side and of an INT-key group-by into 8,192
+// groups over 16 batches. A hash table that stores a copy of every key, a
+// Go map from key to group or boxed group and accumulator slabs each
+// raise the bytes past the pin.
+func TestVecBytes(t *testing.T) {
+	const n = 16 * vec.BatchSize
+	cols := []algebra.ColumnMeta{{ID: 1, Name: "k", Type: types.KindInt}, {ID: 2, Name: "f", Type: types.KindFloat}}
+	table := func(rows, keys int) *vec.Table {
+		r := make([]types.Row, rows)
+		for i := range r {
+			r[i] = types.Row{types.NewInt(int64(i * 7 % keys)), types.NewFloat(float64(i) / 4)}
+		}
+		return vec.FromRows([]string{"k", "f"}, r)
+	}
+	tables := map[string]*vec.Table{"build": table(n, n), "probe": table(4*vec.BatchSize, n), "facts": table(n, n/2)}
+	src := func(name string) (*vec.Table, error) { return tables[name], nil }
+	get := func(name string, base algebra.ColumnID) *algebra.Tree {
+		c := make([]algebra.ColumnMeta, len(cols))
+		for i, m := range cols {
+			m.ID += base
+			c[i] = m
+		}
+		tbl := benchTable(c)
+		tbl.Name = name
+		return algebra.NewTree(&algebra.Get{Table: tbl, Alias: name, Cols: c})
+	}
+	key := func(id algebra.ColumnID) algebra.Scalar {
+		return algebra.NewColRef(algebra.ColumnMeta{ID: id, Type: types.KindInt})
+	}
+	join := algebra.NewTree(&algebra.Join{Kind: algebra.JoinInner, On: &algebra.Binary{Op: sqlparser.OpEq, L: key(11), R: key(21)}},
+		get("probe", 10), get("build", 20))
+	group := algebra.NewTree(&algebra.GroupBy{
+		Keys: []algebra.ColumnID{31},
+		Aggs: []algebra.AggDef{
+			{Func: algebra.AggSum, Arg: algebra.NewColRef(algebra.ColumnMeta{ID: 32, Type: types.KindFloat}), ID: 50, Name: "s"},
+			{Func: algebra.AggCount, ID: 51, Name: "n"},
+		},
+		Phase: algebra.AggComplete,
+	}, get("facts", 30))
+	for _, tc := range []struct {
+		name string
+		tree *algebra.Tree
+		rows int
+		pin  uint64
+	}{
+		{"INT-key join, 16,384-row build", join, 4 * vec.BatchSize, 815_700},
+		{"INT-key group-by, 8,192 groups", group, n / 2, 1_166_300},
+	} {
+		b, err := RunColumns(tc.tree, src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.N != tc.rows {
+			t.Fatalf("%s: %d rows, want %d", tc.name, b.N, tc.rows)
+		}
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			if _, err := RunColumns(tc.tree, src, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		got := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes per run", tc.name, got)
+		if got > tc.pin {
+			t.Errorf("%s: %d bytes per run, pinned at %d", tc.name, got, tc.pin)
 		}
 	}
 }

@@ -242,6 +242,34 @@ func BenchmarkAggVec(b *testing.B) {
 	}
 }
 
+// BenchmarkAggVecManyGroups groups 60k rows by one INT key into ≈ 8k
+// groups with a float SUM and a COUNT(*) — the q18 / q03 shape, whose
+// group table grows several times, where BenchmarkAggVec's has 6 groups.
+func BenchmarkAggVecManyGroups(b *testing.B) {
+	r := rand.New(rand.NewSource(23))
+	rows := make([]types.Row, 60000)
+	for i := range rows {
+		rows[i] = types.Row{types.NewInt(int64(r.Intn(8192))), types.NewFloat(r.Float64() * 50)}
+	}
+	cols := []algebra.ColumnMeta{{ID: 1, Name: "k", Type: types.KindInt}, {ID: 2, Name: "q", Type: types.KindFloat}}
+	tree := algebra.NewTree(&algebra.GroupBy{
+		Keys: []algebra.ColumnID{1},
+		Aggs: []algebra.AggDef{
+			{Func: algebra.AggSum, Arg: algebra.NewColRef(cols[1]), ID: 21, Name: "sq"},
+			{Func: algebra.AggCount, ID: 22, Name: "n"},
+		},
+		Phase: algebra.AggComplete,
+	}, algebra.NewTree(&algebra.Get{Table: benchTable(cols), Alias: "t", Cols: cols}))
+	tbl := vec.FromRows([]string{"k", "q"}, rows)
+	colSrc := func(string) (*vec.Table, error) { return tbl, nil }
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunColumns(tree, colSrc, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkFilterRow(b *testing.B) {
 	rowSrc, _, cols := benchData(60000)
 	tree := benchFilterTree(cols)

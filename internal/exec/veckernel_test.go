@@ -394,3 +394,135 @@ func TestVecSelectionHandOff(t *testing.T) {
 		}
 	}
 }
+
+// groupByAggs are the aggregates TestVecGroupByMatchRows runs under every
+// key set of table a.
+func (d *kernelDB) groupByAggs() map[string]algebra.AggDef {
+	k, f, i, s, m := d.ref("a", 0), d.ref("a", 1), d.ref("a", 2), d.ref("a", 3), d.ref("a", 4)
+	dt, t := d.ref("a", 5), d.ref("a", 6)
+	agg := func(fn algebra.AggFunc, arg algebra.Scalar, distinct bool) algebra.AggDef {
+		return algebra.AggDef{Func: fn, Arg: arg, Distinct: distinct, ID: 100, Name: "x"}
+	}
+	return map[string]algebra.AggDef{
+		"COUNT(*)":          agg(algebra.AggCount, nil, false),
+		"COUNT(m)":          agg(algebra.AggCount, m, false),
+		"SUM(f)":            agg(algebra.AggSum, f, false),
+		"SUM(k)":            agg(algebra.AggSum, k, false),
+		"SUM(i)":            agg(algebra.AggSum, i, false),
+		"SUM(m)":            agg(algebra.AggSum, m, false),
+		"MIN(s)":            agg(algebra.AggMin, s, false),
+		"MIN(d)":            agg(algebra.AggMin, dt, false),
+		"MIN(m)":            agg(algebra.AggMin, m, false),
+		"MAX(f)":            agg(algebra.AggMax, f, false),
+		"MAX(t)":            agg(algebra.AggMax, t, false),
+		"COUNT(DISTINCT f)": agg(algebra.AggCount, f, true),
+		"SUM(DISTINCT f)":   agg(algebra.AggSum, f, true),
+	}
+}
+
+// groupBy aggregates in over keys (column IDs) with the given aggregates,
+// renumbered so their IDs are distinct.
+func groupBy(in *algebra.Tree, keys []algebra.ColumnID, aggs ...algebra.AggDef) *algebra.Tree {
+	for j := range aggs {
+		aggs[j].ID = algebra.ColumnID(100 + j)
+	}
+	return algebra.NewTree(&algebra.GroupBy{Keys: keys, Aggs: aggs, Phase: algebra.AggComplete}, in)
+}
+
+// TestVecGroupByMatchRows: every aggregate under every key set — each
+// column alone, composite keys and no key — agrees between the executors
+// over multi-batch generated tables, alone (an aggregate over m may error,
+// and must error alike) and, for the aggregates that cannot error, all
+// together.
+func TestVecGroupByMatchRows(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		d := newKernelDB(seed, 2500, 0)
+		keySets := map[string][]algebra.ColumnID{
+			"k": {1}, "f": {2}, "s": {4}, "m": {5}, "d": {6}, "t": {7},
+			"k, f": {1, 2}, "m, s": {5, 4}, "k, i, t": {1, 3, 7}, "no key": nil,
+		}
+		aggs := d.groupByAggs()
+		for keyName, keys := range keySets {
+			var all []algebra.AggDef
+			for aggName, a := range aggs {
+				d.both(t, fmt.Sprintf("seed %d keys %s %s", seed, keyName, aggName), groupBy(d.get("a"), keys, a))
+				if !strings.Contains(aggName, "m") {
+					all = append(all, a)
+				}
+			}
+			if n := d.both(t, fmt.Sprintf("seed %d keys %s every typed aggregate", seed, keyName), groupBy(d.get("a"), keys, all...)); n <= 0 {
+				t.Fatalf("seed %d keys %s: no groups", seed, keyName)
+			}
+		}
+	}
+}
+
+// TestVecGroupByModeChanges: hand-built streams that move a group-by off
+// its typed paths mid-stream, or stress them. Each is a UNION ALL of two
+// tables, so one input's batches reach the group-by ahead of the
+// other's, typed differently.
+func TestVecGroupByModeChanges(t *testing.T) {
+	negZero := types.NewFloat(math.Copysign(0, -1))
+	fill := func(n int, row func(i int) types.Row) []types.Row {
+		rows := make([]types.Row, n)
+		for i := range rows {
+			rows[i] = row(i)
+		}
+		return rows
+	}
+	intKeys := func(i int) types.Row {
+		k := types.NewInt(int64(i % 5))
+		if i%7 == 0 {
+			k = types.Null
+		}
+		return types.Row{k, types.NewFloat(float64(i%9) / 4), types.NewInt(int64(i % 3))}
+	}
+	mixed := []types.Value{types.NewInt(1), types.NewFloat(1), types.NewString("1"), types.Null, types.NewInt(7)}
+	cases := []struct {
+		name   string
+		a, b   []types.Row
+		keys   []algebra.ColumnID
+		groups int // the groups both executors must find
+	}{
+		{"INT key typed, then mixed (1, 1.0, '1')", fill(1100, intKeys),
+			fill(300, func(i int) types.Row { return types.Row{mixed[i%5], types.NewFloat(1), types.NewInt(1)} }), []algebra.ColumnID{1}, 8},
+		{"all-NULL key batches, then typed", fill(1100, func(int) types.Row { return types.Row{types.Null, types.NewFloat(2)} }),
+			fill(1100, intKeys), []algebra.ColumnID{1}, 6},
+		{"all-NULL keys only", fill(1100, func(int) types.Row { return types.Row{types.Null, types.NewFloat(2)} }),
+			nil, []algebra.ColumnID{1}, 1},
+		{"SUM FLOAT argument turns mixed", fill(1100, intKeys),
+			fill(300, func(i int) types.Row { return types.Row{types.NewInt(int64(i % 5)), mixed[i%2], types.NewInt(2)} }), []algebra.ColumnID{1}, 6},
+		{"groups of -0 only", fill(1100, func(i int) types.Row { return types.Row{types.NewInt(int64(i % 3)), negZero} }),
+			fill(10, func(i int) types.Row { return types.Row{types.NewInt(int64(3 + i%2)), negZero, types.NewInt(5)} }), []algebra.ColumnID{1}, 5},
+		{"-0 without a key", fill(1100, func(int) types.Row { return types.Row{types.NewInt(1), negZero} }),
+			nil, nil, 1},
+		{"12,000 distinct INT keys over 15 batches", fill(9000, func(i int) types.Row {
+			return types.Row{types.NewInt(int64(i*7) % 12000), types.NewFloat(float64(i)), types.NewInt(int64(i % 2))}
+		}), fill(6000, func(i int) types.Row {
+			return types.Row{types.NewInt(int64((9000+i)*7) % 12000), types.NewFloat(float64(i) / 8), types.NewInt(int64(i % 2))}
+		}), []algebra.ColumnID{1}, 12000},
+		{"12,000 distinct composite keys", fill(15000, func(i int) types.Row {
+			return types.Row{types.NewInt(int64(i % 6000)), types.NewFloat(1), types.NewInt(int64(i / 6000 % 2))}
+		}), nil, []algebra.ColumnID{1, 3}, 12000},
+	}
+	for _, tc := range cases {
+		d := &kernelDB{rows: map[string][]types.Row{}, tables: map[string]*vec.Table{}, cols: map[string][]algebra.ColumnMeta{}}
+		d.put("a", tc.a)
+		d.put("b", tc.b)
+		d.cols["a"], d.cols["b"] = kernelCols(1), kernelCols(11)
+		in := d.get("a")
+		if len(tc.b) > 0 {
+			in = algebra.NewTree(&algebra.UnionAll{}, in, d.get("b"))
+		}
+		f, i := d.ref("a", 1), d.ref("a", 2)
+		tree := groupBy(in, tc.keys,
+			algebra.AggDef{Func: algebra.AggSum, Arg: f},
+			algebra.AggDef{Func: algebra.AggCount},
+			algebra.AggDef{Func: algebra.AggCount, Arg: f},
+			algebra.AggDef{Func: algebra.AggSum, Arg: i},
+			algebra.AggDef{Func: algebra.AggMax, Arg: f})
+		if n := d.both(t, tc.name, tree); n != tc.groups {
+			t.Errorf("%s: %d groups, want %d", tc.name, n, tc.groups)
+		}
+	}
+}

@@ -5,9 +5,9 @@ package exec
 // set mirrors the row engine exactly — same output ordering contracts
 // (filters preserve order, hash joins emit left order × build-insertion
 // order, GroupBy emits first-seen groups, sorts are stable), same error
-// texts, same aggregate accumulation (shared aggState) — so the two
-// engines are byte-for-byte interchangeable behind the DSQL step
-// contract. Columns are the currency of data movement: RunColumns hands
+// texts, same aggregate results (aggState, or typed COUNT and float SUM
+// slabs that reach exactly its results) — so the two engines are
+// byte-for-byte interchangeable behind the DSQL step contract. Columns are the currency of data movement: RunColumns hands
 // DMS one batch, and RunVec / RunVecStats box the same stream into a row
 // Relation for callers that want rows.
 
@@ -332,18 +332,22 @@ type vecJoin struct {
 	rKeys    []int
 	residual algebra.Scalar
 
-	// The hash table is a chain layout: the open-addressing table holds
-	// only the first build row per key and chainNext threads the rest, so
-	// building allocates two flat arrays and nothing per key. Chains are
-	// threaded in ascending row order, preserving the bucket-insertion
-	// output order contract. intKeys records whether table keys are raw
-	// int64 payloads (single typed-INT key: bucket = equality, no confirm
-	// pass) or column-wise key hashes (the probe confirms candidate pairs
-	// key column by key column with keepEqual).
+	// The hash table is a chain layout: an idTable maps each key to its
+	// first build row and chainNext threads the rest, so building
+	// allocates flat arrays and nothing per key. Chains are threaded in
+	// ascending row order, preserving the bucket-insertion output order
+	// contract. A single typed-INT key is its own table key, read in
+	// place from rt's payloads (byInt: ints over intKeys; bucket =
+	// equality, no confirm pass). Any other key set keys on the build
+	// rows' key hashes (hashed over rowHashes), and the probe confirms
+	// candidate pairs key column by key column with keepEqual.
 	init         bool
 	rt           *vec.Batch
-	build        *joinTable
-	intKeys      bool
+	byInt        bool
+	ints         idTable[int64]
+	intKeys      []int64
+	hashed       idTable[uint64]
+	rowHashes    []uint64
 	chainNext    []int32
 	rightMatched []bool
 	pairVE       *vecEnv
@@ -430,7 +434,6 @@ func (j *vecJoin) buildRight() error {
 		return nil
 	}
 	j.chainNext = make([]int32, j.rt.N)
-	j.build = newJoinTable(j.rt.N)
 	// Single BIGINT key over a typed build column: the table keys on the
 	// int64 payload itself, so bucket membership IS equality and the probe
 	// needs no confirmation pass. Numeric cross-kind probes (a FLOAT that
@@ -440,20 +443,22 @@ func (j *vecJoin) buildRight() error {
 	if len(j.rKeys) == 1 {
 		kv := j.rt.Cols[j.rKeys[0]]
 		if !kv.Mixed && kv.Kind == types.KindInt {
-			j.intKeys = true
+			j.byInt, j.intKeys = true, kv.I64
+			j.ints = newIDTable[int64](j.rt.N)
 			for ri := j.rt.N - 1; ri >= 0; ri-- {
 				if !kv.IsNull(ri) {
-					j.build.insert(uint64(kv.I64[ri]), int32(ri), j.chainNext)
+					j.chainNext[ri] = j.ints.insert(j.intKeys, int32(ri))
 				}
 			}
 			return nil
 		}
 	}
-	hs := keyHashes(j.rt, nil, j.rKeys, nil)
+	j.rowHashes = keyHashes(j.rt, nil, j.rKeys, nil)
+	j.hashed = newIDTable[uint64](j.rt.N)
 	nulls := keyNulls(j.rt, j.rKeys)
 	for ri := j.rt.N - 1; ri >= 0; ri-- {
 		if !bitSet(nulls, ri) {
-			j.build.insert(hs[ri], int32(ri), j.chainNext)
+			j.chainNext[ri] = j.hashed.insert(j.rowHashes, int32(ri))
 		}
 	}
 	return nil
@@ -462,8 +467,10 @@ func (j *vecJoin) buildRight() error {
 // keyHashes folds a batch's key columns, column by column, into one hash
 // per selected row (types.Hash's encoding; a single key column gives
 // types.Hash itself). Equal keys hash equally, INT and FLOAT alike, so the
-// hash buckets and the confirming comparison agree. scratch is reused when
-// it is large enough.
+// hash buckets and the confirming comparison agree. A single typed-INT key
+// is never hashed — a join or a group-by keys its idTable on the payload —
+// so this serves every other key set. scratch is reused when it is large
+// enough.
 func keyHashes(b *vec.Batch, sel []int32, keys []int, scratch []uint64) []uint64 {
 	n := selLen(sel, b)
 	hs := scratch
@@ -549,68 +556,79 @@ func numAt(v *vec.Vec, i int32) float64 {
 	return float64(v.I64[i])
 }
 
-// joinTable is a linear-probing hash table from a 64-bit key to the head
-// of a build-row chain. Slots store the full key, so distinct keys never
-// share a chain; when keys are composite hashes, hash collisions share
-// one chain exactly as they shared one map bucket, and the probe-side
-// confirmation filters them.
-type joinTable struct {
+// idTable is an open-addressed (linear probing) hash table from a 64-bit
+// key to the newest id carrying it: a join's build row, or a group. A slot
+// holds only id+1 (0 = empty, so a fresh table needs no fill pass); the
+// key of an id is read from a slice the caller owns and passes in — a
+// join's build-side INT payloads or row hashes, a group-by's group
+// payloads or group hashes — so the table keeps no copy of it. Older ids
+// with the same key are the caller's to chain.
+type idTable[K int64 | uint64] struct {
+	slots []int32
 	shift uint
-	keys  []uint64
-	heads []int32 // -1 = empty slot
+	used  int
 }
 
-func newJoinTable(n int) *joinTable {
+// newIDTable sizes a table for n keys at load ≤ ½; insert doubles it
+// beyond that.
+func newIDTable[K int64 | uint64](n int) idTable[K] {
 	sz, lg := 16, uint(4)
 	for sz < 2*n {
 		sz <<= 1
 		lg++
 	}
-	t := &joinTable{shift: 64 - lg, keys: make([]uint64, sz), heads: make([]int32, sz)}
-	for i := range t.heads {
-		t.heads[i] = -1
-	}
-	return t
+	return idTable[K]{slots: make([]int32, sz), shift: 64 - lg}
 }
 
 // fibMul spreads keys across the high bits (Fibonacci hashing), which
 // linear probing then shifts down into a slot index.
 const fibMul = 0x9E3779B97F4A7C15
 
-func (t *joinTable) insert(k uint64, ri int32, chainNext []int32) {
-	i := int((k * fibMul) >> t.shift)
-	for {
-		if t.heads[i] < 0 {
-			t.keys[i] = k
-			t.heads[i] = ri
-			chainNext[ri] = -1
-			return
+func (t *idTable[K]) home(k K) int { return int((uint64(k) * fibMul) >> t.shift) }
+
+// find returns the newest id whose key is k, or -1.
+func (t *idTable[K]) find(keys []K, k K) int32 {
+	for i := t.home(k); ; i = (i + 1) & (len(t.slots) - 1) {
+		s := t.slots[i]
+		if s == 0 {
+			return -1
 		}
-		if t.keys[i] == k {
-			chainNext[ri] = t.heads[i]
-			t.heads[i] = ri
-			return
-		}
-		i++
-		if i == len(t.heads) {
-			i = 0
+		if keys[s-1] == k {
+			return s - 1
 		}
 	}
 }
 
-func (t *joinTable) find(k uint64) (int32, bool) {
-	i := int((k * fibMul) >> t.shift)
-	for {
-		h := t.heads[i]
-		if h < 0 {
-			return 0, false
+// insert makes id the newest id with key keys[id] and returns the id it
+// displaces, or -1 when the key is new.
+func (t *idTable[K]) insert(keys []K, id int32) int32 {
+	if 2*(t.used+1) > len(t.slots) {
+		t.grow(keys)
+	}
+	k := keys[id]
+	i := t.home(k)
+	for ; t.slots[i] != 0; i = (i + 1) & (len(t.slots) - 1) {
+		if prev := t.slots[i] - 1; keys[prev] == k {
+			t.slots[i] = id + 1
+			return prev
 		}
-		if t.keys[i] == k {
-			return h, true
-		}
-		i++
-		if i == len(t.heads) {
-			i = 0
+	}
+	t.slots[i] = id + 1
+	t.used++
+	return -1
+}
+
+// grow doubles the table, re-inserting each key's newest id.
+func (t *idTable[K]) grow(keys []K) {
+	old := t.slots
+	t.slots, t.shift = make([]int32, 2*len(old)), t.shift-1
+	for _, s := range old {
+		if s != 0 {
+			i := t.home(keys[s-1])
+			for t.slots[i] != 0 {
+				i = (i + 1) & (len(t.slots) - 1)
+			}
+			t.slots[i] = s
 		}
 	}
 }
@@ -661,11 +679,9 @@ func (j *vecJoin) probeInt(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []int32
 				continue
 			}
 		}
-		if head, ok := j.build.find(uint64(k)); ok {
-			for ri := head; ri >= 0; ri = j.chainNext[ri] {
-				pl = append(pl, int32(li))
-				pr = append(pr, ri)
-			}
+		for ri := j.ints.find(j.intKeys, k); ri >= 0; ri = j.chainNext[ri] {
+			pl = append(pl, int32(li))
+			pr = append(pr, ri)
 		}
 	}
 	return pl, pr
@@ -683,11 +699,9 @@ func (j *vecJoin) probeHashed(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []in
 		if bitSet(nulls, li) {
 			continue
 		}
-		if head, ok := j.build.find(h); ok {
-			for ri := head; ri >= 0; ri = j.chainNext[ri] {
-				pl = append(pl, int32(li))
-				pr = append(pr, ri)
-			}
+		for ri := j.hashed.find(j.rowHashes, h); ri >= 0; ri = j.chainNext[ri] {
+			pl = append(pl, int32(li))
+			pr = append(pr, ri)
 		}
 	}
 	for k := range j.lKeys {
@@ -703,7 +717,7 @@ func (j *vecJoin) joinBatch(lb *vec.Batch, sel []int32) (*vec.Batch, error) {
 	pl, pr := reuse(j.pl, n), reuse(j.pr, n) // matched pairs, left-major
 	var err error
 	if j.useHash {
-		if j.intKeys {
+		if j.byInt {
 			pl, pr = j.probeInt(lb, sel, pl, pr)
 		} else {
 			pl, pr = j.probeHashed(lb, sel, pl, pr)
@@ -866,9 +880,11 @@ func (j *vecJoin) unmatchedRight() *vec.Batch {
 }
 
 // vecGroup aggregates batch streams. Aggregate arguments are evaluated
-// one vector per batch, and keys hashed and resolved, under the input's
-// selection; accumulation reuses the row engine's aggState
-// (shared addValue), and groups emit in first-seen order.
+// one vector per batch, and keys resolved, under the input's selection;
+// groups are numbered in first-seen order, which is the output order.
+// groupKeys finds each row's group and aggSlab holds one aggregate's
+// accumulators for every group, so a new group allocates nothing of its
+// own.
 type vecGroup struct {
 	op  *algebra.GroupBy
 	in  vecNode
@@ -879,6 +895,212 @@ type vecGroup struct {
 }
 
 func (g *vecGroup) cols() []algebra.ColumnMeta { return g.out }
+
+func (g *vecGroup) next() (*vec.Batch, []int32, error) {
+	if g.res == nil {
+		b, err := g.aggregate()
+		if err != nil {
+			return nil, nil, err
+		}
+		g.res = &windows{b: b}
+	}
+	return g.res.next(), nil, nil
+}
+
+// aggregate drains the input and returns one row per group.
+func (g *vecGroup) aggregate() (*vec.Batch, error) {
+	inCols := g.in.cols()
+	keyPos := make([]int, len(g.op.Keys))
+	for i, k := range g.op.Keys {
+		keyPos[i] = -1
+		for j, c := range inCols {
+			if c.ID == k {
+				keyPos[i] = j
+			}
+		}
+		if keyPos[i] < 0 {
+			return nil, fmt.Errorf("exec: group key c%d missing", k)
+		}
+	}
+	gk := newGroupKeys(keyPos)
+	slabs := make([]aggSlab, len(g.op.Aggs))
+	for a := range slabs {
+		slabs[a] = newAggSlab(&g.op.Aggs[a])
+	}
+	argVecs := make([]*vec.Vec, len(slabs))
+	var gids []int32
+	for {
+		b, sel, err := g.in.next()
+		if err != nil {
+			return nil, err
+		}
+		if b == nil {
+			break
+		}
+		for ai, a := range g.op.Aggs {
+			argVecs[ai] = nil // COUNT(*)
+			if a.Arg != nil {
+				if argVecs[ai], err = evalVec(a.Arg, g.ve, b, sel); err != nil {
+					return nil, err
+				}
+			}
+		}
+		n := selLen(sel, b)
+		gids = reuse(gids, n)[:n]
+		gk.resolve(b, sel, gids)
+		// Accumulate one aggregate column at a time. Error choice can
+		// differ from the row engine when distinct (row, agg) cells would
+		// each error — presence cannot (see the vecexpr.go header).
+		for ai := range slabs {
+			slabs[ai].grow(gk.n)
+			if err := slabs[ai].add(argVecs[ai], gids); err != nil {
+				return nil, err
+			}
+		}
+	}
+	groups := gk.n
+	if len(keyPos) == 0 && groups == 0 {
+		// A scalar aggregate over empty input yields one all-default row.
+		groups = 1
+		for ai := range slabs {
+			slabs[ai].grow(groups)
+		}
+	}
+	out := &vec.Batch{N: groups, Cols: make([]*vec.Vec, 0, len(keyPos)+len(slabs))}
+	for c := range keyPos {
+		out.Cols = append(out.Cols, gk.column(c))
+	}
+	for ai := range slabs {
+		out.Cols = append(out.Cols, slabs[ai].column(groups))
+	}
+	return out, nil
+}
+
+// groupKeys resolves rows to groups through one idTable. A single key
+// starts in payload mode: a group is found by its INT payload (ints), and
+// every NULL key shares nullGroup, so nothing is hashed or boxed. The
+// first batch whose key vector is neither typed INT nor all-NULL demotes
+// it, once, to the general mode, which every other key set starts in: a
+// group is found by its key hash (hashes, chained through next when
+// distinct keys share a hash) and confirmed by groupKeyMatch against its
+// boxed key values.
+type groupKeys struct {
+	keyPos    []int
+	n         int // groups so far
+	byPayload bool
+	ints      []int64 // payload mode: per group, its key (the NULL group's is 0)
+	intTab    idTable[int64]
+	nullGroup int32    // payload mode: the NULL key's group, or -1
+	hashes    []uint64 // general mode: per group, its key hash
+	hashTab   idTable[uint64]
+	next      []int32       // general mode: per group, the previous group with its hash, or -1
+	vals      []types.Value // general mode: group i's key values at vals[i·len(keyPos):]
+	hs        []uint64      // key hash scratch
+}
+
+func newGroupKeys(keyPos []int) *groupKeys {
+	g := &groupKeys{keyPos: keyPos, byPayload: len(keyPos) == 1, nullGroup: -1}
+	if g.byPayload {
+		g.intTab = newIDTable[int64](0)
+	} else {
+		g.hashTab = newIDTable[uint64](0)
+	}
+	return g
+}
+
+// resolve writes each selected row's group into gids, creating groups in
+// first-seen order.
+func (g *groupKeys) resolve(b *vec.Batch, sel []int32, gids []int32) {
+	if g.byPayload {
+		if c := b.Cols[g.keyPos[0]]; !c.Mixed && (c.Kind == types.KindInt || c.Kind == types.KindNull) {
+			g.resolveInts(c, sel, gids)
+			return
+		}
+		g.demote()
+	}
+	k := len(g.keyPos)
+	g.hs = keyHashes(b, sel, g.keyPos, g.hs)
+	for i, h := range g.hs {
+		r := pos(sel, i)
+		gid := g.hashTab.find(g.hashes, h)
+		for gid >= 0 && !groupKeyMatch(g.vals[int(gid)*k:], b, g.keyPos, r) {
+			gid = g.next[gid]
+		}
+		if gid < 0 {
+			gid = int32(g.n)
+			g.n++
+			g.hashes = append(g.hashes, h)
+			g.next = append(g.next, g.hashTab.insert(g.hashes, gid))
+			for _, p := range g.keyPos {
+				g.vals = append(g.vals, b.Cols[p].At(r))
+			}
+		}
+		gids[i] = gid
+	}
+}
+
+// resolveInts is resolve in payload mode, over a typed INT or all-NULL
+// key vector.
+func (g *groupKeys) resolveInts(c *vec.Vec, sel, gids []int32) {
+	for i := range gids {
+		r := pos(sel, i)
+		if c.Kind == types.KindNull || c.Nulls != nil && c.IsNull(r) {
+			if g.nullGroup < 0 {
+				g.nullGroup = int32(g.n)
+				g.n++
+				g.ints = append(g.ints, 0)
+			}
+			gids[i] = g.nullGroup
+			continue
+		}
+		x := c.I64[r]
+		gid := g.intTab.find(g.ints, x)
+		if gid < 0 {
+			gid = int32(g.n)
+			g.n++
+			g.ints = append(g.ints, x)
+			g.intTab.insert(g.ints, gid)
+		}
+		gids[i] = gid
+	}
+}
+
+// demote moves payload mode's groups to the general mode: each group's
+// key is boxed and hashed (types.Hash, what keyHashes gives one key) and
+// re-inserted in group order, so each hash's newest group heads its chain.
+func (g *groupKeys) demote() {
+	g.byPayload = false
+	g.vals = make([]types.Value, g.n)
+	g.hashes = make([]uint64, g.n)
+	g.next = make([]int32, g.n)
+	g.hashTab = newIDTable[uint64](g.n)
+	for gid := range g.vals {
+		if int32(gid) != g.nullGroup {
+			g.vals[gid] = types.NewInt(g.ints[gid])
+		}
+		g.hashes[gid] = types.Hash(g.vals[gid])
+		g.next[gid] = g.hashTab.insert(g.hashes, int32(gid))
+	}
+	g.ints, g.intTab = nil, idTable[int64]{}
+}
+
+// column returns key c's output vector: the one vec.Column builds from the
+// groups' key values.
+func (g *groupKeys) column(c int) *vec.Vec {
+	switch {
+	case !g.byPayload:
+		k := len(g.keyPos)
+		return vec.Column(g.n, func(i int) types.Value { return g.vals[i*k+c] })
+	case g.n == 1 && g.nullGroup == 0: // every key is NULL
+		return vec.Column(1, func(int) types.Value { return types.Null })
+	}
+	v := vec.NewDense(types.KindInt, g.n)
+	copy(v.I64, g.ints)
+	if g.nullGroup >= 0 {
+		v.SetNull(int(g.nullGroup))
+	}
+	return v
+}
 
 // groupKeyMatch compares one candidate group's key values against batch
 // position i, with typed payload fast paths. Semantics are exactly
@@ -936,185 +1158,142 @@ func groupKeyMatch(cand []types.Value, b *vec.Batch, keyPos []int, i int) bool {
 	return true
 }
 
-// aggVecMode selects, per (aggregate, batch), how argument values fold
-// into the shared aggState: the generic boxed route or a typed shortcut
-// whose observable effect is identical.
-type aggVecMode int8
+// aggSlab holds one aggregate's accumulators for every group, indexed by
+// group. COUNT (not DISTINCT) is a count of the non-NULL argument rows
+// read off the bitmap. SUM (not DISTINCT) is a float64 sum plus a seen
+// flag while every argument batch is typed FLOAT or all-NULL: the first
+// value is adopted as it is and later ones added, so a group of -0 sums
+// to -0, as aggState's SUM does. The first other argument batch promotes
+// it, once and exactly, to aggState, which every other aggregate uses
+// from the start (shared addValue, the row engine's accumulation).
+type aggSlab struct {
+	def    *algebra.AggDef
+	kind   slabKind
+	count  []int64
+	sum    []float64
+	seen   []bool
+	states []aggState
+}
+
+type slabKind int8
 
 const (
-	aggVecBoxed      aggVecMode = iota // addValue per boxed value
-	aggVecStar                         // COUNT(*): no argument
-	aggVecSumFloat                     // SUM over a typed FLOAT vector
-	aggVecCountDense                   // COUNT over a typed NULL-free vector
+	slabCount slabKind = iota
+	slabSum
+	slabStates
 )
 
-// aggVecModeOf picks the accumulation mode for one aggregate against one
-// argument vector. DISTINCT always takes the boxed route (it needs the
-// shared types.Hash dedup the row engine uses).
-func aggVecModeOf(def algebra.AggDef, v *vec.Vec) aggVecMode {
-	if def.Distinct || v.Mixed {
-		return aggVecBoxed
+func newAggSlab(def *algebra.AggDef) aggSlab {
+	s := aggSlab{def: def, kind: slabStates}
+	switch {
+	case def.Distinct:
+	case def.Func == algebra.AggCount:
+		s.kind = slabCount
+	case def.Func == algebra.AggSum:
+		s.kind = slabSum
+	}
+	return s
+}
+
+// grow extends the slab to n groups.
+func (s *aggSlab) grow(n int) {
+	switch s.kind {
+	case slabCount:
+		s.count = extend(s.count, n)
+	case slabSum:
+		s.sum, s.seen = extend(s.sum, n), extend(s.seen, n)
+	default:
+		for len(s.states) < n {
+			s.states = append(s.states, initAggState(s.def))
+		}
+	}
+}
+
+// extend lengthens s to n elements, the new ones zero: a slab is only
+// ever lengthened, so its spare capacity is still zero.
+func extend[T any](s []T, n int) []T {
+	if n > cap(s) {
+		t := make([]T, len(s), max(n, 2*cap(s)))
+		copy(t, s)
+		s = t
+	}
+	return s[:n]
+}
+
+// add folds one batch's argument vector (nil for COUNT(*)) into the
+// groups of its rows.
+func (s *aggSlab) add(v *vec.Vec, gids []int32) error {
+	allNull := v != nil && !v.Mixed && v.Kind == types.KindNull
+	if s.kind == slabSum && !allNull && (v.Mixed || v.Kind != types.KindFloat) {
+		s.promote()
 	}
 	switch {
-	case def.Func == algebra.AggSum && v.Kind == types.KindFloat:
-		return aggVecSumFloat
-	case def.Func == algebra.AggCount && v.Kind != types.KindNull && v.Nulls == nil:
-		return aggVecCountDense
-	}
-	return aggVecBoxed
-}
-
-// sumFloat folds one non-NULL FLOAT argument, staying on a float64
-// running sum once the accumulator is FLOAT; kind adoption and mixed-kind
-// promotion route through addValue so semantics stay shared.
-func (s *aggState) sumFloat(x float64) error {
-	if s.acc.Kind() == types.KindFloat {
-		s.acc = types.NewFloat(s.acc.Float() + x)
-		return nil
-	}
-	return s.addValue(types.NewFloat(x))
-}
-
-func (g *vecGroup) next() (*vec.Batch, []int32, error) {
-	if g.res == nil {
-		b, err := g.aggregate()
-		if err != nil {
-			return nil, nil, err
-		}
-		g.res = &windows{b: b}
-	}
-	return g.res.next(), nil, nil
-}
-
-// aggregate drains the input and returns one row per group. Groups live in
-// flat slabs — group i's key values at keys[i·k:], its aggregate states
-// at states[i·na:] — found through a hash → newest-group map chained by
-// next, so a new group allocates nothing of its own.
-func (g *vecGroup) aggregate() (*vec.Batch, error) {
-	inCols := g.in.cols()
-	keyPos := make([]int, len(g.op.Keys))
-	for i, k := range g.op.Keys {
-		keyPos[i] = -1
-		for j, c := range inCols {
-			if c.ID == k {
-				keyPos[i] = j
+	case s.kind == slabStates:
+		for i, gid := range gids {
+			if err := s.states[gid].addValue(v.At(i)); err != nil {
+				return err
 			}
 		}
-		if keyPos[i] < 0 {
-			return nil, fmt.Errorf("exec: group key c%d missing", k)
+	case allNull:
+	case s.kind == slabCount && (v == nil || v.Nulls == nil):
+		for _, gid := range gids {
+			s.count[gid]++
 		}
-	}
-	k, na := len(keyPos), len(g.op.Aggs)
-	heads := map[uint64]int32{}
-	var next []int32 // per group: the previous group with its hash, or -1
-	var keys []types.Value
-	var states []aggState
-	groups := 0
-	argVecs := make([]*vec.Vec, na)
-	argMode := make([]aggVecMode, na)
-	var hs []uint64
-	var gids []int32
-	for {
-		b, sel, err := g.in.next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		n := selLen(sel, b)
-		for ai, a := range g.op.Aggs {
-			if a.Arg == nil {
-				argMode[ai] = aggVecStar
-				continue
+	case s.kind == slabCount:
+		for i, gid := range gids {
+			if !v.IsNull(i) {
+				s.count[gid]++
 			}
-			v, err := evalVec(a.Arg, g.ve, b, sel)
-			if err != nil {
-				return nil, err
-			}
-			argVecs[ai] = v
-			argMode[ai] = aggVecModeOf(a, v)
 		}
-		// Key hashes fold column-wise over the whole batch, reusing one
-		// scratch slice — no per-row hasher or key-row allocation.
-		hs = keyHashes(b, sel, keyPos, hs)
-		if cap(gids) < n {
-			gids = make([]int32, n)
-		}
-		gids = gids[:n]
-		// Pass 1: resolve every row to its group in first-seen order.
-		for i := 0; i < n; i++ {
-			gid := int32(-1)
-			head, seen := heads[hs[i]]
-			for c := head; seen && c >= 0; c = next[c] {
-				if groupKeyMatch(keys[int(c)*k:], b, keyPos, pos(sel, i)) {
-					gid = c
-					break
-				}
-			}
-			if gid < 0 {
-				gid = int32(groups)
-				groups++
-				if !seen {
-					head = -1
-				}
-				next = append(next, head)
-				heads[hs[i]] = gid
-				for _, p := range keyPos {
-					keys = append(keys, b.Cols[p].At(pos(sel, i)))
-				}
-				for a := range g.op.Aggs {
-					states = append(states, initAggState(&g.op.Aggs[a]))
-				}
-			}
-			gids[i] = gid
-		}
-		// Pass 2: accumulate one aggregate column at a time. Error choice
-		// can differ from the row engine when distinct (row, agg) cells
-		// would each error — presence cannot (see the vecexpr.go header).
-		for ai := range g.op.Aggs {
-			state := func(gid int32) *aggState { return &states[int(gid)*na+ai] }
-			switch argMode[ai] {
-			case aggVecStar, aggVecCountDense:
-				// COUNT(*) / COUNT over a NULL-free vector: pure tallies.
-				for _, gid := range gids {
-					state(gid).count++
-				}
-			case aggVecSumFloat:
-				v := argVecs[ai]
-				for i, gid := range gids {
-					if v.Nulls != nil && v.IsNull(i) {
-						continue
-					}
-					if err := state(gid).sumFloat(v.F64[i]); err != nil {
-						return nil, err
-					}
-				}
+	default:
+		for i, gid := range gids {
+			switch x := v.F64[i]; {
+			case v.Nulls != nil && v.IsNull(i):
+			case s.seen[gid]:
+				s.sum[gid] += x
 			default:
-				v := argVecs[ai]
-				for i, gid := range gids {
-					if err := state(gid).addValue(v.At(i)); err != nil {
-						return nil, err
-					}
-				}
+				s.sum[gid], s.seen[gid] = x, true
 			}
 		}
 	}
-	// A scalar aggregate over empty input yields one all-default row.
-	if k == 0 && groups == 0 {
-		for a := range g.op.Aggs {
-			states = append(states, initAggState(&g.op.Aggs[a]))
+	return nil
+}
+
+// promote moves a SUM's float sums into aggState, each exactly the state
+// addValue would have reached over the same values.
+func (s *aggSlab) promote() {
+	s.kind = slabStates
+	s.states = make([]aggState, len(s.sum))
+	for gid, x := range s.sum {
+		s.states[gid] = initAggState(s.def)
+		if s.seen[gid] {
+			s.states[gid].acc = types.NewFloat(x)
 		}
-		groups = 1
 	}
-	out := &vec.Batch{N: groups, Cols: make([]*vec.Vec, k+na)}
-	for c := 0; c < k; c++ {
-		out.Cols[c] = vec.Column(groups, func(i int) types.Value { return keys[i*k+c] })
+	s.sum, s.seen = nil, nil
+}
+
+// column returns the slab's results for groups [0, n) as an output vector:
+// the one vec.Column builds from the same values.
+func (s *aggSlab) column(n int) *vec.Vec {
+	switch {
+	case s.kind == slabStates:
+		return vec.Column(n, func(gid int) types.Value { return s.states[gid].result() })
+	case s.kind == slabCount:
+		v := vec.NewDense(types.KindInt, n)
+		copy(v.I64, s.count)
+		return v
+	case !slices.Contains(s.seen, true): // every sum is NULL
+		return vec.Column(n, func(int) types.Value { return types.Null })
 	}
-	for a := 0; a < na; a++ {
-		out.Cols[k+a] = vec.Column(groups, func(i int) types.Value { return states[i*na+a].result() })
+	v := vec.NewDense(types.KindFloat, n)
+	copy(v.F64, s.sum)
+	for gid, seen := range s.seen {
+		if !seen {
+			v.SetNull(gid)
+		}
 	}
-	return out, nil
+	return v
 }
 
 // vecSort drains its input, sorts a row permutation with the engine-wide
