@@ -15,7 +15,8 @@ import (
 type Binder struct {
 	shell   *catalog.Shell
 	nextID  ColumnID
-	paramAt map[int]int // literal byte offset → 1-based parameter slot
+	paramAt map[int]int   // literal byte offset → 1-based parameter slot
+	args    []types.Value // values of DSQL parameter markers, by slot
 }
 
 // NewBinder returns a binder over the given shell database.
@@ -39,6 +40,13 @@ func (b *Binder) SetParamSlots(slots map[int]int) {
 		b.paramAt[pos] = slot + 1
 	}
 }
+
+// SetArgs supplies the values of the parameter markers in DSQL step text
+// (sqlparser.ParamExpr, rendered by dsql.Placeholder): marker i binds to
+// Const{Val: args[i], Param: i+1}, exactly the constant the literal it
+// stands for binds to, so comparisons coerce it the same way. A marker
+// without an argument is a bind error.
+func (b *Binder) SetArgs(args []types.Value) { b.args = args }
 
 // paramOf resolves a literal's byte offset to its Const.Param encoding
 // (0 when the literal is not a parameter slot).
@@ -757,6 +765,12 @@ func (b *Binder) bindExpr(e sqlparser.Expr, s *scope, allowMissing bool) (Scalar
 	switch x := e.(type) {
 	case *sqlparser.Lit:
 		return &Const{Val: x.Value, Param: b.paramOf(x.Pos)}, nil
+
+	case *sqlparser.ParamExpr:
+		if x.Slot >= len(b.args) {
+			return nil, fmt.Errorf("algebra: parameter marker %d has no argument", x.Slot)
+		}
+		return &Const{Val: b.args[x.Slot], Param: x.Slot + 1}, nil
 
 	case *sqlparser.ColRef:
 		m, ok, err := s.resolve(x.Table, x.Name)

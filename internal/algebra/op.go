@@ -353,6 +353,13 @@ func (t *Tree) OutputColSet() ColSet {
 	return s
 }
 
+// Memoize derives the lazily cached schema (OutputCols, OutputColSet) of
+// every node, subquery inputs included, so the tree can afterwards be read
+// from many goroutines at once.
+func Memoize(t *Tree) {
+	VisitTree(t, func(n *Tree) { n.OutputColSet() })
+}
+
 // Fingerprint renders the whole tree deterministically.
 func (t *Tree) Fingerprint() string {
 	if len(t.Children) == 0 {

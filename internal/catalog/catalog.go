@@ -144,6 +144,10 @@ type Shell struct {
 	// Atomic, so it lives above mu: readers never take the lock for it.
 	epoch atomic.Uint64
 
+	// base is the shell an overlay reads through to (nil otherwise); set
+	// at construction, never changed.
+	base *Shell
+
 	mu     sync.RWMutex
 	tables map[string]*Table
 }
@@ -154,12 +158,23 @@ func NewShell(n int) *Shell {
 	return &Shell{Topology: Topology{ComputeNodes: n}, tables: make(map[string]*Table)}
 }
 
+// Overlay returns an empty shell that reads through to s: a lookup finds
+// the overlay's own tables first, then s's. Tables added to the overlay
+// stay in it — an execution registers its temp tables there — and may not
+// shadow a table of s.
+func (s *Shell) Overlay() *Shell {
+	return &Shell{Topology: s.Topology, base: s}
+}
+
 // AddTable registers a table, validating schema and distribution metadata.
 func (s *Shell) AddTable(t *Table) error {
 	if t.Name == "" {
 		return fmt.Errorf("catalog: table with empty name")
 	}
 	key := strings.ToLower(t.Name)
+	if s.base != nil && s.base.lookup(key) != nil {
+		return fmt.Errorf("catalog: table %q would shadow a base table", t.Name)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, ok := s.tables[key]; ok {
@@ -188,6 +203,9 @@ func (s *Shell) AddTable(t *Table) error {
 			return fmt.Errorf("catalog: table %q: primary-key column %q not found", t.Name, pk)
 		}
 	}
+	if s.tables == nil {
+		s.tables = make(map[string]*Table)
+	}
 	s.tables[key] = t
 	s.epoch.Add(1)
 	return nil
@@ -204,13 +222,20 @@ func (s *Shell) Epoch() uint64 { return s.epoch.Load() }
 func (s *Shell) BumpEpoch() uint64 { return s.epoch.Add(1) }
 
 // Table resolves a table by name (case-insensitive), or nil.
-func (s *Shell) Table(name string) *Table {
+func (s *Shell) Table(name string) *Table { return s.lookup(strings.ToLower(name)) }
+
+func (s *Shell) lookup(key string) *Table {
 	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.tables[strings.ToLower(name)]
+	t := s.tables[key]
+	s.mu.RUnlock()
+	if t == nil && s.base != nil {
+		return s.base.lookup(key)
+	}
+	return t
 }
 
 // Tables returns every table sorted by name, for deterministic iteration.
+// An overlay lists only its own tables.
 func (s *Shell) Tables() []*Table {
 	s.mu.RLock()
 	out := make([]*Table, 0, len(s.tables))

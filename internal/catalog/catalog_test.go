@@ -227,3 +227,30 @@ func TestBuildMissingStats(t *testing.T) {
 		t.Errorf("short row: err = %v", err)
 	}
 }
+
+// TestOverlay: an overlay reads through to its base, keeps its own tables
+// to itself, and refuses a table that would shadow a base table.
+func TestOverlay(t *testing.T) {
+	base := NewShell(4)
+	if err := base.AddTable(ordersTable()); err != nil {
+		t.Fatal(err)
+	}
+	epoch := base.Epoch()
+	o := base.Overlay()
+	if o.Table("orders") != base.Table("orders") {
+		t.Error("overlay must resolve a base table to the base's entry")
+	}
+	temp := &Table{Name: "TEMP_ID_1", Columns: []Column{{Name: "c1", Type: types.KindInt}}, Dist: Distribution{Kind: DistReplicated}}
+	if err := o.AddTable(temp); err != nil {
+		t.Fatal(err)
+	}
+	if o.Table("temp_id_1") != temp || base.Table("TEMP_ID_1") != nil {
+		t.Error("a temp table belongs to the overlay alone")
+	}
+	if base.Epoch() != epoch {
+		t.Error("adding to an overlay must not bump the base epoch")
+	}
+	if err := o.AddTable(ordersTable()); err == nil || !strings.Contains(err.Error(), "shadow") {
+		t.Errorf("shadowing a base table: err %v", err)
+	}
+}

@@ -11,11 +11,13 @@ package dsql
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/core"
 	"pdwqo/internal/cost"
+	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 )
 
@@ -56,6 +58,63 @@ type Step struct {
 
 	// Estimates carried from the optimizer, for EXPLAIN output.
 	Rows, Width, MoveCost float64
+
+	// node is the step's node-compile slot, shared by every copy of the
+	// step; text is SQL as Generate or Bind produced it, and args the
+	// values of that Bind's parameter slots.
+	node *nodeSlot
+	text string
+	args []types.Value
+}
+
+// nodeSlot is a generated step's node-compile slot. Every copy of the
+// step shares it, each Bind of a cached template included, so the nodes
+// compile the template once per plan rather than once per execution (in
+// the paper's terms, the compute nodes' SQL Server instances keep the
+// compiled plans of the step statements they have seen).
+type nodeSlot struct {
+	template string // the step SQL as generated, parameter markers included
+	tree     atomic.Pointer[NodeTree]
+}
+
+// NodeTree is what the compute nodes compiled from a step's template
+// text: the normalized tree and the catalog epoch it was compiled at.
+// Slots lists, ascending, the parameter slots whose markers the template
+// carries, and Args the arguments they were bound to at compile time; a
+// tree with no slots serves every execution as it is. A NodeTree is
+// immutable once published.
+type NodeTree struct {
+	Tree  *algebra.Tree
+	Epoch uint64
+	Args  []types.Value
+	Slots []int
+}
+
+// Template returns the text the nodes compile for the step and the
+// arguments of its parameter markers. ok is false when the step has no
+// node-compile slot — Generate did not emit it, its SQL was edited after
+// Generate or Bind produced it, or Bind was given a text that is not a
+// single literal — and the nodes then compile SQL as it stands.
+func (s *Step) Template() (text string, args []types.Value, ok bool) {
+	if s.node == nil || s.SQL != s.text {
+		return "", nil, false
+	}
+	return s.node.template, s.args, true
+}
+
+// NodeTree returns the tree the nodes last published for the step, or nil.
+func (s *Step) NodeTree() *NodeTree {
+	if s.node == nil {
+		return nil
+	}
+	return s.node.tree.Load()
+}
+
+// SetNodeTree publishes t for every copy of the step.
+func (s *Step) SetNodeTree(t *NodeTree) {
+	if s.node != nil {
+		s.node.tree.Store(t)
+	}
 }
 
 // EstBytes is the optimizer's predicted byte volume of the step's stream
@@ -139,56 +198,36 @@ func (p *Plan) HasAllParamSlots(n int) bool {
 // Bind returns a copy of the plan with every slot placeholder replaced
 // by texts[slot] (SQL literal text). The receiver — a cached template —
 // is not modified; shared read-only fields (OutCols, OrderBy, DestCols)
-// are reused.
+// are reused. Each step of the copy keeps the template's node-compile
+// slot and records the slot values, read back from texts with the
+// parser's literal rule, as the arguments the nodes bind the template's
+// markers to.
 func (p *Plan) Bind(texts []string) *Plan {
 	pairs := make([]string, 0, 2*len(texts))
+	args := make([]types.Value, len(texts))
 	for slot, t := range texts {
 		pairs = append(pairs, Placeholder(slot), t)
+		v, ok := sqlparser.ParseLiteral(t)
+		if !ok {
+			args = nil
+		} else if args != nil {
+			args[slot] = v
+		}
 	}
 	r := strings.NewReplacer(pairs...)
 	out := *p
 	out.Steps = make([]Step, len(p.Steps))
 	for i, s := range p.Steps {
+		if s.node == nil || s.SQL != s.node.template || args == nil {
+			// An edited or already bound step, or a non-literal text: the
+			// nodes compile the bound text itself.
+			s.node = nil
+		}
 		s.SQL = r.Replace(s.SQL)
+		s.text, s.args = s.SQL, args
 		out.Steps[i] = s
 	}
 	return &out
-}
-
-// Isolate returns a copy of the plan whose temp-table names carry a
-// per-execution suffix ("TEMP_ID_1" → "TEMP_ID_1_X42"). Generator-assigned
-// temp names restart at 1 for every plan, so two plans — or two executions
-// of one cached plan — running concurrently on the same appliance would
-// otherwise collide on the nodes' local storage. The engine isolates every
-// execution with a fresh ID; plans with no move steps create no temp
-// tables and are returned unchanged. Replacement happens on the
-// bracket-quoted form ("[TEMP_ID_1]"), so a name can never rewrite a
-// longer name it prefixes.
-func (p *Plan) Isolate(id uint64) *Plan {
-	var pairs []string
-	for _, s := range p.Steps {
-		if s.Kind == StepMove {
-			pairs = append(pairs, "["+s.Dest+"]", "["+isolatedName(s.Dest, id)+"]")
-		}
-	}
-	if len(pairs) == 0 {
-		return p
-	}
-	r := strings.NewReplacer(pairs...)
-	out := *p
-	out.Steps = make([]Step, len(p.Steps))
-	for i, s := range p.Steps {
-		s.SQL = r.Replace(s.SQL)
-		if s.Kind == StepMove {
-			s.Dest = isolatedName(s.Dest, id)
-		}
-		out.Steps[i] = s
-	}
-	return &out
-}
-
-func isolatedName(dest string, id uint64) string {
-	return fmt.Sprintf("%s_X%d", dest, id)
 }
 
 // Generate converts an optimized plan into DSQL steps.
@@ -227,6 +266,8 @@ func Generate(plan *core.Plan, finalCols []algebra.ColumnMeta) (*Plan, error) {
 		ID:    len(g.plan.Steps),
 		Kind:  StepReturn,
 		SQL:   final,
+		node:  &nodeSlot{template: final},
+		text:  final,
 		Where: root.Dist.Kind,
 		// The Return step streams rows to the client as they merge;
 		// replaying it would duplicate delivered rows.
@@ -535,6 +576,8 @@ func (g *generator) emitMove(o *core.Option) (string, error) {
 		ID:         len(g.plan.Steps),
 		Kind:       StepMove,
 		SQL:        sql,
+		node:       &nodeSlot{template: sql},
+		text:       sql,
 		Where:      src.Dist.Kind,
 		Idempotent: o.Idempotent(),
 		MoveKind:   o.Move.Kind,

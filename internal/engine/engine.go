@@ -2,10 +2,12 @@
 // node plus N compute nodes, each owning a node-local database instance and
 // a DMS endpoint. DSQL plans execute exactly as described in the paper —
 // steps run serially; each step ships a SQL *string* to the participating
-// nodes, whose local engines parse and execute it themselves, concurrently
-// across nodes; DMS operations route the resulting column batches into temp
-// tables; the final step streams rows back to the client through the
-// control node, the one place results are boxed into rows.
+// nodes, whose local engines compile it themselves — once per plan, keeping
+// the tree as SQL Server keeps a statement's plan (compile.go) — and
+// execute it concurrently across nodes; DMS operations route the resulting
+// column batches into temp tables; the final step streams rows back to the
+// client through the control node, the one place results are boxed into
+// rows.
 //
 // Node-level work inside one step fans out through par.For, the one loop
 // every worker count runs (ExecConfig.Parallelism; default GOMAXPROCS).
@@ -17,10 +19,11 @@
 //
 // The appliance is shared infrastructure: nodes, their data and the
 // lifetime-aggregate Metrics. Everything about one query's run — how it is
-// configured (ExecConfig), its isolated plan, its session catalog and temp
-// tables, the steps it recorded and its retry / fault tallies — lives in a
-// per-run value (paper §2.3–§2.4), so concurrent executions with different
-// configurations share no mutable state beyond the nodes' storage.
+// configured (ExecConfig), its catalog overlay and temp tables, the steps
+// it recorded and its retry / fault tallies — lives in a per-run value
+// (paper §2.3–§2.4), so concurrent executions with different
+// configurations share no mutable state beyond the nodes' storage and the
+// steps' compiled trees (compile.go), which are immutable once published.
 package engine
 
 import (
@@ -37,9 +40,7 @@ import (
 	"pdwqo/internal/cost"
 	"pdwqo/internal/dsql"
 	"pdwqo/internal/exec"
-	"pdwqo/internal/normalize"
 	"pdwqo/internal/par"
-	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/storage"
 	"pdwqo/internal/trace"
 	"pdwqo/internal/types"
@@ -176,9 +177,10 @@ type Appliance struct {
 	Compute []*Node
 	Metrics Metrics
 
-	// execSeq numbers executions; each run rewrites its plan's temp-table
-	// names with the ID (dsql.Plan.Isolate) so concurrent executions on
-	// one appliance never collide on the nodes' local storage.
+	// execSeq numbers executions; each run stores its plan's temp tables
+	// under names suffixed with the ID (run.stored) so concurrent
+	// executions on one appliance never collide on the nodes' local
+	// storage.
 	execSeq atomic.Uint64
 }
 
@@ -296,16 +298,20 @@ type Result struct {
 	Faults  int64
 }
 
-// run is everything one execution owns: its configuration, the isolated
-// plan, the session catalog (shell tables plus the temp tables its steps
-// publish), the temp tables to drop when it ends, and what it recorded.
-// Nothing here is shared with another execution.
+// run is everything one execution owns: its configuration, its plan, the
+// session catalog (an overlay of the appliance shell holding the temp
+// tables its steps publish, under the plan's template names), the storage
+// names of those temp tables, the ones to drop when it ends, and what it
+// recorded. Nothing here is shared with another execution.
 type run struct {
 	a       *Appliance
 	cfg     ExecConfig
 	plan    *dsql.Plan
 	session *catalog.Shell
-	temps   []string
+	// names holds, per step, the storage name of a move step's
+	// destination: its template name suffixed with the execution ID.
+	names []string
+	temps []string
 
 	steps   []StepMetric
 	retries int64
@@ -320,17 +326,26 @@ type run struct {
 // ctx stops between-node work as soon as the running tasks notice.
 //
 // Executions are isolated from each other and may run concurrently on one
-// appliance, each under its own configuration: a run works against a
-// private copy of the plan whose temp tables carry a unique per-execution
-// suffix, so a long-lived server can dispatch many sessions' plans at
-// once. Every run's steps, retries and faults also accumulate in the
-// appliance-lifetime Metrics.
+// appliance, each under its own configuration: a run stores its temp
+// tables under names carrying a unique per-execution suffix, so a
+// long-lived server can dispatch many sessions' plans at once. Every run's
+// steps, retries and faults also accumulate in the appliance-lifetime
+// Metrics.
 func (a *Appliance) Execute(ctx context.Context, p *dsql.Plan, cfg ExecConfig) (*Result, error) {
 	r := &run{
 		a:       a,
 		cfg:     cfg,
-		plan:    p.Isolate(a.execSeq.Add(1)),
-		session: catalog.NewShell(a.Shell.Topology.ComputeNodes),
+		plan:    p,
+		session: a.Shell.Overlay(),
+	}
+	id := a.execSeq.Add(1)
+	for i, s := range p.Steps {
+		if s.Kind == dsql.StepMove {
+			if r.names == nil {
+				r.names = make([]string, len(p.Steps))
+			}
+			r.names[i] = fmt.Sprintf("%s_X%d", s.Dest, id)
+		}
 	}
 	defer func() {
 		for _, name := range r.temps {
@@ -345,19 +360,14 @@ func (a *Appliance) Execute(ctx context.Context, p *dsql.Plan, cfg ExecConfig) (
 	return res, err
 }
 
-// execute registers the shell tables in the session catalog and runs the
-// plan's steps in order until the return step yields the result.
+// execute runs the plan's steps in order until the return step yields the
+// result.
 func (r *run) execute(ctx context.Context) (*Result, error) {
-	for _, t := range r.a.Shell.Tables() {
-		if err := r.session.AddTable(t); err != nil {
-			return nil, err
-		}
-	}
 	esp := r.cfg.Tracer.Begin("execute")
 	esp.Int("steps", int64(len(r.plan.Steps)))
 	defer esp.End()
-	for _, step := range r.plan.Steps {
-		res, err := r.runStep(ctx, esp.ID(), step)
+	for i := range r.plan.Steps {
+		res, err := r.runStep(ctx, esp.ID(), &r.plan.Steps[i])
 		if err != nil {
 			return nil, err
 		}
@@ -384,12 +394,24 @@ func (r *run) forEach(ctx context.Context, n int, fn func(ctx context.Context, i
 // On success the step's metric — stamped with the step ID and attempt
 // count — is recorded by the run and in the appliance's Metrics and, when
 // tracing, attached to the step's span as its payload.
-func (r *run) runStep(ctx context.Context, parent trace.SpanID, step dsql.Step) (*Result, error) {
+func (r *run) runStep(ctx context.Context, parent trace.SpanID, step *dsql.Step) (*Result, error) {
 	sp := r.cfg.Tracer.BeginUnder(parent, "step")
 	defer sp.End()
 	// Compilation is deterministic — the same SQL fails the same way — so
 	// it runs once, outside the retry loop.
-	tree, err := r.compile(step.SQL)
+	csp := r.cfg.Tracer.BeginUnder(sp.ID(), "step-compile")
+	tree, outcome, err := r.compileStep(step)
+	if err != nil {
+		csp.SetErr(err)
+	} else {
+		csp.Str("outcome", outcome)
+		if outcome == compileHit {
+			r.cfg.Tracer.Counters().Add("exec.step_compile.hit", 1)
+		} else {
+			r.cfg.Tracer.Counters().Add("exec.step_compile.miss", 1)
+		}
+	}
+	csp.End()
 	if err != nil {
 		serr := stepError(step.ID, NoNode, ErrKindExec, err)
 		sp.SetErr(serr)
@@ -412,7 +434,7 @@ func (r *run) runStep(ctx context.Context, parent trace.SpanID, step dsql.Step) 
 				break
 			}
 		}
-		res, sm, serr := r.attemptStep(ctx, step, tree)
+		res, sm, serr := r.attemptStep(ctx, *step, tree)
 		if serr == nil {
 			sm.StepID = step.ID
 			sm.Attempts = attempt + 1
@@ -427,8 +449,9 @@ func (r *run) runStep(ctx context.Context, parent trace.SpanID, step dsql.Step) 
 			// A failed move may have staged or published partial rows on
 			// any subset of nodes; drop both names everywhere so the next
 			// attempt (or the caller) sees a clean appliance.
-			r.a.dropEverywhere(step.Dest)
-			r.a.dropEverywhere(stagingName(step.Dest))
+			dest := r.stored(step.Dest)
+			r.a.dropEverywhere(dest)
+			r.a.dropEverywhere(stagingName(dest))
 		}
 		if !serr.Retryable() {
 			break
@@ -539,20 +562,16 @@ func (a *Appliance) dropEverywhere(name string) {
 // publishing rename; it shares the destination's temp-table lifecycle.
 func stagingName(dest string) string { return dest + "__stage" }
 
-// compile parses, binds and normalizes a DSQL step's SQL text against the
-// run's session catalog — the role of each node's local SQL instance
-// compilation.
-func (r *run) compile(sql string) (*algebra.Tree, error) {
-	sel, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		return nil, err
+// stored maps a table name a step tree reads to the name the nodes store
+// it under: a temp table's template name to this run's storage name, a
+// base table's name to itself.
+func (r *run) stored(name string) string {
+	for i, s := range r.plan.Steps {
+		if s.Kind == dsql.StepMove && s.Dest == name {
+			return r.names[i]
+		}
 	}
-	b := algebra.NewBinder(r.session)
-	tree, err := b.Bind(sel)
-	if err != nil {
-		return nil, err
-	}
-	return normalize.New(b).Normalize(tree)
+	return name
 }
 
 // sourceNodes picks the nodes that run a step's SQL.
@@ -584,10 +603,9 @@ func (a *Appliance) sourceNodes(step dsql.Step) []*Node {
 // remaining tasks. stepID and move address the per-node fault-injection
 // site (move is Any for non-move steps).
 func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tree, nodes []*Node) ([]*vec.Batch, exec.Stats, error) {
-	// The step tree is shared by every node's executor, and Tree.OutputCols
-	// memoizes lazily; derive the full schema cache here, before the
-	// fan-out, so the workers only ever read it.
-	tree.OutputCols()
+	// The step tree is shared by every node's executor (and by other runs
+	// of the plan); compileStep returns it fully memoized, so the workers
+	// only ever read it.
 	outs := make([]*vec.Batch, len(nodes))
 	// Per-node stat slots (merged after the barrier) exist only while
 	// tracing, so the untraced path allocates nothing extra.
@@ -611,7 +629,7 @@ func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tr
 		if r.cfg.RowExec {
 			var rel *exec.Relation
 			rel, err = exec.RunStats(tree, func(name string) ([]types.Row, []string, error) {
-				t, err := n.DB.ScanColumns(name)
+				t, err := n.DB.ScanColumns(r.stored(name))
 				if err != nil {
 					return nil, nil, err
 				}
@@ -621,7 +639,9 @@ func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tr
 				out = vec.BatchFromRows(len(rel.Cols), rel.Rows)
 			}
 		} else {
-			out, err = exec.RunColumns(tree, n.DB.ScanColumns, st)
+			out, err = exec.RunColumns(tree, func(name string) (*vec.Table, error) {
+				return n.DB.ScanColumns(r.stored(name))
+			}, st)
 		}
 		if err != nil {
 			// Node-local evaluation failures are deterministic: attribute
@@ -670,7 +690,8 @@ func (r *run) executeMove(ctx context.Context, step dsql.Step, tree *algebra.Tre
 		return StepMetric{}, err
 	}
 	// Destination setup: create the staging table on each receiving node.
-	staging := stagingName(step.Dest)
+	dest := r.stored(step.Dest)
+	staging := stagingName(dest)
 	destNodes, destDist := a.destFor(step)
 	if err := r.forEach(ctx, len(destNodes), func(ctx context.Context, i int) error {
 		if _, serr := r.injectFault(ctx, OpCreate, step.ID, destNodes[i].ID, int(step.MoveKind)); serr != nil {
@@ -791,11 +812,11 @@ func (r *run) executeMove(ctx context.Context, step dsql.Step, tree *algebra.Tre
 	// Publish: every batch landed, so rename staging to the destination
 	// and only then register the temp table for later steps and cleanup.
 	if err := r.forEach(ctx, len(destNodes), func(_ context.Context, i int) error {
-		return destNodes[i].DB.Rename(staging, step.Dest)
+		return destNodes[i].DB.Rename(staging, dest)
 	}); err != nil {
 		return StepMetric{}, err
 	}
-	r.temps = append(r.temps, step.Dest)
+	r.temps = append(r.temps, dest)
 	if err := r.session.AddTable(&catalog.Table{
 		Name:    step.Dest,
 		Columns: step.DestCols,

@@ -39,11 +39,21 @@ func buildApplianceSF(t testing.TB, sf float64, nodes int) (*Appliance, tpch.Dat
 
 func planFor(t testing.TB, a *Appliance, sql string) *dsql.Plan {
 	t.Helper()
+	return slottedPlanFor(t, a, sql, nil)
+}
+
+// slottedPlanFor compiles sql into a DSQL template whose literals, when pq
+// is non-nil, render as pq's parameter markers.
+func slottedPlanFor(t testing.TB, a *Appliance, sql string, pq *normalize.ParamQuery) *dsql.Plan {
+	t.Helper()
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := algebra.NewBinder(a.Shell)
+	if pq != nil {
+		b.SetParamSlots(pq.ParamAt())
+	}
 	tree, err := b.Bind(sel)
 	if err != nil {
 		t.Fatal(err)

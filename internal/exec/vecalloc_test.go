@@ -133,7 +133,7 @@ func TestVecBytes(t *testing.T) {
 		pin  uint64
 	}{
 		{"INT-key join, 16,384-row build", join, 4 * vec.BatchSize, 815_700},
-		{"INT-key group-by, 8,192 groups", group, n / 2, 1_166_300},
+		{"INT-key group-by, 8,192 groups", group, n / 2, 950_000},
 	} {
 		b, err := RunColumns(tc.tree, src, nil)
 		if err != nil {

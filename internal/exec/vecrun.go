@@ -1094,8 +1094,8 @@ func (g *groupKeys) column(c int) *vec.Vec {
 	case g.n == 1 && g.nullGroup == 0: // every key is NULL
 		return vec.Column(1, func(int) types.Value { return types.Null })
 	}
-	v := vec.NewDense(types.KindInt, g.n)
-	copy(v.I64, g.ints)
+	// The key slab is finished: hand it over.
+	v := vec.Ints(types.KindInt, g.ints[:g.n])
 	if g.nullGroup >= 0 {
 		v.SetNull(int(g.nullGroup))
 	}
@@ -1280,15 +1280,12 @@ func (s *aggSlab) column(n int) *vec.Vec {
 	case s.kind == slabStates:
 		return vec.Column(n, func(gid int) types.Value { return s.states[gid].result() })
 	case s.kind == slabCount:
-		v := vec.NewDense(types.KindInt, n)
-		copy(v.I64, s.count)
-		return v
+		return vec.Ints(types.KindInt, s.count[:n])
 	case !slices.Contains(s.seen, true): // every sum is NULL
 		return vec.Column(n, func(int) types.Value { return types.Null })
 	}
-	v := vec.NewDense(types.KindFloat, n)
-	copy(v.F64, s.sum)
-	for gid, seen := range s.seen {
+	v := vec.Floats(s.sum[:n])
+	for gid, seen := range s.seen[:n] {
 		if !seen {
 			v.SetNull(gid)
 		}

@@ -38,7 +38,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"pdwqo/internal/sqlparser"
@@ -184,25 +183,20 @@ func Parameterize(sql string) (*ParamQuery, error) {
 	return pq, nil
 }
 
-// literalOf converts a lexed literal token to its typed value, mirroring
-// exactly how the parser materializes it (numbers with a dot are floats,
-// the rest integers).
+// literalOf converts a lexed literal token to its kind and the value the
+// parser materializes for it (sqlparser.LiteralValue).
 func literalOf(t sqlparser.Token) (LitKind, types.Value, error) {
-	if t.Kind == sqlparser.TokenString {
-		return LitString, types.NewString(t.Text), nil
-	}
-	if strings.ContainsAny(t.Text, ".eE") {
-		f, err := strconv.ParseFloat(t.Text, 64)
-		if err != nil {
-			return 0, types.Value{}, fmt.Errorf("normalize: invalid number %q: %v", t.Text, err)
-		}
-		return LitFloat, types.NewFloat(f), nil
-	}
-	n, err := strconv.ParseInt(t.Text, 10, 64)
+	v, err := sqlparser.LiteralValue(t)
 	if err != nil {
-		return 0, types.Value{}, fmt.Errorf("normalize: invalid number %q: %v", t.Text, err)
+		return 0, types.Value{}, fmt.Errorf("normalize: %v", err)
 	}
-	return LitInt, types.NewInt(n), nil
+	switch v.Kind() {
+	case types.KindString:
+		return LitString, v, nil
+	case types.KindFloat:
+		return LitFloat, v, nil
+	}
+	return LitInt, v, nil
 }
 
 // Fingerprint hashes the canonical shape together with an environment

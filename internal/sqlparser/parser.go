@@ -670,24 +670,13 @@ func (p *parser) parseParenSelect() (*SelectStmt, error) {
 func (p *parser) parsePrimary() (Expr, error) {
 	t := p.cur()
 	switch t.Kind {
-	case tokNumber:
+	case tokNumber, tokString:
 		p.advance()
-		if strings.ContainsAny(t.Text, ".eE") {
-			f, err := strconv.ParseFloat(t.Text, 64)
-			if err != nil {
-				return nil, p.errHere("invalid number %q", t.Text)
-			}
-			return &Lit{Value: types.NewFloat(f), Pos: t.Pos}, nil
-		}
-		n, err := strconv.ParseInt(t.Text, 10, 64)
+		v, err := literalValue(t.Kind, t.Text)
 		if err != nil {
-			return nil, p.errHere("invalid number %q", t.Text)
+			return nil, p.errHere("%v", err)
 		}
-		return &Lit{Value: types.NewInt(n), Pos: t.Pos}, nil
-
-	case tokString:
-		p.advance()
-		return &Lit{Value: types.NewString(t.Text), Pos: t.Pos}, nil
+		return &Lit{Value: v, Pos: t.Pos}, nil
 
 	case tokParam:
 		p.advance()

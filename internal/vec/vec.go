@@ -78,6 +78,19 @@ func (v *Vec) SetNull(i int) {
 
 func (v *Vec) setNull(i int) { v.SetNull(i) }
 
+// Ints returns a typed vector of kind (INT, DATE or BOOL) that adopts
+// payload as its rows, all non-NULL; Floats is the same for FLOAT. The
+// caller hands the slice over and must not touch it afterwards; NULL rows
+// are marked with SetNull.
+func Ints(kind types.Kind, payload []int64) *Vec {
+	return &Vec{Kind: kind, I64: payload[:len(payload):len(payload)], n: len(payload)}
+}
+
+// Floats is Ints for a FLOAT payload.
+func Floats(payload []float64) *Vec {
+	return &Vec{Kind: types.KindFloat, F64: payload[:len(payload):len(payload)], n: len(payload)}
+}
+
 // NewDense returns a typed vector of n rows with the payload allocated
 // at full length for direct indexed writes — the kernel output shape.
 // All rows start non-NULL and zero.

@@ -668,7 +668,7 @@ func (db *DB) ExecutePlanContext(ctx context.Context, plan *QueryPlan) (*Result,
 
 // Run executes a previously optimized plan under ctx and cfg. The
 // configuration belongs to this run alone: executions are isolated (each
-// rewrites its temp-table names with a unique execution ID) and may
+// stores its temp tables under names carrying a unique execution ID) and may
 // proceed concurrently on one DB under different configurations — this is
 // the entry point the query server dispatches sessions through.
 func (db *DB) Run(ctx context.Context, plan *QueryPlan, cfg ExecConfig) (*Result, error) {
