@@ -13,10 +13,9 @@ import (
 // operator trees with globally unique column IDs. It plays the role of the
 // SQL Server algebrizer in the paper's compilation pipeline (Figure 2).
 type Binder struct {
-	shell   *catalog.Shell
-	nextID  ColumnID
-	paramAt map[int]int   // literal byte offset → 1-based parameter slot
-	args    []types.Value // values of DSQL parameter markers, by slot
+	shell  *catalog.Shell
+	nextID ColumnID
+	args   []types.Value // values of parameter markers, by slot
 }
 
 // NewBinder returns a binder over the given shell database.
@@ -24,38 +23,12 @@ func NewBinder(shell *catalog.Shell) *Binder {
 	return &Binder{shell: shell, nextID: 1}
 }
 
-// SetParamSlots installs the parameter-slot map for the plan cache's
-// template compilation: slots maps a literal token's byte offset in the
-// source text to its 0-based parameter slot (see normalize.Parameterize).
-// Constants bound from those literals carry the slot as Const.Param so
-// DSQL generation can render them as re-bindable placeholders. A nil map
-// (the default) binds every literal as a plain constant.
-func (b *Binder) SetParamSlots(slots map[int]int) {
-	if len(slots) == 0 {
-		b.paramAt = nil
-		return
-	}
-	b.paramAt = make(map[int]int, len(slots))
-	for pos, slot := range slots {
-		b.paramAt[pos] = slot + 1
-	}
-}
-
-// SetArgs supplies the values of the parameter markers in DSQL step text
-// (sqlparser.ParamExpr, rendered by dsql.Placeholder): marker i binds to
-// Const{Val: args[i], Param: i+1}, exactly the constant the literal it
-// stands for binds to, so comparisons coerce it the same way. A marker
-// without an argument is a bind error.
+// SetArgs supplies the values of the parameter markers
+// (sqlparser.ParamExpr, rendered by dsql.Placeholder) in a query template
+// or DSQL step text: marker i binds to Const{Val: args[i], Param: i+1},
+// exactly the constant the literal it stands for binds to, so comparisons
+// coerce it the same way. A marker without an argument is a bind error.
 func (b *Binder) SetArgs(args []types.Value) { b.args = args }
-
-// paramOf resolves a literal's byte offset to its Const.Param encoding
-// (0 when the literal is not a parameter slot).
-func (b *Binder) paramOf(pos int) int {
-	if b.paramAt == nil || pos <= 0 {
-		return 0
-	}
-	return b.paramAt[pos]
-}
 
 // NextID exposes the allocator so later phases (normalization, the PDW
 // optimizer's partial/final split) can mint fresh column IDs that never
@@ -764,7 +737,7 @@ func coerceComparison(l, r Scalar) (Scalar, Scalar) {
 func (b *Binder) bindExpr(e sqlparser.Expr, s *scope, allowMissing bool) (Scalar, error) {
 	switch x := e.(type) {
 	case *sqlparser.Lit:
-		return &Const{Val: x.Value, Param: b.paramOf(x.Pos)}, nil
+		return &Const{Val: x.Value}, nil
 
 	case *sqlparser.ParamExpr:
 		if x.Slot >= len(b.args) {

@@ -164,9 +164,9 @@ func CacheChaos(db *pdwqo.DB, c Case, par int, seed int64, maxRetries int) error
 }
 
 // ParamVariants derives n same-shape variants of c by perturbing every
-// parameterized literal slot (structural literals — TOP counts, DATEADD
-// arguments, ORDER BY ordinals — are left alone, exactly as the cache
-// key does). Deterministic under seed. Each variant keeps a distinct
+// parameterized literal slot (structural literals — TOP/LIMIT counts,
+// DATEADD arguments, ORDER BY literals, LIKE patterns, DATE literals —
+// are left alone, exactly as the cache key does). Deterministic under seed. Each variant keeps a distinct
 // value per slot so the slot pattern, and hence the shape fingerprint,
 // is preserved; running them against one warm cache is the aliasing
 // oracle: a hit re-bound to the wrong constants diverges from the

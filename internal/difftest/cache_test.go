@@ -128,6 +128,11 @@ func TestCacheParamVariants(t *testing.T) {
 	defer db.SetPlanCache(-1)
 
 	bases := append(TPCHCases()[:4], FuzzCases(10, 20260808)...)
+	// A partly folded slot: the value of o_orderkey's bound also stands in
+	// a constant comparison that folds away, so its placeholder survives
+	// into the DSQL while the plan depends on the value.
+	bases = append(bases, Case{Name: "partial-fold",
+		SQL: "SELECT o_orderkey FROM orders WHERE o_totalprice > 0 AND o_orderkey > 5 AND 5 > 0"})
 	perBase := 4
 	if raceEnabled {
 		bases = sample(bases, 2)

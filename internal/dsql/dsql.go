@@ -172,29 +172,6 @@ func Placeholder(slot int) string {
 	return fmt.Sprintf("\x00?%d\x00", slot)
 }
 
-// HasAllParamSlots reports whether every one of the n literal slots has
-// at least one placeholder surviving in the plan's step SQL. A slot with
-// no placeholder means normalization consumed that literal's value while
-// compiling (constant folding, contradiction pruning, range merging) —
-// the plan is value-dependent and must not be re-bound to different
-// constants.
-func (p *Plan) HasAllParamSlots(n int) bool {
-	for slot := 0; slot < n; slot++ {
-		ph := Placeholder(slot)
-		found := false
-		for _, s := range p.Steps {
-			if strings.Contains(s.SQL, ph) {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
-}
-
 // Bind returns a copy of the plan with every slot placeholder replaced
 // by texts[slot] (SQL literal text). The receiver — a cached template —
 // is not modified; shared read-only fields (OutCols, OrderBy, DestCols)

@@ -14,8 +14,10 @@ package engine
 //     for a string, parses as a date exactly when that one did — so every
 //     comparison takes the coercion decision it took at compile time;
 //   - at compile time every slotted constant survived normalization
-//     holding exactly its bound value (else the tree depends on the
-//     literal values and the step compiles on every execution).
+//     holding exactly its bound value (algebra.SurvivingSlots, the rule
+//     the plan cache applies to the control node's tree too; else the
+//     tree depends on the literal values and the step compiles on every
+//     execution).
 //
 // Isolation of concurrent runs is by name: trees read the plan's template
 // temp-table names, which each run maps to its own storage names.
@@ -54,7 +56,7 @@ func (r *run) compileStep(step *dsql.Step) (*algebra.Tree, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	slots, ok := survivingSlots(tree, args, uses)
+	slots, ok := algebra.SurvivingSlots(tree, args, uses)
 	if !ok {
 		return tree, compilePerExec, nil
 	}
@@ -77,60 +79,13 @@ func (r *run) compile(sql string, args []types.Value) (*algebra.Tree, []int, err
 	if err != nil {
 		return nil, nil, err
 	}
-	var uses []int
-	if len(args) > 0 {
-		uses = make([]int, len(args))
-		visitSlotted(tree, func(c *algebra.Const) { uses[c.Param-1]++ })
-	}
+	uses := algebra.SlotUses(tree, len(args))
 	tree, err = normalize.New(b).Normalize(tree)
 	if err != nil {
 		return nil, nil, err
 	}
 	algebra.Memoize(tree)
 	return tree, uses, nil
-}
-
-// survivingSlots reports the slots the template's markers bound to, in
-// ascending order, and whether the normalized tree keeps every one of
-// their constants, each holding exactly the value its marker bound to.
-// A slot folded, merged or pruned away, or a value rewritten, means the
-// tree depends on the literal values.
-func survivingSlots(tree *algebra.Tree, args []types.Value, uses []int) ([]int, bool) {
-	kept := make([]int, len(uses))
-	exact := true
-	visitSlotted(tree, func(c *algebra.Const) {
-		p := c.Param - 1
-		if p >= len(args) {
-			exact = false
-			return
-		}
-		if want := boundValue(args[p], c.Val.Kind()); c.Val.Kind() != want.Kind() || !types.Equal(c.Val, want) {
-			exact = false
-			return
-		}
-		kept[p]++
-	})
-	var slots []int
-	for s, n := range uses {
-		if kept[s] < n {
-			return nil, false
-		}
-		if n > 0 {
-			slots = append(slots, s)
-		}
-	}
-	return slots, exact
-}
-
-// boundValue is the constant an argument binds to where a constant of
-// kind k stands: a string argument compared with a date became a date.
-func boundValue(arg types.Value, k types.Kind) types.Value {
-	if k == types.KindDate && arg.Kind() == types.KindString {
-		if d, err := types.ParseDate(arg.Str()); err == nil {
-			return d
-		}
-	}
-	return arg
 }
 
 // argsFit reports whether args take, slot for slot, the binding decisions
@@ -155,20 +110,6 @@ func argsFit(nt *dsql.NodeTree, args []types.Value) bool {
 func isDate(s string) bool {
 	_, err := types.ParseDate(s)
 	return err == nil
-}
-
-// visitSlotted calls f on every slotted constant of the tree, subquery
-// inputs included.
-func visitSlotted(t *algebra.Tree, f func(*algebra.Const)) {
-	algebra.VisitTree(t, func(n *algebra.Tree) {
-		for _, s := range algebra.OperatorScalars(n.Op) {
-			algebra.VisitScalar(s, func(e algebra.Scalar) {
-				if c, ok := e.(*algebra.Const); ok && c.Param > 0 {
-					f(c)
-				}
-			})
-		}
-	})
 }
 
 // rebindTree returns t with every slotted constant holding args' value.
@@ -255,7 +196,7 @@ func rebindScalar(e algebra.Scalar, args []types.Value) algebra.Scalar {
 		switch x := x.(type) {
 		case *algebra.Const:
 			if x.Param > 0 {
-				return &algebra.Const{Val: boundValue(args[x.Param-1], x.Val.Kind()), Param: x.Param}
+				return &algebra.Const{Val: algebra.BoundValue(args[x.Param-1], x.Val.Kind()), Param: x.Param}
 			}
 		case *algebra.Subquery:
 			if in := rebindTree(x.Input, args); in != x.Input {
@@ -278,7 +219,7 @@ func hasSlotted(e algebra.Scalar) bool {
 			found = found || x.Param > 0
 		case *algebra.Subquery:
 			if !found {
-				visitSlotted(x.Input, func(*algebra.Const) { found = true })
+				algebra.VisitSlotted(x.Input, func(*algebra.Const) { found = true })
 			}
 		}
 	})

@@ -46,15 +46,15 @@ func TestRebindCopiesOnlySlottedPaths(t *testing.T) {
 	var walk func(old, cur *algebra.Tree)
 	walk = func(old, cur *algebra.Tree) {
 		has := false
-		visitSlotted(old, func(*algebra.Const) { has = true })
+		algebra.VisitSlotted(old, func(*algebra.Const) { has = true })
 		if has == (old == cur) {
 			t.Errorf("%s: holds a slot %v, copied %v", old.Op.OpName(), has, old != cur)
 		}
 		if has {
 			slotted++
 		}
-		visitSlotted(cur, func(c *algebra.Const) {
-			if want := boundValue(next[c.Param-1], c.Val.Kind()); c.Val.Kind() != want.Kind() || !types.Equal(c.Val, want) {
+		algebra.VisitSlotted(cur, func(c *algebra.Const) {
+			if want := algebra.BoundValue(next[c.Param-1], c.Val.Kind()); c.Val.Kind() != want.Kind() || !types.Equal(c.Val, want) {
 				t.Errorf("slot %d holds %v, want %v", c.Param-1, c.Val, want)
 			}
 		})

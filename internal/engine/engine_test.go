@@ -43,17 +43,28 @@ func planFor(t testing.TB, a *Appliance, sql string) *dsql.Plan {
 }
 
 // slottedPlanFor compiles sql into a DSQL template whose literals, when pq
-// is non-nil, render as pq's parameter markers.
+// is non-nil, render as pq's parameter markers: the query's marker
+// template is compiled with the markers bound to pq's literal values.
 func slottedPlanFor(t testing.TB, a *Appliance, sql string, pq *normalize.ParamQuery) *dsql.Plan {
 	t.Helper()
+	var args []types.Value
+	if pq != nil {
+		markers := make([]string, len(pq.Lits))
+		for i, l := range pq.Lits {
+			markers[i] = dsql.Placeholder(i)
+			args = append(args, l.Val)
+		}
+		var err error
+		if sql, err = pq.Splice(markers); err != nil {
+			t.Fatal(err)
+		}
+	}
 	sel, err := sqlparser.ParseSelect(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
 	b := algebra.NewBinder(a.Shell)
-	if pq != nil {
-		b.SetParamSlots(pq.ParamAt())
-	}
+	b.SetArgs(args)
 	tree, err := b.Bind(sel)
 	if err != nil {
 		t.Fatal(err)

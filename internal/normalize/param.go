@@ -18,8 +18,11 @@ package normalize
 // so `a = 1 AND b = 1` (slots 0,0) and `a = 1 AND b = 2` (slots 0,1)
 // fingerprint differently and can never alias to each other's plan.
 //
-// Three classes of literal are deliberately NOT parameterized, because
-// their value is structurally load-bearing rather than a runtime argument:
+// The plan cache compiles a parameterized query as a template: each slot
+// spliced out for a parameter marker (dsql.Placeholder) that binds to the
+// slot's value. Five classes of literal are deliberately NOT
+// parameterized, because their value is structurally load-bearing rather
+// than a runtime argument, or the grammar admits no marker there:
 //
 //   - the number after TOP/LIMIT: it compiles into the dsql.Plan's Top
 //     field (an int64, not SQL text), which text-level re-binding cannot
@@ -28,7 +31,11 @@ package normalize
 //     constant-folds DATEADD, so the literal never survives into the
 //     generated DSQL and a placeholder there would vanish;
 //   - every literal inside an ORDER BY clause: `ORDER BY 2` selects an
-//     output column by ordinal, a property of the plan, not a value.
+//     output column by ordinal, a property of the plan, not a value;
+//   - the string after LIKE: the pattern compiles into the Like scalar
+//     (a Go string, not a constant), and the grammar wants a literal;
+//   - the string after DATE: `DATE '1995-01-01'` is one literal the
+//     grammar spells with a keyword.
 //
 // Retained literals stay part of the canonical form, so queries differing
 // in them get distinct fingerprints and can never share a plan.
@@ -150,8 +157,11 @@ func Parameterize(sql string) (*ParamQuery, error) {
 			prevUpper = t.Text
 		case sqlparser.TokenNumber, sqlparser.TokenString:
 			retain := len(retainAt) > 0
-			if t.Kind == sqlparser.TokenNumber && (prevUpper == "TOP" || prevUpper == "LIMIT") {
-				retain = true
+			switch prevUpper {
+			case "TOP", "LIMIT":
+				retain = retain || t.Kind == sqlparser.TokenNumber
+			case "LIKE", "DATE":
+				retain = retain || t.Kind == sqlparser.TokenString
 			}
 			if retain {
 				if t.Kind == sqlparser.TokenNumber {
@@ -225,20 +235,6 @@ func (pq *ParamQuery) LitSig() string {
 	return hex.EncodeToString(h.Sum(nil)[:16])
 }
 
-// ParamAt maps the source byte offset of each stripped literal token to
-// its 0-based slot. The binder uses it to stamp slot provenance onto the
-// constants it materializes, connecting the algebra tree back to the
-// placeholder vector.
-func (pq *ParamQuery) ParamAt() map[int]int {
-	m := make(map[int]int, len(pq.Lits))
-	for slot, l := range pq.Lits {
-		for _, s := range l.Spans {
-			m[s.Pos] = slot
-		}
-	}
-	return m
-}
-
 // BindTexts renders each slot's value as a SQL literal, the texts to
 // substitute into a cached plan template compiled from a same-shape
 // query.
@@ -252,7 +248,9 @@ func (pq *ParamQuery) BindTexts() []string {
 
 // Splice rebuilds the query text with texts[i] substituted at every
 // occurrence of literal slot i. texts must have exactly one entry per
-// slot.
+// slot. A text never merges with a neighbour into another token (a -3
+// after a minus would open a -- comment): a space sets it apart from any
+// neighbour but white space, a parenthesis or a comma.
 func (pq *ParamQuery) Splice(texts []string) (string, error) {
 	if len(texts) != len(pq.Lits) {
 		return "", fmt.Errorf("normalize: splice got %d texts for %d literal slots", len(texts), len(pq.Lits))
@@ -272,9 +270,19 @@ func (pq *ParamQuery) Splice(texts []string) (string, error) {
 	prev := 0
 	for _, o := range occs {
 		b.WriteString(pq.SQL[prev:o.span.Pos])
+		if o.span.Pos > 0 && !apart(pq.SQL[o.span.Pos-1]) {
+			b.WriteByte(' ')
+		}
 		b.WriteString(texts[o.slot])
+		if o.span.End < len(pq.SQL) && !apart(pq.SQL[o.span.End]) {
+			b.WriteByte(' ')
+		}
 		prev = o.span.End
 	}
 	b.WriteString(pq.SQL[prev:])
 	return b.String(), nil
 }
+
+// apart reports whether c is a token boundary nothing spliced beside it
+// can lex together with.
+func apart(c byte) bool { return c <= ' ' || c == '(' || c == ')' || c == ',' }

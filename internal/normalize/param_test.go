@@ -3,6 +3,8 @@ package normalize
 import (
 	"strings"
 	"testing"
+
+	"pdwqo/internal/sqlparser"
 )
 
 func mustParam(t *testing.T, sql string) *ParamQuery {
@@ -72,6 +74,9 @@ func TestParameterizeRetainsStructuralLiterals(t *testing.T) {
 		{"SELECT a FROM t WHERE d >= DATEADD(month, 3, '1994-01-01') AND b > 5", 1, "3"},
 		{"SELECT a, b FROM t WHERE b > 5 ORDER BY 2", 1, "2"},
 		{"SELECT a, b FROM t WHERE b > 5 ORDER BY a + 1", 1, "1"},
+		{"SELECT a FROM t WHERE c LIKE 'PROMO%' AND b > 5", 1, "PROMO%"},
+		{"SELECT a FROM t WHERE c NOT LIKE '%x%' AND b > 5", 1, "%x%"},
+		{"SELECT a FROM t WHERE d >= DATE '1995-01-01' AND b > 5", 1, "1995-01-01"},
 	}
 	for _, c := range cases {
 		pq := mustParam(t, c.sql)
@@ -126,6 +131,69 @@ func TestSpliceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSpliceKeepsTokens: a spliced text never merges with its neighbours.
+// Each result lexes to the template's tokens with every slot occurrence
+// replaced by its own text's tokens — a signed argument after a minus, a
+// plus or a slash included (10-5 with -3 must not become a -- comment).
+func TestSpliceKeepsTokens(t *testing.T) {
+	templates := []string{
+		"SELECT a FROM t WHERE b > 10-5 AND c < 7",
+		"SELECT a FROM t WHERE b > 10+5 AND c < 7",
+		"SELECT a FROM t WHERE b > 10/5 AND c < 7",
+		"SELECT a FROM t WHERE b > 1.5-2.5 AND c < 7.5",
+		"SELECT a FROM t WHERE b > 1.5+2.5 AND c < 7.5",
+		"SELECT a FROM t WHERE b > 1.5/2.5 AND c < 7.5",
+		"SELECT a FROM t WHERE b>-5 AND c<7",
+	}
+	signed := map[LitKind][]string{
+		LitInt:   {"-3", "+3", "3"},
+		LitFloat: {"-1.5", "+2.5e-3", "-1e+06", ".5"},
+	}
+	lex := func(src string) []sqlparser.Token {
+		toks, err := sqlparser.Lex(src)
+		if err != nil {
+			t.Fatalf("lex %q: %v", src, err)
+		}
+		return toks[:len(toks)-1] // drop EOF
+	}
+	for _, sql := range templates {
+		pq := mustParam(t, sql)
+		slotAt := map[int]int{}
+		for slot, l := range pq.Lits {
+			for _, sp := range l.Spans {
+				slotAt[sp.Pos] = slot
+			}
+		}
+		for v := 0; v < 4; v++ {
+			texts := make([]string, len(pq.Lits))
+			for slot, l := range pq.Lits {
+				pool := signed[l.Kind]
+				texts[slot] = pool[(v+slot)%len(pool)]
+			}
+			out, err := pq.Splice(texts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []sqlparser.Token
+			for _, tok := range lex(sql) {
+				if slot, ok := slotAt[tok.Pos]; ok {
+					want = append(want, lex(texts[slot])...)
+				} else {
+					want = append(want, tok)
+				}
+			}
+			got := lex(out)
+			same := len(got) == len(want)
+			for i := 0; same && i < len(got); i++ {
+				same = got[i].Kind == want[i].Kind && got[i].Text == want[i].Text
+			}
+			if !same {
+				t.Errorf("%q with %v spliced to %q: tokens %v, want %v", sql, texts, out, got, want)
+			}
+		}
+	}
+}
+
 func TestFingerprintShapeAndEnv(t *testing.T) {
 	a := mustParam(t, "SELECT a FROM t WHERE b > 5")
 	b := mustParam(t, "select a from t where b > 99")
@@ -141,37 +209,6 @@ func TestFingerprintShapeAndEnv(t *testing.T) {
 	}
 	if a.LitSig() == b.LitSig() {
 		t.Error("different constants must have different literal signatures")
-	}
-}
-
-func TestParamAt(t *testing.T) {
-	sql := "SELECT a FROM t WHERE b = 7 AND c = 'x' AND d = 7"
-	pq := mustParam(t, sql)
-	at := pq.ParamAt()
-	occ := 0
-	for pos, slot := range at {
-		occ++
-		if slot < 0 || slot >= len(pq.Lits) {
-			t.Errorf("pos %d maps to out-of-range slot %d", pos, slot)
-		}
-		if pos <= 0 || pos >= len(sql) {
-			t.Errorf("implausible literal position %d", pos)
-		}
-	}
-	if occ != 3 {
-		t.Errorf("got %d occurrences, want 3", occ)
-	}
-	// Both 7s map to the same slot.
-	var slots []int
-	for _, l := range pq.Lits {
-		if l.Kind == LitInt {
-			for _, s := range l.Spans {
-				slots = append(slots, at[s.Pos])
-			}
-		}
-	}
-	if len(slots) != 2 || slots[0] != slots[1] {
-		t.Errorf("deduped occurrences map to different slots: %v", slots)
 	}
 }
 

@@ -159,6 +159,34 @@ func itoa(n int) string {
 	return string(rune('0' + n))
 }
 
+// TestSignedArgumentStaysOneToken: a negative argument spliced after a
+// minus must not open a -- comment that swallows the rest of the
+// statement; the result is the library's serial answer for 10-(-3).
+func TestSignedArgumentStaysOneToken(t *testing.T) {
+	db := sharedDB(t)
+	_, addr := startServer(t, db, Config{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Prepare("SELECT COUNT(*) FROM orders WHERE o_orderkey > 10-5 AND o_orderkey < 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := st.Exec(context.Background(), 10, -3, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := db.ExecuteSerial("SELECT COUNT(*) FROM orders WHERE o_orderkey > 10-(-3) AND o_orderkey < 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sameAsLibrary(got, want); err != nil {
+		t.Error(err)
+	}
+}
+
 func TestPreparedStatementErrors(t *testing.T) {
 	_, addr := startServer(t, sharedDB(t), Config{MaxStmts: 2})
 	c, err := Dial(addr)

@@ -122,24 +122,18 @@ func (c *ColRef) String() string {
 	return c.Name
 }
 
-// Lit is a literal value. Pos is the byte offset of the literal's own
-// token in the source text when it came directly from one (0 otherwise —
-// no literal token can start at offset 0 in a valid SELECT). The plan
-// cache's parameterizer uses Pos to connect bound constants back to the
-// literal slots it stripped at the lexer level.
+// Lit is a literal value.
 type Lit struct {
 	Value types.Value
-	Pos   int
 }
 
 func (*Lit) expr() {}
 
-// ParamExpr is a plan-cache parameter marker (dsql.Placeholder) re-parsed
-// from generated step SQL. Slot is the 0-based literal-slot index; Pos is
-// the byte offset of the marker in the source.
+// ParamExpr is a plan-cache parameter marker (dsql.Placeholder) in a
+// query template or generated step SQL. Slot is the 0-based literal-slot
+// index.
 type ParamExpr struct {
 	Slot int
-	Pos  int
 }
 
 func (*ParamExpr) expr() {}

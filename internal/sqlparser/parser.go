@@ -676,7 +676,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errHere("%v", err)
 		}
-		return &Lit{Value: v, Pos: t.Pos}, nil
+		return &Lit{Value: v}, nil
 
 	case tokParam:
 		p.advance()
@@ -684,7 +684,7 @@ func (p *parser) parsePrimary() (Expr, error) {
 		if err != nil {
 			return nil, p.errHere("invalid parameter marker %q", t.Text)
 		}
-		return &ParamExpr{Slot: n, Pos: t.Pos}, nil
+		return &ParamExpr{Slot: n}, nil
 
 	case tokPunct:
 		if t.Text == "(" {

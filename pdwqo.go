@@ -326,7 +326,8 @@ func (p *QueryPlan) Moves() map[MoveKind]int { return p.Distributed.Root.CountMo
 // slots instead of running the pipeline.
 func (db *DB) Optimize(sql string, opts Options) (*QueryPlan, error) {
 	if db.planCache == nil {
-		return db.compile(sql, opts, nil)
+		qp, _, err := db.compile(sql, opts, nil)
+		return qp, err
 	}
 	return db.optimizeCached(sql, opts)
 }
@@ -335,12 +336,12 @@ func (db *DB) Optimize(sql string, opts Options) (*QueryPlan, error) {
 // whose DSQL text may carry literal-slot placeholders, plus whether it is
 // safe to re-bind to different constants.
 type cachedPlan struct {
-	qp    *QueryPlan
-	slots int
-	// rebindable means every literal slot's placeholder survived into the
-	// DSQL text, so the template is published under the shape fingerprint
-	// and can serve any same-shape query. Value-dependent plans (a fold
-	// consumed a literal) stay pinned to their exact literal signature.
+	qp *QueryPlan
+	// rebindable means every literal slot's constants survived
+	// compilation holding their own values, so the template is published
+	// under the shape fingerprint and can serve any same-shape query.
+	// Value-dependent plans (a fold consumed a literal) stay pinned to
+	// their exact literal signature.
 	rebindable bool
 }
 
@@ -364,40 +365,35 @@ func (db *DB) optimizeCached(sql string, opts Options) (*QueryPlan, error) {
 	if err != nil {
 		// The lexer rejected the text; compile cold so the caller gets the
 		// same error the parser produces without a cache.
-		return db.compile(sql, opts, nil)
+		qp, _, err := db.compile(sql, opts, nil)
+		return qp, err
 	}
 	epoch := db.shell.Epoch()
 	fp := pq.Fingerprint(db.envSignature(opts))
 	sp := tr.Begin("plancache")
 	defer sp.End()
 	if v, ok := cache.Get(fp, epoch); ok {
-		if t := v.(*cachedPlan); t.slots == len(pq.Lits) {
-			qp := t.rebind(sql, pq)
-			qp.CacheStatus = "hit"
-			sp.Str("outcome", "hit")
-			tr.Counters().Add("optimize.cache.hit", 1)
-			return qp, nil
-		}
+		// Equal fingerprints mean equal Canon, hence equal slot counts.
+		qp := v.(*cachedPlan).rebind(sql, pq)
+		qp.CacheStatus = "hit"
+		sp.Str("outcome", "hit")
+		tr.Counters().Add("optimize.cache.hit", 1)
+		return qp, nil
 	}
 	fpExact := fp + "|" + pq.LitSig()
 	v, outcome, err := cache.Do(fpExact, epoch, func() (any, error) {
-		qp, cerr := db.compile(sql, opts, pq)
+		qp, rebindable, cerr := db.compile(sql, opts, pq)
 		if cerr != nil {
 			// Parameterization can perturb compilation (e.g. an ORDER BY
 			// expression no longer matching a slotted select item by
 			// fingerprint); retry cold before failing so a cache never
 			// rejects a query that compiles without one.
-			qp, cerr = db.compile(sql, opts, nil)
-			if cerr != nil {
-				return nil, cerr
-			}
-			return &cachedPlan{qp: qp, slots: len(pq.Lits)}, nil
+			qp, rebindable, cerr = db.compile(sql, opts, nil)
 		}
-		return &cachedPlan{
-			qp:         qp,
-			slots:      len(pq.Lits),
-			rebindable: qp.DSQL.HasAllParamSlots(len(pq.Lits)),
-		}, nil
+		if cerr != nil {
+			return nil, cerr
+		}
+		return &cachedPlan{qp: qp, rebindable: rebindable}, nil
 	})
 	if err != nil {
 		sp.SetErr(err)
@@ -432,23 +428,38 @@ func (db *DB) envSignature(opts Options) string {
 		db.shell.Topology.ComputeNodes, lambda)
 }
 
-// compile runs the Figure 2 pipeline. A non-nil pq threads literal-slot
-// provenance through the binder so the generated DSQL carries re-binding
-// placeholders.
-func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*QueryPlan, error) {
+// compile runs the Figure 2 pipeline. A non-nil pq compiles the query's
+// marker template instead of its text — each literal slot spliced out for
+// a parameter marker the binder binds to the slot's value, as a compute
+// node compiles a step — so the generated DSQL carries re-binding
+// placeholders. rebindable reports whether that plan may serve other
+// literal values: every slot bound a constant and every one of them
+// survived normalization (algebra.SurvivingSlots).
+func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (qp *QueryPlan, rebindable bool, err error) {
 	tr := opts.Tracer
 	osp := tr.Begin("optimize")
 	defer osp.End()
 	// fail closes the current phase span and the root span with the error.
-	fail := func(sp trace.Active, err error) (*QueryPlan, error) {
+	fail := func(sp trace.Active, err error) (*QueryPlan, bool, error) {
 		sp.SetErr(err)
 		sp.End()
 		osp.SetErr(err)
-		return nil, err
+		return nil, false, err
 	}
 
 	sp := tr.BeginUnder(osp.ID(), "parse")
-	sel, err := sqlparser.ParseSelect(sql)
+	text, args := sql, []types.Value(nil)
+	if pq != nil {
+		markers := make([]string, len(pq.Lits))
+		args = make([]types.Value, len(pq.Lits))
+		for i, l := range pq.Lits {
+			markers[i], args[i] = dsql.Placeholder(i), l.Val
+		}
+		if text, err = pq.Splice(markers); err != nil {
+			return fail(sp, err)
+		}
+	}
+	sel, err := sqlparser.ParseSelect(text)
 	if err != nil {
 		return fail(sp, err)
 	}
@@ -456,19 +467,22 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 
 	sp = tr.BeginUnder(osp.ID(), "bind")
 	b := algebra.NewBinder(db.shell)
-	if pq != nil {
-		b.SetParamSlots(pq.ParamAt())
-	}
+	b.SetArgs(args)
 	bound, err := b.Bind(sel)
 	if err != nil {
 		return fail(sp, err)
 	}
+	uses := algebra.SlotUses(bound, len(args))
 	sp.End()
 
 	sp = tr.BeginUnder(osp.ID(), "normalize")
 	norm, err := normalize.New(b).Normalize(bound)
 	if err != nil {
 		return fail(sp, err)
+	}
+	if pq != nil {
+		slots, ok := algebra.SurvivingSlots(norm, args, uses)
+		rebindable = ok && len(slots) == len(args)
 	}
 	sp.End()
 
@@ -526,7 +540,7 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 	if opts.Mode == ModeSerialBaseline {
 		if err := m.CostSerial(); err != nil {
 			osp.SetErr(err)
-			return nil, err
+			return nil, false, err
 		}
 	}
 
@@ -602,7 +616,7 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (*Quer
 		DSQL:        dp,
 		Regime:      regimeName(regime),
 		regime:      regime,
-	}, nil
+	}, rebindable, nil
 }
 
 // regimeName is QueryPlan.Regime's spelling of a regime: empty when no
