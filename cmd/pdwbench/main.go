@@ -25,6 +25,7 @@ import (
 	"pdwqo/internal/cost"
 	"pdwqo/internal/dsql"
 	"pdwqo/internal/engine"
+	"pdwqo/internal/loadgen"
 	"pdwqo/internal/normalize"
 	"pdwqo/internal/stats"
 	"pdwqo/internal/tpch"
@@ -891,7 +892,7 @@ func e17(db *pdwqo.DB) {
 		var cached time.Duration
 		statuses := map[string]int{}
 		for rep := 1; rep <= reps; rep++ {
-			variant, err := pq.Splice(variantTexts(pq, rep))
+			variant, err := pq.Splice(loadgen.RotatedTexts(pq, rep))
 			if err != nil {
 				fatal(fmt.Errorf("%s: splice: %w", name, err))
 			}
@@ -917,25 +918,6 @@ func e17(db *pdwqo.DB) {
 		m.Hits, m.Shared, m.Misses, m.Compiles, m.Evictions, m.Invalidations)
 	fmt.Println("(a miss column > 1 means the query pins to exact constants: a fold consumed a literal slot)")
 	fmt.Println()
-}
-
-// variantTexts renders a same-shape constant vector for rep: integers
-// shift by rep and floats scale slightly (both preserve pairwise
-// distinctness between slots, so the slot pattern — and the shape
-// fingerprint — is unchanged), strings keep their original value.
-func variantTexts(pq *normalize.ParamQuery, rep int) []string {
-	out := make([]string, len(pq.Lits))
-	for i, l := range pq.Lits {
-		switch l.Kind {
-		case normalize.LitInt:
-			out[i] = fmt.Sprint(l.Val.Int() + int64(rep))
-		case normalize.LitFloat:
-			out[i] = fmt.Sprintf("%g", l.Val.Float()*(1+0.001*float64(rep)))
-		default:
-			out[i] = l.Val.SQLLiteral()
-		}
-	}
-	return out
 }
 
 // e18 measures the cost of static plan verification: every TPC-H query

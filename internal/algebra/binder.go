@@ -24,7 +24,7 @@ func NewBinder(shell *catalog.Shell) *Binder {
 }
 
 // SetArgs supplies the values of the parameter markers
-// (sqlparser.ParamExpr, rendered by dsql.Placeholder) in a query template
+// (sqlparser.ParamExpr, rendered by sqlparser.Marker) in a query template
 // or DSQL step text: marker i binds to Const{Val: args[i], Param: i+1},
 // exactly the constant the literal it stands for binds to, so comparisons
 // coerce it the same way. A marker without an argument is a bind error.

@@ -1,11 +1,12 @@
 package algebra
 
 // Slot survival: the one rule that decides whether a tree compiled from
-// a parameter-marker template may serve other literal values. The plan
-// cache applies it to the control node's normalized tree, the compute
-// nodes to each step's; both bind the markers with Binder.SetArgs, count
-// the slotted constants of the bound tree (SlotUses) and check the
-// normalized tree against that count (SurvivingSlots).
+// a parameter-marker template may serve other literal values. Its one
+// caller, normalize.Compile, serves the plan cache's template on the
+// control node and each step on the compute nodes: it binds the markers
+// with Binder.SetArgs, counts the slotted constants of the bound tree
+// (SlotUses) and checks the normalized tree against that count
+// (SurvivingSlots).
 
 import "pdwqo/internal/types"
 

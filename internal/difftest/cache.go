@@ -16,7 +16,6 @@ package difftest
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strconv"
 
@@ -203,19 +202,24 @@ func ParamVariants(c Case, n int, seed int64) ([]Case, error) {
 	return out, nil
 }
 
-// perturbLiteral renders a fresh SQL literal of the same kind as l. Dates
-// stay parseable dates (the binder coerces them in comparison context);
-// other strings draw from a pool that keeps the text a valid literal.
+// perturbLiteral renders a fresh SQL literal of the same kind as l, and a
+// negative number stays negative. Dates stay parseable dates (the binder
+// coerces them in comparison context); other strings draw from a pool
+// that keeps the text a valid literal.
 func perturbLiteral(r *rand.Rand, l normalize.Literal) string {
 	switch l.Kind {
 	case normalize.LitInt:
-		return strconv.FormatInt(int64(r.Intn(5000)), 10)
+		n := int64(r.Intn(5000))
+		if l.Val.Int() < 0 {
+			n = -1 - n
+		}
+		return strconv.FormatInt(n, 10)
 	case normalize.LitFloat:
 		v := l.Val.Float()
 		if v == 0 {
 			v = 1
 		}
-		return strconv.FormatFloat(math.Abs(v)*(0.1+1.8*r.Float64()), 'g', -1, 64)
+		return strconv.FormatFloat(v*(0.1+1.8*r.Float64()), 'g', -1, 64)
 	default:
 		if _, err := types.ParseDate(l.Val.Str()); err == nil {
 			return fmt.Sprintf("'%d-%02d-01'", 1992+r.Intn(7), 1+r.Intn(12))

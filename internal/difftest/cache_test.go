@@ -132,7 +132,10 @@ func TestCacheParamVariants(t *testing.T) {
 	// a constant comparison that folds away, so its placeholder survives
 	// into the DSQL while the plan depends on the value.
 	bases = append(bases, Case{Name: "partial-fold",
-		SQL: "SELECT o_orderkey FROM orders WHERE o_totalprice > 0 AND o_orderkey > 5 AND 5 > 0"})
+		SQL: "SELECT o_orderkey FROM orders WHERE o_totalprice > 0 AND o_orderkey > 5 AND 5 > 0"},
+		// Signed slots: each negative literal is one slot holding its sign.
+		Case{Name: "neg-literal",
+			SQL: "SELECT o_orderkey FROM orders WHERE o_orderkey * -1 > -400 AND o_totalprice > -0.5"})
 	perBase := 4
 	if raceEnabled {
 		bases = sample(bases, 2)

@@ -163,22 +163,19 @@ func (p *Plan) String() string {
 	return b.String()
 }
 
-// Placeholder is the parameter marker rendered into step SQL for a
-// constant carrying literal-slot provenance. The NUL delimiters cannot
-// occur in generated SQL (identifiers are c<id>/T<n>, literals are
-// escaped), so substitution can never corrupt surrounding text and a
-// leftover marker is detectable.
-func Placeholder(slot int) string {
-	return fmt.Sprintf("\x00?%d\x00", slot)
-}
+// Placeholder is the parameter marker (sqlparser.Marker) rendered into
+// step SQL for a constant carrying literal-slot provenance.
+func Placeholder(slot int) string { return sqlparser.Marker(slot) }
 
 // Bind returns a copy of the plan with every slot placeholder replaced
 // by texts[slot] (SQL literal text). The receiver — a cached template —
 // is not modified; shared read-only fields (OutCols, OrderBy, DestCols)
 // are reused. Each step of the copy keeps the template's node-compile
 // slot and records the slot values, read back from texts with the
-// parser's literal rule, as the arguments the nodes bind the template's
-// markers to.
+// parser's literal rule (sqlparser.ParseLiteral, so a signed number such
+// as -7 is one value), as the arguments the nodes bind the template's
+// markers to. A text that is not one literal drops every step's slot: the
+// nodes then compile the bound text itself.
 func (p *Plan) Bind(texts []string) *Plan {
 	pairs := make([]string, 0, 2*len(texts))
 	args := make([]types.Value, len(texts))

@@ -14,9 +14,9 @@ package engine
 //     for a string, parses as a date exactly when that one did — so every
 //     comparison takes the coercion decision it took at compile time;
 //   - at compile time every slotted constant survived normalization
-//     holding exactly its bound value (algebra.SurvivingSlots, the rule
-//     the plan cache applies to the control node's tree too; else the
-//     tree depends on the literal values and the step compiles on every
+//     holding exactly its bound value (normalize.Compile, which the plan
+//     cache runs on the control node's template too; else the tree
+//     depends on the literal values and the step compiles on every
 //     execution).
 //
 // Isolation of concurrent runs is by name: trees read the plan's template
@@ -26,7 +26,6 @@ import (
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/dsql"
 	"pdwqo/internal/normalize"
-	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 )
 
@@ -42,7 +41,7 @@ const (
 func (r *run) compileStep(step *dsql.Step) (*algebra.Tree, string, error) {
 	text, args, ok := step.Template()
 	if !ok {
-		tree, _, err := r.compile(step.SQL, nil)
+		tree, _, _, err := r.compile(step.SQL, nil)
 		return tree, compilePerExec, err
 	}
 	epoch := r.a.Shell.Epoch()
@@ -52,12 +51,11 @@ func (r *run) compileStep(step *dsql.Step) (*algebra.Tree, string, error) {
 		}
 		return rebindTree(nt.Tree, args), compileHit, nil
 	}
-	tree, uses, err := r.compile(text, args)
+	tree, slots, exact, err := r.compile(text, args)
 	if err != nil {
 		return nil, "", err
 	}
-	slots, ok := algebra.SurvivingSlots(tree, args, uses)
-	if !ok {
+	if !exact {
 		return tree, compilePerExec, nil
 	}
 	step.SetNodeTree(&dsql.NodeTree{Tree: tree, Epoch: epoch, Args: args, Slots: slots})
@@ -65,27 +63,16 @@ func (r *run) compileStep(step *dsql.Step) (*algebra.Tree, string, error) {
 }
 
 // compile parses, binds and normalizes step SQL against the run's catalog
-// — the role of each node's local SQL instance compilation — binding the
-// text's parameter markers to args. uses counts, per slot, the constants
-// the markers bound to before normalization. The tree is fully memoized.
-func (r *run) compile(sql string, args []types.Value) (*algebra.Tree, []int, error) {
-	sel, err := sqlparser.ParseSelect(sql)
+// — the role of each node's local SQL instance compilation, the same
+// compile the control node runs on a query (normalize.Compile) — binding
+// the text's parameter markers to args. The tree is fully memoized.
+func (r *run) compile(sql string, args []types.Value) (*algebra.Tree, []int, bool, error) {
+	tree, slots, exact, err := normalize.Compile(r.session, sql, args, nil, 0)
 	if err != nil {
-		return nil, nil, err
-	}
-	b := algebra.NewBinder(r.session)
-	b.SetArgs(args)
-	tree, err := b.Bind(sel)
-	if err != nil {
-		return nil, nil, err
-	}
-	uses := algebra.SlotUses(tree, len(args))
-	tree, err = normalize.New(b).Normalize(tree)
-	if err != nil {
-		return nil, nil, err
+		return nil, nil, false, err
 	}
 	algebra.Memoize(tree)
-	return tree, uses, nil
+	return tree, slots, exact, nil
 }
 
 // argsFit reports whether args take, slot for slot, the binding decisions

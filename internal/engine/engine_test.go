@@ -12,7 +12,6 @@ import (
 	"pdwqo/internal/memo"
 	"pdwqo/internal/memoxml"
 	"pdwqo/internal/normalize"
-	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/tpch"
 	"pdwqo/internal/types"
 )
@@ -49,27 +48,9 @@ func slottedPlanFor(t testing.TB, a *Appliance, sql string, pq *normalize.ParamQ
 	t.Helper()
 	var args []types.Value
 	if pq != nil {
-		markers := make([]string, len(pq.Lits))
-		for i, l := range pq.Lits {
-			markers[i] = dsql.Placeholder(i)
-			args = append(args, l.Val)
-		}
-		var err error
-		if sql, err = pq.Splice(markers); err != nil {
-			t.Fatal(err)
-		}
+		sql, args = pq.Template()
 	}
-	sel, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := algebra.NewBinder(a.Shell)
-	b.SetArgs(args)
-	tree, err := b.Bind(sel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	norm, err := normalize.New(b).Normalize(tree)
+	norm, _, _, err := normalize.Compile(a.Shell, sql, args, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -244,7 +244,7 @@ func runSession(ctx context.Context, cfg Config, shapes []*normalize.ParamQuery,
 		if prepared {
 			res, err = stmts[shape].Exec(ctx, rotatedArgs(shapes[shape], rot)...)
 		} else {
-			sql, serr := shapes[shape].Splice(rotatedTexts(shapes[shape], rot))
+			sql, serr := shapes[shape].Splice(RotatedTexts(shapes[shape], rot))
 			if serr != nil {
 				st.errors++
 				continue
@@ -276,10 +276,10 @@ func runSession(ctx context.Context, cfg Config, shapes []*normalize.ParamQuery,
 	return st
 }
 
-// rotatedTexts renders shape's constant vector for one rotation:
+// RotatedTexts renders shape's constant vector for one rotation:
 // integers shifted, floats scaled, strings kept — same canonical shape,
 // different values, exactly what forced parameterization deduplicates.
-func rotatedTexts(pq *normalize.ParamQuery, rot int) []string {
+func RotatedTexts(pq *normalize.ParamQuery, rot int) []string {
 	out := make([]string, len(pq.Lits))
 	for i, l := range pq.Lits {
 		switch l.Kind {
@@ -294,7 +294,7 @@ func rotatedTexts(pq *normalize.ParamQuery, rot int) []string {
 	return out
 }
 
-// rotatedArgs is rotatedTexts as prepared-statement argument values.
+// rotatedArgs is RotatedTexts as prepared-statement argument values.
 func rotatedArgs(pq *normalize.ParamQuery, rot int) []any {
 	out := make([]any, len(pq.Lits))
 	for i, l := range pq.Lits {
@@ -304,17 +304,8 @@ func rotatedArgs(pq *normalize.ParamQuery, rot int) []any {
 		case normalize.LitFloat:
 			out[i] = l.Val.Float() * (1 + 0.001*float64(rot))
 		default:
-			out[i] = stripQuotes(l.Val.SQLLiteral())
+			out[i] = l.Val.Str()
 		}
 	}
 	return out
-}
-
-// stripQuotes recovers the raw string from a SQL literal rendering; the
-// wire carries raw text and the server re-quotes it.
-func stripQuotes(lit string) string {
-	if len(lit) >= 2 && lit[0] == '\'' && lit[len(lit)-1] == '\'' {
-		return strings.ReplaceAll(lit[1:len(lit)-1], "''", "'")
-	}
-	return lit
 }

@@ -18,11 +18,21 @@ package normalize
 // so `a = 1 AND b = 1` (slots 0,0) and `a = 1 AND b = 2` (slots 0,1)
 // fingerprint differently and can never alias to each other's plan.
 //
+// A minus sign where an operand starts — first, or after an operator, an
+// opening parenthesis, a comma or a keyword such as WHERE or AND; never
+// after an operand, END or a quoted identifier — and directly before a
+// number is part of that literal, as the parser folds it: `b > -5` has
+// the slot value -5 and its span starts at the sign, so `b > 5` and
+// `b > -5` share a shape. Each slot's text is one literal by the parser's
+// rule (sqlparser.ParseLiteral). In `10-5` the minus is an operator and
+// the slots are 10 and 5.
+//
 // The plan cache compiles a parameterized query as a template: each slot
-// spliced out for a parameter marker (dsql.Placeholder) that binds to the
-// slot's value. Five classes of literal are deliberately NOT
-// parameterized, because their value is structurally load-bearing rather
-// than a runtime argument, or the grammar admits no marker there:
+// spliced out for a parameter marker (sqlparser.Marker) that binds to the
+// slot's value (Template, Compile). Six classes of literal are
+// deliberately NOT parameterized, because their value is structurally
+// load-bearing rather than a runtime argument, or the grammar admits no
+// marker there:
 //
 //   - the number after TOP/LIMIT: it compiles into the dsql.Plan's Top
 //     field (an int64, not SQL text), which text-level re-binding cannot
@@ -30,6 +40,8 @@ package normalize
 //   - every literal inside a DATEADD(...) call: normalization
 //     constant-folds DATEADD, so the literal never survives into the
 //     generated DSQL and a placeholder there would vanish;
+//   - every literal in a type's argument list, as in CAST(x AS
+//     DECIMAL(12,2)): the parser skips them, so they bind nothing;
 //   - every literal inside an ORDER BY clause: `ORDER BY 2` selects an
 //     output column by ordinal, a property of the plan, not a value;
 //   - the string after LIKE: the pattern compiles into the Like scalar
@@ -47,7 +59,10 @@ import (
 	"sort"
 	"strings"
 
+	"pdwqo/internal/algebra"
+	"pdwqo/internal/catalog"
 	"pdwqo/internal/sqlparser"
+	"pdwqo/internal/trace"
 	"pdwqo/internal/types"
 )
 
@@ -119,13 +134,24 @@ func Parameterize(sql string) (*ParamQuery, error) {
 	slotOf := make(map[string]int) // kind+value -> slot index
 	var canon strings.Builder
 	// retainAt stacks the minimum paren depth at which each enclosing
-	// retain region (DATEADD argument list, ORDER BY clause) is live; a
-	// region ends when a ')' drops the depth below its entry. Non-empty
-	// means "inside one, retain".
+	// retain region (DATEADD or type argument list, ORDER BY clause) is
+	// live; a region ends when a ')' drops the depth below its entry.
+	// Non-empty means "inside one, retain".
 	var retainAt []int
 	parenDepth := 0
 	prevUpper := "" // Upper of the previous identifier/punct token
-	for _, t := range toks {
+	operand := true // an operand may start here, so a '-' is a sign
+	sign := -1      // offset of the sign of the literal that follows
+	retained := func(t sqlparser.Token) bool {
+		switch prevUpper {
+		case "TOP", "LIMIT":
+			return len(retainAt) > 0 || t.Kind == sqlparser.TokenNumber
+		case "LIKE", "DATE":
+			return len(retainAt) > 0 || t.Kind == sqlparser.TokenString
+		}
+		return len(retainAt) > 0
+	}
+	for i, t := range toks {
 		switch t.Kind {
 		case sqlparser.TokenEOF:
 			// nothing
@@ -137,12 +163,18 @@ func Parameterize(sql string) (*ParamQuery, error) {
 			canon.WriteString(t.Upper)
 			canon.WriteByte('\n')
 			prevUpper = t.Upper
+			operand = operandAfter[t.Upper] && sql[t.Pos] != '[' && sql[t.Pos] != '"'
 		case sqlparser.TokenPunct:
+			if next := toks[i+1]; t.Text == "-" && operand && next.Kind == sqlparser.TokenNumber && next.Pos == t.End && !retained(next) {
+				sign = t.Pos
+				continue
+			}
 			switch t.Text {
 			case "(":
 				parenDepth++
-				if prevUpper == "DATEADD" {
-					// Live inside the argument list, i.e. at this depth.
+				// Live inside a DATEADD argument list or the argument list
+				// of the type in CAST(x AS DECIMAL(12,2)), at this depth.
+				if prevUpper == "DATEADD" || i >= 2 && toks[i-2].Upper == "AS" && toks[i-1].Kind == sqlparser.TokenIdent {
 					retainAt = append(retainAt, parenDepth)
 				}
 			case ")":
@@ -155,15 +187,9 @@ func Parameterize(sql string) (*ParamQuery, error) {
 			canon.WriteString(t.Text)
 			canon.WriteByte('\n')
 			prevUpper = t.Text
+			operand = t.Text != ")"
 		case sqlparser.TokenNumber, sqlparser.TokenString:
-			retain := len(retainAt) > 0
-			switch prevUpper {
-			case "TOP", "LIMIT":
-				retain = retain || t.Kind == sqlparser.TokenNumber
-			case "LIKE", "DATE":
-				retain = retain || t.Kind == sqlparser.TokenString
-			}
-			if retain {
+			if retained(t) {
 				if t.Kind == sqlparser.TokenNumber {
 					canon.WriteString("N ")
 				} else {
@@ -172,10 +198,15 @@ func Parameterize(sql string) (*ParamQuery, error) {
 				canon.WriteString(t.Text)
 				canon.WriteByte('\n')
 			} else {
-				kind, val, err := literalOf(t)
-				if err != nil {
-					return nil, err
+				span := Span{Pos: t.Pos, End: t.End}
+				if sign >= 0 {
+					span.Pos, sign = sign, -1
 				}
+				val, ok := sqlparser.ParseLiteral(sql[span.Pos:span.End])
+				if !ok {
+					return nil, fmt.Errorf("normalize: invalid literal %q", sql[span.Pos:span.End])
+				}
+				kind := litKinds[val.Kind()]
 				key := kind.String() + "\x00" + val.String()
 				slot, ok := slotOf[key]
 				if !ok {
@@ -183,30 +214,26 @@ func Parameterize(sql string) (*ParamQuery, error) {
 					slotOf[key] = slot
 					pq.Lits = append(pq.Lits, Literal{Kind: kind, Val: val})
 				}
-				pq.Lits[slot].Spans = append(pq.Lits[slot].Spans, Span{Pos: t.Pos, End: t.End})
+				pq.Lits[slot].Spans = append(pq.Lits[slot].Spans, span)
 				fmt.Fprintf(&canon, "? %s %d\n", kind, slot)
 			}
 			prevUpper = ""
+			operand = false
 		}
 	}
 	pq.Canon = canon.String()
 	return pq, nil
 }
 
-// literalOf converts a lexed literal token to its kind and the value the
-// parser materializes for it (sqlparser.LiteralValue).
-func literalOf(t sqlparser.Token) (LitKind, types.Value, error) {
-	v, err := sqlparser.LiteralValue(t)
-	if err != nil {
-		return 0, types.Value{}, fmt.Errorf("normalize: %v", err)
-	}
-	switch v.Kind() {
-	case types.KindString:
-		return LitString, v, nil
-	case types.KindFloat:
-		return LitFloat, v, nil
-	}
-	return LitInt, v, nil
+// litKinds classifies a slot's value; any other kind is LitInt.
+var litKinds = map[types.Kind]LitKind{types.KindString: LitString, types.KindFloat: LitFloat}
+
+// operandAfter holds the keywords an operand may follow, so a minus sign
+// after them is unary. END closes a CASE operand and stays out.
+var operandAfter = map[string]bool{
+	"SELECT": true, "DISTINCT": true, "WHERE": true, "HAVING": true, "ON": true,
+	"AND": true, "OR": true, "NOT": true, "BETWEEN": true, "BY": true,
+	"CASE": true, "WHEN": true, "THEN": true, "ELSE": true,
 }
 
 // Fingerprint hashes the canonical shape together with an environment
@@ -244,6 +271,58 @@ func (pq *ParamQuery) BindTexts() []string {
 		out[i] = l.Val.SQLLiteral()
 	}
 	return out
+}
+
+// Template is the query's marker template and the arguments its markers
+// bind to: the text with every occurrence of slot i spliced out for
+// parameter marker i (sqlparser.Marker), and the slots' values.
+func (pq *ParamQuery) Template() (string, []types.Value) {
+	markers := make([]string, len(pq.Lits))
+	args := make([]types.Value, len(pq.Lits))
+	for i, l := range pq.Lits {
+		markers[i], args[i] = sqlparser.Marker(i), l.Val
+	}
+	text, _ := pq.Splice(markers) // one text per slot: Splice cannot fail
+	return text, args
+}
+
+// Compile is the single-node compile of a statement that may carry
+// parameter markers: the control node runs it on a query's marker
+// template (Template), each compute node on a DSQL step. It parses text,
+// binds marker i to args[i] over shell (algebra.Binder.SetArgs) and
+// normalizes. slots are the slots whose constants the tree keeps, and
+// exact reports that each of them holds exactly its bound value
+// (algebra.SurvivingSlots): only then may the tree serve other arguments.
+// Each phase is a span of tr under parent (parse, bind, normalize); a nil
+// tr records nothing.
+func Compile(shell *catalog.Shell, text string, args []types.Value, tr *trace.Tracer, parent trace.SpanID) (tree *algebra.Tree, slots []int, exact bool, err error) {
+	sp := tr.BeginUnder(parent, "parse")
+	sel, err := sqlparser.ParseSelect(text)
+	if ended(sp, err) {
+		return nil, nil, false, err
+	}
+	sp = tr.BeginUnder(parent, "bind")
+	b := algebra.NewBinder(shell)
+	b.SetArgs(args)
+	bound, err := b.Bind(sel)
+	if ended(sp, err) {
+		return nil, nil, false, err
+	}
+	uses := algebra.SlotUses(bound, len(args))
+	sp = tr.BeginUnder(parent, "normalize")
+	tree, err = New(b).Normalize(bound)
+	if ended(sp, err) {
+		return nil, nil, false, err
+	}
+	slots, exact = algebra.SurvivingSlots(tree, args, uses)
+	return tree, slots, exact, nil
+}
+
+// ended closes sp with err and reports whether err is non-nil.
+func ended(sp trace.Active, err error) bool {
+	sp.SetErr(err)
+	sp.End()
+	return err != nil
 }
 
 // Splice rebuilds the query text with texts[i] substituted at every

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pdwqo/internal/sqlparser"
+	"pdwqo/internal/tpch"
 )
 
 func mustParam(t *testing.T, sql string) *ParamQuery {
@@ -77,6 +78,8 @@ func TestParameterizeRetainsStructuralLiterals(t *testing.T) {
 		{"SELECT a FROM t WHERE c LIKE 'PROMO%' AND b > 5", 1, "PROMO%"},
 		{"SELECT a FROM t WHERE c NOT LIKE '%x%' AND b > 5", 1, "%x%"},
 		{"SELECT a FROM t WHERE d >= DATE '1995-01-01' AND b > 5", 1, "1995-01-01"},
+		{"SELECT CAST(a AS DECIMAL(12,2)) AS p FROM t WHERE b > 5", 1, "N 12\nP ,\nN 2"},
+		{"SELECT a FROM t WHERE d >= DATEADD(day, -7, '1994-01-01') AND b > 5", 1, "P -\nN 7"},
 	}
 	for _, c := range cases {
 		pq := mustParam(t, c.sql)
@@ -158,10 +161,12 @@ func TestSpliceKeepsTokens(t *testing.T) {
 	}
 	for _, sql := range templates {
 		pq := mustParam(t, sql)
-		slotAt := map[int]int{}
+		// A span may cover a sign and its number: two tokens, one slot.
+		type slotSpan struct{ slot, end int }
+		slotAt := map[int]slotSpan{}
 		for slot, l := range pq.Lits {
 			for _, sp := range l.Spans {
-				slotAt[sp.Pos] = slot
+				slotAt[sp.Pos] = slotSpan{slot, sp.End}
 			}
 		}
 		for v := 0; v < 4; v++ {
@@ -175,10 +180,12 @@ func TestSpliceKeepsTokens(t *testing.T) {
 				t.Fatal(err)
 			}
 			var want []sqlparser.Token
+			inSpan := 0
 			for _, tok := range lex(sql) {
-				if slot, ok := slotAt[tok.Pos]; ok {
-					want = append(want, lex(texts[slot])...)
-				} else {
+				if ss, ok := slotAt[tok.Pos]; ok {
+					want = append(want, lex(texts[ss.slot])...)
+					inSpan = ss.end
+				} else if tok.Pos >= inSpan {
 					want = append(want, tok)
 				}
 			}
@@ -216,4 +223,88 @@ func TestParameterizeLexError(t *testing.T) {
 	if _, err := Parameterize("SELECT 'unterminated"); err == nil {
 		t.Error("Parameterize must surface lexer errors")
 	}
+}
+
+// TestParameterizeSignedLiterals: a minus where an operand starts is the
+// literal's sign — the slot holds the signed value and its span starts at
+// the sign — and anywhere else it is an operator.
+func TestParameterizeSignedLiterals(t *testing.T) {
+	cases := []struct {
+		sql  string
+		vals []string // slot values
+		span string   // the first slot's first span
+	}{
+		{"SELECT a FROM t WHERE b>-5", []string{"-5"}, "-5"},
+		{"SELECT a FROM t WHERE b > 10-5", []string{"10", "5"}, "10"},
+		{"SELECT a FROM t WHERE b = - -7", []string{"-7"}, "-7"},
+		{"SELECT a FROM t WHERE b = 10 - -7", []string{"10", "-7"}, "10"},
+		{"SELECT a FROM t WHERE b = - /* c */ 7", []string{"7"}, "7"},
+		{"SELECT a FROM t WHERE b IN (-1,-2)", []string{"-1", "-2"}, "-1"},
+		{"SELECT a FROM t WHERE b = -1.5 AND -2 < c", []string{"-1.5", "-2"}, "-1.5"},
+		{"SELECT -1 AS x FROM t WHERE b -5 > 0", []string{"-1", "5", "0"}, "-1"},
+		{"SELECT a FROM t WHERE [b] -5 > 0", []string{"5", "0"}, "5"},
+		{"SELECT CASE WHEN b > 0 THEN -1 ELSE -2 END -3 AS x FROM t", []string{"0", "-1", "-2", "3"}, "0"},
+	}
+	for _, c := range cases {
+		pq := mustParam(t, c.sql)
+		var vals []string
+		for _, l := range pq.Lits {
+			vals = append(vals, l.Val.String())
+		}
+		if strings.Join(vals, " ") != strings.Join(c.vals, " ") {
+			t.Errorf("%q: slot values %v, want %v", c.sql, vals, c.vals)
+			continue
+		}
+		if sp := pq.Lits[0].Spans[0]; c.sql[sp.Pos:sp.End] != c.span {
+			t.Errorf("%q: first span %q, want %q", c.sql, c.sql[sp.Pos:sp.End], c.span)
+		}
+	}
+	pos, neg := mustParam(t, "SELECT a FROM t WHERE b = 7"), mustParam(t, "SELECT a FROM t WHERE b = -7")
+	if pos.Canon != neg.Canon {
+		t.Errorf("b = 7 and b = -7 differ in shape:\n%s\nvs\n%s", pos.Canon, neg.Canon)
+	}
+	if _, err := Parameterize("SELECT a FROM t WHERE b = -9223372036854775808"); err == nil {
+		t.Error("int64's minimum must stay unrepresentable, as in the parser")
+	}
+}
+
+// FuzzParameterize: for any text that parameterizes, splicing each slot's
+// own literal text back gives the same shape and values, and each text
+// reads back through the parser's literal rule as its slot's value.
+func FuzzParameterize(f *testing.F) {
+	for _, q := range tpch.Queries() {
+		f.Add(q.SQL)
+	}
+	for _, sql := range []string{
+		"SELECT a FROM t WHERE b>-5",
+		"SELECT a FROM t WHERE b > 10-5",
+		"SELECT a FROM t WHERE b = - -7",
+		"SELECT a FROM t WHERE b IN (-1,-2)",
+		"SELECT CAST(a AS DECIMAL(12,2)) AS p FROM t WHERE b = -0.0 AND c < 'x''y'",
+	} {
+		f.Add(sql)
+	}
+	f.Fuzz(func(t *testing.T, sql string) {
+		pq, err := Parameterize(sql)
+		if err != nil {
+			return
+		}
+		texts := pq.BindTexts()
+		for i, l := range pq.Lits {
+			if v, ok := sqlparser.ParseLiteral(texts[i]); !ok || v.Kind() != l.Val.Kind() || v.String() != l.Val.String() {
+				t.Fatalf("slot %d: %q reads back as %v, %v; want %v", i, texts[i], v, ok, l.Val)
+			}
+		}
+		out, err := pq.Splice(texts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := Parameterize(out)
+		if err != nil {
+			t.Fatalf("%q spliced to %q: %v", sql, out, err)
+		}
+		if again.Canon != pq.Canon || again.LitSig() != pq.LitSig() {
+			t.Fatalf("%q spliced to %q changed shape or values:\n%s\nvs\n%s", sql, out, pq.Canon, again.Canon)
+		}
+	})
 }

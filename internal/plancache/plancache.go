@@ -30,7 +30,9 @@ type Metrics struct {
 	// Shared counts lookups that joined another caller's in-flight
 	// compilation instead of compiling themselves (the singleflight win).
 	Shared int64
-	// Misses counts lookups that had to start a compilation.
+	// Misses counts lookups that had to start a compilation. A Get that
+	// finds nothing counts nothing: the caller's fall-through Do counts
+	// the lookup's one outcome.
 	Misses int64
 	// Compiles counts compilations that finished successfully and were
 	// stored. Exactly-once per (key, epoch): Compiles never exceeds the
@@ -173,20 +175,19 @@ func (c *Cache) Do(key string, epoch uint64, compile func() (any, error)) (any, 
 // Get looks key up at the given epoch without compiling. It serves the
 // template-lookup fast path: the pdwqo layer probes the shape key with
 // Get and falls through to a singleflighted Do on an exact key when the
-// template is absent. A stale entry is removed, never returned.
+// template is absent, so only a hit counts here. A stale entry is
+// removed, never returned.
 func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.observeLocked(epoch)
 	e, ok := c.entries[key]
 	if !ok {
-		c.m.Misses++
 		return nil, false
 	}
 	if e.epoch != epoch {
 		c.removeLocked(e)
 		c.m.Invalidations++
-		c.m.Misses++
 		return nil, false
 	}
 	c.order.MoveToFront(e.elem)
@@ -195,11 +196,18 @@ func (c *Cache) Get(key string, epoch uint64) (any, bool) {
 }
 
 // Put stores val under key at the given epoch (dropped unobserved if the
-// epoch is already stale). It lets the pdwqo layer publish a re-bindable
-// template under its shape key after compiling it under an exact key.
-func (c *Cache) Put(key string, epoch uint64, val any) {
+// epoch is already stale).
+func (c *Cache) Put(key string, epoch uint64, val any) { c.Move("", key, epoch, val) }
+
+// Move is Put that also drops the entry under from: the pdwqo layer files
+// a re-bindable template, compiled under its exact key, under its shape
+// key alone, so the cache holds one entry per template.
+func (c *Cache) Move(from, key string, epoch uint64, val any) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if e, ok := c.entries[from]; ok {
+		c.removeLocked(e)
+	}
 	c.observeLocked(epoch)
 	c.storeLocked(key, epoch, val)
 }

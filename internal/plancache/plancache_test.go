@@ -423,3 +423,27 @@ func TestSharedFlightError(t *testing.T) {
 		})
 	}
 }
+
+// TestOneLookupOneOutcome: a Get that finds nothing counts nothing — the
+// fall-through Do counts the lookup's miss — and Move re-files an entry
+// under a new key, so the cache holds it once.
+func TestOneLookupOneOutcome(t *testing.T) {
+	c := New(4)
+	if _, ok := c.Get("shape", 1); ok {
+		t.Fatal("Get on empty cache must miss")
+	}
+	v, _, err := c.Do("exact", 1, func() (any, error) { return "template", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Move("exact", "shape", 1, v)
+	if got, ok := c.Get("shape", 1); !ok || got != "template" {
+		t.Fatalf("Get(shape) = (%v, %v)", got, ok)
+	}
+	if m := c.Metrics(); m.Misses != 1 || m.Hits != 1 || m.Compiles != 1 {
+		t.Errorf("metrics %+v: want one miss, one hit, one compile", m)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d after Move, want 1", c.Len())
+	}
+}

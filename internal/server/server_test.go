@@ -280,6 +280,67 @@ func TestFloatArgumentsAreDecimalLiterals(t *testing.T) {
 	}
 }
 
+// TestArgumentsAreOneLiteral: a numeric argument is exactly one literal.
+// Blanks or a comment beside it are refused: spliced, 1 -- x would
+// comment out the rest of the line.
+func TestArgumentsAreOneLiteral(t *testing.T) {
+	_, addr := startServer(t, sharedDB(t), Config{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Prepare("SELECT n_name FROM nation WHERE n_regionkey = 1 AND n_nationkey > 1.5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, arg := range []string{"1 -- x", " 5", "5/**/"} {
+		if _, err := st.Exec(ctx, arg, 1.5); CodeOf(err) != CodeBadParams {
+			t.Errorf("INT argument %q: want CodeBadParams, got %v", arg, err)
+		}
+		if _, err := st.Exec(ctx, 1, arg); CodeOf(err) != CodeBadParams {
+			t.Errorf("FLOAT argument %q: want CodeBadParams, got %v", arg, err)
+		}
+	}
+	if _, err := st.Exec(ctx, -1, -1.5); err != nil {
+		t.Errorf("signed arguments: %v", err)
+	}
+}
+
+// TestNegativeArgumentsShareThePlan: a negative argument fills a slot as
+// one signed literal, so the statement keeps the shape it was prepared
+// with and its second execution re-binds the first one's plan.
+func TestNegativeArgumentsShareThePlan(t *testing.T) {
+	db := sharedDB(t)
+	_, addr := startServer(t, db, Config{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	st, err := c.Prepare("SELECT o_orderkey, o_custkey FROM orders WHERE o_orderkey = 7")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, k := range []int{-3, -4} {
+		got, err := st.Exec(context.Background(), k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := db.ExecuteSerial("SELECT o_orderkey, o_custkey FROM orders WHERE o_orderkey = " + strconv.Itoa(k))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameAsLibrary(got, want); err != nil {
+			t.Error(err)
+		}
+		if i == 1 && got.CacheStatus != "hit" {
+			t.Errorf("o_orderkey = %d: cache status %q, want hit", k, got.CacheStatus)
+		}
+	}
+}
+
 // TestPrepareTooManyLiterals prepares a statement with one more literal
 // slot than the ack's uint16 count can carry (a ~380 KB IN list, well
 // under MaxFrame): the server must refuse it with a typed error before

@@ -6,14 +6,14 @@ import (
 	"io"
 	"math"
 	"net"
-	"strconv"
-	"strings"
 
 	"context"
 
 	"pdwqo"
 	"pdwqo/internal/normalize"
 	"pdwqo/internal/par"
+	"pdwqo/internal/sqlparser"
+	"pdwqo/internal/types"
 )
 
 // frame is one decoded client frame, or the read error that ended the
@@ -270,64 +270,24 @@ func (s *session) execStmt(p []byte) bool {
 	return s.runQuery(sql)
 }
 
-// literalText renders one bound argument as a SQL literal token,
-// validating numerics so arbitrary client text can never be spliced raw
-// into the statement.
+// literalText renders one bound argument as a SQL literal token. A
+// numeric argument must read as exactly one literal, by the parser's own
+// rule (sqlparser.ParseLiteral), so arbitrary client text can never be
+// spliced raw into the statement: an INT slot takes an INT literal, a
+// FLOAT slot any number.
 func literalText(kind normalize.LitKind, text string) (string, error) {
 	switch kind {
-	case normalize.LitInt:
-		if _, err := strconv.ParseInt(text, 10, 64); err != nil {
-			return "", errf(CodeBadParams, "not an integer: %q", text)
-		}
-		return text, nil
-	case normalize.LitFloat:
-		// ParseFloat also takes NaN, Inf and hex floats, which the SQL
-		// lexer would read as an identifier or a number and a trailing
-		// one: only a finite decimal literal is spliced.
-		if _, err := strconv.ParseFloat(text, 64); err != nil || !isDecimal(text) {
-			return "", errf(CodeBadParams, "not a finite decimal float: %q", text)
+	case normalize.LitInt, normalize.LitFloat:
+		v, ok := sqlparser.ParseLiteral(text)
+		if !ok || !v.Kind().Numeric() || kind == normalize.LitInt && v.Kind() != types.KindInt {
+			return "", errf(CodeBadParams, "not a %s literal: %q", kind, text)
 		}
 		return text, nil
 	case normalize.LitString:
-		return "'" + strings.ReplaceAll(text, "'", "''") + "'", nil
+		return types.NewString(text).SQLLiteral(), nil
 	default:
 		return "", errf(CodeBadParams, "unknown literal kind %d", kind)
 	}
-}
-
-// isDecimal reports whether text is an optional sign followed by one
-// decimal number token: digits with at most one point (at least one digit
-// on either side) and an optional exponent of e or E, a sign and digits.
-func isDecimal(text string) bool {
-	i := 0
-	if i < len(text) && (text[i] == '+' || text[i] == '-') {
-		i++
-	}
-	digits := func() int {
-		start := i
-		for i < len(text) && text[i] >= '0' && text[i] <= '9' {
-			i++
-		}
-		return i - start
-	}
-	mantissa := digits()
-	if i < len(text) && text[i] == '.' {
-		i++
-		mantissa += digits()
-	}
-	if mantissa == 0 {
-		return false
-	}
-	if i < len(text) && (text[i] == 'e' || text[i] == 'E') {
-		i++
-		if i < len(text) && (text[i] == '+' || text[i] == '-') {
-			i++
-		}
-		if digits() == 0 {
-			return false
-		}
-	}
-	return i == len(text)
 }
 
 // runQuery takes the session through one query lifecycle: admission,

@@ -129,9 +129,8 @@ type Lit struct {
 
 func (*Lit) expr() {}
 
-// ParamExpr is a plan-cache parameter marker (dsql.Placeholder) in a
-// query template or generated step SQL. Slot is the 0-based literal-slot
-// index.
+// ParamExpr is a plan-cache parameter marker (Marker) in a query template
+// or generated step SQL. Slot is the 0-based literal-slot index.
 type ParamExpr struct {
 	Slot int
 }

@@ -155,8 +155,8 @@ func (l *lexer) next() (token, error) {
 		return token{Kind: tokNumber, Text: l.src[start:l.pos], Pos: start}, nil
 
 	case c == 0x00:
-		// Plan-cache parameter marker (dsql.Placeholder): NUL '?' digits
-		// NUL. Text carries the decimal slot index without the framing.
+		// Plan-cache parameter marker (Marker): NUL '?' digits NUL. Text
+		// carries the decimal slot index without the framing.
 		i := l.pos + 1
 		if i >= len(l.src) || l.src[i] != '?' {
 			return token{}, l.errf(start, "stray NUL byte")

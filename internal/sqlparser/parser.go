@@ -642,10 +642,7 @@ func (p *parser) parseUnary() (Expr, error) {
 			return nil, err
 		}
 		if lit, ok := e.(*Lit); ok && lit.Value.Kind().Numeric() {
-			if lit.Value.Kind() == types.KindInt {
-				return &Lit{Value: types.NewInt(-lit.Value.Int())}, nil
-			}
-			return &Lit{Value: types.NewFloat(-lit.Value.Float())}, nil
+			return &Lit{Value: negate(lit.Value)}, nil
 		}
 		return &NegExpr{E: e}, nil
 	}

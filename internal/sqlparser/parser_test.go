@@ -1,6 +1,7 @@
 package sqlparser
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -436,5 +437,41 @@ func TestUnionAllParsing(t *testing.T) {
 	}
 	if _, err := Parse("SELECT a FROM t UNION SELECT b FROM u"); err == nil {
 		t.Error("bare UNION (distinct) must be rejected")
+	}
+}
+
+// TestParseLiteralIsOneLiteral: ParseLiteral reads what the parser reads
+// as one literal, a number optionally signed, and nothing around it: a
+// blank or a comment beside the literal would let spliced text swallow
+// the rest of a statement.
+func TestParseLiteralIsOneLiteral(t *testing.T) {
+	for _, text := range []string{
+		"1 -- x", " 5", "5 ", "1/**/", "/**/1", "- 5", "--5", "+-5", "-'a'",
+		"-", "", "NULL", "1+2", "-9223372036854775808", "0x1p3", "1e", "1.5.2",
+	} {
+		if v, ok := ParseLiteral(text); ok {
+			t.Errorf("ParseLiteral(%q) = %v, want refused", text, v)
+		}
+	}
+	for text, want := range map[string]types.Value{
+		"7":                    types.NewInt(7),
+		"-7":                   types.NewInt(-7),
+		"+7":                   types.NewInt(7),
+		"-9223372036854775807": types.NewInt(-9223372036854775807),
+		"-1.5":                 types.NewFloat(-1.5),
+		"-0.0":                 types.NewFloat(math.Copysign(0, -1)),
+		"1e+06":                types.NewFloat(1e6),
+		".5":                   types.NewFloat(0.5),
+		"'a''b'":               types.NewString("a'b"),
+	} {
+		v, ok := ParseLiteral(text)
+		if !ok || v.Kind() != want.Kind() || v.String() != want.String() {
+			t.Errorf("ParseLiteral(%q) = %v, %v; want %v", text, v, ok, want)
+		}
+		// The parser folds the same sign into the same value.
+		sel := mustSelect(t, "SELECT "+text+" AS x FROM t")
+		if lit, isLit := sel.Items[0].Expr.(*Lit); !isLit || lit.Value.String() != want.String() {
+			t.Errorf("parser reads %q as %#v, want %v", text, sel.Items[0].Expr, want)
+		}
 	}
 }

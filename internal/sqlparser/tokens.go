@@ -53,29 +53,44 @@ func Lex(src string) ([]Token, error) {
 	return out, nil
 }
 
-// LiteralValue is the value the parser materializes for a literal token: a
-// string token's unescaped text, a number spelled with '.', 'e' or 'E' as a
-// FLOAT, any other number as a BIGINT. Everything that reads a literal
-// outside the parser (the plan cache's parameterizer, DSQL re-binding)
-// reads it through this rule.
-func LiteralValue(t Token) (types.Value, error) {
-	return literalValue(tokenKind(t.Kind), t.Text)
-}
+// Marker is the text of the parameter marker of slot (ParamExpr): NUL '?'
+// digits NUL. The NUL delimiters cannot occur in generated SQL
+// (identifiers are c<id>/T<n>, literals are escaped), so substitution can
+// never corrupt surrounding text and a leftover marker is detectable.
+func Marker(slot int) string { return fmt.Sprintf("\x00?%d\x00", slot) }
 
-// ParseLiteral reads text that is exactly one literal token, as the parser
-// would; ok is false for anything else (a signed number, NULL, an
-// expression).
+// ParseLiteral reads text that is exactly what the parser reads as one
+// literal: a single number or string token spanning the whole text, a
+// number optionally signed (the sign folded by negate, so int64's minimum
+// stays unrepresentable). ok is false for anything else — NULL, an
+// expression, or a literal with blanks or a comment around it.
 func ParseLiteral(text string) (v types.Value, ok bool) {
+	sign := ""
+	if text != "" && (text[0] == '-' || text[0] == '+') {
+		sign, text = text[:1], text[1:]
+	}
 	l := newLexer(text)
 	t, err := l.next()
-	if err != nil || (t.Kind != tokNumber && t.Kind != tokString) {
+	if err != nil || t.Pos != 0 || l.pos != len(text) ||
+		!(t.Kind == tokNumber || t.Kind == tokString && sign == "") {
 		return types.Value{}, false
 	}
-	if end, err := l.next(); err != nil || end.Kind != tokEOF {
+	if v, err = literalValue(t.Kind, t.Text); err != nil {
 		return types.Value{}, false
 	}
-	v, err = literalValue(t.Kind, t.Text)
-	return v, err == nil
+	if sign == "-" {
+		v = negate(v)
+	}
+	return v, true
+}
+
+// negate is the numeric literal v with a minus sign before it: the parser
+// folds such a sign into the literal, and so does ParseLiteral.
+func negate(v types.Value) types.Value {
+	if v.Kind() == types.KindInt {
+		return types.NewInt(-v.Int())
+	}
+	return types.NewFloat(-v.Float())
 }
 
 func literalValue(kind tokenKind, text string) (types.Value, error) {

@@ -176,9 +176,9 @@ type Options struct {
 	// memo is built without exploration, and the enumerator runs over that
 	// structurally bounded search space, still inserting movement
 	// enforcers so the plan stays collocation-correct. Otherwise the memo
-	// is explored and enumerated with no cap. The decision is made once,
-	// in every Mode; QueryPlan.Regime reports it, and the EXPLAIN header
-	// prints the count beside the budget.
+	// is explored under Budget and the enumerator covers all of it. The
+	// decision is made once, in every Mode; QueryPlan.Regime reports it,
+	// and the EXPLAIN header prints the count beside the budget.
 	SearchBudget int
 	// Parallelism bounds the worker pools of the PDW-side plan enumerator
 	// (independent MEMO groups per topological wave): 0 means GOMAXPROCS,
@@ -402,7 +402,7 @@ func (db *DB) optimizeCached(sql string, opts Options) (*QueryPlan, error) {
 	}
 	t := v.(*cachedPlan)
 	if t.rebindable {
-		cache.Put(fp, epoch, t)
+		cache.Move(fpExact, fp, epoch, t)
 	}
 	qp := t.rebind(sql, pq)
 	qp.CacheStatus = outcome.String()
@@ -429,12 +429,11 @@ func (db *DB) envSignature(opts Options) string {
 }
 
 // compile runs the Figure 2 pipeline. A non-nil pq compiles the query's
-// marker template instead of its text — each literal slot spliced out for
-// a parameter marker the binder binds to the slot's value, as a compute
-// node compiles a step — so the generated DSQL carries re-binding
-// placeholders. rebindable reports whether that plan may serve other
-// literal values: every slot bound a constant and every one of them
-// survived normalization (algebra.SurvivingSlots).
+// marker template instead of its text (ParamQuery.Template), with the
+// compile each compute node runs on a step (normalize.Compile), so the
+// generated DSQL carries re-binding placeholders. rebindable reports
+// whether that plan may serve other literal values: every slot bound a
+// constant and every one of them survived normalization.
 func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (qp *QueryPlan, rebindable bool, err error) {
 	tr := opts.Tracer
 	osp := tr.Begin("optimize")
@@ -447,48 +446,21 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (qp *Q
 		return nil, false, err
 	}
 
-	sp := tr.BeginUnder(osp.ID(), "parse")
 	text, args := sql, []types.Value(nil)
 	if pq != nil {
-		markers := make([]string, len(pq.Lits))
-		args = make([]types.Value, len(pq.Lits))
-		for i, l := range pq.Lits {
-			markers[i], args[i] = dsql.Placeholder(i), l.Val
-		}
-		if text, err = pq.Splice(markers); err != nil {
-			return fail(sp, err)
-		}
+		text, args = pq.Template()
 	}
-	sel, err := sqlparser.ParseSelect(text)
+	norm, slots, exact, err := normalize.Compile(db.shell, text, args, tr, osp.ID())
 	if err != nil {
-		return fail(sp, err)
+		osp.SetErr(err)
+		return nil, false, err
 	}
-	sp.End()
-
-	sp = tr.BeginUnder(osp.ID(), "bind")
-	b := algebra.NewBinder(db.shell)
-	b.SetArgs(args)
-	bound, err := b.Bind(sel)
-	if err != nil {
-		return fail(sp, err)
-	}
-	uses := algebra.SlotUses(bound, len(args))
-	sp.End()
-
-	sp = tr.BeginUnder(osp.ID(), "normalize")
-	norm, err := normalize.New(b).Normalize(bound)
-	if err != nil {
-		return fail(sp, err)
-	}
-	if pq != nil {
-		slots, ok := algebra.SurvivingSlots(norm, args, uses)
-		rebindable = ok && len(slots) == len(args)
-	}
-	sp.End()
+	rebindable = pq != nil && exact && len(slots) == len(args)
 
 	// The regime is decided once, from the tree: the greedy join-order
 	// regime when a search budget is set and the search space meets it,
-	// else exploration and enumeration with no cap.
+	// else exploration under Budget and a full enumeration of the memo.
+	var sp trace.Active
 	var regime explain.Regime
 	if opts.SearchBudget > 0 {
 		regime.Budget, regime.SearchSpace = opts.SearchBudget, core.SearchSpace(norm)
