@@ -27,8 +27,18 @@ func NewBinder(shell *catalog.Shell) *Binder {
 // (sqlparser.ParamExpr, rendered by sqlparser.Marker) in a query template
 // or DSQL step text: marker i binds to Const{Val: args[i], Param: i+1},
 // exactly the constant the literal it stands for binds to, so comparisons
-// coerce it the same way. A marker without an argument is a bind error.
+// coerce it the same way. A marker without an argument is a bind error,
+// a *MarkerError.
 func (b *Binder) SetArgs(args []types.Value) { b.args = args }
+
+// MarkerError is a parameter marker with no argument to bind: text that
+// carries a marker it was given no value for, such as client text holding
+// a raw marker.
+type MarkerError struct{ Slot int }
+
+func (e *MarkerError) Error() string {
+	return fmt.Sprintf("algebra: parameter marker %d has no argument", e.Slot)
+}
 
 // NextID exposes the allocator so later phases (normalization, the PDW
 // optimizer's partial/final split) can mint fresh column IDs that never
@@ -741,7 +751,7 @@ func (b *Binder) bindExpr(e sqlparser.Expr, s *scope, allowMissing bool) (Scalar
 
 	case *sqlparser.ParamExpr:
 		if x.Slot >= len(b.args) {
-			return nil, fmt.Errorf("algebra: parameter marker %d has no argument", x.Slot)
+			return nil, &MarkerError{Slot: x.Slot}
 		}
 		return &Const{Val: b.args[x.Slot], Param: x.Slot + 1}, nil
 

@@ -63,7 +63,7 @@ func TestVecAllocations(t *testing.T) {
 		pin  float64
 	}{
 		{"filter under project", filter, 445, 36},
-		{"INT-key join probe", join, 512, 113},
+		{"INT-key join probe", join, 512, 111},
 	} {
 		b, err := RunColumns(tc.tree, src, nil)
 		if err != nil {
@@ -86,9 +86,12 @@ func TestVecAllocations(t *testing.T) {
 
 // TestVecBytes pins the bytes allocated per RunColumns run (the
 // runtime.MemStats.TotalAlloc delta over repeated runs on this goroutine;
-// testing.AllocsPerRun counts allocations, not their size) of an INT-key
-// join over a 16,384-row build side and of an INT-key group-by into 8,192
-// groups over 16 batches. A hash table that stores a copy of every key, a
+// testing.AllocsPerRun counts allocations, not their size) of INT-key
+// joins over a 16,384-row build side and of an INT-key group-by into
+// 8,192 groups over 16 batches. A build side that is a stored table, a
+// rename-only projection over a filter of one, or a group-by result is
+// kept in place, and a group-by result at the root is returned as it is:
+// a copy of any of them, a hash table that stores a copy of every key, a
 // Go map from key to group or boxed group and accumulator slabs each
 // raise the bytes past the pin.
 func TestVecBytes(t *testing.T) {
@@ -113,27 +116,37 @@ func TestVecBytes(t *testing.T) {
 		tbl.Name = name
 		return algebra.NewTree(&algebra.Get{Table: tbl, Alias: name, Cols: c})
 	}
-	key := func(id algebra.ColumnID) algebra.Scalar {
-		return algebra.NewColRef(algebra.ColumnMeta{ID: id, Type: types.KindInt})
+	ref := func(id algebra.ColumnID, kind types.Kind) algebra.Scalar {
+		return algebra.NewColRef(algebra.ColumnMeta{ID: id, Type: kind})
 	}
-	join := algebra.NewTree(&algebra.Join{Kind: algebra.JoinInner, On: &algebra.Binary{Op: sqlparser.OpEq, L: key(11), R: key(21)}},
-		get("probe", 10), get("build", 20))
+	joinOn := func(build *algebra.Tree, key algebra.ColumnID) *algebra.Tree {
+		return algebra.NewTree(&algebra.Join{Kind: algebra.JoinInner, On: &algebra.Binary{Op: sqlparser.OpEq, L: ref(11, types.KindInt), R: ref(key, types.KindInt)}},
+			get("probe", 10), build)
+	}
 	group := algebra.NewTree(&algebra.GroupBy{
 		Keys: []algebra.ColumnID{31},
 		Aggs: []algebra.AggDef{
-			{Func: algebra.AggSum, Arg: algebra.NewColRef(algebra.ColumnMeta{ID: 32, Type: types.KindFloat}), ID: 50, Name: "s"},
+			{Func: algebra.AggSum, Arg: ref(32, types.KindFloat), ID: 50, Name: "s"},
 			{Func: algebra.AggCount, ID: 51, Name: "n"},
 		},
 		Phase: algebra.AggComplete,
 	}, get("facts", 30))
+	// The DSQL derived-table shape over a filter keeping three rows of four.
+	renamed := algebra.NewTree(&algebra.Project{Defs: []algebra.ProjDef{
+		{Expr: ref(22, types.KindFloat), ID: 60, Name: "c0"},
+		{Expr: ref(21, types.KindInt), ID: 61, Name: "c1"},
+	}}, algebra.NewTree(&algebra.Select{Filter: &algebra.Binary{Op: sqlparser.OpGe, L: ref(21, types.KindInt), R: &algebra.Const{Val: types.NewInt(n / 4)}}},
+		get("build", 20)))
 	for _, tc := range []struct {
 		name string
 		tree *algebra.Tree
 		rows int
 		pin  uint64
 	}{
-		{"INT-key join, 16,384-row build", join, 4 * vec.BatchSize, 815_700},
-		{"INT-key group-by, 8,192 groups", group, n / 2, 950_000},
+		{"INT-key join, 16,384-row stored build", joinOn(get("build", 20), 21), 4 * vec.BatchSize, 500_000},
+		{"INT-key join, rename-only projection over a filter as the build", joinOn(renamed, 61), 2925, 650_000},
+		{"INT-key join, 8,192-group group-by as the build", joinOn(group, 31), 2341, 1_020_000},
+		{"INT-key group-by, 8,192 groups", group, n / 2, 700_000},
 	} {
 		b, err := RunColumns(tc.tree, src, nil)
 		if err != nil {

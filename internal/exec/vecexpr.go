@@ -12,7 +12,13 @@ package exec
 // Kernel outputs are read-only after construction: typed fast paths
 // write payloads positionally into dense vectors and may alias an
 // operand's null bitmap, so callers must never mutate a vector evalVec
-// returned.
+// returned. Temporaries are the operator's scratch: operand gathers,
+// inner kernel outputs, INT operands coerced to FLOAT and every result
+// evalTemp returns (aggregate arguments, predicate values) are vectors of
+// the operator's vecEnv, refilled in place batch after batch once the
+// operator calls reset. Only evalVec's own result, a projection's output,
+// is fresh, since a consumer may keep it; a scratch vector starts each
+// reuse without a null bitmap, so one such an output shares stays intact.
 //
 // Predicates do not build BIT vectors where they can help it: trueRows
 // narrows a selection (ascending batch positions) conjunct by conjunct,
@@ -59,6 +65,8 @@ type vecEnv struct {
 	free   [][]int32                           // selection buffers give returned
 	iota   []int32                             // 0, 1, 2, …: a whole batch
 	out    []int32                             // trueRows' last result
+	tmp    []*vec.Vec                          // scratch vectors, handed out in order
+	ntmp   int                                 // how many of tmp are in use
 }
 
 func newVecEnv(cols []algebra.ColumnMeta) *vecEnv {
@@ -119,6 +127,42 @@ func (ve *vecEnv) give(bufs ...[]int32) {
 	}
 }
 
+// reset reclaims every scratch vector: the operator calls it once per
+// batch, before it evaluates anything, when nothing evaluated for the
+// previous batch is read any more.
+func (ve *vecEnv) reset() { ve.ntmp = 0 }
+
+// dense returns the vector vec.NewDense(kind, n) returns when fresh is
+// set, or else the next of ve's scratch vectors in that shape, valid
+// until the next reset.
+func (ve *vecEnv) dense(kind types.Kind, n int, fresh bool) *vec.Vec {
+	if fresh {
+		return vec.NewDense(kind, n)
+	}
+	v := ve.next()
+	v.Reuse(kind, n)
+	return v
+}
+
+// next hands out the next scratch vector as it was last left.
+func (ve *vecEnv) next() *vec.Vec {
+	if ve.ntmp == len(ve.tmp) {
+		ve.tmp = append(ve.tmp, &vec.Vec{})
+	}
+	ve.ntmp++
+	return ve.tmp[ve.ntmp-1]
+}
+
+// gather is v.Gather(sel), into a scratch vector unless fresh is set.
+func (ve *vecEnv) gather(v *vec.Vec, sel []int32, fresh bool) *vec.Vec {
+	if fresh {
+		return v.Gather(sel)
+	}
+	out := ve.next()
+	v.GatherTo(out, sel)
+	return out
+}
+
 // all returns the selection of every row of an n-row batch.
 func (ve *vecEnv) all(n int) []int32 {
 	if len(ve.iota) < n {
@@ -149,7 +193,23 @@ func pos(sel []int32, i int) int {
 
 // evalVec evaluates a bound scalar over the selected batch positions,
 // returning a dense vector of selLen(sel, b) results in selection order.
+// The result is the caller's to keep; the temporaries behind it (operand
+// gathers, inner kernel outputs) are ve's scratch.
 func evalVec(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
+	return ve.eval(e, b, sel, true)
+}
+
+// evalTemp is evalVec whose result is ve's scratch as well: it is read
+// before the operator's next reset and never kept.
+func evalTemp(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
+	return ve.eval(e, b, sel, false)
+}
+
+// eval is evalVec when fresh is set and evalTemp otherwise. Operands are
+// always evaluated as scratch: no kernel output shares an operand's
+// payload, and a bitmap one shares (CopyNulls) is never rewritten, since
+// a reused scratch vector starts without one.
+func (ve *vecEnv) eval(e algebra.Scalar, b *vec.Batch, sel []int32, fresh bool) (*vec.Vec, error) {
 	switch x := e.(type) {
 	case *algebra.ColRef:
 		i, ok := ve.idx[x.ID]
@@ -159,21 +219,21 @@ func evalVec(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec,
 		if sel == nil {
 			return b.Cols[i], nil
 		}
-		return b.Cols[i].Gather(sel), nil
+		return ve.gather(b.Cols[i], sel, fresh), nil
 
 	case *algebra.Const:
 		return constVec(x.Val, selLen(sel, b)), nil
 
 	case *algebra.Binary:
-		return evalVecBinary(x, ve, b, sel)
+		return evalVecBinary(x, ve, b, sel, fresh)
 
 	case *algebra.Not:
-		v, err := evalVec(x.E, ve, b, sel)
+		v, err := evalTemp(x.E, ve, b, sel)
 		if err != nil {
 			return nil, err
 		}
 		n := selLen(sel, b)
-		out := vec.NewDense(types.KindBool, n)
+		out := ve.dense(types.KindBool, n, fresh)
 		if !v.Mixed && v.Kind == types.KindBool {
 			out.CopyNulls(v)
 			for i := 0; i < n; i++ {
@@ -196,7 +256,7 @@ func evalVec(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec,
 		return out, nil
 
 	case *algebra.Neg:
-		v, err := evalVec(x.E, ve, b, sel)
+		v, err := evalTemp(x.E, ve, b, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -212,19 +272,19 @@ func evalVec(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec,
 		return out, nil
 
 	case *algebra.IsNull:
-		v, err := evalVec(x.E, ve, b, sel)
+		v, err := evalTemp(x.E, ve, b, sel)
 		if err != nil {
 			return nil, err
 		}
 		n := selLen(sel, b)
-		out := vec.NewDense(types.KindBool, n)
+		out := ve.dense(types.KindBool, n, fresh)
 		for i := 0; i < n; i++ {
 			out.I64[i] = b2i(v.IsNull(i) != x.Negated)
 		}
 		return out, nil
 
 	case *algebra.Cast:
-		v, err := evalVec(x.E, ve, b, sel)
+		v, err := evalTemp(x.E, ve, b, sel)
 		if err != nil {
 			return nil, err
 		}
@@ -241,12 +301,12 @@ func evalVec(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec,
 
 	case *algebra.InList:
 		if consts, ok := constList(x.List); ok {
-			return evalVecInList(x, consts, ve, b, sel)
+			return evalVecInList(x, consts, ve, b, sel, fresh)
 		}
 		return evalVecFallback(e, ve, b, sel)
 
 	case *algebra.Like:
-		return evalVecLike(x, ve, b, sel)
+		return evalVecLike(x, ve, b, sel, fresh)
 
 	default:
 		// Func, Case, IN over non-constant lists and anything new: the
@@ -295,8 +355,8 @@ func constList(list []algebra.Scalar) ([]types.Value, bool) {
 }
 
 // evalVecInList evaluates `e [NOT] IN (const, …)` as Eval does (inSet).
-func evalVecInList(x *algebra.InList, consts []types.Value, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
-	v, err := evalVec(x.E, ve, b, sel)
+func evalVecInList(x *algebra.InList, consts []types.Value, ve *vecEnv, b *vec.Batch, sel []int32, fresh bool) (*vec.Vec, error) {
+	v, err := evalTemp(x.E, ve, b, sel)
 	if err != nil {
 		return nil, err
 	}
@@ -305,7 +365,7 @@ func evalVecInList(x *algebra.InList, consts []types.Value, ve *vecEnv, b *vec.B
 		return vec.NullVec(n), nil
 	}
 	set := newInSet(consts, v)
-	out := vec.NewDense(types.KindBool, n)
+	out := ve.dense(types.KindBool, n, fresh)
 	for i := 0; i < n; i++ {
 		if in, null := set.verdict(v, i, x.Negated); null {
 			out.SetNull(i)
@@ -401,13 +461,13 @@ func inConsts(v types.Value, consts []types.Value) bool {
 
 // evalVecLike evaluates `e [NOT] LIKE pattern` as Eval does: NULL stays
 // NULL, a non-VARCHAR operand is the LIKE operand error at its first row.
-func evalVecLike(x *algebra.Like, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
-	v, err := evalVec(x.E, ve, b, sel)
+func evalVecLike(x *algebra.Like, ve *vecEnv, b *vec.Batch, sel []int32, fresh bool) (*vec.Vec, error) {
+	v, err := evalTemp(x.E, ve, b, sel)
 	if err != nil {
 		return nil, err
 	}
 	n := selLen(sel, b)
-	out := vec.NewDense(types.KindBool, n)
+	out := ve.dense(types.KindBool, n, fresh)
 	for i := 0; i < n; i++ {
 		match, null, err := likeVerdict(x, v, i)
 		if err != nil {
@@ -514,49 +574,49 @@ func bitAt(v *vec.Vec, i int) (b, null bool) {
 // evalVecBinary dispatches AND/OR to the short-circuit kernel,
 // comparisons and arithmetic to elementwise kernels. A constant operand
 // skips broadcasting: the kernel folds the scalar directly.
-func evalVecBinary(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
+func evalVecBinary(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32, fresh bool) (*vec.Vec, error) {
 	switch x.Op {
 	case sqlparser.OpAnd, sqlparser.OpOr:
-		return evalVecAndOr(x, ve, b, sel)
+		return evalVecAndOr(x, ve, b, sel, fresh)
 	}
 	n := selLen(sel, b)
 	if c, ok := x.R.(*algebra.Const); ok {
-		l, err := evalVec(x.L, ve, b, sel)
+		l, err := evalTemp(x.L, ve, b, sel)
 		if err != nil {
 			return nil, err
 		}
 		if x.Op.IsComparison() {
-			return compareKernel(x.Op, l, ve.constOf(c), -1, 0, n)
+			return ve.compareKernel(x.Op, l, ve.constOf(c), -1, 0, n, fresh)
 		}
-		return arithScalar(x.Op, l, c.Val, n, false)
+		return ve.arithScalar(x.Op, l, c.Val, n, false, fresh)
 	}
 	if c, ok := x.L.(*algebra.Const); ok {
-		r, err := evalVec(x.R, ve, b, sel)
+		r, err := evalTemp(x.R, ve, b, sel)
 		if err != nil {
 			return nil, err
 		}
 		if x.Op.IsComparison() {
-			return compareKernel(x.Op, ve.constOf(c), r, 0, -1, n)
+			return ve.compareKernel(x.Op, ve.constOf(c), r, 0, -1, n, fresh)
 		}
-		return arithScalar(x.Op, r, c.Val, n, true)
+		return ve.arithScalar(x.Op, r, c.Val, n, true, fresh)
 	}
 
-	l, err := evalVec(x.L, ve, b, sel)
+	l, err := evalTemp(x.L, ve, b, sel)
 	if err != nil {
 		return nil, err
 	}
-	r, err := evalVec(x.R, ve, b, sel)
+	r, err := evalTemp(x.R, ve, b, sel)
 	if err != nil {
 		return nil, err
 	}
 	if x.Op.IsComparison() {
-		return compareKernel(x.Op, l, r, -1, -1, n)
+		return ve.compareKernel(x.Op, l, r, -1, -1, n, fresh)
 	}
-	return arithKernel(x.Op, l, r, n)
+	return ve.arithKernel(x.Op, l, r, n, fresh)
 }
 
 // evalVecAndOr is narrowAndOr's verdict over sel as a BIT vector.
-func evalVecAndOr(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
+func evalVecAndOr(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32, fresh bool) (*vec.Vec, error) {
 	if sel == nil {
 		sel = ve.all(b.N)
 	}
@@ -564,7 +624,7 @@ func evalVecAndOr(x *algebra.Binary, ve *vecEnv, b *vec.Batch, sel []int32) (*ve
 	if err != nil {
 		return nil, err
 	}
-	out := vec.NewDense(types.KindBool, len(sel))
+	out := ve.dense(types.KindBool, len(sel), fresh)
 	ti, ui := 0, 0
 	for i, p := range sel {
 		switch {
@@ -634,12 +694,13 @@ func cmpSelNum[A, B int64 | float64](op sqlparser.BinOp, a []A, b []B, am, bm in
 }
 
 // floatCol coerces a numeric vector's payload to a float64 slice (NULL
-// lanes hold garbage the bitmap masks).
-func floatCol(v *vec.Vec) []float64 {
+// lanes hold garbage the bitmap masks), converting an INT one into a
+// scratch vector.
+func (ve *vecEnv) floatCol(v *vec.Vec) []float64 {
 	if v.Kind == types.KindFloat {
 		return v.F64
 	}
-	out := make([]float64, len(v.I64))
+	out := ve.dense(types.KindFloat, len(v.I64), false).F64
 	for i, x := range v.I64 {
 		out[i] = float64(x)
 	}
@@ -656,12 +717,12 @@ func i64Typed(v *vec.Vec) bool {
 // reading l at i&lm and r at i&rm (a constant is a one-row vector under
 // mask 0), with typed fast paths and a boxed general path sharing the row
 // engine's semantics (NULL in → NULL out, incomparable kinds error).
-func compareKernel(op sqlparser.BinOp, l, r *vec.Vec, lm, rm, n int) (*vec.Vec, error) {
+func (ve *vecEnv) compareKernel(op sqlparser.BinOp, l, r *vec.Vec, lm, rm, n int, fresh bool) (*vec.Vec, error) {
 	if !l.Mixed && !r.Mixed {
 		if l.Kind == types.KindNull || r.Kind == types.KindNull {
 			return vec.NullVec(n), nil
 		}
-		out := vec.NewDense(types.KindBool, n)
+		out := ve.dense(types.KindBool, n, fresh)
 		out.OrNulls(l, r)
 		switch {
 		case l.Kind == r.Kind && i64Typed(l):
@@ -670,7 +731,7 @@ func compareKernel(op sqlparser.BinOp, l, r *vec.Vec, lm, rm, n int) (*vec.Vec, 
 		case l.Kind.Numeric() && r.Kind.Numeric():
 			// Mixed INT/FLOAT compares after float coercion, exactly as
 			// types.CompareChecked does.
-			cmpBits(op, floatCol(l), floatCol(r), lm, rm, out.I64)
+			cmpBits(op, ve.floatCol(l), ve.floatCol(r), lm, rm, out.I64)
 			return out, nil
 		case l.Kind == types.KindString && r.Kind == types.KindString:
 			cmpBits(op, l.Str, r.Str, lm, rm, out.I64)
@@ -678,7 +739,7 @@ func compareKernel(op sqlparser.BinOp, l, r *vec.Vec, lm, rm, n int) (*vec.Vec, 
 		}
 	}
 	// General path: boxed elementwise, same checks as evalBinary.
-	out := vec.NewDense(types.KindBool, n)
+	out := ve.dense(types.KindBool, n, fresh)
 	for i := 0; i < n; i++ {
 		a, b := l.At(i&lm), r.At(i&rm)
 		if a.IsNull() || b.IsNull() {
@@ -740,26 +801,26 @@ func arithLoopScalar[T int64 | float64](op sqlparser.BinOp, a []T, b T, out []T,
 // wraps on int64 exactly like types.Add; any FLOAT operand promotes;
 // division always yields FLOAT and fails on zero (NULL rows never
 // divide, so a NULL lane's zero divisor raises nothing).
-func arithKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
+func (ve *vecEnv) arithKernel(op sqlparser.BinOp, l, r *vec.Vec, n int, fresh bool) (*vec.Vec, error) {
 	if !l.Mixed && !r.Mixed {
 		if l.Kind == types.KindNull || r.Kind == types.KindNull {
 			return vec.NullVec(n), nil
 		}
 		switch {
 		case l.Kind == types.KindInt && r.Kind == types.KindInt && op != sqlparser.OpDiv:
-			out := vec.NewDense(types.KindInt, n)
+			out := ve.dense(types.KindInt, n, fresh)
 			out.OrNulls(l, r)
 			arithLoop(op, l.I64, r.I64, out.I64)
 			return out, nil
 		case l.Kind.Numeric() && r.Kind.Numeric() && op != sqlparser.OpDiv:
-			out := vec.NewDense(types.KindFloat, n)
+			out := ve.dense(types.KindFloat, n, fresh)
 			out.OrNulls(l, r)
-			arithLoop(op, floatCol(l), floatCol(r), out.F64)
+			arithLoop(op, ve.floatCol(l), ve.floatCol(r), out.F64)
 			return out, nil
 		case l.Kind.Numeric() && r.Kind.Numeric():
-			out := vec.NewDense(types.KindFloat, n)
+			out := ve.dense(types.KindFloat, n, fresh)
 			out.OrNulls(l, r)
-			lf, rf := floatCol(l), floatCol(r)
+			lf, rf := ve.floatCol(l), ve.floatCol(r)
 			for i := 0; i < n; i++ {
 				if out.IsNull(i) {
 					continue
@@ -786,19 +847,19 @@ func arithKernel(op sqlparser.BinOp, l, r *vec.Vec, n int) (*vec.Vec, error) {
 
 // arithScalar evaluates column-op-constant arithmetic without
 // broadcasting the constant.
-func arithScalar(op sqlparser.BinOp, v *vec.Vec, cv types.Value, n int, constLeft bool) (*vec.Vec, error) {
+func (ve *vecEnv) arithScalar(op sqlparser.BinOp, v *vec.Vec, cv types.Value, n int, constLeft, fresh bool) (*vec.Vec, error) {
 	if cv.IsNull() || (!v.Mixed && v.Kind == types.KindNull) {
 		return vec.NullVec(n), nil
 	}
 	if !v.Mixed {
 		switch {
 		case v.Kind == types.KindInt && cv.Kind() == types.KindInt && op != sqlparser.OpDiv:
-			out := vec.NewDense(types.KindInt, n)
+			out := ve.dense(types.KindInt, n, fresh)
 			out.CopyNulls(v)
 			arithLoopScalar(op, v.I64, cv.Int(), out.I64, constLeft)
 			return out, nil
 		case v.Kind.Numeric() && cv.Kind().Numeric() && op != sqlparser.OpDiv:
-			out := vec.NewDense(types.KindFloat, n)
+			out := ve.dense(types.KindFloat, n, fresh)
 			out.CopyNulls(v)
 			var x float64
 			if cv.Kind() == types.KindInt {
@@ -806,7 +867,7 @@ func arithScalar(op sqlparser.BinOp, v *vec.Vec, cv types.Value, n int, constLef
 			} else {
 				x = cv.Float()
 			}
-			arithLoopScalar(op, floatCol(v), x, out.F64, constLeft)
+			arithLoopScalar(op, ve.floatCol(v), x, out.F64, constLeft)
 			return out, nil
 		}
 	}
@@ -903,7 +964,8 @@ func trueRows(pred algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32, site s
 // TRUE and to u those at which it is NULL, in sel order; the others are
 // FALSE. Comparisons, IN over constants and LIKE on typed columns and
 // constants, and AND/OR trees of them, are loops over sel reading the
-// payloads in place; any other predicate is evaluated by evalVec under sel.
+// payloads in place; any other predicate is evaluated by evalTemp under
+// sel.
 // Its non-BIT value is AsBool's error, wrapped with site when that is set.
 func (ve *vecEnv) narrow(e algebra.Scalar, b *vec.Batch, sel, t, u []int32, site string) ([]int32, []int32, error) {
 	switch x := e.(type) {
@@ -957,9 +1019,9 @@ func (ve *vecEnv) narrow(e algebra.Scalar, b *vec.Batch, sel, t, u []int32, site
 	}
 	es := sel
 	if len(sel) == b.N {
-		es = nil // every row: evalVec reads columns without gathering
+		es = nil // every row: evaluation reads columns without gathering
 	}
-	v, err := evalVec(e, ve, b, es)
+	v, err := evalTemp(e, ve, b, es)
 	if err != nil {
 		return t, u, err
 	}

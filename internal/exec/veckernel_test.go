@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -523,6 +524,141 @@ func TestVecGroupByModeChanges(t *testing.T) {
 			algebra.AggDef{Func: algebra.AggMax, Arg: f})
 		if n := d.both(t, tc.name, tree); n != tc.groups {
 			t.Errorf("%s: %d groups, want %d", tc.name, n, tc.groups)
+		}
+	}
+}
+
+// TestVecInPlaceBuildsMatchRows: a join build side drained as one batch is
+// kept in place under its selection — a filtered scan, a rename-only
+// projection over one, a filter over a filter, a bare scan, a group-by or
+// a sort result — for every join kind, hashed (INT key; composite key
+// with a residual over the build rows) and nested-loop, and a sort orders
+// the selected positions of a filtered or renamed scan. The tables span
+// several batches.
+func TestVecInPlaceBuildsMatchRows(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		d := newKernelDB(seed, 1100, 1100)
+		a := func(c int) algebra.Scalar { return d.ref("a", c) }
+		b := func(c int) algebra.Scalar { return d.ref("b", c) }
+		c := func(v types.Value) algebra.Scalar { return cnst(v) }
+		filter := func(in *algebra.Tree, pred algebra.Scalar) *algebra.Tree {
+			return algebra.NewTree(&algebra.Select{Filter: pred}, in)
+		}
+		col := func(id algebra.ColumnID, kind types.Kind) algebra.Scalar {
+			return algebra.NewColRef(algebra.ColumnMeta{ID: id, Type: kind})
+		}
+		// b's rows whose s is not 'a' and whose f is below 2.5 (NULLs fail).
+		fb := filter(d.get("b"), bin(sqlparser.OpAnd, bin(sqlparser.OpNe, b(3), c(types.NewString("a"))), bin(sqlparser.OpLt, b(1), c(types.NewFloat(2.5)))))
+		// The DSQL derived-table shape: b's i, k, f and t renamed, in a new
+		// order, so the keys and the residual read renamed columns.
+		renamed := algebra.NewTree(&algebra.Project{Defs: []algebra.ProjDef{
+			{Expr: b(2), ID: 300, Name: "c0"},
+			{Expr: b(0), ID: 301, Name: "c1"},
+			{Expr: b(1), ID: 302, Name: "c2"},
+			{Expr: b(6), ID: 303, Name: "c3"},
+		}}, fb)
+		grouped := groupBy(fb, []algebra.ColumnID{11},
+			algebra.AggDef{Func: algebra.AggCount},
+			algebra.AggDef{Func: algebra.AggMax, Arg: b(1)})
+		sorted := algebra.NewTree(&algebra.Sort{Keys: []algebra.SortKey{{ID: 12, Desc: true}, {ID: 13}}, Top: 700}, fb)
+		type build struct {
+			tree     *algebra.Tree
+			i, f, t  algebra.Scalar // the build's i, f and t columns
+			nonEmpty bool           // every join kind yields rows
+		}
+		builds := map[string]build{
+			"filtered scan":                        {fb, b(2), b(1), b(6), true},
+			"rename-only projection over a filter": {renamed, col(300, types.KindInt), col(302, types.KindFloat), col(303, types.KindBool), true},
+			"filter over a filter":                 {filter(fb, bin(sqlparser.OpNe, b(2), c(types.NewInt(2)))), b(2), b(1), b(6), true},
+			"bare scan":                            {d.get("b"), b(2), b(1), b(6), true},
+			"sort result with TOP":                 {sorted, b(2), b(1), b(6), true},
+			"group-by result":                      {grouped, nil, col(101, types.KindFloat), col(100, types.KindInt), false},
+		}
+		kinds := []algebra.JoinKind{algebra.JoinInner, algebra.JoinLeftOuter, algebra.JoinFullOuter, algebra.JoinSemi, algebra.JoinAnti}
+		pa := filter(d.get("a"), bin(sqlparser.OpAnd, bin(sqlparser.OpGt, a(0), c(types.NewInt(1))), bin(sqlparser.OpEq, a(3), c(types.NewString("SHIP")))))
+		for name, bd := range builds {
+			intKey := bin(sqlparser.OpEq, a(2), bd.i)
+			ons := map[string]algebra.Scalar{
+				"INT key": intKey,
+				"composite key, residual": bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, intKey, bin(sqlparser.OpEq, a(6), bd.t)),
+					bin(sqlparser.OpLt, bin(sqlparser.OpMul, a(1), c(types.NewInt(2))), bin(sqlparser.OpAdd, bd.f, c(types.NewInt(1))))),
+				"nested loop": bin(sqlparser.OpLt, a(2), bd.i),
+			}
+			if name == "group-by result" {
+				// Grouped on b.k: f is the group's MAX(f), t its COUNT(*).
+				k := col(11, types.KindInt)
+				ons = map[string]algebra.Scalar{
+					"INT key":                 bin(sqlparser.OpEq, a(0), k),
+					"composite key, residual": bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, bin(sqlparser.OpEq, a(0), k), bin(sqlparser.OpEq, a(2), bin(sqlparser.OpSub, k, c(types.NewInt(1))))), bin(sqlparser.OpGt, a(1), bd.f)),
+					"nested loop":             bin(sqlparser.OpLt, bin(sqlparser.OpMul, a(2), bd.t), c(types.NewInt(200))),
+				}
+			}
+			for _, kind := range kinds {
+				for on, cond := range ons {
+					tree := algebra.NewTree(&algebra.Join{Kind: kind, On: cond}, pa, bd.tree)
+					n := d.both(t, fmt.Sprintf("seed %d %v join over a %s, %s", seed, kind, name, on), tree)
+					if n <= 0 && (bd.nonEmpty || kind == algebra.JoinInner) {
+						t.Fatalf("seed %d %v join over a %s, %s: no rows, so the case tests nothing", seed, kind, name, on)
+					}
+				}
+			}
+		}
+		for name, tree := range map[string]*algebra.Tree{
+			"sort over a filtered scan":            algebra.NewTree(&algebra.Sort{Keys: []algebra.SortKey{{ID: 2}, {ID: 4, Desc: true}}}, filter(d.get("a"), bin(sqlparser.OpNe, a(2), c(types.NewInt(1))))),
+			"sort with TOP over a filtered scan":   algebra.NewTree(&algebra.Sort{Keys: []algebra.SortKey{{ID: 6}}, Top: 40}, filter(d.get("a"), bin(sqlparser.OpGt, a(0), c(types.NewInt(1))))),
+			"sort over a renamed filtered scan":    algebra.NewTree(&algebra.Sort{Keys: []algebra.SortKey{{ID: 302, Desc: true}}}, renamed),
+			"rename-only projection at the root":   renamed,
+			"sort over a group-by result as build": algebra.NewTree(&algebra.Sort{Keys: []algebra.SortKey{{ID: 4}, {ID: 100}}}, algebra.NewTree(&algebra.Join{Kind: algebra.JoinInner, On: bin(sqlparser.OpEq, a(0), col(11, types.KindInt))}, pa, grouped)),
+		} {
+			if n := d.both(t, fmt.Sprintf("seed %d %s", seed, name), tree); n <= 0 {
+				t.Fatalf("seed %d %s: no rows, so the case tests nothing", seed, name)
+			}
+		}
+	}
+}
+
+// TestVecScratchReuse: temporaries live in per-operator scratch vectors
+// reused batch after batch, while a projection's outputs — and the NULL
+// bitmaps they share with their operands — stay the consumer's. A sort
+// keeps every batch of a projection of NULL-bearing arithmetic, a NOT and
+// a comparison over a filtered three-batch table, and group-bys fold
+// NULL-bearing computed arguments, under NULL and non-NULL keys, batch
+// after batch.
+func TestVecScratchReuse(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		d := newKernelDB(seed, 2500, 0)
+		a := func(c int) algebra.Scalar { return d.ref("a", c) }
+		c := func(v types.Value) algebra.Scalar { return cnst(v) }
+		fa := algebra.NewTree(&algebra.Select{Filter: bin(sqlparser.OpNe, a(3), c(types.NewString("SHIP")))}, d.get("a"))
+		proj := func(in *algebra.Tree) *algebra.Tree {
+			return algebra.NewTree(&algebra.Project{Defs: []algebra.ProjDef{
+				{Expr: bin(sqlparser.OpAdd, a(0), c(types.NewInt(1))), ID: 100, Name: "k1"},
+				{Expr: bin(sqlparser.OpMul, a(1), bin(sqlparser.OpSub, c(types.NewInt(1)), a(2))), ID: 101, Name: "x"},
+				{Expr: &algebra.Not{E: bin(sqlparser.OpEq, a(6), c(types.NewBool(true)))}, ID: 102, Name: "nt"},
+				{Expr: bin(sqlparser.OpLe, a(1), a(2)), ID: 103, Name: "le"},
+				{Expr: a(3), ID: 104, Name: "s"},
+			}}, in)
+		}
+		cases := map[string]*algebra.Tree{
+			"sort over a projection of a filter": algebra.NewTree(&algebra.Sort{Keys: []algebra.SortKey{{ID: 101}, {ID: 100, Desc: true}}}, proj(fa)),
+			"sort over a projection of a scan":   algebra.NewTree(&algebra.Sort{Keys: []algebra.SortKey{{ID: 104}, {ID: 100}}}, proj(d.get("a"))),
+		}
+		args := []algebra.AggDef{
+			{Func: algebra.AggSum, Arg: bin(sqlparser.OpMul, a(1), bin(sqlparser.OpSub, c(types.NewInt(1)), a(2)))},
+			{Func: algebra.AggSum, Arg: bin(sqlparser.OpAdd, a(0), a(2))},
+			{Func: algebra.AggCount, Arg: bin(sqlparser.OpSub, a(1), c(types.NewInt(1)))},
+			{Func: algebra.AggMax, Arg: a(3)},
+			{Func: algebra.AggMin, Arg: bin(sqlparser.OpMul, a(0), c(types.NewFloat(0.5)))},
+			{Func: algebra.AggCount, Arg: &algebra.Not{E: bin(sqlparser.OpGt, a(0), a(2))}},
+		}
+		for name, keys := range map[string][]algebra.ColumnID{"k": {1}, "s, t": {4, 7}, "no key": nil} {
+			cases["group-by on "+name+" over a filter"] = groupBy(fa, keys, slices.Clone(args)...)
+			cases["group-by on "+name+" over a scan"] = groupBy(d.get("a"), keys, slices.Clone(args)...)
+		}
+		for name, tree := range cases {
+			if n := d.both(t, fmt.Sprintf("seed %d %s", seed, name), tree); n <= 0 {
+				t.Fatalf("seed %d %s: no rows, so the case tests nothing", seed, name)
+			}
 		}
 	}
 }

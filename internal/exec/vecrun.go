@@ -35,52 +35,67 @@ func RunVec(t *algebra.Tree, src ColSource) (*Relation, error) {
 // (nil disables collection). Ops/Rows/ScanRows tallies match the row
 // engine's exactly; Batches additionally counts emitted column batches.
 func RunVecStats(t *algebra.Tree, src ColSource, st *Stats) (*Relation, error) {
-	cols, parts, sels, err := runVec(t, src, st)
+	n, b, err := runVec(t, src, st)
 	if err != nil {
 		return nil, err
 	}
-	for i, sel := range sels {
-		if sel != nil {
-			parts[i] = vec.Concat(len(cols), parts[i:i+1], sels[i:i+1])
-		}
-	}
-	return &Relation{Cols: cols, Rows: vec.AppendRows(nil, parts...)}, nil
+	return &Relation{Cols: n.cols(), Rows: vec.AppendRows(nil, b)}, nil
 }
 
-// RunColumns executes like RunVecStats and returns the result as one batch
-// (vec.Concat of the stream), the form DMS routes and storage inserts.
+// RunColumns executes like RunVecStats and returns the result as one
+// batch, the form DMS routes and storage inserts. The rows are copied at
+// most once on the way: an output held as one batch whole (a stored
+// table, a group-by or sort result) is returned as it is, and one under a
+// selection is gathered.
 func RunColumns(t *algebra.Tree, src ColSource, st *Stats) (*vec.Batch, error) {
-	cols, parts, sels, err := runVec(t, src, st)
-	if err != nil {
-		return nil, err
-	}
-	return vec.Concat(len(cols), parts, sels), nil
+	_, b, err := runVec(t, src, st)
+	return b, err
 }
 
-// runVec executes a tree and returns its output stream's batches and
-// their selections.
-func runVec(t *algebra.Tree, src ColSource, st *Stats) ([]algebra.ColumnMeta, []*vec.Batch, [][]int32, error) {
+// runVec executes a tree and returns its pipeline and its output as one
+// dense batch.
+func runVec(t *algebra.Tree, src ColSource, st *Stats) (vecNode, *vec.Batch, error) {
 	n, err := buildVec(t, src, st)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	parts, sels, err := drain(n)
+	b, sel, err := drain(n)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
-	return n.cols(), parts, sels, nil
+	if sel != nil {
+		b = vec.Concat(len(b.Cols), []*vec.Batch{b}, [][]int32{sel})
+	}
+	return n, b, nil
 }
 
-// drain pulls an operator's whole output stream, copying each selection
-// (its producer reuses the buffer) so that vec.Concat can take the
-// selected rows once; sels stays nil while every batch is whole.
-func drain(n vecNode) ([]*vec.Batch, [][]int32, error) {
+// drain pulls an operator's whole output stream as one batch under a
+// selection (nil: every row). It asks for the output as one batch first
+// (whole): a stored table's scan, a group-by or sort result, or a
+// rename-only projection or a filter over one of these hands that batch
+// on under its selection, and no row is copied. Otherwise it pulls the
+// stream batch by batch, copying each selection (its producer reuses the
+// buffer), and materializes the selected rows once at their exact size
+// (vec.Concat, which returns a lone whole batch as it is).
+func drain(n vecNode) (*vec.Batch, []int32, error) {
+	b, sel, ok, err := n.whole()
+	switch {
+	case err != nil:
+		return nil, nil, err
+	case ok && selLen(sel, b) > 0:
+		return b, sel, nil
+	case ok:
+		return vec.Concat(len(n.cols()), nil, nil), nil, nil
+	}
 	var parts []*vec.Batch
 	var sels [][]int32
 	for {
 		b, sel, err := n.next()
-		if err != nil || b == nil {
-			return parts, sels, err
+		if err != nil {
+			return nil, nil, err
+		}
+		if b == nil {
+			return vec.Concat(len(n.cols()), parts, sels), nil, nil
 		}
 		if sel != nil && sels == nil {
 			sels = make([][]int32, len(parts), cap(parts)+1)
@@ -96,11 +111,16 @@ func drain(n vecNode) ([]*vec.Batch, [][]int32, error) {
 // and its selection, or a nil batch at end of stream. A selection lists
 // the batch positions that are rows of the stream, ascending; nil means
 // every position is. It stays valid until the node's next call, so a
-// consumer that keeps a batch longer copies it. Batches are never
-// modified once emitted.
+// consumer that keeps a selection longer copies it. Batches are never
+// modified once emitted, so a consumer may keep one as it is.
+//
+// whole, called before any next, returns the node's entire output as one
+// batch under a selection the caller then owns, when the node already
+// holds it so; ok false means it does not, and the stream is untouched.
 type vecNode interface {
 	cols() []algebra.ColumnMeta
 	next() (*vec.Batch, []int32, error)
+	whole() (b *vec.Batch, sel []int32, ok bool, err error)
 }
 
 // statNode wraps an operator with work tallying: rows and batches are
@@ -136,6 +156,20 @@ func (s *statNode) next() (*vec.Batch, []int32, error) {
 	return b, sel, nil
 }
 
+// whole records a whole hand-off as one batch (none when it is empty).
+func (s *statNode) whole() (*vec.Batch, []int32, bool, error) {
+	b, sel, ok, err := s.inner.whole()
+	if err != nil || !ok {
+		return nil, nil, false, err
+	}
+	if s.rows = int64(selLen(sel, b)); s.rows > 0 {
+		s.batches = 1
+	}
+	s.done = true
+	s.st.recordCounts(s.op, s.rows, s.batches)
+	return b, sel, true, nil
+}
+
 // buildVec compiles a bound tree into an operator pipeline.
 func buildVec(t *algebra.Tree, src ColSource, st *Stats) (vecNode, error) {
 	var n vecNode
@@ -155,7 +189,7 @@ func buildVec(t *algebra.Tree, src ColSource, st *Stats) (vecNode, error) {
 		if err != nil {
 			return nil, err
 		}
-		n = &vecProject{op: op, in: in, out: t.OutputCols(), ve: newVecEnv(in.cols())}
+		n = newVecProject(op, in, t.OutputCols())
 	case *algebra.Join:
 		l, err := buildVec(t.Children[0], src, st)
 		if err != nil {
@@ -209,27 +243,42 @@ func (s *vecScan) cols() []algebra.ColumnMeta { return s.op.Cols }
 
 func (s *vecScan) next() (*vec.Batch, []int32, error) {
 	if s.res == nil {
-		t, err := s.src(s.op.Table.Name)
+		b, err := s.table()
 		if err != nil {
 			return nil, nil, err
-		}
-		b := &vec.Batch{N: t.N, Cols: make([]*vec.Vec, len(s.op.Cols))}
-		for i, c := range s.op.Cols {
-			found := -1
-			for j, name := range t.Names {
-				if strings.EqualFold(name, c.Name) {
-					found = j
-					break
-				}
-			}
-			if found < 0 {
-				return nil, nil, fmt.Errorf("exec: column %q missing from stored %q", c.Name, s.op.Table.Name)
-			}
-			b.Cols[i] = t.Cols[found]
 		}
 		s.res = &windows{b: b}
 	}
 	return s.res.next(), nil, nil
+}
+
+func (s *vecScan) whole() (*vec.Batch, []int32, bool, error) {
+	b, err := s.table()
+	return b, nil, err == nil, err
+}
+
+// table resolves the stored columns the scan reads, sharing their
+// storage.
+func (s *vecScan) table() (*vec.Batch, error) {
+	t, err := s.src(s.op.Table.Name)
+	if err != nil {
+		return nil, err
+	}
+	b := &vec.Batch{N: t.N, Cols: make([]*vec.Vec, len(s.op.Cols))}
+	for i, c := range s.op.Cols {
+		found := -1
+		for j, name := range t.Names {
+			if strings.EqualFold(name, c.Name) {
+				found = j
+				break
+			}
+		}
+		if found < 0 {
+			return nil, fmt.Errorf("exec: column %q missing from stored %q", c.Name, s.op.Table.Name)
+		}
+		b.Cols[i] = t.Cols[found]
+	}
+	return b, nil
 }
 
 // vecValues emits a literal relation in BatchSize chunks.
@@ -251,6 +300,8 @@ func (v *vecValues) next() (*vec.Batch, []int32, error) {
 	return v.res.next(), nil, nil
 }
 
+func (v *vecValues) whole() (*vec.Batch, []int32, bool, error) { return nil, nil, false, nil }
+
 // vecFilter narrows each input batch's selection to the rows the
 // predicate keeps (trueRows: conjunct by conjunct, in place over the
 // payloads) and hands the batch on under that selection: it copies no
@@ -271,6 +322,7 @@ func (f *vecFilter) next() (*vec.Batch, []int32, error) {
 		if err != nil || b == nil {
 			return nil, nil, err
 		}
+		f.ve.reset()
 		keep, err := trueRows(f.op.Filter, f.ve, b, sel, "WHERE predicate")
 		switch {
 		case err != nil:
@@ -283,13 +335,85 @@ func (f *vecFilter) next() (*vec.Batch, []int32, error) {
 	}
 }
 
+// whole narrows a whole input's selection window by window, over the
+// windows a stream of it would carry, so the predicate runs on exactly
+// the batches next would give it. The input's selection, which the
+// filter owns, is narrowed in place.
+func (f *vecFilter) whole() (*vec.Batch, []int32, bool, error) {
+	b, sel, ok, err := f.in.whole()
+	if err != nil || !ok {
+		return nil, nil, false, err
+	}
+	out := sel[:0:len(sel)]
+	var local []int32
+	for lo, k := 0, 0; lo < b.N; lo += vec.BatchSize {
+		hi := min(lo+vec.BatchSize, b.N)
+		var wsel []int32 // the window's selected rows, rebased to it
+		if sel != nil {
+			local = local[:0]
+			for ; k < len(sel) && int(sel[k]) < hi; k++ {
+				local = append(local, sel[k]-int32(lo))
+			}
+			if len(local) == 0 {
+				continue
+			}
+			if len(local) < hi-lo {
+				wsel = local
+			}
+		}
+		f.ve.reset()
+		keep, err := trueRows(f.op.Filter, f.ve, window(b, lo), wsel, "WHERE predicate")
+		if err != nil {
+			return nil, nil, false, err
+		}
+		if sel == nil && lo == 0 {
+			// The first window's rows are positions in b already: the
+			// filter keeps trueRows' buffer and appends the others to it,
+			// grown once for the rows the other windows yield at the
+			// first one's rate, and one window more.
+			out, f.ve.out = keep, nil
+			if b.N > vec.BatchSize {
+				want := min(len(keep)*(b.N/vec.BatchSize+1)+vec.BatchSize, b.N)
+				out = slices.Grow(out, want-len(out))
+			}
+			continue
+		}
+		for _, p := range keep {
+			out = append(out, p+int32(lo))
+		}
+	}
+	if len(out) == b.N {
+		out = nil
+	}
+	return b, out, true, nil
+}
+
 // vecProject computes each projection definition as one vector per batch,
-// under the input's selection, so its output is dense.
+// under the input's selection, so its output is dense. A rename-only
+// projection — every definition a column of its input, the DSQL
+// derived-table shape `SELECT T1.[x] AS c1 …` — copies nothing: it hands
+// its input's vectors on, in its own order, under the input's selection.
 type vecProject struct {
-	op  *algebra.Project
-	in  vecNode
-	out []algebra.ColumnMeta
-	ve  *vecEnv
+	op     *algebra.Project
+	in     vecNode
+	out    []algebra.ColumnMeta
+	ve     *vecEnv
+	rename bool // every definition is a column of the input
+}
+
+func newVecProject(op *algebra.Project, in vecNode, out []algebra.ColumnMeta) *vecProject {
+	p := &vecProject{op: op, in: in, out: out, ve: newVecEnv(in.cols())}
+	for _, d := range op.Defs {
+		c, ok := d.Expr.(*algebra.ColRef)
+		if !ok {
+			return p
+		}
+		if _, ok := p.ve.idx[c.ID]; !ok {
+			return p // evaluation reports the missing column
+		}
+	}
+	p.rename = true
+	return p
 }
 
 func (p *vecProject) cols() []algebra.ColumnMeta { return p.out }
@@ -299,6 +423,10 @@ func (p *vecProject) next() (*vec.Batch, []int32, error) {
 	if err != nil || b == nil {
 		return nil, nil, err
 	}
+	if p.rename {
+		return p.renamed(b), sel, nil
+	}
+	p.ve.reset()
 	nb := &vec.Batch{N: selLen(sel, b), Cols: make([]*vec.Vec, len(p.op.Defs))}
 	for i, d := range p.op.Defs {
 		v, err := evalVec(d.Expr, p.ve, b, sel)
@@ -310,16 +438,40 @@ func (p *vecProject) next() (*vec.Batch, []int32, error) {
 	return nb, nil, nil
 }
 
+func (p *vecProject) whole() (*vec.Batch, []int32, bool, error) {
+	if !p.rename {
+		return nil, nil, false, nil
+	}
+	b, sel, ok, err := p.in.whole()
+	if err != nil || !ok {
+		return nil, nil, false, err
+	}
+	return p.renamed(b), sel, true, nil
+}
+
+// renamed is a rename-only projection of b: b's vectors, in the
+// definitions' order.
+func (p *vecProject) renamed(b *vec.Batch) *vec.Batch {
+	nb := &vec.Batch{N: b.N, Cols: make([]*vec.Vec, len(p.op.Defs))}
+	for i, d := range p.op.Defs {
+		nb.Cols[i] = b.Cols[p.ve.idx[d.Expr.(*algebra.ColRef).ID]]
+	}
+	return nb
+}
+
 // vecJoin joins batch streams. The right (build) side is drained into one
-// concatenated columnar batch, its selections taken in the same copy;
-// equi-key joins probe a hash table built over it, other joins fall back
-// to a per-left-row nested loop over the same batch. A probe walks the
-// left batch's selection and writes candidate pairs into the join's own
-// buffers, reused batch after batch: emit gathers the output columns from
-// them, and filterPairs narrows them in place. Output order matches the
-// row engine: left order × bucket insertion (= right row) order, with
-// outer padding and full-outer unmatched-right emission in right order at
-// the end.
+// batch under a selection (drain): a stored table, a group-by or sort
+// result, or a filter or rename-only projection over one stays in place,
+// and any other input is concatenated once. Build row i is that batch's
+// row at pos(rsel, i). Equi-key joins probe a hash table built over the
+// build rows, other joins fall back to a per-left-row nested loop over
+// them; either way a candidate pair names its build row by its position
+// in the batch. A probe walks the left batch's selection and writes
+// candidate pairs into the join's own buffers, reused batch after batch:
+// emit gathers the output columns from them, and filterPairs narrows them
+// in place. Output order matches the row engine: left order × bucket
+// insertion (= right row) order, with outer padding and full-outer
+// unmatched-right emission in right order at the end.
 type vecJoin struct {
 	op       *algebra.Join
 	left     vecNode
@@ -337,12 +489,14 @@ type vecJoin struct {
 	// allocates flat arrays and nothing per key. Chains are threaded in
 	// ascending row order, preserving the bucket-insertion output order
 	// contract. A single typed-INT key is its own table key, read in
-	// place from rt's payloads (byInt: ints over intKeys; bucket =
+	// place from rt's payloads, or from a copy of the selected ones when
+	// rt is under a selection (byInt: ints over intKeys; bucket =
 	// equality, no confirm pass). Any other key set keys on the build
 	// rows' key hashes (hashed over rowHashes), and the probe confirms
 	// candidate pairs key column by key column with keepEqual.
 	init         bool
 	rt           *vec.Batch
+	rsel         []int32 // build row i is rt's row at pos(rsel, i); nil = all of rt
 	byInt        bool
 	ints         idTable[int64]
 	intKeys      []int64
@@ -351,10 +505,11 @@ type vecJoin struct {
 	chainNext    []int32
 	rightMatched []bool
 	pairVE       *vecEnv
-	hs           []uint64 // probe-side key hash scratch
-	pl, pr       []int32  // candidate pairs: left positions, right rows
-	cl, cr       []int32  // one left row's nested-loop candidates
-	ls, rs       []int32  // emit's output selections
+	pb           *vec.Batch // the pair columns a predicate reads, as scratch
+	hs           []uint64   // probe-side key hash scratch
+	pl, pr       []int32    // candidate pairs: left positions, right rows
+	cl, cr       []int32    // one left row's nested-loop candidates
+	ls, rs       []int32    // emit's output selections
 
 	leftDone bool
 	tailDone bool
@@ -382,6 +537,8 @@ func newVecJoin(op *algebra.Join, l, r vecNode) *vecJoin {
 }
 
 func (j *vecJoin) cols() []algebra.ColumnMeta { return j.outCols }
+
+func (j *vecJoin) whole() (*vec.Batch, []int32, bool, error) { return nil, nil, false, nil }
 
 func (j *vecJoin) next() (*vec.Batch, []int32, error) {
 	if !j.init {
@@ -416,24 +573,27 @@ func (j *vecJoin) next() (*vec.Batch, []int32, error) {
 	return nil, nil, nil
 }
 
-// buildRight drains the build side as a list of batches, materializes it
-// once at its exact size (vec.Concat) and, for equi-key joins, builds a
-// hash table over the non-NULL keys (SQL equality never matches NULLs, so
+// buildRight drains the build side — keeping a lone part in place under
+// its selection, concatenating several once at their exact size
+// (vec.Concat) — and, for equi-key joins, builds a hash table over the
+// build rows' non-NULL keys (SQL equality never matches NULLs, so
 // NULL-keyed rows stay out of the table — they still surface through
-// full-outer unmatched emission).
+// full-outer unmatched emission). The table and its chains hold build
+// rows by their index in the selection; a probe's pairs carry their
+// positions in rt.
 func (j *vecJoin) buildRight() error {
-	parts, sels, err := drain(j.right)
-	if err != nil {
+	var err error
+	if j.rt, j.rsel, err = drain(j.right); err != nil {
 		return err
 	}
-	j.rt = vec.Concat(len(j.pairCols)-j.lWidth, parts, sels)
 	if j.op.Kind == algebra.JoinFullOuter {
 		j.rightMatched = make([]bool, j.rt.N)
 	}
 	if !j.useHash {
 		return nil
 	}
-	j.chainNext = make([]int32, j.rt.N)
+	n := selLen(j.rsel, j.rt)
+	j.chainNext = make([]int32, n)
 	// Single BIGINT key over a typed build column: the table keys on the
 	// int64 payload itself, so bucket membership IS equality and the probe
 	// needs no confirmation pass. Numeric cross-kind probes (a FLOAT that
@@ -444,21 +604,28 @@ func (j *vecJoin) buildRight() error {
 		kv := j.rt.Cols[j.rKeys[0]]
 		if !kv.Mixed && kv.Kind == types.KindInt {
 			j.byInt, j.intKeys = true, kv.I64
-			j.ints = newIDTable[int64](j.rt.N)
-			for ri := j.rt.N - 1; ri >= 0; ri-- {
-				if !kv.IsNull(ri) {
-					j.chainNext[ri] = j.ints.insert(j.intKeys, int32(ri))
+			if j.rsel != nil {
+				// The table reads build row i's key at intKeys[i].
+				j.intKeys = make([]int64, n)
+				for i, ri := range j.rsel {
+					j.intKeys[i] = kv.I64[ri]
+				}
+			}
+			j.ints = newIDTable[int64](n)
+			for i := n - 1; i >= 0; i-- {
+				if !kv.IsNull(pos(j.rsel, i)) {
+					j.chainNext[i] = j.ints.insert(j.intKeys, int32(i))
 				}
 			}
 			return nil
 		}
 	}
-	j.rowHashes = keyHashes(j.rt, nil, j.rKeys, nil)
-	j.hashed = newIDTable[uint64](j.rt.N)
+	j.rowHashes = keyHashes(j.rt, j.rsel, j.rKeys, nil)
+	j.hashed = newIDTable[uint64](n)
 	nulls := keyNulls(j.rt, j.rKeys)
-	for ri := j.rt.N - 1; ri >= 0; ri-- {
-		if !bitSet(nulls, ri) {
-			j.chainNext[ri] = j.hashed.insert(j.rowHashes, int32(ri))
+	for i := n - 1; i >= 0; i-- {
+		if !bitSet(nulls, pos(j.rsel, i)) {
+			j.chainNext[i] = j.hashed.insert(j.rowHashes, int32(i))
 		}
 	}
 	return nil
@@ -681,7 +848,7 @@ func (j *vecJoin) probeInt(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []int32
 		}
 		for ri := j.ints.find(j.intKeys, k); ri >= 0; ri = j.chainNext[ri] {
 			pl = append(pl, int32(li))
-			pr = append(pr, ri)
+			pr = append(pr, int32(pos(j.rsel, int(ri))))
 		}
 	}
 	return pl, pr
@@ -701,7 +868,7 @@ func (j *vecJoin) probeHashed(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []in
 		}
 		for ri := j.hashed.find(j.rowHashes, h); ri >= 0; ri = j.chainNext[ri] {
 			pl = append(pl, int32(li))
-			pr = append(pr, ri)
+			pr = append(pr, int32(pos(j.rsel, int(ri))))
 		}
 	}
 	for k := range j.lKeys {
@@ -730,10 +897,11 @@ func (j *vecJoin) joinBatch(lb *vec.Batch, sel []int32) (*vec.Batch, error) {
 	} else {
 		// Nested loop, one left row at a time so the candidate pair batch
 		// stays bounded by the build side's size.
+		m := selLen(j.rsel, j.rt)
 		for i := 0; i < n; i++ {
-			kl, kr := reuse(j.cl, j.rt.N), reuse(j.cr, j.rt.N)
-			for ri := 0; ri < j.rt.N; ri++ {
-				kl, kr = append(kl, int32(pos(sel, i))), append(kr, int32(ri))
+			kl, kr := reuse(j.cl, m), reuse(j.cr, m)
+			for k := 0; k < m; k++ {
+				kl, kr = append(kl, int32(pos(sel, i))), append(kr, int32(pos(j.rsel, k)))
 			}
 			j.cl, j.cr = kl, kr
 			if j.op.On != nil && len(kl) > 0 {
@@ -755,15 +923,18 @@ func (j *vecJoin) joinBatch(lb *vec.Batch, sel []int32) (*vec.Batch, error) {
 func (j *vecJoin) filterPairs(lb *vec.Batch, pl, pr []int32, on algebra.Scalar) ([]int32, []int32, error) {
 	if j.pairVE == nil {
 		j.pairVE = newVecEnv(j.pairCols)
+		j.pb = &vec.Batch{Cols: make([]*vec.Vec, len(j.pairCols))}
 	}
-	// Only the columns the predicate reads are gathered; evaluation never
-	// touches the others.
-	pb := &vec.Batch{N: len(pl), Cols: make([]*vec.Vec, len(j.pairCols))}
+	// Only the columns the predicate reads are gathered, into scratch;
+	// evaluation never touches the others.
+	j.pairVE.reset()
+	pb := j.pb
+	pb.N = len(pl)
 	for _, c := range j.pairVE.readsOf(on) {
 		if c < j.lWidth {
-			pb.Cols[c] = lb.Cols[c].Gather(pl)
+			pb.Cols[c] = j.pairVE.gather(lb.Cols[c], pl, false)
 		} else {
-			pb.Cols[c] = j.rt.Cols[c-j.lWidth].Gather(pr)
+			pb.Cols[c] = j.pairVE.gather(j.rt.Cols[c-j.lWidth], pr, false)
 		}
 	}
 	keep, err := trueRows(on, j.pairVE, pb, nil, "join predicate")
@@ -861,8 +1032,8 @@ func gatherPad(v *vec.Vec, sel []int32) *vec.Vec {
 // padded on the left, in right order.
 func (j *vecJoin) unmatchedRight() *vec.Batch {
 	var rsel []int32
-	for ri, m := range j.rightMatched {
-		if !m {
+	for i, n := 0, selLen(j.rsel, j.rt); i < n; i++ {
+		if ri := pos(j.rsel, i); !j.rightMatched[ri] {
 			rsel = append(rsel, int32(ri))
 		}
 	}
@@ -907,6 +1078,11 @@ func (g *vecGroup) next() (*vec.Batch, []int32, error) {
 	return g.res.next(), nil, nil
 }
 
+func (g *vecGroup) whole() (*vec.Batch, []int32, bool, error) {
+	b, err := g.aggregate()
+	return b, nil, err == nil, err
+}
+
 // aggregate drains the input and returns one row per group.
 func (g *vecGroup) aggregate() (*vec.Batch, error) {
 	inCols := g.in.cols()
@@ -937,10 +1113,11 @@ func (g *vecGroup) aggregate() (*vec.Batch, error) {
 		if b == nil {
 			break
 		}
+		g.ve.reset()
 		for ai, a := range g.op.Aggs {
 			argVecs[ai] = nil // COUNT(*)
 			if a.Arg != nil {
-				if argVecs[ai], err = evalVec(a.Arg, g.ve, b, sel); err != nil {
+				if argVecs[ai], err = evalTemp(a.Arg, g.ve, b, sel); err != nil {
 					return nil, err
 				}
 			}
@@ -1293,10 +1470,11 @@ func (s *aggSlab) column(n int) *vec.Vec {
 	return v
 }
 
-// vecSort drains its input, sorts a row permutation with the engine-wide
-// MergeKey comparator (stable; NULLS FIRST ascending / LAST descending),
-// applies TOP, gathers the rows in that order and re-emits them in
-// batches.
+// vecSort drains its input, sorts a permutation of its rows' positions
+// with the engine-wide MergeKey comparator (stable; NULLS FIRST ascending /
+// LAST descending), applies TOP, gathers the rows in that order and
+// re-emits them in batches. An input drained as one part is sorted in
+// place, under its selection, and gathered once.
 type vecSort struct {
 	op *algebra.Sort
 	in vecNode
@@ -1308,25 +1486,40 @@ func (s *vecSort) cols() []algebra.ColumnMeta { return s.in.cols() }
 
 func (s *vecSort) next() (*vec.Batch, []int32, error) {
 	if s.res == nil {
-		parts, sels, err := drain(s.in)
+		b, err := s.sorted()
 		if err != nil {
 			return nil, nil, err
 		}
-		in := vec.Concat(len(s.in.cols()), parts, sels)
-		keys, err := sortMergeKeys(s.op.Keys, s.in.cols())
-		if err != nil {
-			return nil, nil, err
-		}
-		perm := identity(in.N)
-		if err := sortPerm(perm, keys, func(row int32, pos int) types.Value { return in.Cols[pos].At(int(row)) }); err != nil {
-			return nil, nil, fmt.Errorf("exec: ORDER BY key: %w", err)
-		}
-		if s.op.Top > 0 && int64(len(perm)) > s.op.Top {
-			perm = perm[:s.op.Top]
-		}
-		s.res = &windows{b: vec.Concat(len(in.Cols), []*vec.Batch{in}, [][]int32{perm})}
+		s.res = &windows{b: b}
 	}
 	return s.res.next(), nil, nil
+}
+
+func (s *vecSort) whole() (*vec.Batch, []int32, bool, error) {
+	b, err := s.sorted()
+	return b, nil, err == nil, err
+}
+
+// sorted drains the input and returns its rows in order, TOP applied.
+func (s *vecSort) sorted() (*vec.Batch, error) {
+	in, perm, err := drain(s.in) // the selection is drain's: sorted in place
+	if err != nil {
+		return nil, err
+	}
+	if perm == nil {
+		perm = identity(in.N)
+	}
+	keys, err := sortMergeKeys(s.op.Keys, s.in.cols())
+	if err != nil {
+		return nil, err
+	}
+	if err := sortPerm(perm, keys, func(row int32, pos int) types.Value { return in.Cols[pos].At(int(row)) }); err != nil {
+		return nil, fmt.Errorf("exec: ORDER BY key: %w", err)
+	}
+	if s.op.Top > 0 && int64(len(perm)) > s.op.Top {
+		perm = perm[:s.op.Top]
+	}
+	return vec.Concat(len(in.Cols), []*vec.Batch{in}, [][]int32{perm}), nil
 }
 
 // windows re-emits a materialized batch BatchSize rows at a time. The
@@ -1341,13 +1534,20 @@ func (w *windows) next() *vec.Batch {
 	if w.pos >= w.b.N {
 		return nil
 	}
-	lo, hi := w.pos, min(w.pos+vec.BatchSize, w.b.N)
-	w.pos = hi
-	if lo == 0 && hi == w.b.N {
-		return w.b
+	out := window(w.b, w.pos)
+	w.pos += out.N
+	return out
+}
+
+// window returns the BatchSize rows of b from lo (a multiple of
+// BatchSize), fewer at its end, sharing b's storage.
+func window(b *vec.Batch, lo int) *vec.Batch {
+	hi := min(lo+vec.BatchSize, b.N)
+	if lo == 0 && hi == b.N {
+		return b
 	}
-	out := &vec.Batch{N: hi - lo, Cols: make([]*vec.Vec, len(w.b.Cols))}
-	for c, v := range w.b.Cols {
+	out := &vec.Batch{N: hi - lo, Cols: make([]*vec.Vec, len(b.Cols))}
+	for c, v := range b.Cols {
 		out.Cols[c] = v.Window(lo, hi)
 	}
 	return out
@@ -1361,6 +1561,8 @@ type vecUnion struct {
 }
 
 func (u *vecUnion) cols() []algebra.ColumnMeta { return u.l.cols() }
+
+func (u *vecUnion) whole() (*vec.Batch, []int32, bool, error) { return nil, nil, false, nil }
 
 func (u *vecUnion) next() (*vec.Batch, []int32, error) {
 	if !u.leftDone {

@@ -57,6 +57,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"pdwqo/internal/algebra"
@@ -122,9 +123,10 @@ type ParamQuery struct {
 }
 
 // Parameterize lexes sql and strips its literals. It fails only when the
-// lexer rejects the text or a numeric literal does not parse — cases in
-// which the parser would reject the query too, so callers can simply fall
-// back to a cold compile and surface that error.
+// lexer rejects the text, a numeric literal does not parse, or the text
+// holds a raw parameter marker (*algebra.MarkerError: its slots would be
+// the template's own) — cases in which a cold compile rejects the query
+// too, so callers can simply fall back to one and surface that error.
 func Parameterize(sql string) (*ParamQuery, error) {
 	toks, err := sqlparser.Lex(sql)
 	if err != nil {
@@ -155,6 +157,9 @@ func Parameterize(sql string) (*ParamQuery, error) {
 		switch t.Kind {
 		case sqlparser.TokenEOF:
 			// nothing
+		case sqlparser.TokenMarker:
+			slot, _ := strconv.Atoi(t.Text)
+			return nil, &algebra.MarkerError{Slot: slot}
 		case sqlparser.TokenIdent:
 			if t.Upper == "BY" && prevUpper == "ORDER" {
 				retainAt = append(retainAt, parenDepth)

@@ -289,6 +289,25 @@ func FuzzParameterize(f *testing.F) {
 		if err != nil {
 			return
 		}
+		// The template's markers are the slotted literals' and no others:
+		// a raw marker in the text is refused, not spliced beside them.
+		text, _ := pq.Template()
+		toks, err := sqlparser.Lex(text)
+		if err != nil {
+			t.Fatalf("%q: template %q: %v", sql, text, err)
+		}
+		markers, spans := 0, 0
+		for _, tok := range toks {
+			if tok.Kind == sqlparser.TokenMarker {
+				markers++
+			}
+		}
+		for _, l := range pq.Lits {
+			spans += len(l.Spans)
+		}
+		if markers != spans {
+			t.Fatalf("%q: template holds %d markers for %d slotted literals", sql, markers, spans)
+		}
 		texts := pq.BindTexts()
 		for i, l := range pq.Lits {
 			if v, ok := sqlparser.ParseLiteral(texts[i]); !ok || v.Kind() != l.Val.Kind() || v.String() != l.Val.String() {

@@ -651,3 +651,28 @@ func TestLargeBatchesFitTheFrame(t *testing.T) {
 		t.Errorf("%d rows in %d frames of %d bytes: want 65000 rows, more bytes than one frame's %d, so several frames", rows, frames, size, MaxFrame)
 	}
 }
+
+// TestRawMarkerQueryFails: an ad-hoc query or a prepared statement whose
+// text holds a raw parameter marker is a CodeExec error naming the
+// marker, through the server's plan cache as through a cold compile, and
+// the session survives it.
+func TestRawMarkerQueryFails(t *testing.T) {
+	_, addr := startServer(t, sharedDB(t), Config{})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	const sql = "SELECT o_orderkey FROM orders WHERE o_orderkey = \x00?0\x00 AND o_custkey > 5"
+	const want = "parameter marker 0 has no argument"
+	res, err := c.Query(context.Background(), sql)
+	if CodeOf(err) != CodeExec || !strings.Contains(err.Error(), want) {
+		t.Fatalf("ad-hoc: got %v (result %v), want a CodeExec error with %q", err, res, want)
+	}
+	if _, err := c.Prepare(sql); CodeOf(err) != CodeExec || !strings.Contains(err.Error(), want) {
+		t.Fatalf("prepare: got %v, want a CodeExec error with %q", err, want)
+	}
+	if _, err := c.Query(context.Background(), "SELECT r_name FROM region ORDER BY r_name"); err != nil {
+		t.Fatalf("session unusable after the error: %v", err)
+	}
+}

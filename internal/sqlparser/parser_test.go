@@ -475,3 +475,17 @@ func TestParseLiteralIsOneLiteral(t *testing.T) {
 		}
 	}
 }
+
+// TestLexMarker: Lex reports a parameter marker as TokenMarker carrying
+// its slot, spanning the whole marker.
+func TestLexMarker(t *testing.T) {
+	src := "a = " + Marker(12) + " AND b"
+	toks, err := Lex(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := toks[2]
+	if m.Kind != TokenMarker || m.Text != "12" || src[m.Pos:m.End] != Marker(12) {
+		t.Fatalf("marker lexes as %+v", m)
+	}
+}

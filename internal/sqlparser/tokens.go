@@ -28,6 +28,8 @@ const (
 	TokenString
 	// TokenPunct is operator/punctuation text.
 	TokenPunct
+	// TokenMarker is a parameter marker (Marker); Text holds its slot.
+	TokenMarker
 )
 
 // Token is one lexical unit with its raw byte span in the source.

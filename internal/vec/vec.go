@@ -275,36 +275,71 @@ func (v *Vec) Window(lo, hi int) *Vec {
 // Gather returns a new vector holding v's rows at the selected
 // positions, in selection order.
 func (v *Vec) Gather(sel []int32) *Vec {
-	out := &Vec{Kind: v.Kind, Mixed: v.Mixed, n: len(sel)}
-	if v.Nulls != nil {
-		for oi, i := range sel {
-			if v.IsNull(int(i)) {
-				out.setNull(oi)
-			}
-		}
-	}
-	if v.Mixed {
-		out.Vals = gather(v.Vals, sel)
-		return out
-	}
-	switch v.Kind {
-	case types.KindInt, types.KindDate, types.KindBool:
-		out.I64 = gather(v.I64, sel)
-	case types.KindFloat:
-		out.F64 = gather(v.F64, sel)
-	case types.KindString:
-		out.Str = gather(v.Str, sel)
-	}
+	out := &Vec{}
+	v.GatherTo(out, sel)
 	return out
 }
 
-// gather copies the selected payload slots.
-func gather[T any](src []T, sel []int32) []T {
-	out := make([]T, len(sel))
-	for oi, i := range sel {
-		out[oi] = src[i]
+// GatherTo is Gather into dst, whose payload array it reuses when that is
+// large enough (see Reuse): the form of an evaluator's scratch gather.
+func (v *Vec) GatherTo(dst *Vec, sel []int32) {
+	if v.Mixed {
+		*dst = Vec{Kind: v.Kind, Mixed: true, n: len(sel), Vals: resize(dst.Vals, len(sel))}
+		place(dst.Vals, v.Vals, sel)
+	} else {
+		dst.reshape(v.Kind, len(sel))
+		switch v.Kind {
+		case types.KindInt, types.KindDate, types.KindBool:
+			place(dst.I64, v.I64, sel)
+		case types.KindFloat:
+			place(dst.F64, v.F64, sel)
+		case types.KindString:
+			place(dst.Str, v.Str, sel)
+		}
 	}
-	return out
+	if v.Nulls != nil {
+		for oi, i := range sel {
+			if v.IsNull(int(i)) {
+				dst.setNull(oi)
+			}
+		}
+	}
+}
+
+// Reuse turns v, in place, into the vector NewDense(kind, n) returns,
+// keeping v's payload array when it is of the same Go type and large
+// enough — a scratch vector an evaluator refills batch after batch. The
+// null bitmap is never reused, since another vector may share it
+// (CopyNulls): v starts with none.
+func (v *Vec) Reuse(kind types.Kind, n int) {
+	v.reshape(kind, n)
+	clear(v.I64)
+	clear(v.F64)
+	clear(v.Str)
+}
+
+// reshape is Reuse without the zeroing, for a caller that writes every
+// payload slot.
+func (v *Vec) reshape(kind types.Kind, n int) {
+	i64, f64, str := v.I64, v.F64, v.Str
+	*v = Vec{Kind: kind, n: n}
+	switch kind {
+	case types.KindInt, types.KindDate, types.KindBool:
+		v.I64 = resize(i64, n)
+	case types.KindFloat:
+		v.F64 = resize(f64, n)
+	case types.KindString:
+		v.Str = resize(str, n)
+	}
+}
+
+// resize returns s at length n, reallocated only when its capacity is
+// short; the slots keep whatever they held.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // NullVec returns an n-row all-NULL vector.
@@ -475,11 +510,14 @@ func (b *Batch) Bytes() int64 {
 // size. sels[i] lists the rows of parts[i] to take, in order, and a nil
 // sels[i] (or a nil sels) takes all of them. A lone part taken whole is
 // returned as it is: batches are immutable once built, so sharing one is
-// safe. A column is typed when every part's column has one kind (all-NULL
-// parts fit any) and boxed otherwise.
+// safe. A lone part under a selection is one Gather per column, which
+// keeps each column's representation. Otherwise a column is typed when
+// every part's column has one kind (all-NULL parts fit any) and boxed
+// otherwise.
 //
-// The hash-join build side, an executor's result, a DMS destination's
-// rows and a storage append are all this one call.
+// A join build or sort input that arrives in several parts, an
+// executor's result, a DMS destination's rows and a storage append are
+// all this one call.
 func Concat(width int, parts []*Batch, sels [][]int32) *Batch {
 	selOf := func(i int) []int32 {
 		if sels == nil {
@@ -487,8 +525,16 @@ func Concat(width int, parts []*Batch, sels [][]int32) *Batch {
 		}
 		return sels[i]
 	}
-	if len(parts) == 1 && selOf(0) == nil {
-		return parts[0]
+	if len(parts) == 1 {
+		sel := selOf(0)
+		if sel == nil {
+			return parts[0]
+		}
+		out := &Batch{N: len(sel), Cols: make([]*Vec, width)}
+		for c := range out.Cols {
+			out.Cols[c] = parts[0].Cols[c].Gather(sel)
+		}
+		return out
 	}
 	n := 0
 	for i, p := range parts {
@@ -577,7 +623,7 @@ func concatVec(srcs []*Vec, selOf func(int) []int32, n int) *Vec {
 }
 
 // place copies src's selected slots (all of them when sel is nil) into dst.
-func place[T int64 | float64 | string](dst, src []T, sel []int32) {
+func place[T any](dst, src []T, sel []int32) {
 	if sel == nil {
 		copy(dst, src)
 		return

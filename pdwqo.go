@@ -363,8 +363,9 @@ func (db *DB) optimizeCached(sql string, opts Options) (*QueryPlan, error) {
 	cache := db.planCache
 	pq, err := normalize.Parameterize(sql)
 	if err != nil {
-		// The lexer rejected the text; compile cold so the caller gets the
-		// same error the parser produces without a cache.
+		// The lexer rejected the text, or it holds a raw parameter marker;
+		// compile cold so the caller gets the same error the parser or the
+		// binder produces without a cache.
 		qp, _, err := db.compile(sql, opts, nil)
 		return qp, err
 	}

@@ -1,10 +1,13 @@
 package pdwqo
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
+	"pdwqo/internal/algebra"
 	"pdwqo/internal/normalize"
+	"pdwqo/internal/sqlparser"
 )
 
 // The literal-slot path: a signed number is one slot, a type's argument
@@ -119,5 +122,28 @@ func TestCacheCountsEachLookupOnce(t *testing.T) {
 	}
 	if n := db.PlanCache().Len(); n != templates {
 		t.Errorf("cache holds %d entries for %d templates", n, templates)
+	}
+}
+
+// TestRawMarkerFailsAlike: client text holding a raw parameter marker
+// fails with the binder's *algebra.MarkerError with a plan cache as it
+// does without one; the cache must not bind the stray marker to one of
+// the template's slots (here o_custkey's 5, which returned a row).
+func TestRawMarkerFailsAlike(t *testing.T) {
+	sql := "SELECT o_orderkey FROM orders WHERE o_orderkey = " + sqlparser.Marker(0) + " AND o_custkey > 5"
+	plain, err := OpenTPCH(0.001, 4, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, coldErr := plain.Optimize(sql, Options{})
+	_, cachedErr := cachedTPCH(t).Optimize(sql, Options{})
+	for name, err := range map[string]error{"without a cache": coldErr, "with a cache": cachedErr} {
+		var me *algebra.MarkerError
+		if !errors.As(err, &me) || me.Slot != 0 {
+			t.Errorf("%s: got %v, want marker 0's *algebra.MarkerError", name, err)
+		}
+	}
+	if coldErr != nil && cachedErr != nil && coldErr.Error() != cachedErr.Error() {
+		t.Errorf("with a cache %q, without %q", cachedErr, coldErr)
 	}
 }
