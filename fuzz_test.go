@@ -30,14 +30,14 @@ func TestFuzzDistributedMatchesSerial(t *testing.T) {
 		// TOP over a non-unique order key is tie-nondeterministic (any
 		// qualifying subset is a correct answer); it compares counts.
 		rule := rowcmp.Serial(false).AcrossPlans(sql)
+		ref, err := db.ExecuteSerial(sql)
+		if err != nil {
+			t.Fatalf("trial %d: serial: %v\nSQL: %s", i, err, sql)
+		}
 		for _, opts := range []Options{{}, {Mode: ModeSerialBaseline}} {
 			dist, err := db.Execute(sql, opts)
 			if err != nil {
 				t.Fatalf("trial %d (mode %v): distributed: %v\nSQL: %s", i, opts.Mode, err, sql)
-			}
-			ref, err := db.ExecuteSerial(sql)
-			if err != nil {
-				t.Fatalf("trial %d: serial: %v\nSQL: %s", i, err, sql)
 			}
 			if err := rule.Compare(relation(rule, "dist", dist), relation(rule, "serial", ref)); err != nil {
 				t.Fatalf("trial %d (mode %v): %v\nSQL: %s", i, opts.Mode, err, sql)

@@ -425,42 +425,60 @@ func RewriteScalar(e Scalar, f func(Scalar) Scalar) Scalar {
 	if e == nil {
 		return nil
 	}
+	e = RewriteChildren(e, func(c Scalar) Scalar { return RewriteScalar(c, f) })
+	if r := f(e); r != nil {
+		return r
+	}
+	return e
+}
+
+// RewriteChildren returns a copy of e whose direct children are f(child),
+// called left to right (an IN list's elements before its operand); a
+// leaf is returned as it is. f is never called on an absent child (a
+// CASE without ELSE, a subquery without an outer operand), which stays
+// absent.
+func RewriteChildren(e Scalar, f func(Scalar) Scalar) Scalar {
 	switch x := e.(type) {
 	case *Binary:
-		e = &Binary{Op: x.Op, L: RewriteScalar(x.L, f), R: RewriteScalar(x.R, f)}
+		return &Binary{Op: x.Op, L: f(x.L), R: f(x.R)}
 	case *Not:
-		e = &Not{E: RewriteScalar(x.E, f)}
+		return &Not{E: f(x.E)}
 	case *Neg:
-		e = &Neg{E: RewriteScalar(x.E, f)}
+		return &Neg{E: f(x.E)}
 	case *IsNull:
-		e = &IsNull{E: RewriteScalar(x.E, f), Negated: x.Negated}
+		return &IsNull{E: f(x.E), Negated: x.Negated}
 	case *Like:
-		e = &Like{E: RewriteScalar(x.E, f), Pattern: x.Pattern, Negated: x.Negated}
+		return &Like{E: f(x.E), Pattern: x.Pattern, Negated: x.Negated}
 	case *InList:
 		list := make([]Scalar, len(x.List))
 		for i, el := range x.List {
-			list[i] = RewriteScalar(el, f)
+			list[i] = f(el)
 		}
-		e = &InList{E: RewriteScalar(x.E, f), List: list, Negated: x.Negated}
+		return &InList{E: f(x.E), List: list, Negated: x.Negated}
 	case *Func:
 		args := make([]Scalar, len(x.Args))
 		for i, a := range x.Args {
-			args[i] = RewriteScalar(a, f)
+			args[i] = f(a)
 		}
-		e = &Func{Name: x.Name, Args: args, Out: x.Out}
+		return &Func{Name: x.Name, Args: args, Out: x.Out}
 	case *Case:
 		whens := make([]CaseWhen, len(x.Whens))
 		for i, w := range x.Whens {
-			whens[i] = CaseWhen{Cond: RewriteScalar(w.Cond, f), Then: RewriteScalar(w.Then, f)}
+			whens[i] = CaseWhen{Cond: f(w.Cond), Then: f(w.Then)}
 		}
-		e = &Case{Whens: whens, Else: RewriteScalar(x.Else, f)}
+		out := &Case{Whens: whens}
+		if x.Else != nil {
+			out.Else = f(x.Else)
+		}
+		return out
 	case *Cast:
-		e = &Cast{E: RewriteScalar(x.E, f), To: x.To}
+		return &Cast{E: f(x.E), To: x.To}
 	case *Subquery:
-		e = &Subquery{Kind: x.Kind, Input: x.Input, Outer: RewriteScalar(x.Outer, f), Negated: x.Negated}
-	}
-	if r := f(e); r != nil {
-		return r
+		out := &Subquery{Kind: x.Kind, Input: x.Input, Negated: x.Negated}
+		if x.Outer != nil {
+			out.Outer = f(x.Outer)
+		}
+		return out
 	}
 	return e
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"testing"
+	"time"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/exec"
@@ -81,7 +82,7 @@ func TestFoldIsEval(t *testing.T) {
 		"SUBSTRING('forest green', 8, 5)", "SUBSTRING('abc', 0, 2)", "SUBSTRING(NULL, 1, 2)",
 		"SUBSTRING('abc', 1, -1)", "SUBSTRING(5, 1, 2)", "SUBSTRING('abc', 2, 9223372036854775807)",
 		// Nesting: a part that cannot fold does not stop its parent.
-		"(1.0e308 * 10.0) > 0", "CASE WHEN 1 = 1 THEN YEAR(DATEADD(year, 2, '1994-01-01')) END",
+		"(1.0e308 * 10.0) > 0", "CASE WHEN 1 > 2 THEN 1 / 0 ELSE 2 END", "CASE WHEN 1 = 1 THEN YEAR(DATEADD(year, 2, '1994-01-01')) END",
 	}
 	kinds := map[string]bool{}
 	for _, expr := range exprs {
@@ -132,13 +133,46 @@ func TestFoldDateAdd(t *testing.T) {
 	}
 }
 
-// TestClosedDoesNotAllocate pins the cost of the closed-expression check:
-// every node re-normalizes every DSQL step it runs, so the check sits on
-// the per-query path.
-func TestClosedDoesNotAllocate(t *testing.T) {
-	e := bindItem(t, "CASE WHEN c_acctbal > 1 + 2 THEN SUBSTRING(c_name, 1, 3) ELSE 'x' END")
-	if n := testing.AllocsPerRun(100, func() { closed(e) }); n != 0 {
-		t.Errorf("closed allocates %v times per call", n)
+// TestFoldIsLinear folds left-deep conjunctions of n and 4n column
+// comparisons. FoldScalar decides closedness from the children it has
+// just folded, so the longer one costs about 4 times as much; re-walking
+// each node's subtree would cost about 16 times as much.
+func TestFoldIsLinear(t *testing.T) {
+	conjunction := func(n int) algebra.Scalar {
+		col := algebra.NewColRef(algebra.ColumnMeta{ID: 1, Type: types.KindInt})
+		var list []algebra.Scalar
+		for i := 0; i < n; i++ {
+			list = append(list, &algebra.Binary{Op: sqlparser.OpGt, L: col, R: &algebra.Const{Val: types.NewInt(int64(i))}})
+		}
+		return algebra.AndAll(list)
+	}
+	// The fastest of several runs, so a collector cycle or a busy
+	// neighbour does not decide the ratio.
+	fastest := func(e algebra.Scalar) time.Duration {
+		best := time.Duration(math.MaxInt64)
+		for i := 0; i < 15; i++ {
+			start := time.Now()
+			FoldScalar(e)
+			best = min(best, time.Since(start))
+		}
+		return best
+	}
+	const n = 2000
+	short, long := fastest(conjunction(n)), fastest(conjunction(4*n))
+	if ratio := float64(long) / float64(short); ratio >= 8 {
+		t.Errorf("folding %d conjuncts took %v, %d took %v: ratio %.1f, want below 8 (linear is about 4)",
+			n, short, 4*n, long, ratio)
+	}
+}
+
+// TestFoldAllocatesOnlyTheCopy pins FoldScalar's allocations on an
+// expression with nothing to fold: the rebuilt nodes and their slices,
+// and nothing per node beyond them. Every node re-normalizes every DSQL
+// step it compiles, so the fold sits on the per-query path.
+func TestFoldAllocatesOnlyTheCopy(t *testing.T) {
+	e := bindItem(t, "CASE WHEN c_acctbal > 1 THEN SUBSTRING(c_name, 1, 3) ELSE 'x' END")
+	if n := testing.AllocsPerRun(100, func() { FoldScalar(e) }); n > 5 {
+		t.Errorf("FoldScalar allocates %v times per call, want at most 5", n)
 	}
 }
 

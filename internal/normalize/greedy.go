@@ -38,7 +38,7 @@ import (
 // and inserts movement enforcers, so the plan stays collocation-correct
 // and planverify-clean.
 func GreedyJoinOrder(t *algebra.Tree) *algebra.Tree {
-	if isRegionRoot(t) {
+	if isRegionNode(t) {
 		factors, conjs := disassembleRegion(t)
 		if len(factors) >= 2 {
 			for i := range factors {

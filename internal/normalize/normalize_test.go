@@ -6,6 +6,7 @@ import (
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/catalog"
+	"pdwqo/internal/qgen"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 )
@@ -317,6 +318,26 @@ func TestConstantPropagation(t *testing.T) {
 	}
 }
 
+// TestClosureDerivesEachPredicateOnce closes a join region whose derived
+// restriction d.k < 100 moves into a factor, the derived table: the
+// region is closed once, at its root, so the restriction is derived once
+// and lands on each of the three scans exactly once.
+func TestClosureDerivesEachPredicateOnce(t *testing.T) {
+	tree := normalizeSQL(t, `SELECT c.c_name, d.n FROM orders o
+		JOIN (SELECT o_custkey AS k, COUNT(*) AS n FROM orders GROUP BY o_custkey) d ON d.k = o.o_custkey
+		JOIN customer c ON c.c_custkey = o.o_custkey
+		WHERE o.o_custkey < 100`)
+	restrictions := 0
+	for _, c := range collectAllConjuncts(tree) {
+		if strings.HasSuffix(c.Fingerprint(), " < 100)") {
+			restrictions++
+		}
+	}
+	if restrictions != 3 {
+		t.Fatalf("want x < 100 once on each of the three scans, got %d restrictions:\n%s", restrictions, tree)
+	}
+}
+
 func TestContradictionDetection(t *testing.T) {
 	tree := normalizeSQL(t, `SELECT c_name FROM customer WHERE c_acctbal > 10 AND c_acctbal < 5`)
 	if countOps(tree)["Values"] != 1 {
@@ -518,5 +539,42 @@ func TestSeedCollocatedIdempotentOnSmallRegions(t *testing.T) {
 	tree := normalizeSQL(t, `SELECT c_name FROM customer WHERE c_acctbal > 0`)
 	if GreedyJoinOrder(tree).Fingerprint() != tree.Fingerprint() {
 		t.Error("single-factor regions must be untouched")
+	}
+}
+
+// BenchmarkNormalizeWide normalizes the bound trees of the generated
+// 100-relation clique and star joins, whose regions are the widest in
+// the qgen corpus: a pass that re-walks what it has already visited
+// shows here first.
+func BenchmarkNormalizeWide(b *testing.B) {
+	for _, spec := range []qgen.Spec{
+		{Topology: qgen.Clique, Relations: 100, Seed: 1741},
+		{Topology: qgen.Star, Relations: 100, Seed: 1707},
+	} {
+		q, err := qgen.Generate(spec)
+		if err != nil {
+			b.Fatal(err)
+		}
+		shell, err := q.Shell()
+		if err != nil {
+			b.Fatal(err)
+		}
+		sel, err := sqlparser.ParseSelect(q.SQL)
+		if err != nil {
+			b.Fatal(err)
+		}
+		binder := algebra.NewBinder(shell)
+		bound, err := binder.Bind(sel)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(q.Name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := New(binder).Normalize(bound); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

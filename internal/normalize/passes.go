@@ -12,59 +12,73 @@ import (
 // detection ... allows the early filtering of lineitem, by joining it with
 // part") ---
 
-// transitivityClosure derives implied predicates within each region of
-// inner/cross joins and filters: column equalities close transitively
-// (a=b ∧ b=c ⇒ a=c) and constant restrictions propagate across equivalence
-// classes (a=b ∧ a>5 ⇒ b>5). The new predicates widen the join orders the
-// memo can produce and enable earlier filtering.
-func (n *Normalizer) transitivityClosure(t *algebra.Tree) *algebra.Tree {
+// transitivityClosure derives implied predicates once per maximal region
+// of inner/cross joins and filters, at the region's root, over all of the
+// region's conjuncts: column equalities close transitively (a=b ∧ b=c ⇒
+// a=c; every pair of an equivalence class that is not yet equated is
+// added) and constant restrictions propagate across equivalence classes
+// (a=b ∧ a>5 ⇒ b>5). The new predicates widen the join orders the memo
+// can produce and enable earlier filtering. They go into one filter over
+// the region root, which Normalize's next pushdown places. Each of the
+// region's factors — outer joins, group-bys, derived tables — gets its
+// own closure. inRegion reports that t's parent belongs to a region,
+// which t then extends.
+func transitivityClosure(t *algebra.Tree, inRegion bool) *algebra.Tree {
+	region := isRegionNode(t)
 	children := make([]*algebra.Tree, len(t.Children))
 	for i, c := range t.Children {
-		children[i] = n.transitivityClosure(c)
+		children[i] = transitivityClosure(c, region)
 	}
 	t = algebra.NewTree(t.Op, children...)
-
-	if !isRegionRoot(t) {
+	if !region || inRegion {
 		return t
 	}
-	conjs := collectRegionConjuncts(t)
+	_, conjs := disassembleRegion(t)
 	if len(conjs) < 2 {
 		return t
 	}
+	// equated holds each equality as its (smaller, larger) column pair;
+	// seen holds the other conjuncts and the restrictions added, by
+	// fingerprint, so that nothing present is added again.
 	uf := newUnionFind()
+	equated := map[[2]algebra.ColumnID]bool{}
 	seen := map[string]bool{}
 	for _, c := range conjs {
-		seen[c.Fingerprint()] = true
 		if l, r, ok := algebra.EquiJoinSides(c); ok {
 			uf.union(l, r)
+			equated[[2]algebra.ColumnID{min(l, r), max(l, r)}] = true
+		} else {
+			seen[c.Fingerprint()] = true
 		}
 	}
 
 	var added []algebra.Scalar
-	// Close column equalities: link every member to its class leader.
 	classes := uf.classes()
 	for _, class := range classes {
 		for i := 0; i < len(class); i++ {
 			for j := i + 1; j < len(class); j++ {
-				eq := &algebra.Binary{
-					Op: sqlparser.OpEq,
-					L:  algebra.NewColRef(algebra.ColumnMeta{ID: class[i]}),
-					R:  algebra.NewColRef(algebra.ColumnMeta{ID: class[j]}),
-				}
-				if fp := eq.Fingerprint(); !seen[fp] && !seen[flipEqFP(class[j], class[i])] {
-					seen[fp] = true
-					added = append(added, eq)
+				if !equated[[2]algebra.ColumnID{class[i], class[j]}] {
+					added = append(added, &algebra.Binary{
+						Op: sqlparser.OpEq,
+						L:  algebra.NewColRef(algebra.ColumnMeta{ID: class[i]}),
+						R:  algebra.NewColRef(algebra.ColumnMeta{ID: class[j]}),
+					})
 				}
 			}
 		}
 	}
-	// Propagate constant restrictions across classes.
+	// Propagate constant restrictions across classes. A class is keyed by
+	// its union-find root, its smallest member.
+	members := make(map[algebra.ColumnID][]algebra.ColumnID, len(classes))
+	for _, class := range classes {
+		members[class[0]] = class
+	}
 	for _, c := range conjs {
 		col, rest, ok := constRestriction(c)
 		if !ok {
 			continue
 		}
-		for _, member := range uf.classOf(col) {
+		for _, member := range members[uf.find(col)] {
 			if member == col {
 				continue
 			}
@@ -78,17 +92,7 @@ func (n *Normalizer) transitivityClosure(t *algebra.Tree) *algebra.Tree {
 	if len(added) == 0 {
 		return t
 	}
-	out := algebra.NewTree(&algebra.Select{Filter: algebra.AndAll(added)}, t)
-	return pushdown(out)
-}
-
-func flipEqFP(a, b algebra.ColumnID) string {
-	eq := &algebra.Binary{
-		Op: sqlparser.OpEq,
-		L:  algebra.NewColRef(algebra.ColumnMeta{ID: a}),
-		R:  algebra.NewColRef(algebra.ColumnMeta{ID: b}),
-	}
-	return eq.Fingerprint()
+	return algebra.NewTree(&algebra.Select{Filter: algebra.AndAll(added)}, t)
 }
 
 // constRestriction recognizes `col cmp const`, `const cmp col` and
@@ -131,12 +135,10 @@ func constRestriction(e algebra.Scalar) (algebra.ColumnID, func(algebra.ColumnID
 	return 0, nil, false
 }
 
-// isRegionRoot reports whether t is the top of a maximal inner-join region:
-// an inner/cross join or filter whose parent is not one (approximated by
-// running the closure only at nodes whose op is not itself consumed by a
-// region; we simply run it at every region node and rely on fingerprint
-// dedup to keep it idempotent).
-func isRegionRoot(t *algebra.Tree) bool {
+// isRegionNode reports whether t belongs to an inner-join region: it is a
+// filter or an inner or cross join. Met from the top, the first such node
+// is the root of its maximal region.
+func isRegionNode(t *algebra.Tree) bool {
 	switch op := t.Op.(type) {
 	case *algebra.Select:
 		return true
@@ -144,28 +146,6 @@ func isRegionRoot(t *algebra.Tree) bool {
 		return op.Kind == algebra.JoinInner || op.Kind == algebra.JoinCross
 	}
 	return false
-}
-
-// collectRegionConjuncts gathers conjuncts from the contiguous region of
-// inner joins and selects rooted at t.
-func collectRegionConjuncts(t *algebra.Tree) []algebra.Scalar {
-	var out []algebra.Scalar
-	var walk func(node *algebra.Tree)
-	walk = func(node *algebra.Tree) {
-		switch op := node.Op.(type) {
-		case *algebra.Select:
-			out = append(out, algebra.Conjuncts(op.Filter)...)
-			walk(node.Children[0])
-		case *algebra.Join:
-			if op.Kind == algebra.JoinInner || op.Kind == algebra.JoinCross {
-				out = append(out, algebra.Conjuncts(op.On)...)
-				walk(node.Children[0])
-				walk(node.Children[1])
-			}
-		}
-	}
-	walk(t)
-	return out
 }
 
 // unionFind over column IDs.
@@ -217,22 +197,6 @@ func (u *unionFind) classes() [][]algebra.ColumnID {
 		out = append(out, class)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// classOf returns the sorted class containing col (possibly singleton).
-func (u *unionFind) classOf(col algebra.ColumnID) []algebra.ColumnID {
-	if _, ok := u.parent[col]; !ok {
-		return []algebra.ColumnID{col}
-	}
-	r := u.find(col)
-	var out []algebra.ColumnID
-	for x := range u.parent {
-		if u.find(x) == r {
-			out = append(out, x)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -58,57 +58,65 @@ func foldTree(t *algebra.Tree) *algebra.Tree {
 // stays for the nodes to evaluate. Over columns, AND/OR with one constant
 // side collapse and double negation drops.
 func FoldScalar(e algebra.Scalar) algebra.Scalar {
-	return algebra.RewriteScalar(e, func(x algebra.Scalar) algebra.Scalar {
-		if _, ok := x.(*algebra.Const); ok {
-			return nil
-		}
-		if closed(x) {
-			// A closed scalar reads no row, so Eval needs no environment.
-			if v, err := exec.Eval(x, nil); err == nil && spellable(v) {
-				return &algebra.Const{Val: v}
-			}
-			return nil
-		}
-		switch b := x.(type) {
-		case *algebra.Binary:
-			lc, lok := b.L.(*algebra.Const)
-			rc, rok := b.R.(*algebra.Const)
-			switch b.Op {
-			case sqlparser.OpAnd:
-				if lok {
-					return foldAndSide(lc.Val, b.R)
-				}
-				if rok {
-					return foldAndSide(rc.Val, b.L)
-				}
-			case sqlparser.OpOr:
-				if lok {
-					return foldOrSide(lc.Val, b.R)
-				}
-				if rok {
-					return foldOrSide(rc.Val, b.L)
-				}
-			}
-		case *algebra.Not:
-			if inner, ok := b.E.(*algebra.Not); ok {
-				return inner.E
-			}
-		}
-		return nil
-	})
+	e, _ = fold(e)
+	return e
 }
 
-// closed reports whether e references no column and no subquery, so its
-// value is the same for every row.
-func closed(e algebra.Scalar) bool {
-	open := false
-	algebra.VisitScalar(e, func(s algebra.Scalar) {
-		switch s.(type) {
-		case *algebra.ColRef, *algebra.Subquery:
-			open = true
-		}
+// fold is FoldScalar's one bottom-up walk. It also reports whether the
+// result is closed, which it decides from the children it has just
+// folded: a scalar is closed when it is no column and no subquery and
+// every child is closed. A closed child is a constant or a closed scalar
+// Eval left in place, so a parent of a 1/0 is still evaluated.
+func fold(e algebra.Scalar) (algebra.Scalar, bool) {
+	closed := true
+	e = algebra.RewriteChildren(e, func(c algebra.Scalar) algebra.Scalar {
+		c, ok := fold(c)
+		closed = closed && ok
+		return c
 	})
-	return !open
+	switch e.(type) {
+	case *algebra.Const:
+		return e, true
+	case *algebra.ColRef, *algebra.Subquery:
+		return e, false
+	}
+	if closed {
+		// A closed scalar reads no row, so Eval needs no environment.
+		if v, err := exec.Eval(e, nil); err == nil && spellable(v) {
+			return &algebra.Const{Val: v}, true
+		}
+		return e, true
+	}
+	// Over columns, what is kept is open; a collapsed AND/OR is closed.
+	switch x := e.(type) {
+	case *algebra.Binary:
+		if and := x.Op == sqlparser.OpAnd; and || x.Op == sqlparser.OpOr {
+			if k, ok := x.L.(*algebra.Const); ok {
+				return collapse(and, k.Val, x.R, e)
+			}
+			if k, ok := x.R.(*algebra.Const); ok {
+				return collapse(and, k.Val, x.L, e)
+			}
+		}
+	case *algebra.Not:
+		if inner, ok := x.E.(*algebra.Not); ok {
+			return inner.E, false
+		}
+	}
+	return e, false
+}
+
+// collapse folds `v AND other` (or `v OR other`) for a boolean constant
+// v: TRUE AND x and FALSE OR x are x, FALSE AND x is FALSE and TRUE OR x
+// is TRUE. Any other v keeps e, the whole expression.
+func collapse(and bool, v types.Value, other, e algebra.Scalar) (algebra.Scalar, bool) {
+	switch {
+	case v.IsNull() || v.Kind() != types.KindBool:
+		return e, false
+	case v.Bool() == and:
+		return other, false
+	}
+	return &algebra.Const{Val: types.NewBool(!and)}, true
 }
 
 // spellable reports whether DSQL text can carry v as a literal.
@@ -120,38 +128,17 @@ func spellable(v types.Value) bool {
 	return !math.IsNaN(f) && !math.IsInf(f, 0)
 }
 
-func foldAndSide(v types.Value, other algebra.Scalar) algebra.Scalar {
-	if !v.IsNull() && v.Kind() == types.KindBool {
-		if v.Bool() {
-			return other
-		}
-		return &algebra.Const{Val: types.NewBool(false)}
-	}
-	return nil
-}
-
-func foldOrSide(v types.Value, other algebra.Scalar) algebra.Scalar {
-	if !v.IsNull() && v.Kind() == types.KindBool {
-		if v.Bool() {
-			return &algebra.Const{Val: types.NewBool(true)}
-		}
-		return other
-	}
-	return nil
-}
-
 // pushdown moves filter conjuncts as close to the data as possible,
 // converts qualified cross joins into inner joins, merges adjacent
 // selects, simplifies outer joins under null-rejecting predicates, and
 // pulls single-side conjuncts out of join conditions. It iterates to a
-// fixpoint.
+// fixpoint, which it reaches because no pass undoes another: every change
+// moves a conjunct strictly nearer the leaves (a union copies it into
+// both inputs, each lower), merges two adjacent selects, or turns a cross
+// or left outer join inner, and the tree has finitely many of each.
 func pushdown(t *algebra.Tree) *algebra.Tree {
-	for i := 0; i < 10; i++ {
-		next, changed := pushdownOnce(t)
-		t = next
-		if !changed {
-			break
-		}
+	for changed := true; changed; {
+		t, changed = pushdownOnce(t)
 	}
 	return t
 }

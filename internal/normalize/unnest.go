@@ -34,7 +34,7 @@ func (n *Normalizer) Normalize(t *algebra.Tree) (*algebra.Tree, error) {
 	}
 	t = foldTree(t)
 	t = pushdown(t)
-	t = n.transitivityClosure(t)
+	t = transitivityClosure(t, false)
 	t = pushdown(t)
 	t = detectContradictions(t)
 	t = eliminateRedundantJoins(t)
