@@ -228,16 +228,3 @@ func perturbLiteral(r *rand.Rand, l normalize.Literal) string {
 		return "'" + pool[r.Intn(len(pool))] + "'"
 	}
 }
-
-// serialAgrees compares a distributed result against ExecuteSerial, the
-// engine's ground truth, under the serial rule: sorted rows with a
-// relative float tolerance (distributed plans sum in a different order),
-// and for a TOP query the row count only, since the two engines may keep
-// different rows tied at the cut.
-func serialAgrees(db *pdwqo.DB, c Case, dist *pdwqo.Result) error {
-	serial, err := db.ExecuteSerial(c.SQL)
-	if err != nil {
-		return fmt.Errorf("%s: serial reference: %w", c.Name, err)
-	}
-	return compare(rowcmp.Serial(false).AcrossPlans(c.SQL), c.Name, "distributed", dist, "serial", serial)
-}

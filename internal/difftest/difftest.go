@@ -52,7 +52,10 @@ func FuzzCases(n int, seed int64) []Case {
 // (Parallelism=1) and the parallel path (Parallelism=par) and returns a
 // descriptive error on the first divergence. Equality is exact — same
 // cost bits, same DSQL text, same rows in the same order — because both
-// paths are required to be fully deterministic.
+// paths are required to be fully deterministic. The distributed result
+// must also agree with the oracle, the row engine's single-instance run
+// (serialAgrees): the nodes run the vectorized engine, so every topology
+// checks it against the row engine.
 func Diff(db *pdwqo.DB, c Case, par int) error {
 	serial, err := db.Optimize(c.SQL, pdwqo.Options{Parallelism: 1})
 	if err != nil {
@@ -79,7 +82,10 @@ func Diff(db *pdwqo.DB, c Case, par int) error {
 	if err != nil {
 		return fmt.Errorf("%s: parallel execute: %w", c.Name, err)
 	}
-	return compare(rowcmp.Exact, c.Name, "serial", sres, fmt.Sprintf("parallel(%d)", par), pres)
+	if err := compare(rowcmp.Exact, c.Name, "serial", sres, fmt.Sprintf("parallel(%d)", par), pres); err != nil {
+		return err
+	}
+	return serialAgrees(db, c, pres)
 }
 
 // compare applies rule to two results of the case named name; aName and
@@ -89,6 +95,19 @@ func compare(rule rowcmp.Rule, name, aName string, a *pdwqo.Result, bName string
 		return fmt.Errorf("%s: %w", name, err)
 	}
 	return nil
+}
+
+// serialAgrees compares a distributed result against ExecuteSerial, the
+// engine's ground truth, under the serial rule: sorted rows with a
+// relative float tolerance (distributed plans sum in a different order),
+// and for a TOP query the row count only, since the two engines may keep
+// different rows tied at the cut.
+func serialAgrees(db *pdwqo.DB, c Case, dist *pdwqo.Result) error {
+	serial, err := db.ExecuteSerial(c.SQL)
+	if err != nil {
+		return fmt.Errorf("%s: serial reference: %w", c.Name, err)
+	}
+	return compare(rowcmp.Serial(false).AcrossPlans(c.SQL), c.Name, "distributed", dist, "serial", serial)
 }
 
 // runAt executes plan with the step fan-out bounded to par workers and

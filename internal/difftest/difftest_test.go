@@ -52,15 +52,18 @@ func TestTPCHSerialVsParallel(t *testing.T) {
 	}
 }
 
-// TestFuzzSerialVsParallel runs the seeded random corpus through the same
-// differential contract on the 4-node appliance.
+// TestFuzzSerialVsParallel runs two seeded random corpora through the
+// same differential contract on the 4-node appliance; the second one's
+// cases are numbered on from the first's.
 func TestFuzzSerialVsParallel(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz corpus skipped in -short mode")
 	}
 	db := openAppliance(t, 4)
-	for _, c := range FuzzCases(40, 20260805) {
+	cases := append(FuzzCases(40, 20260805), FuzzCases(40, 20260807)...)
+	for i, c := range cases {
 		c := c
+		c.Name = fmt.Sprintf("fuzz-%03d", i)
 		t.Run(c.Name, func(t *testing.T) {
 			if err := Diff(db, c, 8); err != nil {
 				t.Error(err)

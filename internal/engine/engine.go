@@ -187,6 +187,8 @@ type Appliance struct {
 // ExecConfig configures one execution. It is a plain value handed to
 // Execute and dies with the run; the zero value is the default
 // configuration (GOMAXPROCS workers, no retries, no faults, untraced).
+// It picks no executor: every node runs its steps on the vectorized
+// engine (exec.RunColumns).
 type ExecConfig struct {
 	// Parallelism bounds the worker pool that fans node-local work out
 	// within one step: 0 means GOMAXPROCS, 1 means strictly serial, n > 1
@@ -213,12 +215,6 @@ type ExecConfig struct {
 	RetryBackoff time.Duration
 	// Faults is the run's fault-injection plan; nil injects nothing.
 	Faults *FaultPlan
-
-	// RowExec evaluates steps with the row-at-a-time reference executor
-	// (exec.Run, over rows boxed from the column store) instead of the
-	// vectorized engine. Only internal/difftest sets it, to certify the
-	// two byte-identical.
-	RowExec bool
 
 	// Tracer records per-step execution spans (payload: the step's
 	// StepMetric) and feeds the exec.* counters. Nil disables tracing at
@@ -597,8 +593,9 @@ func (a *Appliance) sourceNodes(step dsql.Step) []*Node {
 	}
 }
 
-// runOnNodes executes the compiled tree on each node, fanned out over the
-// run's worker pool, and returns each node's result as one column batch.
+// runOnNodes executes the compiled tree on each node with the vectorized
+// engine (exec.RunColumns over the node's stored columns), fanned out over
+// the run's worker pool, and returns each node's result as one column batch.
 // Results keep node order; the first failing node's error cancels the
 // remaining tasks. stepID and move address the per-node fault-injection
 // site (move is Any for non-move steps).
@@ -624,25 +621,9 @@ func (r *run) runOnNodes(ctx context.Context, stepID, move int, tree *algebra.Tr
 		if stats != nil {
 			st = &stats[i]
 		}
-		var out *vec.Batch
-		var err error
-		if r.cfg.RowExec {
-			var rel *exec.Relation
-			rel, err = exec.RunStats(tree, func(name string) ([]types.Row, []string, error) {
-				t, err := n.DB.ScanColumns(r.stored(name))
-				if err != nil {
-					return nil, nil, err
-				}
-				return t.Rows(), t.Names, nil
-			}, st)
-			if err == nil {
-				out = vec.BatchFromRows(len(rel.Cols), rel.Rows)
-			}
-		} else {
-			out, err = exec.RunColumns(tree, func(name string) (*vec.Table, error) {
-				return n.DB.ScanColumns(r.stored(name))
-			}, st)
-		}
+		out, err := exec.RunColumns(tree, func(name string) (*vec.Table, error) {
+			return n.DB.ScanColumns(r.stored(name))
+		}, st)
 		if err != nil {
 			// Node-local evaluation failures are deterministic: attribute
 			// the node but classify as exec (not retryable).

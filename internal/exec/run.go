@@ -19,28 +19,11 @@ type Relation struct {
 	Rows []types.Row
 }
 
-// Run executes a bound logical tree against the source. The tree must be
-// subquery-free (normalized).
+// Run executes a bound logical tree against the source one row at a time.
+// It is the row engine: the oracle DB.ExecuteSerial runs and the
+// vectorized engine's operator tests compare against; the nodes never run
+// it. The tree must be subquery-free (normalized).
 func Run(t *algebra.Tree, src TableSource) (*Relation, error) {
-	return runNode(t, src, nil)
-}
-
-// RunStats executes like Run and additionally tallies per-operator work
-// into st (nil st disables collection, making it identical to Run).
-func RunStats(t *algebra.Tree, src TableSource, st *Stats) (*Relation, error) {
-	return runNode(t, src, st)
-}
-
-func runNode(t *algebra.Tree, src TableSource, st *Stats) (*Relation, error) {
-	rel, err := evalNode(t, src, st)
-	if err != nil {
-		return nil, err
-	}
-	st.record(t.Op, rel)
-	return rel, nil
-}
-
-func evalNode(t *algebra.Tree, src TableSource, st *Stats) (*Relation, error) {
 	switch op := t.Op.(type) {
 	case *algebra.Get:
 		return runGet(op, src)
@@ -51,45 +34,45 @@ func evalNode(t *algebra.Tree, src TableSource, st *Stats) (*Relation, error) {
 		}
 		return rel, nil
 	case *algebra.Select:
-		in, err := runNode(t.Children[0], src, st)
+		in, err := Run(t.Children[0], src)
 		if err != nil {
 			return nil, err
 		}
 		return runFilter(op, in)
 	case *algebra.Project:
-		in, err := runNode(t.Children[0], src, st)
+		in, err := Run(t.Children[0], src)
 		if err != nil {
 			return nil, err
 		}
 		return runProject(op, in, t.OutputCols())
 	case *algebra.Join:
-		l, err := runNode(t.Children[0], src, st)
+		l, err := Run(t.Children[0], src)
 		if err != nil {
 			return nil, err
 		}
-		r, err := runNode(t.Children[1], src, st)
+		r, err := Run(t.Children[1], src)
 		if err != nil {
 			return nil, err
 		}
 		return runJoin(op, l, r)
 	case *algebra.GroupBy:
-		in, err := runNode(t.Children[0], src, st)
+		in, err := Run(t.Children[0], src)
 		if err != nil {
 			return nil, err
 		}
 		return runGroupBy(op, in, t.OutputCols())
 	case *algebra.Sort:
-		in, err := runNode(t.Children[0], src, st)
+		in, err := Run(t.Children[0], src)
 		if err != nil {
 			return nil, err
 		}
 		return runSort(op, in)
 	case *algebra.UnionAll:
-		l, err := runNode(t.Children[0], src, st)
+		l, err := Run(t.Children[0], src)
 		if err != nil {
 			return nil, err
 		}
-		r, err := runNode(t.Children[1], src, st)
+		r, err := Run(t.Children[1], src)
 		if err != nil {
 			return nil, err
 		}

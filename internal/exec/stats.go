@@ -2,18 +2,18 @@ package exec
 
 import "pdwqo/internal/algebra"
 
-// Stats tallies the local work one Run call performed: how many operator
-// nodes were evaluated and how many rows each produced (intermediates
-// included). The engine sums one Stats per compute node into the step's
-// trace span, making node-local evaluation effort visible next to the
-// DMS bytes the cost model prices.
+// Stats tallies the local work one vectorized run (RunVecStats,
+// RunColumns) performed: how many operator nodes were evaluated, how many
+// rows each produced (intermediates included) and in how many batches.
+// The engine sums one Stats per compute node into the step's trace span,
+// making node-local evaluation effort visible next to the DMS bytes the
+// cost model prices.
 type Stats struct {
 	Ops      int64 // operator nodes evaluated
 	Rows     int64 // rows produced across all operators
 	ScanRows int64 // rows produced by base-table scans (Get/Values)
-	// Batches counts the column batches operators emitted. The row engine
-	// leaves it zero; under the vectorized engine it is the denominator
-	// that turns Rows into observed batch occupancy.
+	// Batches counts the column batches operators emitted, the
+	// denominator that turns Rows into observed batch occupancy.
 	Batches int64
 }
 
@@ -25,18 +25,9 @@ func (s *Stats) Merge(o Stats) {
 	s.Batches += o.Batches
 }
 
-// record counts one evaluated operator. A nil receiver is the disabled
-// collector, so the untraced execution path pays only this nil check.
-func (s *Stats) record(op algebra.Operator, rel *Relation) {
-	if s == nil {
-		return
-	}
-	s.recordCounts(op, int64(len(rel.Rows)), 0)
-}
-
-// recordCounts is the engine-agnostic tally: one operator node evaluated,
-// producing rows across batches (0 batches on the row engine). Both
-// engines route through it so their Ops/Rows/ScanRows agree exactly.
+// recordCounts counts one evaluated operator node, producing rows across
+// batches. A nil receiver is the disabled collector, so the untraced
+// execution path pays only this nil check.
 func (s *Stats) recordCounts(op algebra.Operator, rows, batches int64) {
 	if s == nil {
 		return

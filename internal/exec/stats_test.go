@@ -7,12 +7,14 @@ import (
 	"pdwqo/internal/catalog"
 	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
+	"pdwqo/internal/vec"
 )
 
-// TestRunStatsCountsOperators checks the work tally for a small
+// TestRunVecStatsCountsOperators checks the work tally for a small
 // Select-over-Get tree: two operators, scan rows counted once, filter
-// output counted at its own (reduced) cardinality.
-func TestRunStatsCountsOperators(t *testing.T) {
+// output counted at its own (reduced) cardinality, and the batches the
+// operators emitted.
+func TestRunVecStatsCountsOperators(t *testing.T) {
 	catCols := []catalog.Column{{Name: "a", Type: types.KindInt}}
 	tbl := &catalog.Table{Name: "t", Columns: catCols, Dist: catalog.Distribution{Kind: catalog.DistReplicated}}
 	getCols := []algebra.ColumnMeta{meta(1, "a", types.KindInt)}
@@ -21,10 +23,11 @@ func TestRunStatsCountsOperators(t *testing.T) {
 		Op: sqlparser.OpGt, L: algebra.NewColRef(getCols[0]), R: cnst(types.NewInt(1)),
 	}}
 	tree := algebra.NewTree(filter, algebra.NewTree(get))
-	src := testTable("t", catCols, intRows(1, 2, 3))
+	stored := vec.FromRows([]string{"a"}, intRows(1, 2, 3))
+	src := func(string) (*vec.Table, error) { return stored, nil }
 
 	var st Stats
-	out, err := RunStats(tree, src, &st)
+	out, err := RunVecStats(tree, src, &st)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,9 +43,12 @@ func TestRunStatsCountsOperators(t *testing.T) {
 	if st.Rows != 5 { // 3 scanned + 2 surviving the filter
 		t.Errorf("Rows = %d, want 5", st.Rows)
 	}
+	if st.Batches < 1 {
+		t.Errorf("Batches = %d, want at least 1", st.Batches)
+	}
 
-	// The nil collector must behave exactly like Run.
-	out2, err := RunStats(tree, src, nil)
+	// The nil collector must behave exactly like RunVec.
+	out2, err := RunVecStats(tree, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

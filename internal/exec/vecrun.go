@@ -6,10 +6,11 @@ package exec
 // (filters preserve order, hash joins emit left order × build-insertion
 // order, GroupBy emits first-seen groups, sorts are stable), same error
 // texts, same aggregate results (aggState, or typed COUNT and float SUM
-// slabs that reach exactly its results) — so the two engines are
-// byte-for-byte interchangeable behind the DSQL step contract. Columns are the currency of data movement: RunColumns hands
-// DMS one batch, and RunVec / RunVecStats box the same stream into a row
-// Relation for callers that want rows.
+// slabs that reach exactly its results) — so its results are the row
+// engine's byte for byte, and the row engine (Run) is its oracle. It is the
+// only executor the nodes run. Columns are the currency of data movement:
+// RunColumns hands DMS one batch, and RunVec / RunVecStats box the same
+// stream into a row Relation for callers that want rows.
 
 import (
 	"fmt"
@@ -32,8 +33,8 @@ func RunVec(t *algebra.Tree, src ColSource) (*Relation, error) {
 }
 
 // RunVecStats executes like RunVec and tallies per-operator work into st
-// (nil disables collection). Ops/Rows/ScanRows tallies match the row
-// engine's exactly; Batches additionally counts emitted column batches.
+// (nil disables collection): operators evaluated, the rows each produced
+// and the column batches it emitted.
 func RunVecStats(t *algebra.Tree, src ColSource, st *Stats) (*Relation, error) {
 	n, b, err := runVec(t, src, st)
 	if err != nil {
@@ -125,9 +126,9 @@ type vecNode interface {
 
 // statNode wraps an operator with work tallying: rows and batches are
 // accumulated as they stream past and recorded once at end of stream, so
-// a completed operator contributes exactly the row engine's per-operator
-// counts (an errored pipeline records nothing; the engine discards the
-// attempt's stats anyway).
+// a completed operator is counted once with every row it produced (an
+// errored pipeline records nothing; the engine discards the attempt's
+// stats anyway).
 type statNode struct {
 	inner   vecNode
 	st      *Stats

@@ -336,6 +336,21 @@ func TestClosureDerivesEachPredicateOnce(t *testing.T) {
 	if restrictions != 3 {
 		t.Fatalf("want x < 100 once on each of the three scans, got %d restrictions:\n%s", restrictions, tree)
 	}
+
+	// A restriction written constant-left is the same predicate as its
+	// column-left copy: orders keeps its own, customer's is not derived
+	// onto it again.
+	tree = normalizeSQL(t, `SELECT c.c_name FROM customer c JOIN orders o ON c.c_custkey = o.o_custkey
+		WHERE 100 > o.o_custkey AND c.c_custkey < 100`)
+	var found []string
+	for _, c := range collectAllConjuncts(tree) {
+		if fp := c.Fingerprint(); strings.HasSuffix(fp, " < 100)") || strings.HasPrefix(fp, "(100 > ") {
+			found = append(found, fp)
+		}
+	}
+	if len(found) != 2 {
+		t.Fatalf("want the restriction once on each of the two scans, got %v:\n%s", found, tree)
+	}
 }
 
 func TestContradictionDetection(t *testing.T) {

@@ -39,7 +39,9 @@ func transitivityClosure(t *algebra.Tree, inRegion bool) *algebra.Tree {
 	}
 	// equated holds each equality as its (smaller, larger) column pair;
 	// seen holds the other conjuncts and the restrictions added, by
-	// fingerprint, so that nothing present is added again.
+	// fingerprint, so that nothing present is added again. A constant
+	// restriction is also held in its column-left form, the form a derived
+	// one takes, so `100 > x` keeps `x < 100` from being added beside it.
 	uf := newUnionFind()
 	equated := map[[2]algebra.ColumnID]bool{}
 	seen := map[string]bool{}
@@ -47,8 +49,11 @@ func transitivityClosure(t *algebra.Tree, inRegion bool) *algebra.Tree {
 		if l, r, ok := algebra.EquiJoinSides(c); ok {
 			uf.union(l, r)
 			equated[[2]algebra.ColumnID{min(l, r), max(l, r)}] = true
-		} else {
-			seen[c.Fingerprint()] = true
+			continue
+		}
+		seen[c.Fingerprint()] = true
+		if col, rest, ok := constRestriction(c); ok {
+			seen[rest(col).Fingerprint()] = true
 		}
 	}
 

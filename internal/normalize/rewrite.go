@@ -163,7 +163,7 @@ func pushdownOnce(t *algebra.Tree) (*algebra.Tree, bool) {
 		var kept []algebra.Scalar
 		node := t.Children[0]
 		for _, conj := range algebra.Conjuncts(op.Filter) {
-			placed, ok := placeConjunct(node, conj)
+			placed, ok := placeConjunct(node, conj, algebra.ScalarCols(conj))
 			if ok {
 				node = placed
 				changed = true
@@ -228,8 +228,9 @@ func pushdownOnce(t *algebra.Tree) (*algebra.Tree, bool) {
 // placeConjunct attempts to push one conjunct into node, returning the
 // rewritten node. It descends through projects (inlining definitions),
 // joins, group-bys (key-only conjuncts), sorts without TOP, and unions.
-func placeConjunct(node *algebra.Tree, conj algebra.Scalar) (*algebra.Tree, bool) {
-	cols := algebra.ScalarCols(conj)
+// cols is the set of columns conj reads; it is recomputed only where the
+// conjunct is rewritten (inlined through a project).
+func placeConjunct(node *algebra.Tree, conj algebra.Scalar, cols algebra.ColSet) (*algebra.Tree, bool) {
 	switch op := node.Op.(type) {
 	case *algebra.Select:
 		// Append to the child select (it will merge on the next pass).
@@ -240,7 +241,7 @@ func placeConjunct(node *algebra.Tree, conj algebra.Scalar) (*algebra.Tree, bool
 		if !ok {
 			return node, false
 		}
-		child, pushed := placeConjunct(node.Children[0], inlined)
+		child, pushed := placeConjunct(node.Children[0], inlined, algebra.ScalarCols(inlined))
 		if !pushed {
 			child = algebra.NewTreeSameSchema(node.Children[0], &algebra.Select{Filter: inlined}, node.Children[0])
 		}
@@ -251,14 +252,14 @@ func placeConjunct(node *algebra.Tree, conj algebra.Scalar) (*algebra.Tree, bool
 		switch op.Kind {
 		case algebra.JoinInner, algebra.JoinCross:
 			if cols.SubsetOf(left.OutputColSet()) {
-				nl, pushed := placeConjunct(left, conj)
+				nl, pushed := placeConjunct(left, conj, cols)
 				if !pushed {
 					nl = algebra.NewTreeSameSchema(left, &algebra.Select{Filter: conj}, left)
 				}
 				return algebra.NewTreeSameSchema(node, op, nl, right), true
 			}
 			if cols.SubsetOf(right.OutputColSet()) {
-				nr, pushed := placeConjunct(right, conj)
+				nr, pushed := placeConjunct(right, conj, cols)
 				if !pushed {
 					nr = algebra.NewTreeSameSchema(right, &algebra.Select{Filter: conj}, right)
 				}
@@ -274,7 +275,7 @@ func placeConjunct(node *algebra.Tree, conj algebra.Scalar) (*algebra.Tree, bool
 
 		case algebra.JoinLeftOuter:
 			if cols.SubsetOf(left.OutputColSet()) {
-				nl, pushed := placeConjunct(left, conj)
+				nl, pushed := placeConjunct(left, conj, cols)
 				if !pushed {
 					nl = algebra.NewTreeSameSchema(left, &algebra.Select{Filter: conj}, left)
 				}
@@ -285,13 +286,13 @@ func placeConjunct(node *algebra.Tree, conj algebra.Scalar) (*algebra.Tree, bool
 			// enablement), after which it can be pushed normally.
 			if cols.Intersects(right.OutputColSet()) && isNullRejectingOn(conj, right.OutputColSet()) {
 				inner := algebra.NewTreeSameSchema(node, &algebra.Join{Kind: algebra.JoinInner, On: op.On}, left, right)
-				return placeConjunct(inner, conj)
+				return placeConjunct(inner, conj, cols)
 			}
 			return node, false
 
 		case algebra.JoinSemi, algebra.JoinAnti:
 			if cols.SubsetOf(left.OutputColSet()) {
-				nl, pushed := placeConjunct(left, conj)
+				nl, pushed := placeConjunct(left, conj, cols)
 				if !pushed {
 					nl = algebra.NewTreeSameSchema(left, &algebra.Select{Filter: conj}, left)
 				}
@@ -306,7 +307,7 @@ func placeConjunct(node *algebra.Tree, conj algebra.Scalar) (*algebra.Tree, bool
 			return node, false
 		}
 		if cols.SubsetOf(algebra.NewColSet(op.Keys...)) && cols.Len() > 0 {
-			child, pushed := placeConjunct(node.Children[0], conj)
+			child, pushed := placeConjunct(node.Children[0], conj, cols)
 			if !pushed {
 				child = algebra.NewTreeSameSchema(node.Children[0], &algebra.Select{Filter: conj}, node.Children[0])
 			}
@@ -318,18 +319,18 @@ func placeConjunct(node *algebra.Tree, conj algebra.Scalar) (*algebra.Tree, bool
 		if op.Top > 0 {
 			return node, false
 		}
-		child, pushed := placeConjunct(node.Children[0], conj)
+		child, pushed := placeConjunct(node.Children[0], conj, cols)
 		if !pushed {
 			child = algebra.NewTreeSameSchema(node.Children[0], &algebra.Select{Filter: conj}, node.Children[0])
 		}
 		return algebra.NewTreeSameSchema(node, op, child), true
 
 	case *algebra.UnionAll:
-		l, lp := placeConjunct(node.Children[0], conj)
+		l, lp := placeConjunct(node.Children[0], conj, cols)
 		if !lp {
 			l = algebra.NewTreeSameSchema(node.Children[0], &algebra.Select{Filter: conj}, node.Children[0])
 		}
-		r, rp := placeConjunct(node.Children[1], conj)
+		r, rp := placeConjunct(node.Children[1], conj, cols)
 		if !rp {
 			r = algebra.NewTreeSameSchema(node.Children[1], &algebra.Select{Filter: conj}, node.Children[1])
 		}

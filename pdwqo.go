@@ -34,7 +34,6 @@ import (
 	"pdwqo/internal/plancache"
 	"pdwqo/internal/planverify"
 	"pdwqo/internal/planverify/transval"
-	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/tpch"
 	"pdwqo/internal/trace"
 	"pdwqo/internal/types"
@@ -668,18 +667,12 @@ func (db *DB) Run(ctx context.Context, plan *QueryPlan, cfg ExecConfig) (*Result
 
 // ExecuteSerial runs the query on a single in-memory instance holding all
 // data — the correctness reference the distributed engine is validated
-// against (every distributed result must match it up to row order).
+// against (every distributed result must match it up to row order). The
+// tree comes from the same compile as the optimizer's (normalize.Compile)
+// and runs on the row engine (exec.Run), the oracle the nodes' vectorized
+// engine answers to.
 func (db *DB) ExecuteSerial(sql string) (*Result, error) {
-	sel, err := sqlparser.ParseSelect(sql)
-	if err != nil {
-		return nil, err
-	}
-	b := algebra.NewBinder(db.shell)
-	bound, err := b.Bind(sel)
-	if err != nil {
-		return nil, err
-	}
-	norm, err := normalize.New(b).Normalize(bound)
+	norm, _, _, err := normalize.Compile(db.shell, sql, nil, nil, 0)
 	if err != nil {
 		return nil, err
 	}
