@@ -5,9 +5,9 @@ import (
 	"testing"
 )
 
-// TestVecMatchesRowTPCH runs the full TPC-H case list under both the
-// vectorized and row executors at every topology and demands byte-identical
-// results.
+// TestVecMatchesRowTPCH runs the full TPC-H case list on the nodes'
+// vectorized engine at every topology and checks each result against the
+// row engine's oracle.
 func TestVecMatchesRowTPCH(t *testing.T) {
 	topologies := []int{1, 2, 4, 8}
 	if testing.Short() {
@@ -28,14 +28,18 @@ func TestVecMatchesRowTPCH(t *testing.T) {
 	}
 }
 
-// TestVecMatchesRowFuzz sweeps a deterministic random-query corpus through
-// both engines on a 4-node appliance.
+// TestVecMatchesRowFuzz sweeps two deterministic random-query corpora
+// through the vectorized engine on a 4-node appliance and checks each
+// result against the oracle; the second corpus (the one
+// TestFuzzSerialVsParallel starts with) is numbered on from the first.
 func TestVecMatchesRowFuzz(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fuzz corpus skipped in -short")
 	}
 	db := openAppliance(t, 4)
-	for _, c := range FuzzCases(40, 20260807) {
+	cases := append(FuzzCases(40, 20260807), FuzzCases(40, 20260805)...)
+	for i, c := range cases {
+		c.Name = fmt.Sprintf("fuzz-%03d", i)
 		t.Run(c.Name, func(t *testing.T) {
 			if err := VecDiff(db, c, 8); err != nil {
 				t.Fatal(err)
@@ -45,7 +49,7 @@ func TestVecMatchesRowFuzz(t *testing.T) {
 }
 
 // TestVecChaosTPCH injects seeded faults into vectorized runs and checks
-// recovery against a fault-free row-engine reference.
+// recovery against the row engine's fault-free oracle.
 func TestVecChaosTPCH(t *testing.T) {
 	cases := TPCHCases()
 	if testing.Short() {

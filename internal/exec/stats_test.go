@@ -10,11 +10,11 @@ import (
 	"pdwqo/internal/vec"
 )
 
-// TestRunVecStatsCountsOperators checks the work tally for a small
+// TestRunStatsCountsOperators checks the work tally for a small
 // Select-over-Get tree: two operators, scan rows counted once, filter
 // output counted at its own (reduced) cardinality, and the batches the
 // operators emitted.
-func TestRunVecStatsCountsOperators(t *testing.T) {
+func TestRunStatsCountsOperators(t *testing.T) {
 	catCols := []catalog.Column{{Name: "a", Type: types.KindInt}}
 	tbl := &catalog.Table{Name: "t", Columns: catCols, Dist: catalog.Distribution{Kind: catalog.DistReplicated}}
 	getCols := []algebra.ColumnMeta{meta(1, "a", types.KindInt)}
