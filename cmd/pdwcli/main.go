@@ -50,7 +50,7 @@ func main() {
 		nodes     = flag.Int("nodes", 8, "compute nodes")
 		seed      = flag.Int64("seed", 42, "generator seed")
 		query     = flag.String("q", "", "SQL text to run")
-		tpchName  = flag.String("tpch", "", "run a named TPC-H query (q01..q20)")
+		tpchName  = flag.String("tpch", "", "run a named TPC-H query (q01..q22)")
 		explain   = flag.Bool("explain", false, "print the plan instead of executing")
 		explainJ  = flag.Bool("explain-json", false, "print the plan as JSON instead of executing")
 		analyze   = flag.Bool("analyze", false, "execute and print EXPLAIN ANALYZE (estimates vs actuals)")

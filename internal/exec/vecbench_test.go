@@ -158,6 +158,72 @@ func BenchmarkJoinVecCompositeKey(b *testing.B) {
 	}
 }
 
+// benchKeyJoin joins a probe table p(fk INT, fk2 INT, x FLOAT) to a build
+// table b(k INT, k2 INT, v FLOAT), both generated by keyRows, on the
+// condition on makes of fk, k and k2.
+func benchKeyJoin(b *testing.B, probe, build []types.Row, on func(fk, k, k2 algebra.Scalar) algebra.Scalar) {
+	pCols := []algebra.ColumnMeta{{ID: 1, Name: "fk", Type: types.KindInt}, {ID: 2, Name: "fk2", Type: types.KindInt}, {ID: 6, Name: "x", Type: types.KindFloat}}
+	bCols := []algebra.ColumnMeta{{ID: 3, Name: "k", Type: types.KindInt}, {ID: 4, Name: "k2", Type: types.KindInt}, {ID: 5, Name: "v", Type: types.KindFloat}}
+	get := func(name string, cols []algebra.ColumnMeta) *algebra.Tree {
+		tbl := benchTable(cols)
+		tbl.Name = name
+		return algebra.NewTree(&algebra.Get{Table: tbl, Alias: name, Cols: cols})
+	}
+	tree := algebra.NewTree(&algebra.Join{Kind: algebra.JoinInner,
+		On: on(algebra.NewColRef(pCols[0]), algebra.NewColRef(bCols[0]), algebra.NewColRef(bCols[1]))},
+		get("p", pCols), get("b", bCols))
+	tables := map[string]*vec.Table{
+		"p": vec.FromRows([]string{"fk", "fk2", "x"}, probe),
+		"b": vec.FromRows([]string{"k", "k2", "v"}, build),
+	}
+	colSrc := func(t string) (*vec.Table, error) { return tables[t], nil }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunColumns(tree, colSrc, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// keyRows generates n rows (key, the same key, a float), row i's key
+// being key(i).
+func keyRows(r *rand.Rand, n int, key func(i int) int) []types.Row {
+	rows := make([]types.Row, n)
+	for i := range rows {
+		k := types.NewInt(int64(key(i)))
+		rows[i] = types.Row{k, k, types.NewFloat(r.Float64())}
+	}
+	return rows
+}
+
+// BenchmarkJoinVecRepeatedKey is the q18 shape the transitivity closure
+// leaves: one probe INT column equated to two build columns
+// (fk = k AND fk = k2), 15k unique build keys probed by 60k rows. The
+// first pair is the INT table key; the second is confirmed, not hashed.
+func BenchmarkJoinVecRepeatedKey(b *testing.B) {
+	r := rand.New(rand.NewSource(31))
+	build := keyRows(r, 15000, func(i int) int { return i })
+	probe := keyRows(r, 60000, func(int) int { return r.Intn(15000) })
+	benchKeyJoin(b, probe, build, func(fk, k, k2 algebra.Scalar) algebra.Scalar {
+		return &algebra.Binary{Op: sqlparser.OpAnd,
+			L: &algebra.Binary{Op: sqlparser.OpEq, L: fk, R: k},
+			R: &algebra.Binary{Op: sqlparser.OpEq, L: fk, R: k2}}
+	})
+}
+
+// BenchmarkJoinVecDupBuild builds on 60k rows with about 4 rows per key,
+// as lineitem does on l_orderkey, probed by 15k unique keys: the table
+// holds 15k keys, and every probe walks a chain.
+func BenchmarkJoinVecDupBuild(b *testing.B) {
+	r := rand.New(rand.NewSource(37))
+	build := keyRows(r, 60000, func(int) int { return r.Intn(15000) })
+	probe := keyRows(r, 15000, func(i int) int { return i })
+	benchKeyJoin(b, probe, build, func(fk, k, _ algebra.Scalar) algebra.Scalar {
+		return &algebra.Binary{Op: sqlparser.OpEq, L: fk, R: k}
+	})
+}
+
 // BenchmarkInListVec filters 60k rows on `mode IN ('MAIL', 'SHIP')`, the
 // q12 / q19 predicate shape.
 func BenchmarkInListVec(b *testing.B) {

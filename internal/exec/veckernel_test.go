@@ -252,7 +252,11 @@ func TestVecKernelsMatchRows(t *testing.T) {
 
 // TestVecJoinKeysMatchRows: composite, cross-kind, float, string and
 // mixed-kind equi-join keys, with and without a residual, for every join
-// kind, agree between the executors. The build side spans two batches.
+// kind, agree between the executors. So do conditions with confirm-only
+// pairs (tableKeys): a probe column equated to two build columns, a build
+// column equated to two probe columns, the same pair twice, and NULLs
+// (every generated column has them) in confirm-only columns on each side.
+// The build side spans two batches.
 func TestVecJoinKeysMatchRows(t *testing.T) {
 	for seed := int64(1); seed <= 2; seed++ {
 		d := newKernelDB(seed, 150, 1100)
@@ -267,6 +271,15 @@ func TestVecJoinKeysMatchRows(t *testing.T) {
 			"m=m (mixed)":              eq(a(4), b(4)),
 			"m=k AND s=s":              bin(sqlparser.OpAnd, eq(a(4), b(0)), eq(a(3), b(3))),
 			"k=k AND f=f, f<f":         bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, eq(a(0), b(0)), eq(a(2), b(2))), bin(sqlparser.OpLt, a(1), b(1))),
+			"k=k AND k=i (one probe column, two build columns)": bin(sqlparser.OpAnd, eq(a(0), b(0)), eq(a(0), b(2))),
+			"k=k AND i=k (one build column, two probe columns)": bin(sqlparser.OpAnd, eq(a(0), b(0)), eq(a(2), b(0))),
+			"k=k AND k=k (the same pair twice)":                 bin(sqlparser.OpAnd, eq(a(0), b(0)), eq(b(0), a(0))),
+			"s=s AND s=s (the same pair twice, hashed)":         bin(sqlparser.OpAnd, eq(a(3), b(3)), eq(a(3), b(3))),
+			"f=f AND f=i (the INT build column keys)":           bin(sqlparser.OpAnd, eq(a(1), b(1)), eq(a(1), b(2))),
+			"s=s AND k=k AND k=i AND i=k (hashed, confirm-only on each side)": bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, eq(a(3), b(3)), eq(a(0), b(0))),
+				bin(sqlparser.OpAnd, eq(a(0), b(2)), eq(a(2), b(0)))),
+			"k=k AND k=i AND i=k (confirm-only on each side)": bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, eq(a(0), b(0)), eq(a(0), b(2))), eq(a(2), b(0))),
+			"m=k AND m=i, f<f (mixed probe, residual)":        bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, eq(a(4), b(0)), eq(a(4), b(2))), bin(sqlparser.OpLt, a(1), b(1))),
 		}
 		kinds := []algebra.JoinKind{algebra.JoinInner, algebra.JoinLeftOuter, algebra.JoinFullOuter, algebra.JoinSemi, algebra.JoinAnti}
 		for name, on := range ons {
@@ -277,6 +290,115 @@ func TestVecJoinKeysMatchRows(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTableKeys pins the key policy on the TPC-H shapes: one table key
+// per probe column and per build column, the same pair twice dropped, the
+// rest confirm-only, and a lone table key moved to a typed INT build
+// column where one is paired.
+func TestTableKeys(t *testing.T) {
+	intCols := func(cols ...int) func(int) bool {
+		return func(c int) bool { return slices.Contains(cols, c) }
+	}
+	for _, tc := range []struct {
+		name         string
+		l, r         []int
+		ints         func(int) bool
+		wantL, wantR []int
+		wantN        int
+	}{
+		{"lone pair", []int{3}, []int{5}, intCols(), []int{3}, []int{5}, 1},
+		{"q18: one probe column, two build columns", []int{0, 0}, []int{7, 2}, intCols(7, 2), []int{0, 0}, []int{7, 2}, 1},
+		{"q18: the same pair twice", []int{4, 4}, []int{1, 1}, intCols(1), []int{4}, []int{1}, 1},
+		{"q09: two columns, each twice", []int{1, 1, 2, 2}, []int{0, 5, 1, 6}, intCols(0, 1, 5, 6), []int{1, 2, 1, 2}, []int{0, 1, 5, 6}, 2},
+		{"q20: a probe column again", []int{0, 1, 0}, []int{2, 3, 4}, intCols(2, 3, 4), []int{0, 1, 0}, []int{2, 3, 4}, 2},
+		{"one build column, two probe columns", []int{0, 1}, []int{2, 2}, intCols(2), []int{0, 1}, []int{2, 2}, 1},
+		{"a lone key moves to the INT build column", []int{0, 0}, []int{1, 2}, intCols(2), []int{0, 0}, []int{2, 1}, 1},
+		{"distinct pairs all key", []int{0, 1}, []int{2, 3}, intCols(), []int{0, 1}, []int{2, 3}, 2},
+	} {
+		l, r, n := tableKeys(tc.l, tc.r, tc.ints)
+		if !slices.Equal(l, tc.wantL) || !slices.Equal(r, tc.wantR) || n != tc.wantN {
+			t.Errorf("%s: got %v→%v with %d table keys, want %v→%v with %d", tc.name, l, r, n, tc.wantL, tc.wantR, tc.wantN)
+		}
+	}
+}
+
+// TestVecJoinWalksWholeChains: a semi and an anti join over a build side
+// whose rows share their table key, where only an older duplicate (a
+// later build row, deeper in the chain) satisfies the confirm-only pair
+// or the residual. A probe that stops at a chain's first candidate keeps
+// the semi join's row out and the anti join's row in.
+func TestVecJoinWalksWholeChains(t *testing.T) {
+	d := &kernelDB{rows: map[string][]types.Row{}, tables: map[string]*vec.Table{}, cols: map[string][]algebra.ColumnMeta{}}
+	one := types.NewInt(1)
+	x := types.NewString("x")
+	d.put("a", []types.Row{{one, types.NewFloat(1), one, x}})
+	d.put("b", []types.Row{
+		{one, types.NewFloat(0), types.NewInt(2), x},
+		{one, types.NewFloat(0), types.NewInt(3), x},
+		{one, types.NewFloat(5), one, x},
+	})
+	d.cols["a"], d.cols["b"] = kernelCols(1), kernelCols(11)
+	eq := func(l, r algebra.Scalar) algebra.Scalar { return bin(sqlparser.OpEq, l, r) }
+	for name, on := range map[string]algebra.Scalar{
+		"k=k AND k=i (confirm-only)": bin(sqlparser.OpAnd, eq(d.ref("a", 0), d.ref("b", 0)), eq(d.ref("a", 0), d.ref("b", 2))),
+		"k=k, f<f (residual)":        bin(sqlparser.OpAnd, eq(d.ref("a", 0), d.ref("b", 0)), bin(sqlparser.OpLt, d.ref("a", 1), d.ref("b", 1))),
+		"s=s AND k=k AND k=i (hashed)": bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, eq(d.ref("a", 3), d.ref("b", 3)), eq(d.ref("a", 0), d.ref("b", 0))),
+			eq(d.ref("a", 0), d.ref("b", 2))),
+	} {
+		for kind, want := range map[algebra.JoinKind]int{algebra.JoinSemi: 1, algebra.JoinAnti: 0} {
+			tree := algebra.NewTree(&algebra.Join{Kind: kind, On: on}, d.get("a"), d.get("b"))
+			if n := d.both(t, fmt.Sprintf("%v %s", kind, name), tree); n != want {
+				t.Errorf("%v %s: %d rows, want %d", kind, name, n, want)
+			}
+		}
+	}
+}
+
+// TestIDTableGrows: a table made for fewer keys than it receives grows at
+// load ½ and still finds each key's newest id, and the ids insert
+// displaced chain every key's ids newest first.
+func TestIDTableGrows(t *testing.T) {
+	keys := make([]int64, 5000)
+	for i := range keys {
+		keys[i] = int64(i*7919%1237) - 600
+	}
+	tab := newIDTable[int64](3)
+	start := len(tab.slots)
+	prev := make([]int32, len(keys))
+	newest := map[int64]int32{}
+	for i := range keys {
+		prev[i] = tab.insert(keys, int32(i))
+		if want, ok := newest[keys[i]]; !ok && prev[i] != -1 || ok && prev[i] != want {
+			t.Fatalf("insert of id %d displaced %d, want %d", i, prev[i], want)
+		}
+		newest[keys[i]] = int32(i)
+	}
+	if len(tab.slots) <= start || tab.used != len(newest) || 2*tab.used > len(tab.slots) {
+		t.Fatalf("%d slots (from %d) for %d keys", len(tab.slots), start, tab.used)
+	}
+	for k, id := range newest {
+		var chain []int32
+		for ri := tab.find(keys, k); ri >= 0; ri = prev[ri] {
+			chain = append(chain, ri)
+		}
+		if len(chain) == 0 || chain[0] != id {
+			t.Fatalf("key %d: chain %v, want it to start at %d", k, chain, id)
+		}
+		for i, ri := range chain {
+			if keys[ri] != k || i > 0 && ri >= chain[i-1] {
+				t.Fatalf("key %d: chain %v is not its ids newest first", k, chain)
+			}
+		}
+		for i := chain[len(chain)-1] - 1; i >= 0; i-- {
+			if keys[i] == k {
+				t.Fatalf("key %d: chain %v misses id %d", k, chain, i)
+			}
+		}
+	}
+	if tab.find(keys, 1<<40) != -1 {
+		t.Fatal("found an absent key")
 	}
 }
 

@@ -14,11 +14,12 @@ package exec
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
 	"pdwqo/internal/algebra"
-	"pdwqo/internal/sqlparser"
 	"pdwqo/internal/types"
 	"pdwqo/internal/vec"
 )
@@ -481,20 +482,24 @@ type vecJoin struct {
 	pairCols []algebra.ColumnMeta
 	lWidth   int
 	useHash  bool
-	lKeys    []int
-	rKeys    []int
+	lKeys    []int // the equi-pairs' probe columns, table keys first
+	rKeys    []int // the equi-pairs' build columns, in lKeys' order
+	nKeys    int   // the table keys are the first nKeys pairs
 	residual algebra.Scalar
 
 	// The hash table is a chain layout: an idTable maps each key to its
 	// first build row and chainNext threads the rest, so building
 	// allocates flat arrays and nothing per key. Chains are threaded in
 	// ascending row order, preserving the bucket-insertion output order
-	// contract. A single typed-INT key is its own table key, read in
-	// place from rt's payloads, or from a copy of the selected ones when
-	// rt is under a selection (byInt: ints over intKeys; bucket =
-	// equality, no confirm pass). Any other key set keys on the build
-	// rows' key hashes (hashed over rowHashes), and the probe confirms
-	// candidate pairs key column by key column with keepEqual.
+	// contract; chainNext is allocated at the first key that repeats and
+	// stays nil when every key is unique. A single typed-INT table key is
+	// its own table key, read in place from rt's payloads, or from a copy
+	// of the selected ones when rt is under a selection (byInt: ints over
+	// intKeys; bucket = equality). Any other table key set keys on the
+	// build rows' key hashes (hashed over rowHashes), and the probe
+	// confirms candidate pairs on the hashed keys with keepEqual. Pairs
+	// past nKeys (confirm-only: see tableKeys) are confirmed the same way
+	// on either path.
 	init         bool
 	rt           *vec.Batch
 	rsel         []int32 // build row i is rt's row at pos(rsel, i); nil = all of rt
@@ -576,12 +581,14 @@ func (j *vecJoin) next() (*vec.Batch, []int32, error) {
 
 // buildRight drains the build side — keeping a lone part in place under
 // its selection, concatenating several once at their exact size
-// (vec.Concat) — and, for equi-key joins, builds a hash table over the
-// build rows' non-NULL keys (SQL equality never matches NULLs, so
-// NULL-keyed rows stay out of the table — they still surface through
-// full-outer unmatched emission). The table and its chains hold build
-// rows by their index in the selection; a probe's pairs carry their
-// positions in rt.
+// (vec.Concat) — and, for equi-key joins, picks the table keys
+// (tableKeys) and builds a hash table over the build rows whose key
+// columns hold no NULL (SQL equality never matches NULLs, so NULL-keyed
+// rows stay out of the table — they still surface through full-outer
+// unmatched emission). The table is sized to an estimate of the distinct
+// keys (distinctKeys) and grows past it if need be. The table and its
+// chains hold build rows by their index in the selection; a probe's pairs
+// carry their positions in rt.
 func (j *vecJoin) buildRight() error {
 	var err error
 	if j.rt, j.rsel, err = drain(j.right); err != nil {
@@ -593,43 +600,158 @@ func (j *vecJoin) buildRight() error {
 	if !j.useHash {
 		return nil
 	}
-	n := selLen(j.rsel, j.rt)
-	j.chainNext = make([]int32, n)
-	// Single BIGINT key over a typed build column: the table keys on the
-	// int64 payload itself, so bucket membership IS equality and the probe
-	// needs no confirmation pass. Numeric cross-kind probes (a FLOAT that
-	// equals an integer) convert with an exactness guard, replicating
-	// types.Compare's float-coerced equality. Rows insert in descending
-	// order so each chain reads out ascending.
-	if len(j.rKeys) == 1 {
-		kv := j.rt.Cols[j.rKeys[0]]
-		if !kv.Mixed && kv.Kind == types.KindInt {
-			j.byInt, j.intKeys = true, kv.I64
-			if j.rsel != nil {
-				// The table reads build row i's key at intKeys[i].
-				j.intKeys = make([]int64, n)
-				for i, ri := range j.rsel {
-					j.intKeys[i] = kv.I64[ri]
-				}
-			}
-			j.ints = newIDTable[int64](n)
-			for i := n - 1; i >= 0; i-- {
-				if !kv.IsNull(pos(j.rsel, i)) {
-					j.chainNext[i] = j.ints.insert(j.intKeys, int32(i))
-				}
-			}
-			return nil
-		}
+	intCol := func(c int) bool {
+		v := j.rt.Cols[c]
+		return !v.Mixed && v.Kind == types.KindInt
 	}
-	j.rowHashes = keyHashes(j.rt, j.rsel, j.rKeys, nil)
-	j.hashed = newIDTable[uint64](n)
+	j.lKeys, j.rKeys, j.nKeys = tableKeys(j.lKeys, j.rKeys, intCol)
+	n := selLen(j.rsel, j.rt)
 	nulls := keyNulls(j.rt, j.rKeys)
+	// Single BIGINT table key over a typed build column: the table keys on
+	// the int64 payload itself, so bucket membership IS equality on that
+	// pair. Numeric cross-kind probes (a FLOAT that equals an integer)
+	// convert with an exactness guard, replicating types.Compare's
+	// float-coerced equality. Rows insert in descending order so each
+	// chain reads out ascending.
+	if j.nKeys == 1 && intCol(j.rKeys[0]) {
+		kv := j.rt.Cols[j.rKeys[0]]
+		j.byInt, j.intKeys = true, kv.I64[:n]
+		if j.rsel != nil {
+			// The table reads build row i's key at intKeys[i].
+			j.intKeys = make([]int64, n)
+			for i, ri := range j.rsel {
+				j.intKeys[i] = kv.I64[ri]
+			}
+		}
+		j.ints = newIDTable[int64](distinctKeys(j.intKeys, nulls, j.rsel))
+		for i := n - 1; i >= 0; i-- {
+			if !bitSet(nulls, pos(j.rsel, i)) {
+				j.link(i, j.ints.insert(j.intKeys, int32(i)))
+			}
+		}
+		return nil
+	}
+	j.rowHashes = keyHashes(j.rt, j.rsel, j.rKeys[:j.nKeys], nil)
+	j.hashed = newIDTable[uint64](distinctKeys(j.rowHashes, nulls, j.rsel))
 	for i := n - 1; i >= 0; i-- {
 		if !bitSet(nulls, pos(j.rsel, i)) {
-			j.chainNext[i] = j.hashed.insert(j.rowHashes, int32(i))
+			j.link(i, j.hashed.insert(j.rowHashes, int32(i)))
 		}
 	}
 	return nil
+}
+
+// tableKeys orders a hash join's equi-pairs (lKeys[i] = rKeys[i]) for its
+// build side, whose typed INT columns intCol reports. A pair identical to
+// an earlier one is dropped. The first pair for each probe column and for
+// each build column is a table key, hashed on both sides (or, alone over a
+// typed INT build column, the INT table key itself); a pair whose probe
+// or build column an earlier table key already holds is confirm-only: it
+// is checked on the probe's candidate pairs with keepEqual, as the hashed
+// keys are, and never hashed. Where that leaves a single table key over a
+// build column that is not typed INT, the first confirm-only pair over a
+// typed INT build column takes its place. The table keys come first in
+// the returned pairs; n counts them. A lone pair is returned as it is.
+func tableKeys(lKeys, rKeys []int, intCol func(int) bool) (l, r []int, n int) {
+	if len(lKeys) == 1 {
+		return lKeys, rKeys, 1
+	}
+	held := func(ls, rs []int, a, b int) bool {
+		for k := range ls {
+			if ls[k] == a && rs[k] == b {
+				return true
+			}
+		}
+		return false
+	}
+	var cl, cr []int // the confirm-only pairs
+	for i, a := range lKeys {
+		b := rKeys[i]
+		switch {
+		case held(l, r, a, b) || held(cl, cr, a, b):
+		case slices.Contains(l, a) || slices.Contains(r, b):
+			cl, cr = append(cl, a), append(cr, b)
+		default:
+			l, r = append(l, a), append(r, b)
+		}
+	}
+	if len(l) == 1 && !intCol(r[0]) {
+		if i := slices.IndexFunc(cr, intCol); i >= 0 {
+			l[0], cl[i] = cl[i], l[0]
+			r[0], cr[i] = cr[i], r[0]
+		}
+	}
+	return append(l, cl...), append(r, cr...), len(l)
+}
+
+// distinctKeys estimates how many distinct keys the build rows outside the
+// NULL bitmap carry, keys[i] being build row i's (at pos(rsel, i)), by
+// linear counting: each key sets one bit, picked by a mix of the key, in
+// a bitmap of m ≥ len(keys) bits, and m·ln(m / zero bits) estimates the
+// distinct count. Two standard errors of the estimate are added, and the
+// result never exceeds the row count; an idTable sized to it rarely grows.
+func distinctKeys[K int64 | uint64](keys []K, nulls []uint64, rsel []int32) int {
+	n := len(keys)
+	if n <= 8 { // newIDTable's smallest table holds 8 keys
+		return n
+	}
+	lg := uint(6)
+	for 1<<lg < n {
+		lg++
+	}
+	m := 1 << lg
+	seen := make([]uint64, m>>6)
+	for i, k := range keys {
+		if !bitSet(nulls, pos(rsel, i)) {
+			h := mix64(uint64(k)) >> (64 - lg)
+			seen[h>>6] |= 1 << (h & 63)
+		}
+	}
+	zero := m
+	for _, w := range seen {
+		zero -= bits.OnesCount64(w)
+	}
+	if zero == 0 {
+		return n
+	}
+	d := float64(m) * math.Log(float64(m)/float64(zero))
+	t := d / float64(m)
+	return min(n, int(d+2*math.Sqrt(float64(m)*(math.Exp(t)-t-1)))+1)
+}
+
+// mix64 is a 64-bit finalizer (MurmurHash3's fmix64): every output bit
+// depends on every input bit, so sequential and strided keys set bits as
+// random ones would, which linear counting assumes.
+func mix64(x uint64) uint64 {
+	x ^= x >> 33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	return x ^ x>>33
+}
+
+// link makes prev, the row an insert displaced (-1 for a new key), build
+// row i's successor in its chain. chainNext is allocated at the first key
+// that repeats, every row's successor -1 until set.
+func (j *vecJoin) link(i int, prev int32) {
+	if prev < 0 {
+		return
+	}
+	if j.chainNext == nil {
+		j.chainNext = make([]int32, selLen(j.rsel, j.rt))
+		for k := range j.chainNext {
+			j.chainNext[k] = -1
+		}
+	}
+	j.chainNext[i] = prev
+}
+
+// chained returns build row ri's successor in its chain, or -1.
+func (j *vecJoin) chained(ri int32) int32 {
+	if j.chainNext == nil {
+		return -1
+	}
+	return j.chainNext[ri]
 }
 
 // keyHashes folds a batch's key columns, column by column, into one hash
@@ -656,19 +778,26 @@ func keyHashes(b *vec.Batch, sel []int32, keys []int, scratch []uint64) []uint64
 }
 
 // keyNulls ORs the key columns' NULL bitmaps: a set bit marks a row with a
-// NULL key, which equality never matches. nil means no NULL key.
+// NULL key, which equality never matches. nil means no NULL key. A lone
+// column's bitmap is returned as it is, to be read, not written.
 func keyNulls(b *vec.Batch, keys []int) []uint64 {
 	var out []uint64
-	for _, k := range keys {
-		v := b.Cols[k]
-		if v.Nulls == nil {
+	owned := false
+	for i, k := range keys {
+		nb := b.Cols[k].Nulls
+		switch {
+		case nb == nil || slices.Contains(keys[:i], k):
 			continue
+		case out == nil:
+			out = nb
+			continue
+		case !owned:
+			own := make([]uint64, (b.N+63)>>6)
+			copy(own, out)
+			out, owned = own, true
 		}
-		if out == nil {
-			out = make([]uint64, (b.N+63)>>6)
-		}
-		for w := 0; w < len(out) && w < len(v.Nulls); w++ {
-			out[w] |= v.Nulls[w]
+		for w := 0; w < len(out) && w < len(nb); w++ {
+			out[w] |= nb[w]
 		}
 	}
 	return out
@@ -681,7 +810,9 @@ func bitSet(bm []uint64, i int) bool {
 }
 
 // keepEqual narrows candidate (left, right) pairs to those whose values in
-// one key column pair are equal under types.Compare — typed payloads are
+// one key column pair are equal as join keys: equal under types.Compare,
+// with a NaN equal to a NaN and to nothing else, as the hash buckets have
+// it (Compare alone finds a NaN equal to every number). Typed payloads are
 // compared directly, kind pairs without a typed rule box. Candidates never
 // hold a NULL key. The pairs are filtered in place.
 func keepEqual(a, b *vec.Vec, pl, pr []int32) ([]int32, []int32) {
@@ -703,18 +834,22 @@ func keepEqual(a, b *vec.Vec, pl, pr []int32) ([]int32, []int32) {
 			keep(i, a.Str[pl[i]] == b.Str[pr[i]])
 		}
 	case typed && a.Kind.Numeric() && b.Kind.Numeric():
-		// Float-coerced, and NaN-tolerant exactly as types.Compare is.
+		// Float-coerced, as types.Compare is.
 		for i := range pl {
-			keep(i, holds(sqlparser.OpEq, numAt(a, pl[i]), numAt(b, pr[i])))
+			x, y := numAt(a, pl[i]), numAt(b, pr[i])
+			keep(i, x == y || x != x && y != y)
 		}
 	default:
 		for i := range pl {
 			x, y := a.At(int(pl[i])), b.At(int(pr[i]))
-			keep(i, types.Comparable(x.Kind(), y.Kind()) && types.Compare(x, y) == 0)
+			keep(i, types.Comparable(x.Kind(), y.Kind()) && types.Compare(x, y) == 0 && isNaN(x) == isNaN(y))
 		}
 	}
 	return pl[:out], pr[:out]
 }
+
+// isNaN reports whether v is a FLOAT NaN.
+func isNaN(v types.Value) bool { return v.Kind() == types.KindFloat && math.IsNaN(v.Float()) }
 
 // numAt reads a typed numeric vector's row as a float64.
 func numAt(v *vec.Vec, i int32) float64 {
@@ -812,7 +947,8 @@ func intKeyFromFloat(f float64) (int64, bool) {
 }
 
 // probeInt probes the typed-INT build table for one left batch's
-// selected rows, appending the candidate pairs to pl, pr.
+// selected rows, appending the candidate pairs to pl, pr, and confirms
+// them on the confirm-only pairs.
 func (j *vecJoin) probeInt(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []int32) {
 	kv := lb.Cols[j.lKeys[0]]
 	if !kv.Mixed && kv.Kind != types.KindInt && kv.Kind != types.KindFloat {
@@ -820,11 +956,12 @@ func (j *vecJoin) probeInt(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []int32
 		// BIGINT build key, so nothing matches.
 		return pl, pr
 	}
+	nulls := keyNulls(lb, j.lKeys)
 	for i, n := 0, selLen(sel, lb); i < n; i++ {
 		li := pos(sel, i)
 		var k int64
 		switch {
-		case kv.IsNull(li):
+		case bitSet(nulls, li):
 			continue
 		case kv.Mixed:
 			v := kv.At(li)
@@ -847,32 +984,38 @@ func (j *vecJoin) probeInt(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []int32
 				continue
 			}
 		}
-		for ri := j.ints.find(j.intKeys, k); ri >= 0; ri = j.chainNext[ri] {
+		for ri := j.ints.find(j.intKeys, k); ri >= 0; ri = j.chained(ri) {
 			pl = append(pl, int32(li))
 			pr = append(pr, int32(pos(j.rsel, int(ri))))
 		}
 	}
-	return pl, pr
+	return j.confirm(lb, 1, pl, pr)
 }
 
 // probeHashed probes the key-hash table for one left batch's selected
-// rows: key hashes fold column-wise, every chain a hash reaches yields
-// candidate pairs, and the candidates are confirmed key column by key
-// column.
+// rows: table-key hashes fold column-wise, every chain a hash reaches
+// yields candidate pairs, and the candidates are confirmed pair by pair,
+// table keys and confirm-only pairs alike.
 func (j *vecJoin) probeHashed(lb *vec.Batch, sel, pl, pr []int32) ([]int32, []int32) {
-	j.hs = keyHashes(lb, sel, j.lKeys, j.hs)
+	j.hs = keyHashes(lb, sel, j.lKeys[:j.nKeys], j.hs)
 	nulls := keyNulls(lb, j.lKeys)
 	for i, h := range j.hs {
 		li := pos(sel, i)
 		if bitSet(nulls, li) {
 			continue
 		}
-		for ri := j.hashed.find(j.rowHashes, h); ri >= 0; ri = j.chainNext[ri] {
+		for ri := j.hashed.find(j.rowHashes, h); ri >= 0; ri = j.chained(ri) {
 			pl = append(pl, int32(li))
 			pr = append(pr, int32(pos(j.rsel, int(ri))))
 		}
 	}
-	for k := range j.lKeys {
+	return j.confirm(lb, 0, pl, pr)
+}
+
+// confirm narrows candidate pairs, in place, to those equal on every
+// equi-pair from the from-th on. Candidates hold no NULL in any key column.
+func (j *vecJoin) confirm(lb *vec.Batch, from int, pl, pr []int32) ([]int32, []int32) {
+	for k := from; k < len(j.lKeys); k++ {
 		pl, pr = keepEqual(lb.Cols[j.lKeys[k]], j.rt.Cols[j.rKeys[k]], pl, pr)
 	}
 	return pl, pr
