@@ -435,6 +435,54 @@ func OperatorScalars(op Operator) []Scalar {
 	return nil
 }
 
+// MapScalars returns op with f applied to each scalar OperatorScalars
+// lists: op itself when f returns every one unchanged, else a copy that
+// holds f's results.
+func MapScalars(op Operator, f func(Scalar) Scalar) Operator {
+	switch o := op.(type) {
+	case *Select:
+		if e := f(o.Filter); e != o.Filter {
+			return &Select{Filter: e}
+		}
+	case *Project:
+		var defs []ProjDef
+		for i, d := range o.Defs {
+			if e := f(d.Expr); e != d.Expr {
+				if defs == nil {
+					defs = append([]ProjDef(nil), o.Defs...)
+				}
+				defs[i].Expr = e
+			}
+		}
+		if defs != nil {
+			return &Project{Defs: defs}
+		}
+	case *Join:
+		if o.On != nil {
+			if e := f(o.On); e != o.On {
+				return &Join{Kind: o.Kind, On: e}
+			}
+		}
+	case *GroupBy:
+		var aggs []AggDef
+		for i, a := range o.Aggs {
+			if a.Arg == nil {
+				continue
+			}
+			if e := f(a.Arg); e != a.Arg {
+				if aggs == nil {
+					aggs = append([]AggDef(nil), o.Aggs...)
+				}
+				aggs[i].Arg = e
+			}
+		}
+		if aggs != nil {
+			return &GroupBy{Keys: o.Keys, Aggs: aggs, Phase: o.Phase}
+		}
+	}
+	return op
+}
+
 // FreeCols returns the columns referenced by the tree (including inside
 // nested subqueries) that are not produced inside it — i.e. its correlated
 // outer references.

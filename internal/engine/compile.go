@@ -113,7 +113,7 @@ func rebindTree(t *algebra.Tree, args []types.Value) *algebra.Tree {
 			kids[i] = nc
 		}
 	}
-	op := rebindOp(t.Op, args)
+	op := algebra.MapScalars(t.Op, func(e algebra.Scalar) algebra.Scalar { return rebindScalar(e, args) })
 	if kids == nil && op == t.Op {
 		return t
 	}
@@ -121,56 +121,6 @@ func rebindTree(t *algebra.Tree, args []types.Value) *algebra.Tree {
 		kids = t.Children
 	}
 	return algebra.NewTreeSameSchema(t, op, kids...)
-}
-
-// rebindOp returns op itself when none of its scalars holds a slotted
-// constant, else a copy whose scalars hold args' values.
-func rebindOp(op algebra.Operator, args []types.Value) algebra.Operator {
-	switch o := op.(type) {
-	case *algebra.Select:
-		if f := rebindScalar(o.Filter, args); f != o.Filter {
-			c := *o
-			c.Filter = f
-			return &c
-		}
-	case *algebra.Join:
-		if on := rebindScalar(o.On, args); on != o.On {
-			c := *o
-			c.On = on
-			return &c
-		}
-	case *algebra.Project:
-		var defs []algebra.ProjDef
-		for i, d := range o.Defs {
-			if e := rebindScalar(d.Expr, args); e != d.Expr {
-				if defs == nil {
-					defs = append([]algebra.ProjDef(nil), o.Defs...)
-				}
-				defs[i].Expr = e
-			}
-		}
-		if defs != nil {
-			c := *o
-			c.Defs = defs
-			return &c
-		}
-	case *algebra.GroupBy:
-		var aggs []algebra.AggDef
-		for i, a := range o.Aggs {
-			if e := rebindScalar(a.Arg, args); e != a.Arg {
-				if aggs == nil {
-					aggs = append([]algebra.AggDef(nil), o.Aggs...)
-				}
-				aggs[i].Arg = e
-			}
-		}
-		if aggs != nil {
-			c := *o
-			c.Aggs = aggs
-			return &c
-		}
-	}
-	return op
 }
 
 // rebindScalar returns e itself when it holds no slotted constant, else a

@@ -1,9 +1,10 @@
 // Package exec implements the node-local query executor: the role each
 // compute node's SQL Server instance plays when handed a DSQL step's SQL
 // text. It evaluates bound logical trees (Get/Select/Project/Join/GroupBy/
-// Sort/Values) over in-memory rows with SQL three-valued semantics, and
-// doubles as the single-node reference executor used to validate
-// distributed results.
+// Sort/Values) with SQL three-valued semantics. The nodes run the
+// vectorized engine (RunColumns), whose evaluator also folds constants
+// (EvalClosed); the row engine (Run, with Eval) is the single-node
+// reference distributed results are checked against, and nothing else.
 package exec
 
 import (

@@ -4,10 +4,11 @@ package exec
 // time over typed column vectors, under a selection vector naming the
 // batch positions still alive. Kernels cover the hot shapes (column
 // references, constants, comparisons, arithmetic, three-valued AND/OR,
-// NOT/NEG/IS NULL, numeric casts, IN over constants, LIKE); everything
-// else routes through the row engine's Eval one selected row at a time,
-// boxing only the columns the expression reads, so the two engines cannot
-// drift on the long tail of expression semantics.
+// NOT/NEG/IS NULL, numeric casts, IN over constants, LIKE); CASE and IN
+// over other lists run each branch or element over the rows that reach
+// it, and the rest applies the value functions both engines share row by
+// row (rowWise). The row engine's Eval is never called here: it is the
+// reference, and the differential tests make any drift from it show.
 //
 // Kernel outputs are read-only after construction: typed fast paths
 // write payloads positionally into dense vectors and may alias an
@@ -43,7 +44,6 @@ package exec
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"pdwqo/internal/algebra"
 	"pdwqo/internal/sqlparser"
@@ -52,14 +52,9 @@ import (
 )
 
 // vecEnv resolves column IDs against one operator's input schema and
-// lazily carries the row-fallback environment.
+// holds the operator's evaluation scratch.
 type vecEnv struct {
-	cols  []algebra.ColumnMeta
-	idx   map[algebra.ColumnID]int
-	env   *Env                     // built on first fallback
-	row   types.Row                // reusable fallback row buffer
-	reads map[algebra.Scalar][]int // per expression, the positions it reads
-
+	idx    map[algebra.ColumnID]int
 	conj   map[algebra.Scalar][]algebra.Scalar // per predicate, its conjuncts
 	consts map[*algebra.Const]*vec.Vec         // per constant, a one-row vector
 	free   [][]int32                           // selection buffers give returned
@@ -74,29 +69,7 @@ func newVecEnv(cols []algebra.ColumnMeta) *vecEnv {
 	for i, c := range cols {
 		idx[c.ID] = i
 	}
-	return &vecEnv{cols: cols, idx: idx}
-}
-
-// readsOf returns the schema positions of the columns e references
-// (algebra.ScalarCols), in ascending order, computed once per expression.
-// A referenced column outside the schema is left out; evaluating it
-// reports the missing column.
-func (ve *vecEnv) readsOf(e algebra.Scalar) []int {
-	if p, ok := ve.reads[e]; ok {
-		return p
-	}
-	var p []int
-	algebra.ScalarCols(e).ForEach(func(id algebra.ColumnID) {
-		if i, ok := ve.idx[id]; ok {
-			p = append(p, i)
-		}
-	})
-	sort.Ints(p)
-	if ve.reads == nil {
-		ve.reads = map[algebra.Scalar][]int{}
-	}
-	ve.reads[e] = p
-	return p
+	return &vecEnv{idx: idx}
 }
 
 // take lends an empty selection buffer with room for n positions; give
@@ -199,6 +172,16 @@ func evalVec(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec,
 	return ve.eval(e, b, sel, true)
 }
 
+// EvalClosed evaluates a closed scalar, one that reads no column, over a
+// one-row batch without columns: the evaluator of constant folding.
+func EvalClosed(e algebra.Scalar) (types.Value, error) {
+	v, err := evalVec(e, newVecEnv(nil), &vec.Batch{N: 1}, nil)
+	if err != nil {
+		return types.Null, err
+	}
+	return v.At(0), nil
+}
+
 // evalTemp is evalVec whose result is ve's scratch as well: it is read
 // before the operator's next reset and never kept.
 func evalTemp(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
@@ -233,25 +216,16 @@ func (ve *vecEnv) eval(e algebra.Scalar, b *vec.Batch, sel []int32, fresh bool) 
 			return nil, err
 		}
 		n := selLen(sel, b)
-		out := ve.dense(types.KindBool, n, fresh)
-		if !v.Mixed && v.Kind == types.KindBool {
-			out.CopyNulls(v)
-			for i := 0; i < n; i++ {
-				out.I64[i] = 1 - (v.I64[i] & 1)
-			}
-			return out, nil
+		if v, err = asBits(v, n); err != nil {
+			return nil, fmt.Errorf("exec: NOT operand: %w", err)
 		}
+		if v.Kind == types.KindNull {
+			return vec.NullVec(n), nil
+		}
+		out := ve.dense(types.KindBool, n, fresh)
+		out.CopyNulls(v)
 		for i := 0; i < n; i++ {
-			ev := v.At(i)
-			if ev.IsNull() {
-				out.SetNull(i)
-				continue
-			}
-			bv, err := ev.AsBool()
-			if err != nil {
-				return nil, fmt.Errorf("exec: NOT operand: %w", err)
-			}
-			out.I64[i] = b2i(!bv)
+			out.I64[i] = 1 - (v.I64[i] & 1)
 		}
 		return out, nil
 
@@ -260,16 +234,7 @@ func (ve *vecEnv) eval(e algebra.Scalar, b *vec.Batch, sel []int32, fresh bool) 
 		if err != nil {
 			return nil, err
 		}
-		n := selLen(sel, b)
-		out := &vec.Vec{}
-		for i := 0; i < n; i++ {
-			nv, err := types.Neg(v.At(i))
-			if err != nil {
-				return nil, err
-			}
-			out.Append(nv)
-		}
-		return out, nil
+		return rowWise(selLen(sel, b), func(i int) (types.Value, error) { return types.Neg(v.At(i)) })
 
 	case *algebra.IsNull:
 		v, err := evalTemp(x.E, ve, b, sel)
@@ -288,56 +253,172 @@ func (ve *vecEnv) eval(e algebra.Scalar, b *vec.Batch, sel []int32, fresh bool) 
 		if err != nil {
 			return nil, err
 		}
-		n := selLen(sel, b)
-		out := &vec.Vec{}
-		for i := 0; i < n; i++ {
-			cv, err := CastValue(v.At(i), x.To)
-			if err != nil {
-				return nil, err
-			}
-			out.Append(cv)
-		}
-		return out, nil
+		return rowWise(selLen(sel, b), func(i int) (types.Value, error) { return CastValue(v.At(i), x.To) })
 
 	case *algebra.InList:
 		if consts, ok := constList(x.List); ok {
 			return evalVecInList(x, consts, ve, b, sel, fresh)
 		}
-		return evalVecFallback(e, ve, b, sel)
+		return ve.inRows(x, b, sel, fresh)
 
 	case *algebra.Like:
 		return evalVecLike(x, ve, b, sel, fresh)
 
-	default:
-		// Func, Case, IN over non-constant lists and anything new: the
-		// row engine IS the semantics, one selected row at a time.
-		return evalVecFallback(e, ve, b, sel)
+	case *algebra.Func:
+		args := make([]*vec.Vec, len(x.Args))
+		for i, a := range x.Args {
+			v, err := evalTemp(a, ve, b, sel)
+			if err != nil {
+				return nil, err
+			}
+			args[i] = v
+		}
+		vals := make([]types.Value, len(args))
+		return rowWise(selLen(sel, b), func(i int) (types.Value, error) {
+			for j, a := range args {
+				vals[j] = a.At(i)
+			}
+			return EvalConstFunc(x.Name, vals)
+		})
+
+	case *algebra.Case:
+		return ve.evalCase(x, b, sel)
 	}
+	return nil, fmt.Errorf("exec: cannot evaluate %T", e)
 }
 
-// evalVecFallback materializes each selected row into a reusable buffer
-// and delegates to the row engine's Eval. Only the columns the expression
-// reads are boxed into the buffer.
-func evalVecFallback(e algebra.Scalar, ve *vecEnv, b *vec.Batch, sel []int32) (*vec.Vec, error) {
-	if ve.env == nil {
-		ve.env = NewEnv(ve.cols)
-		ve.row = make(types.Row, len(ve.cols))
-	}
-	reads := ve.readsOf(e)
-	n := selLen(sel, b)
+// rowWise builds an n-row vector from row i's boxed value: the per-row
+// step of function calls and of the kernels' general paths.
+func rowWise(n int, at func(i int) (types.Value, error)) (*vec.Vec, error) {
 	out := &vec.Vec{}
 	for i := 0; i < n; i++ {
-		p := pos(sel, i)
-		for _, c := range reads {
-			ve.row[c] = b.Cols[c].At(p)
-		}
-		ve.env.Row = ve.row
-		v, err := Eval(e, ve.env)
+		v, err := at(i)
 		if err != nil {
 			return nil, err
 		}
 		out.Append(v)
 	}
+	return out, nil
+}
+
+// evalCase narrows each WHEN condition over the rows no earlier WHEN took
+// and evaluates its THEN over the rows it takes, and ELSE over the rest
+// (NULL without one), so a branch can raise errors only on the rows the
+// row engine evaluates it on. vec.Column places the results once, boxed
+// when the branches' kinds differ.
+func (ve *vecEnv) evalCase(x *algebra.Case, b *vec.Batch, sel []int32) (*vec.Vec, error) {
+	n := selLen(sel, b)
+	// Row i takes the result of branch arm[i]-1 (none, so NULL, at 0), at
+	// row at[i] of that branch's vector.
+	arm, at := ve.take(n)[:n], ve.take(n)[:n]
+	clear(arm)
+	var vals []*vec.Vec
+	branch := func(e algebra.Scalar, rows []int32) error {
+		if len(rows) == 0 {
+			return nil // no row to evaluate e on, so no error to raise
+		}
+		v, err := evalTemp(e, ve, b, rows)
+		if err != nil {
+			return err
+		}
+		vals = append(vals, v)
+		i := 0
+		for j, p := range rows {
+			for pos(sel, i) != int(p) {
+				i++
+			}
+			arm[i], at[i] = int32(len(vals)), int32(j)
+		}
+		return nil
+	}
+	rest := sel
+	if rest == nil {
+		rest = ve.all(b.N)
+	}
+	rest = append(ve.take(n), rest...) // the rows no WHEN took yet
+	for _, w := range x.Whens {
+		if len(rest) == 0 {
+			break
+		}
+		t, u, err := ve.narrow(w.Cond, b, rest, ve.take(len(rest)), ve.take(len(rest)), "CASE condition")
+		if err != nil {
+			return nil, err
+		}
+		if err := branch(w.Then, t); err != nil {
+			return nil, err
+		}
+		left := minus(ve.take(len(rest)), rest, t)
+		ve.give(rest, t, u)
+		rest = left
+	}
+	if x.Else != nil {
+		if err := branch(x.Else, rest); err != nil {
+			return nil, err
+		}
+	}
+	out := vec.Column(n, func(i int) types.Value {
+		if arm[i] == 0 {
+			return types.Null
+		}
+		return vals[arm[i]-1].At(int(at[i]))
+	})
+	ve.give(rest, arm, at)
+	return out, nil
+}
+
+// inRows is `e [NOT] IN (…)` over a list not all constant: each element
+// runs over the rows still undecided (e is not NULL, no earlier element
+// matched), the rows the row engine evaluates it on. A comparable match
+// decides; without one, a NULL element makes the answer NULL.
+func (ve *vecEnv) inRows(x *algebra.InList, b *vec.Batch, sel []int32, fresh bool) (*vec.Vec, error) {
+	v, err := evalTemp(x.E, ve, b, sel)
+	if err != nil {
+		return nil, err
+	}
+	n := selLen(sel, b)
+	out := ve.dense(types.KindBool, n, fresh)
+	// The undecided rows: their indexes in v and their batch positions.
+	idx, ps := ve.take(n), ve.take(n)
+	sawNull := ve.take(n)[:n]
+	clear(sawNull)
+	for i := 0; i < n; i++ {
+		if v.IsNull(i) {
+			out.SetNull(i)
+		} else {
+			idx, ps = append(idx, int32(i)), append(ps, int32(pos(sel, i)))
+		}
+	}
+	for _, el := range x.List {
+		if len(idx) == 0 {
+			break // every row is decided: no element runs again
+		}
+		ev, err := evalTemp(el, ve, b, ps)
+		if err != nil {
+			return nil, err
+		}
+		k := 0
+		for j, i := range idx {
+			a, c := v.At(int(i)), ev.At(j)
+			switch {
+			case c.IsNull():
+				sawNull[i] = 1
+			case types.Comparable(a.Kind(), c.Kind()) && types.Compare(a, c) == 0:
+				out.I64[i] = b2i(!x.Negated)
+				continue
+			}
+			idx[k], ps[k] = i, ps[j]
+			k++
+		}
+		idx, ps = idx[:k], ps[:k]
+	}
+	for _, i := range idx {
+		if sawNull[i] != 0 {
+			out.SetNull(int(i))
+		} else {
+			out.I64[i] = b2i(x.Negated)
+		}
+	}
+	ve.give(idx, ps, sawNull)
 	return out, nil
 }
 
@@ -507,36 +588,7 @@ func b2i(b bool) int64 {
 
 // constVec broadcasts one value across n rows.
 func constVec(v types.Value, n int) *vec.Vec {
-	if v.IsNull() {
-		return vec.NullVec(n)
-	}
-	out := vec.NewDense(v.Kind(), n)
-	switch v.Kind() {
-	case types.KindInt, types.KindDate, types.KindBool:
-		var x int64
-		switch v.Kind() {
-		case types.KindInt:
-			x = v.Int()
-		case types.KindDate:
-			x = v.DateDays()
-		default:
-			x = b2i(v.Bool())
-		}
-		for i := range out.I64 {
-			out.I64[i] = x
-		}
-	case types.KindFloat:
-		x := v.Float()
-		for i := range out.F64 {
-			out.F64[i] = x
-		}
-	case types.KindString:
-		x := v.Str()
-		for i := range out.Str {
-			out.Str[i] = x
-		}
-	}
-	return out
+	return vec.Column(n, func(int) types.Value { return v })
 }
 
 // asBits returns a logical operand as a typed BIT vector (or an all-NULL
@@ -547,20 +599,14 @@ func asBits(v *vec.Vec, n int) (*vec.Vec, error) {
 	if !v.Mixed && (v.Kind == types.KindBool || v.Kind == types.KindNull) {
 		return v, nil
 	}
-	out := vec.NewDense(types.KindBool, n)
-	for i := 0; i < n; i++ {
+	return rowWise(n, func(i int) (types.Value, error) {
 		ev := v.At(i)
 		if ev.IsNull() {
-			out.SetNull(i)
-			continue
+			return types.Null, nil
 		}
 		b, err := ev.AsBool()
-		if err != nil {
-			return nil, err
-		}
-		out.I64[i] = b2i(b)
-	}
-	return out, nil
+		return types.NewBool(b), err
+	})
 }
 
 // bitAt reads a BIT operand's row as (value, isNull).
@@ -739,20 +785,17 @@ func (ve *vecEnv) compareKernel(op sqlparser.BinOp, l, r *vec.Vec, lm, rm, n int
 		}
 	}
 	// General path: boxed elementwise, same checks as evalBinary.
-	out := ve.dense(types.KindBool, n, fresh)
-	for i := 0; i < n; i++ {
+	return rowWise(n, func(i int) (types.Value, error) {
 		a, b := l.At(i&lm), r.At(i&rm)
 		if a.IsNull() || b.IsNull() {
-			out.SetNull(i)
-			continue
+			return types.Null, nil
 		}
 		c, err := types.CompareChecked(a, b)
 		if err != nil {
-			return nil, fmt.Errorf("exec: comparing %s with %s", a.Kind(), b.Kind())
+			return types.Null, fmt.Errorf("exec: comparing %s with %s", a.Kind(), b.Kind())
 		}
-		out.I64[i] = b2i(holds(op, int64(c), 0))
-	}
-	return out, nil
+		return types.NewBool(holds(op, int64(c), 0)), nil
+	})
 }
 
 // arithLoop writes one arithmetic operator over two payload slices with
@@ -834,15 +877,7 @@ func (ve *vecEnv) arithKernel(op sqlparser.BinOp, l, r *vec.Vec, n int, fresh bo
 		}
 	}
 	// General path: the shared types helpers, elementwise.
-	out := &vec.Vec{}
-	for i := 0; i < n; i++ {
-		v, err := arithBoxed(op, l.At(i), r.At(i))
-		if err != nil {
-			return nil, err
-		}
-		out.Append(v)
-	}
-	return out, nil
+	return rowWise(n, func(i int) (types.Value, error) { return arithBoxed(op, l.At(i), r.At(i)) })
 }
 
 // arithScalar evaluates column-op-constant arithmetic without
@@ -872,20 +907,12 @@ func (ve *vecEnv) arithScalar(op sqlparser.BinOp, v *vec.Vec, cv types.Value, n 
 		}
 	}
 	// Division and the general path: boxed elementwise in operand order.
-	out := &vec.Vec{}
-	for i := 0; i < n; i++ {
-		ev := v.At(i)
-		a, b := ev, cv
+	return rowWise(n, func(i int) (types.Value, error) {
 		if constLeft {
-			a, b = cv, ev
+			return arithBoxed(op, cv, v.At(i))
 		}
-		res, err := arithBoxed(op, a, b)
-		if err != nil {
-			return nil, err
-		}
-		out.Append(res)
-	}
-	return out, nil
+		return arithBoxed(op, v.At(i), cv)
+	})
 }
 
 // arithBoxed applies one arithmetic operator via the shared types

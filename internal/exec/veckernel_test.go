@@ -123,6 +123,27 @@ func render(row types.Row) string {
 	return strings.Join(parts, "|")
 }
 
+// sameRow reports whether two rows hold the same values as render spells
+// them: the same kind and value, floats by their bits (so -0 is not 0)
+// and any NaN equal to any NaN.
+func sameRow(a, b types.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, x := range a {
+		y := b[i]
+		if x.Kind() == types.KindFloat && y.Kind() == types.KindFloat {
+			fx, fy := x.Float(), y.Float()
+			if math.Float64bits(fx) != math.Float64bits(fy) && !(math.IsNaN(fx) && math.IsNaN(fy)) {
+				return false
+			}
+		} else if x != y {
+			return false
+		}
+	}
+	return true
+}
+
 // both runs a tree through the row and the vectorized executor and
 // compares the outcomes. It reports the row count, for cases that must
 // produce rows to mean anything.
@@ -145,8 +166,8 @@ func (d *kernelDB) both(t *testing.T, name string, tree *algebra.Tree) int {
 		t.Fatalf("%s: row engine %d rows, vectorized %d", name, len(rrel.Rows), len(vrel.Rows))
 	}
 	for i := range rrel.Rows {
-		if a, b := render(rrel.Rows[i]), render(vrel.Rows[i]); a != b {
-			t.Fatalf("%s: row %d: row engine %s, vectorized %s", name, i, a, b)
+		if !sameRow(rrel.Rows[i], vrel.Rows[i]) {
+			t.Fatalf("%s: row %d: row engine %s, vectorized %s", name, i, render(rrel.Rows[i]), render(vrel.Rows[i]))
 		}
 	}
 	return len(rrel.Rows)
@@ -170,7 +191,9 @@ func (d *kernelDB) predicateCases() map[string]algebra.Scalar {
 	}
 	kIs := func(x int64) algebra.Scalar { return bin(sqlparser.OpEq, k, c(types.NewInt(x))) }
 	fGt := bin(sqlparser.OpGt, f, c(types.NewFloat(1)))
-	divByKMinus1 := bin(sqlparser.OpGt, bin(sqlparser.OpDiv, c(types.NewInt(1)), bin(sqlparser.OpSub, k, c(types.NewInt(1)))), c(types.NewInt(0)))
+	oneOverKMinus1 := bin(sqlparser.OpDiv, c(types.NewInt(1)), bin(sqlparser.OpSub, k, c(types.NewInt(1))))
+	divByKMinus1 := bin(sqlparser.OpGt, oneOverKMinus1, c(types.NewInt(0)))
+	when := func(cond, then algebra.Scalar) algebra.CaseWhen { return algebra.CaseWhen{Cond: cond, Then: then} }
 	return map[string]algebra.Scalar{
 		"s IN (MAIL, NULL, SHIP)":   in(s, false, types.NewString("MAIL"), types.Null, types.NewString("SHIP")),
 		"s NOT IN (MAIL, SHIP)":     in(s, true, types.NewString("MAIL"), types.NewString("SHIP")),
@@ -226,26 +249,80 @@ func (d *kernelDB) predicateCases() map[string]algebra.Scalar {
 		// circuit evaluates it on.
 		"k=1 AND s=NULL AND 1/(k-1) > 0 (errors)": bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, kIs(1), bin(sqlparser.OpEq, s, c(types.Null))), divByKMinus1),
 		"k<>1 AND i>0 AND 1/(k-1) > 0":            bin(sqlparser.OpAnd, bin(sqlparser.OpAnd, bin(sqlparser.OpNe, k, c(types.NewInt(1))), bin(sqlparser.OpGt, i, c(types.NewInt(0)))), divByKMinus1),
+		// CASE: rows that no WHEN takes get the ELSE, or NULL without
+		// one; a NULL condition passes its row on, and of two WHENs that
+		// both hold the first decides. A THEN, or an IN element, runs only
+		// on the rows that reach it.
+		"CASE k=1 THEN f>1 WHEN k=2 THEN t ELSE s LIKE 'M%'": caseOf(&algebra.Like{E: s, Pattern: "M%"}, when(kIs(1), fGt), when(kIs(2), t)),
+		"CASE k=1 THEN f>1 WHEN k=2 THEN t (no ELSE)":        caseOf(nil, when(kIs(1), fGt), when(kIs(2), t)),
+		"CASE s=NULL, t, k>0, k>1 (NULL and overlapping WHENs)": caseOf(bin(sqlparser.OpEq, s, c(types.NewString("a"))),
+			when(bin(sqlparser.OpEq, s, c(types.Null)), c(types.NewBool(true))), when(t, kIs(1)),
+			when(bin(sqlparser.OpGt, k, c(types.NewInt(0))), fGt), when(bin(sqlparser.OpGt, k, c(types.NewInt(1))), &algebra.Not{E: fGt})),
+		"CASE WHEN k THEN t (errors)":           caseOf(nil, when(k, t)),
+		"CASE WHEN k<>1 THEN 1/(k-1) > 0":       caseOf(nil, when(bin(sqlparser.OpNe, k, c(types.NewInt(1))), divByKMinus1)),
+		"k IN (i, f, NULL)":                     &algebra.InList{E: k, List: []algebra.Scalar{i, f, c(types.Null)}},
+		"m NOT IN (k, s)":                       &algebra.InList{E: m, List: []algebra.Scalar{k, s}, Negated: true},
+		"1 IN (k, 1/(k-1)) (1/0 after a match)": &algebra.InList{E: c(types.NewInt(1)), List: []algebra.Scalar{k, oneOverKMinus1}},
+		"k IN (i, 1/(k-1)) (errors)":            &algebra.InList{E: k, List: []algebra.Scalar{i, oneOverKMinus1}},
 	}
+}
+
+// valueCases are scalars under test over table a that are not
+// predicates.
+func (d *kernelDB) valueCases() map[string]algebra.Scalar {
+	k, f, i, s, dt := d.ref("a", 0), d.ref("a", 1), d.ref("a", 2), d.ref("a", 3), d.ref("a", 5)
+	c := func(v types.Value) algebra.Scalar { return cnst(v) }
+	kMinus := func(x int64) algebra.Scalar { return bin(sqlparser.OpSub, k, c(types.NewInt(x))) }
+	fn := func(name string, out types.Kind, args ...algebra.Scalar) algebra.Scalar {
+		return &algebra.Func{Name: name, Args: args, Out: out}
+	}
+	when := func(cond, then algebra.Scalar) algebra.CaseWhen { return algebra.CaseWhen{Cond: cond, Then: then} }
+	return map[string]algebra.Scalar{
+		// q08's shape: the branches' kinds differ, so the column mixes them.
+		"CASE WHEN k=1 THEN i ELSE f (INT and FLOAT)": caseOf(f, when(bin(sqlparser.OpEq, k, c(types.NewInt(1))), i)),
+		"CASE WHEN k<>1 THEN 1/(k-1)":                 caseOf(nil, when(bin(sqlparser.OpNe, k, c(types.NewInt(1))), bin(sqlparser.OpDiv, c(types.NewInt(1)), kMinus(1)))),
+		"YEAR(d)":                                     fn("YEAR", types.KindInt, dt),
+		"SUBSTRING(s, i, k)":                          fn("SUBSTRING", types.KindString, s, i, k),
+		"DATEADD(month, k, d)":                        fn("DATEADD", types.KindDate, c(types.NewString("month")), k, dt),
+		"DATEADD(day, i, d)":                          fn("DATEADD", types.KindDate, c(types.NewString("day")), i, dt),
+		"SUBSTRING(s, i, k-2) (errors)":               fn("SUBSTRING", types.KindString, s, i, kMinus(2)),
+		"YEAR(CASE WHEN k=1 THEN d END)":              fn("YEAR", types.KindInt, caseOf(nil, when(bin(sqlparser.OpEq, k, c(types.NewInt(1))), dt))),
+		"CASE WHEN f>1 THEN YEAR(d) ELSE k":           caseOf(k, when(bin(sqlparser.OpGt, f, c(types.NewInt(1))), fn("YEAR", types.KindInt, dt))),
+	}
+}
+
+// caseOf is CASE over whens with els as its ELSE, none when els is nil.
+func caseOf(els algebra.Scalar, whens ...algebra.CaseWhen) algebra.Scalar {
+	return &algebra.Case{Whens: whens, Else: els}
 }
 
 // TestVecKernelsMatchRows: every predicate, projected (three-valued) and
 // filtered on, agrees between the executors over several generated
-// tables; the cases marked as erroring fail on both, the others on
-// neither.
+// tables, and so does every other scalar, projected over every row and
+// over the rows a filter keeps; the cases marked as erroring fail on
+// both, the others on neither.
 func TestVecKernelsMatchRows(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		d := newKernelDB(seed, 2500, 0)
-		for name, pred := range d.predicateCases() {
+		project := func(name string, in *algebra.Tree, e algebra.Scalar) {
+			t.Helper()
 			proj := algebra.NewTree(&algebra.Project{Defs: []algebra.ProjDef{
 				{Expr: d.ref("a", 0), ID: 100, Name: "k"},
-				{Expr: pred, ID: 101, Name: "p"},
-			}}, d.get("a"))
+				{Expr: e, ID: 101, Name: "p"},
+			}}, in)
 			n := d.both(t, fmt.Sprintf("seed %d project %s", seed, name), proj)
 			if errs := strings.Contains(name, "(errors)"); errs != (n < 0) {
 				t.Fatalf("seed %d %s: erroring=%v, want %v", seed, name, n < 0, errs)
 			}
+		}
+		for name, pred := range d.predicateCases() {
+			project(name, d.get("a"), pred)
 			d.both(t, fmt.Sprintf("seed %d filter %s", seed, name), algebra.NewTree(&algebra.Select{Filter: pred}, d.get("a")))
+		}
+		kept := algebra.NewTree(&algebra.Select{Filter: bin(sqlparser.OpNe, d.ref("a", 0), cnst(types.NewInt(0)))}, d.get("a"))
+		for name, e := range d.valueCases() {
+			project(name, d.get("a"), e)
+			project(name+" over k<>0", kept, e)
 		}
 	}
 }

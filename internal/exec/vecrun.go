@@ -511,7 +511,8 @@ type vecJoin struct {
 	chainNext    []int32
 	rightMatched []bool
 	pairVE       *vecEnv
-	pb           *vec.Batch // the pair columns a predicate reads, as scratch
+	reads        []int      // the pair columns the predicate reads
+	pb           *vec.Batch // those columns, as scratch
 	hs           []uint64   // probe-side key hash scratch
 	pl, pr       []int32    // candidate pairs: left positions, right rows
 	cl, cr       []int32    // one left row's nested-loop candidates
@@ -1066,15 +1067,21 @@ func (j *vecJoin) joinBatch(lb *vec.Batch, sel []int32) (*vec.Batch, error) {
 // left-only.
 func (j *vecJoin) filterPairs(lb *vec.Batch, pl, pr []int32, on algebra.Scalar) ([]int32, []int32, error) {
 	if j.pairVE == nil {
+		// The one predicate: the residual of a hash join, else ON.
 		j.pairVE = newVecEnv(j.pairCols)
 		j.pb = &vec.Batch{Cols: make([]*vec.Vec, len(j.pairCols))}
+		algebra.ScalarCols(on).ForEach(func(id algebra.ColumnID) {
+			if c, ok := j.pairVE.idx[id]; ok {
+				j.reads = append(j.reads, c)
+			}
+		})
 	}
 	// Only the columns the predicate reads are gathered, into scratch;
 	// evaluation never touches the others.
 	j.pairVE.reset()
 	pb := j.pb
 	pb.N = len(pl)
-	for _, c := range j.pairVE.readsOf(on) {
+	for _, c := range j.reads {
 		if c < j.lWidth {
 			pb.Cols[c] = j.pairVE.gather(lb.Cols[c], pl, false)
 		} else {

@@ -52,7 +52,8 @@ func sameValue(a, b types.Value) bool {
 // scalar kind, FoldScalar returns exactly exec.Eval's value or leaves the
 // expression in place — and it leaves it only when Eval fails or yields
 // a float DSQL cannot spell, in which case the expression still
-// evaluates exactly as before.
+// evaluates exactly as before. Folding evaluates with the vectorized
+// evaluator (exec.EvalClosed), so this compares it with the reference.
 func TestFoldIsEval(t *testing.T) {
 	exprs := []string{
 		// Arithmetic, comparison and logic, with NULL operands.

@@ -16,31 +16,7 @@ func foldTree(t *algebra.Tree) *algebra.Tree {
 	for i, c := range t.Children {
 		children[i] = foldTree(c)
 	}
-	op := t.Op
-	switch o := op.(type) {
-	case *algebra.Select:
-		op = &algebra.Select{Filter: FoldScalar(o.Filter)}
-	case *algebra.Project:
-		defs := make([]algebra.ProjDef, len(o.Defs))
-		for i, d := range o.Defs {
-			defs[i] = algebra.ProjDef{Expr: FoldScalar(d.Expr), ID: d.ID, Name: d.Name}
-		}
-		op = &algebra.Project{Defs: defs}
-	case *algebra.Join:
-		if o.On != nil {
-			op = &algebra.Join{Kind: o.Kind, On: FoldScalar(o.On)}
-		}
-	case *algebra.GroupBy:
-		aggs := make([]algebra.AggDef, len(o.Aggs))
-		for i, a := range o.Aggs {
-			aggs[i] = a
-			if a.Arg != nil {
-				aggs[i].Arg = FoldScalar(a.Arg)
-			}
-		}
-		op = &algebra.GroupBy{Keys: o.Keys, Aggs: aggs, Phase: o.Phase}
-	}
-	out := algebra.NewTree(op, children...)
+	out := algebra.NewTree(algebra.MapScalars(t.Op, FoldScalar), children...)
 	// A Select with a constant-true filter disappears; constant-false is
 	// handled by contradiction detection.
 	if sel, ok := out.Op.(*algebra.Select); ok {
@@ -52,11 +28,12 @@ func foldTree(t *algebra.Tree) *algebra.Tree {
 }
 
 // FoldScalar simplifies an expression. A closed scalar — one with no
-// column and no subquery beneath it — is evaluated by exec.Eval and
-// replaced by its value, so folding has no semantics of its own; when
-// Eval fails, or yields a float DSQL cannot spell (NaN, ±Inf), the scalar
-// stays for the nodes to evaluate. Over columns, AND/OR with one constant
-// side collapse and double negation drops.
+// column and no subquery beneath it — is evaluated by the nodes' own
+// evaluator (exec.EvalClosed) and replaced by its value, so folding has
+// no semantics of its own; when evaluation fails, or yields a float DSQL
+// cannot spell (NaN, ±Inf), the scalar stays for the nodes to evaluate.
+// Over columns, AND/OR with one constant side collapse and double
+// negation drops.
 func FoldScalar(e algebra.Scalar) algebra.Scalar {
 	e, _ = fold(e)
 	return e
@@ -66,7 +43,7 @@ func FoldScalar(e algebra.Scalar) algebra.Scalar {
 // result is closed, which it decides from the children it has just
 // folded: a scalar is closed when it is no column and no subquery and
 // every child is closed. A closed child is a constant or a closed scalar
-// Eval left in place, so a parent of a 1/0 is still evaluated.
+// evaluation left in place, so a parent of a 1/0 is still evaluated.
 func fold(e algebra.Scalar) (algebra.Scalar, bool) {
 	closed := true
 	e = algebra.RewriteChildren(e, func(c algebra.Scalar) algebra.Scalar {
@@ -81,8 +58,7 @@ func fold(e algebra.Scalar) (algebra.Scalar, bool) {
 		return e, false
 	}
 	if closed {
-		// A closed scalar reads no row, so Eval needs no environment.
-		if v, err := exec.Eval(e, nil); err == nil && spellable(v) {
+		if v, err := exec.EvalClosed(e); err == nil && spellable(v) {
 			return &algebra.Const{Val: v}, true
 		}
 		return e, true

@@ -47,8 +47,6 @@ type (
 	Value = types.Value
 	// Row is one result tuple.
 	Row = types.Row
-	// Lambda holds the DMS cost model's calibrated per-byte constants.
-	Lambda = cost.Lambda
 	// MoveKind enumerates the seven DMS operations of paper §3.3.2.
 	MoveKind = cost.MoveKind
 	// Fault is one fault-injection rule for the engine's chaos facility.
@@ -148,8 +146,6 @@ type Options struct {
 	// memo.DefaultBudget, negative means unlimited. A query the
 	// SearchBudget sends to the greedy regime explores nothing.
 	Budget int
-	// Lambda overrides the cost model constants; nil uses defaults.
-	Lambda *Lambda
 	// DisableInterestingRetention is the ablation of Figure 4 step
 	// 06.ii (best-per-interesting-property retention).
 	DisableInterestingRetention bool
@@ -418,14 +414,10 @@ func (db *DB) optimizeCached(sql string, opts Options) (*QueryPlan, error) {
 // difftest harness certifies plans are identical across Parallelism
 // settings) — and every SearchBudget ≤ 0 is the one "no cap".
 func (db *DB) envSignature(opts Options) string {
-	lambda := cost.DefaultLambda()
-	if opts.Lambda != nil {
-		lambda = *opts.Lambda
-	}
-	return fmt.Sprintf("mode=%d budget=%d sb=%d noir=%t nosplit=%t seedcol=%t verify=%t nodes=%d lambda=%+v",
+	return fmt.Sprintf("mode=%d budget=%d sb=%d noir=%t nosplit=%t seedcol=%t verify=%t nodes=%d",
 		opts.Mode, opts.Budget, max(opts.SearchBudget, 0), opts.DisableInterestingRetention,
 		opts.DisableAggSplit, opts.SeedCollocated, opts.Verify,
-		db.shell.Topology.ComputeNodes, lambda)
+		db.shell.Topology.ComputeNodes)
 }
 
 // compile runs the Figure 2 pipeline. A non-nil pq compiles the query's
@@ -531,12 +523,8 @@ func (db *DB) compile(sql string, opts Options, pq *normalize.ParamQuery) (qp *Q
 	}
 	sp.End()
 
-	lambda := cost.DefaultLambda()
-	if opts.Lambda != nil {
-		lambda = *opts.Lambda
-	}
 	sp = tr.BeginUnder(osp.ID(), "pdw-optimize")
-	opt := core.New(dec, db.shell, cost.NewModel(db.shell.Topology.ComputeNodes, lambda), core.Config{
+	opt := core.New(dec, db.shell, cost.NewModel(db.shell.Topology.ComputeNodes, cost.DefaultLambda()), core.Config{
 		Mode:                        opts.Mode,
 		DisableInterestingRetention: opts.DisableInterestingRetention,
 		DisableAggSplit:             opts.DisableAggSplit,
